@@ -17,6 +17,8 @@ ship hand-written congruence witnesses instead.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import MissingWitness
 from . import derive
 from .judgements import (
@@ -28,7 +30,7 @@ from .judgements import (
     presuppositions,
     ty_eq,
 )
-from .rules import congruence_rule, instantiate_rule
+from .rules import congruence_maps, congruence_rule, instantiate_rule
 from .syntax import (
     Expr,
     Instantiation,
@@ -38,10 +40,10 @@ from .syntax import (
     Var,
     concat_inst,
     substitute_expr,
+    translate_expr,
 )
 from .theories import (
     ConvInst,
-    EquivInst,
     EqSubstInst,
     Hyp,
     RawTypeTheory,
@@ -50,76 +52,8 @@ from .theories import (
     SubstInst,
     TheoryDerivation,
     VariableInst,
+    map_derivation_exprs,
 )
-
-
-def _relabel_expr(e: Expr, shift: int) -> Expr:
-    match e:
-        case Var():
-            return e
-        case SymApp(sym=s, args=args, scope=sc, cls=c):
-            return SymApp(s, tuple(_relabel_expr(a, shift) for a in args), sc, c)
-        case MetaApp(idx=m, args=args, scope=sc, cls=c):
-            return MetaApp(m + shift, tuple(_relabel_expr(a, shift) for a in args), sc, c)
-    raise TypeError(e)
-
-
-def _relabel_context(ctx: RawContext, shift: int) -> RawContext:
-    return RawContext(ctx.scope, tuple(_relabel_expr(t, shift) for t in ctx.types))
-
-
-def _relabel_judgement(j: Judgement, shift: int) -> Judgement:
-    return Judgement(
-        _relabel_context(j.context, shift),
-        j.form,
-        tuple(_relabel_expr(e, shift) for e in j.boundary),
-        None if j.head is None else _relabel_expr(j.head, shift),
-    )
-
-
-def _relabel_inst(inst: Instantiation, shift: int) -> Instantiation:
-    return Instantiation(inst.arity, inst.scope, tuple(_relabel_expr(e, shift) for e in inst.exprs))
-
-
-def _relabel_subst(f: Substitution, shift: int) -> Substitution:
-    return Substitution(f.src, f.dst, tuple(_relabel_expr(e, shift) for e in f.table))
-
-
-def relabel_derivation(d: TheoryDerivation, shift: int, hyp_shift: int) -> TheoryDerivation:
-    """Move a derivation to one copy of the doubled metavariable segment."""
-    match d:
-        case Hyp(index=k):
-            return Hyp(k + hyp_shift)
-        case Specific(rule=r, inst=i, context=g, children=children):
-            return Specific(
-                r,
-                _relabel_inst(i, shift),
-                _relabel_context(g, shift),
-                tuple(relabel_derivation(c, shift, hyp_shift) for c in children),
-            )
-        case Structural(instance=data, children=children):
-            new_children = tuple(relabel_derivation(c, shift, hyp_shift) for c in children)
-            match data:
-                case VariableInst(context=ctx, pos=i):
-                    new = VariableInst(_relabel_context(ctx, shift), i)
-                case EquivInst(which=w, inst=i, context=ctx):
-                    new = EquivInst(w, _relabel_inst(i, shift), _relabel_context(ctx, shift))
-                case ConvInst(which=w, inst=i, context=ctx):
-                    new = ConvInst(w, _relabel_inst(i, shift), _relabel_context(ctx, shift))
-                case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
-                    new = SubstInst(
-                        _relabel_subst(f, shift), _relabel_context(ctx, shift), K,
-                        _relabel_judgement(j, shift),
-                    )
-                case EqSubstInst(left=f, right=g2, context=ctx, trivial=K, judgement=j):
-                    new = EqSubstInst(
-                        _relabel_subst(f, shift), _relabel_subst(g2, shift),
-                        _relabel_context(ctx, shift), K, _relabel_judgement(j, shift),
-                    )
-                case _:
-                    raise TypeError(data)
-            return Structural(new, new_children)
-    raise TypeError(d)
 
 
 class _CongruenceEngine:
@@ -137,6 +71,10 @@ class _CongruenceEngine:
         self.objects = self.rule.object_premises()
         self.tight = check_tight(self.rule)
         self.cong = congruence_rule(theory.signature, self.rule)
+        # the two copies of the metavariable segment in the congruence rule
+        left_map, right_map = congruence_maps(theory.signature, self.rule)
+        self.l_expr = partial(translate_expr, left_map)
+        self.r_expr = partial(translate_expr, right_map)
 
     # -- little helpers -------------------------------------------------------
 
@@ -144,16 +82,10 @@ class _CongruenceEngine:
         return 2 * self.n + self.objects.index(premise)
 
     def left(self, d):
-        return relabel_derivation(d, 0, 0)
+        return map_derivation_exprs(d, self.l_expr)
 
     def right(self, d):
-        return relabel_derivation(d, self.shift, self.n)
-
-    def l_expr(self, e):
-        return _relabel_expr(e, 0)
-
-    def r_expr(self, e):
-        return _relabel_expr(e, self.shift)
+        return map_derivation_exprs(d, self.r_expr, hyp=lambda k: k + self.n)
 
     def find_hyp(self, judgement: Judgement) -> TheoryDerivation:
         for k, p in enumerate(self.cong.premises):
@@ -170,7 +102,7 @@ class _CongruenceEngine:
                 return self.left(d), self.right(d), eq
             case Structural(instance=VariableInst(context=ctx, pos=i), children=children):
                 d_fa, _, _ = self.triple(children[0])
-                lctx = _relabel_context(ctx, 0)
+                lctx = ctx.map_exprs(self.l_expr)
                 la = lctx.type_at(i)
                 x = Var(i, lctx.scope)
                 dvar = Structural(VariableInst(lctx, i), (d_fa,))
@@ -182,21 +114,20 @@ class _CongruenceEngine:
         raise MissingWitness(f"congruence synthesis cannot handle {type(d).__name__} nodes")
 
     def _rule_triple(self, node):
-        from .metatheory import _cited_rule, _node_inst, find_congruence
+        from .metatheory import _rule_instance, find_congruence
 
-        rule, _ = _cited_rule(self.theory, node)
-        inst, ctx = _node_inst(node)
+        rule, inst, ctx = _rule_instance(self.theory, node)
         d_l, d_r = self.left(node), self.right(node)
         if not rule.conclusion.is_object:
             return d_l, d_r, None
-        lctx = _relabel_context(ctx, 0)
+        lctx = ctx.map_exprs(self.l_expr)
         match node:
             case Specific(rule=r):
                 cidx = find_congruence(self.theory, r)
                 if cidx is None:
                     raise MissingWitness(f"no congruence rule for {self.theory.rule_name(r)}")
                 eq_children = [self.triple(node.children[k])[2] for k in rule.object_premises()]
-                ii = concat_inst(_relabel_inst(inst, 0), _relabel_inst(inst, self.shift))
+                ii = concat_inst(inst.map_exprs(self.l_expr), inst.map_exprs(self.r_expr))
                 children = (
                     [self.left(c) for c in node.children]
                     + [self.right(c) for c in node.children]
@@ -231,18 +162,18 @@ class _CongruenceEngine:
             raise MissingWitness(
                 "congruence synthesis supports substitution nodes into type judgements only"
             )
-        if K or _relabel_context(tgt, 0) != _relabel_context(tgt, self.shift):
+        if K or tgt.map_exprs(self.l_expr) != tgt.map_exprs(self.r_expr):
             raise MissingWitness(
                 "congruence synthesis supports substitution nodes only with no checked "
                 "positions and a metavariable-free target context"
             )
-        lctx = _relabel_context(tgt, 0)
+        lctx = tgt.map_exprs(self.l_expr)
         src = jj.context
-        lf, rf = _relabel_subst(f, 0), _relabel_subst(f, self.shift)
+        lf, rf = f.map_exprs(self.l_expr), f.map_exprs(self.r_expr)
         d_j = node.children[0]
         typ = {i: node.children[1 + i] for i in range(src.scope)}
         tJ = self.triple(d_j)
-        r_src = _relabel_context(src, self.shift)
+        r_src = src.map_exprs(self.r_expr)
 
         typing_triples = {}
         mid_typings = {}
@@ -271,12 +202,12 @@ class _CongruenceEngine:
             typing_triples[i] = (conv_f, t_i[1], conv_e_l)
             mid_typings[i] = conv_f
 
-        eq_j = ty_eq(_relabel_context(src, 0), self.l_expr(jj.head), self.r_expr(jj.head))
+        eq_j = ty_eq(src.map_exprs(self.l_expr), self.l_expr(jj.head), self.r_expr(jj.head))
         step1 = Structural(
             SubstInst(lf, lctx, frozenset(), eq_j),
             (tJ[2],) + tuple(self.left(typ[i]) for i in range(src.scope)),
         )
-        r_j = _relabel_judgement(jj, self.shift)
+        r_j = jj.map_exprs(self.r_expr)
         step2 = Structural(
             EqSubstInst(lf, rf, lctx, frozenset(), r_j),
             (tJ[1],) + tuple(x for i in range(src.scope) for x in typing_triples[i]),
@@ -323,7 +254,7 @@ class _CongruenceEngine:
         intro = self.tight.premise_of_arg[m]
         hyp = Hyp(intro + (0 if left_copy else self.n))
         head = self.rule.premises[intro].head
-        closed = is_type(EMPTY_CONTEXT, _relabel_expr(head, 0 if left_copy else self.shift))
+        closed = is_type(EMPTY_CONTEXT, (self.l_expr if left_copy else self.r_expr)(head))
         return derive.weaken_closed(ctx, closed, hyp)
 
     def _entry_equality(self, ctx: RawContext, to_ty: Expr, from_ty: Expr) -> TheoryDerivation:
@@ -332,7 +263,7 @@ class _CongruenceEngine:
             raise MissingWitness("congruence synthesis needs matching closed metavariable entries")
         intro = self.tight.premise_of_arg[m]
         head = self.rule.premises[intro].head
-        closed = ty_eq(EMPTY_CONTEXT, _relabel_expr(head, 0), _relabel_expr(head, self.shift))
+        closed = ty_eq(EMPTY_CONTEXT, self.l_expr(head), self.r_expr(head))
         return derive.weaken_closed(ctx, closed, Hyp(self.eq_hyp(intro)))
 
     def _transport(self, d, from_ctx: RawContext, to_ctx: RawContext, judgement: Judgement):
@@ -364,7 +295,7 @@ class _CongruenceEngine:
         if isinstance(a, MetaApp):
             intro = self.tight.premise_of_arg[a.idx]
             generic = self.rule.premises[intro].head
-            intro_lctx = _relabel_context(self.rule.premises[intro].context, 0)
+            intro_lctx = self.rule.premises[intro].context.map_exprs(self.l_expr)
             if a == generic and intro_lctx == lctx:
                 return Hyp(self.eq_hyp(intro))
             if not a.args and self.rule.premises[intro].context.scope == 0:
@@ -403,9 +334,9 @@ class _CongruenceEngine:
         for pos, k in enumerate(self.objects):
             idx = 2 * n + pos
             premise = self.rule.premises[k]
-            lctx = _relabel_context(premise.context, 0)
-            rctx = _relabel_context(premise.context, self.shift)
-            r_j = _relabel_judgement(premise, self.shift)
+            lctx = premise.context.map_exprs(self.l_expr)
+            rctx = premise.context.map_exprs(self.r_expr)
+            r_j = premise.map_exprs(self.r_expr)
             if premise.form is JudgementForm.IS_TY:
                 out.premises[(idx, 0)] = Hyp(k)
                 out.premises[(idx, 1)] = self._transport(Hyp(n + k), rctx, lctx, r_j)
@@ -449,7 +380,7 @@ class _CongruenceEngine:
     def _transported_term(self, k: int, premise: Judgement, lctx, rctx) -> TheoryDerivation:
         """The right instance of a term premise, carried to the left context
         and converted to the left type."""
-        r_j = _relabel_judgement(premise, self.shift)
+        r_j = premise.map_exprs(self.r_expr)
         moved = self._transport(Hyp(self.n + k), rctx, lctx, r_j)
         a = premise.boundary[0]
         la, ra = self.l_expr(a), self.r_expr(a)

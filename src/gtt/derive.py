@@ -12,8 +12,6 @@ from .rules import (
     CONV_EQ,
     CONV_TM,
     EQUIV_TM_REFL,
-    EQUIV_TM_SYM,
-    EQUIV_TM_TRANS,
     EQUIV_TY_REFL,
     EQUIV_TY_SYM,
     EQUIV_TY_TRANS,
@@ -56,14 +54,6 @@ def trans_ty(ctx, a, b, c, d_a, d_b, d_c, d_ab, d_bc) -> Structural:
 
 def refl_tm(ctx, a, s, d_a, d_s) -> Structural:
     return _equiv(EQUIV_TM_REFL, ctx, (a, s), (d_a, d_s))
-
-
-def sym_tm(ctx, a, s, t, d_a, d_s, d_t, d_st) -> Structural:
-    return _equiv(EQUIV_TM_SYM, ctx, (a, s, t), (d_a, d_s, d_t, d_st))
-
-
-def trans_tm(ctx, a, s, t, u, d_a, d_s, d_t, d_u, d_st, d_tu) -> Structural:
-    return _equiv(EQUIV_TM_TRANS, ctx, (a, s, t, u), (d_a, d_s, d_t, d_u, d_st, d_tu))
 
 
 def conv(ctx, a, b, s, d_a, d_b, d_s, d_ab) -> Structural:
@@ -116,16 +106,3 @@ def weaken_closed(target: RawContext, judgement: Judgement, d_judgement) -> Stru
         raise ValueError("weaken_closed applies to judgements in the empty context")
     f = Substitution(target.scope, 0, ())
     return subst(f, target, frozenset(), judgement, d_judgement)
-
-
-def subst_closing(
-    terms: tuple[Expr, ...],
-    judgement: Judgement,
-    d_judgement,
-    typings,
-) -> Structural:
-    """Substitute closed terms for every variable of the judgement's context."""
-    f = Substitution(0, judgement.context.scope, terms)
-    from .judgements import EMPTY_CONTEXT
-
-    return subst(f, EMPTY_CONTEXT, frozenset(), judgement, d_judgement, typings)

@@ -4,6 +4,11 @@ Everything here is independent of syntax: derivations are trees over an
 arbitrary carrier set X.  Families are ordered finite tuples; the index
 set of a family is its positions, so duplicates are allowed and uses of
 an element stay tagged with where it came from.
+
+``check_derivation`` is the only loop that checks derivation trees.  The
+generic checker runs it with the rules of a closure system; the typed
+checker in ``theories`` runs it with ``closure_rule_of_node``, which
+recomputes the closure rule a typed node cites.
 """
 
 from __future__ import annotations
@@ -13,8 +18,10 @@ from typing import Callable, Generic, Iterable, TypeVar
 
 from .errors import (
     ChildCountMismatch,
+    DerivationError,
     FillerConclusionMismatch,
     IndexOutOfRange,
+    KernelError,
     PremiseMismatch,
 )
 
@@ -39,6 +46,10 @@ class GHyp:
 
     index: int
 
+    @property
+    def children(self) -> tuple:
+        return ()
+
 
 @dataclass(frozen=True)
 class GStep:
@@ -51,42 +62,57 @@ class GStep:
 GenericDerivation = GHyp | GStep
 
 
-def _default_eq(a, b) -> bool:
-    return a == b
+def check_derivation(
+    hyps: tuple[X, ...],
+    d,
+    rule_of: Callable[[object], ClosureRule],
+) -> X:
+    """Check a derivation tree over a closure system and return its conclusion.
+
+    This is the one checking loop: a hypothesis leaf (a GHyp) concludes the
+    cited hypothesis; at any other node ``rule_of`` gives the closure rule
+    the node cites, and each child's conclusion must equal the corresponding
+    premise.  Failures carry the path of child indices from the root:
+    DerivationError wraps a bad index, a failed ``rule_of`` or a child-count
+    mismatch, and PremiseMismatch reports a premise mismatch.
+    """
+
+    def go(node, path: tuple[int, ...]):
+        if isinstance(node, GHyp):
+            k = node.index
+            if not 0 <= k < len(hyps):
+                raise DerivationError(path, IndexOutOfRange(f"hypothesis {k} of {len(hyps)}"))
+            return hyps[k]
+        try:
+            rule = rule_of(node)
+        except KernelError as e:
+            raise DerivationError(path, e) from e
+        children = node.children
+        if len(children) != len(rule.premises):
+            raise DerivationError(
+                path,
+                ChildCountMismatch(f"{len(rule.premises)} premises, {len(children)} children"),
+            )
+        for i, (child, premise) in enumerate(zip(children, rule.premises)):
+            got = go(child, path + (i,))
+            if got != premise:
+                raise PremiseMismatch(path + (i,), premise, got)
+        return rule.conclusion
+
+    return go(d, ())
 
 
 def check_generic_derivation(
-    system: ClosureSystem,
-    hyps: tuple[X, ...],
-    d: GenericDerivation,
-    eq: Callable[[X, X], bool] = _default_eq,
-    _path: tuple[int, ...] = (),
+    system: ClosureSystem, hyps: tuple[X, ...], d: GenericDerivation
 ) -> X:
-    """Check ``d`` over ``system`` and ``hyps`` and return its conclusion.
+    """Check ``d`` over ``system`` and ``hyps`` and return its conclusion."""
 
-    Checking is deterministic: at a GHyp the conclusion is the cited
-    hypothesis, at a GStep each child's conclusion must equal the
-    corresponding premise of the cited rule.
-    """
-    match d:
-        case GHyp(index=k):
-            if not 0 <= k < len(hyps):
-                raise IndexOutOfRange(f"hypothesis {k} of {len(hyps)}")
-            return hyps[k]
-        case GStep(rule=r, children=children):
-            if not 0 <= r < len(system):
-                raise IndexOutOfRange(f"rule {r} of {len(system)}")
-            rule = system[r]
-            if len(children) != len(rule.premises):
-                raise ChildCountMismatch(
-                    f"rule {r} has {len(rule.premises)} premises, got {len(children)} children"
-                )
-            for i, (child, premise) in enumerate(zip(children, rule.premises)):
-                got = check_generic_derivation(system, hyps, child, eq, _path + (i,))
-                if not eq(got, premise):
-                    raise PremiseMismatch(_path + (i,), premise, got)
-            return rule.conclusion
-    raise TypeError(f"not a derivation node: {d!r}")
+    def rule_of(step: GStep) -> ClosureRule:
+        if not 0 <= step.rule < len(system):
+            raise IndexOutOfRange(f"rule {step.rule} of {len(system)}")
+        return system[step.rule]
+
+    return check_derivation(hyps, d, rule_of)
 
 
 def graft(

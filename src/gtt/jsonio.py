@@ -14,7 +14,6 @@ from typing import Any
 from .errors import KernelError, ParseError
 from .foundations import FinitePoset
 from .judgements import (
-    Boundary,
     Judgement,
     JudgementForm,
     RawContext,
@@ -242,23 +241,6 @@ def judgement_from_json(sig: Signature, data: Any) -> Judgement:
     return Judgement(ctx, form, boundary, head)
 
 
-def boundary_to_json(sig: Signature, b: Boundary) -> Any:
-    slots = {
-        k: expr_to_json(sig, e) for k, e in zip(_BOUNDARY_KEYS[b.form], b.boundary)
-    }
-    return {"cxt": context_to_json(sig, b.context), "form": b.form.value, "slots": slots}
-
-
-def boundary_from_json(sig: Signature, data: Any) -> Boundary:
-    form = _form_from(data.get("form"))
-    ctx = context_from_json(sig, data.get("cxt", []))
-    slots = data.get("slots", {})
-    boundary = tuple(
-        expr_from_json(sig, slots[k], ctx.scope) for k in _BOUNDARY_KEYS[form]
-    )
-    return Boundary(ctx, form, boundary)
-
-
 # --- rules ------------------------------------------------------------------------
 
 def rule_to_json(sig: Signature, rule: RawRule, name: str | None = None) -> Any:
@@ -382,10 +364,13 @@ def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivatio
 
 
 def derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any) -> TheoryDerivation:
+    if not isinstance(data, dict):
+        raise ParseError(f"derivation node must be an object, got {type(data).__name__}")
     node = data.get("node")
-    kids = tuple(
-        derivation_from_json(theory, sig, c) for c in data.get("children", [])
-    )
+    children = data.get("children", [])
+    if not isinstance(children, list):
+        raise ParseError(f"children of a derivation node must be a list, got {type(children).__name__}")
+    kids = tuple(derivation_from_json(theory, sig, c) for c in children)
     if node == "hyp":
         return Hyp(_nat(data.get("index"), "index"))
     if node == "var":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 from .errors import (
     ClassMismatch,
@@ -17,7 +19,7 @@ from .errors import (
     IndexOutOfRange,
     ScopeMismatch,
 )
-from .scopes import Renaming, Scope, ScopeKind, inl_renaming, sum_scope
+from .scopes import Scope, ScopeKind, inl_renaming, sum_scope
 from .syntax import (
     TM,
     TY,
@@ -53,6 +55,10 @@ class RawContext:
         if not 0 <= i < self.scope:
             raise IndexOutOfRange(f"position {i} of scope {self.scope}")
         return self.types[i]
+
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "RawContext":
+        """Apply a scope- and class-preserving map to every entry."""
+        return RawContext(self.scope, tuple(map(fn, self.types)))
 
 
 EMPTY_CONTEXT = RawContext(0, ())
@@ -114,6 +120,15 @@ class Judgement:
     @property
     def is_object(self) -> bool:
         return self.form.is_object
+
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Judgement":
+        """Apply a scope- and class-preserving map to every expression."""
+        return Judgement(
+            self.context.map_exprs(fn),
+            self.form,
+            tuple(map(fn, self.boundary)),
+            None if self.head is None else fn(self.head),
+        )
 
 
 @dataclass(frozen=True)
@@ -196,25 +211,13 @@ def instantiate_context(kind: ScopeKind, inst: Instantiation, ctx: RawContext, i
     return extend_context(kind, ctx, tuple(instantiate_expr(kind, inst, t) for t in inner.types))
 
 
-def translate_context(fmap: SignatureMap, ctx: RawContext) -> RawContext:
-    return RawContext(ctx.scope, tuple(translate_expr(fmap, t) for t in ctx.types))
-
-
 def translate_judgement(fmap: SignatureMap, j: Judgement) -> Judgement:
-    return Judgement(
-        translate_context(fmap, j.context),
-        j.form,
-        tuple(translate_expr(fmap, e) for e in j.boundary),
-        None if j.head is None else translate_expr(fmap, j.head),
-    )
+    return j.map_exprs(partial(translate_expr, fmap))
 
 
 def translate_boundary(fmap: SignatureMap, b: Boundary) -> Boundary:
-    return Boundary(
-        translate_context(fmap, b.context),
-        b.form,
-        tuple(translate_expr(fmap, e) for e in b.boundary),
-    )
+    fn = partial(translate_expr, fmap)
+    return Boundary(b.context.map_exprs(fn), b.form, tuple(map(fn, b.boundary)))
 
 
 def instantiate_judgement(kind: ScopeKind, inst: Instantiation, ctx: RawContext, j: Judgement) -> Judgement:
@@ -228,11 +231,6 @@ def instantiate_judgement(kind: ScopeKind, inst: Instantiation, ctx: RawContext,
     )
 
 
-def instantiate_boundary(kind: ScopeKind, inst: Instantiation, ctx: RawContext, b: Boundary) -> Boundary:
-    new_ctx = instantiate_context(kind, inst, ctx, b.context)
-    return Boundary(new_ctx, b.form, tuple(instantiate_expr(kind, inst, e) for e in b.boundary))
-
-
 def substitute_judgement(kind: ScopeKind, f: Substitution, target: RawContext, j: Judgement) -> Judgement:
     """The judgement target |- f*J for f : target -> j.context."""
     if f.src != target.scope or f.dst != j.context.scope:
@@ -242,17 +240,6 @@ def substitute_judgement(kind: ScopeKind, f: Substitution, target: RawContext, j
         j.form,
         tuple(substitute_expr(kind, f, e) for e in j.boundary),
         None if j.head is None else substitute_expr(kind, f, j.head),
-    )
-
-
-def rename_judgement(kind: ScopeKind, r: Renaming, target: RawContext, j: Judgement) -> Judgement:
-    if r.src != j.context.scope or r.dst != target.scope:
-        raise ScopeMismatch("renaming endpoints do not match the contexts")
-    return Judgement(
-        target,
-        j.form,
-        tuple(rename_expr(kind, r, e) for e in j.boundary),
-        None if j.head is None else rename_expr(kind, r, j.head),
     )
 
 

@@ -11,6 +11,7 @@ drives the builder from an acceptable theory's own rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     ArityMismatch,
@@ -22,7 +23,6 @@ from .errors import (
     WitnessFailure,
 )
 from .judgements import (
-    Boundary,
     EMPTY_CONTEXT,
     Judgement,
     JudgementForm,
@@ -57,17 +57,14 @@ from .syntax import (
     validate_expr,
 )
 from .theories import (
-    ConvInst,
-    EquivInst,
-    EqSubstInst,
     Hyp,
     RawTypeTheory,
     Specific,
     Structural,
     SubstInst,
     TheoryDerivation,
-    VariableInst,
     check_theory_derivation,
+    map_instance,
 )
 
 
@@ -125,23 +122,8 @@ def compose_syntax_maps(g: RawSyntaxMap, f: RawSyntaxMap) -> RawSyntaxMap:
     return RawSyntaxMap(f.src, g.dst, tuple(apply_syntax_map(g, e) for e in f.exprs))
 
 
-def map_context(m: RawSyntaxMap, ctx: RawContext) -> RawContext:
-    return RawContext(ctx.scope, tuple(apply_syntax_map(m, t) for t in ctx.types))
-
-
 def map_judgement(m: RawSyntaxMap, j: Judgement) -> Judgement:
-    return Judgement(
-        map_context(m, j.context),
-        j.form,
-        tuple(apply_syntax_map(m, e) for e in j.boundary),
-        None if j.head is None else apply_syntax_map(m, j.head),
-    )
-
-
-def map_boundary(m: RawSyntaxMap, b: Boundary) -> Boundary:
-    return Boundary(
-        map_context(m, b.context), b.form, tuple(apply_syntax_map(m, e) for e in b.boundary)
-    )
+    return j.map_exprs(partial(apply_syntax_map, m))
 
 
 def map_rule(m: RawSyntaxMap, rule: RawRule) -> RawRule:
@@ -151,16 +133,6 @@ def map_rule(m: RawSyntaxMap, rule: RawRule) -> RawRule:
         tuple(map_judgement(m, p) for p in rule.premises),
         map_judgement(m, rule.conclusion),
         rule.meta_names,
-    )
-
-
-def map_substitution(m: RawSyntaxMap, f: Substitution) -> Substitution:
-    return Substitution(f.src, f.dst, tuple(apply_syntax_map(m, e) for e in f.table))
-
-
-def map_instantiation(m: RawSyntaxMap, inst: Instantiation) -> Instantiation:
-    return Instantiation(
-        inst.arity, inst.scope, tuple(apply_syntax_map(m, e) for e in inst.exprs)
     )
 
 
@@ -211,33 +183,14 @@ def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryD
     """Push a derivation along a theory map: structural nodes map to the same
     kind, specific nodes to the stored derived rule with mapped children
     grafted at its hypotheses."""
-    m = f.syntax
+    fn = partial(apply_syntax_map, f.syntax)
 
     def go(node):
         match node:
             case Hyp():
                 return node
             case Structural(instance=data, children=children):
-                new_children = tuple(go(c) for c in children)
-                match data:
-                    case VariableInst(context=ctx, pos=i):
-                        new = VariableInst(map_context(m, ctx), i)
-                    case EquivInst(which=w, inst=inst, context=ctx):
-                        new = EquivInst(w, map_instantiation(m, inst), map_context(m, ctx))
-                    case ConvInst(which=w, inst=inst, context=ctx):
-                        new = ConvInst(w, map_instantiation(m, inst), map_context(m, ctx))
-                    case SubstInst(subst=s, context=ctx, trivial=K, judgement=j):
-                        new = SubstInst(
-                            map_substitution(m, s), map_context(m, ctx), K, map_judgement(m, j)
-                        )
-                    case EqSubstInst(left=l, right=r, context=ctx, trivial=K, judgement=j):
-                        new = EqSubstInst(
-                            map_substitution(m, l), map_substitution(m, r),
-                            map_context(m, ctx), K, map_judgement(m, j),
-                        )
-                    case _:
-                        raise TypeError(data)
-                return Structural(new, new_children)
+                return Structural(map_instance(data, fn), tuple(go(c) for c in children))
             case Specific(rule=r, inst=inst, context=ctx, children=children):
                 if r not in f.rule_derivations:
                     raise MissingWitness(
@@ -246,9 +199,7 @@ def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryD
                 stored = f.rule_derivations[r]
                 from .theories import instantiate_derivation
 
-                lowered = instantiate_derivation(
-                    f.dst, map_instantiation(m, inst), map_context(m, ctx), stored
-                )
+                lowered = instantiate_derivation(f.dst, inst.map_exprs(fn), ctx.map_exprs(fn), stored)
                 return graft_theory(lowered, tuple(go(c) for c in children))
         raise TypeError(node)
 
@@ -846,13 +797,7 @@ def _reindex_judgement_into_prefix(driver, rule, premise, k: int) -> Judgement:
                 )
         raise TypeError(e)
 
-    ctx = RawContext(premise.context.scope, tuple(go(t) for t in premise.context.types))
-    return Judgement(
-        ctx,
-        premise.form,
-        tuple(go(e) for e in premise.boundary),
-        None if premise.head is None else go(premise.head),
-    )
+    return premise.map_exprs(go)
 
 
 def _rescope(kind: ScopeKind, e: Expr, gamma: int) -> Expr:

@@ -70,6 +70,7 @@ from .theories import (
     check_theory_derivation,
     derivation_nodes,
     instantiate_derivation,
+    node_exprs,
 )
 
 # --- tightness ----------------------------------------------------------------
@@ -455,7 +456,7 @@ def derive_presuppositions(
                 return _eq_subst_presups(theory, node, go)
             case Structural() | Specific():
                 rule, rw = _rule_witnesses_for_node(theory, witnesses, node)
-                inst, ctx = _node_inst(node)
+                _, inst, ctx = _rule_instance(theory, node)
                 n = len(rule.premises)
                 fillers = list(node.children)
                 for j, premise in enumerate(rule.premises):
@@ -474,17 +475,6 @@ def derive_presuppositions(
         raise TypeError(f"not a derivation node: {d!r}")
 
     return go(d)
-
-
-def _node_inst(node) -> tuple[Instantiation, RawContext]:
-    match node:
-        case Specific(inst=i, context=g):
-            return i, g
-        case Structural(instance=EquivInst(inst=i, context=g)):
-            return i, g
-        case Structural(instance=ConvInst(inst=i, context=g)):
-            return i, g
-    raise TypeError(node)
 
 
 def _eq_subst_presups(theory, node, go):
@@ -570,8 +560,7 @@ def rename_derivation(
                     VariableInst(tgt, rn(i)), (go(children[0], rn, tgt),)
                 )
             case Structural() | Specific():
-                rule, _inst_ctx = _cited_rule(theory, node)
-                inst, ctx = _node_inst(node)
+                rule, inst, ctx = _rule_instance(theory, node)
                 _check_type_respecting(kind, rn, ctx, tgt)
                 new_inst = rename_inst(kind, rn, inst)
                 new_children = []
@@ -589,14 +578,15 @@ def rename_derivation(
     return go(d, r, target)
 
 
-def _cited_rule(theory, node) -> tuple[RawRule, None]:
+def _rule_instance(theory, node) -> tuple[RawRule, Instantiation, RawContext]:
+    """The raw rule a rule-instance node cites, with its instantiation and context."""
     match node:
-        case Specific(rule=r):
-            return theory.rule(r), None
-        case Structural(instance=EquivInst(which=w)):
-            return EQUIVALENCE_RULES[w], None
-        case Structural(instance=ConvInst(which=w)):
-            return CONVERSION_RULES[w], None
+        case Specific(rule=r, inst=i, context=g):
+            return theory.rule(r), i, g
+        case Structural(instance=EquivInst(which=w, inst=i, context=g)):
+            return EQUIVALENCE_RULES[w], i, g
+        case Structural(instance=ConvInst(which=w, inst=i, context=g)):
+            return CONVERSION_RULES[w], i, g
     raise TypeError(node)
 
 
@@ -656,8 +646,7 @@ def substitute_derivation(
                     raise MissingWitness(f"no typing derivation for position {i}")
                 return typ[i]
             case Structural() | Specific():
-                rule, _ = _cited_rule(theory, node)
-                inst, ctx = _node_inst(node)
+                rule, inst, ctx = _rule_instance(theory, node)
                 _check_trivial_action(kind, fs, tgt, ctx, K)
                 new_inst = subst_act_inst(kind, fs, inst)
                 new_children = []
@@ -758,8 +747,7 @@ def substitute_equal_derivation(
                     d_e = derive.conv_eq(tgt, ga, fa, x, x, d_ga, d_fa, dvar, dvar, refl, d_sym)
                 return d_f, d_g, d_e
             case Structural() | Specific():
-                rule, _ = _cited_rule(theory, node)
-                inst, ctx = _node_inst(node)
+                rule, inst, ctx = _rule_instance(theory, node)
                 _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
                 i_f = subst_act_inst(kind, fs, inst)
                 i_g = subst_act_inst(kind, gs, inst)
@@ -1118,39 +1106,11 @@ def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozense
     """(symbols, specific rule indices) a derivation's nodes mention."""
     syms: frozenset[int] = frozenset()
     rules: frozenset[int] = frozenset()
-
-    def ctx_syms(ctx: RawContext):
-        nonlocal syms
-        for t in ctx.types:
-            syms |= expr_symbols(t)
-
     for node in derivation_nodes(d):
-        match node:
-            case Specific(rule=r, inst=inst, context=ctx):
-                rules |= {r}
-                ctx_syms(ctx)
-                for e in inst.exprs:
-                    syms |= expr_symbols(e)
-            case Structural(instance=data):
-                match data:
-                    case VariableInst(context=ctx):
-                        ctx_syms(ctx)
-                    case EquivInst(inst=inst, context=ctx) | ConvInst(inst=inst, context=ctx):
-                        ctx_syms(ctx)
-                        for e in inst.exprs:
-                            syms |= expr_symbols(e)
-                    case SubstInst(subst=f, context=ctx, judgement=j):
-                        ctx_syms(ctx)
-                        for e in f.table:
-                            syms |= expr_symbols(e)
-                        syms |= judgement_symbols(j)
-                    case EqSubstInst(left=f, right=g, context=ctx, judgement=j):
-                        ctx_syms(ctx)
-                        for e in f.table + g.table:
-                            syms |= expr_symbols(e)
-                        syms |= judgement_symbols(j)
-            case Hyp():
-                pass
+        if isinstance(node, Specific):
+            rules |= {node.rule}
+        for e in node_exprs(node):
+            syms |= expr_symbols(e)
     return syms, rules
 
 

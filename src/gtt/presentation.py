@@ -717,12 +717,3 @@ def _renumber_hyps(d: TheoryDerivation, table: dict[int, int]) -> TheoryDerivati
         case Specific(rule=r, inst=i, context=g, children=children):
             return Specific(r, i, g, tuple(_renumber_hyps(c, table) for c in children))
     raise TypeError(d)
-
-
-def check_well_presented(spec: WellPresentedTheorySpec) -> tuple[bool, list[str]]:
-    """Convenience wrapper: elaborate and report."""
-    try:
-        _, theory, report = elaborate_theory(spec)
-    except (StageViolation, WitnessFailure) as e:
-        return False, [str(e)]
-    return report.acceptable, report.diagnostics

@@ -66,11 +66,6 @@ class RawRule:
         return tuple(i for i, p in enumerate(self.premises) if p.is_object)
 
 
-def rule_signature(sig: Signature, rule: RawRule) -> Signature:
-    """The signature the rule's judgements live over."""
-    return mv_extend_signature(sig, rule.arity, rule.meta_names)
-
-
 def instantiate_rule(
     kind: ScopeKind, inst: Instantiation, ctx: RawContext, rule: RawRule
 ) -> ClosureRule:
@@ -295,14 +290,6 @@ CONV_TM, CONV_EQ = range(2)
 
 EQUIVALENCE_RULE_NAMES = ("ty-refl", "ty-sym", "ty-trans", "tm-refl", "tm-sym", "tm-trans")
 CONVERSION_RULE_NAMES = ("conv", "conv-eq")
-
-
-def equivalence_rules() -> tuple[RawRule, ...]:
-    return EQUIVALENCE_RULES
-
-
-def conversion_rules() -> tuple[RawRule, ...]:
-    return CONVERSION_RULES
 
 
 # --- congruence rules --------------------------------------------------------

@@ -102,4 +102,6 @@ def sum_renaming(kind: ScopeKind, r: Renaming, s: Renaming) -> Renaming:
 
 def extend_renaming(kind: ScopeKind, r: Renaming, binder: Scope) -> Renaming:
     """r + id_binder, the extension used when descending under a binder."""
+    if binder == 0:
+        return r
     return sum_renaming(kind, r, Renaming.identity(binder))

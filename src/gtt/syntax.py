@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 from .errors import (
     ArityMismatch,
@@ -350,6 +352,10 @@ class Substitution:
             raise IndexOutOfRange(f"position {i} of scope {self.dst}")
         return self.table[i]
 
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Substitution":
+        """Apply a scope- and class-preserving map to every entry."""
+        return Substitution(self.src, self.dst, tuple(map(fn, self.table)))
+
     @staticmethod
     def identity(scope: Scope) -> "Substitution":
         return Substitution(scope, scope, tuple(Var(i, scope) for i in range(scope)))
@@ -362,6 +368,8 @@ class Substitution:
 
 def extend_substitution(kind: ScopeKind, f: Substitution, eta: Scope) -> Substitution:
     """f + eta : (src+eta) -> (dst+eta); new positions map to themselves."""
+    if eta == 0:
+        return f
     src, dst = f.src + eta, f.dst + eta
     table: list[Expr] = [None] * dst  # type: ignore[list-item]
     inl = inl_renaming(kind, f.src, eta)
@@ -401,7 +409,7 @@ def compose_subst(kind: ScopeKind, g: Substitution, f: Substitution) -> Substitu
 
 
 def translate_subst(fmap: SignatureMap, f: Substitution) -> Substitution:
-    return Substitution(f.src, f.dst, tuple(translate_expr(fmap, t) for t in f.table))
+    return f.map_exprs(partial(translate_expr, fmap))
 
 
 @dataclass(frozen=True)
@@ -428,6 +436,10 @@ class Instantiation:
 
     def __call__(self, i: int) -> Expr:
         return self.exprs[i]
+
+    def map_exprs(self, fn: Callable[[Expr], Expr]) -> "Instantiation":
+        """Apply a scope- and class-preserving map to every entry."""
+        return Instantiation(self.arity, self.scope, tuple(map(fn, self.exprs)))
 
 
 def validate_instantiation(sig: Signature, inst: Instantiation) -> None:
@@ -505,7 +517,7 @@ def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation) -> Ins
 
 
 def translate_inst(fmap: SignatureMap, inst: Instantiation) -> Instantiation:
-    return Instantiation(inst.arity, inst.scope, tuple(translate_expr(fmap, e) for e in inst.exprs))
+    return inst.map_exprs(partial(translate_expr, fmap))
 
 
 def concat_inst(left: Instantiation, right: Instantiation) -> Instantiation:

@@ -3,7 +3,15 @@
 A derivation node stores the data of the closure-rule instance it cites
 (context, instantiation, substitution, ...); the checker recomputes the
 instance's premises and conclusion from that data and matches children
-structurally, so nothing in a stored tree is trusted.
+structurally, so nothing in a stored tree is trusted.  The typed checker
+is the closure-system loop ``foundations.check_derivation`` run with
+``closure_rule_of_node``: a derivation of a raw type theory is a
+derivation in its associated closure system.
+
+``map_derivation_exprs`` (with ``map_instance`` for one structural node)
+is the one map over the data of derivation nodes: translation along a
+signature map, relabelling into a copy of a metavariable segment, and
+the structural part of applying a syntax map all go through it.
 
 Derivations over a metavariable extension of the theory's signature reuse
 the same trees: pass the extension arity as ``ambient``.  Base symbol
@@ -13,19 +21,15 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Iterator
 
-from .errors import (
-    ArityMismatch,
-    ChildCountMismatch,
-    DerivationError,
-    IndexOutOfRange,
-    KernelError,
-    PremiseMismatch,
-)
-from .foundations import ClosureRule
+from .errors import ArityMismatch, IndexOutOfRange, KernelError
+from .foundations import ClosureRule, GHyp, check_derivation
 from .scopes import ScopeKind
 from .syntax import (
     Arity,
+    Expr,
     Instantiation,
     Signature,
     SignatureMap,
@@ -33,8 +37,7 @@ from .syntax import (
     inst_act_inst,
     inst_act_subst,
     mv_extend_signature,
-    translate_inst,
-    translate_subst,
+    translate_expr,
     validate_instantiation,
 )
 from .judgements import (
@@ -42,8 +45,6 @@ from .judgements import (
     RawContext,
     instantiate_context,
     instantiate_judgement,
-    translate_context,
-    translate_judgement,
     validate_context,
     validate_judgement,
 )
@@ -91,12 +92,8 @@ class RawTypeTheory:
 # --- derivation nodes --------------------------------------------------------
 
 @dataclass(frozen=True)
-class Hyp:
-    index: int
-
-    @property
-    def children(self) -> tuple:
-        return ()
+class Hyp(GHyp):
+    """Leaf citing a hypothesis judgement by its position."""
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDeri
             validate_context(sig, ctx)
             validate_instantiation(sig, inst)
             return instantiate_rule(sig.kind, inst, ctx, rule)
-    raise TypeError(f"no closure rule at {node!r}")
+    raise KernelError(f"not a derivation node: {node!r}")
 
 
 def check_theory_derivation(
@@ -217,40 +214,87 @@ def check_theory_derivation(
     whole check to the metavariable extension of the theory's signature.
     """
     sig = ambient_signature(theory, ambient, ambient_names)
-    return _check(theory, sig, hyps, d, ())
-
-
-def _check(theory, sig, hyps, d, path) -> Judgement:
-    match d:
-        case Hyp(index=k):
-            if not 0 <= k < len(hyps):
-                raise DerivationError(path, IndexOutOfRange(f"hypothesis {k} of {len(hyps)}"))
-            return hyps[k]
-        case Structural() | Specific():
-            try:
-                rule = closure_rule_of_node(theory, sig, d)
-            except KernelError as e:
-                raise DerivationError(path, e) from e
-            children = d.children
-            if len(children) != len(rule.premises):
-                raise DerivationError(
-                    path,
-                    ChildCountMismatch(
-                        f"{len(rule.premises)} premises, {len(children)} children"
-                    ),
-                )
-            for i, (child, premise) in enumerate(zip(children, rule.premises)):
-                got = _check(theory, sig, hyps, child, path + (i,))
-                if got != premise:
-                    raise PremiseMismatch(path + (i,), premise, got)
-            return rule.conclusion
-    raise DerivationError(path, KernelError(f"not a derivation node: {d!r}"))
+    return check_derivation(hyps, d, lambda node: closure_rule_of_node(theory, sig, node))
 
 
 def derivation_nodes(d: TheoryDerivation):
     yield d
     for c in d.children:
         yield from derivation_nodes(c)
+
+
+# --- the data of a node, and maps over it --------------------------------------
+
+def node_exprs(node: TheoryDerivation) -> Iterator[Expr]:
+    """Every expression the data of one node carries."""
+    if isinstance(node, Hyp):
+        return
+    data = node.instance if isinstance(node, Structural) else node
+    yield from data.context.types
+    match data:
+        case Specific(inst=inst) | EquivInst(inst=inst) | ConvInst(inst=inst):
+            yield from inst.exprs
+        case SubstInst(subst=f, judgement=j):
+            yield from f.table
+            yield from _judgement_exprs(j)
+        case EqSubstInst(left=f, right=g, judgement=j):
+            yield from f.table + g.table
+            yield from _judgement_exprs(j)
+
+
+def _judgement_exprs(j: Judgement) -> Iterator[Expr]:
+    yield from j.context.types
+    yield from j.boundary
+    if j.head is not None:
+        yield j.head
+
+
+def map_instance(data: StructuralData, fn: Callable[[Expr], Expr]) -> StructuralData:
+    """Apply a scope- and class-preserving map to every expression of a
+    structural instance; ``which``, ``pos`` and ``trivial`` stay."""
+    ctx = data.context.map_exprs(fn)
+    match data:
+        case VariableInst(pos=i):
+            return VariableInst(ctx, i)
+        case EquivInst(which=w, inst=inst):
+            return EquivInst(w, inst.map_exprs(fn), ctx)
+        case ConvInst(which=w, inst=inst):
+            return ConvInst(w, inst.map_exprs(fn), ctx)
+        case SubstInst(subst=f, trivial=K, judgement=j):
+            return SubstInst(f.map_exprs(fn), ctx, K, j.map_exprs(fn))
+        case EqSubstInst(left=f, right=g, trivial=K, judgement=j):
+            return EqSubstInst(f.map_exprs(fn), g.map_exprs(fn), ctx, K, j.map_exprs(fn))
+    raise TypeError(f"not a structural instance: {data!r}")
+
+
+def map_derivation_exprs(
+    d: TheoryDerivation,
+    fn: Callable[[Expr], Expr],
+    rule: Callable[[int], int] | None = None,
+    hyp: Callable[[int], int] | None = None,
+) -> TheoryDerivation:
+    """The same tree with ``fn`` applied to every expression of every node.
+
+    ``fn`` must preserve scopes and classes.  ``rule`` and ``hyp`` renumber
+    specific rules and hypotheses (unchanged when None).
+    """
+
+    def go(node: TheoryDerivation) -> TheoryDerivation:
+        match node:
+            case Hyp(index=k):
+                return node if hyp is None else Hyp(hyp(k))
+            case Specific(rule=r, inst=inst, context=ctx, children=children):
+                return Specific(
+                    r if rule is None else rule(r),
+                    inst.map_exprs(fn),
+                    ctx.map_exprs(fn),
+                    tuple(go(c) for c in children),
+                )
+            case Structural(instance=data, children=children):
+                return Structural(map_instance(data, fn), tuple(go(c) for c in children))
+        raise TypeError(f"not a derivation node: {node!r}")
+
+    return go(d)
 
 
 # --- translation and instantiation of derivations ----------------------------
@@ -299,48 +343,7 @@ def translate_derivation(
             tmap.fmap.sym_table,
             tuple(range(len(ambient))),
         )
-    return _translate_nodes(fmap, tmap.rule_table, d)
-
-
-def _translate_nodes(fmap: SignatureMap, rule_table: tuple[int, ...], d: TheoryDerivation) -> TheoryDerivation:
-    match d:
-        case Hyp():
-            return d
-        case Specific(rule=r, inst=inst, context=ctx, children=children):
-            return Specific(
-                rule_table[r],
-                translate_inst(fmap, inst),
-                translate_context(fmap, ctx),
-                tuple(_translate_nodes(fmap, rule_table, c) for c in children),
-            )
-        case Structural(instance=data, children=children):
-            new_children = tuple(_translate_nodes(fmap, rule_table, c) for c in children)
-            match data:
-                case VariableInst(context=ctx, pos=i):
-                    new = VariableInst(translate_context(fmap, ctx), i)
-                case EquivInst(which=w, inst=inst, context=ctx):
-                    new = EquivInst(w, translate_inst(fmap, inst), translate_context(fmap, ctx))
-                case ConvInst(which=w, inst=inst, context=ctx):
-                    new = ConvInst(w, translate_inst(fmap, inst), translate_context(fmap, ctx))
-                case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
-                    new = SubstInst(
-                        translate_subst(fmap, f),
-                        translate_context(fmap, ctx),
-                        K,
-                        translate_judgement(fmap, j),
-                    )
-                case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
-                    new = EqSubstInst(
-                        translate_subst(fmap, f),
-                        translate_subst(fmap, g),
-                        translate_context(fmap, ctx),
-                        K,
-                        translate_judgement(fmap, j),
-                    )
-                case _:
-                    raise TypeError(data)
-            return Structural(new, new_children)
-    raise TypeError(f"not a derivation node: {d!r}")
+    return map_derivation_exprs(d, partial(translate_expr, fmap), tmap.rule_table.__getitem__)
 
 
 def instantiate_derivation(

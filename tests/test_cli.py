@@ -58,6 +58,17 @@ def test_missing_file():
     assert main(["check-theory", "does-not-exist.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text", ["[1,2]", '{"node":"rule","name":"tt-intro","children":5}']
+)
+def test_malformed_derivation(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["check-derivation", str(FIXTURES / "mltt_base.json"), str(bad)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _write_derivation(tmp_path, name, d):
     path = tmp_path / name
     path.write_text(dumps(derivation_to_json(THEORY, THEORY.signature, d)))

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gtt.errors import IndexOutOfRange, PremiseMismatch
+from gtt.errors import DerivationError, IndexOutOfRange, PremiseMismatch
 from gtt.foundations import (
     ClosureRule,
     FinitePoset,
@@ -56,10 +56,11 @@ def test_premise_mismatch_reports_path():
 
 
 def test_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        check_generic_derivation((), (), GHyp(0))
-    with pytest.raises(IndexOutOfRange):
-        check_generic_derivation((), (), GStep(3, ()))
+    for bad in (GHyp(0), GStep(3, ())):
+        with pytest.raises(DerivationError) as exc:
+            check_generic_derivation((), (), bad)
+        assert isinstance(exc.value.cause, IndexOutOfRange)
+        assert exc.value.path == ()
 
 
 SYSTEM = (

@@ -109,15 +109,19 @@ def test_fixture_files_match_bundled():
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    for name, fn in [
-        ("mltt_pi.json", mltt_pi),
-        ("mltt_base.json", mltt_base),
-        ("type_in_type.json", type_in_type),
-        ("cyclic_quantifier.json", cyclic_quantifier),
+    for name, fn, order in [
+        ("mltt_pi.json", mltt_pi, MLTT_ORDER),
+        ("mltt_base.json", mltt_base, BASE_ORDER),
+        ("type_in_type.json", type_in_type, TIT_ORDER),
+        ("cyclic_quantifier.json", cyclic_quantifier, None),
     ]:
-        theory, _ = fn()
-        loaded, _, _ = theory_from_json(loads((root / name).read_text()))
+        theory, witnesses = fn()
+        text = (root / name).read_text()
+        loaded, _, _ = theory_from_json(loads(text))
         assert loaded.rules == theory.rules, name
+        assert text == dumps(theory_to_json(theory, witnesses, order), pretty=True) + "\n", name
+    text = (root / "mltt_pi_presented.json").read_text()
+    assert text == dumps(spec_to_json(mltt_pi_presented()), pretty=True) + "\n"
 
 
 def test_parse_errors():
