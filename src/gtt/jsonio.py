@@ -4,6 +4,11 @@ Expressions carry no scopes on the wire; decoding re-validates everything
 against the declared signature and the scope implied by context, so a
 file round-trips exactly when it is well-formed.  Emission is canonical:
 sorted keys, no whitespace (or indented with sorted keys under pretty).
+
+The fields of expressions, judgements, rules and derivation nodes are
+type-checked before anything is built from them, and the decoders refuse
+an expression or a derivation nested deeper than ``MAX_DEPTH``, so a
+malformed or hostile derivation file ends in ``ParseError``.
 """
 
 from __future__ import annotations
@@ -68,6 +73,14 @@ from .theories import (
 )
 
 
+# The kernel recurses once per level of an expression (substitution,
+# validation, equality) and of a derivation (checking, transformers).  At
+# this depth a nested Pi still checks, presups, inverts and eliminates
+# substitution under Python's default recursion limit of 1000; near 256
+# levels expression equality overflows it.
+MAX_DEPTH = 200
+
+
 def dumps(obj: Any, pretty: bool = False) -> str:
     if pretty:
         return json.dumps(obj, sort_keys=True, indent=2)
@@ -79,6 +92,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 # --- expressions ------------------------------------------------------------------
@@ -95,6 +110,12 @@ def expr_to_json(sig: Signature, e: Expr) -> Any:
 
 
 def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
+    return _expr_from_json(sig, data, scope, 1)
+
+
+def _expr_from_json(sig: Signature, data: Any, scope: int, depth: int) -> Expr:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH}")
     if not isinstance(data, dict):
         raise ParseError(f"expected an expression object, got {data!r}")
     if "var" in data:
@@ -105,11 +126,11 @@ def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
         except KernelError as e:
             raise ParseError(str(e)) from e
         decl = sig.symbol(idx)
-        raw_args = data.get("args", [])
+        raw_args = _list(data.get("args", []), "args")
         if len(raw_args) != len(decl.arity):
             raise ParseError(f"{decl.name} expects {len(decl.arity)} arguments")
         args = tuple(
-            expr_from_json(sig, a, scope + slot.binder)
+            _expr_from_json(sig, a, scope + slot.binder, depth + 1)
             for a, slot in zip(raw_args, decl.arity)
         )
         return mk_sym(sig, idx, args, scope)
@@ -118,8 +139,8 @@ def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
             idx = sig.mv_index(_str(data["meta"], "meta"))
         except KernelError as e:
             raise ParseError(str(e)) from e
-        raw_args = data.get("args", [])
-        args = tuple(expr_from_json(sig, a, scope) for a in raw_args)
+        raw_args = _list(data.get("args", []), "args")
+        args = tuple(_expr_from_json(sig, a, scope, depth + 1) for a in raw_args)
         return mk_meta(sig, idx, args, scope)
     raise ParseError(f"not an expression: {data!r}")
 
@@ -133,6 +154,18 @@ def _nat(v, what) -> int:
 def _str(v, what) -> str:
     if not isinstance(v, str):
         raise ParseError(f"{what} must be a string, got {v!r}")
+    return v
+
+
+def _list(v, what) -> list:
+    if not isinstance(v, list):
+        raise ParseError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _obj(v, what) -> dict:
+    if not isinstance(v, dict):
+        raise ParseError(f"{what} must be an object, got {type(v).__name__}")
     return v
 
 
@@ -227,9 +260,13 @@ def _form_from(v) -> JudgementForm:
 
 
 def judgement_from_json(sig: Signature, data: Any) -> Judgement:
+    data = _obj(data, "a judgement")
     form = _form_from(data.get("form"))
     ctx = context_from_json(sig, data.get("cxt", []))
-    slots = data.get("slots", {})
+    slots = _obj(data.get("slots", {}), "judgement slots")
+    for k in _BOUNDARY_KEYS[form]:
+        if k not in slots:
+            raise ParseError(f"{form.value} judgement needs a {k} slot")
     boundary = tuple(
         expr_from_json(sig, slots[k], ctx.scope) for k in _BOUNDARY_KEYS[form]
     )
@@ -257,13 +294,14 @@ def rule_to_json(sig: Signature, rule: RawRule, name: str | None = None) -> Any:
 
 
 def rule_from_json(sig: Signature, data: Any) -> RawRule:
+    data = _obj(data, "a rule")
     alpha = arity_from_json(data.get("arity", []))
-    metas = tuple(_str(m, "meta name") for m in data.get("metas", []))
+    metas = tuple(_str(m, "meta name") for m in _list(data.get("metas", []), "metas"))
     if metas and len(metas) != len(alpha):
         raise ParseError("meta name list does not match the arity")
     ext = mv_extend_signature(sig, alpha, metas)
-    premises = tuple(judgement_from_json(ext, p) for p in data.get("premises", []))
-    conclusion = judgement_from_json(ext, data["conclusion"])
+    premises = tuple(judgement_from_json(ext, p) for p in _list(data.get("premises", []), "premises"))
+    conclusion = judgement_from_json(ext, data.get("conclusion"))
     return RawRule(alpha, premises, conclusion, metas)
 
 
@@ -278,6 +316,7 @@ def instantiation_to_json(sig: Signature, ext: Signature, inst: Instantiation) -
 def instantiation_from_json(
     sig: Signature, ext: Signature, alpha: Arity, data: Any, scope: int
 ) -> Instantiation:
+    data = _obj(data, "an instantiation")
     exprs = []
     for i, slot in enumerate(alpha):
         key = ext.mv_name(i)
@@ -292,8 +331,9 @@ def substitution_to_json(sig: Signature, f: Substitution) -> Any:
 
 
 def substitution_from_json(sig: Signature, data: Any) -> Substitution:
+    data = _obj(data, "a substitution")
     src = _nat(data.get("src"), "src")
-    table = tuple(expr_from_json(sig, e, src) for e in data.get("map", []))
+    table = tuple(expr_from_json(sig, e, src) for e in _list(data.get("map", []), "map"))
     return Substitution(src, len(table), table)
 
 
@@ -364,13 +404,16 @@ def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivatio
 
 
 def derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any) -> TheoryDerivation:
-    if not isinstance(data, dict):
-        raise ParseError(f"derivation node must be an object, got {type(data).__name__}")
+    return _derivation_from_json(theory, sig, data, 1)
+
+
+def _derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any, depth: int) -> TheoryDerivation:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"derivation nested deeper than {MAX_DEPTH}")
+    data = _obj(data, "derivation node")
     node = data.get("node")
-    children = data.get("children", [])
-    if not isinstance(children, list):
-        raise ParseError(f"children of a derivation node must be a list, got {type(children).__name__}")
-    kids = tuple(derivation_from_json(theory, sig, c) for c in children)
+    children = _list(data.get("children", []), "children of a derivation node")
+    kids = tuple(_derivation_from_json(theory, sig, c, depth + 1) for c in children)
     if node == "hyp":
         return Hyp(_nat(data.get("index"), "index"))
     if node == "var":
@@ -402,22 +445,18 @@ def derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any) -> Th
         ctx = context_from_json(sig, data.get("cxt", []))
         f = substitution_from_json(sig, data.get("subst", {}))
         j = judgement_from_json(sig, data.get("judgement", {}))
-        return Structural(
-            SubstInst(f, ctx, frozenset(_nat(i, "trivial") for i in data.get("trivial", [])), j),
-            kids,
-        )
+        return Structural(SubstInst(f, ctx, _trivial(data), j), kids)
     if node == "eqsubst":
         ctx = context_from_json(sig, data.get("cxt", []))
         f = substitution_from_json(sig, data.get("left", {}))
         g = substitution_from_json(sig, data.get("right", {}))
         j = judgement_from_json(sig, data.get("judgement", {}))
-        return Structural(
-            EqSubstInst(
-                f, g, ctx, frozenset(_nat(i, "trivial") for i in data.get("trivial", [])), j
-            ),
-            kids,
-        )
+        return Structural(EqSubstInst(f, g, ctx, _trivial(data), j), kids)
     raise ParseError(f"unknown derivation node {node!r}")
+
+
+def _trivial(data) -> frozenset[int]:
+    return frozenset(_nat(i, "trivial") for i in _list(data.get("trivial", []), "trivial"))
 
 
 def _which(v, names) -> int:

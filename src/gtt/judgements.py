@@ -19,7 +19,7 @@ from .errors import (
     IndexOutOfRange,
     ScopeMismatch,
 )
-from .scopes import Scope, ScopeKind, inl_renaming, sum_scope
+from .scopes import Scope, ScopeKind, sum_scope
 from .syntax import (
     TM,
     TY,
@@ -30,10 +30,10 @@ from .syntax import (
     Substitution,
     SyntacticClass,
     instantiate_expr,
-    rename_expr,
     substitute_expr,
     translate_expr,
     validate_expr,
+    weaken_expr,
 )
 
 
@@ -194,10 +194,9 @@ def extend_context(kind: ScopeKind, ctx: RawContext, new_types: tuple[Expr, ...]
     """Extend by delta-many types already scoped over the sum; old types are weakened."""
     delta = len(new_types)
     total = sum_scope(ctx.scope, delta)
-    inl = inl_renaming(kind, ctx.scope, delta)
     types: list[Expr] = [None] * total  # type: ignore[list-item]
     for i in range(ctx.scope):
-        types[kind.inl(ctx.scope, delta, i)] = rename_expr(kind, inl, ctx.type_at(i))
+        types[kind.inl(ctx.scope, delta, i)] = weaken_expr(kind, ctx.type_at(i), delta)
     for j, t in enumerate(new_types):
         types[kind.inr(ctx.scope, delta, j)] = t
     return RawContext(total, tuple(types))

@@ -522,12 +522,7 @@ def is_substitution_free(d: TheoryDerivation) -> bool:
 
 
 def rename_inst(kind, r: Renaming, inst: Instantiation) -> Instantiation:
-    from .scopes import extend_renaming
-
-    exprs = tuple(
-        rename_expr(kind, extend_renaming(kind, r, a.binder), e)
-        for e, a in zip(inst.exprs, inst.arity)
-    )
+    exprs = tuple(rename_expr(kind, r, e, a.binder) for e, a in zip(inst.exprs, inst.arity))
     return Instantiation(inst.arity, r.dst, exprs)
 
 

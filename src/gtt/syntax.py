@@ -10,6 +10,23 @@ nodes keep referring to the newest segment.
 Expressions carry their scope and syntactic class; the mk_* constructors
 validate argument counts, classes, and scopes, so everything downstream
 works with well-scoped, well-classed trees by construction.
+
+Renaming and substitution under binders follow the sigma-calculus: below
+k binders a substitution f acts as the pair (f, lift k), where
+lift f = 0 . (f o shift), and the pair is applied on lookup at each
+variable instead of building the table of f + k.  Weakening is one
+arithmetic shift with a cutoff: positions >= cut move up by ``by``.  The
+two scope kinds differ only in where the bound positions sit:
+
+- indices: positions below k are bound; entry p - k of f is shifted up by
+  k with cut 0, and the cut grows under each binder inside the entry;
+- levels: positions from f.dst on are bound and become f.src + (p - f.dst);
+  entry p is shifted up by k with cut f.src, which stays fixed under
+  binders.
+
+The scope checks stay at the entry points (the table classes, the guard of
+rename_expr and substitute_expr, the mk_* constructors); the recursions
+below them trust the tree.
 """
 
 from __future__ import annotations
@@ -29,8 +46,6 @@ from .scopes import (
     Renaming,
     Scope,
     ScopeKind,
-    extend_renaming,
-    inl_renaming,
     sum_scope,
 )
 
@@ -246,29 +261,63 @@ def validate_expr(sig: Signature, e: Expr, scope: Scope, cls: SyntacticClass | N
                 validate_expr(sig, arg, scope, TM)
 
 
-def rename_expr(kind: ScopeKind, r: Renaming, e: Expr, binders: tuple[Scope, ...] | None = None) -> Expr:
-    """Apply a renaming; under the i-th argument of a node the renaming is
-    extended by the identity on that argument's binder."""
-    if e.scope != r.src:
-        raise ScopeMismatch(f"expression in scope {e.scope}, renaming from {r.src}")
+def rename_expr(kind: ScopeKind, r: Renaming, e: Expr, k: Scope = 0) -> Expr:
+    """Apply a renaming to an expression that sits under ``k`` binders.
+
+    ``e`` lives in scope ``r.src + k`` and the result in ``r.dst + k``; this
+    is the action of r + id_k.  Under the i-th argument of a node ``k`` grows
+    by that argument's binder, and the extension is applied on lookup at
+    each variable, so no table is built:
+
+    - indices: ``p < k`` is bound and stays; otherwise ``r(p - k) + k``;
+    - levels: ``p < r.src`` becomes ``r(p)``; otherwise ``r.dst + (p - r.src)``.
+    """
+    if e.scope != r.src + k:
+        raise ScopeMismatch(f"expression in scope {e.scope}, renaming from {r.src} under {k}")
+    return _rename(kind, r, e, k)
+
+
+def _rename(kind: ScopeKind, r: Renaming, e: Expr, k: Scope) -> Expr:
     match e:
         case Var(pos=p):
-            return Var(r(p), r.dst)
-        case SymApp(sym=s, args=args, cls=cls):
-            new_args = tuple(
-                rename_expr(kind, extend_renaming(kind, r, arg.scope - e.scope), arg)
-                for arg in args
-            )
-            return SymApp(s, new_args, r.dst, cls)
+            if kind is ScopeKind.INDICES:
+                q = p if p < k else r(p - k) + k
+            else:
+                q = r(p) if p < r.src else r.dst + (p - r.src)
+            return Var(q, r.dst + k)
+        case SymApp(sym=s, args=args, scope=scope, cls=cls):
+            new_args = tuple(_rename(kind, r, arg, k + arg.scope - scope) for arg in args)
+            return SymApp(s, new_args, r.dst + k, cls)
         case MetaApp(idx=m, args=args, cls=cls):
-            new_args = tuple(rename_expr(kind, r, arg) for arg in args)
-            return MetaApp(m, new_args, r.dst, cls)
+            return MetaApp(m, tuple(_rename(kind, r, arg, k) for arg in args), r.dst + k, cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def weaken_expr(kind: ScopeKind, e: Expr, by: Scope) -> Expr:
-    """Rename along the left coproduct inclusion scope -> scope + by."""
-    return rename_expr(kind, inl_renaming(kind, e.scope, by), e)
+    """Rename along the left coproduct inclusion scope -> scope + by.
+
+    One arithmetic shift: positions ``>= cut`` move up by ``by``.  The cut
+    starts at 0 for indices and grows under each binder; for levels it is
+    the outer scope throughout.
+    """
+    if by == 0:
+        return e
+    return _shift(kind, e, 0 if kind is ScopeKind.INDICES else e.scope, by)
+
+
+def _shift(kind: ScopeKind, e: Expr, cut: int, by: Scope) -> Expr:
+    match e:
+        case Var(pos=p, scope=scope):
+            return Var(p + by if p >= cut else p, scope + by)
+        case SymApp(sym=s, args=args, scope=scope, cls=cls):
+            if kind is ScopeKind.INDICES:
+                new_args = tuple(_shift(kind, arg, cut + arg.scope - scope, by) for arg in args)
+            else:
+                new_args = tuple(_shift(kind, arg, cut, by) for arg in args)
+            return SymApp(s, new_args, scope + by, cls)
+        case MetaApp(idx=m, args=args, scope=scope, cls=cls):
+            return MetaApp(m, tuple(_shift(kind, arg, cut, by) for arg in args), scope + by, cls)
+    raise TypeError(f"not an expression: {e!r}")
 
 
 @dataclass(frozen=True)
@@ -367,34 +416,47 @@ class Substitution:
 
 
 def extend_substitution(kind: ScopeKind, f: Substitution, eta: Scope) -> Substitution:
-    """f + eta : (src+eta) -> (dst+eta); new positions map to themselves."""
+    """f + eta : (src+eta) -> (dst+eta) as a table; new positions map to themselves.
+
+    Entry p is what ``substitute_expr(kind, f, e, eta)`` does to the
+    variable p; this is for callers that need the entries themselves.
+    """
     if eta == 0:
         return f
-    src, dst = f.src + eta, f.dst + eta
-    table: list[Expr] = [None] * dst  # type: ignore[list-item]
-    inl = inl_renaming(kind, f.src, eta)
-    for i in range(f.dst):
-        table[kind.inl(f.dst, eta, i)] = rename_expr(kind, inl, f(i))
-    for j in range(eta):
-        table[kind.inr(f.dst, eta, j)] = Var(kind.inr(f.src, eta, j), src)
-    return Substitution(src, dst, tuple(table))
+    dst = f.dst + eta
+    return Substitution(f.src + eta, dst, tuple(_substitute(kind, f, Var(p, dst), eta) for p in range(dst)))
 
 
-def substitute_expr(kind: ScopeKind, f: Substitution, e: Expr) -> Expr:
-    """The contravariant action: e over f.dst becomes an expression over f.src."""
-    if e.scope != f.dst:
-        raise ScopeMismatch(f"expression in scope {e.scope}, substitution into {f.dst}")
+def substitute_expr(kind: ScopeKind, f: Substitution, e: Expr, k: Scope = 0) -> Expr:
+    """The contravariant action of f + id_k on an expression under ``k`` binders.
+
+    ``e`` lives in scope ``f.dst + k`` and the result in ``f.src + k``.  The
+    pair (f, lift k) is applied on lookup at each variable, with
+    lift f = 0 . (f o shift), and no extended table is built:
+
+    - indices: ``p < k`` is bound and stays; otherwise entry ``p - k`` is
+      shifted up by ``k`` (cut 0);
+    - levels: ``p < f.dst`` is entry ``p`` shifted by ``k`` at cut
+      ``f.src``; otherwise it becomes ``f.src + (p - f.dst)``.
+    """
+    if e.scope != f.dst + k:
+        raise ScopeMismatch(f"expression in scope {e.scope}, substitution into {f.dst} under {k}")
+    return _substitute(kind, f, e, k)
+
+
+def _substitute(kind: ScopeKind, f: Substitution, e: Expr, k: Scope) -> Expr:
     match e:
         case Var(pos=p):
-            return f(p)
-        case SymApp(sym=s, args=args, cls=cls):
-            new_args = tuple(
-                substitute_expr(kind, extend_substitution(kind, f, arg.scope - e.scope), arg)
-                for arg in args
-            )
-            return SymApp(s, new_args, f.src, cls)
+            if kind is ScopeKind.INDICES:
+                return Var(p, f.src + k) if p < k else weaken_expr(kind, f(p - k), k)
+            if p < f.dst:
+                return weaken_expr(kind, f(p), k)
+            return Var(f.src + (p - f.dst), f.src + k)
+        case SymApp(sym=s, args=args, scope=scope, cls=cls):
+            new_args = tuple(_substitute(kind, f, arg, k + arg.scope - scope) for arg in args)
+            return SymApp(s, new_args, f.src + k, cls)
         case MetaApp(idx=m, args=args, cls=cls):
-            return MetaApp(m, tuple(substitute_expr(kind, f, a) for a in args), f.src, cls)
+            return MetaApp(m, tuple(_substitute(kind, f, a, k) for a in args), f.src + k, cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -509,10 +571,7 @@ def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation) -> Ins
     """A substitution f : delta -> gamma acting on an instantiation over gamma."""
     if f.dst != inst.scope:
         raise ScopeMismatch(f"substitution into scope {f.dst}, instantiation over {inst.scope}")
-    exprs = tuple(
-        substitute_expr(kind, extend_substitution(kind, f, slot.binder), e)
-        for e, slot in zip(inst.exprs, inst.arity)
-    )
+    exprs = tuple(substitute_expr(kind, f, e, slot.binder) for e, slot in zip(inst.exprs, inst.arity))
     return Instantiation(inst.arity, f.src, exprs)
 
 

@@ -87,6 +87,15 @@ def pi(a: TypedType, b: TypedType) -> TypedType:
     return TypedType(ctx, e, Specific(PI_FORM, inst, ctx, (a.d_type, b.d_type)))
 
 
+def nested_pi(ctx: RawContext, n: int) -> TypedType:
+    """Pi(unit, Pi(unit, ... unit)) with n binders; its expression and its
+    derivation are both nested n + 1 deep."""
+    a = unit_at(ctx)
+    if n == 0:
+        return a
+    return pi(a, nested_pi(extend(ctx, a), n - 1))
+
+
 def lam(a: TypedType, b: TypedType, body: TypedTerm) -> TypedTerm:
     ctx = a.ctx
     e = mk_sym(SIG, "lam", (a.type, b.type, body.term), ctx.scope)

@@ -5,10 +5,10 @@ import pathlib
 
 import pytest
 
-from corpus import THEORY, app, conv_wrap, extend, lam, newest_position, tt_at, unit_at, var
+from corpus import THEORY, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
 from gtt.cli import main
 from gtt.judgements import EMPTY_CONTEXT
-from gtt.jsonio import derivation_to_json, dumps, loads
+from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps, expr_to_json, loads
 from gtt.theories import check_theory_derivation
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -59,7 +59,14 @@ def test_missing_file():
 
 
 @pytest.mark.parametrize(
-    "text", ["[1,2]", '{"node":"rule","name":"tt-intro","children":5}']
+    "text",
+    [
+        "[1,2]",
+        '{"node":"rule","name":"tt-intro","children":5}',
+        '{"node":"subst","cxt":[],"subst":5,"children":[]}',
+        '{"node":"subst","cxt":[],"subst":{"src":0,"map":[]},"judgement":5,"children":[]}',
+        '{"node":"equiv","which":0,"cxt":[],"inst":5,"children":[]}',
+    ],
 )
 def test_malformed_derivation(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -73,6 +80,30 @@ def _write_derivation(tmp_path, name, d):
     path = tmp_path / name
     path.write_text(dumps(derivation_to_json(THEORY, THEORY.signature, d)))
     return path
+
+
+def test_depth_limit(tmp_path, capsys):
+    # a nested Pi with n binders is nested n + 1 deep, as term and as derivation
+    at_limit = nested_pi(EMPTY_CONTEXT, MAX_DEPTH - 1)
+    code, out = run(capsys, "check-derivation", FIXTURES / "mltt_base.json",
+                    _write_derivation(tmp_path, "ok.json", at_limit.d_type))
+    assert code == 0
+    assert json.loads(out)["conclusion"]["slots"]["head"] == expr_to_json(THEORY.signature, at_limit.type)
+    over = _write_derivation(tmp_path, "deep.json", nested_pi(EMPTY_CONTEXT, MAX_DEPTH).d_type)
+    code = main(["check-derivation", str(FIXTURES / "mltt_base.json"), str(over)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "deeper than" in err
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1500])
+def test_deep_term_is_a_parse_error(capsys, depth):
+    n = depth - 1
+    term = '{"sym":"Pi","args":[{"sym":"unit","args":[]},' * n + '{"sym":"unit","args":[]}' + "]}" * n
+    code = main(["natural-type", str(FIXTURES / "mltt_base.json"), term])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_check_derivation_roundtrip(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 Every law is asserted as exact structural equality on randomly generated
 well-scoped expressions; strict de Bruijn scopes make even the
-associativity of instantiation hold on the nose.
+associativity of instantiation hold on the nose.  The renaming and
+substitution laws run in both scope systems: indices and levels share the
+tree but not the arithmetic under binders.
 """
 
 import random
@@ -11,16 +13,19 @@ import pytest
 
 from genexpr import LAW_SIGNATURE, gen_expr, gen_instantiation, gen_renaming, gen_subst
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
-from gtt.scopes import Renaming, ScopeKind
+from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import (
     TM,
     TY,
     Argument,
     Instantiation,
+    MetaApp,
     Signature,
     SignatureMap,
     Substitution,
+    SymApp,
     Symbol,
+    Var,
     arity,
     compose_subst,
     extend_substitution,
@@ -45,6 +50,9 @@ from gtt.syntax import (
 
 SIG = LAW_SIGNATURE
 KIND = SIG.kind
+
+# The law signature in each scope system: same symbols, different arithmetic.
+KIND_SIGS = tuple((kind, Signature(SIG.symbols, kind)) for kind in ScopeKind)
 
 
 def b(scope=0):
@@ -91,41 +99,84 @@ def test_rename_identity_and_simple():
 
 
 def naive_rename(kind, r, e, depth=0):
-    """Oracle: re-implementation that tracks binder depth explicitly (indices only)."""
-    from gtt.syntax import MetaApp, SymApp, Var
-
+    """Oracle: tracks binder depth explicitly and reads each variable through
+    the coproduct maps of ``kind``: a position of r.src + depth is either an
+    outer position i, sent to inl(r(i)), or a bound one j, kept as inr(j)."""
     match e:
-        case Var(pos=p, scope=s):
-            if p < depth:
-                return Var(p, s - r.src + r.dst)
-            return Var(r(p - depth) + depth, s - r.src + r.dst)
+        case Var(pos=p):
+            side, i = kind.unsum(r.src, depth, p)
+            q = kind.inl(r.dst, depth, r(i)) if side == "left" else kind.inr(r.dst, depth, i)
+            return Var(q, r.dst + depth)
         case SymApp(sym=sym, args=args, scope=s, cls=c):
             new = tuple(naive_rename(kind, r, a, depth + (a.scope - s)) for a in args)
-            return SymApp(sym, new, s - r.src + r.dst, c)
-        case MetaApp(idx=m, args=args, scope=s, cls=c):
+            return SymApp(sym, new, r.dst + depth, c)
+        case MetaApp(idx=m, args=args, cls=c):
             new = tuple(naive_rename(kind, r, a, depth) for a in args)
-            return MetaApp(m, new, s - r.src + r.dst, c)
+            return MetaApp(m, new, r.dst + depth, c)
+
+
+def naive_extend(kind, f, eta):
+    """Oracle: the table of f + eta, old entries renamed along inl by ``naive_rename``."""
+    src, dst = f.src + eta, f.dst + eta
+    table = [None] * dst
+    inl = inl_renaming(kind, f.src, eta)
+    for i in range(f.dst):
+        table[kind.inl(f.dst, eta, i)] = naive_rename(kind, inl, f(i))
+    for j in range(eta):
+        table[kind.inr(f.dst, eta, j)] = Var(kind.inr(f.src, eta, j), src)
+    return Substitution(src, dst, tuple(table))
+
+
+def naive_substitute(kind, f, e):
+    """Oracle: the textbook definition, extending the table under each binder."""
+    match e:
+        case Var(pos=p):
+            return f(p)
+        case SymApp(sym=sym, args=args, scope=s, cls=c):
+            new = tuple(naive_substitute(kind, naive_extend(kind, f, a.scope - s), a) for a in args)
+            return SymApp(sym, new, f.src, c)
+        case MetaApp(idx=m, args=args, cls=c):
+            return MetaApp(m, tuple(naive_substitute(kind, f, a) for a in args), f.src, c)
 
 
 def test_rename_against_depth_tracking_oracle():
-    rng = random.Random(2)
-    for _ in range(300):
-        src = rng.randrange(1, 4)
-        dst = rng.randrange(1, 4)
-        r = gen_renaming(rng, src, dst)
-        e = gen_expr(rng, SIG, src, rng.choice([TY, TM]), 3)
-        assert rename_expr(KIND, r, e) == naive_rename(KIND, r, e)
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(2)
+        for _ in range(300):
+            src = rng.randrange(1, 4)
+            dst = rng.randrange(1, 4)
+            k = rng.randrange(3)
+            r = gen_renaming(rng, src, dst)
+            e = gen_expr(rng, sig, src + k, rng.choice([TY, TM]), 3)
+            assert rename_expr(kind, r, e, k) == naive_rename(kind, r, e, k), kind
+
+
+def test_substitute_against_table_oracle():
+    # (f, lift k) applied on lookup agrees with the table extended per binder
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(3)
+        for _ in range(1100):
+            src, dst, k = rng.randrange(4), rng.randrange(4), rng.randrange(3)
+            f = gen_subst(rng, sig, src, dst)
+            e = gen_expr(rng, sig, dst + k, rng.choice([TY, TM]), 3)
+            assert substitute_expr(kind, f, e, k) == naive_substitute(kind, naive_extend(kind, f, k), e), kind
 
 
 def test_weakening_shifts_free_keeps_bound():
-    # pi(b, el(x0)) in scope 1; weakening by 2 shifts the free variable only
-    pi = mk_sym(SIG, "pi", (b(1), el(mk_var(2, 1))), 1)
-    w = weaken_expr(KIND, pi, 2)
-    assert w == mk_sym(SIG, "pi", (b(3), el(mk_var(4, 3))), 3)
-    lam_body = mk_sym(SIG, "pi", (b(1), el(mk_var(2, 0))), 1)
-    w2 = weaken_expr(KIND, lam_body, 1)
-    # bound var of el's enclosing pi stays 0
-    assert w2 == mk_sym(SIG, "pi", (b(2), el(mk_var(3, 0))), 2)
+    for kind, sig in KIND_SIGS:
+        def pi_el(scope, pos):
+            # pi(b, el(x)) in ``scope``; x is a position of scope + 1
+            return mk_sym(sig, "pi", (b(scope), el(mk_var(scope + 1, pos))), scope)
+
+        # pi(b, el(x0)) in scope 1; weakening by 2 shifts the free variable only
+        free = kind.inl(1, 1, 0)
+        w = weaken_expr(kind, pi_el(1, free), 2)
+        assert w == pi_el(3, kind.inl(3, 1, kind.inl(1, 2, 0))), kind
+        # the variable bound by pi keeps its binder
+        bound = kind.inr(1, 1, 0)
+        w2 = weaken_expr(kind, pi_el(1, bound), 1)
+        assert w2 == pi_el(2, kind.inr(2, 1, 0)), kind
+        assert weaken_expr(kind, pi_el(1, bound), 1) == naive_rename(kind, inl_renaming(kind, 1, 1), pi_el(1, bound))
 
 
 # --- the five substitution laws (exact, >= 1000 cases each run) ----------------
@@ -143,81 +194,89 @@ def law_cases(seed):
 
 
 def test_law_substitution_generalises_renaming():
-    for rng, gamma, delta, _ in law_cases(10):
-        if gamma == 0 and delta > 0:
-            gamma = 1
-        r = gen_renaming(rng, delta, gamma)
-        e = gen_expr(rng, SIG, delta, rng.choice([TY, TM]), 3)
-        assert substitute_expr(KIND, Substitution.of_renaming(r), e) == rename_expr(KIND, r, e)
+    for kind, sig in KIND_SIGS:
+        for rng, gamma, delta, _ in law_cases(10):
+            if gamma == 0 and delta > 0:
+                gamma = 1
+            r = gen_renaming(rng, delta, gamma)
+            e = gen_expr(rng, sig, delta, rng.choice([TY, TM]), 3)
+            assert substitute_expr(kind, Substitution.of_renaming(r), e) == rename_expr(kind, r, e)
 
 
 def test_law_identity_substitution():
-    for rng, gamma, _, _ in law_cases(11):
-        e = gen_expr(rng, SIG, gamma, rng.choice([TY, TM]), 3)
-        assert substitute_expr(KIND, Substitution.identity(gamma), e) == e
+    for kind, sig in KIND_SIGS:
+        for rng, gamma, _, _ in law_cases(11):
+            e = gen_expr(rng, sig, gamma, rng.choice([TY, TM]), 3)
+            assert substitute_expr(kind, Substitution.identity(gamma), e) == e
 
 
 def test_law_substitution_commutes_with_renaming():
-    for rng, gamma, delta, theta in law_cases(12):
-        # act r (tca f e) = tca (i -> act r f(i)) e
-        gp = max(1, theta)
-        f = gen_subst(rng, SIG, gamma, delta)
-        r = gen_renaming(rng, gamma, gp)
-        e = gen_expr(rng, SIG, delta, rng.choice([TY, TM]), 2)
-        lhs = rename_expr(KIND, r, substitute_expr(KIND, f, e))
-        rf = Substitution(gp, delta, tuple(rename_expr(KIND, r, f(i)) for i in range(delta)))
-        assert lhs == substitute_expr(KIND, rf, e)
+    for kind, sig in KIND_SIGS:
+        for rng, gamma, delta, theta in law_cases(12):
+            # act r (tca f e) = tca (i -> act r f(i)) e
+            gp = max(1, theta)
+            f = gen_subst(rng, sig, gamma, delta)
+            r = gen_renaming(rng, gamma, gp)
+            e = gen_expr(rng, sig, delta, rng.choice([TY, TM]), 2)
+            lhs = rename_expr(kind, r, substitute_expr(kind, f, e))
+            rf = Substitution(gp, delta, tuple(rename_expr(kind, r, f(i)) for i in range(delta)))
+            assert lhs == substitute_expr(kind, rf, e)
 
-        # tca f (act r e) = tca (i -> f(r(i))) e  with r into f's target scope
-        if delta == 0:
-            continue
-        r2_src = max(1, gamma)
-        f2 = gen_subst(rng, SIG, theta, delta)
-        r2 = gen_renaming(rng, r2_src, delta)
-        e2 = gen_expr(rng, SIG, r2_src, rng.choice([TY, TM]), 2)
-        lhs2 = substitute_expr(KIND, f2, rename_expr(KIND, r2, e2))
-        fr = Substitution(theta, r2_src, tuple(f2(r2(i)) for i in range(r2_src)))
-        assert lhs2 == substitute_expr(KIND, fr, e2)
+            # tca f (act r e) = tca (i -> f(r(i))) e  with r into f's target scope
+            if delta == 0:
+                continue
+            r2_src = max(1, gamma)
+            f2 = gen_subst(rng, sig, theta, delta)
+            r2 = gen_renaming(rng, r2_src, delta)
+            e2 = gen_expr(rng, sig, r2_src, rng.choice([TY, TM]), 2)
+            lhs2 = substitute_expr(kind, f2, rename_expr(kind, r2, e2))
+            fr = Substitution(theta, r2_src, tuple(f2(r2(i)) for i in range(r2_src)))
+            assert lhs2 == substitute_expr(kind, fr, e2)
 
 
 def test_law_substitution_respects_composition():
-    for rng, gamma, delta, theta in law_cases(13):
-        f = gen_subst(rng, SIG, gamma, delta)
-        g = gen_subst(rng, SIG, delta, theta)
-        e = gen_expr(rng, SIG, theta, rng.choice([TY, TM]), 2)
-        assert substitute_expr(KIND, f, substitute_expr(KIND, g, e)) == substitute_expr(
-            KIND, compose_subst(KIND, g, f), e
-        )
+    for kind, sig in KIND_SIGS:
+        for rng, gamma, delta, theta in law_cases(13):
+            f = gen_subst(rng, sig, gamma, delta)
+            g = gen_subst(rng, sig, delta, theta)
+            e = gen_expr(rng, sig, theta, rng.choice([TY, TM]), 2)
+            assert substitute_expr(kind, f, substitute_expr(kind, g, e)) == substitute_expr(
+                kind, compose_subst(kind, g, f), e
+            )
 
 
 def test_law_composition_unital_associative():
-    for rng, gamma, delta, theta in law_cases(14):
-        f = gen_subst(rng, SIG, gamma, delta)
-        assert compose_subst(KIND, f, Substitution.identity(gamma)) == f
-        assert compose_subst(KIND, Substitution.identity(delta), f) == f
-        eta = rng.randrange(4)
-        g = gen_subst(rng, SIG, delta, theta)
-        h = gen_subst(rng, SIG, theta, eta)
-        lhs = compose_subst(KIND, h, compose_subst(KIND, g, f))
-        rhs = compose_subst(KIND, compose_subst(KIND, h, g), f)
-        assert lhs == rhs
+    for kind, sig in KIND_SIGS:
+        for rng, gamma, delta, theta in law_cases(14):
+            f = gen_subst(rng, sig, gamma, delta)
+            assert compose_subst(kind, f, Substitution.identity(gamma)) == f
+            assert compose_subst(kind, Substitution.identity(delta), f) == f
+            eta = rng.randrange(4)
+            g = gen_subst(rng, sig, delta, theta)
+            h = gen_subst(rng, sig, theta, eta)
+            lhs = compose_subst(kind, h, compose_subst(kind, g, f))
+            rhs = compose_subst(kind, compose_subst(kind, h, g), f)
+            assert lhs == rhs
 
 
 def test_extend_substitution_clauses():
-    rng = random.Random(15)
-    # identity extends to identity; extension by zero is the map itself
-    for gamma in range(4):
-        for eta in range(3):
-            assert extend_substitution(KIND, Substitution.identity(gamma), eta) == Substitution.identity(gamma + eta)
-    f = Substitution(0, 1, (mk_sym(SIG, "lam", (b(0), b(1), mk_var(1, 0)), 0),))
-    ext = extend_substitution(KIND, f, 1)
-    assert ext.src == 1 and ext.dst == 2
-    # bound position keeps itself, old entry is weakened
-    assert ext(0) == mk_var(1, 0)
-    assert ext(1) == weaken_expr(KIND, f(0), 1)
-    for _ in range(200):
-        g = gen_subst(rng, SIG, rng.randrange(3), rng.randrange(3))
-        assert extend_substitution(KIND, g, 0) == g
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(15)
+        # identity extends to identity; extension by zero is the map itself
+        for gamma in range(4):
+            for eta in range(3):
+                assert extend_substitution(kind, Substitution.identity(gamma), eta) == Substitution.identity(gamma + eta)
+        f = Substitution(0, 1, (mk_sym(sig, "lam", (b(0), b(1), mk_var(1, 0)), 0),))
+        ext = extend_substitution(kind, f, 1)
+        assert ext.src == 1 and ext.dst == 2
+        # bound position keeps itself, old entry is weakened
+        assert ext(kind.inr(1, 1, 0)) == mk_var(1, kind.inr(0, 1, 0))
+        assert ext(kind.inl(1, 1, 0)) == weaken_expr(kind, f(0), 1)
+        for _ in range(200):
+            g = gen_subst(rng, sig, rng.randrange(3), rng.randrange(3))
+            assert extend_substitution(kind, g, 0) == g
+            eta = rng.randrange(1, 3)
+            assert extend_substitution(kind, g, eta) == naive_extend(kind, g, eta), kind
 
 
 # --- metavariable extensions and instantiation ---------------------------------
