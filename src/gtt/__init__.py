@@ -3,138 +3,10 @@
 Users declare signatures and rules; the kernel checks derivations,
 verifies acceptability and well-presentedness, generates congruence
 rules, and runs constructive metatheorem transformers.
+
+The package exports nothing itself: import from its submodules.  The raw
+layer (``errors``, ``scopes``, ``syntax``, ``judgements``, ``foundations``,
+``rules``, ``theories``, ``jsonio``) imports no higher layer, so a caller
+that only checks derivations of a raw theory never loads ``metatheory``,
+``presentation`` or ``maps``.
 """
-
-from .scopes import Renaming, Scope, ScopeKind, sum_renaming, sum_scope
-from .syntax import (
-    TM,
-    TY,
-    Argument,
-    Arity,
-    Expr,
-    Instantiation,
-    MetaApp,
-    Signature,
-    SignatureMap,
-    Substitution,
-    Symbol,
-    SymApp,
-    SyntacticClass,
-    Var,
-    arity,
-    compose_subst,
-    extend_substitution,
-    instantiate_expr,
-    mk_meta,
-    mk_sym,
-    mk_var,
-    mv_extend_signature,
-    rename_expr,
-    simple_arity,
-    substitute_expr,
-    translate_expr,
-)
-from .judgements import (
-    Boundary,
-    EMPTY_CONTEXT,
-    Judgement,
-    JudgementForm,
-    RawContext,
-    boundary_of,
-    complete_boundary,
-    extend_context,
-    instantiate_context,
-    instantiate_judgement,
-    is_term,
-    is_type,
-    presuppositions,
-    tm_eq,
-    translate_judgement,
-    ty_eq,
-)
-from .rules import (
-    RawRule,
-    congruence_rule,
-    generic_application,
-    instantiate_rule,
-    variable_rule,
-)
-from .theories import (
-    EqSubstInst,
-    ConvInst,
-    EquivInst,
-    Hyp,
-    RawTypeTheory,
-    Specific,
-    Structural,
-    SubstInst,
-    TheoryDerivation,
-    VariableInst,
-    check_derived_rule,
-    check_theory_derivation,
-    instantiate_derivation,
-    translate_derivation,
-)
-
-from .metatheory import (
-    AcceptabilityReport,
-    RuleWitnesses,
-    TheoryWitnesses,
-    TightnessWitness,
-    check_acceptable_theory,
-    check_presuppositive,
-    check_tight,
-    check_well_founded_theory,
-    derive_presuppositions,
-    eliminate_substitution,
-    invert,
-    is_canonical_inversion,
-    is_substitution_free,
-    is_tight,
-    natural_type,
-    rename_derivation,
-    substitute_derivation,
-    substitute_equal_derivation,
-    theory_tightness,
-    unique_typing,
-    unique_typing_acceptable,
-)
-from .presentation import (
-    PremisesShape,
-    RuleBoundarySpec,
-    WellFoundedPremiseFamily,
-    WellPresentedTheorySpec,
-    check_wf_context,
-    elaborate_theory,
-    flatten_premise_family,
-    flatten_sequential_context,
-    is_sequential_flat_context,
-    realise_rule_boundary,
-)
-from .maps import (
-    RawSyntaxMap,
-    RawTheoryMap,
-    ReplacementBuilder,
-    apply_syntax_map,
-    apply_theory_map_derivation,
-    check_realiser,
-    compose_syntax_maps,
-    demote,
-    identity_syntax_map,
-    identity_theory_map,
-    promote,
-    section_d,
-    section_s,
-)
-from .foundations import (
-    ClosureRule,
-    FinitePoset,
-    GHyp,
-    GStep,
-    check_generic_derivation,
-    check_well_founded,
-    graft,
-    map_derivation,
-)
-
-__all__ = [n for n in dir() if not n.startswith("_")]

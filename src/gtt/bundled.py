@@ -22,7 +22,6 @@ from .judgements import (
     is_type,
     tm_eq,
 )
-from .metatheory import RuleWitnesses, TheoryWitnesses
 from .rules import RawRule, congruence_rule
 from .scopes import ScopeKind
 from .syntax import (
@@ -38,7 +37,15 @@ from .syntax import (
     arity,
     mv_extend_signature,
 )
-from .theories import Hyp, RawTypeTheory, Specific, Structural, SubstInst
+from .theories import (
+    Hyp,
+    RawTypeTheory,
+    RuleWitnesses,
+    Specific,
+    Structural,
+    SubstInst,
+    TheoryWitnesses,
+)
 
 PI_ARITY = arity((TY, 0), (TY, 1))
 LAM_ARITY = arity((TY, 0), (TY, 1), (TM, 1))

@@ -3,6 +3,10 @@ metatheorem transformers, emit reports and transformed objects.
 
 Exit codes: 0 all requested checks pass, 1 a check fails, 2 bad input.
 Every emitted derivation or rule is re-checked before printing.
+
+A command imports ``metatheory``, ``presentation`` and ``maps`` only when
+it runs them: ``check-derivation`` on a raw theory loads the raw layer
+alone.
 """
 
 from __future__ import annotations
@@ -12,33 +16,29 @@ import sys
 from pathlib import Path
 
 from .errors import KernelError, ParseError
-from .judgements import JudgementForm, presuppositions
+from .judgements import presuppositions
 from .jsonio import (
+    _boundary_from_json,
+    _form_from,
+    _list,
+    _obj,
+    _str,
+    context_from_json,
     derivation_from_json,
     derivation_to_json,
     dumps,
     expr_from_json,
     expr_to_json,
     judgement_to_json,
-    context_from_json,
     load_theory_file,
     loads,
+    premise_from_json,
+    rule_from_json,
     rule_to_json,
     theory_to_json,
 )
-from .metatheory import (
-    check_acceptable_theory,
-    check_well_founded_theory,
-    derive_presuppositions,
-    eliminate_substitution,
-    invert,
-    is_canonical_inversion,
-    is_substitution_free,
-    natural_type,
-    unique_typing_acceptable,
-)
 from .rules import congruence_rule
-from .syntax import mv_extend_signature
+from .syntax import Argument, mv_extend_signature
 from .theories import check_theory_derivation
 
 
@@ -120,8 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: Path):
+    """The JSON value in an input file; a file that is not readable text is bad input."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    return loads(text)
+
+
 def _load_raw(path: Path):
-    kind, payload = load_theory_file(loads(path.read_text()))
+    kind, payload = load_theory_file(_read_json(path))
     if kind == "spec":
         from .presentation import elaborate_theory
 
@@ -143,7 +156,9 @@ def _emit(args, data) -> None:
 
 
 def cmd_check_theory(args) -> int:
-    kind, payload = load_theory_file(loads(args.theory.read_text()))
+    from .metatheory import check_well_founded_theory
+
+    kind, payload = load_theory_file(_read_json(args.theory))
     report_json = {"file": str(args.theory), "checks": {}}
     failed = False
     if kind == "spec":
@@ -195,6 +210,8 @@ def cmd_check_theory(args) -> int:
 
 
 def _acceptability_into(args, theory, witnesses, report_json, lines, ready=None) -> bool:
+    from .metatheory import check_acceptable_theory
+
     report = ready or check_acceptable_theory(theory, witnesses)
     report_json["checks"]["acceptable"] = {
         "ok": report.acceptable,
@@ -233,26 +250,23 @@ def _print_report(args, report_json, lines) -> None:
             print(text)
 
 
-def _load_derivation(theory, path: Path, witnesses=None):
-    data = loads(path.read_text())
-    hyps = ()
+def _load_derivation(theory, path: Path):
+    data = _read_json(path)
     if isinstance(data, dict) and "derivation" in data:
-        d = derivation_from_json(theory, theory.signature, data["derivation"])
-    else:
-        d = derivation_from_json(theory, theory.signature, data)
-    return d, hyps
+        data = data["derivation"]
+    return derivation_from_json(theory, theory.signature, data)
 
 
 def cmd_check_derivation(args) -> int:
-    theory, witnesses, _ = _load_raw(args.theory)
-    d, hyps = _load_derivation(theory, args.derivation)
-    conclusion = check_theory_derivation(theory, hyps, d)
+    theory, _, _ = _load_raw(args.theory)
+    d = _load_derivation(theory, args.derivation)
+    conclusion = check_theory_derivation(theory, (), d)
     _emit(args, {"ok": True, "conclusion": judgement_to_json(theory.signature, conclusion)})
     return 0
 
 
 def cmd_flatten(args) -> int:
-    kind, payload = load_theory_file(loads(args.theory.read_text()))
+    kind, payload = load_theory_file(_read_json(args.theory))
     if kind != "spec":
         print("flatten expects a well-presented spec file", file=sys.stderr)
         return 2
@@ -271,8 +285,6 @@ def cmd_congruence(args) -> int:
     idx = theory.rule_index(args.rule)
     cong = congruence_rule(theory.signature, theory.rule(idx))
     # round-trip discipline: what we print must re-check structurally
-    from .jsonio import rule_from_json
-
     data = rule_to_json(theory.signature, cong, f"{args.rule}-cong")
     assert rule_from_json(theory.signature, data) == cong
     _emit(args, data)
@@ -280,14 +292,16 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_presup(args) -> int:
+    from .metatheory import derive_presuppositions
+
     theory, witnesses, _ = _load_raw(args.theory)
-    d, hyps = _load_derivation(theory, args.derivation)
-    conclusion = check_theory_derivation(theory, hyps, d)
+    d = _load_derivation(theory, args.derivation)
+    conclusion = check_theory_derivation(theory, (), d)
     outs = derive_presuppositions(theory, d, witnesses)
     targets = presuppositions(conclusion)
     emitted = []
     for out, target in zip(outs, targets):
-        got = check_theory_derivation(theory, hyps, out)
+        got = check_theory_derivation(theory, (), out)
         if got != target:
             raise KernelError("presupposition derivation does not re-check")
         emitted.append(
@@ -301,11 +315,13 @@ def cmd_presup(args) -> int:
 
 
 def cmd_elim_subst(args) -> int:
+    from .metatheory import eliminate_substitution, is_substitution_free
+
     theory, _, _ = _load_raw(args.theory)
-    d, hyps = _load_derivation(theory, args.derivation)
-    before = check_theory_derivation(theory, hyps, d)
+    d = _load_derivation(theory, args.derivation)
+    before = check_theory_derivation(theory, (), d)
     out = eliminate_substitution(theory, d)
-    after = check_theory_derivation(theory, hyps, out)
+    after = check_theory_derivation(theory, (), out)
     if after != before or not is_substitution_free(out):
         raise KernelError("elimination result does not re-check")
     _emit(args, derivation_to_json(theory, theory.signature, out))
@@ -313,6 +329,8 @@ def cmd_elim_subst(args) -> int:
 
 
 def cmd_natural_type(args) -> int:
+    from .metatheory import natural_type
+
     theory, _, _ = _load_raw(args.theory)
     ctx = context_from_json(theory.signature, loads(args.cxt))
     term = expr_from_json(theory.signature, loads(args.term), ctx.scope)
@@ -322,11 +340,13 @@ def cmd_natural_type(args) -> int:
 
 
 def cmd_invert(args) -> int:
+    from .metatheory import invert, is_canonical_inversion
+
     theory, witnesses, _ = _load_raw(args.theory)
-    d, hyps = _load_derivation(theory, args.derivation)
-    before = check_theory_derivation(theory, hyps, d)
+    d = _load_derivation(theory, args.derivation)
+    before = check_theory_derivation(theory, (), d)
     out = invert(theory, d, witnesses)
-    after = check_theory_derivation(theory, hyps, out)
+    after = check_theory_derivation(theory, (), out)
     if after != before or not is_canonical_inversion(theory, out):
         raise KernelError("inversion result does not re-check")
     _emit(args, derivation_to_json(theory, theory.signature, out))
@@ -334,9 +354,11 @@ def cmd_invert(args) -> int:
 
 
 def cmd_unique_typing(args) -> int:
+    from .metatheory import unique_typing_acceptable
+
     theory, witnesses, _ = _load_raw(args.theory)
-    d1, _ = _load_derivation(theory, args.first)
-    d2, _ = _load_derivation(theory, args.second)
+    d1 = _load_derivation(theory, args.first)
+    d2 = _load_derivation(theory, args.second)
     out = unique_typing_acceptable(theory, d1, d2, witnesses)
     check_theory_derivation(theory, (), out)
     _emit(args, derivation_to_json(theory, theory.signature, out))
@@ -344,31 +366,26 @@ def cmd_unique_typing(args) -> int:
 
 
 def cmd_replace_step(args) -> int:
-    theory, witnesses, _ = _load_raw(args.theory)
-    script = loads(args.script.read_text())
-    from .maps import (
-        EquationStep,
-        ReplacementBuilder,
-        SymbolStep,
-        sequential_boundary_spec,
-    )
-    from .jsonio import rule_from_json
+    from .maps import EquationStep, ReplacementBuilder, SymbolStep
 
+    theory, _, _ = _load_raw(args.theory)
+    script = _obj(_read_json(args.script), "a replacement script")
     builder = ReplacementBuilder(theory)
-    for step in script.get("steps", []):
+    for step in _list(script.get("steps", []), "steps"):
+        step = _obj(step, "a script step")
         kind = step.get("kind")
         if kind == "symbol":
             spec = _script_boundary(builder, step)
             alpha = spec.arity()
             ext = mv_extend_signature(theory.signature, alpha, spec.premises.meta_names())
-            realiser = expr_from_json(ext, step["realiser"], 0)
-            witness = derivation_from_json(theory, ext, step["witness"])
-            builder.add_symbol(SymbolStep(step["name"], spec, realiser, witness))
+            realiser = expr_from_json(ext, step.get("realiser"), 0)
+            witness = derivation_from_json(theory, ext, step.get("witness"))
+            builder.add_symbol(SymbolStep(_str(step.get("name"), "step name"), spec, realiser, witness))
         elif kind == "equation":
-            rule = rule_from_json(builder.signature, step["rule"])
+            rule = rule_from_json(builder.signature, step.get("rule"))
             ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
-            witness = derivation_from_json(theory, ext, step["witness"])
-            builder.add_equation(EquationStep(step["name"], rule, witness))
+            witness = derivation_from_json(theory, ext, step.get("witness"))
+            builder.add_equation(EquationStep(_str(step.get("name"), "step name"), rule, witness))
         else:
             raise ParseError(f"unknown step kind {kind!r}")
     out = {
@@ -389,35 +406,28 @@ def cmd_replace_step(args) -> int:
 
 
 def _script_boundary(builder, step):
-    from .jsonio import _BOUNDARY_KEYS, expr_from_json as efj
     from .maps import sequential_boundary_spec
-    from .syntax import Argument, TM as _TM, TY as _TY
 
     bsig = builder.signature
-    raw_premises = step.get("premises", [])
-    names = tuple(p.get("name", f"p{k}") for k, p in enumerate(raw_premises))
+    raw_premises = _list(step.get("premises", []), "premises")
+    names = tuple(
+        _str(_obj(p, "a premise").get("name", f"p{k}"), "premise name")
+        for k, p in enumerate(raw_premises)
+    )
     premises = []
     sub_args: list[Argument] = []
     obj_names: list[str] = []
     for k, p in enumerate(raw_premises):
-        form = JudgementForm(p["form"])
         sub_sig = mv_extend_signature(bsig, tuple(sub_args), tuple(obj_names))
-        seq = tuple(
-            efj(sub_sig, t, pos) for pos, t in enumerate(p.get("cxt_seq", []))
-        )
-        scope = len(seq)
-        slots = tuple(
-            efj(sub_sig, p.get("boundary", {})[key], scope)
-            for key in _BOUNDARY_KEYS[form]
-        )
+        seq, form, slots = premise_from_json(sub_sig, p)
         premises.append((seq, form, slots))
         if form.is_object:
-            sub_args.append(Argument(_TY if form is JudgementForm.IS_TY else _TM, scope))
+            sub_args.append(Argument(form.head_class, len(seq)))
             obj_names.append(names[k])
-    form = JudgementForm(step["conclusion_form"])
+    form = _form_from(step.get("conclusion_form"))
     full_sig = mv_extend_signature(bsig, tuple(sub_args), tuple(obj_names))
-    conclusion_slots = tuple(
-        efj(full_sig, step.get("boundary", {})[key], 0) for key in _BOUNDARY_KEYS[form]
+    conclusion_slots = _boundary_from_json(
+        full_sig, _obj(step.get("boundary", {}), "conclusion boundary"), form, 0, "conclusion boundary"
     )
     return sequential_boundary_spec(
         bsig.kind, tuple(premises), form, conclusion_slots, names

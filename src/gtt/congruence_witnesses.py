@@ -47,6 +47,7 @@ from .theories import (
     EqSubstInst,
     Hyp,
     RawTypeTheory,
+    RuleWitnesses,
     Specific,
     Structural,
     SubstInst,
@@ -324,8 +325,6 @@ class _CongruenceEngine:
     # -- assembling the witnesses ----------------------------------------------------
 
     def build(self):
-        from .metatheory import RuleWitnesses
-
         out = RuleWitnesses()
         n = self.n
         for (i, p), w in self.base.premises.items():

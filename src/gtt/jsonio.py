@@ -5,10 +5,13 @@ against the declared signature and the scope implied by context, so a
 file round-trips exactly when it is well-formed.  Emission is canonical:
 sorted keys, no whitespace (or indented with sorted keys under pretty).
 
-The fields of expressions, judgements, rules and derivation nodes are
-type-checked before anything is built from them, and the decoders refuse
-an expression or a derivation nested deeper than ``MAX_DEPTH``, so a
-malformed or hostile derivation file ends in ``ParseError``.
+Every field of a theory file, a well-presented spec and a derivation is
+type-checked before anything is built from it, and the decoders refuse an
+expression or a derivation nested deeper than ``MAX_DEPTH``, so a
+malformed or hostile input file ends in ``ParseError``.
+
+This module belongs to the raw layer: the codec of well-presented specs
+imports ``presentation`` only when it runs.
 """
 
 from __future__ import annotations
@@ -22,15 +25,6 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
-)
-from .metatheory import RuleWitnesses, TheoryWitnesses
-from .presentation import (
-    PremisesShape,
-    RuleBoundarySpec,
-    RuleBoundaryWitnesses,
-    TheoryRuleSpec,
-    WellFoundedPremiseFamily,
-    WellPresentedTheorySpec,
 )
 from .rules import (
     CONVERSION_RULE_NAMES,
@@ -65,10 +59,12 @@ from .theories import (
     EqSubstInst,
     Hyp,
     RawTypeTheory,
+    RuleWitnesses,
     Specific,
     Structural,
     SubstInst,
     TheoryDerivation,
+    TheoryWitnesses,
     VariableInst,
 )
 
@@ -205,11 +201,13 @@ def signature_to_json(sig: Signature) -> Any:
 def signature_from_json(data: Any, kind: ScopeKind) -> Signature:
     if not isinstance(data, list):
         raise ParseError("a signature is a list of symbol declarations")
-    symbols = tuple(
-        Symbol(_str(d["name"], "name"), _class_from(d["class"]), arity_from_json(d.get("arity", [])))
-        for d in data
-    )
-    return Signature(symbols, kind)
+    symbols = []
+    for d in data:
+        d = _obj(d, "a symbol declaration")
+        symbols.append(
+            Symbol(_str(d.get("name"), "name"), _class_from(d.get("class")), arity_from_json(d.get("arity", [])))
+        )
+    return Signature(tuple(symbols), kind)
 
 
 # --- contexts, judgements, boundaries -------------------------------------------------
@@ -264,18 +262,21 @@ def judgement_from_json(sig: Signature, data: Any) -> Judgement:
     form = _form_from(data.get("form"))
     ctx = context_from_json(sig, data.get("cxt", []))
     slots = _obj(data.get("slots", {}), "judgement slots")
-    for k in _BOUNDARY_KEYS[form]:
-        if k not in slots:
-            raise ParseError(f"{form.value} judgement needs a {k} slot")
-    boundary = tuple(
-        expr_from_json(sig, slots[k], ctx.scope) for k in _BOUNDARY_KEYS[form]
-    )
+    boundary = _boundary_from_json(sig, slots, form, ctx.scope, f"{form.value} judgement")
     head = None
     if form.head_class is not None:
         if "head" not in slots:
             raise ParseError(f"{form.value} judgement needs a head slot")
         head = expr_from_json(sig, slots["head"], ctx.scope)
     return Judgement(ctx, form, boundary, head)
+
+
+def _boundary_from_json(sig: Signature, slots: dict, form: JudgementForm, scope: int, what: str) -> tuple[Expr, ...]:
+    """The boundary slots of ``form``, read from an object keyed by slot name."""
+    for k in _BOUNDARY_KEYS[form]:
+        if k not in slots:
+            raise ParseError(f"{what} needs a {k} slot")
+    return tuple(expr_from_json(sig, slots[k], scope) for k in _BOUNDARY_KEYS[form])
 
 
 # --- rules ------------------------------------------------------------------------
@@ -510,39 +511,35 @@ def _rule_witnesses_to_json(theory, name, w: RuleWitnesses) -> Any:
 
 
 def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FinitePoset | None]:
-    kind_name = data.get("scope_system", ScopeKind.INDICES.value)
-    try:
-        kind = ScopeKind(kind_name)
-    except ValueError:
-        raise ParseError(f"unknown scope system {kind_name!r}") from None
+    data = _obj(data, "a theory file")
+    kind = _kind_from(data)
     sig = signature_from_json(data.get("signature", []), kind)
     rules = []
     names = []
-    for r in data.get("rules", []):
+    for r in _list(data.get("rules", []), "rules"):
         rules.append(rule_from_json(sig, r))
         names.append(_str(r.get("name", f"rule{len(names)}"), "rule name"))
     theory = RawTypeTheory(sig, tuple(rules), tuple(names))
     witnesses: TheoryWitnesses = {}
-    for entry in data.get("witnesses", []):
+    for entry in _list(data.get("witnesses", []), "witnesses"):
+        entry = _obj(entry, "a witness entry")
         name = _str(entry.get("rule"), "witness rule name")
         idx = theory.rule_index(name)
         rule = theory.rule(idx)
         ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
         w = RuleWitnesses()
-        for key, dv in entry.get("presup_witnesses", {}).items():
+        for key, dv in _obj(entry.get("presup_witnesses", {}), "presup_witnesses").items():
+            i, p = _witness_key(key, len(rule.premises))
             d = derivation_from_json(theory, ext, dv)
-            if key.startswith("conclusion/"):
-                w.conclusion[int(key.split("/")[1])] = d
-            elif key.startswith("premise_"):
-                head, p = key.split("/")
-                w.premises[(int(head[len("premise_"):]), int(p))] = d
+            if i is None:
+                w.conclusion[p] = d
             else:
-                raise ParseError(f"bad witness key {key!r}")
+                w.premises[(i, p)] = d
         witnesses[name] = w
     order = None
     if "order" in data:
         edges = set()
-        for pair in data["order"]:
+        for pair in _list(data["order"], "order"):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(f"bad order entry {pair!r}")
             edges.add((theory.rule_index(pair[0]), theory.rule_index(pair[1])))
@@ -550,23 +547,45 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
     return theory, witnesses, order
 
 
+def _kind_from(data: dict) -> ScopeKind:
+    kind_name = data.get("scope_system", ScopeKind.INDICES.value)
+    for kind in ScopeKind:
+        if kind.value == kind_name:
+            return kind
+    raise ParseError(f"unknown scope system {kind_name!r}")
+
+
+def _witness_key(key: str, premises: int) -> tuple[int | None, int]:
+    """``conclusion/p`` as ``(None, p)``; ``premise_i/p`` as ``(i, p)``, with i below ``premises``."""
+    head, _, p = key.partition("/")
+    if p.isdecimal():
+        if head == "conclusion":
+            return None, int(p)
+        i = head.removeprefix("premise_")
+        if i != head and i.isdecimal() and int(i) < premises:
+            return int(i), int(p)
+    raise ParseError(f"bad witness key {key!r}")
+
+
 # --- well-presented theory specs ------------------------------------------------------
 
-def spec_to_json(spec: WellPresentedTheorySpec) -> Any:
-    from .presentation import theory_signature_of_spec
+def spec_to_json(spec) -> Any:
+    """The JSON of a ``presentation.WellPresentedTheorySpec``."""
+    from .presentation import RuleBoundaryWitnesses, theory_signature_of_spec
 
     sig = theory_signature_of_spec(spec)
     rules_out = []
     for i, rs in enumerate(spec.rules):
         fam = rs.boundary.premises
+        names = fam.names or tuple(f"p{k}" for k in range(fam.premise_count()))
         premises_out = []
         for k in range(fam.premise_count()):
             form, scope = fam.shape.slots[k]
             seq, slots = fam.boundaries[k]
-            sub = _sub_signature(sig, fam, k)
+            sub = _sub_signature(sig, fam.shape, names, k)
             premises_out.append(
                 {
-                    "name": fam.names[k] if fam.names else f"p{k}",
+                    "name": names[k],
                     "form": form.value,
                     "cxt_seq": [expr_to_json(sub, t) for t in seq],
                     "boundary": {
@@ -580,11 +599,11 @@ def spec_to_json(spec: WellPresentedTheorySpec) -> Any:
         witnesses_out = {}
         # premise witnesses are over the sub-extension of their down-set
         for (k, p), d in sorted(w.premises.presups.items()):
-            sub = _sub_signature(sig, fam, k)
-            stage = _stage_theory_for_json(spec, sig, i)
+            sub = _sub_signature(sig, fam.shape, names, k)
+            stage = _stage_theory_for_json(spec, i)
             witnesses_out[f"premise_{k}/{p}"] = derivation_to_json(stage, sub, d)
         for p, d in sorted(w.conclusion.items()):
-            stage = _stage_theory_for_json(spec, sig, i)
+            stage = _stage_theory_for_json(spec, i)
             witnesses_out[f"conclusion/{p}"] = derivation_to_json(stage, full, d)
         rules_out.append(
             {
@@ -609,22 +628,9 @@ def spec_to_json(spec: WellPresentedTheorySpec) -> Any:
     }
 
 
-def _sub_signature(sig: Signature, fam: WellFoundedPremiseFamily, k: int):
-    below = fam.shape.arity_below(k)
-    sub_arity = tuple(
-        Argument(
-            TY if fam.shape.slots[j][0] is JudgementForm.IS_TY else TM,
-            fam.shape.slots[j][1],
-        )
-        for j in below
-    )
-    names = tuple((fam.names[j] if fam.names else f"p{j}") for j in below)
-    return mv_extend_signature(sig, sub_arity, names)
-
-
-def _stage_theory_for_json(spec, sig, upto: int) -> RawTypeTheory:
+def _stage_theory_for_json(spec, upto: int) -> RawTypeTheory:
     """The elaborated prefix theory, for naming rules inside witnesses."""
-    from .presentation import elaborate_theory
+    from .presentation import WellPresentedTheorySpec, elaborate_theory
 
     prefix = WellPresentedTheorySpec(
         spec.kind,
@@ -636,42 +642,52 @@ def _stage_theory_for_json(spec, sig, upto: int) -> RawTypeTheory:
     return theory
 
 
-def spec_from_json(data: Any) -> WellPresentedTheorySpec:
-    kind = ScopeKind(data.get("scope_system", ScopeKind.INDICES.value))
-    raw_rules = data.get("rules", [])
+def spec_from_json(data: Any):
+    """A ``presentation.WellPresentedTheorySpec`` read from its JSON."""
+    from .presentation import (
+        PremisesShape,
+        RuleBoundarySpec,
+        RuleBoundaryWitnesses,
+        TheoryRuleSpec,
+        WellFoundedPremiseFamily,
+        WellPresentedTheorySpec,
+        elaborate_theory,
+    )
+
+    data = _obj(data, "a theory spec")
+    kind = _kind_from(data)
+    raw_rules = [_obj(r, "a rule spec") for r in _list(data.get("rules", []), "rules")]
     names = [_str(r.get("name"), "rule name") for r in raw_rules]
     name_index = {n: i for i, n in enumerate(names)}
-    edges = {
-        (name_index[a], name_index[b]) for a, b in data.get("order", [])
-    }
+    edges = set()
+    for pair in _list(data.get("order", []), "order"):
+        a, b = _edge(pair, name_index)
+        edges.add((name_index[a], name_index[b]))
     order = FinitePoset.of(len(raw_rules), edges)
 
     # first pass: shapes, to compute the staged signatures
+    raw_premises = []
     shapes = []
     for r in raw_rules:
+        premises = [_obj(p, "a premise") for p in _list(r.get("premises", []), "premises")]
+        raw_premises.append(premises)
         slots = tuple(
-            (_form_from(p.get("form")), len(p.get("cxt_seq", [])))
-            for p in r.get("premises", [])
+            (_form_from(p.get("form")), len(_list(p.get("cxt_seq", []), "cxt_seq")))
+            for p in premises
         )
         n = len(slots)
         p_edges = r.get("premise_order")
         if p_edges is None:
             p_edge_set = {(i, j) for i in range(n) for j in range(i + 1, n)}
         else:
-            p_edge_set = {(a, b) for a, b in p_edges}
+            p_edge_set = {_edge(pair, range(n)) for pair in _list(p_edges, "premise_order")}
         shapes.append(PremisesShape(FinitePoset.of(n, p_edge_set), slots))
 
     symbols = []
     for i, r in enumerate(raw_rules):
         form = _form_from(r.get("conclusion_form"))
         if form.is_object:
-            symbols.append(
-                Symbol(
-                    names[i],
-                    TY if form is JudgementForm.IS_TY else TM,
-                    shapes[i].arity(),
-                )
-            )
+            symbols.append(Symbol(names[i], form.head_class, shapes[i].arity()))
     sig = Signature(tuple(symbols), kind)
 
     rules = []
@@ -679,71 +695,67 @@ def spec_from_json(data: Any) -> WellPresentedTheorySpec:
     for i, r in enumerate(raw_rules):
         shape = shapes[i]
         fam_names = tuple(
-            _str(p.get("name", f"p{k}"), "premise name")
-            for k, p in enumerate(r.get("premises", []))
+            _str(p.get("name", f"p{k}"), "premise name") for k, p in enumerate(raw_premises[i])
         )
         boundaries = []
-        for k, p in enumerate(r.get("premises", [])):
-            form = _form_from(p.get("form"))
-            sub = _sub_signature_of(sig, shape, fam_names, k)
-            seq = tuple(
-                expr_from_json(sub, t, pos) for pos, t in enumerate(p.get("cxt_seq", []))
-            )
-            scope = len(seq)
-            slots = tuple(
-                expr_from_json(sub, p.get("boundary", {})[key], scope)
-                for key in _BOUNDARY_KEYS[form]
-            )
+        for k, p in enumerate(raw_premises[i]):
+            seq, _, slots = premise_from_json(_sub_signature(sig, shape, fam_names, k), p)
             boundaries.append((seq, slots))
         fam = WellFoundedPremiseFamily(shape, tuple(boundaries), fam_names)
         form = _form_from(r.get("conclusion_form"))
         full = mv_extend_signature(sig, fam.shape.arity(), fam.meta_names())
-        conclusion_slots = tuple(
-            expr_from_json(full, r.get("conclusion_boundary", {})[key], 0)
-            for key in _BOUNDARY_KEYS[form]
+        conclusion_slots = _boundary_from_json(
+            full, _obj(r.get("conclusion_boundary", {}), "conclusion_boundary"), form, 0, "conclusion_boundary"
         )
         rules.append(TheoryRuleSpec(names[i], RuleBoundarySpec(fam, form, conclusion_slots)))
-        raw_w = r.get("witnesses", {})
+        raw_w = _obj(r.get("witnesses", {}), "witnesses")
         if raw_w:
             spec_prefix = WellPresentedTheorySpec(
                 kind,
                 FinitePoset.of(i, {(a, b) for a, b in edges if b < i}),
                 tuple(rules[:i]),
-                {k: v for k, v in witnesses.items()},
+                dict(witnesses),
             )
-            from .presentation import elaborate_theory
-
             _, stage, _ = elaborate_theory(spec_prefix)
             w = RuleBoundaryWitnesses()
             for key, dv in raw_w.items():
-                if key.startswith("conclusion/"):
-                    w.conclusion[int(key.split("/")[1])] = derivation_from_json(stage, full, dv)
-                elif key.startswith("premise_"):
-                    head, p = key.split("/")
-                    k = int(head[len("premise_"):])
-                    sub = _sub_signature_of(sig, shape, fam_names, k)
-                    w.premises.presups[(k, int(p))] = derivation_from_json(stage, sub, dv)
+                k, p = _witness_key(key, len(raw_premises[i]))
+                if k is None:
+                    w.conclusion[p] = derivation_from_json(stage, full, dv)
                 else:
-                    raise ParseError(f"bad witness key {key!r}")
+                    sub = _sub_signature(sig, shape, fam_names, k)
+                    w.premises.presups[(k, p)] = derivation_from_json(stage, sub, dv)
             witnesses[names[i]] = w
     return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)
 
 
-def _sub_signature_of(sig, shape, names, k):
-    below = shape.arity_below(k)
-    sub_arity = tuple(
-        Argument(
-            TY if shape.slots[j][0] is JudgementForm.IS_TY else TM,
-            shape.slots[j][1],
-        )
-        for j in below
+def premise_from_json(sig: Signature, data: Any) -> tuple[tuple[Expr, ...], JudgementForm, tuple[Expr, ...]]:
+    """A premise of a sequential boundary: (context entries, form, boundary slots) over ``sig``."""
+    data = _obj(data, "a premise")
+    form = _form_from(data.get("form"))
+    seq = tuple(
+        expr_from_json(sig, t, pos) for pos, t in enumerate(_list(data.get("cxt_seq", []), "cxt_seq"))
     )
-    sub_names = tuple(names[j] for j in below)
-    return mv_extend_signature(sig, sub_arity, sub_names)
+    slots = _boundary_from_json(sig, _obj(data.get("boundary", {}), "premise boundary"), form, len(seq), "premise boundary")
+    return seq, form, slots
+
+
+def _edge(pair: Any, ends) -> tuple:
+    """An order entry ``[a, b]`` with both ends in ``ends`` (rule names or premise indices)."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (str, int)) and v in ends for v in pair)):
+        raise ParseError(f"bad order entry {pair!r}")
+    return pair[0], pair[1]
+
+
+def _sub_signature(sig: Signature, shape, names: tuple[str, ...], k: int) -> Signature:
+    """``sig`` extended by the object premises below premise k."""
+    below = shape.arity_below(k)
+    sub_arity = tuple(Argument(shape.slots[j][0].head_class, shape.slots[j][1]) for j in below)
+    return mv_extend_signature(sig, sub_arity, tuple(names[j] for j in below))
 
 
 def load_theory_file(data: Any):
     """Dispatch on the file shape: a raw theory or a well-presented spec."""
-    if data.get("well_presented"):
+    if _obj(data, "a theory file").get("well_presented"):
         return ("spec", spec_from_json(data))
     return ("raw", theory_from_json(data))

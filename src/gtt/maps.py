@@ -29,7 +29,7 @@ from .judgements import (
     RawContext,
     complete_boundary,
 )
-from .metatheory import TheoryWitnesses, graft_theory, theory_tightness
+from .metatheory import graft_theory, theory_tightness
 from .presentation import (
     PremisesShape,
     RuleBoundarySpec,
@@ -63,6 +63,7 @@ from .theories import (
     Structural,
     SubstInst,
     TheoryDerivation,
+    TheoryWitnesses,
     check_theory_derivation,
     map_instance,
 )

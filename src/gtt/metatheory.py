@@ -8,7 +8,7 @@ whose outputs re-check against the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import derive
 from .errors import (
@@ -62,10 +62,12 @@ from .theories import (
     EqSubstInst,
     Hyp,
     RawTypeTheory,
+    RuleWitnesses,
     Specific,
     Structural,
     SubstInst,
     TheoryDerivation,
+    TheoryWitnesses,
     VariableInst,
     check_theory_derivation,
     derivation_nodes,
@@ -173,24 +175,6 @@ def theory_tightness(theory: RawTypeTheory) -> dict[int, int]:
 
 
 # --- presuppositivity ---------------------------------------------------------
-
-@dataclass
-class RuleWitnesses:
-    """Derivations of presuppositions, over the rule's premises as hypotheses.
-
-    ``conclusion[p]`` derives the p-th presupposition of the conclusion;
-    ``premises[(i, p)]`` the p-th presupposition of premise i.  All are over
-    the theory at ambient arity(rule), with Hyp(k) citing premise k (the
-    weak reading appends premise presuppositions after the premises; strong
-    witnesses never cite those, so the same derivations serve both).
-    """
-
-    conclusion: dict[int, TheoryDerivation] = field(default_factory=dict)
-    premises: dict[tuple[int, int], TheoryDerivation] = field(default_factory=dict)
-
-
-TheoryWitnesses = dict[str, RuleWitnesses]
-
 
 def presupposition_hypotheses(rule: RawRule, weak: bool) -> tuple[Judgement, ...]:
     hyps = rule.premises

@@ -31,12 +31,7 @@ from .judgements import (
     complete_boundary,
     is_type,
 )
-from .metatheory import (
-    AcceptabilityReport,
-    RuleWitnesses,
-    TheoryWitnesses,
-    check_acceptable_theory,
-)
+from .metatheory import AcceptabilityReport, check_acceptable_theory
 from .rules import RawRule, congruence_rule, generic_application
 from .scopes import Renaming, ScopeKind, inl_renaming
 from .syntax import (
@@ -57,9 +52,11 @@ from .syntax import (
 from .theories import (
     Hyp,
     RawTypeTheory,
+    RuleWitnesses,
     Specific,
     Structural,
     TheoryDerivation,
+    TheoryWitnesses,
     check_theory_derivation,
 )
 

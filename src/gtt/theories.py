@@ -13,6 +13,10 @@ is the one map over the data of derivation nodes: translation along a
 signature map, relabelling into a copy of a metavariable segment, and
 the structural part of applying a syntax map all go through it.
 
+A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
+derivations over a raw theory, so it is defined here: the raw layer reads
+and writes theory files without loading ``metatheory``.
+
 Derivations over a metavariable extension of the theory's signature reuse
 the same trees: pass the extension arity as ``ambient``.  Base symbol
 indices stay valid and MetaApp nodes refer to the ambient extension.
@@ -151,6 +155,24 @@ class Specific:
 
 
 TheoryDerivation = Hyp | Structural | Specific
+
+
+@dataclass
+class RuleWitnesses:
+    """Derivations of presuppositions, over the rule's premises as hypotheses.
+
+    ``conclusion[p]`` derives the p-th presupposition of the conclusion;
+    ``premises[(i, p)]`` the p-th presupposition of premise i.  All are over
+    the theory at ambient arity(rule), with Hyp(k) citing premise k (the
+    weak reading appends premise presuppositions after the premises; strong
+    witnesses never cite those, so the same derivations serve both).
+    """
+
+    conclusion: dict[int, TheoryDerivation] = field(default_factory=dict)
+    premises: dict[tuple[int, int], TheoryDerivation] = field(default_factory=dict)
+
+
+TheoryWitnesses = dict[str, RuleWitnesses]
 
 
 def ambient_signature(theory: RawTypeTheory, ambient: Arity | None, names: tuple[str, ...] = ()) -> Signature:

@@ -76,6 +76,81 @@ def test_malformed_derivation(tmp_path, capsys, text):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"signature":[{"class":"Ty"}],"rules":[]}',
+        '{"signature":[],"rules":[],"witnesses":[5]}',
+        '{"signature":[],"rules":[],"order":5}',
+        '{"scope_system":[1]}',
+        '{"well_presented":true,"rules":[5]}',
+        '{"well_presented":true,"scope_system":"x"}',
+        '{"well_presented":true,"order":[["A","B"]],"rules":[{"name":"A","conclusion_form":"IsTy"}]}',
+        '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTy",'
+        '"premises":[{"form":"IsTy"}],"premise_order":[[0,3]]}]}',
+        '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTm"}]}',
+        '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTy",'
+        '"witnesses":{"premise_0/0":{}}}]}',
+    ],
+)
+def test_malformed_theory(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["check-theory", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_malformed_witness_key(tmp_path, capsys):
+    data = loads((FIXTURES / "type_in_type.json").read_text())
+    data["witnesses"][0]["presup_witnesses"] = {"conclusion/x": {}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(data))
+    code = main(["check-theory", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad witness key" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"steps":5}',
+        '{"steps":[{"kind":"symbol"}]}',
+        '{"steps":[{"kind":"symbol","conclusion_form":"IsTy","premises":[{"form":"IsTm"}]}]}',
+        '{"steps":[{"kind":"equation"}]}',
+    ],
+)
+def test_malformed_script(tmp_path, capsys, text):
+    bad = tmp_path / "script.json"
+    bad.write_text(text)
+    code = main(["replace-step", str(FIXTURES / "type_in_type.json"), str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["binary", "directory"])
+def test_unreadable_derivation_file(tmp_path, capsys, kind):
+    path = tmp_path / "d.json"
+    if kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00")
+    else:
+        path.mkdir()
+    code = main(["check-derivation", str(FIXTURES / "mltt_base.json"), str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and f"cannot read {path}" in err
+
+
+def test_missing_file_message(capsys):
+    assert main(["check-derivation", str(FIXTURES / "mltt_base.json"), "does-not-exist.json"]) == 2
+    assert capsys.readouterr().err == "no such file: does-not-exist.json\n"
+
+
 def _write_derivation(tmp_path, name, d):
     path = tmp_path / name
     path.write_text(dumps(derivation_to_json(THEORY, THEORY.signature, d)))

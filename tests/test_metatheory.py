@@ -42,7 +42,6 @@ from gtt.judgements import (
     ty_eq,
 )
 from gtt.metatheory import (
-    RuleWitnesses,
     check_acceptable_theory,
     check_presuppositive,
     check_tight,
@@ -72,7 +71,15 @@ from gtt.syntax import (
     mv_extend_signature,
     weaken_expr,
 )
-from gtt.theories import Hyp, Specific, Structural, SubstInst, VariableInst, check_theory_derivation
+from gtt.theories import (
+    Hyp,
+    RuleWitnesses,
+    Specific,
+    Structural,
+    SubstInst,
+    VariableInst,
+    check_theory_derivation,
+)
 
 
 # --- the app-rule variants of the acceptability discussion ---------------------
