@@ -2,7 +2,9 @@
 metatheorem transformers, emit reports and transformed objects.
 
 Exit codes: 0 all requested checks pass, 1 a check fails, 2 bad input.
-Every emitted derivation or rule is re-checked before printing.
+Every emitted derivation or rule is re-checked before printing.  A reader
+that closes stdout early (``gtt ... | head``) ends the output only: the
+command writes nothing more, prints no traceback and keeps its exit code.
 
 A command imports ``metatheory``, ``presentation`` and ``maps`` only when
 it runs them: ``check-derivation`` on a raw theory loads the raw layer
@@ -12,6 +14,7 @@ alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -148,11 +151,22 @@ def _load_raw(path: Path):
 
 
 def _emit(args, data) -> None:
-    text = dumps(data, pretty=args.pretty)
+    _write(args, dumps(data, pretty=args.pretty))
+
+
+def _write(args, text: str) -> None:
+    """Write ``text`` and a newline to ``--out`` or to stdout."""
     if args.out:
         args.out.write_text(text + "\n")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_check_theory(args) -> int:
@@ -243,11 +257,7 @@ def _print_report(args, report_json, lines) -> None:
     if args.json:
         _emit(args, report_json)
     else:
-        text = "\n".join(lines)
-        if args.out:
-            args.out.write_text(text + "\n")
-        else:
-            print(text)
+        _write(args, "\n".join(lines))
 
 
 def _load_derivation(theory, path: Path):
@@ -286,7 +296,8 @@ def cmd_congruence(args) -> int:
     cong = congruence_rule(theory.signature, theory.rule(idx))
     # round-trip discipline: what we print must re-check structurally
     data = rule_to_json(theory.signature, cong, f"{args.rule}-cong")
-    assert rule_from_json(theory.signature, data) == cong
+    if rule_from_json(theory.signature, data) != cong:
+        raise KernelError("congruence rule does not re-check")
     _emit(args, data)
     return 0
 

@@ -435,8 +435,7 @@ def _derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any, dept
         inst = instantiation_from_json(sig, ext, rule.arity, data.get("inst", {}), ctx.scope)
         return Structural(ConvInst(w, inst, ctx), kids)
     if node == "rule":
-        name = _str(data.get("name"), "rule name")
-        r = theory.rule_index(name)
+        r = _rule_index(theory, data.get("name"), "rule name")
         rule = theory.rule(r)
         ctx = context_from_json(sig, data.get("cxt", []))
         ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
@@ -523,9 +522,8 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
     witnesses: TheoryWitnesses = {}
     for entry in _list(data.get("witnesses", []), "witnesses"):
         entry = _obj(entry, "a witness entry")
-        name = _str(entry.get("rule"), "witness rule name")
-        idx = theory.rule_index(name)
-        rule = theory.rule(idx)
+        name = entry.get("rule")
+        rule = theory.rule(_rule_index(theory, name, "witness rule name"))
         ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
         w = RuleWitnesses()
         for key, dv in _obj(entry.get("presup_witnesses", {}), "presup_witnesses").items():
@@ -542,9 +540,16 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
         for pair in _list(data["order"], "order"):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(f"bad order entry {pair!r}")
-            edges.add((theory.rule_index(pair[0]), theory.rule_index(pair[1])))
+            edges.add(tuple(_rule_index(theory, end, "order entry") for end in pair))
         order = FinitePoset.of(len(theory.rules), edges)
     return theory, witnesses, order
+
+
+def _rule_index(theory: RawTypeTheory, name: Any, what: str) -> int:
+    """The index of the rule called ``name``; a name the theory does not declare is bad input."""
+    if _str(name, what) not in theory.rule_names:
+        raise ParseError(f"{what} {name!r} is not a rule of the theory")
+    return theory.rule_index(name)
 
 
 def _kind_from(data: dict) -> ScopeKind:

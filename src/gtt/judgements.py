@@ -203,10 +203,15 @@ def extend_context(kind: ScopeKind, ctx: RawContext, new_types: tuple[Expr, ...]
 
 
 def instantiate_context(kind: ScopeKind, inst: Instantiation, ctx: RawContext, inner: RawContext) -> RawContext:
-    """Context extension of ``ctx`` by the instantiations of ``inner``'s types."""
+    """Context extension of ``ctx`` by the instantiations of ``inner``'s types.
+
+    An empty ``inner`` extends by nothing: ``ctx`` itself is returned.
+    """
     gamma, delta = ctx.scope, inner.scope
     if inst.scope != gamma:
         raise ScopeMismatch(f"instantiation over scope {inst.scope}, context scope {gamma}")
+    if delta == 0:
+        return ctx
     return extend_context(kind, ctx, tuple(instantiate_expr(kind, inst, t) for t in inner.types))
 
 

@@ -526,7 +526,14 @@ def generic_instantiation(sig_ext: Signature, scope: Scope = 0) -> Instantiation
 
 
 def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
-    """Replace metavariables by their instantiation, landing in scope I.scope + e.scope."""
+    """Replace metavariables by their instantiation, landing in scope I.scope + e.scope.
+
+    An occurrence M(x_0 ... x_{b-1}) of a metavariable with b binders, in
+    scope b and with the variable at position j as its j-th argument, is the
+    generic pattern: the table it would build is the identity, so the entry
+    ``inst(m)`` itself is returned (e[id] = e), not a copy.  Every other
+    occurrence substitutes along its table.
+    """
     gamma, delta = inst.scope, e.scope
     target = sum_scope(gamma, delta)
     match e:
@@ -536,6 +543,10 @@ def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
             return SymApp(s, tuple(instantiate_expr(kind, inst, a) for a in args), target, cls)
         case MetaApp(idx=m, args=args, cls=cls):
             binder = inst.arity[m].binder
+            if delta == binder and len(args) == binder and all(
+                type(a) is Var and a.pos == j and a.scope == delta for j, a in enumerate(args)
+            ):
+                return inst(m)
             table: list[Expr] = [None] * (gamma + binder)  # type: ignore[list-item]
             for i in range(gamma):
                 table[kind.inl(gamma, binder, i)] = Var(kind.inl(gamma, delta, i), target)

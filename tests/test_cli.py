@@ -1,7 +1,10 @@
 """The command-line front end: reports, transformers, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,7 @@ from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps, expr_to_json, loads
 from gtt.theories import check_theory_derivation
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -66,6 +70,7 @@ def test_missing_file():
         '{"node":"subst","cxt":[],"subst":5,"children":[]}',
         '{"node":"subst","cxt":[],"subst":{"src":0,"map":[]},"judgement":5,"children":[]}',
         '{"node":"equiv","which":0,"cxt":[],"inst":5,"children":[]}',
+        '{"node":"rule","name":"a","children":[]}',
     ],
 )
 def test_malformed_derivation(tmp_path, capsys, text):
@@ -83,6 +88,8 @@ def test_malformed_derivation(tmp_path, capsys, text):
         '{"signature":[{"class":"Ty"}],"rules":[]}',
         '{"signature":[],"rules":[],"witnesses":[5]}',
         '{"signature":[],"rules":[],"order":5}',
+        '{"signature":[],"rules":[],"order":[["a","b"]]}',
+        '{"signature":[],"rules":[],"witnesses":[{"rule":"a"}]}',
         '{"scope_system":[1]}',
         '{"well_presented":true,"rules":[5]}',
         '{"well_presented":true,"scope_system":"x"}',
@@ -198,6 +205,39 @@ def test_congruence_output_recheckable(capsys):
     assert len(data["premises"]) == 6
     # byte-for-byte canonical form
     assert out.strip() == dumps(data)
+
+
+def test_congruence_recheck_failure_is_a_check_failure(monkeypatch, capsys):
+    import gtt.cli
+
+    # the decoded rule differs from the one the command built
+    monkeypatch.setattr(gtt.cli, "rule_from_json", lambda sig, data: THEORY.rule(0))
+    code = main(["congruence", str(FIXTURES / "mltt_pi.json"), "Pi-form"])
+    assert code == 1
+    assert "does not re-check" in capsys.readouterr().err
+
+
+def test_congruence_recheck_survives_optimisation():
+    # the re-check is a comparison, not an assert, so -O runs it as well
+    argv = ["-m", "gtt.cli", "congruence", str(FIXTURES / "mltt_pi.json"), "Pi-form"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True, env=SUBPROCESS_ENV)
+    optimised = subprocess.run([sys.executable, "-O", *argv], capture_output=True, env=SUBPROCESS_ENV)
+    assert plain.returncode == optimised.returncode == 0
+    assert plain.stdout and optimised.stdout == plain.stdout
+
+
+def test_closed_stdout_ends_output_without_traceback(tmp_path):
+    # more than a pipe buffer (64 KiB) of output, read by a consumer that
+    # stops after a few bytes, as ``gtt elim-subst ... | head -c 10`` does
+    path = _write_derivation(tmp_path, "pi.json", nested_pi(EMPTY_CONTEXT, 40).d_type)
+    argv = [sys.executable, "-m", "gtt.cli", "elim-subst", str(FIXTURES / "mltt_base.json"), str(path), "--pretty"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head and err == b""
 
 
 def test_presup_command(tmp_path, capsys):

@@ -320,25 +320,143 @@ def test_instantiate_app_conclusion_type():
 
 
 def test_instantiate_expr_without_metas_weakens():
-    rng = random.Random(16)
-    for _ in range(200):
-        gamma, delta = rng.randrange(3), rng.randrange(3)
-        e = gen_expr(rng, SIG, delta, rng.choice([TY, TM]), 3)
-        I = gen_instantiation(rng, SIG, APP_ARITY, gamma)
-        out = instantiate_expr(KIND, I, e)
-        # no metavariables: the action is exactly the right coproduct inclusion
-        from gtt.scopes import inr_renaming
+    from gtt.scopes import inr_renaming
 
-        assert out == rename_expr(KIND, inr_renaming(KIND, gamma, delta), e)
-
-
-def ext_sig(alpha, names=()):
-    return mv_extend_signature(SIG, alpha, names)
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(16)
+        for _ in range(200):
+            gamma, delta = rng.randrange(3), rng.randrange(3)
+            e = gen_expr(rng, sig, delta, rng.choice([TY, TM]), 3)
+            I = gen_instantiation(rng, sig, APP_ARITY, gamma)
+            out = instantiate_expr(kind, I, e)
+            # no metavariables: the action is exactly the right coproduct inclusion
+            assert out == rename_expr(kind, inr_renaming(kind, gamma, delta), e), kind
 
 
-def gen_over_ext(rng, alpha, scope, depth=3):
-    sig = ext_sig(alpha)
-    return gen_expr(rng, sig, scope, rng.choice([TY, TM]), depth)
+def ext_sig(alpha, names=(), sig=SIG):
+    return mv_extend_signature(sig, alpha, names)
+
+
+def gen_over_ext(rng, alpha, scope, depth=3, sig=SIG):
+    return gen_expr(rng, ext_sig(alpha, sig=sig), scope, rng.choice([TY, TM]), depth)
+
+
+# --- instantiation against the table-per-occurrence oracle -----------------------
+
+def naive_instantiate(kind, inst, e):
+    """Oracle: every metavariable occurrence builds the table sending the
+    ambient positions to themselves and its binder positions to its
+    instantiated arguments, and substitutes it into a copy of its entry."""
+    gamma, delta = inst.scope, e.scope
+    target = gamma + delta
+    match e:
+        case Var(pos=p):
+            return Var(kind.inr(gamma, delta, p), target)
+        case SymApp(sym=sym, args=args, cls=c):
+            return SymApp(sym, tuple(naive_instantiate(kind, inst, a) for a in args), target, c)
+        case MetaApp(idx=m, args=args):
+            binder = inst.arity[m].binder
+            table = [None] * (gamma + binder)
+            for i in range(gamma):
+                table[kind.inl(gamma, binder, i)] = Var(kind.inl(gamma, delta, i), target)
+            for j, a in enumerate(args):
+                table[kind.inr(gamma, binder, j)] = naive_instantiate(kind, inst, a)
+            return naive_substitute(kind, Substitution(target, gamma + binder, tuple(table)), inst(m))
+
+
+def generic_occurrence(sig, m, scope):
+    """M(x_0 ... x_{b-1}): metavariable m applied to the variables of its own binder."""
+    return mk_meta(sig, m, tuple(mk_var(scope, j) for j in range(scope)), scope)
+
+
+def gen_template(rng, sig, scope, cls, depth):
+    """Like ``gen_expr``, but a metavariable whose binder is the scope is
+    written as its generic occurrence half of the time."""
+    generic = [m for m in range(sig.mv_count) if sig.mv_binder(m) == scope and sig.mv_class(m) is cls]
+    if generic and rng.random() < 0.5:
+        return generic_occurrence(sig, rng.choice(generic), scope)
+    if depth <= 0 or rng.random() < 0.3:
+        return gen_expr(rng, sig, scope, cls, depth)
+    syms = [i for i, sym in enumerate(sig.symbols) if sym.cls is cls]
+    sym = sig.symbol(rng.choice(syms))
+    args = tuple(gen_template(rng, sig, scope + a.binder, a.cls, depth - 1) for a in sym.arity)
+    return mk_sym(sig, sym.name, args, scope)
+
+
+def is_generic(e):
+    return type(e) is MetaApp and e.args == tuple(Var(j, e.scope) for j in range(e.scope))
+
+
+def subterms(e):
+    yield e
+    if type(e) is not Var:
+        for a in e.args:
+            yield from subterms(a)
+
+
+def test_instantiate_against_table_oracle():
+    from genexpr import gen_arity
+
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(27)
+        generic = 0
+        for _ in range(1100):
+            alpha = gen_arity(rng)
+            ext = ext_sig(alpha, sig=sig)
+            gamma = rng.randrange(3)
+            # half the templates sit in the scope of one metavariable's binder
+            delta = rng.choice(alpha).binder if alpha and rng.random() < 0.5 else rng.randrange(3)
+            e = gen_template(rng, ext, delta, rng.choice([TY, TM]), 3)
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            generic += any(map(is_generic, subterms(e)))
+            assert instantiate_expr(kind, I, e) == naive_instantiate(kind, I, e), kind
+        assert generic >= 400, generic
+
+
+def test_generic_occurrence_returns_its_entry():
+    alpha = arity((TY, 0), (TY, 1), (TM, 2))
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(28)
+        ext = ext_sig(alpha, sig=sig)
+        for _ in range(50):
+            I = gen_instantiation(rng, sig, alpha, rng.randrange(3))
+            for m, slot in enumerate(alpha):
+                assert instantiate_expr(kind, I, generic_occurrence(ext, m, slot.binder)) is I(m)
+
+
+def outcome(fn, *args):
+    """The value of a call, or the class of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared with the oracle's failure
+        return type(exc)
+
+
+def test_near_generic_occurrence_substitutes():
+    # Each template misses the generic pattern in one way and must give
+    # what the table gives, value or failure, not the entry itself.
+    alpha = arity((TY, 0), (TM, 1), (TY, 2))
+    for kind, sig in KIND_SIGS:
+        ext = ext_sig(alpha, sig=sig)
+        rng = random.Random(29)
+        for _ in range(50):
+            gamma = rng.randrange(3)
+            I = gen_instantiation(rng, sig, alpha, gamma, depth=3)
+            near = [
+                # swapped arguments
+                mk_meta(ext, 2, (mk_var(2, 1), mk_var(2, 0)), 2),
+                # a scope other than the binder: delta != binder
+                mk_meta(ext, 0, (), 1),
+                mk_meta(ext, 1, (mk_var(2, 0),), 2),
+                mk_meta(ext, 2, (mk_var(3, 0), mk_var(3, 1)), 3),
+                # fewer arguments than the binder (malformed: no mk_meta)
+                MetaApp(2, (mk_var(2, 0),), 2, TY),
+                MetaApp(1, (), 1, TM),
+            ]
+            for e in near:
+                got = outcome(instantiate_expr, kind, I, e)
+                assert got == outcome(naive_instantiate, kind, I, e), (kind, e)
+                assert got is not I(e.idx)
 
 
 # --- the instantiation boilerplate (>= 500 tuples) ------------------------------
@@ -357,7 +475,7 @@ def boiler_cases(seed):
         yield rng, alpha, gamma, delta
 
 
-def make_translation(rng):
+def make_translation(rng, sig=SIG):
     """A signature map permuting same-shape symbols of SIG (b has a twin here)."""
     twin = Signature(
         (
@@ -366,19 +484,21 @@ def make_translation(rng):
             Symbol("pi2", TY, arity((TY, 0), (TY, 1))),
             Symbol("lam2", TM, arity((TY, 0), (TY, 1), (TM, 1))),
             Symbol("app2", TM, arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))),
-        )
+        ),
+        sig.kind,
     )
-    return SignatureMap(SIG, twin, (0, 1, 2, 3, 4))
+    return SignatureMap(sig, twin, (0, 1, 2, 3, 4))
 
 
 def test_boilerplate_translation_functorial():
-    for rng, alpha, gamma, _ in boiler_cases(20):
-        I = gen_instantiation(rng, SIG, alpha, gamma)
-        F = make_translation(rng)
-        idm = SignatureMap.identity(SIG)
-        assert translate_inst(idm, I) == I
-        GF = F.compose(idm)
-        assert translate_inst(GF, I) == translate_inst(F, translate_inst(idm, I))
+    for kind, sig in KIND_SIGS:
+        for rng, alpha, gamma, _ in boiler_cases(20):
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            F = make_translation(rng, sig)
+            idm = SignatureMap.identity(sig)
+            assert translate_inst(idm, I) == I
+            GF = F.compose(idm)
+            assert translate_inst(GF, I) == translate_inst(F, translate_inst(idm, I))
 
 
 def mv_map(fmap, alpha):
@@ -392,86 +512,91 @@ def mv_map(fmap, alpha):
 
 
 def test_boilerplate_naturality_wrt_signature_maps():
-    for rng, alpha, gamma, delta in boiler_cases(21):
-        F = make_translation(rng)
-        Fa = mv_map(F, alpha)
-        I = gen_instantiation(rng, SIG, alpha, gamma)
-        e = gen_over_ext(rng, alpha, delta)
-        assert translate_expr(F, instantiate_expr(KIND, I, e)) == instantiate_expr(
-            KIND, translate_inst(F, I), translate_expr(Fa, e)
-        )
-        dp = rng.randrange(3)
-        f = gen_subst(rng, ext_sig(alpha), dp, delta)
-        lhs = translate_subst(F, inst_act_subst(KIND, I, f))
-        rhs = inst_act_subst(KIND, translate_inst(F, I), translate_subst(Fa, f))
-        assert lhs == rhs
-        from genexpr import gen_arity
+    from genexpr import gen_arity
 
-        beta = gen_arity(rng)
-        J = gen_instantiation(rng, ext_sig(alpha), beta, delta)
-        assert translate_inst(F, inst_act_inst(KIND, I, J)) == inst_act_inst(
-            KIND, translate_inst(F, I), translate_inst(Fa, J)
-        )
-        g = gen_subst(rng, SIG, dp, gamma)
-        assert translate_inst(F, subst_act_inst(KIND, g, I)) == subst_act_inst(
-            KIND, translate_subst(F, g), translate_inst(F, I)
-        )
+    for kind, sig in KIND_SIGS:
+        for rng, alpha, gamma, delta in boiler_cases(21):
+            F = make_translation(rng, sig)
+            Fa = mv_map(F, alpha)
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            e = gen_over_ext(rng, alpha, delta, sig=sig)
+            assert translate_expr(F, instantiate_expr(kind, I, e)) == instantiate_expr(
+                kind, translate_inst(F, I), translate_expr(Fa, e)
+            )
+            dp = rng.randrange(3)
+            f = gen_subst(rng, ext_sig(alpha, sig=sig), dp, delta)
+            lhs = translate_subst(F, inst_act_subst(kind, I, f))
+            rhs = inst_act_subst(kind, translate_inst(F, I), translate_subst(Fa, f))
+            assert lhs == rhs
+            beta = gen_arity(rng)
+            J = gen_instantiation(rng, ext_sig(alpha, sig=sig), beta, delta)
+            assert translate_inst(F, inst_act_inst(kind, I, J)) == inst_act_inst(
+                kind, translate_inst(F, I), translate_inst(Fa, J)
+            )
+            g = gen_subst(rng, sig, dp, gamma)
+            assert translate_inst(F, subst_act_inst(kind, g, I)) == subst_act_inst(
+                kind, translate_subst(F, g), translate_inst(F, I)
+            )
 
 
 def test_boilerplate_substitution_action_functorial():
-    for rng, alpha, gamma, delta in boiler_cases(22):
-        I = gen_instantiation(rng, SIG, alpha, gamma)
-        assert subst_act_inst(KIND, Substitution.identity(gamma), I) == I
-        theta = rng.randrange(3)
-        f = gen_subst(rng, SIG, delta, gamma)
-        g = gen_subst(rng, SIG, theta, delta)
-        lhs = subst_act_inst(KIND, compose_subst(KIND, f, g), I)
-        rhs = subst_act_inst(KIND, g, subst_act_inst(KIND, f, I))
-        assert lhs == rhs
+    for kind, sig in KIND_SIGS:
+        for rng, alpha, gamma, delta in boiler_cases(22):
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            assert subst_act_inst(kind, Substitution.identity(gamma), I) == I
+            theta = rng.randrange(3)
+            f = gen_subst(rng, sig, delta, gamma)
+            g = gen_subst(rng, sig, theta, delta)
+            lhs = subst_act_inst(kind, compose_subst(kind, f, g), I)
+            rhs = subst_act_inst(kind, g, subst_act_inst(kind, f, I))
+            assert lhs == rhs
 
 
 def test_boilerplate_naturality_wrt_substitutions():
-    for rng, alpha, gamma, delta in boiler_cases(23):
-        I = gen_instantiation(rng, SIG, alpha, gamma)
-        e = gen_over_ext(rng, alpha, delta)
-        gp = rng.randrange(3)
-        f = gen_subst(rng, SIG, gp, gamma)
-        lhs = instantiate_expr(KIND, subst_act_inst(KIND, f, I), e)
-        rhs = substitute_expr(KIND, extend_substitution(KIND, f, delta), instantiate_expr(KIND, I, e))
-        assert lhs == rhs
-        dp = rng.randrange(3)
-        g = gen_subst(rng, ext_sig(alpha), dp, delta)
-        lhs2 = instantiate_expr(KIND, I, substitute_expr(KIND, g, e))
-        rhs2 = substitute_expr(KIND, inst_act_subst(KIND, I, g), instantiate_expr(KIND, I, e))
-        assert lhs2 == rhs2
+    for kind, sig in KIND_SIGS:
+        for rng, alpha, gamma, delta in boiler_cases(23):
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            e = gen_over_ext(rng, alpha, delta, sig=sig)
+            gp = rng.randrange(3)
+            f = gen_subst(rng, sig, gp, gamma)
+            lhs = instantiate_expr(kind, subst_act_inst(kind, f, I), e)
+            rhs = substitute_expr(kind, extend_substitution(kind, f, delta), instantiate_expr(kind, I, e))
+            assert lhs == rhs
+            dp = rng.randrange(3)
+            g = gen_subst(rng, ext_sig(alpha, sig=sig), dp, delta)
+            lhs2 = instantiate_expr(kind, I, substitute_expr(kind, g, e))
+            rhs2 = substitute_expr(kind, inst_act_subst(kind, I, g), instantiate_expr(kind, I, e))
+            assert lhs2 == rhs2
 
 
 def test_boilerplate_associativity_exact():
-    for rng, alpha, gamma, delta in boiler_cases(24):
-        from genexpr import gen_arity
+    from genexpr import gen_arity
 
-        beta = gen_arity(rng)
-        theta = rng.randrange(3)
-        I = gen_instantiation(rng, SIG, alpha, gamma)
-        J = gen_instantiation(rng, ext_sig(alpha), beta, delta)
-        sig_two = mv_extend_signature(ext_sig(alpha), beta)
-        e = gen_expr(rng, sig_two, theta, rng.choice([TY, TM]), 2)
-        lhs = instantiate_expr(KIND, inst_act_inst(KIND, I, J), e)
-        rhs = instantiate_expr(KIND, I, instantiate_expr(KIND, J, e))
-        assert lhs == rhs
+    for kind, sig in KIND_SIGS:
+        for rng, alpha, gamma, delta in boiler_cases(24):
+            beta = gen_arity(rng)
+            theta = rng.randrange(3)
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            J = gen_instantiation(rng, ext_sig(alpha, sig=sig), beta, delta)
+            sig_two = mv_extend_signature(ext_sig(alpha, sig=sig), beta)
+            e = gen_expr(rng, sig_two, theta, rng.choice([TY, TM]), 2)
+            lhs = instantiate_expr(kind, inst_act_inst(kind, I, J), e)
+            rhs = instantiate_expr(kind, I, instantiate_expr(kind, J, e))
+            assert lhs == rhs
 
 
 def test_generic_instantiation_is_identity():
-    rng = random.Random(25)
-    for _ in range(200):
-        from genexpr import gen_arity
+    from genexpr import gen_arity
 
-        alpha = gen_arity(rng)
-        sig = ext_sig(alpha)
-        delta = rng.randrange(3)
-        e = gen_expr(rng, sig, delta, rng.choice([TY, TM]), 3)
-        I = generic_instantiation(sig, 0)
-        assert instantiate_expr(KIND, I, e) == e
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(25)
+        for _ in range(200):
+            alpha = gen_arity(rng)
+            ext = ext_sig(alpha, sig=sig)
+            delta = rng.randrange(3)
+            e = gen_expr(rng, ext, delta, rng.choice([TY, TM]), 3)
+            I = generic_instantiation(ext, 0)
+            assert instantiate_expr(kind, I, e) == e
 
 
 def test_translate_commutes_with_rename():
