@@ -25,6 +25,7 @@ from .jsonio import (
     _form_from,
     _list,
     _obj,
+    _rule_index,
     _str,
     context_from_json,
     derivation_from_json,
@@ -292,7 +293,7 @@ def cmd_flatten(args) -> int:
 
 def cmd_congruence(args) -> int:
     theory, _, _ = _load_raw(args.theory)
-    idx = theory.rule_index(args.rule)
+    idx = _rule_index(theory, args.rule, "rule")
     cong = congruence_rule(theory.signature, theory.rule(idx))
     # round-trip discipline: what we print must re-check structurally
     data = rule_to_json(theory.signature, cong, f"{args.rule}-cong")

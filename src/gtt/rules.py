@@ -30,6 +30,7 @@ from .syntax import (
     Substitution,
     SymApp,
     Var,
+    exposed_metavariables,
     mv_extend_signature,
     substitute_expr,
     translate_expr,
@@ -51,12 +52,25 @@ from .judgements import (
 
 @dataclass(frozen=True)
 class RawRule:
-    """Premises and conclusion over the metavariable extension by ``arity``."""
+    """Premises and conclusion over the metavariable extension by ``arity``.
+
+    ``exposed`` holds the metavariables whose entry any instantiation of
+    the rule puts into its conclusion verbatim (``exposed_metavariables``
+    of the conclusion's context types, boundary and head).  It is part of
+    the rule, computed once from the fields above.
+    """
 
     arity: Arity
     premises: tuple[Judgement, ...]
     conclusion: Judgement
     meta_names: tuple[str, ...] = field(default=(), compare=False)
+    exposed: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c = self.conclusion
+        exprs = c.context.types + c.boundary + (() if c.head is None else (c.head,))
+        exposed = frozenset().union(*(exposed_metavariables(self.arity, e) for e in exprs))
+        object.__setattr__(self, "exposed", exposed)
 
     @property
     def is_object(self) -> bool:

@@ -504,12 +504,6 @@ class Instantiation:
         return Instantiation(self.arity, self.scope, tuple(map(fn, self.exprs)))
 
 
-def validate_instantiation(sig: Signature, inst: Instantiation) -> None:
-    """Check every entry against the target signature ``sig``."""
-    for i, slot in enumerate(inst.arity):
-        validate_expr(sig, inst.exprs[i], sum_scope(inst.scope, slot.binder), slot.cls)
-
-
 def generic_instantiation(sig_ext: Signature, scope: Scope = 0) -> Instantiation:
     """The instantiation sending each metavariable of ``sig_ext`` to its generic application."""
     alpha = sig_ext.mv_arity or ()
@@ -523,6 +517,28 @@ def generic_instantiation(sig_ext: Signature, scope: Scope = 0) -> Instantiation
         for i, a in enumerate(alpha)
     )
     return Instantiation(alpha, scope, exprs)
+
+
+def is_generic_occurrence(e: MetaApp, binder: Scope) -> bool:
+    """M(x_0 ... x_{b-1}) for b = ``binder``: in scope b, with the variable
+    at position j as its j-th argument.  ``instantiate_expr`` returns the
+    entry of M itself for exactly these occurrences."""
+    return e.scope == binder and len(e.args) == binder and all(
+        type(a) is Var and a.pos == j and a.scope == binder for j, a in enumerate(e.args)
+    )
+
+
+def exposed_metavariables(alpha: Arity, e: Expr) -> frozenset[int]:
+    """The metavariables of ``alpha`` whose entry ``instantiate_expr`` puts
+    into the result of ``e`` verbatim: those with a generic occurrence
+    reached through symbol arguments only (an occurrence inside a
+    metavariable's arguments is substituted into that entry, not kept)."""
+    match e:
+        case SymApp(args=args):
+            return frozenset().union(*(exposed_metavariables(alpha, a) for a in args))
+        case MetaApp(idx=m) if 0 <= m < len(alpha) and is_generic_occurrence(e, alpha[m].binder):
+            return frozenset({m})
+    return frozenset()
 
 
 def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
@@ -543,9 +559,7 @@ def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
             return SymApp(s, tuple(instantiate_expr(kind, inst, a) for a in args), target, cls)
         case MetaApp(idx=m, args=args, cls=cls):
             binder = inst.arity[m].binder
-            if delta == binder and len(args) == binder and all(
-                type(a) is Var and a.pos == j and a.scope == delta for j, a in enumerate(args)
-            ):
+            if is_generic_occurrence(e, binder):
                 return inst(m)
             table: list[Expr] = [None] * (gamma + binder)  # type: ignore[list-item]
             for i in range(gamma):

@@ -3,10 +3,38 @@
 A derivation node stores the data of the closure-rule instance it cites
 (context, instantiation, substitution, ...); the checker recomputes the
 instance's premises and conclusion from that data and matches children
-structurally, so nothing in a stored tree is trusted.  The typed checker
-is the closure-system loop ``foundations.check_derivation`` run with
-``closure_rule_of_node``: a derivation of a raw type theory is a
-derivation in its associated closure system.
+structurally.  The typed checker is the closure-system loop
+``foundations.check_derivation`` run with ``closure_rule_of_node``: a
+derivation of a raw type theory is a derivation in its associated closure
+system, whose judgements are well formed over the signature.
+
+Well-formedness is a property of the whole tree, so each expression is
+validated once, where it enters, and elsewhere by equality:
+
+- the root's conclusion is validated once (``validate_judgement``);
+- a node's context is its conclusion's context: for the five structural
+  kinds, and for a rule whose conclusion has an empty context (every
+  bundled rule and the eight structural rules) it is the same object.
+  Under a rule whose conclusion has a context it enters the conclusion
+  weakened.  Weakening (``syntax._shift``) adds the same amount to every
+  scope field and to every variable at or above its cut, and below
+  well-scoped nodes the cut is at most the variable's scope; so the first
+  check of ``validate_expr`` that fails on an entry fails on its
+  weakening too;
+- an instantiation entry of a metavariable in ``RawRule.exposed`` sits in
+  the conclusion verbatim; every other entry is validated at the node;
+- a substitution node validates its judgement and its tables: the
+  substituted judgement may drop a term of the table, and a premise-free
+  rule may expose that term below it, so nothing else would see it.
+
+Induction from the root, for a theory whose rules are well formed over
+their metavariable extensions: each node's conclusion is valid (the root's
+by validation, a child's by equality with its parent's premise).  So are
+its context and its exposed entries, which the conclusion contains, and
+the rest of its data is validated explicitly.  Its premises, built from
+valid data by instantiation and substitution, are then valid, and so is
+each child's conclusion, which equals one of them.  A hypothesis leaf is
+compared with a valid premise and needs nothing more.
 
 ``map_derivation_exprs`` (with ``map_instance`` for one structural node)
 is the one map over the data of derivation nodes: translation along a
@@ -30,8 +58,9 @@ from typing import Callable, Iterator
 
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
 from .foundations import ClosureRule, GHyp, check_derivation
-from .scopes import ScopeKind
+from .scopes import ScopeKind, sum_scope
 from .syntax import (
+    TM,
     Arity,
     Expr,
     Instantiation,
@@ -42,14 +71,13 @@ from .syntax import (
     inst_act_subst,
     mv_extend_signature,
     translate_expr,
-    validate_instantiation,
+    validate_expr,
 )
 from .judgements import (
     Judgement,
     RawContext,
     instantiate_context,
     instantiate_judgement,
-    validate_context,
     validate_judgement,
 )
 from .rules import (
@@ -182,33 +210,47 @@ def ambient_signature(theory: RawTypeTheory, ambient: Arity | None, names: tuple
 
 
 def closure_rule_of_structural(sig: Signature, data: StructuralData) -> ClosureRule:
-    """Recompute the closure rule cited by a structural node."""
+    """Recompute the closure rule cited by a structural node.
+
+    The node's context is its conclusion's, and the entries the conclusion
+    shows are in it verbatim: only the rest of the data is validated here
+    (see the module docstring).
+    """
     kind = sig.kind
     match data:
         case VariableInst(context=ctx, pos=i):
-            validate_context(sig, ctx)
             return variable_rule(kind, ctx, i)
         case EquivInst(which=w, inst=inst, context=ctx):
             if not 0 <= w < len(EQUIVALENCE_RULES):
                 raise IndexOutOfRange(f"equivalence rule {w}")
-            validate_context(sig, ctx)
-            validate_instantiation(sig, inst)
-            return instantiate_rule(kind, inst, ctx, EQUIVALENCE_RULES[w])
+            return _instantiate_rule_checked(sig, inst, ctx, EQUIVALENCE_RULES[w])
         case ConvInst(which=w, inst=inst, context=ctx):
             if not 0 <= w < len(CONVERSION_RULES):
                 raise IndexOutOfRange(f"conversion rule {w}")
-            validate_context(sig, ctx)
-            validate_instantiation(sig, inst)
-            return instantiate_rule(kind, inst, ctx, CONVERSION_RULES[w])
+            return _instantiate_rule_checked(sig, inst, ctx, CONVERSION_RULES[w])
         case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
-            validate_context(sig, ctx)
             validate_judgement(sig, j)
+            _validate_table(sig, f)
             return substitution_rule(kind, f, ctx, K, j)
         case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
-            validate_context(sig, ctx)
             validate_judgement(sig, j)
+            _validate_table(sig, f)
+            _validate_table(sig, g)
             return equality_substitution_rule(kind, f, g, ctx, K, j)
     raise TypeError(f"not a structural instance: {data!r}")
+
+
+def _instantiate_rule_checked(sig: Signature, inst: Instantiation, ctx: RawContext, rule: RawRule) -> ClosureRule:
+    """Instantiate ``rule`` after validating the entries it does not expose."""
+    for m, slot in enumerate(inst.arity):
+        if m not in rule.exposed:
+            validate_expr(sig, inst(m), sum_scope(inst.scope, slot.binder), slot.cls)
+    return instantiate_rule(sig.kind, inst, ctx, rule)
+
+
+def _validate_table(sig: Signature, f: Substitution) -> None:
+    for t in f.table:
+        validate_expr(sig, t, f.src, TM)
 
 
 def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDerivation) -> ClosureRule:
@@ -216,10 +258,7 @@ def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDeri
         case Structural(instance=data):
             return closure_rule_of_structural(sig, data)
         case Specific(rule=r, inst=inst, context=ctx):
-            rule = theory.rule(r)
-            validate_context(sig, ctx)
-            validate_instantiation(sig, inst)
-            return instantiate_rule(sig.kind, inst, ctx, rule)
+            return _instantiate_rule_checked(sig, inst, ctx, theory.rule(r))
     raise KernelError(f"not a derivation node: {node!r}")
 
 
@@ -234,9 +273,20 @@ def check_theory_derivation(
 
     ``hyps`` are the allowed hypothesis judgements; ``ambient`` moves the
     whole check to the metavariable extension of the theory's signature.
+    The root's conclusion is validated once, before its children are
+    checked; every other node validates only the data its conclusion does
+    not show (see the module docstring).  A hypothesis at the root is
+    returned as given, as at every leaf.
     """
     sig = ambient_signature(theory, ambient, ambient_names)
-    return check_derivation(hyps, d, lambda node: closure_rule_of_node(theory, sig, node))
+
+    def rule_of(node: TheoryDerivation) -> ClosureRule:
+        rule = closure_rule_of_node(theory, sig, node)
+        if node is d:
+            validate_judgement(sig, rule.conclusion)
+        return rule
+
+    return check_derivation(hyps, d, rule_of)
 
 
 def derivation_nodes(d: TheoryDerivation):

@@ -104,3 +104,22 @@ def gen_arity(rng: random.Random, max_args: int = 3, max_binder: int = 2) -> Ari
         Argument(rng.choice([TY, TM]), rng.randrange(max_binder + 1))
         for _ in range(rng.randrange(max_args + 1))
     )
+
+
+def generic_occurrence(sig, m, scope):
+    """M(x_0 ... x_{b-1}): metavariable m applied to the variables of its own binder."""
+    return mk_meta(sig, m, tuple(mk_var(scope, j) for j in range(scope)), scope)
+
+
+def gen_template(rng, sig, scope, cls, depth):
+    """Like ``gen_expr``, but a metavariable whose binder is the scope is
+    written as its generic occurrence half of the time."""
+    generic = [m for m in range(sig.mv_count) if sig.mv_binder(m) == scope and sig.mv_class(m) is cls]
+    if generic and rng.random() < 0.5:
+        return generic_occurrence(sig, rng.choice(generic), scope)
+    if depth <= 0 or rng.random() < 0.3:
+        return gen_expr(rng, sig, scope, cls, depth)
+    syms = [i for i, sym in enumerate(sig.symbols) if sym.cls is cls]
+    sym = sig.symbol(rng.choice(syms))
+    args = tuple(gen_template(rng, sig, scope + a.binder, a.cls, depth - 1) for a in sym.arity)
+    return mk_sym(sig, sym.name, args, scope)

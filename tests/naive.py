@@ -1,0 +1,72 @@
+"""Textbook oracles for renaming, substitution and instantiation.
+
+Each builds the tables the definitions speak of (one per binder crossed,
+one per metavariable occurrence) and copies every entry it uses; the
+kernel's versions apply them on lookup and share what they can.  The law
+tests and the reference checker compare against these.
+"""
+
+from gtt.scopes import inl_renaming
+from gtt.syntax import MetaApp, Substitution, SymApp, Var
+
+
+def naive_rename(kind, r, e, depth=0):
+    """Oracle: tracks binder depth explicitly and reads each variable through
+    the coproduct maps of ``kind``: a position of r.src + depth is either an
+    outer position i, sent to inl(r(i)), or a bound one j, kept as inr(j)."""
+    match e:
+        case Var(pos=p):
+            side, i = kind.unsum(r.src, depth, p)
+            q = kind.inl(r.dst, depth, r(i)) if side == "left" else kind.inr(r.dst, depth, i)
+            return Var(q, r.dst + depth)
+        case SymApp(sym=sym, args=args, scope=s, cls=c):
+            new = tuple(naive_rename(kind, r, a, depth + (a.scope - s)) for a in args)
+            return SymApp(sym, new, r.dst + depth, c)
+        case MetaApp(idx=m, args=args, cls=c):
+            new = tuple(naive_rename(kind, r, a, depth) for a in args)
+            return MetaApp(m, new, r.dst + depth, c)
+
+
+def naive_extend(kind, f, eta):
+    """Oracle: the table of f + eta, old entries renamed along inl by ``naive_rename``."""
+    src, dst = f.src + eta, f.dst + eta
+    table = [None] * dst
+    inl = inl_renaming(kind, f.src, eta)
+    for i in range(f.dst):
+        table[kind.inl(f.dst, eta, i)] = naive_rename(kind, inl, f(i))
+    for j in range(eta):
+        table[kind.inr(f.dst, eta, j)] = Var(kind.inr(f.src, eta, j), src)
+    return Substitution(src, dst, tuple(table))
+
+
+def naive_substitute(kind, f, e):
+    """Oracle: the textbook definition, extending the table under each binder."""
+    match e:
+        case Var(pos=p):
+            return f(p)
+        case SymApp(sym=sym, args=args, scope=s, cls=c):
+            new = tuple(naive_substitute(kind, naive_extend(kind, f, a.scope - s), a) for a in args)
+            return SymApp(sym, new, f.src, c)
+        case MetaApp(idx=m, args=args, cls=c):
+            return MetaApp(m, tuple(naive_substitute(kind, f, a) for a in args), f.src, c)
+
+
+def naive_instantiate(kind, inst, e):
+    """Oracle: every metavariable occurrence builds the table sending the
+    ambient positions to themselves and its binder positions to its
+    instantiated arguments, and substitutes it into a copy of its entry."""
+    gamma, delta = inst.scope, e.scope
+    target = gamma + delta
+    match e:
+        case Var(pos=p):
+            return Var(kind.inr(gamma, delta, p), target)
+        case SymApp(sym=sym, args=args, cls=c):
+            return SymApp(sym, tuple(naive_instantiate(kind, inst, a) for a in args), target, c)
+        case MetaApp(idx=m, args=args):
+            binder = inst.arity[m].binder
+            table = [None] * (gamma + binder)
+            for i in range(gamma):
+                table[kind.inl(gamma, binder, i)] = Var(kind.inl(gamma, delta, i), target)
+            for j, a in enumerate(args):
+                table[kind.inr(gamma, binder, j)] = naive_instantiate(kind, inst, a)
+            return naive_substitute(kind, Substitution(target, gamma + binder, tuple(table)), inst(m))

@@ -207,6 +207,15 @@ def test_congruence_output_recheckable(capsys):
     assert out.strip() == dumps(data)
 
 
+def test_congruence_of_undeclared_rule_is_a_parse_error(capsys):
+    # the same mistake the file decoders report for an unknown rule name
+    code = main(["congruence", str(FIXTURES / "mltt_pi.json"), "nope"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "parse error: rule 'nope' is not a rule of the theory\n"
+
+
 def test_congruence_recheck_failure_is_a_check_failure(monkeypatch, capsys):
     import gtt.cli
 

@@ -4,14 +4,17 @@ Counted, not timed: the entries of every ``Substitution`` and ``Renaming``
 table built while checking a nested Pi.  Checking a node touches its
 context and its terms, so the count may grow as n^2 in the depth n (a ratio
 of 4 per doubling); rebuilding a table under every binder crossed makes it
-grow as n^3 (a ratio near 8).
+grow as n^3 (a ratio near 8).  Likewise the validation calls: the root's
+conclusion is validated once, and nothing is re-validated per node.
 """
+
+from collections import Counter
 
 from corpus import THEORY, nested_pi
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
-from gtt.theories import check_theory_derivation
+from gtt.theories import check_theory_derivation, derivation_nodes
 
 
 def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
@@ -32,3 +35,27 @@ def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
     assert entries[32] / entries[16] <= 4.6, entries
     # a generic metavariable occurrence returns its entry without a table
     assert entries[32] <= 1000, entries
+
+
+def test_nested_pi_validates_each_expression_once(monkeypatch):
+    # Counted, not timed: the root's conclusion is validated once, and every
+    # inner node's context and shown entries are checked by equality with it.
+    # Re-validating every node's context makes the visits grow as n^2.
+    from gtt import judgements, syntax, theories
+
+    d = nested_pi(EMPTY_CONTEXT, 32).d_type
+    nodes = sum(1 for _ in derivation_nodes(d))
+    calls = Counter()
+    for name in ("validate_expr", "validate_context"):
+        original = getattr(syntax, name, None) or getattr(judgements, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (syntax, judgements, theories):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    check_theory_derivation(THEORY, (), d)
+    assert calls["validate_context"] == 1, calls
+    assert calls["validate_expr"] <= 2 * nodes, (calls, nodes)

@@ -1,0 +1,501 @@
+"""The kernel against the reference checker, on valid and ill-formed trees.
+
+The kernel validates each expression once, where it enters the tree, and
+elsewhere relies on equality with validated judgements (see the
+``theories`` docstring).  The reference checker validates everything at
+every node.  The two must agree: the same conclusion, or both raise
+``KernelError``.  Agreement is asserted on the corpus, on generated
+derivations over random raw theories in both scope systems, and on
+mutants that plant one ill-formed expression in one field of one node.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from corpus import (
+    SIG,
+    THEORY,
+    UNIT_FORM,
+    build_corpus,
+    extend,
+    hypothetical_app_rule,
+    substitution_corpus,
+    tt_at,
+    unit_at,
+)
+from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_subst, gen_template
+from reference_checker import reference_check
+from gtt.errors import DerivationError, KernelError
+from gtt.judgements import (
+    EMPTY_CONTEXT,
+    Judgement,
+    JudgementForm,
+    RawContext,
+    is_term,
+    is_type,
+    substitute_judgement,
+    tm_eq,
+    ty_eq,
+)
+from gtt.rules import (
+    CONV_TM,
+    CONVERSION_RULES,
+    EQUIV_TY_REFL,
+    EQUIV_TY_SYM,
+    EQUIVALENCE_RULES,
+    RawRule,
+    instantiate_rule,
+)
+from gtt.scopes import ScopeKind
+from gtt.syntax import (
+    TM,
+    TY,
+    Instantiation,
+    MetaApp,
+    Signature,
+    Substitution,
+    SymApp,
+    Var,
+    arity,
+    mv_extend_signature,
+    substitute_expr,
+)
+from gtt.theories import (
+    ConvInst,
+    EqSubstInst,
+    EquivInst,
+    RawTypeTheory,
+    Specific,
+    Structural,
+    SubstInst,
+    VariableInst,
+    check_theory_derivation,
+)
+
+
+def outcome(check, *args):
+    """The conclusion, or KernelError; any other exception propagates."""
+    try:
+        return check(*args)
+    except KernelError:
+        return KernelError
+
+
+def assert_agree(theory, hyps, d, ambient=None, names=()):
+    got = outcome(check_theory_derivation, theory, hyps, d, ambient, names)
+    assert got == outcome(reference_check, theory, hyps, d, ambient, names)
+    return got
+
+
+# --- the corpus -----------------------------------------------------------------
+
+def corpus_items():
+    """(theory, hyps, derivation, ambient, names, conclusion) of every corpus tree."""
+    items = [(THEORY, (), d, None, (), j) for d, j in build_corpus() + substitution_corpus()]
+    rule, witness = hypothetical_app_rule()
+    items.append((THEORY, rule.premises, witness, rule.arity, rule.meta_names, rule.conclusion))
+    return items
+
+
+def test_reference_agrees_on_the_corpus():
+    for theory, hyps, d, ambient, names, j in corpus_items():
+        assert assert_agree(theory, hyps, d, ambient, names) == j
+
+
+# --- generated derivations ------------------------------------------------------
+#
+# A raw theory over the law signature: four premise-free axioms that derive
+# any judgement in one node, and random rules whose conclusions are written
+# with generic metavariable occurrences, some with a non-empty context.
+
+def _axioms() -> tuple[RawRule, ...]:
+    A, B = MetaApp(0, (), 0, TY), MetaApp(1, (), 0, TY)
+    s, t = MetaApp(1, (), 0, TM), MetaApp(2, (), 0, TM)
+    c = EMPTY_CONTEXT
+    return (
+        RawRule(arity((TY, 0)), (), is_type(c, A)),
+        RawRule(arity((TY, 0), (TM, 0)), (), is_term(c, s, A)),
+        RawRule(arity((TY, 0), (TY, 0)), (), ty_eq(c, A, B)),
+        RawRule(arity((TY, 0), (TM, 0), (TM, 0)), (), tm_eq(c, s, t, A)),
+    )
+
+
+AXIOMS = _axioms()
+AX_OF = {JudgementForm.IS_TY: 0, JudgementForm.IS_TM: 1, JudgementForm.TY_EQ: 2, JudgementForm.TM_EQ: 3}
+
+
+def axiom_entries(j: Judgement) -> tuple:
+    match j.form:
+        case JudgementForm.IS_TY:
+            return (j.head,)
+        case JudgementForm.IS_TM:
+            return (j.boundary[0], j.head)
+        case JudgementForm.TY_EQ:
+            return j.boundary
+    s, t, a = j.boundary
+    return (a, s, t)
+
+
+def random_judgement(rng, sig, ctx, gen) -> Judgement:
+    scope = ctx.scope
+    form = rng.choice(list(JudgementForm))
+    if form is JudgementForm.IS_TY:
+        return is_type(ctx, gen(rng, sig, scope, TY, 2))
+    if form is JudgementForm.IS_TM:
+        return is_term(ctx, gen(rng, sig, scope, TM, 2), gen(rng, sig, scope, TY, 2))
+    if form is JudgementForm.TY_EQ:
+        return ty_eq(ctx, gen(rng, sig, scope, TY, 2), gen(rng, sig, scope, TY, 2))
+    return tm_eq(ctx, gen(rng, sig, scope, TM, 2), gen(rng, sig, scope, TM, 2), gen(rng, sig, scope, TY, 2))
+
+
+def random_context(rng, sig, scope, gen=gen_expr) -> RawContext:
+    return RawContext(scope, tuple(gen(rng, sig, scope, TY, 1) for _ in range(scope)))
+
+
+def random_rule(rng, sig) -> RawRule:
+    alpha = gen_arity(rng)
+    ext = mv_extend_signature(sig, alpha)
+    premises = tuple(random_judgement(rng, ext, EMPTY_CONTEXT, gen_expr) for _ in range(rng.randrange(3)))
+    ctx = random_context(rng, ext, rng.choice((0, 0, 1)), gen_template)
+    return RawRule(alpha, premises, random_judgement(rng, ext, ctx, gen_template))
+
+
+def random_theory(rng, kind) -> RawTypeTheory:
+    sig = Signature(LAW_SIGNATURE.symbols, kind)
+    return RawTypeTheory(sig, AXIOMS + tuple(random_rule(rng, sig) for _ in range(5)))
+
+
+class Generator:
+    """Random derivations over one theory, built with the kernel's operations
+    (the checkers recompute everything independently)."""
+
+    def __init__(self, rng, theory):
+        self.rng, self.theory = rng, theory
+        self.sig, self.kind = theory.signature, theory.kind
+
+    def derive(self, j: Judgement, depth: int):
+        """A derivation of exactly ``j``."""
+        rng, ctx = self.rng, j.context
+        choice = rng.randrange(3) if depth > 0 else 0
+        if choice == 1 and j.form is JudgementForm.IS_TM:
+            # conversion from the same term at another type
+            a, b, t = rng.choice((j.boundary[0], self.expr(ctx.scope, TY))), j.boundary[0], j.head
+            inst = Instantiation(CONVERSION_RULES[CONV_TM].arity, ctx.scope, (a, b, t))
+            judgements = (is_type(ctx, a), is_type(ctx, b), is_term(ctx, t, a), ty_eq(ctx, a, b))
+            return Structural(ConvInst(CONV_TM, inst, ctx), self.derive_all(judgements, depth))
+        if choice == 1 and j.form is JudgementForm.TY_EQ:
+            a, b = j.boundary
+            inst = Instantiation(EQUIVALENCE_RULES[EQUIV_TY_SYM].arity, ctx.scope, (b, a))
+            judgements = (is_type(ctx, b), is_type(ctx, a), ty_eq(ctx, b, a))
+            return Structural(EquivInst(EQUIV_TY_SYM, inst, ctx), self.derive_all(judgements, depth))
+        if choice == 2:
+            # the identity substitution; untouched positions are typed by variable nodes
+            f = Substitution.identity(ctx.scope)
+            trivial = frozenset(i for i in range(ctx.scope) if rng.random() < 0.5)
+            children = [self.derive(j, depth - 1)]
+            for i in range(ctx.scope):
+                if i not in trivial:
+                    d_ty = self.derive(is_type(ctx, ctx.types[i]), depth - 1)
+                    children.append(Structural(VariableInst(ctx, i), (d_ty,)))
+            return Structural(SubstInst(f, ctx, trivial, j), tuple(children))
+        return self.axiom(j)
+
+    def derive_all(self, judgements, depth):
+        return tuple(self.derive(p, depth - 1) for p in judgements)
+
+    def axiom(self, j: Judgement):
+        r = AX_OF[j.form]
+        return Specific(r, Instantiation(AXIOMS[r].arity, j.context.scope, axiom_entries(j)), j.context, ())
+
+    def expr(self, scope, cls):
+        return gen_expr(self.rng, self.sig, scope, cls, 2)
+
+    def any(self, ctx: RawContext, depth: int):
+        """Some derivation over ``ctx`` and its conclusion."""
+        rng, kind = self.rng, self.kind
+        choice = rng.randrange(4) if depth > 0 else 0
+        if choice == 1:
+            source = random_context(rng, self.sig, rng.randrange(3))
+            d, j = self.any(source, depth - 1)
+            src = j.context
+            f = gen_subst(rng, self.sig, ctx.scope, src.scope)
+            typed = [is_term(ctx, f(i), substitute_expr(kind, f, src.types[i])) for i in range(src.scope)]
+            if j.is_object and rng.random() < 0.5:
+                g = gen_subst(rng, self.sig, ctx.scope, src.scope)
+                children = [d]
+                for i in range(src.scope):
+                    g_ty = substitute_expr(kind, g, src.types[i])
+                    children += [self.derive(typed[i], depth - 1), self.derive(is_term(ctx, g(i), g_ty), depth - 1),
+                                 self.derive(tm_eq(ctx, f(i), g(i), typed[i].boundary[0]), depth - 1)]
+                node = Structural(EqSubstInst(f, g, ctx, frozenset(), j), tuple(children))
+                f_head, g_head = substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)
+                if j.form is JudgementForm.IS_TY:
+                    return node, ty_eq(ctx, f_head, g_head)
+                return node, tm_eq(ctx, f_head, g_head, substitute_expr(kind, f, j.boundary[0]))
+            children = (d,) + tuple(self.derive(p, depth - 1) for p in typed)
+            return Structural(SubstInst(f, ctx, frozenset(), j), children), substitute_judgement(kind, f, ctx, j)
+        if choice == 2 and ctx.scope:
+            i = rng.randrange(ctx.scope)
+            node = Structural(VariableInst(ctx, i), (self.derive(is_type(ctx, ctx.types[i]), depth - 1),))
+            return node, is_term(ctx, Var(i, ctx.scope), ctx.types[i])
+        if choice == 3:
+            a = self.expr(ctx.scope, TY)
+            inst = Instantiation(EQUIVALENCE_RULES[EQUIV_TY_REFL].arity, ctx.scope, (a,))
+            node = Structural(EquivInst(EQUIV_TY_REFL, inst, ctx), (self.derive(is_type(ctx, a), depth - 1),))
+            return node, ty_eq(ctx, a, a)
+        r = rng.randrange(len(AXIOMS), len(self.theory.rules))
+        rule = self.theory.rule(r)
+        inst = gen_instantiation(rng, self.sig, rule.arity, ctx.scope)
+        closure = instantiate_rule(kind, inst, ctx, rule)
+        children = tuple(self.derive(p, depth - 1) for p in closure.premises)
+        return Specific(r, inst, ctx, children), closure.conclusion
+
+
+def test_reference_agrees_on_generated_derivations():
+    shapes = 0
+    for kind in ScopeKind:
+        rng = random.Random(61)
+        for _ in range(4):
+            theory = random_theory(rng, kind)
+            gen = Generator(rng, theory)
+            for _ in range(15):
+                ctx = random_context(rng, theory.signature, rng.randrange(3))
+                d, j = gen.any(ctx, 2)
+                assert assert_agree(theory, (), d) == j
+                # and one planted mutant of the same tree
+                path, node = rng.choice(list(nodes_with_paths(d)))
+                mutants = list(field_mutants(theory, node))
+                if mutants:
+                    _, bad = rng.choice(mutants)
+                    assert assert_agree(theory, (), replace_at(d, path, bad)) is KernelError
+                shapes += sum(1 for _ in nodes_with_paths(d))
+    assert shapes >= 500, shapes
+
+
+def test_rule_exposed_set_is_the_generic_occurrences_of_its_conclusion():
+    rng = random.Random(62)
+    rules = list(THEORY.rules + EQUIVALENCE_RULES + CONVERSION_RULES)
+    for kind in ScopeKind:
+        rules += random_theory(rng, kind).rules
+    for rule in rules:
+        assert rule.exposed == exposed_by_definition(rule)
+
+
+# --- mutants --------------------------------------------------------------------
+
+def exposed_by_definition(rule: RawRule) -> frozenset[int]:
+    """Metavariables whose entry an instantiation puts into the conclusion
+    verbatim: instantiate with fresh marker entries (applied to the binder's
+    variables, so a copy along any other table differs) and look for the
+    markers themselves."""
+    markers = tuple(
+        MetaApp(10_000 + m, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
+        for m, a in enumerate(rule.arity)
+    )
+    c = instantiate_rule(ScopeKind.INDICES, Instantiation(rule.arity, 0, markers), EMPTY_CONTEXT, rule).conclusion
+    found = set()
+    for e in c.context.types + c.boundary + (() if c.head is None else (c.head,)):
+        found.update(m for sub in subterms(e) for m, marker in enumerate(markers) if sub is marker)
+    return frozenset(found)
+
+
+def subterms(e):
+    yield e
+    if type(e) is not Var:
+        for a in e.args:
+            yield from subterms(a)
+
+
+def _symbol(sig, cls, ar):
+    return next(i for i, s in enumerate(sig.symbols) if s.cls is cls and s.arity == ar)
+
+
+def ill_formed(sig, scope, cls):
+    """Expressions of class ``cls`` and top scope ``scope`` that fail validation:
+    an unknown symbol, an inner argument in the wrong scope, and (for terms) a
+    variable out of range below a binder."""
+    base = _symbol(sig, TY, ())
+    pi = _symbol(sig, TY, arity((TY, 0), (TY, 1)))
+    lam = _symbol(sig, TM, arity((TY, 0), (TY, 1), (TM, 1)))
+    ty = lambda s: SymApp(base, (), s, TY)
+    out = [SymApp(99, (), scope, cls)]
+    if cls is TY:
+        out.append(SymApp(pi, (ty(scope), ty(scope)), scope, TY))
+    else:
+        out.append(SymApp(lam, (ty(scope), ty(scope), Var(scope, scope + 1)), scope, TM))
+        out.append(SymApp(lam, (ty(scope), ty(scope + 1), Var(scope + 1, scope + 1)), scope, TM))
+    return out
+
+
+def nodes_with_paths(d, path=()):
+    if hasattr(d, "index"):  # a hypothesis leaf carries no data
+        return
+    yield path, d
+    for i, c in enumerate(d.children):
+        yield from nodes_with_paths(c, path + (i,))
+
+
+def replace_at(d, path, new):
+    if not path:
+        return new
+    i = path[0]
+    children = d.children[:i] + (replace_at(d.children[i], path[1:], new),) + d.children[i + 1:]
+    return replace(d, children=children)
+
+
+def _with(seq, k, e):
+    return seq[:k] + (e,) + seq[k + 1:]
+
+
+def field_mutants(theory, node):
+    """(field, node) for one ill-formed expression planted in one field of ``node``."""
+    sig = theory.signature
+    data = node.instance if isinstance(node, Structural) else node
+
+    def rebuilt(new_data):
+        return Structural(new_data, node.children) if isinstance(node, Structural) else new_data
+
+    ctx = data.context
+    if ctx.scope:
+        k = ctx.scope - 1
+        for e in ill_formed(sig, ctx.scope, TY):
+            yield "context", rebuilt(replace(data, context=RawContext(ctx.scope, _with(ctx.types, k, e))))
+    match data:
+        case Specific(rule=r, inst=inst):
+            rule = theory.rule(r)
+        case EquivInst(which=w, inst=inst):
+            rule = EQUIVALENCE_RULES[w]
+        case ConvInst(which=w, inst=inst):
+            rule = CONVERSION_RULES[w]
+        case _:
+            rule = None
+    if rule is not None:
+        exposed = exposed_by_definition(rule)
+        for label, picked in (("exposed", [m for m in range(len(inst.arity)) if m in exposed]),
+                              ("non-exposed", [m for m in range(len(inst.arity)) if m not in exposed])):
+            if not picked:
+                continue
+            m = picked[0]
+            slot = inst.arity[m]
+            for e in ill_formed(sig, inst.scope + slot.binder, slot.cls):
+                new_inst = Instantiation(inst.arity, inst.scope, _with(inst.exprs, m, e))
+                yield label, rebuilt(replace(data, inst=new_inst))
+    if isinstance(data, (SubstInst, EqSubstInst)):
+        for name in ("subst",) if isinstance(data, SubstInst) else ("left", "right"):
+            f = getattr(data, name)
+            if f.dst:
+                for e in ill_formed(sig, f.src, TM):
+                    table = Substitution(f.src, f.dst, _with(f.table, 0, e))
+                    yield "table", rebuilt(replace(data, **{name: table}))
+        j = data.judgement
+        for e in ill_formed(sig, j.context.scope, j.form.head_class or j.form.boundary_classes[0]):
+            if j.head is not None:
+                bad = Judgement(j.context, j.form, j.boundary, e)
+            else:
+                bad = Judgement(j.context, j.form, _with(j.boundary, 0, e), None)
+            yield "judgement", rebuilt(replace(data, judgement=bad))
+
+
+def test_every_planted_ill_formed_expression_is_rejected():
+    fields = set()
+    count = 0
+    for theory, hyps, d, ambient, names, _ in corpus_items():
+        for path, node in nodes_with_paths(d):
+            for field, bad in field_mutants(theory, node):
+                mutant = replace_at(d, path, bad)
+                with pytest.raises(KernelError):
+                    check_theory_derivation(theory, hyps, mutant, ambient, names)
+                with pytest.raises(KernelError):
+                    reference_check(theory, hyps, mutant, ambient, names)
+                fields.add(field)
+                count += 1
+    assert fields == {"context", "exposed", "non-exposed", "table", "judgement"}, fields
+    assert count >= 600, count
+
+
+# --- hand-built raw theories ----------------------------------------------------
+
+def _with_rule(name: str, rule: RawRule) -> tuple[RawTypeTheory, int]:
+    theory = RawTypeTheory(SIG, THEORY.rules + (rule,), THEORY.rule_names + (name,))
+    return theory, len(THEORY.rules)
+
+
+def _junk_tree(entry):
+    """x:unit |- tt : unit, substituted along [entry], whose typing premise
+    |- entry : unit is derived by the premise-free rule junk: |- M : unit."""
+    alpha = arity((TM, 0))
+    unit0 = unit_at(EMPTY_CONTEXT).type
+    junk = RawRule(alpha, (), is_term(EMPTY_CONTEXT, MetaApp(0, (), 0, TM), unit0), ("M",))
+    theory, r = _with_rule("junk", junk)
+    ctx1 = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    tt1 = tt_at(ctx1)
+    j = is_term(ctx1, tt1.term, tt1.type)
+    f = Substitution(0, 1, (entry,))
+    d = Structural(
+        SubstInst(f, EMPTY_CONTEXT, frozenset(), j),
+        (tt1.d_term, Specific(r, Instantiation(alpha, 0, (entry,)), EMPTY_CONTEXT, ())),
+    )
+    return theory, d
+
+
+def test_entry_exposed_by_a_premise_free_rule_is_validated_at_the_substitution():
+    theory, d = _junk_tree(tt_at(EMPTY_CONTEXT).term)
+    t = tt_at(EMPTY_CONTEXT)
+    assert assert_agree(theory, (), d) == is_term(EMPTY_CONTEXT, t.term, t.type)
+    for bad in ill_formed(SIG, 0, TM):
+        theory, d = _junk_tree(bad)
+        assert assert_agree(theory, (), d) is KernelError
+
+
+def test_substitution_node_reports_its_ill_formed_table_entry():
+    # the node drops the entry from its conclusion, so it validates its
+    # table itself; the junk leaf below it shows the entry and is trusted
+    theory, d = _junk_tree(SymApp(99, (), 0, TM))
+    with pytest.raises(DerivationError) as exc:
+        check_theory_derivation(theory, (), d)
+    assert exc.value.path == ()
+
+
+def test_entry_of_a_metavariable_that_occurs_nowhere_is_validated():
+    # ghost: |- unit type, over an arity whose metavariable it never mentions
+    alpha = arity((TM, 0))
+    ghost = RawRule(alpha, (), is_type(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT).type), ("M",))
+    theory, r = _with_rule("ghost", ghost)
+    assert exposed_by_definition(ghost) == frozenset()
+    good = Specific(r, Instantiation(alpha, 0, (tt_at(EMPTY_CONTEXT).term,)), EMPTY_CONTEXT, ())
+    assert assert_agree(theory, (), good) == is_type(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT).type)
+    for bad in ill_formed(SIG, 0, TM):
+        root = Specific(r, Instantiation(alpha, 0, (bad,)), EMPTY_CONTEXT, ())
+        assert assert_agree(theory, (), root) is KernelError
+        # the same node as the first premise of Pi-formation
+        u = unit_at(EMPTY_CONTEXT)
+        pi = Specific(THEORY.rule_index("Pi-form"),
+                      Instantiation(THEORY.rule(THEORY.rule_index("Pi-form")).arity, 0,
+                                    (u.type, unit_at(extend(EMPTY_CONTEXT, u)).type)),
+                      EMPTY_CONTEXT, (root, unit_at(extend(EMPTY_CONTEXT, u)).d_type))
+        assert assert_agree(theory, (), pi) is KernelError
+
+
+def test_context_weakened_into_a_rule_conclusion_context_is_validated():
+    # bind: A type / x:A |- x : A, a rule whose conclusion has a context; the
+    # node's context enters its conclusion weakened past x
+    alpha = arity((TY, 0))
+    a0, a1 = MetaApp(0, (), 0, TY), MetaApp(0, (), 1, TY)
+    bind = RawRule(alpha, (is_type(EMPTY_CONTEXT, a0),), is_term(RawContext(1, (a1,)), Var(0, 1), a1), ("A",))
+    theory, r = _with_rule("bind", bind)
+
+    def tree(gamma):
+        unit = unit_at(gamma).type
+        inst = Instantiation(alpha, gamma.scope, (unit,))
+        return Specific(r, inst, gamma, (Specific(UNIT_FORM, Instantiation((), gamma.scope, ()), gamma, ()),))
+
+    gamma = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    ctx2 = extend(gamma, unit_at(gamma))
+    assert assert_agree(theory, (), tree(gamma)) == is_term(ctx2, Var(0, 2), unit_at(ctx2).type)
+    for bad in ill_formed(SIG, 1, TY):
+        # planted in the context of every node, so only the root's validation sees it
+        assert assert_agree(theory, (), tree(RawContext(1, (bad,)))) is KernelError

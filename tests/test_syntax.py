@@ -11,7 +11,16 @@ import random
 
 import pytest
 
-from genexpr import LAW_SIGNATURE, gen_expr, gen_instantiation, gen_renaming, gen_subst
+from genexpr import (
+    LAW_SIGNATURE,
+    gen_expr,
+    gen_instantiation,
+    gen_renaming,
+    gen_subst,
+    gen_template,
+    generic_occurrence,
+)
+from naive import naive_extend, naive_instantiate, naive_rename, naive_substitute
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import (
@@ -23,7 +32,6 @@ from gtt.syntax import (
     Signature,
     SignatureMap,
     Substitution,
-    SymApp,
     Symbol,
     Var,
     arity,
@@ -96,47 +104,6 @@ def test_rename_identity_and_simple():
         assert rename_expr(KIND, Renaming.identity(3), e) == e
     r = Renaming(1, 2, (1,))
     assert rename_expr(KIND, r, mk_var(1, 0)) == mk_var(2, 1)
-
-
-def naive_rename(kind, r, e, depth=0):
-    """Oracle: tracks binder depth explicitly and reads each variable through
-    the coproduct maps of ``kind``: a position of r.src + depth is either an
-    outer position i, sent to inl(r(i)), or a bound one j, kept as inr(j)."""
-    match e:
-        case Var(pos=p):
-            side, i = kind.unsum(r.src, depth, p)
-            q = kind.inl(r.dst, depth, r(i)) if side == "left" else kind.inr(r.dst, depth, i)
-            return Var(q, r.dst + depth)
-        case SymApp(sym=sym, args=args, scope=s, cls=c):
-            new = tuple(naive_rename(kind, r, a, depth + (a.scope - s)) for a in args)
-            return SymApp(sym, new, r.dst + depth, c)
-        case MetaApp(idx=m, args=args, cls=c):
-            new = tuple(naive_rename(kind, r, a, depth) for a in args)
-            return MetaApp(m, new, r.dst + depth, c)
-
-
-def naive_extend(kind, f, eta):
-    """Oracle: the table of f + eta, old entries renamed along inl by ``naive_rename``."""
-    src, dst = f.src + eta, f.dst + eta
-    table = [None] * dst
-    inl = inl_renaming(kind, f.src, eta)
-    for i in range(f.dst):
-        table[kind.inl(f.dst, eta, i)] = naive_rename(kind, inl, f(i))
-    for j in range(eta):
-        table[kind.inr(f.dst, eta, j)] = Var(kind.inr(f.src, eta, j), src)
-    return Substitution(src, dst, tuple(table))
-
-
-def naive_substitute(kind, f, e):
-    """Oracle: the textbook definition, extending the table under each binder."""
-    match e:
-        case Var(pos=p):
-            return f(p)
-        case SymApp(sym=sym, args=args, scope=s, cls=c):
-            new = tuple(naive_substitute(kind, naive_extend(kind, f, a.scope - s), a) for a in args)
-            return SymApp(sym, new, f.src, c)
-        case MetaApp(idx=m, args=args, cls=c):
-            return MetaApp(m, tuple(naive_substitute(kind, f, a) for a in args), f.src, c)
 
 
 def test_rename_against_depth_tracking_oracle():
@@ -342,46 +309,6 @@ def gen_over_ext(rng, alpha, scope, depth=3, sig=SIG):
 
 
 # --- instantiation against the table-per-occurrence oracle -----------------------
-
-def naive_instantiate(kind, inst, e):
-    """Oracle: every metavariable occurrence builds the table sending the
-    ambient positions to themselves and its binder positions to its
-    instantiated arguments, and substitutes it into a copy of its entry."""
-    gamma, delta = inst.scope, e.scope
-    target = gamma + delta
-    match e:
-        case Var(pos=p):
-            return Var(kind.inr(gamma, delta, p), target)
-        case SymApp(sym=sym, args=args, cls=c):
-            return SymApp(sym, tuple(naive_instantiate(kind, inst, a) for a in args), target, c)
-        case MetaApp(idx=m, args=args):
-            binder = inst.arity[m].binder
-            table = [None] * (gamma + binder)
-            for i in range(gamma):
-                table[kind.inl(gamma, binder, i)] = Var(kind.inl(gamma, delta, i), target)
-            for j, a in enumerate(args):
-                table[kind.inr(gamma, binder, j)] = naive_instantiate(kind, inst, a)
-            return naive_substitute(kind, Substitution(target, gamma + binder, tuple(table)), inst(m))
-
-
-def generic_occurrence(sig, m, scope):
-    """M(x_0 ... x_{b-1}): metavariable m applied to the variables of its own binder."""
-    return mk_meta(sig, m, tuple(mk_var(scope, j) for j in range(scope)), scope)
-
-
-def gen_template(rng, sig, scope, cls, depth):
-    """Like ``gen_expr``, but a metavariable whose binder is the scope is
-    written as its generic occurrence half of the time."""
-    generic = [m for m in range(sig.mv_count) if sig.mv_binder(m) == scope and sig.mv_class(m) is cls]
-    if generic and rng.random() < 0.5:
-        return generic_occurrence(sig, rng.choice(generic), scope)
-    if depth <= 0 or rng.random() < 0.3:
-        return gen_expr(rng, sig, scope, cls, depth)
-    syms = [i for i, sym in enumerate(sig.symbols) if sym.cls is cls]
-    sym = sig.symbol(rng.choice(syms))
-    args = tuple(gen_template(rng, sig, scope + a.binder, a.cls, depth - 1) for a in sym.arity)
-    return mk_sym(sig, sym.name, args, scope)
-
 
 def is_generic(e):
     return type(e) is MetaApp and e.args == tuple(Var(j, e.scope) for j in range(e.scope))
