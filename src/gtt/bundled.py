@@ -35,14 +35,15 @@ from .syntax import (
     Symbol,
     Var,
     arity,
+    mk_meta,
+    mk_sym,
     mv_extend_signature,
 )
 from .theories import (
     Hyp,
     RawTypeTheory,
+    RuleInst,
     RuleWitnesses,
-    Specific,
-    Structural,
     SubstInst,
     TheoryWitnesses,
 )
@@ -61,28 +62,16 @@ MLTT_SIGNATURE = Signature(
 )
 
 
-def _m(sig, name, args, scope):
-    from .syntax import mk_meta
-
-    return mk_meta(sig, name, args, scope)
-
-
-def _s(sig, name, args, scope):
-    from .syntax import mk_sym
-
-    return mk_sym(sig, name, args, scope)
-
-
 def _ctx1(entry):
     return RawContext(1, (entry,))
 
 
 def _pi_rule(sig) -> RawRule:
     ext = mv_extend_signature(sig, PI_ARITY, ("A", "B"))
-    A0 = _m(ext, "A", (), 0)
-    A1 = _m(ext, "A", (), 1)
-    B1 = _m(ext, "B", (Var(0, 1),), 1)
-    pi = _s(ext, "Pi", (A0, B1), 0)
+    A0 = mk_meta(ext, "A", (), 0)
+    A1 = mk_meta(ext, "A", (), 1)
+    B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
+    pi = mk_sym(ext, "Pi", (A0, B1), 0)
     return RawRule(
         PI_ARITY,
         (is_type(EMPTY_CONTEXT, A0), is_type(_ctx1(A1), B1)),
@@ -93,11 +82,11 @@ def _pi_rule(sig) -> RawRule:
 
 def _lam_rule(sig) -> RawRule:
     ext = mv_extend_signature(sig, LAM_ARITY, ("A", "B", "t"))
-    A0, A1 = _m(ext, "A", (), 0), _m(ext, "A", (), 1)
-    B1 = _m(ext, "B", (Var(0, 1),), 1)
-    t1 = _m(ext, "t", (Var(0, 1),), 1)
-    lam = _s(ext, "lam", (A0, B1, t1), 0)
-    pi = _s(ext, "Pi", (A0, B1), 0)
+    A0, A1 = mk_meta(ext, "A", (), 0), mk_meta(ext, "A", (), 1)
+    B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
+    t1 = mk_meta(ext, "t", (Var(0, 1),), 1)
+    lam = mk_sym(ext, "lam", (A0, B1, t1), 0)
+    pi = mk_sym(ext, "Pi", (A0, B1), 0)
     return RawRule(
         LAM_ARITY,
         (
@@ -112,13 +101,13 @@ def _lam_rule(sig) -> RawRule:
 
 def _app_rule(sig) -> RawRule:
     ext = mv_extend_signature(sig, APP_ARITY, ("A", "B", "s", "t"))
-    A0, A1 = _m(ext, "A", (), 0), _m(ext, "A", (), 1)
-    B1 = _m(ext, "B", (Var(0, 1),), 1)
-    s0 = _m(ext, "s", (), 0)
-    t0 = _m(ext, "t", (), 0)
-    pi = _s(ext, "Pi", (A0, B1), 0)
-    app = _s(ext, "app", (A0, B1, s0, t0), 0)
-    b_of_t = _m(ext, "B", (t0,), 0)
+    A0, A1 = mk_meta(ext, "A", (), 0), mk_meta(ext, "A", (), 1)
+    B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
+    s0 = mk_meta(ext, "s", (), 0)
+    t0 = mk_meta(ext, "t", (), 0)
+    pi = mk_sym(ext, "Pi", (A0, B1), 0)
+    app = mk_sym(ext, "app", (A0, B1, s0, t0), 0)
+    b_of_t = mk_meta(ext, "B", (t0,), 0)
     return RawRule(
         APP_ARITY,
         (
@@ -134,14 +123,14 @@ def _app_rule(sig) -> RawRule:
 
 def _beta_rule(sig) -> RawRule:
     ext = mv_extend_signature(sig, BETA_ARITY, ("A", "B", "t", "u"))
-    A0, A1 = _m(ext, "A", (), 0), _m(ext, "A", (), 1)
-    B1 = _m(ext, "B", (Var(0, 1),), 1)
-    t1 = _m(ext, "t", (Var(0, 1),), 1)
-    u0 = _m(ext, "u", (), 0)
-    lam = _s(ext, "lam", (A0, B1, t1), 0)
-    app = _s(ext, "app", (A0, B1, lam, u0), 0)
-    t_of_u = _m(ext, "t", (u0,), 0)
-    b_of_u = _m(ext, "B", (u0,), 0)
+    A0, A1 = mk_meta(ext, "A", (), 0), mk_meta(ext, "A", (), 1)
+    B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
+    t1 = mk_meta(ext, "t", (Var(0, 1),), 1)
+    u0 = mk_meta(ext, "u", (), 0)
+    lam = mk_sym(ext, "lam", (A0, B1, t1), 0)
+    app = mk_sym(ext, "app", (A0, B1, lam, u0), 0)
+    t_of_u = mk_meta(ext, "t", (u0,), 0)
+    b_of_u = mk_meta(ext, "B", (u0,), 0)
     return RawRule(
         BETA_ARITY,
         (
@@ -158,9 +147,7 @@ def _beta_rule(sig) -> RawRule:
 def _subst_closing_meta(rule_sig, judgement: Judgement, terms, d_judgement, typings):
     """A substitution node sending every context variable to a closed term."""
     f = Substitution(0, judgement.context.scope, terms)
-    return Structural(
-        SubstInst(f, EMPTY_CONTEXT, frozenset(), judgement), (d_judgement,) + tuple(typings)
-    )
+    return SubstInst(f, EMPTY_CONTEXT, frozenset(), judgement, (d_judgement,) + tuple(typings))
 
 
 def _mltt_core_rules_and_witnesses(sig):
@@ -174,50 +161,50 @@ def _mltt_core_rules_and_witnesses(sig):
 
     lam_ext = mv_extend_signature(sig, LAM_ARITY, ("A", "B", "t"))
     lam_pi_inst = Instantiation(
-        PI_ARITY, 0, (_m(lam_ext, "A", (), 0), _m(lam_ext, "B", (Var(0, 1),), 1))
+        PI_ARITY, 0, (mk_meta(lam_ext, "A", (), 0), mk_meta(lam_ext, "B", (Var(0, 1),), 1))
     )
     lam_w = RuleWitnesses(
-        conclusion={0: Specific(0, lam_pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))},
+        conclusion={0: RuleInst(0, lam_pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))},
         premises={(2, 0): Hyp(1)},
     )
 
     app_ext = mv_extend_signature(sig, APP_ARITY, ("A", "B", "s", "t"))
     app_pi_inst = Instantiation(
-        PI_ARITY, 0, (_m(app_ext, "A", (), 0), _m(app_ext, "B", (Var(0, 1),), 1))
+        PI_ARITY, 0, (mk_meta(app_ext, "A", (), 0), mk_meta(app_ext, "B", (Var(0, 1),), 1))
     )
     b_of_t = _subst_closing_meta(
-        app_ext, app.premises[1], (_m(app_ext, "t", (), 0),), Hyp(1), (Hyp(3),)
+        app_ext, app.premises[1], (mk_meta(app_ext, "t", (), 0),), Hyp(1), (Hyp(3),)
     )
     app_w = RuleWitnesses(
         conclusion={0: b_of_t},
-        premises={(2, 0): Specific(0, app_pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1))), (3, 0): Hyp(0)},
+        premises={(2, 0): RuleInst(0, app_pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1))), (3, 0): Hyp(0)},
     )
 
     beta_ext = mv_extend_signature(sig, BETA_ARITY, ("A", "B", "t", "u"))
-    u0 = _m(beta_ext, "u", (), 0)
+    u0 = mk_meta(beta_ext, "u", (), 0)
     b_of_u = _subst_closing_meta(beta_ext, beta.premises[1], (u0,), Hyp(1), (Hyp(3),))
     t_of_u = _subst_closing_meta(beta_ext, beta.premises[2], (u0,), Hyp(2), (Hyp(3),))
     lam_inst = Instantiation(
         LAM_ARITY,
         0,
         (
-            _m(beta_ext, "A", (), 0),
-            _m(beta_ext, "B", (Var(0, 1),), 1),
-            _m(beta_ext, "t", (Var(0, 1),), 1),
+            mk_meta(beta_ext, "A", (), 0),
+            mk_meta(beta_ext, "B", (Var(0, 1),), 1),
+            mk_meta(beta_ext, "t", (Var(0, 1),), 1),
         ),
     )
-    d_lam = Specific(2, lam_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1), Hyp(2)))
+    d_lam = RuleInst(2, lam_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1), Hyp(2)))
     app_inst = Instantiation(
         APP_ARITY,
         0,
         (
-            _m(beta_ext, "A", (), 0),
-            _m(beta_ext, "B", (Var(0, 1),), 1),
-            _s(beta_ext, "lam", (_m(beta_ext, "A", (), 0), _m(beta_ext, "B", (Var(0, 1),), 1), _m(beta_ext, "t", (Var(0, 1),), 1)), 0),
+            mk_meta(beta_ext, "A", (), 0),
+            mk_meta(beta_ext, "B", (Var(0, 1),), 1),
+            mk_sym(beta_ext, "lam", (mk_meta(beta_ext, "A", (), 0), mk_meta(beta_ext, "B", (Var(0, 1),), 1), mk_meta(beta_ext, "t", (Var(0, 1),), 1)), 0),
             u0,
         ),
     )
-    d_app = Specific(4, app_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1), d_lam, Hyp(3)))
+    d_app = RuleInst(4, app_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1), d_lam, Hyp(3)))
     beta_w = RuleWitnesses(
         conclusion={0: b_of_u, 1: d_app, 2: t_of_u},
         premises={(2, 0): Hyp(1), (3, 0): Hyp(0)},
@@ -272,11 +259,11 @@ def mltt_base() -> tuple[RawTypeTheory, TheoryWitnesses]:
     """MLTT products plus a base type and inhabitant, for closed derivations."""
     sig = BASE_SIGNATURE
     core, witnesses = _mltt_core_rules_and_witnesses(sig)
-    unit_rule = RawRule((), (), is_type(EMPTY_CONTEXT, _s(sig, "unit", (), 0)))
-    t_unit = _s(sig, "unit", (), 0)
-    tt_rule = RawRule((), (), is_term(EMPTY_CONTEXT, _s(sig, "tt", (), 0), t_unit))
+    unit_rule = RawRule((), (), is_type(EMPTY_CONTEXT, mk_sym(sig, "unit", (), 0)))
+    t_unit = mk_sym(sig, "unit", (), 0)
+    tt_rule = RawRule((), (), is_term(EMPTY_CONTEXT, mk_sym(sig, "tt", (), 0), t_unit))
     unit_w = RuleWitnesses()
-    tt_w = RuleWitnesses(conclusion={0: Specific_for(sig, 7, ())})
+    tt_w = RuleWitnesses(conclusion={0: RuleInst(7, Instantiation((), 0, ()), EMPTY_CONTEXT, ())})
     core = core + (unit_rule, tt_rule)
     witnesses = witnesses + (unit_w, tt_w)
     return _assemble(
@@ -285,10 +272,6 @@ def mltt_base() -> tuple[RawTypeTheory, TheoryWitnesses]:
         ("Pi-form", "lam-intro", "app-elim", "beta", "unit-form", "tt-intro"),
         witnesses,
     )
-
-
-def Specific_for(sig, index, children) -> Specific:
-    return Specific(index, Instantiation((), 0, ()), EMPTY_CONTEXT, tuple(children))
 
 
 TIT_SIGNATURE = Signature(
@@ -303,22 +286,22 @@ TIT_SIGNATURE = Signature(
 def type_in_type() -> tuple[RawTypeTheory, TheoryWitnesses]:
     """A Tarski universe containing itself: u : El(u)."""
     sig = TIT_SIGNATURE
-    el_of_u0 = _s(sig, "El", (_s(sig, "u", (), 0),), 0)
-    u_rule = RawRule((), (), is_term(EMPTY_CONTEXT, _s(sig, "u", (), 0), el_of_u0))
+    el_of_u0 = mk_sym(sig, "El", (mk_sym(sig, "u", (), 0),), 0)
+    u_rule = RawRule((), (), is_term(EMPTY_CONTEXT, mk_sym(sig, "u", (), 0), el_of_u0))
     el_ext = mv_extend_signature(sig, arity((TM, 0)), ("a",))
-    a0 = _m(el_ext, "a", (), 0)
+    a0 = mk_meta(el_ext, "a", (), 0)
     el_rule = RawRule(
         arity((TM, 0)),
-        (is_term(EMPTY_CONTEXT, a0, _s(el_ext, "El", (_s(el_ext, "u", (), 0),), 0)),),
-        is_type(EMPTY_CONTEXT, _s(el_ext, "El", (a0,), 0)),
+        (is_term(EMPTY_CONTEXT, a0, mk_sym(el_ext, "El", (mk_sym(el_ext, "u", (), 0),), 0)),),
+        is_type(EMPTY_CONTEXT, mk_sym(el_ext, "El", (a0,), 0)),
         ("a",),
     )
 
     def d_el_of_u(ext):
         """The closed derivation of |- El(u) type."""
-        d_u = Specific(0, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
-        inst = Instantiation(arity((TM, 0)), 0, (_s(ext, "u", (), 0),))
-        return Specific(2, inst, EMPTY_CONTEXT, (d_u,))
+        d_u = RuleInst(0, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
+        inst = Instantiation(arity((TM, 0)), 0, (mk_sym(ext, "u", (), 0),))
+        return RuleInst(2, inst, EMPTY_CONTEXT, (d_u,))
 
     u_w = RuleWitnesses(conclusion={0: d_el_of_u(sig)})
     el_w = RuleWitnesses(premises={(0, 0): d_el_of_u(el_ext)})
@@ -333,16 +316,16 @@ def cyclic_quantifier() -> tuple[RawTypeTheory, TheoryWitnesses]:
     """A quantifier whose premise context mentions the quantifier itself."""
     sig = Q_SIGNATURE
     ext = mv_extend_signature(sig, arity((TY, 0), (TM, 1)), ("A", "t"))
-    A0, A1 = _m(ext, "A", (), 0), _m(ext, "A", (), 1)
-    q_in_ctx = _s(ext, "Q", (A1, _m(ext, "t", (Var(0, 2),), 2)), 1)
-    t1 = _m(ext, "t", (Var(0, 1),), 1)
+    A0, A1 = mk_meta(ext, "A", (), 0), mk_meta(ext, "A", (), 1)
+    q_in_ctx = mk_sym(ext, "Q", (A1, mk_meta(ext, "t", (Var(0, 2),), 2)), 1)
+    t1 = mk_meta(ext, "t", (Var(0, 1),), 1)
     q_rule = RawRule(
         arity((TY, 0), (TM, 1)),
         (
             is_type(EMPTY_CONTEXT, A0),
             is_term(_ctx1(q_in_ctx), t1, A1),
         ),
-        is_type(EMPTY_CONTEXT, _s(ext, "Q", (A0, t1), 0)),
+        is_type(EMPTY_CONTEXT, mk_sym(ext, "Q", (A0, t1), 0)),
         ("A", "t"),
     )
     premise_ctx = _ctx1(q_in_ctx)
@@ -377,7 +360,6 @@ TIT_ORDER = FinitePoset.of(4, [(0, 1), (2, 3), (0, 2)])
 def mltt_pi_presented():
     """The well-presented form of the products theory: rule boundaries over
     staged signatures, with witnesses, elaborating to the raw theory."""
-    from .judgements import JudgementForm
     from .presentation import (
         PremiseWitnesses,
         PremisesShape,
@@ -473,12 +455,12 @@ def mltt_pi_presented():
     # hypotheses of each are the flattened earlier premises
     lam_w = RuleBoundaryWitnesses(
         PremiseWitnesses({(2, 0): Hyp(1)}),
-        {0: Specific(0, Instantiation(PI_ARITY, 0, (A0, B1)), EMPTY_CONTEXT, (Hyp(0), Hyp(1)))},
+        {0: RuleInst(0, Instantiation(PI_ARITY, 0, (A0, B1)), EMPTY_CONTEXT, (Hyp(0), Hyp(1)))},
     )
     app_w = RuleBoundaryWitnesses(
         PremiseWitnesses(
             {
-                (2, 0): Specific(
+                (2, 0): RuleInst(
                     0, Instantiation(PI_ARITY, 0, (A0, B1)), EMPTY_CONTEXT, (Hyp(0), Hyp(1))
                 ),
                 (3, 0): Hyp(0),
@@ -490,14 +472,14 @@ def mltt_pi_presented():
         PremiseWitnesses({(2, 0): Hyp(1), (3, 0): Hyp(0)}),
         {
             0: _subst_meta_witness(1, 3, u0, B1, A1),
-            1: Specific(
+            1: RuleInst(
                 4,
                 Instantiation(APP_ARITY, 0, (A0, B1, lam_of, u0)),
                 EMPTY_CONTEXT,
                 (
                     Hyp(0),
                     Hyp(1),
-                    Specific(
+                    RuleInst(
                         2,
                         Instantiation(LAM_ARITY, 0, (A0, B1, t1)),
                         EMPTY_CONTEXT,
@@ -519,14 +501,7 @@ def mltt_pi_presented():
 
 def _subst_meta_witness(premise_idx, typing_idx, term, body, entry, body_ty=None):
     """Close a one-variable hypothesis by substituting a closed metavariable."""
-    from .judgements import RawContext, is_term as _is_term, is_type as _is_type
-
     ctx = RawContext(1, (entry,))
-    judgement = (
-        _is_type(ctx, body) if body_ty is None else _is_term(ctx, body, body_ty)
-    )
+    judgement = is_type(ctx, body) if body_ty is None else is_term(ctx, body, body_ty)
     f = Substitution(0, 1, (term,))
-    return Structural(
-        SubstInst(f, EMPTY_CONTEXT, frozenset(), judgement),
-        (Hyp(premise_idx), Hyp(typing_idx)),
-    )
+    return SubstInst(f, EMPTY_CONTEXT, frozenset(), judgement, (Hyp(premise_idx), Hyp(typing_idx)))

@@ -9,9 +9,9 @@ equality of the two images of the conclusion type.
 
 The equality synthesis walks R's own witness derivations, sending each
 node to its congruence counterpart.  It covers the node kinds bundled
-witnesses produce: hypotheses, variable, equivalence and conversion
-instances, specific rules, and closing substitutions into metavariable-
-free targets.  Anything else raises MissingWitness, so theory files can
+witnesses produce: hypotheses, variables, instances of theory rules and
+of the built-in rules, and closing substitutions into metavariable-free
+targets.  Anything else raises MissingWitness, so theory files can
 ship hand-written congruence witnesses instead.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import MissingWitness
-from . import derive
+from . import derive, rules
 from .judgements import (
     EMPTY_CONTEXT,
     Judgement,
@@ -43,13 +43,11 @@ from .syntax import (
     translate_expr,
 )
 from .theories import (
-    ConvInst,
     EqSubstInst,
     Hyp,
     RawTypeTheory,
+    RuleInst,
     RuleWitnesses,
-    Specific,
-    Structural,
     SubstInst,
     TheoryDerivation,
     VariableInst,
@@ -101,41 +99,41 @@ class _CongruenceEngine:
             case Hyp(index=k):
                 eq = Hyp(self.eq_hyp(k)) if self.rule.premises[k].is_object else None
                 return self.left(d), self.right(d), eq
-            case Structural(instance=VariableInst(context=ctx, pos=i), children=children):
+            case VariableInst(context=ctx, pos=i, children=children):
                 d_fa, _, _ = self.triple(children[0])
                 lctx = ctx.map_exprs(self.l_expr)
                 la = lctx.type_at(i)
                 x = Var(i, lctx.scope)
-                dvar = Structural(VariableInst(lctx, i), (d_fa,))
+                dvar = VariableInst(lctx, i, (d_fa,))
                 return self.left(d), self.right(d), derive.refl_tm(lctx, la, x, d_fa, dvar)
-            case Structural(instance=SubstInst()):
+            case SubstInst():
                 return self._subst_triple(d)
-            case Structural() | Specific():
+            case RuleInst():
                 return self._rule_triple(d)
         raise MissingWitness(f"congruence synthesis cannot handle {type(d).__name__} nodes")
 
     def _rule_triple(self, node):
-        from .metatheory import _rule_instance, find_congruence
+        from .metatheory import find_congruence
 
-        rule, inst, ctx = _rule_instance(self.theory, node)
+        rule, inst, ctx, children = self.theory.rule(node.ref), node.inst, node.context, node.children
         d_l, d_r = self.left(node), self.right(node)
         if not rule.conclusion.is_object:
             return d_l, d_r, None
         lctx = ctx.map_exprs(self.l_expr)
-        match node:
-            case Specific(rule=r):
+        match node.ref:
+            case int() as r:
                 cidx = find_congruence(self.theory, r)
                 if cidx is None:
                     raise MissingWitness(f"no congruence rule for {self.theory.rule_name(r)}")
-                eq_children = [self.triple(node.children[k])[2] for k in rule.object_premises()]
+                eq_children = [self.triple(children[k])[2] for k in rule.object_premises()]
                 ii = concat_inst(inst.map_exprs(self.l_expr), inst.map_exprs(self.r_expr))
-                children = (
-                    [self.left(c) for c in node.children]
-                    + [self.right(c) for c in node.children]
+                cong_children = (
+                    [self.left(c) for c in children]
+                    + [self.right(c) for c in children]
                     + eq_children
                 )
-                return d_l, d_r, Specific(cidx, ii, lctx, tuple(children))
-            case Structural(instance=ConvInst(which=0), children=children):
+                return d_l, d_r, RuleInst(cidx, ii, lctx, tuple(cong_children))
+            case rules.CONV_TM:
                 la, ra = self.l_expr(inst.exprs[0]), self.r_expr(inst.exprs[0])
                 lb = self.l_expr(inst.exprs[1])
                 ls, rs = self.l_expr(inst.exprs[2]), self.r_expr(inst.exprs[2])
@@ -154,8 +152,7 @@ class _CongruenceEngine:
     def _subst_triple(self, node):
         """A closing substitution node: chase the equality through both legs."""
         kind = self.kind
-        data = node.instance
-        f, tgt, K, jj = data.subst, data.context, data.trivial, data.judgement
+        f, tgt, K, jj = node.subst, node.context, node.trivial, node.judgement
         d_l, d_r = self.left(node), self.right(node)
         if not jj.is_object:
             return d_l, d_r, None
@@ -204,20 +201,20 @@ class _CongruenceEngine:
             mid_typings[i] = conv_f
 
         eq_j = ty_eq(src.map_exprs(self.l_expr), self.l_expr(jj.head), self.r_expr(jj.head))
-        step1 = Structural(
-            SubstInst(lf, lctx, frozenset(), eq_j),
+        step1 = SubstInst(
+            lf, lctx, frozenset(), eq_j,
             (tJ[2],) + tuple(self.left(typ[i]) for i in range(src.scope)),
         )
         r_j = jj.map_exprs(self.r_expr)
-        step2 = Structural(
-            EqSubstInst(lf, rf, lctx, frozenset(), r_j),
+        step2 = EqSubstInst(
+            lf, rf, lctx, frozenset(), r_j,
             (tJ[1],) + tuple(x for i in range(src.scope) for x in typing_triples[i]),
         )
         lh = substitute_expr(kind, lf, self.l_expr(jj.head))
         mid = substitute_expr(kind, lf, self.r_expr(jj.head))
         rh = substitute_expr(kind, rf, self.r_expr(jj.head))
-        mid_typing = Structural(
-            SubstInst(lf, lctx, frozenset(), r_j),
+        mid_typing = SubstInst(
+            lf, lctx, frozenset(), r_j,
             (tJ[1],) + tuple(mid_typings[i] for i in range(src.scope)),
         )
         d_e = derive.trans_ty(lctx, lh, mid, rh, d_l, mid_typing, d_r, step1, step2)
@@ -280,14 +277,14 @@ class _CongruenceEngine:
             from_ty = from_ctx.type_at(q)
             d_to = self._entry_type(to_ctx, to_ty)
             x = Var(q, scope)
-            dvar = Structural(VariableInst(to_ctx, q), (d_to,))
+            dvar = VariableInst(to_ctx, q, (d_to,))
             if from_ty == to_ty:
                 typings.append(dvar)
                 continue
             d_from = self._entry_type(to_ctx, from_ty)
             d_eq = self._entry_equality(to_ctx, to_ty, from_ty)
             typings.append(derive.conv(to_ctx, to_ty, from_ty, x, d_to, d_from, dvar, d_eq))
-        return Structural(SubstInst(f, to_ctx, frozenset(), judgement), (d,) + tuple(typings))
+        return SubstInst(f, to_ctx, frozenset(), judgement, (d,) + tuple(typings))
 
     # -- the equality of the two images of a boundary type -------------------------
 
@@ -316,7 +313,7 @@ class _CongruenceEngine:
                 closure = instantiate_rule(self.kind, inst, lctx, self.theory.rule(cidx))
                 if closure.conclusion == ty_eq(lctx, la, ra):
                     children = tuple(self.find_hyp(p) for p in closure.premises)
-                    return Specific(cidx, inst, lctx, children)
+                    return RuleInst(cidx, inst, lctx, children)
         raise MissingWitness(
             f"cannot synthesise the equality of the two images of {a!r}; "
             "supply the congruence witnesses by hand"
@@ -365,13 +362,13 @@ class _CongruenceEngine:
                 )
         return out
 
-    def _generic_instance(self, shift: int, hyp_shift: int) -> Specific:
+    def _generic_instance(self, shift: int, hyp_shift: int) -> RuleInst:
         exprs = tuple(
             MetaApp(i + shift, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
             for i, a in enumerate(self.rule.arity)
         )
         inst = Instantiation(self.rule.arity, 0, exprs)
-        return Specific(
+        return RuleInst(
             self.rule_index, inst, EMPTY_CONTEXT,
             tuple(Hyp(k + hyp_shift) for k in range(self.n)),
         )

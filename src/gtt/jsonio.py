@@ -26,13 +26,7 @@ from .judgements import (
     JudgementForm,
     RawContext,
 )
-from .rules import (
-    CONVERSION_RULE_NAMES,
-    CONVERSION_RULES,
-    EQUIVALENCE_RULE_NAMES,
-    EQUIVALENCE_RULES,
-    RawRule,
-)
+from .rules import BUILTIN_RULES, BuiltinRule, RawRule
 from .scopes import ScopeKind
 from .syntax import (
     Argument,
@@ -54,14 +48,11 @@ from .syntax import (
     mv_extend_signature,
 )
 from .theories import (
-    ConvInst,
-    EquivInst,
     EqSubstInst,
     Hyp,
     RawTypeTheory,
+    RuleInst,
     RuleWitnesses,
-    Specific,
-    Structural,
     SubstInst,
     TheoryDerivation,
     TheoryWitnesses,
@@ -339,68 +330,49 @@ def substitution_from_json(sig: Signature, data: Any) -> Substitution:
 
 
 def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivation) -> Any:
+    kids = [derivation_to_json(theory, sig, c) for c in d.children]
     match d:
         case Hyp(index=k):
             return {"node": "hyp", "index": k}
-        case Specific(rule=r, inst=inst, context=ctx, children=children):
-            rule = theory.rule(r)
+        case RuleInst(ref=ref, inst=inst, context=ctx):
+            rule = theory.rule(ref)
             ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
+            if isinstance(ref, int):
+                head = {"node": "rule", "name": theory.rule_name(ref)}
+            else:
+                head = {"node": ref.family, "which": ref.name}
             return {
-                "node": "rule",
-                "name": theory.rule_name(r),
+                **head,
                 "cxt": context_to_json(sig, ctx),
                 "inst": instantiation_to_json(sig, ext, inst),
-                "children": [derivation_to_json(theory, sig, c) for c in children],
+                "children": kids,
             }
-        case Structural(instance=data, children=children):
-            kids = [derivation_to_json(theory, sig, c) for c in children]
-            match data:
-                case VariableInst(context=ctx, pos=i):
-                    return {
-                        "node": "var",
-                        "cxt": context_to_json(sig, ctx),
-                        "i": i,
-                        "children": kids,
-                    }
-                case EquivInst(which=w, inst=inst, context=ctx):
-                    rule = EQUIVALENCE_RULES[w]
-                    ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
-                    return {
-                        "node": "equiv",
-                        "which": EQUIVALENCE_RULE_NAMES[w],
-                        "cxt": context_to_json(sig, ctx),
-                        "inst": instantiation_to_json(sig, ext, inst),
-                        "children": kids,
-                    }
-                case ConvInst(which=w, inst=inst, context=ctx):
-                    rule = CONVERSION_RULES[w]
-                    ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
-                    return {
-                        "node": "conv",
-                        "which": CONVERSION_RULE_NAMES[w],
-                        "cxt": context_to_json(sig, ctx),
-                        "inst": instantiation_to_json(sig, ext, inst),
-                        "children": kids,
-                    }
-                case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
-                    return {
-                        "node": "subst",
-                        "cxt": context_to_json(sig, ctx),
-                        "subst": substitution_to_json(sig, f),
-                        "trivial": sorted(K),
-                        "judgement": judgement_to_json(sig, j),
-                        "children": kids,
-                    }
-                case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
-                    return {
-                        "node": "eqsubst",
-                        "cxt": context_to_json(sig, ctx),
-                        "left": substitution_to_json(sig, f),
-                        "right": substitution_to_json(sig, g),
-                        "trivial": sorted(K),
-                        "judgement": judgement_to_json(sig, j),
-                        "children": kids,
-                    }
+        case VariableInst(context=ctx, pos=i):
+            return {
+                "node": "var",
+                "cxt": context_to_json(sig, ctx),
+                "i": i,
+                "children": kids,
+            }
+        case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
+            return {
+                "node": "subst",
+                "cxt": context_to_json(sig, ctx),
+                "subst": substitution_to_json(sig, f),
+                "trivial": sorted(K),
+                "judgement": judgement_to_json(sig, j),
+                "children": kids,
+            }
+        case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
+            return {
+                "node": "eqsubst",
+                "cxt": context_to_json(sig, ctx),
+                "left": substitution_to_json(sig, f),
+                "right": substitution_to_json(sig, g),
+                "trivial": sorted(K),
+                "judgement": judgement_to_json(sig, j),
+                "children": kids,
+            }
     raise TypeError(d)
 
 
@@ -419,39 +391,28 @@ def _derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any, dept
         return Hyp(_nat(data.get("index"), "index"))
     if node == "var":
         ctx = context_from_json(sig, data.get("cxt", []))
-        return Structural(VariableInst(ctx, _nat(data.get("i"), "i")), kids)
-    if node == "equiv":
-        w = _which(data.get("which"), EQUIVALENCE_RULE_NAMES)
-        rule = EQUIVALENCE_RULES[w]
+        return VariableInst(ctx, _nat(data.get("i"), "i"), kids)
+    if node in ("rule", "equiv", "conv"):
+        if node == "rule":
+            ref = _rule_index(theory, data.get("name"), "rule name")
+        else:
+            ref = _builtin(node, data.get("which"))
+        rule = theory.rule(ref)
         ctx = context_from_json(sig, data.get("cxt", []))
         ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
         inst = instantiation_from_json(sig, ext, rule.arity, data.get("inst", {}), ctx.scope)
-        return Structural(EquivInst(w, inst, ctx), kids)
-    if node == "conv":
-        w = _which(data.get("which"), CONVERSION_RULE_NAMES)
-        rule = CONVERSION_RULES[w]
-        ctx = context_from_json(sig, data.get("cxt", []))
-        ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
-        inst = instantiation_from_json(sig, ext, rule.arity, data.get("inst", {}), ctx.scope)
-        return Structural(ConvInst(w, inst, ctx), kids)
-    if node == "rule":
-        r = _rule_index(theory, data.get("name"), "rule name")
-        rule = theory.rule(r)
-        ctx = context_from_json(sig, data.get("cxt", []))
-        ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
-        inst = instantiation_from_json(sig, ext, rule.arity, data.get("inst", {}), ctx.scope)
-        return Specific(r, inst, ctx, kids)
+        return RuleInst(ref, inst, ctx, kids)
     if node == "subst":
         ctx = context_from_json(sig, data.get("cxt", []))
         f = substitution_from_json(sig, data.get("subst", {}))
         j = judgement_from_json(sig, data.get("judgement", {}))
-        return Structural(SubstInst(f, ctx, _trivial(data), j), kids)
+        return SubstInst(f, ctx, _trivial(data), j, kids)
     if node == "eqsubst":
         ctx = context_from_json(sig, data.get("cxt", []))
         f = substitution_from_json(sig, data.get("left", {}))
         g = substitution_from_json(sig, data.get("right", {}))
         j = judgement_from_json(sig, data.get("judgement", {}))
-        return Structural(EqSubstInst(f, g, ctx, _trivial(data), j), kids)
+        return EqSubstInst(f, g, ctx, _trivial(data), j, kids)
     raise ParseError(f"unknown derivation node {node!r}")
 
 
@@ -459,11 +420,14 @@ def _trivial(data) -> frozenset[int]:
     return frozenset(_nat(i, "trivial") for i in _list(data.get("trivial", []), "trivial"))
 
 
-def _which(v, names) -> int:
-    if isinstance(v, int) and 0 <= v < len(names):
-        return v
-    if v in names:
-        return names.index(v)
+def _builtin(family: str, v) -> BuiltinRule:
+    """The built-in rule of ``family`` called ``v``, or at position ``v`` of the family."""
+    refs = [b for b in BUILTIN_RULES if b.family == family]
+    if isinstance(v, int) and 0 <= v < len(refs):
+        return refs[v]
+    for b in refs:
+        if b.name == v:
+            return b
     raise ParseError(f"unknown structural rule {v!r}")
 
 

@@ -29,12 +29,14 @@ from .judgements import (
     RawContext,
     complete_boundary,
 )
-from .metatheory import graft_theory, theory_tightness
+from .metatheory import check_tight, graft_theory, rule_symbols, theory_tightness
 from .presentation import (
     PremisesShape,
     RuleBoundarySpec,
     WellFoundedPremiseFamily,
+    _declared_position,
     flatten_premise_family,
+    is_sequential_flat_context,
     realise_rule_boundary,
 )
 from .rules import RawRule, congruence_rule, generic_application
@@ -59,13 +61,14 @@ from .syntax import (
 from .theories import (
     Hyp,
     RawTypeTheory,
-    Specific,
-    Structural,
+    RuleInst,
     SubstInst,
     TheoryDerivation,
     TheoryWitnesses,
+    check_derived_rule,
     check_theory_derivation,
-    map_instance,
+    instantiate_derivation,
+    map_node,
 )
 
 
@@ -156,8 +159,6 @@ class RawTheoryMap:
         ok = True
         for i, d in sorted(self.rule_derivations.items()):
             rule = map_rule(self.syntax, self.src.rule(i))
-            from .theories import check_derived_rule
-
             if not check_derived_rule(self.dst, rule, d):
                 ok = False
                 if diagnostics is not None:
@@ -173,7 +174,7 @@ def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
             MetaApp(k, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
             for k, a in enumerate(rule.arity)
         )
-        derivations[i] = Specific(
+        derivations[i] = RuleInst(
             i, Instantiation(rule.arity, 0, exprs), EMPTY_CONTEXT,
             tuple(Hyp(k) for k in range(len(rule.premises))),
         )
@@ -181,28 +182,24 @@ def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
 
 
 def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryDerivation:
-    """Push a derivation along a theory map: structural nodes map to the same
-    kind, specific nodes to the stored derived rule with mapped children
-    grafted at its hypotheses."""
+    """Push a derivation along a theory map: an instance of a theory rule
+    maps to the stored derived rule with mapped children grafted at its
+    hypotheses, every other node to a node of the same kind."""
     fn = partial(apply_syntax_map, f.syntax)
 
     def go(node):
         match node:
             case Hyp():
                 return node
-            case Structural(instance=data, children=children):
-                return Structural(map_instance(data, fn), tuple(go(c) for c in children))
-            case Specific(rule=r, inst=inst, context=ctx, children=children):
+            case RuleInst(ref=int() as r, inst=inst, context=ctx, children=children):
                 if r not in f.rule_derivations:
                     raise MissingWitness(
                         f"theory map has no derivation for rule {f.src.rule_name(r)}"
                     )
                 stored = f.rule_derivations[r]
-                from .theories import instantiate_derivation
-
                 lowered = instantiate_derivation(f.dst, inst.map_exprs(fn), ctx.map_exprs(fn), stored)
                 return graft_theory(lowered, tuple(go(c) for c in children))
-        raise TypeError(node)
+        return map_node(node, fn, children=tuple(go(c) for c in node.children))
 
     return go(d)
 
@@ -246,8 +243,6 @@ class ConservativityWitness:
 def check_conservativity_witness(f: RawTheoryMap, w: ConservativityWitness) -> bool:
     """Validate the reflection data: the image facts hold in the target and
     the reflected facts hold in the source."""
-    from .theories import check_derived_rule
-
     ok = True
     if w.equation is not None:
         rule, d_image, d_source = w.equation
@@ -384,8 +379,6 @@ class ReplacementBuilder:
         if step.rule.is_object:
             raise WitnessFailure("equation steps take equality rules")
         image = map_rule(self.syntax_map(), step.rule)
-        from .theories import check_derived_rule
-
         if not check_derived_rule(self.target, image, step.witness):
             raise WitnessFailure(f"step {step.name}: equation witness fails in the target")
         self.rules = self.rules + (step.rule,)
@@ -413,8 +406,6 @@ class ReplacementBuilder:
 
     def check_well_founded(self) -> bool:
         """Each rule mentions only symbols adjoined strictly before it."""
-        from .metatheory import rule_symbols
-
         seen: set[int] = set()
         next_symbol = 0
         for name, rule in zip(self.rule_names, self.rules):
@@ -460,8 +451,6 @@ def sequential_boundary_spec(
 
 def sequential_premise_names(rule: RawRule) -> tuple[str, ...]:
     """Per-premise labels: object premises carry their metavariable's name."""
-    from .metatheory import check_tight
-
     names = rule.meta_names or tuple(f"?{i}" for i in range(len(rule.arity)))
     tight = check_tight(rule)
     label = {}
@@ -571,7 +560,7 @@ class _SectionDriver:
             self.kind, primed, form, conclusion_slots, sequential_premise_names(rule)
         )
         realiser = generic_application(self.theory.signature, sym)
-        witness = Specific(
+        witness = RuleInst(
             rule_index,
             _generic_rule_instantiation(rule),
             EMPTY_CONTEXT,
@@ -598,16 +587,12 @@ class _SectionDriver:
         return tuple(out)
 
     def _sequential_entries(self, ctx: RawContext):
-        from .presentation import is_sequential_flat_context
-
         seq = is_sequential_flat_context(self.kind, ctx)
         if seq is None:
             raise NotAcceptable("the section construction needs sequential contexts")
         return seq
 
     def _intro_premise(self, rule: RawRule, meta: int) -> int:
-        from .metatheory import check_tight
-
         return check_tight(rule).premise_of_arg[meta]
 
     def _sub_arity_len(self, rule: RawRule, k: int) -> int:
@@ -671,8 +656,6 @@ class _SectionDriver:
         return SymApp(genapp_c.sym, tuple(new_args), gamma, TY)
 
     def _declared_position(self, j: int, gamma: int) -> int:
-        from .presentation import _declared_position
-
         return _declared_position(self.kind, j, gamma)
 
     def _promote_slot(self, rule, slot: Expr, k: int, gamma: int, sub: int) -> Expr:
@@ -724,10 +707,7 @@ class _SectionDriver:
                 table[self._declared_position(j, gamma)] = MetaApp(sub + j, (), 0, TM)
             f = Substitution(0, gamma, tuple(table))
             typings = tuple(Hyp(k + j) for j in range(gamma))
-            return Structural(
-                SubstInst(f, EMPTY_CONTEXT, frozenset(), sub_j),
-                (Hyp(intro),) + typings,
-            )
+            return SubstInst(f, EMPTY_CONTEXT, frozenset(), sub_j, (Hyp(intro),) + typings)
         if gamma == 0:
             w = self.witnesses.get(self.theory.rule_name(self.beta_of_rule(rule)))
             if w is not None:

@@ -8,9 +8,9 @@ whose outputs re-check against the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import derive
+from . import derive, rules
 from .errors import (
     KernelError,
     MissingWitness,
@@ -28,17 +28,19 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
+    instantiate_context,
     is_type,
     presuppositions,
 )
 from .rules import (
+    BUILTIN_RULES,
     CONVERSION_RULES,
-    EQUIVALENCE_RULES,
     RawRule,
+    acts_trivially,
     congruence_rule,
     generic_application,
 )
-from .scopes import Renaming, inl_renaming
+from .scopes import Renaming, extend_renaming, inl_renaming
 from .syntax import (
     Arity,
     Expr,
@@ -57,14 +59,11 @@ from .syntax import (
     substitute_expr,
 )
 from .theories import (
-    ConvInst,
-    EquivInst,
     EqSubstInst,
     Hyp,
     RawTypeTheory,
+    RuleInst,
     RuleWitnesses,
-    Specific,
-    Structural,
     SubstInst,
     TheoryDerivation,
     TheoryWitnesses,
@@ -226,7 +225,7 @@ def _log(diagnostics: list[str] | None, msg: str) -> None:
 
 
 def _structural_witnesses() -> tuple[list[RuleWitnesses], list[RuleWitnesses]]:
-    """Presupposition witnesses for the eight structural raw rules.
+    """Presupposition witnesses for the eight built-in raw rules.
 
     Each conclusion/premise presupposition is a hypothesis outright, except
     the two sides of the equality-conversion conclusion, which convert.
@@ -288,6 +287,7 @@ def _structural_witnesses() -> tuple[list[RuleWitnesses], list[RuleWitnesses]]:
 
 
 EQUIVALENCE_WITNESSES, CONVERSION_WITNESSES = _structural_witnesses()
+BUILTIN_WITNESSES = dict(zip(BUILTIN_RULES, EQUIVALENCE_WITNESSES + CONVERSION_WITNESSES))
 
 
 # --- acceptability ------------------------------------------------------------
@@ -374,33 +374,11 @@ def require_substitutive(theory: RawTypeTheory) -> None:
 
 def graft_theory(d: TheoryDerivation, fillers: tuple[TheoryDerivation, ...]) -> TheoryDerivation:
     """Replace hypothesis leaves by the corresponding filler derivations."""
-    match d:
-        case Hyp(index=k):
-            if not 0 <= k < len(fillers):
-                raise MissingWitness(f"no filler for hypothesis {k}")
-            return fillers[k]
-        case Structural(instance=data, children=children):
-            return Structural(data, tuple(graft_theory(c, fillers) for c in children))
-        case Specific(rule=r, inst=i, context=g, children=children):
-            return Specific(r, i, g, tuple(graft_theory(c, fillers) for c in children))
-    raise TypeError(f"not a derivation node: {d!r}")
-
-
-def _rule_witnesses_for_node(
-    theory: RawTypeTheory, witnesses: TheoryWitnesses, node
-) -> tuple[RawRule, RuleWitnesses]:
-    match node:
-        case Specific(rule=r):
-            rule = theory.rule(r)
-            w = witnesses.get(theory.rule_name(r))
-            if w is None:
-                raise MissingWitness(f"no presupposition witnesses for rule {theory.rule_name(r)}")
-            return rule, w
-        case Structural(instance=EquivInst(which=w_)):
-            return EQUIVALENCE_RULES[w_], EQUIVALENCE_WITNESSES[w_]
-        case Structural(instance=ConvInst(which=w_)):
-            return CONVERSION_RULES[w_], CONVERSION_WITNESSES[w_]
-    raise TypeError(f"node cites no raw rule: {node!r}")
+    if isinstance(d, Hyp):
+        if not 0 <= d.index < len(fillers):
+            raise MissingWitness(f"no filler for hypothesis {d.index}")
+        return fillers[d.index]
+    return replace(d, children=tuple(graft_theory(c, fillers) for c in d.children))
 
 
 def derive_presuppositions(
@@ -416,35 +394,33 @@ def derive_presuppositions(
     Hypothesis leaves are only allowed if ``hyp_presups`` supplies
     derivations of the presuppositions of each hypothesis.
     """
-    kind = theory.kind
-
     def go(node: TheoryDerivation) -> tuple[TheoryDerivation, ...]:
         match node:
             case Hyp(index=k):
                 if hyp_presups is None:
                     raise MissingWitness("presuppositions of a hypothesis are not derivable")
                 return hyp_presups[k]
-            case Structural(instance=VariableInst(), children=children):
+            case VariableInst(children=children):
                 return (children[0],)
-            case Structural(instance=SubstInst(subst=f, context=tgt, trivial=K, judgement=jj), children=children):
+            case SubstInst(judgement=jj, children=children):
                 sub_presups = go(children[0])
-                out = []
-                for p, pj in enumerate(presuppositions(jj)):
-                    out.append(
-                        Structural(
-                            SubstInst(f, tgt, K, pj), (sub_presups[p],) + tuple(children[1:])
-                        )
-                    )
-                return tuple(out)
-            case Structural(instance=EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj), children=children):
+                return tuple(
+                    replace(node, judgement=pj, children=(sub_presups[p],) + children[1:])
+                    for p, pj in enumerate(presuppositions(jj))
+                )
+            case EqSubstInst():
                 return _eq_subst_presups(theory, node, go)
-            case Structural() | Specific():
-                rule, rw = _rule_witnesses_for_node(theory, witnesses, node)
-                _, inst, ctx = _rule_instance(theory, node)
-                n = len(rule.premises)
-                fillers = list(node.children)
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
+                if isinstance(ref, int):
+                    rw = witnesses.get(theory.rule_name(ref))
+                    if rw is None:
+                        raise MissingWitness(f"no presupposition witnesses for rule {theory.rule_name(ref)}")
+                else:
+                    rw = BUILTIN_WITNESSES[ref]
+                fillers = list(children)
                 for j, premise in enumerate(rule.premises):
-                    child_presups = go(node.children[j]) if presuppositions(premise) else ()
+                    child_presups = go(children[j]) if presuppositions(premise) else ()
                     fillers.extend(child_presups)
                 out = []
                 for p in range(len(presuppositions(rule.conclusion))):
@@ -456,7 +432,7 @@ def derive_presuppositions(
                     lowered = instantiate_derivation(theory, inst, ctx, w, ambient)
                     out.append(graft_theory(lowered, tuple(fillers)))
                 return tuple(out)
-        raise TypeError(f"not a derivation node: {d!r}")
+        raise TypeError(f"not a derivation node: {node!r}")
 
     return go(d)
 
@@ -464,15 +440,14 @@ def derive_presuppositions(
 def _eq_subst_presups(theory, node, go):
     """Presuppositions at an equality-substitution node, per the theorem's proof."""
     kind = theory.kind
-    data = node.instance
-    f, g, tgt, K, jj = data.left, data.right, data.context, data.trivial, data.judgement
+    f, g, tgt, K, jj = node.left, node.right, node.context, node.trivial, node.judgement
     children = node.children
     unchecked = [i for i in range(jj.context.scope) if i not in K]
     f_typ = tuple(children[1 + 3 * k] for k in range(len(unchecked)))
     g_typ = tuple(children[2 + 3 * k] for k in range(len(unchecked)))
 
     def subst_node(h, target_j, d_target, typings):
-        return Structural(SubstInst(h, tgt, K, target_j), (d_target,) + tuple(typings))
+        return SubstInst(h, tgt, K, target_j, (d_target,) + tuple(typings))
 
     if jj.form is JudgementForm.IS_TY:
         d_fa = subst_node(f, jj, children[0], f_typ)
@@ -487,7 +462,7 @@ def _eq_subst_presups(theory, node, go):
     d_gA = subst_node(g, ja, d_a, g_typ)
     d_ft = subst_node(f, jj, children[0], f_typ)
     d_gt = subst_node(g, jj, children[0], g_typ)
-    d_eqA = Structural(EqSubstInst(f, g, tgt, K, ja), (d_a,) + tuple(children[1:]))
+    d_eqA = EqSubstInst(f, g, tgt, K, ja, (d_a,) + tuple(children[1:]))
     fa = substitute_expr(kind, f, a)
     ga = substitute_expr(kind, g, a)
     gt = substitute_expr(kind, g, t)
@@ -499,10 +474,7 @@ def _eq_subst_presups(theory, node, go):
 # --- admissibility of renaming -------------------------------------------------
 
 def is_substitution_free(d: TheoryDerivation) -> bool:
-    return not any(
-        isinstance(n, Structural) and isinstance(n.instance, (SubstInst, EqSubstInst))
-        for n in derivation_nodes(d)
-    )
+    return not any(isinstance(n, (SubstInst, EqSubstInst)) for n in derivation_nodes(d))
 
 
 def rename_inst(kind, r: Renaming, inst: Instantiation) -> Instantiation:
@@ -533,58 +505,28 @@ def rename_derivation(
                 if rn.is_identity():
                     return node
                 raise MissingWitness("cannot rename a hypothesis")
-            case Structural(instance=VariableInst(context=ctx, pos=i), children=children):
+            case VariableInst(context=ctx, pos=i, children=children):
                 _check_type_respecting(kind, rn, ctx, tgt)
-                return Structural(
-                    VariableInst(tgt, rn(i)), (go(children[0], rn, tgt),)
-                )
-            case Structural() | Specific():
-                rule, inst, ctx = _rule_instance(theory, node)
+                return VariableInst(tgt, rn(i), (go(children[0], rn, tgt),))
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
                 _check_type_respecting(kind, rn, ctx, tgt)
                 new_inst = rename_inst(kind, rn, inst)
                 new_children = []
-                from .judgements import instantiate_context
-                from .scopes import extend_renaming
-
                 for j, premise in enumerate(rule.premises):
                     psi = premise.context.scope
                     child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
                     child_rn = extend_renaming(kind, rn, psi)
-                    new_children.append(go(node.children[j], child_rn, child_tgt))
-                return _rebuild(node, new_inst, tgt, tuple(new_children))
+                    new_children.append(go(children[j], child_rn, child_tgt))
+                return RuleInst(ref, new_inst, tgt, tuple(new_children))
         raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
 
     return go(d, r, target)
 
 
-def _rule_instance(theory, node) -> tuple[RawRule, Instantiation, RawContext]:
-    """The raw rule a rule-instance node cites, with its instantiation and context."""
-    match node:
-        case Specific(rule=r, inst=i, context=g):
-            return theory.rule(r), i, g
-        case Structural(instance=EquivInst(which=w, inst=i, context=g)):
-            return EQUIVALENCE_RULES[w], i, g
-        case Structural(instance=ConvInst(which=w, inst=i, context=g)):
-            return CONVERSION_RULES[w], i, g
-    raise TypeError(node)
-
-
-def _rebuild(node, inst, ctx, children):
-    match node:
-        case Specific(rule=r):
-            return Specific(r, inst, ctx, children)
-        case Structural(instance=EquivInst(which=w)):
-            return Structural(EquivInst(w, inst, ctx), children)
-        case Structural(instance=ConvInst(which=w)):
-            return Structural(ConvInst(w, inst, ctx), children)
-    raise TypeError(node)
-
-
 # --- admissibility of substitution ----------------------------------------------
 
 def _check_trivial_action(kind, f, target, source, positions):
-    from .rules import acts_trivially
-
     for i in sorted(positions):
         if not acts_trivially(kind, f, target, source, i):
             raise TrivialityViolated(i)
@@ -614,23 +556,19 @@ def substitute_derivation(
                 if fs == Substitution.identity(fs.src):
                     return node
                 raise MissingWitness("cannot substitute into a hypothesis")
-            case Structural(instance=VariableInst(context=ctx, pos=i), children=children):
+            case VariableInst(context=ctx, pos=i, children=children):
                 _check_trivial_action(kind, fs, tgt, ctx, K)
                 if i in K:
                     image = fs(i)
-                    return Structural(
-                        VariableInst(tgt, image.pos), (go(children[0], fs, tgt, K, typ),)
-                    )
+                    return VariableInst(tgt, image.pos, (go(children[0], fs, tgt, K, typ),))
                 if i not in typ:
                     raise MissingWitness(f"no typing derivation for position {i}")
                 return typ[i]
-            case Structural() | Specific():
-                rule, inst, ctx = _rule_instance(theory, node)
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
                 _check_trivial_action(kind, fs, tgt, ctx, K)
                 new_inst = subst_act_inst(kind, fs, inst)
                 new_children = []
-                from .judgements import instantiate_context
-
                 for j, premise in enumerate(rule.premises):
                     psi = premise.context.scope
                     child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
@@ -648,8 +586,8 @@ def substitute_derivation(
                         )
                         for i, dv in typ.items()
                     } if psi else dict(typ)
-                    new_children.append(go(node.children[j], child_f, child_tgt, child_K, child_typ))
-                return _rebuild(node, new_inst, tgt, tuple(new_children))
+                    new_children.append(go(children[j], child_f, child_tgt, child_K, child_typ))
+                return RuleInst(ref, new_inst, tgt, tuple(new_children))
         raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
 
     return go(d, f, target, trivial, dict(typings))
@@ -701,7 +639,7 @@ def substitute_equal_derivation(
         match node:
             case Hyp():
                 raise MissingWitness("cannot substitute into a hypothesis")
-            case Structural(instance=VariableInst(context=ctx, pos=i), children=children):
+            case VariableInst(context=ctx, pos=i, children=children):
                 _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
                 if i not in K:
                     if i not in tris:
@@ -713,30 +651,28 @@ def substitute_equal_derivation(
                 ga = substitute_expr(kind, gs, ctx.type_at(i))
                 x = Var(j, tgt.scope)
                 if tgt.type_at(j) == fa:
-                    dvar = Structural(VariableInst(tgt, j), (d_fa,))
+                    dvar = VariableInst(tgt, j, (d_fa,))
                     d_f = dvar
                     d_g = derive.conv(tgt, fa, ga, x, d_fa, d_ga, dvar, d_ea)
                     d_e = derive.refl_tm(tgt, fa, x, d_fa, dvar)
                 else:
-                    dvar = Structural(VariableInst(tgt, j), (d_ga,))
+                    dvar = VariableInst(tgt, j, (d_ga,))
                     d_sym = derive.sym_ty(tgt, fa, ga, d_fa, d_ga, d_ea)
                     d_f = derive.conv(tgt, ga, fa, x, d_ga, d_fa, dvar, d_sym)
                     d_g = dvar
                     refl = derive.refl_tm(tgt, ga, x, d_ga, dvar)
                     d_e = derive.conv_eq(tgt, ga, fa, x, x, d_ga, d_fa, dvar, dvar, refl, d_sym)
                 return d_f, d_g, d_e
-            case Structural() | Specific():
-                rule, inst, ctx = _rule_instance(theory, node)
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
                 _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
                 i_f = subst_act_inst(kind, fs, inst)
                 i_g = subst_act_inst(kind, gs, inst)
-                from .judgements import instantiate_context
-
                 f_children, g_children, eq_components = [], [], []
                 for j, premise in enumerate(rule.premises):
                     psi = premise.context.scope
                     if psi == 0:
-                        tri = go(node.children[j], fs, gs, tgt, K, tris)
+                        tri = go(children[j], fs, gs, tgt, K, tris)
                         f_children.append(tri[0])
                         g_children.append(tri[1])
                         eq_components.append(tri[2])
@@ -762,13 +698,13 @@ def substitute_equal_derivation(
                         kind.inl(fs.dst, psi, i): tuple(lift(tgt_g, dv) for dv in t3)
                         for i, t3 in tris.items()
                     }
-                    tri_f = go(node.children[j], child_f, child_g, tgt_f, child_K, tris_f)
-                    tri_g = go(node.children[j], child_f, child_g, tgt_g, child_K, tris_g)
+                    tri_f = go(children[j], child_f, child_g, tgt_f, child_K, tris_f)
+                    tri_g = go(children[j], child_f, child_g, tgt_g, child_K, tris_g)
                     f_children.append(tri_f[0])
                     g_children.append(tri_g[1])
                     eq_components.append(tri_f[2])
-                d_f = _rebuild(node, i_f, tgt, tuple(f_children))
-                d_g = _rebuild(node, i_g, tgt, tuple(g_children))
+                d_f = RuleInst(ref, i_f, tgt, tuple(f_children))
+                d_g = RuleInst(ref, i_g, tgt, tuple(g_children))
                 conclusion_form = rule.conclusion.form
                 if not conclusion_form.is_object:
                     return d_f, d_g, None
@@ -787,15 +723,15 @@ def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
     """The (f == g)-image at an object-rule node: congruence rule for specific
     rules, conversion bookkeeping for the term-conversion rule."""
     kind = theory.kind
-    match node:
-        case Specific(rule=r):
+    match node.ref:
+        case int() as r:
             cidx = cong_index(r)
             ii = concat_inst(i_f, i_g)
             children = list(f_children) + list(g_children)
             for k in rule.object_premises():
                 children.append(eq_components[k])
-            return Specific(cidx, ii, tgt, tuple(children))
-        case Structural(instance=ConvInst(which=0)):
+            return RuleInst(cidx, ii, tgt, tuple(children))
+        case rules.CONV_TM:
             # premises A, B, s : A, A == B; conclusion s : B
             t0 = (f_children[0], g_children[0], eq_components[0])
             t1 = (f_children[1], g_children[1], eq_components[1])
@@ -815,8 +751,7 @@ def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
 
 
 def _conv_meta(i: int) -> MetaApp:
-    rule = CONVERSION_RULES[0]
-    return MetaApp(i, (), 0, rule.arity[i].cls)
+    return MetaApp(i, (), 0, rules.CONV_TM.rule.arity[i].cls)
 
 
 # --- elimination of substitution --------------------------------------------------
@@ -834,12 +769,12 @@ def eliminate_substitution(
         match node:
             case Hyp():
                 return node
-            case Structural(instance=SubstInst(subst=f, context=tgt, trivial=K, judgement=jj), children=children):
+            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj, children=children):
                 new_children = [go(c) for c in children]
                 unchecked = [i for i in range(jj.context.scope) if i not in K]
                 typings = {i: new_children[1 + k] for k, i in enumerate(unchecked)}
                 return substitute_derivation(theory, f, tgt, K, typings, new_children[0], ambient)
-            case Structural(instance=EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj), children=children):
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj, children=children):
                 new_children = [go(c) for c in children]
                 unchecked = [i for i in range(jj.context.scope) if i not in K]
                 triples = {
@@ -850,11 +785,7 @@ def eliminate_substitution(
                     theory, f, g, tgt, K, triples, new_children[0], ambient
                 )
                 return d_eq
-            case Structural(instance=data, children=children):
-                return Structural(data, tuple(go(c) for c in children))
-            case Specific(rule=r, inst=i, context=ctx, children=children):
-                return Specific(r, i, ctx, tuple(go(c) for c in children))
-        raise TypeError(f"not a derivation node: {node!r}")
+        return replace(node, children=tuple(go(c) for c in node.children))
 
     return go(d)
 
@@ -879,24 +810,23 @@ def unique_typing(
 
     def type_of(node) -> Expr:
         match node:
-            case Structural(instance=VariableInst(context=ctx, pos=i)):
+            case VariableInst(context=ctx, pos=i):
                 return ctx.type_at(i)
-            case Structural(instance=ConvInst(which=0, inst=inst)):
+            case RuleInst(ref=rules.CONV_TM, inst=inst):
                 return inst.exprs[1]
-            case Specific(rule=r, inst=inst):
+            case RuleInst(ref=int() as r, inst=inst):
                 c = theory.rule(r).conclusion
                 return instantiate_expr(kind, inst, c.boundary[0])
         raise NotTight(f"no term-judgement type at {node!r}")
 
     def conv_parts(node):
         # children: A' type, A type, s : A', A' == A; instantiation (A', A, s)
-        inst = node.instance.inst
-        return node.children, inst.exprs[0], inst.exprs[1]
+        return node.children, node.inst.exprs[0], node.inst.exprs[1]
 
     def go(e1, da, e2, db):
-        ctx = _conclusion_context(e1)
+        ctx = e1.context
         match e1:
-            case Structural(instance=ConvInst(which=0)):
+            case RuleInst(ref=rules.CONV_TM):
                 (ca_p, ca, ct, ceq), a_prime, a = conv_parts(e1)
                 inner = go(ct, ca_p, e2, db)
                 b = type_of(e2)
@@ -905,7 +835,7 @@ def unique_typing(
             case _:
                 pass
         match e2:
-            case Structural(instance=ConvInst(which=0)):
+            case RuleInst(ref=rules.CONV_TM):
                 (cb_p, cb, ct, ceq), b_prime, b = conv_parts(e2)
                 inner = go(e1, da, ct, cb_p)
                 a = type_of(e1)
@@ -913,14 +843,11 @@ def unique_typing(
             case _:
                 pass
         match e1, e2:
-            case (
-                Structural(instance=VariableInst(pos=i)),
-                Structural(instance=VariableInst(pos=j)),
-            ):
+            case (VariableInst(pos=i), VariableInst(pos=j)):
                 if i != j:
                     raise NotTight("the two derivations type different variables")
                 return derive.refl_ty(ctx, type_of(e1), da)
-            case (Specific(rule=r1, inst=i1), Specific(rule=r2, inst=i2)):
+            case (RuleInst(ref=int() as r1, inst=i1), RuleInst(ref=int() as r2, inst=i2)):
                 if r1 != r2:
                     raise NotTight("the two derivations cite different symbol rules")
                 if i1 != i2:
@@ -929,19 +856,6 @@ def unique_typing(
         raise NotTight(f"unexpected node pair {type(e1).__name__}/{type(e2).__name__}")
 
     return go(d1, d_a, d2, d_b)
-
-
-def _conclusion_context(node) -> RawContext:
-    match node:
-        case Structural(instance=VariableInst(context=ctx)):
-            return ctx
-        case Structural(instance=EquivInst(context=ctx)) | Structural(instance=ConvInst(context=ctx)):
-            return ctx
-        case Specific(context=ctx):
-            return ctx
-        case Structural(instance=SubstInst(context=ctx)) | Structural(instance=EqSubstInst(context=ctx)):
-            return ctx
-    raise TypeError(f"no conclusion context at {node!r}")
 
 
 def unique_typing_acceptable(
@@ -995,11 +909,11 @@ def invert(
 
     def go(node):
         match node:
-            case Structural(instance=VariableInst(context=ctx, pos=i), children=children):
+            case VariableInst(context=ctx, pos=i, children=children):
                 a = ctx.type_at(i)
                 refl = derive.refl_ty(ctx, a, children[0])
                 return derive.conv(ctx, a, a, Var(i, ctx.scope), children[0], children[0], node, refl)
-            case Specific(rule=r, inst=inst, context=ctx):
+            case RuleInst(ref=int() as r, inst=inst, context=ctx):
                 conclusion = theory.rule(r).conclusion
                 if conclusion.form is JudgementForm.IS_TY:
                     return node
@@ -1010,11 +924,11 @@ def invert(
                 d_natty = derive_presuppositions(theory, node, witnesses, ambient)[0]
                 refl = derive.refl_ty(ctx, natty, d_natty)
                 return derive.conv(ctx, natty, natty, head, d_natty, d_natty, node, refl)
-            case Structural(instance=ConvInst(which=0, inst=inst, context=ctx), children=children):
+            case RuleInst(ref=rules.CONV_TM, inst=inst, context=ctx, children=children):
                 c_bp, c_b, c_t, c_eq = children
                 b_prime, b, term = inst.exprs
                 rec = go(c_t)
-                r_natty, _, r_term = rec.instance.inst.exprs
+                r_natty, _, r_term = rec.inst.exprs
                 r_dn, r_dbp, r_dt, r_deq = rec.children
                 merged = derive.trans_ty(
                     ctx, r_natty, b_prime, b, r_dn, c_bp, c_b, r_deq, c_eq
@@ -1031,13 +945,11 @@ def is_canonical_inversion(theory: RawTypeTheory, d: TheoryDerivation) -> bool:
     """Shape test: one top conversion over a variable/symbol node at the
     natural type (term case), or a symbol-rule root (type case)."""
     match d:
-        case Specific(rule=r):
+        case RuleInst(ref=int() as r):
             return theory.rule(r).conclusion.form is JudgementForm.IS_TY
-        case Structural(instance=ConvInst(which=0, inst=inst, context=ctx), children=children):
+        case RuleInst(ref=rules.CONV_TM, inst=inst, context=ctx, children=children):
             left = children[2]
-            if not isinstance(left, (Structural, Specific)):
-                return False
-            if isinstance(left, Structural) and not isinstance(left.instance, VariableInst):
+            if not (isinstance(left, VariableInst) or isinstance(left, RuleInst) and isinstance(left.ref, int)):
                 return False
             term = inst.exprs[2]
             try:
@@ -1084,13 +996,13 @@ def rule_symbols(rule: RawRule) -> frozenset[int]:
 def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozenset[int]]:
     """(symbols, specific rule indices) a derivation's nodes mention."""
     syms: frozenset[int] = frozenset()
-    rules: frozenset[int] = frozenset()
+    cited: frozenset[int] = frozenset()
     for node in derivation_nodes(d):
-        if isinstance(node, Specific):
-            rules |= {node.rule}
+        if isinstance(node, RuleInst) and isinstance(node.ref, int):
+            cited |= {node.ref}
         for e in node_exprs(node):
             syms |= expr_symbols(e)
-    return syms, rules
+    return syms, cited
 
 
 @dataclass

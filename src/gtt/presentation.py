@@ -9,10 +9,11 @@ congruence rules of object rules, and re-checks everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     ArityMismatch,
+    NoBijection,
     ScopeMismatch,
     StageViolation,
     SymbolArityMismatch,
@@ -31,7 +32,7 @@ from .judgements import (
     complete_boundary,
     is_type,
 )
-from .metatheory import AcceptabilityReport, check_acceptable_theory
+from .metatheory import AcceptabilityReport, check_acceptable_theory, check_tight
 from .rules import RawRule, congruence_rule, generic_application
 from .scopes import Renaming, ScopeKind, inl_renaming
 from .syntax import (
@@ -45,6 +46,7 @@ from .syntax import (
     TM,
     TY,
     Var,
+    expr_symbols,
     mv_extend_signature,
     rename_expr,
     validate_expr,
@@ -53,8 +55,6 @@ from .theories import (
     Hyp,
     RawTypeTheory,
     RuleWitnesses,
-    Specific,
-    Structural,
     TheoryDerivation,
     TheoryWitnesses,
     check_theory_derivation,
@@ -530,9 +530,6 @@ def realise_rule_boundary(
 def is_sequential_rule(rule: RawRule) -> bool:
     """The provisional validator: tight, and each premise uses only
     metavariables introduced by strictly earlier premises."""
-    from .metatheory import check_tight
-    from .errors import NoBijection
-
     try:
         beta = check_tight(rule)
     except NoBijection:
@@ -670,8 +667,6 @@ def elaborate_theory(
 
 def _check_stage_symbols(sig: Signature, rs: TheoryRuleSpec, allowed: set[int]) -> None:
     used: set[int] = set()
-    from .syntax import expr_symbols
-
     for seq, slots in rs.boundary.premises.boundaries:
         for t in seq:
             used |= expr_symbols(t)
@@ -706,11 +701,6 @@ def _boundary_to_rule_witnesses(
 
 
 def _renumber_hyps(d: TheoryDerivation, table: dict[int, int]) -> TheoryDerivation:
-    match d:
-        case Hyp(index=k):
-            return Hyp(table[k])
-        case Structural(instance=data, children=children):
-            return Structural(data, tuple(_renumber_hyps(c, table) for c in children))
-        case Specific(rule=r, inst=i, context=g, children=children):
-            return Specific(r, i, g, tuple(_renumber_hyps(c, table) for c in children))
-    raise TypeError(d)
+    if isinstance(d, Hyp):
+        return Hyp(table[d.index])
+    return replace(d, children=tuple(_renumber_hyps(c, table) for c in d.children))

@@ -215,7 +215,7 @@ def equality_substitution_rule(
     return ClosureRule(tuple(premises), conclusion)
 
 
-# --- the eight structural raw rules -----------------------------------------
+# --- the eight built-in raw rules --------------------------------------------
 #
 # These use no symbols, so one tree serves every signature; scopes in them
 # are all zero, so they are also independent of the scope kind.
@@ -299,11 +299,26 @@ def _conversion_rules() -> tuple[RawRule, ...]:
 EQUIVALENCE_RULES = _equivalence_rules()
 CONVERSION_RULES = _conversion_rules()
 
-EQUIV_TY_REFL, EQUIV_TY_SYM, EQUIV_TY_TRANS, EQUIV_TM_REFL, EQUIV_TM_SYM, EQUIV_TM_TRANS = range(6)
-CONV_TM, CONV_EQ = range(2)
 
-EQUIVALENCE_RULE_NAMES = ("ty-refl", "ty-sym", "ty-trans", "tm-refl", "tm-sym", "tm-trans")
-CONVERSION_RULE_NAMES = ("conv", "conv-eq")
+@dataclass(frozen=True, eq=False)
+class BuiltinRule:
+    """A built-in rule as a derivation node cites it: its wire family
+    (``"equiv"`` or ``"conv"``), its wire name and the raw rule.  There is
+    one object per rule, and it equals only itself."""
+
+    family: str
+    name: str
+    rule: RawRule = field(repr=False)
+
+
+EQUIV_TY_REFL, EQUIV_TY_SYM, EQUIV_TY_TRANS, EQUIV_TM_REFL, EQUIV_TM_SYM, EQUIV_TM_TRANS = (
+    BuiltinRule("equiv", name, rule)
+    for name, rule in zip(("ty-refl", "ty-sym", "ty-trans", "tm-refl", "tm-sym", "tm-trans"), EQUIVALENCE_RULES)
+)
+CONV_TM, CONV_EQ = (BuiltinRule("conv", name, rule) for name, rule in zip(("conv", "conv-eq"), CONVERSION_RULES))
+BUILTIN_RULES = (
+    EQUIV_TY_REFL, EQUIV_TY_SYM, EQUIV_TY_TRANS, EQUIV_TM_REFL, EQUIV_TM_SYM, EQUIV_TM_TRANS, CONV_TM, CONV_EQ,
+)
 
 
 # --- congruence rules --------------------------------------------------------

@@ -8,13 +8,22 @@ structurally.  The typed checker is the closure-system loop
 derivation of a raw type theory is a derivation in its associated closure
 system, whose judgements are well formed over the signature.
 
+A derivation has five kinds of node.  ``RuleInst`` instantiates a raw
+rule, either a rule of the theory or one of the eight built-in
+equivalence and conversion rules of ``rules``; ``VariableInst``,
+``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
+``Hyp`` cites a hypothesis.  ``map_node`` is the one map over the data of
+a node, and ``map_derivation_exprs`` lifts it to trees: translation along
+a signature map, relabelling into a copy of a metavariable segment, and
+the structural part of applying a syntax map all go through it.
+
 Well-formedness is a property of the whole tree, so each expression is
 validated once, where it enters, and elsewhere by equality:
 
 - the root's conclusion is validated once (``validate_judgement``);
-- a node's context is its conclusion's context: for the five structural
-  kinds, and for a rule whose conclusion has an empty context (every
-  bundled rule and the eight structural rules) it is the same object.
+- a node's context is its conclusion's context: for a variable or
+  substitution node, and for a rule whose conclusion has an empty context
+  (every bundled rule and the eight built-in rules) it is the same object.
   Under a rule whose conclusion has a context it enters the conclusion
   weakened.  Weakening (``syntax._shift``) adds the same amount to every
   scope field and to every variable at or above its cut, and below
@@ -28,18 +37,14 @@ validated once, where it enters, and elsewhere by equality:
   rule may expose that term below it, so nothing else would see it.
 
 Induction from the root, for a theory whose rules are well formed over
-their metavariable extensions: each node's conclusion is valid (the root's
-by validation, a child's by equality with its parent's premise).  So are
-its context and its exposed entries, which the conclusion contains, and
-the rest of its data is validated explicitly.  Its premises, built from
+their metavariable extensions (``RawTypeTheory`` validates them when it
+is built): each node's conclusion is valid (the root's by validation, a
+child's by equality with its parent's premise).  So are its context and
+its exposed entries, which the conclusion contains, and the rest of its
+data is validated explicitly.  Its premises, built from
 valid data by instantiation and substitution, are then valid, and so is
 each child's conclusion, which equals one of them.  A hypothesis leaf is
 compared with a valid premise and needs nothing more.
-
-``map_derivation_exprs`` (with ``map_instance`` for one structural node)
-is the one map over the data of derivation nodes: translation along a
-signature map, relabelling into a copy of a metavariable segment, and
-the structural part of applying a syntax map all go through it.
 
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
 derivations over a raw theory, so it is defined here: the raw layer reads
@@ -52,9 +57,9 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
 from .foundations import ClosureRule, GHyp, check_derivation
@@ -81,8 +86,7 @@ from .judgements import (
     validate_judgement,
 )
 from .rules import (
-    CONVERSION_RULES,
-    EQUIVALENCE_RULES,
+    BuiltinRule,
     RawRule,
     equality_substitution_rule,
     instantiate_rule,
@@ -101,15 +105,22 @@ class RawTypeTheory:
     def __post_init__(self):
         if self.rule_names and len(self.rule_names) != len(self.rules):
             raise ArityMismatch("rule name list does not match rule count")
+        for rule in self.rules:
+            ext = mv_extend_signature(self.signature, rule.arity)
+            for j in rule.premises + (rule.conclusion,):
+                validate_judgement(ext, j)
 
     @property
     def kind(self) -> ScopeKind:
         return self.signature.kind
 
-    def rule(self, i: int) -> RawRule:
-        if not 0 <= i < len(self.rules):
-            raise IndexOutOfRange(f"rule {i} of {len(self.rules)}")
-        return self.rules[i]
+    def rule(self, ref: int | BuiltinRule) -> RawRule:
+        """The raw rule a node cites: a built-in rule, or rule ``ref`` of the theory."""
+        if isinstance(ref, BuiltinRule):
+            return ref.rule
+        if not 0 <= ref < len(self.rules):
+            raise IndexOutOfRange(f"rule {ref} of {len(self.rules)}")
+        return self.rules[ref]
 
     def rule_name(self, i: int) -> str:
         return self.rule_names[i] if self.rule_names else f"rule{i}"
@@ -122,6 +133,10 @@ class RawTypeTheory:
 
 
 # --- derivation nodes --------------------------------------------------------
+#
+# Each node other than a hypothesis carries a context (its conclusion's) and
+# its children in premise order; ``EXPR_FIELDS`` names the fields that hold
+# expressions, which is all ``map_node`` needs to know of a node kind.
 
 @dataclass(frozen=True)
 class Hyp(GHyp):
@@ -129,23 +144,23 @@ class Hyp(GHyp):
 
 
 @dataclass(frozen=True)
+class RuleInst:
+    """An instance of a raw rule: ``ref`` is a rule index of the theory or
+    one of the eight built-in rules of ``rules`` (``BUILTIN_RULES``)."""
+
+    ref: int | BuiltinRule
+    inst: Instantiation
+    context: RawContext
+    children: tuple
+    EXPR_FIELDS = ("inst", "context")
+
+
+@dataclass(frozen=True)
 class VariableInst:
     context: RawContext
     pos: int
-
-
-@dataclass(frozen=True)
-class EquivInst:
-    which: int
-    inst: Instantiation
-    context: RawContext
-
-
-@dataclass(frozen=True)
-class ConvInst:
-    which: int
-    inst: Instantiation
-    context: RawContext
+    children: tuple
+    EXPR_FIELDS = ("context",)
 
 
 @dataclass(frozen=True)
@@ -154,6 +169,8 @@ class SubstInst:
     context: RawContext          # the target context the conclusion lives in
     trivial: frozenset[int]      # positions of the source context not re-checked
     judgement: Judgement         # the judgement being substituted into
+    children: tuple
+    EXPR_FIELDS = ("subst", "context", "judgement")
 
 
 @dataclass(frozen=True)
@@ -163,26 +180,11 @@ class EqSubstInst:
     context: RawContext
     trivial: frozenset[int]
     judgement: Judgement
-
-
-StructuralData = VariableInst | EquivInst | ConvInst | SubstInst | EqSubstInst
-
-
-@dataclass(frozen=True)
-class Structural:
-    instance: StructuralData
     children: tuple
+    EXPR_FIELDS = ("left", "right", "context", "judgement")
 
 
-@dataclass(frozen=True)
-class Specific:
-    rule: int
-    inst: Instantiation
-    context: RawContext
-    children: tuple
-
-
-TheoryDerivation = Hyp | Structural | Specific
+TheoryDerivation = Hyp | RuleInst | VariableInst | SubstInst | EqSubstInst
 
 
 @dataclass
@@ -209,25 +211,23 @@ def ambient_signature(theory: RawTypeTheory, ambient: Arity | None, names: tuple
     return mv_extend_signature(theory.signature, ambient, names)
 
 
-def closure_rule_of_structural(sig: Signature, data: StructuralData) -> ClosureRule:
-    """Recompute the closure rule cited by a structural node.
+def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDerivation) -> ClosureRule:
+    """Recompute the closure rule a node cites.
 
     The node's context is its conclusion's, and the entries the conclusion
     shows are in it verbatim: only the rest of the data is validated here
     (see the module docstring).
     """
     kind = sig.kind
-    match data:
+    match node:
+        case RuleInst(ref=ref, inst=inst, context=ctx):
+            rule = theory.rule(ref)
+            for m, slot in enumerate(inst.arity):
+                if m not in rule.exposed:
+                    validate_expr(sig, inst(m), sum_scope(inst.scope, slot.binder), slot.cls)
+            return instantiate_rule(kind, inst, ctx, rule)
         case VariableInst(context=ctx, pos=i):
             return variable_rule(kind, ctx, i)
-        case EquivInst(which=w, inst=inst, context=ctx):
-            if not 0 <= w < len(EQUIVALENCE_RULES):
-                raise IndexOutOfRange(f"equivalence rule {w}")
-            return _instantiate_rule_checked(sig, inst, ctx, EQUIVALENCE_RULES[w])
-        case ConvInst(which=w, inst=inst, context=ctx):
-            if not 0 <= w < len(CONVERSION_RULES):
-                raise IndexOutOfRange(f"conversion rule {w}")
-            return _instantiate_rule_checked(sig, inst, ctx, CONVERSION_RULES[w])
         case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
             validate_judgement(sig, j)
             _validate_table(sig, f)
@@ -237,29 +237,12 @@ def closure_rule_of_structural(sig: Signature, data: StructuralData) -> ClosureR
             _validate_table(sig, f)
             _validate_table(sig, g)
             return equality_substitution_rule(kind, f, g, ctx, K, j)
-    raise TypeError(f"not a structural instance: {data!r}")
-
-
-def _instantiate_rule_checked(sig: Signature, inst: Instantiation, ctx: RawContext, rule: RawRule) -> ClosureRule:
-    """Instantiate ``rule`` after validating the entries it does not expose."""
-    for m, slot in enumerate(inst.arity):
-        if m not in rule.exposed:
-            validate_expr(sig, inst(m), sum_scope(inst.scope, slot.binder), slot.cls)
-    return instantiate_rule(sig.kind, inst, ctx, rule)
+    raise KernelError(f"not a derivation node: {node!r}")
 
 
 def _validate_table(sig: Signature, f: Substitution) -> None:
     for t in f.table:
         validate_expr(sig, t, f.src, TM)
-
-
-def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDerivation) -> ClosureRule:
-    match node:
-        case Structural(instance=data):
-            return closure_rule_of_structural(sig, data)
-        case Specific(rule=r, inst=inst, context=ctx):
-            return _instantiate_rule_checked(sig, inst, ctx, theory.rule(r))
-    raise KernelError(f"not a derivation node: {node!r}")
 
 
 def check_theory_derivation(
@@ -297,46 +280,24 @@ def derivation_nodes(d: TheoryDerivation):
 
 # --- the data of a node, and maps over it --------------------------------------
 
-def node_exprs(node: TheoryDerivation) -> Iterator[Expr]:
+def map_node(node: TheoryDerivation, fn: Callable[[Expr], Expr], **changes) -> TheoryDerivation:
+    """``node`` with a scope- and class-preserving map applied to every
+    expression of its data, and the other fields as given in ``changes``
+    (``ref``, ``pos``, ``trivial`` and the children stay otherwise)."""
+    return replace(node, **{f: getattr(node, f).map_exprs(fn) for f in node.EXPR_FIELDS}, **changes)
+
+
+def node_exprs(node: TheoryDerivation) -> list[Expr]:
     """Every expression the data of one node carries."""
-    if isinstance(node, Hyp):
-        return
-    data = node.instance if isinstance(node, Structural) else node
-    yield from data.context.types
-    match data:
-        case Specific(inst=inst) | EquivInst(inst=inst) | ConvInst(inst=inst):
-            yield from inst.exprs
-        case SubstInst(subst=f, judgement=j):
-            yield from f.table
-            yield from _judgement_exprs(j)
-        case EqSubstInst(left=f, right=g, judgement=j):
-            yield from f.table + g.table
-            yield from _judgement_exprs(j)
+    out: list[Expr] = []
 
+    def keep(e: Expr) -> Expr:
+        out.append(e)
+        return e
 
-def _judgement_exprs(j: Judgement) -> Iterator[Expr]:
-    yield from j.context.types
-    yield from j.boundary
-    if j.head is not None:
-        yield j.head
-
-
-def map_instance(data: StructuralData, fn: Callable[[Expr], Expr]) -> StructuralData:
-    """Apply a scope- and class-preserving map to every expression of a
-    structural instance; ``which``, ``pos`` and ``trivial`` stay."""
-    ctx = data.context.map_exprs(fn)
-    match data:
-        case VariableInst(pos=i):
-            return VariableInst(ctx, i)
-        case EquivInst(which=w, inst=inst):
-            return EquivInst(w, inst.map_exprs(fn), ctx)
-        case ConvInst(which=w, inst=inst):
-            return ConvInst(w, inst.map_exprs(fn), ctx)
-        case SubstInst(subst=f, trivial=K, judgement=j):
-            return SubstInst(f.map_exprs(fn), ctx, K, j.map_exprs(fn))
-        case EqSubstInst(left=f, right=g, trivial=K, judgement=j):
-            return EqSubstInst(f.map_exprs(fn), g.map_exprs(fn), ctx, K, j.map_exprs(fn))
-    raise TypeError(f"not a structural instance: {data!r}")
+    if not isinstance(node, Hyp):
+        map_node(node, keep)
+    return out
 
 
 def map_derivation_exprs(
@@ -348,23 +309,16 @@ def map_derivation_exprs(
     """The same tree with ``fn`` applied to every expression of every node.
 
     ``fn`` must preserve scopes and classes.  ``rule`` and ``hyp`` renumber
-    specific rules and hypotheses (unchanged when None).
+    theory rule indices and hypotheses (unchanged when None).
     """
 
     def go(node: TheoryDerivation) -> TheoryDerivation:
-        match node:
-            case Hyp(index=k):
-                return node if hyp is None else Hyp(hyp(k))
-            case Specific(rule=r, inst=inst, context=ctx, children=children):
-                return Specific(
-                    r if rule is None else rule(r),
-                    inst.map_exprs(fn),
-                    ctx.map_exprs(fn),
-                    tuple(go(c) for c in children),
-                )
-            case Structural(instance=data, children=children):
-                return Structural(map_instance(data, fn), tuple(go(c) for c in children))
-        raise TypeError(f"not a derivation node: {node!r}")
+        if isinstance(node, Hyp):
+            return node if hyp is None else Hyp(hyp(node.index))
+        changes = {"children": tuple(go(c) for c in node.children)}
+        if rule is not None and isinstance(node, RuleInst) and isinstance(node.ref, int):
+            changes["ref"] = rule(node.ref)
+        return map_node(node, fn, **changes)
 
     return go(d)
 
@@ -439,52 +393,37 @@ def instantiate_derivation(
         return frozenset(kind.inl(gamma, sigma, i) for i in range(gamma))
 
     def go(node: TheoryDerivation) -> TheoryDerivation:
+        if isinstance(node, Hyp):
+            return node
+        children = tuple(go(c) for c in node.children)
         match node:
-            case Hyp():
-                return node
-            case Specific(rule=r, inst=j, context=delta, children=children):
-                return Specific(
-                    r,
-                    inst_act_inst(kind, inst, j),
-                    instantiate_context(kind, inst, ctx, delta),
-                    tuple(go(c) for c in children),
+            case RuleInst(ref=ref, inst=j, context=delta):
+                return RuleInst(
+                    ref, inst_act_inst(kind, inst, j), instantiate_context(kind, inst, ctx, delta), children
                 )
-            case Structural(instance=data, children=children):
-                new_children = tuple(go(c) for c in children)
-                match data:
-                    case VariableInst(context=delta, pos=i):
-                        new = VariableInst(
-                            instantiate_context(kind, inst, ctx, delta),
-                            kind.inr(gamma, delta.scope, i),
-                        )
-                    case EquivInst(which=w, inst=j, context=delta):
-                        new = EquivInst(
-                            w, inst_act_inst(kind, inst, j), instantiate_context(kind, inst, ctx, delta)
-                        )
-                    case ConvInst(which=w, inst=j, context=delta):
-                        new = ConvInst(
-                            w, inst_act_inst(kind, inst, j), instantiate_context(kind, inst, ctx, delta)
-                        )
-                    case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj):
-                        sigma = jj.context.scope
-                        new = SubstInst(
-                            inst_act_subst(kind, inst, f),
-                            instantiate_context(kind, inst, ctx, tgt),
-                            inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
-                            instantiate_judgement(kind, inst, ctx, jj),
-                        )
-                    case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj):
-                        sigma = jj.context.scope
-                        new = EqSubstInst(
-                            inst_act_subst(kind, inst, f),
-                            inst_act_subst(kind, inst, g),
-                            instantiate_context(kind, inst, ctx, tgt),
-                            inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
-                            instantiate_judgement(kind, inst, ctx, jj),
-                        )
-                    case _:
-                        raise TypeError(data)
-                return Structural(new, new_children)
+            case VariableInst(context=delta, pos=i):
+                return VariableInst(
+                    instantiate_context(kind, inst, ctx, delta), kind.inr(gamma, delta.scope, i), children
+                )
+            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj):
+                sigma = jj.context.scope
+                return SubstInst(
+                    inst_act_subst(kind, inst, f),
+                    instantiate_context(kind, inst, ctx, tgt),
+                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    instantiate_judgement(kind, inst, ctx, jj),
+                    children,
+                )
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj):
+                sigma = jj.context.scope
+                return EqSubstInst(
+                    inst_act_subst(kind, inst, f),
+                    inst_act_subst(kind, inst, g),
+                    instantiate_context(kind, inst, ctx, tgt),
+                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    instantiate_judgement(kind, inst, ctx, jj),
+                    children,
+                )
         raise TypeError(f"not a derivation node: {node!r}")
 
     return go(d)

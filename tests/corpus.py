@@ -16,8 +16,7 @@ from gtt.syntax import Instantiation, Substitution, Var, mk_sym
 from gtt.theories import (
     Hyp,
     RawTypeTheory,
-    Specific,
-    Structural,
+    RuleInst,
     SubstInst,
     TheoryDerivation,
     VariableInst,
@@ -60,14 +59,14 @@ class TypedType:
 
 def unit_at(ctx: RawContext) -> TypedType:
     e = mk_sym(SIG, "unit", (), ctx.scope)
-    return TypedType(ctx, e, Specific(UNIT_FORM, Instantiation((), ctx.scope, ()), ctx, ()))
+    return TypedType(ctx, e, RuleInst(UNIT_FORM, Instantiation((), ctx.scope, ()), ctx, ()))
 
 
 def tt_at(ctx: RawContext) -> TypedTerm:
     u = unit_at(ctx)
     e = mk_sym(SIG, "tt", (), ctx.scope)
     return TypedTerm(
-        ctx, e, u.type, u.d_type, Specific(TT_INTRO, Instantiation((), ctx.scope, ()), ctx, ())
+        ctx, e, u.type, u.d_type, RuleInst(TT_INTRO, Instantiation((), ctx.scope, ()), ctx, ())
     )
 
 
@@ -84,7 +83,7 @@ def pi(a: TypedType, b: TypedType) -> TypedType:
     ctx = a.ctx
     e = mk_sym(SIG, "Pi", (a.type, b.type), ctx.scope)
     inst = Instantiation(PI_ARITY, ctx.scope, (a.type, b.type))
-    return TypedType(ctx, e, Specific(PI_FORM, inst, ctx, (a.d_type, b.d_type)))
+    return TypedType(ctx, e, RuleInst(PI_FORM, inst, ctx, (a.d_type, b.d_type)))
 
 
 def nested_pi(ctx: RawContext, n: int) -> TypedType:
@@ -103,7 +102,7 @@ def lam(a: TypedType, b: TypedType, body: TypedTerm) -> TypedTerm:
     p = pi(a, b)
     return TypedTerm(
         ctx, e, p.type, p.d_type,
-        Specific(LAM_INTRO, inst, ctx, (a.d_type, b.d_type, body.d_term)),
+        RuleInst(LAM_INTRO, inst, ctx, (a.d_type, b.d_type, body.d_term)),
     )
 
 
@@ -115,11 +114,11 @@ def app(a: TypedType, b: TypedType, f: TypedTerm, arg: TypedTerm) -> TypedTerm:
     inst = Instantiation(APP_ARITY, ctx.scope, (a.type, b.type, f.term, arg.term))
     single = Substitution(ctx.scope, ctx.scope + 1, _single_table(ctx.scope, arg.term))
     b_of_t = substitute_expr(KIND, single, b.type)
-    d_type = Structural(
-        SubstInst(single, ctx, frozenset(range_positions(ctx.scope)), _b_judgement(a, b)),
+    d_type = SubstInst(
+        single, ctx, frozenset(range_positions(ctx.scope)), _b_judgement(a, b),
         (b.d_type, arg.d_term),
     )
-    d_term = Specific(APP_ELIM, inst, ctx, (a.d_type, b.d_type, f.d_term, arg.d_term))
+    d_term = RuleInst(APP_ELIM, inst, ctx, (a.d_type, b.d_type, f.d_term, arg.d_term))
     return TypedTerm(ctx, e, b_of_t, d_type, d_term)
 
 
@@ -144,7 +143,7 @@ def _b_judgement(a: TypedType, b: TypedType) -> Judgement:
 def var(ctx: RawContext, i: int, d_entry_type: TheoryDerivation) -> TypedTerm:
     return TypedTerm(
         ctx, Var(i, ctx.scope), ctx.type_at(i), d_entry_type,
-        Structural(VariableInst(ctx, i), (d_entry_type,)),
+        VariableInst(ctx, i, (d_entry_type,)),
     )
 
 
@@ -153,7 +152,7 @@ def beta_eq(a: TypedType, b: TypedType, body: TypedTerm, arg: TypedTerm) -> tupl
 
     ctx = a.ctx
     inst = Instantiation(BETA_ARITY, ctx.scope, (a.type, b.type, body.term, arg.term))
-    d = Specific(BETA, inst, ctx, (a.d_type, b.d_type, body.d_term, arg.d_term))
+    d = RuleInst(BETA, inst, ctx, (a.d_type, b.d_type, body.d_term, arg.d_term))
     single = Substitution(ctx.scope, ctx.scope + 1, _single_table(ctx.scope, arg.term))
     lam_e = mk_sym(SIG, "lam", (a.type, b.type, body.term), ctx.scope)
     app_e = mk_sym(SIG, "app", (a.type, b.type, lam_e, arg.term), ctx.scope)
@@ -212,10 +211,7 @@ def build_corpus() -> list[tuple[TheoryDerivation, Judgement]]:
             d_entry = _derive_type_in(ctx, entry)
             items.append(
                 (
-                    Structural(
-                        VariableInst(ctx, i),
-                        (d_entry,),
-                    ),
+                    VariableInst(ctx, i, (d_entry,)),
                     is_term(ctx, Var(i, ctx.scope), entry),
                 )
             )
@@ -408,27 +404,21 @@ def hypothetical_app_rule():
     # [x:A, y:Pi] |- B(x') type for the bound x' of an extended context:
     ctx_xy_a = extend_context(KIND, ctx_xy, (weaken_expr(KIND, A2, 1),))
     fb = Substitution(3, 1, (Var(KIND.inr(2, 1, 0), 3),))
-    b_w = Structural(
-        SubstInst(fb, ctx_xy_a, frozenset(), is_type(ctx_x, B1)),
+    b_w = SubstInst(
+        fb, ctx_xy_a, frozenset(), is_type(ctx_x, B1),
         (
             Hyp(1),
-            Structural(
-                VariableInst(ctx_xy_a, KIND.inr(2, 1, 0)),
+            VariableInst(
+                ctx_xy_a, KIND.inr(2, 1, 0),
                 (derive.weaken_closed(ctx_xy_a, is_type(EMPTY_CONTEXT, A0), Hyp(0)),),
             ),
         ),
     )
     pi_w = derive.weaken_closed(ctx_xy, is_type(EMPTY_CONTEXT, pi0), _pi_meta_derivation())
-    y_w = Structural(
-        VariableInst(ctx_xy, y.pos),
-        (pi_w,),
-    )
-    x_w = Structural(
-        VariableInst(ctx_xy, x.pos),
-        (a_w,),
-    )
+    y_w = VariableInst(ctx_xy, y.pos, (pi_w,))
+    x_w = VariableInst(ctx_xy, x.pos, (a_w,))
     inst = Instantiation(APP_ARITY, 2, (A2, mk_meta(ext, "B", (Var(0, 3),), 3), y, x))
-    witness = Specific(APP_ELIM, inst, ctx_xy, (a_w, b_w, y_w, x_w))
+    witness = RuleInst(APP_ELIM, inst, ctx_xy, (a_w, b_w, y_w, x_w))
     return rule, witness
 
 
@@ -440,4 +430,4 @@ def _pi_meta_derivation() -> TheoryDerivation:
     inst = Instantiation(
         PI_ARITY, 0, (mk_meta(ext, "A", (), 0), mk_meta(ext, "B", (Var(0, 1),), 1))
     )
-    return Specific(PI_FORM, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
+    return RuleInst(PI_FORM, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))

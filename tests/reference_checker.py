@@ -26,16 +26,13 @@ from gtt.errors import (
     TrivialityViolated,
 )
 from gtt.judgements import Judgement, JudgementForm, RawContext, is_term, is_type, tm_eq, ty_eq
-from gtt.rules import CONVERSION_RULES, EQUIVALENCE_RULES
+from gtt.rules import BuiltinRule
 from gtt.scopes import inl_renaming
 from gtt.syntax import TM, TY, Var, validate_expr
 from gtt.theories import (
-    ConvInst,
     EqSubstInst,
-    EquivInst,
     Hyp,
-    Specific,
-    Structural,
+    RuleInst,
     SubstInst,
     VariableInst,
     ambient_signature,
@@ -66,23 +63,19 @@ def reference_check(theory, hyps, d, ambient=None, ambient_names=()) -> Judgemen
 def closure_rule(theory, sig, node) -> tuple[tuple[Judgement, ...], Judgement]:
     kind = sig.kind
     match node:
-        case Specific(rule=r, inst=inst, context=ctx):
-            return rule_instance(sig, theory.rule(r), inst, ctx)
-        case Structural(instance=EquivInst(which=w, inst=inst, context=ctx)):
-            if not 0 <= w < len(EQUIVALENCE_RULES):
-                raise IndexOutOfRange(f"equivalence rule {w}")
-            return rule_instance(sig, EQUIVALENCE_RULES[w], inst, ctx)
-        case Structural(instance=ConvInst(which=w, inst=inst, context=ctx)):
-            if not 0 <= w < len(CONVERSION_RULES):
-                raise IndexOutOfRange(f"conversion rule {w}")
-            return rule_instance(sig, CONVERSION_RULES[w], inst, ctx)
-        case Structural(instance=VariableInst(context=ctx, pos=i)):
+        case RuleInst(ref=BuiltinRule(rule=rule), inst=inst, context=ctx):
+            return rule_instance(sig, rule, inst, ctx)
+        case RuleInst(ref=r, inst=inst, context=ctx):
+            if not 0 <= r < len(theory.rules):
+                raise IndexOutOfRange(f"rule {r} of {len(theory.rules)}")
+            return rule_instance(sig, theory.rules[r], inst, ctx)
+        case VariableInst(context=ctx, pos=i):
             validate_context(sig, ctx)
             if not 0 <= i < ctx.scope:
                 raise IndexOutOfRange(f"variable {i} of scope {ctx.scope}")
             a = ctx.types[i]
             return (is_type(ctx, a),), is_term(ctx, Var(i, ctx.scope), a)
-        case Structural(instance=SubstInst(subst=f, context=ctx, trivial=K, judgement=j)):
+        case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
             validate_substitution_data(sig, (f,), ctx, K, j)
             premises = [j]
             for i in range(j.context.scope):
@@ -94,7 +87,7 @@ def closure_rule(theory, sig, node) -> tuple[tuple[Judgement, ...], Judgement]:
             head = None if j.head is None else naive_substitute(kind, f, j.head)
             boundary = tuple(naive_substitute(kind, f, e) for e in j.boundary)
             return tuple(premises), Judgement(ctx, j.form, boundary, head)
-        case Structural(instance=EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j)):
+        case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
             validate_substitution_data(sig, (f, g), ctx, K, j)
             if not j.is_object:
                 raise NotObjectRule("equality substitution applies to object judgements")

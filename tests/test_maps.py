@@ -47,7 +47,7 @@ from gtt.syntax import (
     mk_sym,
     mv_extend_signature,
 )
-from gtt.theories import Hyp, Specific, check_derived_rule, check_theory_derivation
+from gtt.theories import Hyp, RuleInst, check_derived_rule, check_theory_derivation
 
 KIND = ScopeKind.INDICES
 
@@ -119,7 +119,7 @@ def test_check_realiser_mltt():
         ("A", "B"),
     )
     pi = mk_sym(ext, "Pi", (A0, B1), 0)
-    witness = Specific(
+    witness = RuleInst(
         THEORY.rule_index("Pi-form"),
         Instantiation(arity((TY, 0), (TY, 1)), 0, (A0, B1)),
         EMPTY_CONTEXT,
@@ -159,8 +159,8 @@ def test_replacement_script_type_in_type():
 
     # step 1: U names the realiser El(u) of the empty type boundary
     el_of_u = mk_sym(sig, "El", (mk_sym(sig, "u", (), 0),), 0)
-    d_u = Specific(0, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
-    d_el_u = Specific(
+    d_u = RuleInst(0, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
+    d_el_u = RuleInst(
         2, Instantiation(arity((TM, 0)), 0, (mk_sym(sig, "u", (), 0),)), EMPTY_CONTEXT, (d_u,)
     )
     u_boundary = sequential_boundary_spec(KIND, (), JudgementForm.IS_TY, ())
@@ -178,7 +178,7 @@ def test_replacement_script_type_in_type():
     )
     ext = mv_extend_signature(sig, arity((TM, 0)), ("a",))
     gen_el = generic_application(sig, 1)
-    d_el_a = Specific(
+    d_el_a = RuleInst(
         2, Instantiation(arity((TM, 0)), 0, (mk_meta(ext, "a", (), 0),)), EMPTY_CONTEXT, (Hyp(0),)
     )
     Elp = builder.add_symbol(SymbolStep("El'", elp_boundary, gen_el, d_el_a))

@@ -73,9 +73,8 @@ from gtt.syntax import (
 )
 from gtt.theories import (
     Hyp,
+    RuleInst,
     RuleWitnesses,
-    Specific,
-    Structural,
     SubstInst,
     VariableInst,
     check_theory_derivation,
@@ -131,12 +130,12 @@ def variant_witnesses():
     pi_inst = Instantiation(
         MLTT_SIGNATURE.symbol(0).arity, 0, (mk_meta(ext, "A", (), 0), B1)
     )
-    d_pi = Specific(0, pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
+    d_pi = RuleInst(0, pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
 
     def b_of_a(premise_idx, typing_idx):
         f = Substitution(0, 1, (a0,))
-        return Structural(
-            SubstInst(f, EMPTY_CONTEXT, frozenset(), is_type(ctx_a, B1)),
+        return SubstInst(
+            f, EMPTY_CONTEXT, frozenset(), is_type(ctx_a, B1),
             (Hyp(premise_idx), Hyp(typing_idx)),
         )
 
@@ -156,15 +155,15 @@ def variant_witnesses():
     rule6, witness6 = hypothetical_app_rule()
     ctx_xy = rule6.conclusion.context
     fb = Substitution(2, 1, (Var(KIND.inl(1, 1, 0), 2),))
-    x_typing = Structural(
-        VariableInst(ctx_xy, KIND.inl(1, 1, 0)),
+    x_typing = VariableInst(
+        ctx_xy, KIND.inl(1, 1, 0),
         (derive.weaken_closed(ctx_xy, is_type(EMPTY_CONTEXT, mk_meta(mv_extend_signature(sig, MLTT_SIGNATURE.symbol(0).arity, ("A", "B")), "A", (), 0)), Hyp(0)),),
     )
     ext6 = mv_extend_signature(sig, MLTT_SIGNATURE.symbol(0).arity, ("A", "B"))
     w6 = RuleWitnesses(
         conclusion={
-            0: Structural(
-                SubstInst(fb, ctx_xy, frozenset(), is_type(RawContext(1, (mk_meta(ext6, "A", (), 1),)), mk_meta(ext6, "B", (Var(0, 1),), 1))),
+            0: SubstInst(
+                fb, ctx_xy, frozenset(), is_type(RawContext(1, (mk_meta(ext6, "A", (), 1),)), mk_meta(ext6, "B", (Var(0, 1),), 1)),
                 (Hyp(1), x_typing),
             )
         },
@@ -280,8 +279,8 @@ def test_presupposition_after_substitution_node():
         outs = derive_presuppositions(THEORY, d, WITNESSES)
         for out, target in zip(outs, presuppositions(j)):
             assert check_theory_derivation(THEORY, (), out) == target
-            if isinstance(d, Structural) and isinstance(d.instance, SubstInst):
-                assert isinstance(out, Structural) and isinstance(out.instance, SubstInst)
+            if isinstance(d, SubstInst):
+                assert isinstance(out, SubstInst)
 
 
 def test_presuppositions_need_witnesses():
@@ -415,7 +414,7 @@ def test_elimination_nested_subst():
     nested = derive.subst(
         f, ctx2, frozenset(),
         is_type(ctx1, unit_at(ctx1).type), inner,
-        (Structural(VariableInst(ctx2, 0), (unit_at(ctx2).d_type,)),),
+        (VariableInst(ctx2, 0, (unit_at(ctx2).d_type,)),),
     )
     out = eliminate_substitution(THEORY, nested)
     assert is_substitution_free(out)
@@ -425,7 +424,7 @@ def test_elimination_nested_subst():
 def test_is_substitution_free():
     assert is_substitution_free(Hyp(0))
     for d, _ in substitution_corpus():
-        if isinstance(d, Structural) and isinstance(d.instance, (SubstInst,)):
+        if isinstance(d, SubstInst):
             assert not is_substitution_free(d)
 
 
@@ -525,7 +524,7 @@ def test_inversion_merges_stacked_conversions():
     out = invert(THEORY, twice.d_term, WITNESSES)
     assert is_canonical_inversion(THEORY, out)
     # exactly one conversion at the root; its term child is the symbol rule
-    assert isinstance(out.children[2], Specific)
+    assert isinstance(out.children[2], RuleInst) and isinstance(out.children[2].ref, int)
     assert check_theory_derivation(THEORY, (), out) == is_term(
         EMPTY_CONTEXT, t.term, t.type
     )
@@ -537,16 +536,15 @@ def test_inversion_variable_gets_dummy_conversion():
     x = var(ctx1, 0, unit_at(ctx1).d_type)
     out = invert(THEORY, x.d_term, WITNESSES)
     assert is_canonical_inversion(THEORY, out)
-    assert isinstance(out.children[2], Structural)
-    assert isinstance(out.children[2].instance, VariableInst)
+    assert isinstance(out.children[2], VariableInst)
 
 
 def test_inversion_type_judgement_ends_with_symbol_rule():
     u = unit_at(EMPTY_CONTEXT)
     p = pi(u, unit_at(extend(EMPTY_CONTEXT, u)))
     out = invert(THEORY, p.d_type, WITNESSES)
-    assert isinstance(out, Specific)
-    assert out.rule == THEORY.rule_index("Pi-form")
+    assert isinstance(out, RuleInst)
+    assert out.ref == THEORY.rule_index("Pi-form")
 
 
 def test_presuppositions_of_eqsubst_on_term_judgement():

@@ -5,8 +5,9 @@ elsewhere relies on equality with validated judgements (see the
 ``theories`` docstring).  The reference checker validates everything at
 every node.  The two must agree: the same conclusion, or both raise
 ``KernelError``.  Agreement is asserted on the corpus, on generated
-derivations over random raw theories in both scope systems, and on
-mutants that plant one ill-formed expression in one field of one node.
+derivations over random raw theories in both scope systems, on mutants
+that plant one ill-formed expression in one field of one node, and on
+mutants that change the structure of one node.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from gtt.judgements import (
     ty_eq,
 )
 from gtt.rules import (
+    BUILTIN_RULES,
     CONV_TM,
     CONVERSION_RULES,
     EQUIV_TY_REFL,
@@ -65,12 +67,9 @@ from gtt.syntax import (
     substitute_expr,
 )
 from gtt.theories import (
-    ConvInst,
     EqSubstInst,
-    EquivInst,
     RawTypeTheory,
-    Specific,
-    Structural,
+    RuleInst,
     SubstInst,
     VariableInst,
     check_theory_derivation,
@@ -184,14 +183,14 @@ class Generator:
         if choice == 1 and j.form is JudgementForm.IS_TM:
             # conversion from the same term at another type
             a, b, t = rng.choice((j.boundary[0], self.expr(ctx.scope, TY))), j.boundary[0], j.head
-            inst = Instantiation(CONVERSION_RULES[CONV_TM].arity, ctx.scope, (a, b, t))
+            inst = Instantiation(CONV_TM.rule.arity, ctx.scope, (a, b, t))
             judgements = (is_type(ctx, a), is_type(ctx, b), is_term(ctx, t, a), ty_eq(ctx, a, b))
-            return Structural(ConvInst(CONV_TM, inst, ctx), self.derive_all(judgements, depth))
+            return RuleInst(CONV_TM, inst, ctx, self.derive_all(judgements, depth))
         if choice == 1 and j.form is JudgementForm.TY_EQ:
             a, b = j.boundary
-            inst = Instantiation(EQUIVALENCE_RULES[EQUIV_TY_SYM].arity, ctx.scope, (b, a))
+            inst = Instantiation(EQUIV_TY_SYM.rule.arity, ctx.scope, (b, a))
             judgements = (is_type(ctx, b), is_type(ctx, a), ty_eq(ctx, b, a))
-            return Structural(EquivInst(EQUIV_TY_SYM, inst, ctx), self.derive_all(judgements, depth))
+            return RuleInst(EQUIV_TY_SYM, inst, ctx, self.derive_all(judgements, depth))
         if choice == 2:
             # the identity substitution; untouched positions are typed by variable nodes
             f = Substitution.identity(ctx.scope)
@@ -200,8 +199,8 @@ class Generator:
             for i in range(ctx.scope):
                 if i not in trivial:
                     d_ty = self.derive(is_type(ctx, ctx.types[i]), depth - 1)
-                    children.append(Structural(VariableInst(ctx, i), (d_ty,)))
-            return Structural(SubstInst(f, ctx, trivial, j), tuple(children))
+                    children.append(VariableInst(ctx, i, (d_ty,)))
+            return SubstInst(f, ctx, trivial, j, tuple(children))
         return self.axiom(j)
 
     def derive_all(self, judgements, depth):
@@ -209,7 +208,7 @@ class Generator:
 
     def axiom(self, j: Judgement):
         r = AX_OF[j.form]
-        return Specific(r, Instantiation(AXIOMS[r].arity, j.context.scope, axiom_entries(j)), j.context, ())
+        return RuleInst(r, Instantiation(AXIOMS[r].arity, j.context.scope, axiom_entries(j)), j.context, ())
 
     def expr(self, scope, cls):
         return gen_expr(self.rng, self.sig, scope, cls, 2)
@@ -231,28 +230,28 @@ class Generator:
                     g_ty = substitute_expr(kind, g, src.types[i])
                     children += [self.derive(typed[i], depth - 1), self.derive(is_term(ctx, g(i), g_ty), depth - 1),
                                  self.derive(tm_eq(ctx, f(i), g(i), typed[i].boundary[0]), depth - 1)]
-                node = Structural(EqSubstInst(f, g, ctx, frozenset(), j), tuple(children))
+                node = EqSubstInst(f, g, ctx, frozenset(), j, tuple(children))
                 f_head, g_head = substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)
                 if j.form is JudgementForm.IS_TY:
                     return node, ty_eq(ctx, f_head, g_head)
                 return node, tm_eq(ctx, f_head, g_head, substitute_expr(kind, f, j.boundary[0]))
             children = (d,) + tuple(self.derive(p, depth - 1) for p in typed)
-            return Structural(SubstInst(f, ctx, frozenset(), j), children), substitute_judgement(kind, f, ctx, j)
+            return SubstInst(f, ctx, frozenset(), j, children), substitute_judgement(kind, f, ctx, j)
         if choice == 2 and ctx.scope:
             i = rng.randrange(ctx.scope)
-            node = Structural(VariableInst(ctx, i), (self.derive(is_type(ctx, ctx.types[i]), depth - 1),))
+            node = VariableInst(ctx, i, (self.derive(is_type(ctx, ctx.types[i]), depth - 1),))
             return node, is_term(ctx, Var(i, ctx.scope), ctx.types[i])
         if choice == 3:
             a = self.expr(ctx.scope, TY)
-            inst = Instantiation(EQUIVALENCE_RULES[EQUIV_TY_REFL].arity, ctx.scope, (a,))
-            node = Structural(EquivInst(EQUIV_TY_REFL, inst, ctx), (self.derive(is_type(ctx, a), depth - 1),))
+            inst = Instantiation(EQUIV_TY_REFL.rule.arity, ctx.scope, (a,))
+            node = RuleInst(EQUIV_TY_REFL, inst, ctx, (self.derive(is_type(ctx, a), depth - 1),))
             return node, ty_eq(ctx, a, a)
         r = rng.randrange(len(AXIOMS), len(self.theory.rules))
         rule = self.theory.rule(r)
         inst = gen_instantiation(rng, self.sig, rule.arity, ctx.scope)
         closure = instantiate_rule(kind, inst, ctx, rule)
         children = tuple(self.derive(p, depth - 1) for p in closure.premises)
-        return Specific(r, inst, ctx, children), closure.conclusion
+        return RuleInst(r, inst, ctx, children), closure.conclusion
 
 
 def test_reference_agrees_on_generated_derivations():
@@ -354,26 +353,13 @@ def _with(seq, k, e):
 def field_mutants(theory, node):
     """(field, node) for one ill-formed expression planted in one field of ``node``."""
     sig = theory.signature
-    data = node.instance if isinstance(node, Structural) else node
-
-    def rebuilt(new_data):
-        return Structural(new_data, node.children) if isinstance(node, Structural) else new_data
-
-    ctx = data.context
+    ctx = node.context
     if ctx.scope:
         k = ctx.scope - 1
         for e in ill_formed(sig, ctx.scope, TY):
-            yield "context", rebuilt(replace(data, context=RawContext(ctx.scope, _with(ctx.types, k, e))))
-    match data:
-        case Specific(rule=r, inst=inst):
-            rule = theory.rule(r)
-        case EquivInst(which=w, inst=inst):
-            rule = EQUIVALENCE_RULES[w]
-        case ConvInst(which=w, inst=inst):
-            rule = CONVERSION_RULES[w]
-        case _:
-            rule = None
-    if rule is not None:
+            yield "context", replace(node, context=RawContext(ctx.scope, _with(ctx.types, k, e)))
+    if isinstance(node, RuleInst):
+        rule, inst = theory.rule(node.ref), node.inst
         exposed = exposed_by_definition(rule)
         for label, picked in (("exposed", [m for m in range(len(inst.arity)) if m in exposed]),
                               ("non-exposed", [m for m in range(len(inst.arity)) if m not in exposed])):
@@ -383,21 +369,21 @@ def field_mutants(theory, node):
             slot = inst.arity[m]
             for e in ill_formed(sig, inst.scope + slot.binder, slot.cls):
                 new_inst = Instantiation(inst.arity, inst.scope, _with(inst.exprs, m, e))
-                yield label, rebuilt(replace(data, inst=new_inst))
-    if isinstance(data, (SubstInst, EqSubstInst)):
-        for name in ("subst",) if isinstance(data, SubstInst) else ("left", "right"):
-            f = getattr(data, name)
+                yield label, replace(node, inst=new_inst)
+    if isinstance(node, (SubstInst, EqSubstInst)):
+        for name in ("subst",) if isinstance(node, SubstInst) else ("left", "right"):
+            f = getattr(node, name)
             if f.dst:
                 for e in ill_formed(sig, f.src, TM):
                     table = Substitution(f.src, f.dst, _with(f.table, 0, e))
-                    yield "table", rebuilt(replace(data, **{name: table}))
-        j = data.judgement
+                    yield "table", replace(node, **{name: table})
+        j = node.judgement
         for e in ill_formed(sig, j.context.scope, j.form.head_class or j.form.boundary_classes[0]):
             if j.head is not None:
                 bad = Judgement(j.context, j.form, j.boundary, e)
             else:
                 bad = Judgement(j.context, j.form, _with(j.boundary, 0, e), None)
-            yield "judgement", rebuilt(replace(data, judgement=bad))
+            yield "judgement", replace(node, judgement=bad)
 
 
 def test_every_planted_ill_formed_expression_is_rejected():
@@ -415,6 +401,55 @@ def test_every_planted_ill_formed_expression_is_rejected():
                 count += 1
     assert fields == {"context", "exposed", "non-exposed", "table", "judgement"}, fields
     assert count >= 600, count
+
+
+# --- structural mutants ---------------------------------------------------------
+#
+# A mutant of the structure of one node (the rule it cites, the order of its
+# children, a variable position, a trivial set) is well formed, so it may be
+# accepted; then both checkers must accept it with the same conclusion.
+
+def structural_mutants(theory, node):
+    """(family, node) for one change to the structure of ``node``."""
+    if isinstance(node, RuleInst):
+        n = len(theory.rules)
+        if isinstance(node.ref, int):
+            others = [(node.ref + 1) % n, BUILTIN_RULES[node.ref % len(BUILTIN_RULES)]]
+        else:
+            k = BUILTIN_RULES.index(node.ref)
+            others = [BUILTIN_RULES[(k + 1) % len(BUILTIN_RULES)], k % n]
+        for other in others:
+            yield "ref", replace(node, ref=other)
+    kids = node.children
+    if len(kids) >= 2:
+        i, j = next(((i, j) for i in range(len(kids)) for j in range(i + 1, len(kids)) if kids[i] != kids[j]), (0, 1))
+        swapped = list(kids)
+        swapped[i], swapped[j] = kids[j], kids[i]
+        yield "swap", replace(node, children=tuple(swapped))
+    if isinstance(node, VariableInst):
+        for step in (1, -1):
+            yield "position", replace(node, pos=node.pos + step)
+    if isinstance(node, (SubstInst, EqSubstInst)):
+        K = node.trivial
+        added = min(set(range(node.judgement.context.scope + 1)) - K)
+        yield "trivial", replace(node, trivial=K | {added})
+        if K:
+            yield "trivial", replace(node, trivial=K - {min(K)})
+
+
+def test_structural_mutants_agree_with_the_reference():
+    families = set()
+    count = accepted = 0
+    for theory, hyps, d, ambient, names, _ in corpus_items():
+        for path, node in nodes_with_paths(d):
+            for family, mutant in structural_mutants(theory, node):
+                got = assert_agree(theory, hyps, replace_at(d, path, mutant), ambient, names)
+                families.add(family)
+                count += 1
+                accepted += got is not KernelError
+    assert families == {"ref", "swap", "position", "trivial"}, families
+    assert count >= 300, count
+    assert 0 < accepted < count, accepted
 
 
 # --- hand-built raw theories ----------------------------------------------------
@@ -435,9 +470,9 @@ def _junk_tree(entry):
     tt1 = tt_at(ctx1)
     j = is_term(ctx1, tt1.term, tt1.type)
     f = Substitution(0, 1, (entry,))
-    d = Structural(
-        SubstInst(f, EMPTY_CONTEXT, frozenset(), j),
-        (tt1.d_term, Specific(r, Instantiation(alpha, 0, (entry,)), EMPTY_CONTEXT, ())),
+    d = SubstInst(
+        f, EMPTY_CONTEXT, frozenset(), j,
+        (tt1.d_term, RuleInst(r, Instantiation(alpha, 0, (entry,)), EMPTY_CONTEXT, ())),
     )
     return theory, d
 
@@ -466,14 +501,14 @@ def test_entry_of_a_metavariable_that_occurs_nowhere_is_validated():
     ghost = RawRule(alpha, (), is_type(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT).type), ("M",))
     theory, r = _with_rule("ghost", ghost)
     assert exposed_by_definition(ghost) == frozenset()
-    good = Specific(r, Instantiation(alpha, 0, (tt_at(EMPTY_CONTEXT).term,)), EMPTY_CONTEXT, ())
+    good = RuleInst(r, Instantiation(alpha, 0, (tt_at(EMPTY_CONTEXT).term,)), EMPTY_CONTEXT, ())
     assert assert_agree(theory, (), good) == is_type(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT).type)
     for bad in ill_formed(SIG, 0, TM):
-        root = Specific(r, Instantiation(alpha, 0, (bad,)), EMPTY_CONTEXT, ())
+        root = RuleInst(r, Instantiation(alpha, 0, (bad,)), EMPTY_CONTEXT, ())
         assert assert_agree(theory, (), root) is KernelError
         # the same node as the first premise of Pi-formation
         u = unit_at(EMPTY_CONTEXT)
-        pi = Specific(THEORY.rule_index("Pi-form"),
+        pi = RuleInst(THEORY.rule_index("Pi-form"),
                       Instantiation(THEORY.rule(THEORY.rule_index("Pi-form")).arity, 0,
                                     (u.type, unit_at(extend(EMPTY_CONTEXT, u)).type)),
                       EMPTY_CONTEXT, (root, unit_at(extend(EMPTY_CONTEXT, u)).d_type))
@@ -491,7 +526,7 @@ def test_context_weakened_into_a_rule_conclusion_context_is_validated():
     def tree(gamma):
         unit = unit_at(gamma).type
         inst = Instantiation(alpha, gamma.scope, (unit,))
-        return Specific(r, inst, gamma, (Specific(UNIT_FORM, Instantiation((), gamma.scope, ()), gamma, ()),))
+        return RuleInst(r, inst, gamma, (RuleInst(UNIT_FORM, Instantiation((), gamma.scope, ()), gamma, ()),))
 
     gamma = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
     ctx2 = extend(gamma, unit_at(gamma))

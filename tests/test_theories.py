@@ -16,14 +16,14 @@ from corpus import (
     var,
 )
 from gtt.bundled import MLTT_SIGNATURE, mltt_base, mltt_pi
-from gtt.errors import DerivationError, PremiseMismatch
+from gtt.errors import DerivationError, KernelError, PremiseMismatch
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_term, is_type
 from gtt.syntax import Instantiation, SignatureMap, Var, mk_meta, mk_sym, mv_extend_signature
 from gtt.theories import (
     Hyp,
+    RawTypeTheory,
+    RuleInst,
     SimpleTheoryMap,
-    Specific,
-    Structural,
     VariableInst,
     check_admissible_instance,
     check_derived_rule,
@@ -54,7 +54,7 @@ def test_premise_mismatch_reports_path():
     ctx1 = extend(EMPTY_CONTEXT, u)
     good = pi(u, unit_at(ctx1))
     # swap the two children: premise 0 then gets a scope-1 conclusion
-    bad = Specific(good.d_type.rule, good.d_type.inst, good.d_type.context,
+    bad = RuleInst(good.d_type.ref, good.d_type.inst, good.d_type.context,
                    (good.d_type.children[1], good.d_type.children[0]))
     with pytest.raises(PremiseMismatch) as exc:
         check_theory_derivation(THEORY, (), bad)
@@ -66,8 +66,27 @@ def test_bad_indices_are_derivation_errors():
         check_theory_derivation(THEORY, (), Hyp(3))
     with pytest.raises(DerivationError):
         check_theory_derivation(
-            THEORY, (), Specific(99, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
+            THEORY, (), RuleInst(99, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
         )
+
+
+def test_hand_built_rules_are_validated_when_the_theory_is_built():
+    # a rule is a template over the signature extended by its arity; the
+    # checker trusts it, so the theory validates it: a negative metavariable
+    # index must not reach Python's negative indexing, nor an unknown symbol
+    from gtt.rules import RawRule
+    from gtt.syntax import TY, MetaApp, SymApp, arity
+
+    bad_meta = is_type(EMPTY_CONTEXT, MetaApp(-1, (), 0, TY))
+    alpha = arity((TY, 0))
+    rules = [
+        RawRule((), (), bad_meta),
+        RawRule(alpha, (is_type(EMPTY_CONTEXT, MetaApp(0, (), 0, TY)),), bad_meta, ("M",)),
+        RawRule((), (), is_type(EMPTY_CONTEXT, SymApp(99, (), 0, TY))),
+    ]
+    for rule in rules:
+        with pytest.raises(KernelError):
+            RawTypeTheory(SIG, THEORY.rules + (rule,), THEORY.rule_names + ("bad",))
 
 
 def test_checking_over_metavariable_extension():
@@ -94,7 +113,7 @@ def test_translate_derivation_inclusion():
     B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
     hyps = (is_type(EMPTY_CONTEXT, A0), is_type(RawContext(1, (A1,)), B1))
     inst = Instantiation(pi_theory.rule(0).arity, 0, (A0, B1))
-    d = Specific(0, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
+    d = RuleInst(0, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
     conclusion = check_theory_derivation(pi_theory, hyps, d, pi_theory.rule(0).arity)
     out = translate_derivation(tmap, d, pi_theory.rule(0).arity)
     from gtt.judgements import translate_judgement
@@ -134,7 +153,7 @@ def test_instantiate_generic_pi_derivation():
     A0, A1 = mk_meta(ext, "A", (), 0), mk_meta(ext, "A", (), 1)
     B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
     hyps = (is_type(EMPTY_CONTEXT, A0), is_type(RawContext(1, (A1,)), B1))
-    generic = Specific(
+    generic = RuleInst(
         THEORY.rule_index("Pi-form"),
         Instantiation(alpha, 0, (A0, B1)),
         EMPTY_CONTEXT,
@@ -176,7 +195,7 @@ def test_any_rule_derivable_via_generic_witness():
             MetaApp(i, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
             for i, a in enumerate(rule.arity)
         )
-        witness = Specific(
+        witness = RuleInst(
             idx, Instantiation(rule.arity, 0, exprs), EMPTY_CONTEXT,
             tuple(Hyp(k) for k in range(len(rule.premises))),
         )
@@ -200,5 +219,5 @@ def test_admissible_instance():
     pi_rule_idx = THEORY.rule_index("Pi-form")
     rule = THEORY.rule(pi_rule_idx)
     inst = Instantiation(rule.arity, 0, (u.type, unit_at(ctx1).type))
-    witness = Specific(pi_rule_idx, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
+    witness = RuleInst(pi_rule_idx, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
     assert check_admissible_instance(THEORY, rule, inst, EMPTY_CONTEXT, witness)
