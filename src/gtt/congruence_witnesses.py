@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 
 from .errors import MissingWitness
-from . import derive, rules
+from . import derive
 from .judgements import (
     EMPTY_CONTEXT,
     Judgement,
@@ -30,7 +30,7 @@ from .judgements import (
     presuppositions,
     ty_eq,
 )
-from .rules import congruence_maps, congruence_rule, instantiate_rule
+from .rules import BuiltinRule, congruence_maps, congruence_rule, instantiate_rule
 from .syntax import (
     Expr,
     Instantiation,
@@ -133,7 +133,7 @@ class _CongruenceEngine:
                     + eq_children
                 )
                 return d_l, d_r, RuleInst(cidx, ii, lctx, tuple(cong_children))
-            case rules.CONV_TM:
+            case BuiltinRule.CONV_TM:
                 la, ra = self.l_expr(inst.exprs[0]), self.r_expr(inst.exprs[0])
                 lb = self.l_expr(inst.exprs[1])
                 ls, rs = self.l_expr(inst.exprs[2]), self.r_expr(inst.exprs[2])

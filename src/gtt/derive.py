@@ -8,15 +8,7 @@ child derivations in premise order.
 from __future__ import annotations
 
 from .judgements import Judgement, RawContext
-from .rules import (
-    CONV_EQ,
-    CONV_TM,
-    EQUIV_TM_REFL,
-    EQUIV_TY_REFL,
-    EQUIV_TY_SYM,
-    EQUIV_TY_TRANS,
-    BuiltinRule,
-)
+from .rules import BuiltinRule
 from .syntax import Expr, Instantiation, Substitution
 from .theories import EqSubstInst, RuleInst, SubstInst, VariableInst
 
@@ -26,27 +18,27 @@ def _builtin(ref: BuiltinRule, ctx: RawContext, exprs: tuple[Expr, ...], childre
 
 
 def refl_ty(ctx, a, d_a) -> RuleInst:
-    return _builtin(EQUIV_TY_REFL, ctx, (a,), (d_a,))
+    return _builtin(BuiltinRule.EQUIV_TY_REFL, ctx, (a,), (d_a,))
 
 
 def sym_ty(ctx, a, b, d_a, d_b, d_ab) -> RuleInst:
-    return _builtin(EQUIV_TY_SYM, ctx, (a, b), (d_a, d_b, d_ab))
+    return _builtin(BuiltinRule.EQUIV_TY_SYM, ctx, (a, b), (d_a, d_b, d_ab))
 
 
 def trans_ty(ctx, a, b, c, d_a, d_b, d_c, d_ab, d_bc) -> RuleInst:
-    return _builtin(EQUIV_TY_TRANS, ctx, (a, b, c), (d_a, d_b, d_c, d_ab, d_bc))
+    return _builtin(BuiltinRule.EQUIV_TY_TRANS, ctx, (a, b, c), (d_a, d_b, d_c, d_ab, d_bc))
 
 
 def refl_tm(ctx, a, s, d_a, d_s) -> RuleInst:
-    return _builtin(EQUIV_TM_REFL, ctx, (a, s), (d_a, d_s))
+    return _builtin(BuiltinRule.EQUIV_TM_REFL, ctx, (a, s), (d_a, d_s))
 
 
 def conv(ctx, a, b, s, d_a, d_b, d_s, d_ab) -> RuleInst:
-    return _builtin(CONV_TM, ctx, (a, b, s), (d_a, d_b, d_s, d_ab))
+    return _builtin(BuiltinRule.CONV_TM, ctx, (a, b, s), (d_a, d_b, d_s, d_ab))
 
 
 def conv_eq(ctx, a, b, s, t, d_a, d_b, d_s, d_t, d_st, d_ab) -> RuleInst:
-    return _builtin(CONV_EQ, ctx, (a, b, s, t), (d_a, d_b, d_s, d_t, d_st, d_ab))
+    return _builtin(BuiltinRule.CONV_EQ, ctx, (a, b, s, t), (d_a, d_b, d_s, d_t, d_st, d_ab))
 
 
 def var(ctx: RawContext, i: int, d_type) -> VariableInst:

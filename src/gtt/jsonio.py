@@ -26,7 +26,7 @@ from .judgements import (
     JudgementForm,
     RawContext,
 )
-from .rules import BUILTIN_RULES, BuiltinRule, RawRule
+from .rules import BuiltinRule, RawRule
 from .scopes import ScopeKind
 from .syntax import (
     Argument,
@@ -340,7 +340,7 @@ def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivatio
             if isinstance(ref, int):
                 head = {"node": "rule", "name": theory.rule_name(ref)}
             else:
-                head = {"node": ref.family, "which": ref.name}
+                head = {"node": ref.family, "which": ref.wire_name}
             return {
                 **head,
                 "cxt": context_to_json(sig, ctx),
@@ -422,11 +422,11 @@ def _trivial(data) -> frozenset[int]:
 
 def _builtin(family: str, v) -> BuiltinRule:
     """The built-in rule of ``family`` called ``v``, or at position ``v`` of the family."""
-    refs = [b for b in BUILTIN_RULES if b.family == family]
+    refs = [b for b in BuiltinRule if b.family == family]
     if isinstance(v, int) and 0 <= v < len(refs):
         return refs[v]
     for b in refs:
-        if b.name == v:
+        if b.wire_name == v:
             return b
     raise ParseError(f"unknown structural rule {v!r}")
 
@@ -566,13 +566,12 @@ def spec_to_json(spec) -> Any:
         full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
         w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
         witnesses_out = {}
+        stage = _stage_theory_for_json(spec, i) if w.premises.presups or w.conclusion else None
         # premise witnesses are over the sub-extension of their down-set
         for (k, p), d in sorted(w.premises.presups.items()):
             sub = _sub_signature(sig, fam.shape, names, k)
-            stage = _stage_theory_for_json(spec, i)
             witnesses_out[f"premise_{k}/{p}"] = derivation_to_json(stage, sub, d)
         for p, d in sorted(w.conclusion.items()):
-            stage = _stage_theory_for_json(spec, i)
             witnesses_out[f"conclusion/{p}"] = derivation_to_json(stage, full, d)
         rules_out.append(
             {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import derive, rules
+from . import derive
 from .errors import (
     KernelError,
     MissingWitness,
@@ -33,8 +33,7 @@ from .judgements import (
     presuppositions,
 )
 from .rules import (
-    BUILTIN_RULES,
-    CONVERSION_RULES,
+    BuiltinRule,
     RawRule,
     acts_trivially,
     congruence_rule,
@@ -224,7 +223,7 @@ def _log(diagnostics: list[str] | None, msg: str) -> None:
         diagnostics.append(msg)
 
 
-def _structural_witnesses() -> tuple[list[RuleWitnesses], list[RuleWitnesses]]:
+def _builtin_witnesses() -> dict[BuiltinRule, RuleWitnesses]:
     """Presupposition witnesses for the eight built-in raw rules.
 
     Each conclusion/premise presupposition is a hypothesis outright, except
@@ -235,19 +234,27 @@ def _structural_witnesses() -> tuple[list[RuleWitnesses], list[RuleWitnesses]]:
     def h(k):
         return Hyp(k)
 
-    equiv = [
-        RuleWitnesses({0: h(0), 1: h(0)}, {}),
-        RuleWitnesses({0: h(1), 1: h(0)}, {(2, 0): h(0), (2, 1): h(1)}),
-        RuleWitnesses(
+    # conv-eq: metas A B s t; presups of s == t : B are B type, s : B, t : B
+    ceq = BuiltinRule.CONV_EQ.rule
+    mA = MetaApp(0, (), 0, ceq.arity[0].cls)
+    mB = MetaApp(1, (), 0, ceq.arity[1].cls)
+    ms = MetaApp(2, (), 0, ceq.arity[2].cls)
+    mt = MetaApp(3, (), 0, ceq.arity[3].cls)
+    s_in_B = derive.conv(c, mA, mB, ms, h(0), h(1), h(2), h(5))
+    t_in_B = derive.conv(c, mA, mB, mt, h(0), h(1), h(3), h(5))
+    return {
+        BuiltinRule.EQUIV_TY_REFL: RuleWitnesses({0: h(0), 1: h(0)}, {}),
+        BuiltinRule.EQUIV_TY_SYM: RuleWitnesses({0: h(1), 1: h(0)}, {(2, 0): h(0), (2, 1): h(1)}),
+        BuiltinRule.EQUIV_TY_TRANS: RuleWitnesses(
             {0: h(0), 1: h(2)},
             {(3, 0): h(0), (3, 1): h(1), (4, 0): h(1), (4, 1): h(2)},
         ),
-        RuleWitnesses({0: h(0), 1: h(1), 2: h(1)}, {(1, 0): h(0)}),
-        RuleWitnesses(
+        BuiltinRule.EQUIV_TM_REFL: RuleWitnesses({0: h(0), 1: h(1), 2: h(1)}, {(1, 0): h(0)}),
+        BuiltinRule.EQUIV_TM_SYM: RuleWitnesses(
             {0: h(0), 1: h(2), 2: h(1)},
             {(1, 0): h(0), (2, 0): h(0), (3, 0): h(0), (3, 1): h(1), (3, 2): h(2)},
         ),
-        RuleWitnesses(
+        BuiltinRule.EQUIV_TM_TRANS: RuleWitnesses(
             {0: h(0), 1: h(1), 2: h(3)},
             {
                 (1, 0): h(0),
@@ -261,33 +268,22 @@ def _structural_witnesses() -> tuple[list[RuleWitnesses], list[RuleWitnesses]]:
                 (5, 2): h(3),
             },
         ),
-    ]
-    conv_w = RuleWitnesses({0: h(1)}, {(2, 0): h(0), (3, 0): h(0), (3, 1): h(1)})
-    # conv-eq: metas A B s t; presups of s == t : B are B type, s : B, t : B
-    ceq = CONVERSION_RULES[1]
-    mA = MetaApp(0, (), 0, ceq.arity[0].cls)
-    mB = MetaApp(1, (), 0, ceq.arity[1].cls)
-    ms = MetaApp(2, (), 0, ceq.arity[2].cls)
-    mt = MetaApp(3, (), 0, ceq.arity[3].cls)
-    s_in_B = derive.conv(c, mA, mB, ms, h(0), h(1), h(2), h(5))
-    t_in_B = derive.conv(c, mA, mB, mt, h(0), h(1), h(3), h(5))
-    conv_eq_w = RuleWitnesses(
-        {0: h(1), 1: s_in_B, 2: t_in_B},
-        {
-            (2, 0): h(0),
-            (3, 0): h(0),
-            (4, 0): h(0),
-            (4, 1): h(2),
-            (4, 2): h(3),
-            (5, 0): h(0),
-            (5, 1): h(1),
-        },
-    )
-    return equiv, [conv_w, conv_eq_w]
+        BuiltinRule.CONV_TM: RuleWitnesses({0: h(1)}, {(2, 0): h(0), (3, 0): h(0), (3, 1): h(1)}),
+        BuiltinRule.CONV_EQ: RuleWitnesses(
+            {0: h(1), 1: s_in_B, 2: t_in_B},
+            {
+                (2, 0): h(0),
+                (3, 0): h(0),
+                (4, 0): h(0),
+                (4, 1): h(2),
+                (4, 2): h(3),
+                (5, 0): h(0),
+                (5, 1): h(1),
+            },
+        ),
+    }
 
-
-EQUIVALENCE_WITNESSES, CONVERSION_WITNESSES = _structural_witnesses()
-BUILTIN_WITNESSES = dict(zip(BUILTIN_RULES, EQUIVALENCE_WITNESSES + CONVERSION_WITNESSES))
+BUILTIN_WITNESSES = _builtin_witnesses()
 
 
 # --- acceptability ------------------------------------------------------------
@@ -731,7 +727,7 @@ def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
             for k in rule.object_premises():
                 children.append(eq_components[k])
             return RuleInst(cidx, ii, tgt, tuple(children))
-        case rules.CONV_TM:
+        case BuiltinRule.CONV_TM:
             # premises A, B, s : A, A == B; conclusion s : B
             t0 = (f_children[0], g_children[0], eq_components[0])
             t1 = (f_children[1], g_children[1], eq_components[1])
@@ -751,7 +747,7 @@ def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
 
 
 def _conv_meta(i: int) -> MetaApp:
-    return MetaApp(i, (), 0, rules.CONV_TM.rule.arity[i].cls)
+    return MetaApp(i, (), 0, BuiltinRule.CONV_TM.rule.arity[i].cls)
 
 
 # --- elimination of substitution --------------------------------------------------
@@ -812,7 +808,7 @@ def unique_typing(
         match node:
             case VariableInst(context=ctx, pos=i):
                 return ctx.type_at(i)
-            case RuleInst(ref=rules.CONV_TM, inst=inst):
+            case RuleInst(ref=BuiltinRule.CONV_TM, inst=inst):
                 return inst.exprs[1]
             case RuleInst(ref=int() as r, inst=inst):
                 c = theory.rule(r).conclusion
@@ -826,7 +822,7 @@ def unique_typing(
     def go(e1, da, e2, db):
         ctx = e1.context
         match e1:
-            case RuleInst(ref=rules.CONV_TM):
+            case RuleInst(ref=BuiltinRule.CONV_TM):
                 (ca_p, ca, ct, ceq), a_prime, a = conv_parts(e1)
                 inner = go(ct, ca_p, e2, db)
                 b = type_of(e2)
@@ -835,7 +831,7 @@ def unique_typing(
             case _:
                 pass
         match e2:
-            case RuleInst(ref=rules.CONV_TM):
+            case RuleInst(ref=BuiltinRule.CONV_TM):
                 (cb_p, cb, ct, ceq), b_prime, b = conv_parts(e2)
                 inner = go(e1, da, ct, cb_p)
                 a = type_of(e1)
@@ -924,7 +920,7 @@ def invert(
                 d_natty = derive_presuppositions(theory, node, witnesses, ambient)[0]
                 refl = derive.refl_ty(ctx, natty, d_natty)
                 return derive.conv(ctx, natty, natty, head, d_natty, d_natty, node, refl)
-            case RuleInst(ref=rules.CONV_TM, inst=inst, context=ctx, children=children):
+            case RuleInst(ref=BuiltinRule.CONV_TM, inst=inst, context=ctx, children=children):
                 c_bp, c_b, c_t, c_eq = children
                 b_prime, b, term = inst.exprs
                 rec = go(c_t)
@@ -947,7 +943,7 @@ def is_canonical_inversion(theory: RawTypeTheory, d: TheoryDerivation) -> bool:
     match d:
         case RuleInst(ref=int() as r):
             return theory.rule(r).conclusion.form is JudgementForm.IS_TY
-        case RuleInst(ref=rules.CONV_TM, inst=inst, context=ctx, children=children):
+        case RuleInst(ref=BuiltinRule.CONV_TM, inst=inst, context=ctx, children=children):
             left = children[2]
             if not (isinstance(left, VariableInst) or isinstance(left, RuleInst) and isinstance(left.ref, int)):
                 return False

@@ -636,14 +636,15 @@ def elaborate_theory(
     symbol_of_rule = {i: s for i, (j, s) in [(j, (j, s)) for j, s in _symbols_through(spec, None)]}
     sym_index = {spec.rules[i].name: k for k, (i, _) in enumerate(_symbols_through(spec, None))}
 
+    # the theory of the rules elaborated so far, built once per spec rule
+    theory = RawTypeTheory(full_sig, (), ())
     for i, rs in enumerate(spec.rules):
         allowed = {sym_index[spec.rules[j].name] for j in spec.order.predecessors(i)
                    if spec.rules[j].boundary.conclusion_form.is_object}
-        stage_theory = RawTypeTheory(full_sig, tuple(rules), tuple(names))
         diagnostics: list[str] = []
         w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
         _check_stage_symbols(full_sig, rs, allowed)
-        if not check_rule_boundary(stage_theory, rs.boundary, w, diagnostics):
+        if not check_rule_boundary(theory, rs.boundary, w, diagnostics):
             raise WitnessFailure(f"rule {rs.name}: " + "; ".join(diagnostics))
         symbol = sym_index.get(rs.name) if rs.boundary.conclusion_form.is_object else None
         rule = realise_rule_boundary(full_sig, rs.boundary, symbol)
@@ -653,14 +654,11 @@ def elaborate_theory(
         if rule.is_object:
             rules.append(congruence_rule(full_sig, rule))
             names.append(f"{rs.name}-cong")
+        theory = RawTypeTheory(full_sig, tuple(rules), tuple(names))
+        if rule.is_object:
             from .congruence_witnesses import congruence_witnesses
 
-            witness_table[f"{rs.name}-cong"] = congruence_witnesses(
-                RawTypeTheory(full_sig, tuple(rules), tuple(names)),
-                len(rules) - 2,
-                witness_table[rs.name],
-            )
-    theory = RawTypeTheory(full_sig, tuple(rules), tuple(names))
+            witness_table[f"{rs.name}-cong"] = congruence_witnesses(theory, len(rules) - 2, witness_table[rs.name])
     report = check_acceptable_theory(theory, witness_table)
     return full_sig, theory, report
 

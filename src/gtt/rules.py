@@ -8,6 +8,7 @@ arity over a context yields one closure rule on judgements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .errors import (
     ArityMismatch,
@@ -296,29 +297,31 @@ def _conversion_rules() -> tuple[RawRule, ...]:
     return (conv, conv_eq)
 
 
-EQUIVALENCE_RULES = _equivalence_rules()
-CONVERSION_RULES = _conversion_rules()
+_RULES = _equivalence_rules() + _conversion_rules()
 
 
-@dataclass(frozen=True, eq=False)
-class BuiltinRule:
+class BuiltinRule(Enum):
     """A built-in rule as a derivation node cites it: its wire family
-    (``"equiv"`` or ``"conv"``), its wire name and the raw rule.  There is
-    one object per rule, and it equals only itself."""
+    (``"equiv"`` or ``"conv"``), its wire name and the raw rule.  The eight
+    members are the only built-in rules: no other can be made, and a copy
+    or an unpickled member is the member itself."""
 
-    family: str
-    name: str
-    rule: RawRule = field(repr=False)
+    EQUIV_TY_REFL = ("equiv", "ty-refl", _RULES[0])
+    EQUIV_TY_SYM = ("equiv", "ty-sym", _RULES[1])
+    EQUIV_TY_TRANS = ("equiv", "ty-trans", _RULES[2])
+    EQUIV_TM_REFL = ("equiv", "tm-refl", _RULES[3])
+    EQUIV_TM_SYM = ("equiv", "tm-sym", _RULES[4])
+    EQUIV_TM_TRANS = ("equiv", "tm-trans", _RULES[5])
+    CONV_TM = ("conv", "conv", _RULES[6])
+    CONV_EQ = ("conv", "conv-eq", _RULES[7])
 
+    def __init__(self, family: str, wire_name: str, rule: RawRule):
+        self.family = family
+        self.wire_name = wire_name
+        self.rule = rule
 
-EQUIV_TY_REFL, EQUIV_TY_SYM, EQUIV_TY_TRANS, EQUIV_TM_REFL, EQUIV_TM_SYM, EQUIV_TM_TRANS = (
-    BuiltinRule("equiv", name, rule)
-    for name, rule in zip(("ty-refl", "ty-sym", "ty-trans", "tm-refl", "tm-sym", "tm-trans"), EQUIVALENCE_RULES)
-)
-CONV_TM, CONV_EQ = (BuiltinRule("conv", name, rule) for name, rule in zip(("conv", "conv-eq"), CONVERSION_RULES))
-BUILTIN_RULES = (
-    EQUIV_TY_REFL, EQUIV_TY_SYM, EQUIV_TY_TRANS, EQUIV_TM_REFL, EQUIV_TM_SYM, EQUIV_TM_TRANS, CONV_TM, CONV_EQ,
-)
+    def __repr__(self) -> str:
+        return f"BuiltinRule.{self.name}"
 
 
 # --- congruence rules --------------------------------------------------------

@@ -118,8 +118,8 @@ class RawTypeTheory:
         """The raw rule a node cites: a built-in rule, or rule ``ref`` of the theory."""
         if isinstance(ref, BuiltinRule):
             return ref.rule
-        if not 0 <= ref < len(self.rules):
-            raise IndexOutOfRange(f"rule {ref} of {len(self.rules)}")
+        if not (isinstance(ref, int) and 0 <= ref < len(self.rules)):
+            raise IndexOutOfRange(f"rule {ref!r} of {len(self.rules)}")
         return self.rules[ref]
 
     def rule_name(self, i: int) -> str:
@@ -146,7 +146,7 @@ class Hyp(GHyp):
 @dataclass(frozen=True)
 class RuleInst:
     """An instance of a raw rule: ``ref`` is a rule index of the theory or
-    one of the eight built-in rules of ``rules`` (``BUILTIN_RULES``)."""
+    one of the eight members of ``rules.BuiltinRule``."""
 
     ref: int | BuiltinRule
     inst: Instantiation

@@ -26,7 +26,7 @@ from gtt.errors import (
     TrivialityViolated,
 )
 from gtt.judgements import Judgement, JudgementForm, RawContext, is_term, is_type, tm_eq, ty_eq
-from gtt.rules import BuiltinRule
+from gtt.rules import BuiltinRule, _conversion_rules, _equivalence_rules
 from gtt.scopes import inl_renaming
 from gtt.syntax import TM, TY, Var, validate_expr
 from gtt.theories import (
@@ -36,6 +36,17 @@ from gtt.theories import (
     SubstInst,
     VariableInst,
     ambient_signature,
+)
+
+
+# The eight built-in rules by wire family and name, built afresh here rather
+# than read off the ref a node carries.
+BUILTIN_BY_WIRE_NAME = dict(
+    zip(
+        [("equiv", n) for n in ("ty-refl", "ty-sym", "ty-trans", "tm-refl", "tm-sym", "tm-trans")]
+        + [("conv", "conv"), ("conv", "conv-eq")],
+        _equivalence_rules() + _conversion_rules(),
+    )
 )
 
 
@@ -63,11 +74,11 @@ def reference_check(theory, hyps, d, ambient=None, ambient_names=()) -> Judgemen
 def closure_rule(theory, sig, node) -> tuple[tuple[Judgement, ...], Judgement]:
     kind = sig.kind
     match node:
-        case RuleInst(ref=BuiltinRule(rule=rule), inst=inst, context=ctx):
-            return rule_instance(sig, rule, inst, ctx)
+        case RuleInst(ref=BuiltinRule(family=family, wire_name=name), inst=inst, context=ctx):
+            return rule_instance(sig, BUILTIN_BY_WIRE_NAME[family, name], inst, ctx)
         case RuleInst(ref=r, inst=inst, context=ctx):
-            if not 0 <= r < len(theory.rules):
-                raise IndexOutOfRange(f"rule {r} of {len(theory.rules)}")
+            if not (isinstance(r, int) and 0 <= r < len(theory.rules)):
+                raise IndexOutOfRange(f"rule {r!r} of {len(theory.rules)}")
             return rule_instance(sig, theory.rules[r], inst, ctx)
         case VariableInst(context=ctx, pos=i):
             validate_context(sig, ctx)

@@ -19,7 +19,7 @@ from corpus import SIG, THEORY, build_corpus, substitution_corpus
 from gtt.cli import main
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_from_json, derivation_to_json, dumps
-from gtt.rules import BUILTIN_RULES
+from gtt.rules import BuiltinRule
 from gtt.syntax import TY, Instantiation, mk_sym
 from gtt.theories import RuleInst
 
@@ -120,20 +120,20 @@ WIRE_NAMES = {
 }
 
 
-@pytest.mark.parametrize("ref", BUILTIN_RULES, ids=lambda ref: ref.name)
+@pytest.mark.parametrize("ref", BuiltinRule, ids=lambda ref: ref.wire_name)
 def test_builtin_rule_names_round_trip(ref):
     unit, tt = mk_sym(SIG, "unit", (), 0), mk_sym(SIG, "tt", (), 0)
     exprs = tuple(unit if slot.cls is TY else tt for slot in ref.rule.arity)
     node = RuleInst(ref, Instantiation(ref.rule.arity, 0, exprs), EMPTY_CONTEXT, ())
     data = derivation_to_json(THEORY, SIG, node)
-    assert (data["node"], data["which"]) == (ref.family, ref.name)
+    assert (data["node"], data["which"]) == (ref.family, ref.wire_name)
     assert derivation_from_json(THEORY, SIG, data) == node
     # the position within the family is accepted on the wire too
-    data["which"] = WIRE_NAMES[ref.family].index(ref.name)
+    data["which"] = WIRE_NAMES[ref.family].index(ref.wire_name)
     assert derivation_from_json(THEORY, SIG, data) == node
 
 
 def test_every_wire_name_names_one_builtin_rule():
-    assert sorted((ref.family, ref.name) for ref in BUILTIN_RULES) == sorted(
+    assert sorted((ref.family, ref.wire_name) for ref in BuiltinRule) == sorted(
         (family, name) for family, names in WIRE_NAMES.items() for name in names
     )

@@ -198,7 +198,7 @@ def test_every_type_expression_rule_is_not_tight():
 
 def test_symmetry_variants():
     from gtt.syntax import arity, TY
-    from gtt.rules import EQUIVALENCE_RULES
+    from gtt.rules import BuiltinRule
 
     ext = mv_extend_signature(MLTT_SIGNATURE, arity((TY, 0), (TY, 0)), ("A", "B"))
     A0, B0 = mk_meta(ext, "A", (), 0), mk_meta(ext, "B", (), 0)
@@ -217,7 +217,7 @@ def test_symmetry_variants():
     weak_w = RuleWitnesses(conclusion={0: Hyp(2), 1: Hyp(1)})
     assert check_presuppositive(THEORY, lhs, weak_w, weak=True)
     # the right-hand variant is the structural rule, tight and presuppositive
-    assert is_tight(EQUIVALENCE_RULES[1])
+    assert is_tight(BuiltinRule.EQUIV_TY_SYM.rule)
 
 
 # --- theory-level acceptability -------------------------------------------------

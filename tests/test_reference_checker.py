@@ -13,7 +13,7 @@ mutants that change the structure of one node.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -42,16 +42,7 @@ from gtt.judgements import (
     tm_eq,
     ty_eq,
 )
-from gtt.rules import (
-    BUILTIN_RULES,
-    CONV_TM,
-    CONVERSION_RULES,
-    EQUIV_TY_REFL,
-    EQUIV_TY_SYM,
-    EQUIVALENCE_RULES,
-    RawRule,
-    instantiate_rule,
-)
+from gtt.rules import BuiltinRule, RawRule, instantiate_rule
 from gtt.scopes import ScopeKind
 from gtt.syntax import (
     TM,
@@ -63,6 +54,7 @@ from gtt.syntax import (
     SymApp,
     Var,
     arity,
+    mk_sym,
     mv_extend_signature,
     substitute_expr,
 )
@@ -183,14 +175,14 @@ class Generator:
         if choice == 1 and j.form is JudgementForm.IS_TM:
             # conversion from the same term at another type
             a, b, t = rng.choice((j.boundary[0], self.expr(ctx.scope, TY))), j.boundary[0], j.head
-            inst = Instantiation(CONV_TM.rule.arity, ctx.scope, (a, b, t))
+            inst = Instantiation(BuiltinRule.CONV_TM.rule.arity, ctx.scope, (a, b, t))
             judgements = (is_type(ctx, a), is_type(ctx, b), is_term(ctx, t, a), ty_eq(ctx, a, b))
-            return RuleInst(CONV_TM, inst, ctx, self.derive_all(judgements, depth))
+            return RuleInst(BuiltinRule.CONV_TM, inst, ctx, self.derive_all(judgements, depth))
         if choice == 1 and j.form is JudgementForm.TY_EQ:
             a, b = j.boundary
-            inst = Instantiation(EQUIV_TY_SYM.rule.arity, ctx.scope, (b, a))
+            inst = Instantiation(BuiltinRule.EQUIV_TY_SYM.rule.arity, ctx.scope, (b, a))
             judgements = (is_type(ctx, b), is_type(ctx, a), ty_eq(ctx, b, a))
-            return RuleInst(EQUIV_TY_SYM, inst, ctx, self.derive_all(judgements, depth))
+            return RuleInst(BuiltinRule.EQUIV_TY_SYM, inst, ctx, self.derive_all(judgements, depth))
         if choice == 2:
             # the identity substitution; untouched positions are typed by variable nodes
             f = Substitution.identity(ctx.scope)
@@ -243,8 +235,8 @@ class Generator:
             return node, is_term(ctx, Var(i, ctx.scope), ctx.types[i])
         if choice == 3:
             a = self.expr(ctx.scope, TY)
-            inst = Instantiation(EQUIV_TY_REFL.rule.arity, ctx.scope, (a,))
-            node = RuleInst(EQUIV_TY_REFL, inst, ctx, (self.derive(is_type(ctx, a), depth - 1),))
+            inst = Instantiation(BuiltinRule.EQUIV_TY_REFL.rule.arity, ctx.scope, (a,))
+            node = RuleInst(BuiltinRule.EQUIV_TY_REFL, inst, ctx, (self.derive(is_type(ctx, a), depth - 1),))
             return node, ty_eq(ctx, a, a)
         r = rng.randrange(len(AXIOMS), len(self.theory.rules))
         rule = self.theory.rule(r)
@@ -277,7 +269,7 @@ def test_reference_agrees_on_generated_derivations():
 
 def test_rule_exposed_set_is_the_generic_occurrences_of_its_conclusion():
     rng = random.Random(62)
-    rules = list(THEORY.rules + EQUIVALENCE_RULES + CONVERSION_RULES)
+    rules = list(THEORY.rules) + [ref.rule for ref in BuiltinRule]
     for kind in ScopeKind:
         rules += random_theory(rng, kind).rules
     for rule in rules:
@@ -412,12 +404,12 @@ def test_every_planted_ill_formed_expression_is_rejected():
 def structural_mutants(theory, node):
     """(family, node) for one change to the structure of ``node``."""
     if isinstance(node, RuleInst):
-        n = len(theory.rules)
+        n, builtins = len(theory.rules), list(BuiltinRule)
         if isinstance(node.ref, int):
-            others = [(node.ref + 1) % n, BUILTIN_RULES[node.ref % len(BUILTIN_RULES)]]
+            others = [(node.ref + 1) % n, builtins[node.ref % len(builtins)]]
         else:
-            k = BUILTIN_RULES.index(node.ref)
-            others = [BUILTIN_RULES[(k + 1) % len(BUILTIN_RULES)], k % n]
+            k = builtins.index(node.ref)
+            others = [builtins[(k + 1) % len(builtins)], k % n]
         for other in others:
             yield "ref", replace(node, ref=other)
     kids = node.children
@@ -450,6 +442,28 @@ def test_structural_mutants_agree_with_the_reference():
     assert families == {"ref", "swap", "position", "trivial"}, families
     assert count >= 300, count
     assert 0 < accepted < count, accepted
+
+
+def test_forged_builtin_ref_is_rejected():
+    """A node cites a rule of the theory or a member of ``BuiltinRule``; an
+    object that carries a built-in's family, wire name and some raw rule is
+    neither, and both checkers reject it."""
+
+    @dataclass(frozen=True)
+    class ForgedRef:
+        family: str
+        wire_name: str
+        rule: RawRule
+
+    unit0 = unit_at(EMPTY_CONTEXT).type
+    pi0 = mk_sym(SIG, "Pi", (unit0, unit_at(extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))).type), 0)
+    bogus = RawRule((), (), ty_eq(EMPTY_CONTEXT, unit0, pi0))
+    inst = Instantiation((), 0, ())
+    # cited as a rule of a theory that has it, the rule derives unit == Pi(unit, unit)
+    theory, r = _with_rule("bogus", bogus)
+    assert assert_agree(theory, (), RuleInst(r, inst, EMPTY_CONTEXT, ())) == bogus.conclusion
+    for ref in (ForgedRef("equiv", "ty-refl", bogus), ForgedRef("conv", "conv", bogus), "ty-refl", None, 0.0):
+        assert assert_agree(THEORY, (), RuleInst(ref, inst, EMPTY_CONTEXT, ())) is KernelError
 
 
 # --- hand-built raw theories ----------------------------------------------------

@@ -1,5 +1,8 @@
 """Raw rules, structural closure rules, and congruence generation."""
 
+import copy
+import pickle
+
 import pytest
 
 from gtt.bundled import MLTT_SIGNATURE, mltt_pi
@@ -14,8 +17,7 @@ from gtt.judgements import (
     ty_eq,
 )
 from gtt.rules import (
-    CONVERSION_RULES,
-    EQUIVALENCE_RULES,
+    BuiltinRule,
     RawRule,
     congruence_maps,
     congruence_rule,
@@ -43,32 +45,42 @@ THEORY, _ = mltt_pi()
 
 
 def test_equivalence_rule_shapes():
-    assert len(EQUIVALENCE_RULES) == 6
-    assert len(CONVERSION_RULES) == 2
+    assert [ref.family for ref in BuiltinRule] == ["equiv"] * 6 + ["conv"] * 2
     # term reflexivity arity [(Ty,0),(Tm,0)]
-    tm_refl = EQUIVALENCE_RULES[3]
+    tm_refl = BuiltinRule.EQUIV_TM_REFL.rule
     assert [(a.cls.value, a.binder) for a in tm_refl.arity] == [("Ty", 0), ("Tm", 0)]
     # type transitivity has five premises
-    assert len(EQUIVALENCE_RULES[2].premises) == 5
+    assert len(BuiltinRule.EQUIV_TY_TRANS.rule.premises) == 5
     # all conclusions have empty contexts
-    for r in EQUIVALENCE_RULES + CONVERSION_RULES:
-        assert r.conclusion.context.scope == 0
+    for ref in BuiltinRule:
+        assert ref.rule.conclusion.context.scope == 0
 
 
 def test_structural_rules_are_tight_and_presuppositive():
-    from gtt.metatheory import (
-        CONVERSION_WITNESSES,
-        EQUIVALENCE_WITNESSES,
-        check_presuppositive,
-        is_tight,
-    )
+    from gtt.metatheory import BUILTIN_WITNESSES, check_presuppositive, is_tight
 
-    for i, r in enumerate(EQUIVALENCE_RULES):
-        assert is_tight(r)
-        assert check_presuppositive(THEORY, r, EQUIVALENCE_WITNESSES[i])
-    for i, r in enumerate(CONVERSION_RULES):
-        assert is_tight(r)
-        assert check_presuppositive(THEORY, r, CONVERSION_WITNESSES[i])
+    assert set(BUILTIN_WITNESSES) == set(BuiltinRule)
+    for ref in BuiltinRule:
+        assert is_tight(ref.rule)
+        assert check_presuppositive(THEORY, ref.rule, BUILTIN_WITNESSES[ref])
+
+
+def test_builtin_rules_are_closed():
+    """No ninth built-in rule can be made, and a copied or unpickled member
+    is the member itself, so it still finds its witnesses."""
+    from gtt.metatheory import BUILTIN_WITNESSES
+
+    with pytest.raises(ValueError):
+        BuiltinRule(("equiv", "ty-refl", BuiltinRule.CONV_TM.rule))
+    with pytest.raises(TypeError):
+
+        class MoreRules(BuiltinRule):
+            EXTRA = ("equiv", "extra", BuiltinRule.CONV_TM.rule)
+
+    for ref in BuiltinRule:
+        for twin in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref))):
+            assert twin is ref
+            assert BUILTIN_WITNESSES[twin] is BUILTIN_WITNESSES[ref]
 
 
 def test_variable_rule():
