@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import KernelError, ParseError
-from .judgements import presuppositions
+from .judgements import JudgementForm, presuppositions, ty_eq
 from .jsonio import (
     _boundary_from_json,
     _form_from,
@@ -371,8 +371,14 @@ def cmd_unique_typing(args) -> int:
     theory, witnesses, _ = _load_raw(args.theory)
     d1 = _load_derivation(theory, args.first)
     d2 = _load_derivation(theory, args.second)
+    j1 = check_theory_derivation(theory, (), d1)
+    j2 = check_theory_derivation(theory, (), d2)
+    if not (j1.form is j2.form is JudgementForm.IS_TM):
+        print("unique-typing expects two derivations of term judgements t : A and t : B", file=sys.stderr)
+        return 2
     out = unique_typing_acceptable(theory, d1, d2, witnesses)
-    check_theory_derivation(theory, (), out)
+    if check_theory_derivation(theory, (), out) != ty_eq(j1.context, j1.boundary[0], j2.boundary[0]):
+        raise KernelError("unique-typing result does not re-check")
     _emit(args, derivation_to_json(theory, theory.signature, out))
     return 0
 

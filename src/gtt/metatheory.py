@@ -39,7 +39,7 @@ from .rules import (
     congruence_rule,
     generic_application,
 )
-from .scopes import Renaming, extend_renaming, inl_renaming
+from .scopes import Renaming, inl_renaming
 from .syntax import (
     Arity,
     Expr,
@@ -51,7 +51,6 @@ from .syntax import (
     Var,
     concat_inst,
     expr_symbols,
-    extend_substitution,
     instantiate_expr,
     rename_expr,
     subst_act_inst,
@@ -428,7 +427,7 @@ def derive_presuppositions(
                     lowered = instantiate_derivation(theory, inst, ctx, w, ambient)
                     out.append(graft_theory(lowered, tuple(fillers)))
                 return tuple(out)
-        raise TypeError(f"not a derivation node: {node!r}")
+        raise TypeError(f"not a derivation node: {_node_name(theory, node)}")
 
     return go(d)
 
@@ -467,15 +466,55 @@ def _eq_subst_presups(theory, node, go):
     return (d_fA, d_ft, d_gt_at_fa)
 
 
-# --- admissibility of renaming -------------------------------------------------
+# --- admissibility of renaming and substitution ----------------------------------
+#
+# The three transformers below follow the admissibility proofs of the paper
+# with the root data held fixed, as ``rename_expr`` and ``substitute_expr``
+# do for expressions: the renaming r (or the substitution f, or the pair f,
+# g), the target context, the trivial set K and the typings stay as given,
+# and the walk descends with a binder count k, acting as r + id_k (f + id_k)
+# on lookup.  A position p of a context at depth k is bound when
+# ``kind.unsum(f.dst, k, p)`` (``r.src`` for a renaming) says "right";
+# otherwise it stands for the root position it names.  No extended table,
+# trivial set or typing copy is built: a typing is renamed by
+# ``inl_renaming(f.src, k)`` at the variable node that uses it.
+#
+# The side conditions are checked once, at the root, against the root node's
+# context (a hypothesis root has no context to check them against).
+# Precondition: ``d`` checks in the theory (from any hypotheses).  Then they
+# hold at every node by induction from the root.  A child's context is its
+# parent's context extended by the instantiated premise context, and the
+# child's target is the parent's target extended by the same premise context
+# instantiated along f*I.  At a left position, both sides of a condition are
+# the weakening of the parent's, since weakening commutes with substitution
+# and renaming.  At a bound position, the image is the bound variable itself,
+# and its two types are (f + k)*(I(psi_p)) and (f*I)(psi_p), which are equal
+# because instantiation commutes with substitution.  A variable node's child
+# lives in the node's own context.  The kernel re-checks each output where it
+# leaves the library: the CLI re-checks every derivation it prints.
 
 def is_substitution_free(d: TheoryDerivation) -> bool:
     return not any(isinstance(n, (SubstInst, EqSubstInst)) for n in derivation_nodes(d))
 
 
-def rename_inst(kind, r: Renaming, inst: Instantiation) -> Instantiation:
-    exprs = tuple(rename_expr(kind, r, e, a.binder) for e, a in zip(inst.exprs, inst.arity))
-    return Instantiation(inst.arity, r.dst, exprs)
+def _node_name(theory: RawTypeTheory, node) -> str:
+    """A node's kind and, for a rule instance, the name of the rule it cites."""
+    match node:
+        case RuleInst(ref=BuiltinRule() as ref):
+            return f"RuleInst({ref.wire_name})"
+        case RuleInst(ref=int() as r):
+            return f"RuleInst({theory.rule_name(r)})"
+    return type(node).__name__
+
+
+def _not_substitution_free(theory: RawTypeTheory, node) -> TypeError:
+    return TypeError(f"substitution node in a substitution-free derivation: {_node_name(theory, node)}")
+
+
+def rename_inst(kind, r: Renaming, inst: Instantiation, k: int = 0) -> Instantiation:
+    """r + id_k acting on an instantiation over r.src + k."""
+    exprs = tuple(rename_expr(kind, r, e, a.binder + k) for e, a in zip(inst.exprs, inst.arity))
+    return Instantiation(inst.arity, r.dst + k, exprs)
 
 
 def _check_type_respecting(kind, r: Renaming, src: RawContext, dst: RawContext) -> None:
@@ -489,38 +528,36 @@ def rename_derivation(
     r: Renaming,
     target: RawContext,
     d: TheoryDerivation,
-    ambient: Arity | None = None,
 ) -> TheoryDerivation:
-    """Rename a substitution-free derivation along a type-respecting renaming."""
+    """Rename a substitution-free derivation along a type-respecting renaming.
+
+    ``d`` must check in the theory.  Type-respect is checked against the
+    root's context only; see the comment above for why it holds below.
+    """
     require_substitutive(theory)
     kind = theory.kind
+    if isinstance(d, (VariableInst, RuleInst)):
+        _check_type_respecting(kind, r, d.context, target)
 
-    def go(node, rn: Renaming, tgt: RawContext):
+    def go(node, k: int, tgt: RawContext):
         match node:
             case Hyp():
-                if rn.is_identity():
+                if r.is_identity():
                     return node
                 raise MissingWitness("cannot rename a hypothesis")
-            case VariableInst(context=ctx, pos=i, children=children):
-                _check_type_respecting(kind, rn, ctx, tgt)
-                return VariableInst(tgt, rn(i), (go(children[0], rn, tgt),))
-            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
-                rule = theory.rule(ref)
-                _check_type_respecting(kind, rn, ctx, tgt)
-                new_inst = rename_inst(kind, rn, inst)
-                new_children = []
-                for j, premise in enumerate(rule.premises):
-                    psi = premise.context.scope
-                    child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
-                    child_rn = extend_renaming(kind, rn, psi)
-                    new_children.append(go(children[j], child_rn, child_tgt))
-                return RuleInst(ref, new_inst, tgt, tuple(new_children))
-        raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
+            case VariableInst(pos=i, children=children):
+                image = rename_expr(kind, r, Var(i, r.src + k), k)
+                return VariableInst(tgt, image.pos, (go(children[0], k, tgt),))
+            case RuleInst(ref=ref, inst=inst, children=children):
+                new_inst = rename_inst(kind, r, inst, k)
+                return RuleInst(ref, new_inst, tgt, tuple(
+                    go(c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context))
+                    for c, p in zip(children, theory.rule(ref).premises)
+                ))
+        raise _not_substitution_free(theory, node)
 
-    return go(d, r, target)
+    return go(d, 0, target)
 
-
-# --- admissibility of substitution ----------------------------------------------
 
 def _check_trivial_action(kind, f, target, source, positions):
     for i in sorted(positions):
@@ -535,58 +572,45 @@ def substitute_derivation(
     trivial: frozenset[int],
     typings: dict[int, TheoryDerivation],
     d: TheoryDerivation,
-    ambient: Arity | None = None,
 ) -> TheoryDerivation:
     """Substitute into a substitution-free derivation, keeping it substitution-free.
 
     ``typings[i]`` must be a substitution-free derivation of
     target |- f(i) : f*(source type i) for every position i outside
-    ``trivial``; positions inside it are only required to be trivial.
+    ``trivial``; positions inside it are only required to be trivial.  ``d``
+    must check in the theory.  Triviality is checked against the root's
+    context only; see the comment above for why it holds below.
     """
     require_substitutive(theory)
     kind = theory.kind
+    if isinstance(d, (VariableInst, RuleInst)):
+        _check_trivial_action(kind, f, target, d.context, trivial)
 
-    def go(node, fs: Substitution, tgt: RawContext, K: frozenset[int], typ: dict):
+    def go(node, k: int, tgt: RawContext):
         match node:
             case Hyp():
-                if fs == Substitution.identity(fs.src):
+                if f == Substitution.identity(f.src):
                     return node
                 raise MissingWitness("cannot substitute into a hypothesis")
-            case VariableInst(context=ctx, pos=i, children=children):
-                _check_trivial_action(kind, fs, tgt, ctx, K)
-                if i in K:
-                    image = fs(i)
-                    return VariableInst(tgt, image.pos, (go(children[0], fs, tgt, K, typ),))
-                if i not in typ:
+            case VariableInst(pos=i, children=children):
+                side, root = kind.unsum(f.dst, k, i)
+                if side == "right" or root in trivial:
+                    image = substitute_expr(kind, f, Var(i, f.dst + k), k)
+                    return VariableInst(tgt, image.pos, (go(children[0], k, tgt),))
+                if root not in typings:
                     raise MissingWitness(f"no typing derivation for position {i}")
-                return typ[i]
-            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
-                rule = theory.rule(ref)
-                _check_trivial_action(kind, fs, tgt, ctx, K)
-                new_inst = subst_act_inst(kind, fs, inst)
-                new_children = []
-                for j, premise in enumerate(rule.premises):
-                    psi = premise.context.scope
-                    child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
-                    child_f = extend_substitution(kind, fs, psi)
-                    child_K = frozenset(kind.inl(fs.dst, psi, i) for i in K) | frozenset(
-                        kind.inr(fs.dst, psi, p) for p in range(psi)
-                    )
-                    child_typ = {
-                        kind.inl(fs.dst, psi, i): rename_derivation(
-                            theory,
-                            inl_renaming(kind, fs.src, psi),
-                            child_tgt,
-                            dv,
-                            ambient,
-                        )
-                        for i, dv in typ.items()
-                    } if psi else dict(typ)
-                    new_children.append(go(children[j], child_f, child_tgt, child_K, child_typ))
-                return RuleInst(ref, new_inst, tgt, tuple(new_children))
-        raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
+                if k == 0:
+                    return typings[root]
+                return rename_derivation(theory, inl_renaming(kind, f.src, k), tgt, typings[root])
+            case RuleInst(ref=ref, inst=inst, children=children):
+                new_inst = subst_act_inst(kind, f, inst, k)
+                return RuleInst(ref, new_inst, tgt, tuple(
+                    go(c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context))
+                    for c, p in zip(children, theory.rule(ref).premises)
+                ))
+        raise _not_substitution_free(theory, node)
 
-    return go(d, f, target, trivial, dict(typings))
+    return go(d, 0, target)
 
 
 # --- admissibility of equality substitution --------------------------------------
@@ -611,16 +635,19 @@ def substitute_equal_derivation(
     trivial: frozenset[int],
     triples: dict[int, tuple[TheoryDerivation, TheoryDerivation, TheoryDerivation]],
     d: TheoryDerivation,
-    ambient: Arity | None = None,
 ) -> tuple[TheoryDerivation, TheoryDerivation, TheoryDerivation | None]:
     """Substitute two judgementally equal substitutions into a derivation.
 
     Returns substitution-free derivations of target |- f*J, target |- g*J,
     and, for object J, target |- (f == g)*J.  ``triples[i]`` holds the
     f-typing, g-typing, and equality derivations for each unchecked i.
+    ``d`` must check in the theory.  Joint triviality is checked against
+    the root's context only; see the comment above for why it holds below.
     """
     require_substitutive(theory)
     kind = theory.kind
+    if isinstance(d, (VariableInst, RuleInst)):
+        _check_joint_conditions(kind, f, g, target, d.context, trivial)
     congruence_of: dict[int, int] = {}
 
     def cong_index(r: int) -> int:
@@ -631,20 +658,23 @@ def substitute_equal_derivation(
             congruence_of[r] = j
         return congruence_of[r]
 
-    def go(node, fs, gs, tgt, K, tris):
+    def go(node, k: int, tgt: RawContext):
         match node:
             case Hyp():
                 raise MissingWitness("cannot substitute into a hypothesis")
             case VariableInst(context=ctx, pos=i, children=children):
-                _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
-                if i not in K:
-                    if i not in tris:
+                side, root = kind.unsum(f.dst, k, i)
+                if side == "left" and root not in trivial:
+                    if root not in triples:
                         raise MissingWitness(f"no typing triple for position {i}")
-                    return tris[i]
-                d_fa, d_ga, d_ea = go(children[0], fs, gs, tgt, K, tris)
-                j = fs(i).pos
-                fa = substitute_expr(kind, fs, ctx.type_at(i))
-                ga = substitute_expr(kind, gs, ctx.type_at(i))
+                    if k == 0:
+                        return triples[root]
+                    inl = inl_renaming(kind, f.src, k)
+                    return tuple(rename_derivation(theory, inl, tgt, dv) for dv in triples[root])
+                d_fa, d_ga, d_ea = go(children[0], k, tgt)
+                j = substitute_expr(kind, f, Var(i, f.dst + k), k).pos
+                fa = substitute_expr(kind, f, ctx.type_at(i), k)
+                ga = substitute_expr(kind, g, ctx.type_at(i), k)
                 x = Var(j, tgt.scope)
                 if tgt.type_at(j) == fa:
                     dvar = VariableInst(tgt, j, (d_fa,))
@@ -659,66 +689,38 @@ def substitute_equal_derivation(
                     refl = derive.refl_tm(tgt, ga, x, d_ga, dvar)
                     d_e = derive.conv_eq(tgt, ga, fa, x, x, d_ga, d_fa, dvar, dvar, refl, d_sym)
                 return d_f, d_g, d_e
-            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+            case RuleInst(ref=ref, inst=inst, children=children):
                 rule = theory.rule(ref)
-                _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
-                i_f = subst_act_inst(kind, fs, inst)
-                i_g = subst_act_inst(kind, gs, inst)
+                i_f = subst_act_inst(kind, f, inst, k)
+                i_g = subst_act_inst(kind, g, inst, k)
                 f_children, g_children, eq_components = [], [], []
-                for j, premise in enumerate(rule.premises):
-                    psi = premise.context.scope
-                    if psi == 0:
-                        tri = go(children[j], fs, gs, tgt, K, tris)
-                        f_children.append(tri[0])
-                        g_children.append(tri[1])
-                        eq_components.append(tri[2])
-                        continue
-                    child_f = extend_substitution(kind, fs, psi)
-                    child_g = extend_substitution(kind, gs, psi)
-                    child_K = frozenset(kind.inl(fs.dst, psi, i) for i in K) | frozenset(
-                        kind.inr(fs.dst, psi, p) for p in range(psi)
-                    )
-                    tgt_f = instantiate_context(kind, i_f, tgt, premise.context)
-                    tgt_g = instantiate_context(kind, i_g, tgt, premise.context)
-
-                    def lift(tris_ctx, dv):
-                        return rename_derivation(
-                            theory, inl_renaming(kind, fs.src, psi), tris_ctx, dv, ambient
-                        )
-
-                    tris_f = {
-                        kind.inl(fs.dst, psi, i): tuple(lift(tgt_f, dv) for dv in t3)
-                        for i, t3 in tris.items()
-                    }
-                    tris_g = {
-                        kind.inl(fs.dst, psi, i): tuple(lift(tgt_g, dv) for dv in t3)
-                        for i, t3 in tris.items()
-                    }
-                    tri_f = go(children[j], child_f, child_g, tgt_f, child_K, tris_f)
-                    tri_g = go(children[j], child_f, child_g, tgt_g, child_K, tris_g)
+                for child, premise in zip(children, rule.premises):
+                    psi = premise.context
+                    tri_f = go(child, k + psi.scope, instantiate_context(kind, i_f, tgt, psi))
+                    # under a binder the f- and g-images of the premise live
+                    # over different target contexts, so the child is walked twice
+                    tri_g = tri_f
+                    if psi.scope:
+                        tri_g = go(child, k + psi.scope, instantiate_context(kind, i_g, tgt, psi))
                     f_children.append(tri_f[0])
                     g_children.append(tri_g[1])
                     eq_components.append(tri_f[2])
                 d_f = RuleInst(ref, i_f, tgt, tuple(f_children))
                 d_g = RuleInst(ref, i_g, tgt, tuple(g_children))
-                conclusion_form = rule.conclusion.form
-                if not conclusion_form.is_object:
+                if not rule.conclusion.form.is_object:
                     return d_f, d_g, None
-                d_e = _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
-                                   f_children, g_children, eq_components, cong_index,
-                                   fs, gs)
+                d_e = _equal_image(theory, node, rule, tgt, i_f, i_g,
+                                   f_children, g_children, eq_components, cong_index)
                 return d_f, d_g, d_e
-        raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
+        raise _not_substitution_free(theory, node)
 
-    result = go(d, f, g, target, trivial, dict(triples))
-    return result
+    return go(d, 0, target)
 
 
-def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
-                 f_children, g_children, eq_components, cong_index, fs, gs):
+def _equal_image(theory, node, rule, tgt, i_f, i_g,
+                 f_children, g_children, eq_components, cong_index):
     """The (f == g)-image at an object-rule node: congruence rule for specific
     rules, conversion bookkeeping for the term-conversion rule."""
-    kind = theory.kind
     match node.ref:
         case int() as r:
             cidx = cong_index(r)
@@ -728,37 +730,29 @@ def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
                 children.append(eq_components[k])
             return RuleInst(cidx, ii, tgt, tuple(children))
         case BuiltinRule.CONV_TM:
-            # premises A, B, s : A, A == B; conclusion s : B
+            # premises A, B, s : A, A == B; conclusion s : B.  Its metavariables
+            # bind nothing, so the images of A, B and s are the entries of i_f, i_g
             t0 = (f_children[0], g_children[0], eq_components[0])
             t1 = (f_children[1], g_children[1], eq_components[1])
             t2 = (f_children[2], g_children[2], eq_components[2])
             t3 = (f_children[3], g_children[3], None)
-            fA = substitute_expr(kind, fs, instantiate_expr(kind, inst, _conv_meta(0)))
-            gA = substitute_expr(kind, gs, instantiate_expr(kind, inst, _conv_meta(0)))
-            fB = substitute_expr(kind, fs, instantiate_expr(kind, inst, _conv_meta(1)))
-            fsx = substitute_expr(kind, fs, instantiate_expr(kind, inst, _conv_meta(2)))
-            gsx = substitute_expr(kind, gs, instantiate_expr(kind, inst, _conv_meta(2)))
+            (fA, fB, fsx), (gA, _, gsx) = i_f.exprs, i_g.exprs
             sym = derive.sym_ty(tgt, fA, gA, t0[0], t0[1], t0[2])
             gs_at_fA = derive.conv(tgt, gA, fA, gsx, t0[1], t0[0], t2[1], sym)
             return derive.conv_eq(
                 tgt, fA, fB, fsx, gsx, t0[0], t1[0], t2[0], gs_at_fA, t2[2], t3[0]
             )
-    raise NotObjectRule(f"no equality image for node {node!r}")
-
-
-def _conv_meta(i: int) -> MetaApp:
-    return MetaApp(i, (), 0, BuiltinRule.CONV_TM.rule.arity[i].cls)
+    raise NotObjectRule(f"no equality image for node {_node_name(theory, node)}")
 
 
 # --- elimination of substitution --------------------------------------------------
 
-def eliminate_substitution(
-    theory: RawTypeTheory, d: TheoryDerivation, ambient: Arity | None = None
-) -> TheoryDerivation:
+def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> TheoryDerivation:
     """A substitution-free derivation of the same judgement.
 
     Dispatches substitution nodes to substitute_derivation and equality
-    substitution nodes to substitute_equal_derivation, bottom-up.
+    substitution nodes to substitute_equal_derivation, bottom-up.  ``d``
+    must check in the theory: then so does each rewritten subtree handed on.
     """
 
     def go(node):
@@ -769,7 +763,7 @@ def eliminate_substitution(
                 new_children = [go(c) for c in children]
                 unchecked = [i for i in range(jj.context.scope) if i not in K]
                 typings = {i: new_children[1 + k] for k, i in enumerate(unchecked)}
-                return substitute_derivation(theory, f, tgt, K, typings, new_children[0], ambient)
+                return substitute_derivation(theory, f, tgt, K, typings, new_children[0])
             case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj, children=children):
                 new_children = [go(c) for c in children]
                 unchecked = [i for i in range(jj.context.scope) if i not in K]
@@ -777,9 +771,7 @@ def eliminate_substitution(
                     i: (new_children[1 + 3 * k], new_children[2 + 3 * k], new_children[3 + 3 * k])
                     for k, i in enumerate(unchecked)
                 }
-                _, _, d_eq = substitute_equal_derivation(
-                    theory, f, g, tgt, K, triples, new_children[0], ambient
-                )
+                _, _, d_eq = substitute_equal_derivation(theory, f, g, tgt, K, triples, new_children[0])
                 return d_eq
         return replace(node, children=tuple(go(c) for c in node.children))
 
@@ -794,15 +786,14 @@ def unique_typing(
     d_b: TheoryDerivation,
     d1: TheoryDerivation,
     d2: TheoryDerivation,
-    ambient: Arity | None = None,
 ) -> TheoryDerivation:
     """From derivations of t : A and t : B (plus typings of A and B), a
     derivation of A == B.  Requires a tight, substitutive theory."""
     theory_tightness(theory)
     require_substitutive(theory)
     kind = theory.kind
-    d1 = eliminate_substitution(theory, d1, ambient)
-    d2 = eliminate_substitution(theory, d2, ambient)
+    d1 = eliminate_substitution(theory, d1)
+    d2 = eliminate_substitution(theory, d2)
 
     def type_of(node) -> Expr:
         match node:
@@ -813,7 +804,7 @@ def unique_typing(
             case RuleInst(ref=int() as r, inst=inst):
                 c = theory.rule(r).conclusion
                 return instantiate_expr(kind, inst, c.boundary[0])
-        raise NotTight(f"no term-judgement type at {node!r}")
+        raise NotTight(f"no term-judgement type at {_node_name(theory, node)}")
 
     def conv_parts(node):
         # children: A' type, A type, s : A', A' == A; instantiation (A', A, s)
@@ -864,14 +855,12 @@ def unique_typing_acceptable(
     """The corollary form: typings of the two types come from presuppositions."""
     d_a = derive_presuppositions(theory, d1, witnesses, ambient)[0]
     d_b = derive_presuppositions(theory, d2, witnesses, ambient)[0]
-    return unique_typing(theory, d_a, d_b, d1, d2, ambient)
+    return unique_typing(theory, d_a, d_b, d1, d2)
 
 
 # --- natural types and inversion -----------------------------------------------
 
-def natural_type(
-    theory: RawTypeTheory, ctx: RawContext, t: Expr, ambient: Arity | None = None
-) -> Expr:
+def natural_type(theory: RawTypeTheory, ctx: RawContext, t: Expr) -> Expr:
     """The type read off the symbol rules: a variable gets its context type,
     a symbol application the instantiated conclusion type of its rule."""
     kind = theory.kind
@@ -901,7 +890,7 @@ def invert(
     the symbol rule.  Requires an acceptable theory (witnesses supplied).
     """
     kind = theory.kind
-    d = eliminate_substitution(theory, d, ambient)
+    d = eliminate_substitution(theory, d)
 
     def go(node):
         match node:
@@ -932,7 +921,7 @@ def invert(
                 return derive.conv(ctx, r_natty, b, term, r_dn, c_b, r_dt, merged)
             case Hyp():
                 raise MissingWitness("cannot invert a hypothesis")
-        raise NotObjectRule(f"inversion does not apply at {node!r}")
+        raise NotObjectRule(f"inversion does not apply at {_node_name(theory, node)}")
 
     return go(d)
 

@@ -592,12 +592,16 @@ def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) ->
     )
 
 
-def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation) -> Instantiation:
-    """A substitution f : delta -> gamma acting on an instantiation over gamma."""
-    if f.dst != inst.scope:
-        raise ScopeMismatch(f"substitution into scope {f.dst}, instantiation over {inst.scope}")
-    exprs = tuple(substitute_expr(kind, f, e, slot.binder) for e, slot in zip(inst.exprs, inst.arity))
-    return Instantiation(inst.arity, f.src, exprs)
+def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation, k: Scope = 0) -> Instantiation:
+    """f + id_k, for f : delta -> gamma, acting on an instantiation over gamma + k.
+
+    Entry i sits under ``k`` plus its own binder, and the result is over
+    delta + k.
+    """
+    if f.dst + k != inst.scope:
+        raise ScopeMismatch(f"substitution into scope {f.dst} under {k}, instantiation over {inst.scope}")
+    exprs = tuple(substitute_expr(kind, f, e, slot.binder + k) for e, slot in zip(inst.exprs, inst.arity))
+    return Instantiation(inst.arity, f.src + k, exprs)
 
 
 def translate_inst(fmap: SignatureMap, inst: Instantiation) -> Instantiation:

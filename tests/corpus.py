@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from gtt import derive
 from gtt.bundled import mltt_base
 from gtt.judgements import EMPTY_CONTEXT, Judgement, RawContext, is_term, is_type, tm_eq, ty_eq
-from gtt.syntax import Instantiation, Substitution, Var, mk_sym
+from gtt.syntax import Instantiation, Substitution, Var, mk_sym, substitute_expr
 from gtt.theories import (
     Hyp,
-    RawTypeTheory,
     RuleInst,
     SubstInst,
     TheoryDerivation,
@@ -107,8 +106,6 @@ def lam(a: TypedType, b: TypedType, body: TypedTerm) -> TypedTerm:
 
 
 def app(a: TypedType, b: TypedType, f: TypedTerm, arg: TypedTerm) -> TypedTerm:
-    from gtt.syntax import substitute_expr, extend_substitution
-
     ctx = a.ctx
     e = mk_sym(SIG, "app", (a.type, b.type, f.term, arg.term), ctx.scope)
     inst = Instantiation(APP_ARITY, ctx.scope, (a.type, b.type, f.term, arg.term))
@@ -148,8 +145,6 @@ def var(ctx: RawContext, i: int, d_entry_type: TheoryDerivation) -> TypedTerm:
 
 
 def beta_eq(a: TypedType, b: TypedType, body: TypedTerm, arg: TypedTerm) -> tuple[TheoryDerivation, Judgement]:
-    from gtt.syntax import substitute_expr
-
     ctx = a.ctx
     inst = Instantiation(BETA_ARITY, ctx.scope, (a.type, b.type, body.term, arg.term))
     d = RuleInst(BETA, inst, ctx, (a.d_type, b.d_type, body.d_term, arg.d_term))
@@ -370,6 +365,69 @@ def substitution_corpus() -> list[tuple[TheoryDerivation, Judgement]]:
     )
     items.append((eqsub, ty_eq(e, u0.type, u0.type)))
     return items
+
+
+def _outer_lam_tower(ctx: RawContext) -> TypedTerm:
+    """lam y:unit. lam z:Pi(unit, unit). x over ``ctx``, x its newest variable:
+    a body that uses a variable from outside the binders."""
+    y_ty = unit_at(ctx)
+    ctx_y = extend(ctx, y_ty)
+    z_ty = pi_over(unit_at(ctx_y))
+    ctx_z = extend(ctx_y, z_ty)
+    x = KIND.inl(ctx_y.scope, 1, KIND.inl(ctx.scope, 1, newest_position(ctx.scope - 1)))
+    body = var(ctx_z, x, _derive_type_in(ctx_z, ctx_z.type_at(x)))
+    inner = lam(z_ty, unit_at(ctx_z), body)
+    return lam(y_ty, TypedType(ctx_y, inner.type, inner.d_type), inner)
+
+
+def weakening_chain(k: int) -> tuple[TheoryDerivation, Judgement]:
+    """k stacked weakening subst nodes over ``_outer_lam_tower`` at x : unit.
+
+    Each step adds a unit or a Pi(unit, unit) entry.  Even steps mark every
+    position trivial; odd steps mark none and give each a variable typing,
+    which elimination must carry under the tower's two binders.
+    """
+    ctx = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    t = _outer_lam_tower(ctx)
+    term, ty, d = t.term, t.type, t.d_term
+    for step in range(k):
+        n = ctx.scope
+        entry = unit_at(ctx) if step % 3 else pi_over(unit_at(ctx))
+        target = extend(ctx, entry)
+        inl = [KIND.inl(n, 1, i) for i in range(n)]
+        f = Substitution(n + 1, n, tuple(Var(p, n + 1) for p in inl))
+        if step % 2:
+            trivial = frozenset()
+            typings = tuple(
+                VariableInst(target, p, (_derive_type_in(target, target.type_at(p)),)) for p in inl
+            )
+        else:
+            trivial, typings = frozenset(range(n)), ()
+        d = derive.subst(f, target, trivial, is_term(ctx, term, ty), d, typings)
+        ctx, term, ty = target, substitute_expr(KIND, f, term), substitute_expr(KIND, f, ty)
+    return d, is_term(ctx, term, ty)
+
+
+def equality_substitutions_under_binders() -> list[TheoryDerivation]:
+    """Equality-substitution nodes into x : unit |- ``_outer_lam_tower``: one
+    along [app(id, tt)/x] == [tt/x] with a typing triple, used under two
+    binders, and one along the identity with x trivial."""
+    e = EMPTY_CONTEXT
+    u0 = unit_at(e)
+    ctx1 = extend(e, u0)
+    t = tt_at(e)
+    x0 = var(ctx1, 0, unit_at(ctx1).d_type)
+    u1 = unit_at(ctx1)
+    ap = app(u0, u1, lam(u0, u1, x0), t)
+    d_beta, _ = beta_eq(u0, u1, x0, t)
+    tower = _outer_lam_tower(ctx1)
+    j = is_term(ctx1, tower.term, tower.type)
+    f, g = Substitution(0, 1, (ap.term,)), Substitution(0, 1, (t.term,))
+    ident = Substitution.identity(1)
+    return [
+        derive.eq_subst(f, g, e, frozenset(), j, tower.d_term, ((ap.d_term, t.d_term, d_beta),)),
+        derive.eq_subst(ident, ident, ctx1, frozenset({0}), j, tower.d_term),
+    ]
 
 
 def hypothetical_app_rule():

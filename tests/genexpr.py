@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 
-from gtt.scopes import ScopeKind
 from gtt.syntax import (
     TM,
     TY,
@@ -24,7 +23,6 @@ from gtt.syntax import (
     mk_meta,
     mk_sym,
     mk_var,
-    weaken_expr,
 )
 
 # Five symbols, mixed binders: enough to exercise every recursion case.

@@ -1,0 +1,278 @@
+"""Reference substitution transformers: every side condition at every node.
+
+The textbook reading of the admissibility proofs for renaming, substitution
+and equality substitution.  Each node re-checks that the renaming respects
+types, or that the substitutions act (jointly) trivially on the trivial
+set, for every position of the current context.  Under each binder it
+builds the extended substitution table, the extended trivial set, and a
+renamed copy of every typing.
+
+``metatheory`` carries the root data with a binder count instead and
+checks the side conditions once, at the root.  Its outputs must be ``==``
+to these.  ``reference_transformers`` swaps these functions into
+``metatheory``, so that ``eliminate_substitution``, ``invert`` and
+``unique_typing_acceptable`` can be run on both.
+"""
+
+from __future__ import annotations
+
+import contextlib
+
+from gtt import derive, metatheory
+from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, NotTypeRespecting, TrivialityViolated
+from gtt.judgements import instantiate_context
+from gtt.rules import BuiltinRule, acts_trivially
+from gtt.scopes import Renaming, extend_renaming, inl_renaming
+from gtt.syntax import (
+    Instantiation,
+    MetaApp,
+    Substitution,
+    Var,
+    concat_inst,
+    extend_substitution,
+    instantiate_expr,
+    rename_expr,
+    subst_act_inst,
+    substitute_expr,
+)
+from gtt.theories import Hyp, RuleInst, VariableInst
+
+
+@contextlib.contextmanager
+def reference_transformers():
+    """Run ``metatheory`` with the reference transformers in place."""
+    saved = {name: getattr(metatheory, name) for name in SWAPPED}
+    for name, fn in SWAPPED.items():
+        setattr(metatheory, name, fn)
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(metatheory, name, fn)
+
+
+def _rename_inst(kind, r: Renaming, inst: Instantiation) -> Instantiation:
+    exprs = tuple(rename_expr(kind, r, e, a.binder) for e, a in zip(inst.exprs, inst.arity))
+    return Instantiation(inst.arity, r.dst, exprs)
+
+
+def _check_type_respecting(kind, r, src, dst) -> None:
+    for i in range(src.scope):
+        if dst.type_at(r(i)) != rename_expr(kind, r, src.type_at(i)):
+            raise NotTypeRespecting(i)
+
+
+def rename_derivation(theory, r, target, d):
+    metatheory.require_substitutive(theory)
+    kind = theory.kind
+
+    def go(node, rn, tgt):
+        match node:
+            case Hyp():
+                if rn.is_identity():
+                    return node
+                raise MissingWitness("cannot rename a hypothesis")
+            case VariableInst(context=ctx, pos=i, children=children):
+                _check_type_respecting(kind, rn, ctx, tgt)
+                return VariableInst(tgt, rn(i), (go(children[0], rn, tgt),))
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
+                _check_type_respecting(kind, rn, ctx, tgt)
+                new_inst = _rename_inst(kind, rn, inst)
+                new_children = []
+                for j, premise in enumerate(rule.premises):
+                    psi = premise.context.scope
+                    child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
+                    child_rn = extend_renaming(kind, rn, psi)
+                    new_children.append(go(children[j], child_rn, child_tgt))
+                return RuleInst(ref, new_inst, tgt, tuple(new_children))
+        raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
+
+    return go(d, r, target)
+
+
+def _check_trivial_action(kind, f, target, source, positions):
+    for i in sorted(positions):
+        if not acts_trivially(kind, f, target, source, i):
+            raise TrivialityViolated(i)
+
+
+def substitute_derivation(theory, f, target, trivial, typings, d):
+    metatheory.require_substitutive(theory)
+    kind = theory.kind
+
+    def go(node, fs, tgt, K, typ):
+        match node:
+            case Hyp():
+                if fs == Substitution.identity(fs.src):
+                    return node
+                raise MissingWitness("cannot substitute into a hypothesis")
+            case VariableInst(context=ctx, pos=i, children=children):
+                _check_trivial_action(kind, fs, tgt, ctx, K)
+                if i in K:
+                    image = fs(i)
+                    return VariableInst(tgt, image.pos, (go(children[0], fs, tgt, K, typ),))
+                if i not in typ:
+                    raise MissingWitness(f"no typing derivation for position {i}")
+                return typ[i]
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
+                _check_trivial_action(kind, fs, tgt, ctx, K)
+                new_inst = subst_act_inst(kind, fs, inst)
+                new_children = []
+                for j, premise in enumerate(rule.premises):
+                    psi = premise.context.scope
+                    child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
+                    child_f = extend_substitution(kind, fs, psi)
+                    child_K = frozenset(kind.inl(fs.dst, psi, i) for i in K) | frozenset(
+                        kind.inr(fs.dst, psi, p) for p in range(psi)
+                    )
+                    child_typ = {
+                        kind.inl(fs.dst, psi, i): rename_derivation(
+                            theory, inl_renaming(kind, fs.src, psi), child_tgt, dv
+                        )
+                        for i, dv in typ.items()
+                    } if psi else dict(typ)
+                    new_children.append(go(children[j], child_f, child_tgt, child_K, child_typ))
+                return RuleInst(ref, new_inst, tgt, tuple(new_children))
+        raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
+
+    return go(d, f, target, trivial, dict(typings))
+
+
+def _check_joint_conditions(kind, f, g, target, source, K):
+    for i in sorted(K):
+        e1, e2 = f(i), g(i)
+        if not (isinstance(e1, Var) and isinstance(e2, Var) and e1.pos == e2.pos):
+            raise TrivialityViolated(i, "(jointly)")
+        ty = source.type_at(i)
+        fi = substitute_expr(kind, f, ty)
+        gi = substitute_expr(kind, g, ty)
+        if target.type_at(e1.pos) not in (fi, gi):
+            raise TrivialityViolated(i, "(jointly)")
+
+
+def substitute_equal_derivation(theory, f, g, target, trivial, triples, d):
+    metatheory.require_substitutive(theory)
+    kind = theory.kind
+
+    def cong_index(r):
+        j = metatheory.find_congruence(theory, r)
+        if j is None:
+            raise NotCongruous(f"no congruence rule for {theory.rule_name(r)}")
+        return j
+
+    def go(node, fs, gs, tgt, K, tris):
+        match node:
+            case Hyp():
+                raise MissingWitness("cannot substitute into a hypothesis")
+            case VariableInst(context=ctx, pos=i, children=children):
+                _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
+                if i not in K:
+                    if i not in tris:
+                        raise MissingWitness(f"no typing triple for position {i}")
+                    return tris[i]
+                d_fa, d_ga, d_ea = go(children[0], fs, gs, tgt, K, tris)
+                j = fs(i).pos
+                fa = substitute_expr(kind, fs, ctx.type_at(i))
+                ga = substitute_expr(kind, gs, ctx.type_at(i))
+                x = Var(j, tgt.scope)
+                if tgt.type_at(j) == fa:
+                    dvar = VariableInst(tgt, j, (d_fa,))
+                    d_f = dvar
+                    d_g = derive.conv(tgt, fa, ga, x, d_fa, d_ga, dvar, d_ea)
+                    d_e = derive.refl_tm(tgt, fa, x, d_fa, dvar)
+                else:
+                    dvar = VariableInst(tgt, j, (d_ga,))
+                    d_sym = derive.sym_ty(tgt, fa, ga, d_fa, d_ga, d_ea)
+                    d_f = derive.conv(tgt, ga, fa, x, d_ga, d_fa, dvar, d_sym)
+                    d_g = dvar
+                    refl = derive.refl_tm(tgt, ga, x, d_ga, dvar)
+                    d_e = derive.conv_eq(tgt, ga, fa, x, x, d_ga, d_fa, dvar, dvar, refl, d_sym)
+                return d_f, d_g, d_e
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
+                _check_joint_conditions(kind, fs, gs, tgt, ctx, K)
+                i_f = subst_act_inst(kind, fs, inst)
+                i_g = subst_act_inst(kind, gs, inst)
+                f_children, g_children, eq_components = [], [], []
+                for j, premise in enumerate(rule.premises):
+                    psi = premise.context.scope
+                    if psi == 0:
+                        tri = go(children[j], fs, gs, tgt, K, tris)
+                        f_children.append(tri[0])
+                        g_children.append(tri[1])
+                        eq_components.append(tri[2])
+                        continue
+                    child_f = extend_substitution(kind, fs, psi)
+                    child_g = extend_substitution(kind, gs, psi)
+                    child_K = frozenset(kind.inl(fs.dst, psi, i) for i in K) | frozenset(
+                        kind.inr(fs.dst, psi, p) for p in range(psi)
+                    )
+                    tgt_f = instantiate_context(kind, i_f, tgt, premise.context)
+                    tgt_g = instantiate_context(kind, i_g, tgt, premise.context)
+
+                    def lift(tris_ctx, dv):
+                        return rename_derivation(theory, inl_renaming(kind, fs.src, psi), tris_ctx, dv)
+
+                    tris_f = {
+                        kind.inl(fs.dst, psi, i): tuple(lift(tgt_f, dv) for dv in t3)
+                        for i, t3 in tris.items()
+                    }
+                    tris_g = {
+                        kind.inl(fs.dst, psi, i): tuple(lift(tgt_g, dv) for dv in t3)
+                        for i, t3 in tris.items()
+                    }
+                    tri_f = go(children[j], child_f, child_g, tgt_f, child_K, tris_f)
+                    tri_g = go(children[j], child_f, child_g, tgt_g, child_K, tris_g)
+                    f_children.append(tri_f[0])
+                    g_children.append(tri_g[1])
+                    eq_components.append(tri_f[2])
+                d_f = RuleInst(ref, i_f, tgt, tuple(f_children))
+                d_g = RuleInst(ref, i_g, tgt, tuple(g_children))
+                if not rule.conclusion.form.is_object:
+                    return d_f, d_g, None
+                d_e = _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
+                                   f_children, g_children, eq_components, cong_index, fs, gs)
+                return d_f, d_g, d_e
+        raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")
+
+    return go(d, f, g, target, trivial, dict(triples))
+
+
+def _equal_image(theory, node, rule, inst, tgt, i_f, i_g,
+                 f_children, g_children, eq_components, cong_index, fs, gs):
+    kind = theory.kind
+    match node.ref:
+        case int() as r:
+            children = list(f_children) + list(g_children)
+            for k in rule.object_premises():
+                children.append(eq_components[k])
+            return RuleInst(cong_index(r), concat_inst(i_f, i_g), tgt, tuple(children))
+        case BuiltinRule.CONV_TM:
+            t0 = (f_children[0], g_children[0], eq_components[0])
+            t1 = (f_children[1], g_children[1], eq_components[1])
+            t2 = (f_children[2], g_children[2], eq_components[2])
+            t3 = (f_children[3], g_children[3], None)
+            fA = substitute_expr(kind, fs, instantiate_expr(kind, inst, _conv_meta(0)))
+            gA = substitute_expr(kind, gs, instantiate_expr(kind, inst, _conv_meta(0)))
+            fB = substitute_expr(kind, fs, instantiate_expr(kind, inst, _conv_meta(1)))
+            fsx = substitute_expr(kind, fs, instantiate_expr(kind, inst, _conv_meta(2)))
+            gsx = substitute_expr(kind, gs, instantiate_expr(kind, inst, _conv_meta(2)))
+            sym = derive.sym_ty(tgt, fA, gA, t0[0], t0[1], t0[2])
+            gs_at_fA = derive.conv(tgt, gA, fA, gsx, t0[1], t0[0], t2[1], sym)
+            return derive.conv_eq(
+                tgt, fA, fB, fsx, gsx, t0[0], t1[0], t2[0], gs_at_fA, t2[2], t3[0]
+            )
+    raise NotObjectRule(f"no equality image for node {node!r}")
+
+
+def _conv_meta(i: int) -> MetaApp:
+    return MetaApp(i, (), 0, BuiltinRule.CONV_TM.rule.arity[i].cls)
+
+
+SWAPPED = {
+    "rename_derivation": rename_derivation,
+    "substitute_derivation": substitute_derivation,
+    "substitute_equal_derivation": substitute_equal_derivation,
+}

@@ -12,19 +12,16 @@ import time
 
 import pytest
 
-import corpus as corpus_mod
 from corpus import (
     THEORY,
     WITNESSES,
     build_corpus,
-    conv_wrap,
     hypothetical_app_rule,
     substitution_corpus,
 )
 from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_renaming, gen_subst
 from gtt import derive
 from gtt.bundled import (
-    MLTT_ORDER,
     TIT_ORDER,
     cyclic_quantifier,
     mltt_base,
@@ -32,7 +29,7 @@ from gtt.bundled import (
     mltt_pi_presented,
     type_in_type,
 )
-from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext, is_term, presuppositions, ty_eq
+from gtt.judgements import EMPTY_CONTEXT, JudgementForm, is_term, presuppositions, ty_eq
 from gtt.jsonio import dumps
 from gtt.metatheory import (
     check_acceptable_theory,
@@ -49,7 +46,7 @@ from gtt.metatheory import (
     unique_typing_acceptable,
 )
 from gtt.presentation import elaborate_theory
-from gtt.scopes import Renaming, ScopeKind
+from gtt.scopes import ScopeKind
 from gtt.syntax import (
     TM,
     TY,

@@ -9,10 +9,11 @@ import sys
 import pytest
 
 from corpus import THEORY, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
+from gtt import derive
 from gtt.cli import main
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps, expr_to_json, loads
-from gtt.theories import check_theory_derivation
+from gtt.theories import RuleInst, check_theory_derivation
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
@@ -341,6 +342,37 @@ def test_unique_typing_command(tmp_path, capsys):
     back = derivation_from_json(THEORY, THEORY.signature, data)
     j = check_theory_derivation(THEORY, (), back)
     assert j.form.value == "TyEq"
+
+
+def run_err(capsys, *argv) -> tuple[int, str]:
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def test_unique_typing_refuses_type_judgements(tmp_path, capsys):
+    path = _write_derivation(tmp_path, "unit.json", unit_at(EMPTY_CONTEXT).d_type)
+    code, err = run_err(capsys, "unique-typing", FIXTURES / "mltt_base.json", path, path)
+    assert code == 2
+    assert err.count("\n") == 1 and "term judgements" in err, err
+
+
+def test_unique_typing_checks_its_inputs(tmp_path, capsys):
+    # tt-intro has no premises; a stray child must be refused as check-derivation does
+    t = tt_at(EMPTY_CONTEXT)
+    stray = RuleInst(t.d_term.ref, t.d_term.inst, t.d_term.context, (t.d_type,))
+    p1 = _write_derivation(tmp_path, "stray.json", stray)
+    p2 = _write_derivation(tmp_path, "tt.json", t.d_term)
+    code, err = run_err(capsys, "unique-typing", FIXTURES / "mltt_base.json", p1, p2)
+    assert code == 1
+    assert err.count("\n") == 1 and "0 premises, 1 children" in err, err
+
+
+def test_transformer_error_names_the_rule(tmp_path, capsys):
+    u = unit_at(EMPTY_CONTEXT)
+    path = _write_derivation(tmp_path, "refl.json", derive.refl_ty(EMPTY_CONTEXT, u.type, u.d_type))
+    code, err = run_err(capsys, "invert", FIXTURES / "mltt_base.json", path)
+    assert code == 1
+    assert err.count("\n") == 1 and len(err) < 120 and "ty-refl" in err, err
 
 
 def test_flatten_well_presented(capsys):

@@ -1,9 +1,10 @@
 """The derivation decoder against hostile input, and the built-in rule names.
 
 Arbitrary JSON values, and corpus derivations with one field dropped or
-retyped, go to the derivation commands of the CLI.  Each run must end with
-exit code 0, 1 or 2 and print no traceback.  The wire names of the eight
-built-in rules round-trip through the codec.
+retyped, go to the derivation commands of the CLI (``unique-typing`` gets
+a well-formed second typing).  Each run must end with exit code 0, 1 or 2
+and print no traceback.  The wire names of the eight built-in rules
+round-trip through the codec.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from corpus import SIG, THEORY, build_corpus, substitution_corpus
+from corpus import SIG, THEORY, build_corpus, substitution_corpus, tt_at
 from gtt.cli import main
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_from_json, derivation_to_json, dumps
@@ -24,7 +25,7 @@ from gtt.syntax import TY, Instantiation, mk_sym
 from gtt.theories import RuleInst
 
 BASE = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "mltt_base.json"
-COMMANDS = ("check-derivation", "presup", "elim-subst", "invert")
+COMMANDS = ("check-derivation", "presup", "elim-subst", "invert", "unique-typing")
 
 FUZZ = settings(
     max_examples=40,
@@ -48,9 +49,15 @@ node_values = st.sampled_from(
 def run_cli(tmp_path: pathlib.Path, command: str, data) -> tuple[int, str]:
     path = tmp_path / "d.json"
     path.write_text(dumps(data))
+    argv = [command, str(BASE), str(path)]
+    if command == "unique-typing":
+        # the second typing is a well-formed tt : unit
+        second = tmp_path / "second.json"
+        second.write_text(dumps(derivation_to_json(THEORY, SIG, tt_at(EMPTY_CONTEXT).d_term)))
+        argv.append(str(second))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, str(BASE), str(path)])
+        code = main(argv)
     return code, err.getvalue()
 
 

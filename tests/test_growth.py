@@ -5,16 +5,18 @@ table built while checking a nested Pi.  Checking a node touches its
 context and its terms, so the count may grow as n^2 in the depth n (a ratio
 of 4 per doubling); rebuilding a table under every binder crossed makes it
 grow as n^3 (a ratio near 8).  Likewise the validation calls: the root's
-conclusion is validated once, and nothing is re-validated per node.
+conclusion is validated once, and nothing is re-validated per node.  And
+elimination of substitution checks triviality once per substitution node
+and builds no extended substitution table.
 """
 
 from collections import Counter
 
-from corpus import THEORY, nested_pi
+from corpus import THEORY, nested_pi, weakening_chain
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
-from gtt.theories import check_theory_derivation, derivation_nodes
+from gtt.theories import SubstInst, check_theory_derivation, derivation_nodes
 
 
 def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
@@ -59,3 +61,30 @@ def test_nested_pi_validates_each_expression_once(monkeypatch):
     check_theory_derivation(THEORY, (), d)
     assert calls["validate_context"] == 1, calls
     assert calls["validate_expr"] <= 2 * nodes, (calls, nodes)
+
+
+def test_elimination_checks_triviality_once_per_subst_node(monkeypatch):
+    # Counted, not timed: eliminating k = 8 stacked weakenings over a lam
+    # tower checks the trivial positions of each subst node once, where the
+    # substitution enters, and builds no extended substitution table.
+    # Re-checking at every node and extending under every binder makes
+    # both counts grow with the tree times the context.
+    from gtt import metatheory, rules, syntax
+
+    d, _ = weakening_chain(8)
+    calls = Counter()
+    for module, name in ((syntax, "extend_substitution"), (rules, "acts_trivially")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for holder in (module, metatheory):
+            if getattr(holder, name, None) is original:
+                monkeypatch.setattr(holder, name, counted)
+    metatheory.eliminate_substitution(THEORY, d)
+    trivial = sum(len(n.trivial) for n in derivation_nodes(d) if isinstance(n, SubstInst))
+    assert trivial > 0
+    assert calls["extend_substitution"] == 0, calls
+    assert calls["acts_trivially"] <= trivial, (calls, trivial)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import THEORY, WITNESSES, build_corpus, substitution_corpus
+from corpus import THEORY, build_corpus, substitution_corpus
 from gtt.bundled import (
     BASE_ORDER,
     MLTT_ORDER,

@@ -33,12 +33,8 @@ from gtt.syntax import (
     mk_sym,
     mk_var,
     mv_extend_signature,
-    instantiate_expr,
-    rename_expr,
-    substitute_expr,
     weaken_expr,
 )
-from gtt.scopes import inl_renaming
 
 SIG = LAW_SIGNATURE
 KIND = SIG.kind

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from corpus import THEORY, WITNESSES, build_corpus, extend, tt_at, unit_at
+from corpus import THEORY, build_corpus, tt_at, unit_at
 from genexpr import LAW_SIGNATURE, gen_expr
 from gtt.bundled import mltt_base, mltt_pi, type_in_type
 from gtt.errors import MissingWitness, WitnessFailure
-from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext, is_term, is_type, tm_eq, ty_eq
+from gtt.judgements import EMPTY_CONTEXT, JudgementForm, ty_eq
 from gtt.maps import (
     ConservativityWitness,
     EquationStep,
@@ -23,13 +23,11 @@ from gtt.maps import (
     demote,
     identity_syntax_map,
     identity_theory_map,
-    map_judgement,
-    map_rule,
     promote,
     section_s,
     sequential_boundary_spec,
 )
-from gtt.metatheory import check_well_founded_theory, theory_tightness
+from gtt.metatheory import theory_tightness
 from gtt.rules import RawRule, generic_application
 from gtt.scopes import ScopeKind
 from gtt.syntax import (
@@ -47,7 +45,7 @@ from gtt.syntax import (
     mk_sym,
     mv_extend_signature,
 )
-from gtt.theories import Hyp, RuleInst, check_derived_rule, check_theory_derivation
+from gtt.theories import Hyp, RuleInst, check_theory_derivation
 
 KIND = ScopeKind.INDICES
 

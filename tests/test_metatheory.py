@@ -26,11 +26,10 @@ from gtt.bundled import (
     MLTT_SIGNATURE,
     TIT_ORDER,
     cyclic_quantifier,
-    mltt_base,
     mltt_pi,
     type_in_type,
 )
-from gtt.errors import MissingWitness, NoBijection, NotTight
+from gtt.errors import MissingWitness, NotTight
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
@@ -44,7 +43,6 @@ from gtt.judgements import (
 from gtt.metatheory import (
     check_acceptable_theory,
     check_presuppositive,
-    check_tight,
     check_well_founded_theory,
     derive_presuppositions,
     eliminate_substitution,
@@ -69,7 +67,6 @@ from gtt.syntax import (
     mk_meta,
     mk_sym,
     mv_extend_signature,
-    weaken_expr,
 )
 from gtt.theories import (
     Hyp,

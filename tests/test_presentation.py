@@ -4,14 +4,13 @@ import itertools
 
 import pytest
 
-from gtt.bundled import BASE_SIGNATURE, mltt_base, mltt_pi, mltt_pi_presented
+from gtt.bundled import mltt_pi, mltt_pi_presented
 from gtt.errors import StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
 from gtt.foundations import FinitePoset
-from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext, is_type
-from gtt.metatheory import check_acceptable_theory, check_well_founded_theory, is_tight
+from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
+from gtt.metatheory import check_well_founded_theory, is_tight
 from gtt.presentation import (
     PremisesShape,
-    RuleBoundarySpec,
     WellFoundedPremiseFamily,
     WellPresentedTheorySpec,
     check_wf_context,
@@ -31,7 +30,6 @@ from gtt.syntax import (
     MetaApp,
     Signature,
     Symbol,
-    SymApp,
     Var,
     arity,
     mk_sym,

@@ -1,0 +1,185 @@
+"""The substitution transformers agree with the reference transformers.
+
+``metatheory`` checks the side conditions of renaming, substitution and
+equality substitution once, at the root, and descends with a binder count;
+``reference_transformers`` re-checks them at every node and builds the
+extended tables under every binder.  On every input, ``eliminate_substitution``,
+``invert`` and ``unique_typing_acceptable`` give ``==`` outputs with equal
+JSON bytes under both, or fail with the same kernel error.
+
+Inputs: the corpus, weakening chains of k = 1..8 over a lam tower that uses
+a variable from outside its binders, and equality substitutions under
+binders; each in both scope systems.  The de Bruijn levels copy is the
+indices one read through the isomorphism that sends index p of a scope n to
+level n - 1 - p: contexts, substitution tables, metavariable arguments and
+the typing children of a substitution node list their positions in the
+opposite order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from corpus import (
+    THEORY,
+    WITNESSES,
+    build_corpus,
+    equality_substitutions_under_binders,
+    substitution_corpus,
+    weakening_chain,
+)
+from gtt import derive
+from gtt.errors import KernelError
+from gtt.judgements import Judgement, JudgementForm, RawContext
+from gtt.jsonio import derivation_to_json, dumps
+from gtt.metatheory import (
+    check_acceptable_theory,
+    derive_presuppositions,
+    eliminate_substitution,
+    invert,
+    unique_typing_acceptable,
+)
+from gtt.rules import RawRule
+from gtt.scopes import ScopeKind
+from gtt.syntax import MetaApp, Signature, Substitution, SymApp, Var
+from gtt.theories import (
+    EqSubstInst,
+    Hyp,
+    RawTypeTheory,
+    RuleInst,
+    RuleWitnesses,
+    SubstInst,
+    VariableInst,
+    check_theory_derivation,
+)
+from reference_transformers import reference_transformers
+
+
+# --- the levels copy ------------------------------------------------------------
+
+def lv_expr(e):
+    match e:
+        case Var(pos=p, scope=n):
+            return Var(n - 1 - p, n)
+        case SymApp(args=args):
+            return replace(e, args=tuple(map(lv_expr, args)))
+        case MetaApp(args=args):
+            return replace(e, args=tuple(map(lv_expr, reversed(args))))
+
+
+def lv_context(ctx: RawContext) -> RawContext:
+    return RawContext(ctx.scope, tuple(map(lv_expr, reversed(ctx.types))))
+
+
+def lv_judgement(j: Judgement) -> Judgement:
+    head = None if j.head is None else lv_expr(j.head)
+    return Judgement(lv_context(j.context), j.form, tuple(map(lv_expr, j.boundary)), head)
+
+
+def lv_subst(f: Substitution) -> Substitution:
+    return Substitution(f.src, f.dst, tuple(map(lv_expr, reversed(f.table))))
+
+
+def lv_derivation(d):
+    if isinstance(d, Hyp):
+        return d
+    kids = tuple(map(lv_derivation, d.children))
+    match d:
+        case RuleInst():
+            return replace(d, inst=d.inst.map_exprs(lv_expr), context=lv_context(d.context), children=kids)
+        case VariableInst(context=ctx, pos=i):
+            return VariableInst(lv_context(ctx), ctx.scope - 1 - i, kids)
+        case SubstInst(judgement=j, trivial=K):
+            n = j.context.scope
+            return SubstInst(lv_subst(d.subst), lv_context(d.context), frozenset(n - 1 - i for i in K),
+                             lv_judgement(j), kids[:1] + kids[1:][::-1])
+        case EqSubstInst(judgement=j, trivial=K):
+            n = j.context.scope
+            triples = [kids[p:p + 3] for p in range(1, len(kids), 3)]
+            return EqSubstInst(lv_subst(d.left), lv_subst(d.right), lv_context(d.context),
+                               frozenset(n - 1 - i for i in K), lv_judgement(j),
+                               kids[:1] + sum(reversed(triples), ()))
+
+
+def lv_theory(theory: RawTypeTheory) -> RawTypeTheory:
+    sig = theory.signature
+    rules = tuple(
+        RawRule(r.arity, tuple(map(lv_judgement, r.premises)), lv_judgement(r.conclusion), r.meta_names)
+        for r in theory.rules
+    )
+    lv_sig = Signature(sig.symbols, ScopeKind.LEVELS, sig.mv_arity, sig.mv_names)
+    return RawTypeTheory(lv_sig, rules, theory.rule_names)
+
+
+LV_THEORY = lv_theory(THEORY)
+LV_WITNESSES = {
+    name: RuleWitnesses(
+        {p: lv_derivation(d) for p, d in w.conclusion.items()},
+        {key: lv_derivation(d) for key, d in w.premises.items()},
+    )
+    for name, w in WITNESSES.items()
+}
+
+
+def inputs():
+    """(theory, witnesses, derivation, conclusion) in both scope systems."""
+    items = build_corpus() + substitution_corpus() + [weakening_chain(k) for k in range(1, 9)]
+    items += [(d, check_theory_derivation(THEORY, (), d)) for d in equality_substitutions_under_binders()]
+    out = [(THEORY, WITNESSES, d, j) for d, j in items]
+    out += [(LV_THEORY, LV_WITNESSES, lv_derivation(d), lv_judgement(j)) for d, j in items]
+    return out
+
+
+INPUTS = inputs()
+
+
+def test_the_levels_copy_checks():
+    assert check_acceptable_theory(LV_THEORY, LV_WITNESSES).acceptable
+    for theory, _, d, j in INPUTS:
+        assert check_theory_derivation(theory, (), d) == j
+
+
+# --- agreement --------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """The output, or the kernel error it raised."""
+    try:
+        return fn(*args)
+    except KernelError as e:
+        return type(e), str(e)
+
+
+def assert_agree(theory, fn, *args):
+    got = outcome(fn, theory, *args)
+    with reference_transformers():
+        want = outcome(fn, theory, *args)
+    assert got == want
+    if isinstance(got, (RuleInst, VariableInst)):
+        sig = theory.signature
+        assert dumps(derivation_to_json(theory, sig, got)) == dumps(derivation_to_json(theory, sig, want))
+    return got
+
+
+def conv_wrapped(theory, witnesses, d, j):
+    """The same typing, converted along reflexivity of its type."""
+    d_a = derive_presuppositions(theory, d, witnesses)[0]
+    ctx, (a,), t = j.context, j.boundary, j.head
+    return derive.conv(ctx, a, a, t, d_a, d_a, d, derive.refl_ty(ctx, a, d_a))
+
+
+@pytest.mark.parametrize("kind", ["indices", "levels"])
+def test_transformers_agree_with_the_reference(kind):
+    theory = THEORY if kind == "indices" else LV_THEORY
+    for th, witnesses, d, j in INPUTS:
+        if th is not theory:
+            continue
+        out = assert_agree(theory, eliminate_substitution, d)
+        assert check_theory_derivation(theory, (), out) == j
+        if j.form in (JudgementForm.IS_TY, JudgementForm.IS_TM):
+            assert_agree(theory, invert, d, witnesses)
+        if j.form is JudgementForm.IS_TM:
+            assert_agree(theory, unique_typing_acceptable, d, d, witnesses)
+            wrapped = conv_wrapped(theory, witnesses, d, j)
+            assert_agree(theory, unique_typing_acceptable, d, wrapped, witnesses)

@@ -13,12 +13,10 @@ from gtt.judgements import (
     RawContext,
     is_term,
     is_type,
-    tm_eq,
     ty_eq,
 )
 from gtt.rules import (
     BuiltinRule,
-    RawRule,
     congruence_maps,
     congruence_rule,
     assoc_equality_judgement,
@@ -30,7 +28,6 @@ from gtt.rules import (
 )
 from gtt.syntax import (
     Instantiation,
-    MetaApp,
     SignatureMap,
     Substitution,
     Var,

@@ -6,25 +6,21 @@ from corpus import (
     KIND,
     SIG,
     THEORY,
-    WITNESSES,
     build_corpus,
     extend,
     hypothetical_app_rule,
     pi,
-    tt_at,
     unit_at,
-    var,
 )
-from gtt.bundled import MLTT_SIGNATURE, mltt_base, mltt_pi
+from gtt.bundled import mltt_base, mltt_pi
 from gtt.errors import DerivationError, KernelError, PremiseMismatch
-from gtt.judgements import EMPTY_CONTEXT, RawContext, is_term, is_type
+from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
 from gtt.syntax import Instantiation, SignatureMap, Var, mk_meta, mk_sym, mv_extend_signature
 from gtt.theories import (
     Hyp,
     RawTypeTheory,
     RuleInst,
     SimpleTheoryMap,
-    VariableInst,
     check_admissible_instance,
     check_derived_rule,
     check_theory_derivation,
@@ -117,7 +113,6 @@ def test_translate_derivation_inclusion():
     conclusion = check_theory_derivation(pi_theory, hyps, d, pi_theory.rule(0).arity)
     out = translate_derivation(tmap, d, pi_theory.rule(0).arity)
     from gtt.judgements import translate_judgement
-    from gtt.syntax import Signature
 
     ext_map = SignatureMap(
         ext, mv_extend_signature(base_theory.signature, pi_theory.rule(0).arity, ("A", "B")),
