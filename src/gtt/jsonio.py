@@ -17,6 +17,7 @@ imports ``presentation`` only when it runs.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .errors import KernelError, ParseError
@@ -79,6 +80,12 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError:
+        # the one other error ``json.loads`` raises: an integer literal over
+        # the interpreter's limit on digits converted to int
+        raise ParseError(
+            f"invalid JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
 

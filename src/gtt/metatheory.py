@@ -49,6 +49,7 @@ from .syntax import (
     Substitution,
     SymApp,
     Var,
+    compose_subst,
     concat_inst,
     expr_symbols,
     instantiate_expr,
@@ -492,6 +493,20 @@ def _eq_subst_presups(theory, node, go):
 # because instantiation commutes with substitution.  A variable node's child
 # lives in the node's own context.  The kernel re-checks each output where it
 # leaves the library: the CLI re-checks every derivation it prints.
+#
+# Equality substitution builds three images of each node: the f-image, the
+# g-image and, for an object judgement, the (f == g)-image.  Under a binder
+# premise the f-image and the equality of the child live over the target
+# extended along f*I, the g-image over the target extended along g*I.  So the
+# child is walked over the first for all three images and over the second for
+# its g-image only.  A g-only walk builds the g-image of a rule node from the
+# g-images of its children; at a variable whose type the target gives as its
+# f-image it needs all three images of the variable's type derivation, to
+# convert the variable to its g-image.  No binder premise is walked twice for
+# all three images, so the work does not double with each binder level.
+#
+# ``eliminate_substitution`` hands each chain of stacked substitution nodes
+# to ``substitute_derivation`` as one node; see the comment above it.
 
 def is_substitution_free(d: TheoryDerivation) -> bool:
     return not any(isinstance(n, (SubstInst, EqSubstInst)) for n in derivation_nodes(d))
@@ -658,7 +673,8 @@ def substitute_equal_derivation(
             congruence_of[r] = j
         return congruence_of[r]
 
-    def go(node, k: int, tgt: RawContext):
+    def go(node, k: int, tgt: RawContext, only_g: bool = False):
+        """The triple of images of ``node``; only its g-image if ``only_g``."""
         match node:
             case Hyp():
                 raise MissingWitness("cannot substitute into a hypothesis")
@@ -670,41 +686,49 @@ def substitute_equal_derivation(
                     if k == 0:
                         return triples[root]
                     inl = inl_renaming(kind, f.src, k)
+                    if only_g:
+                        return None, rename_derivation(theory, inl, tgt, triples[root][1]), None
                     return tuple(rename_derivation(theory, inl, tgt, dv) for dv in triples[root])
-                d_fa, d_ga, d_ea = go(children[0], k, tgt)
                 j = substitute_expr(kind, f, Var(i, f.dst + k), k).pos
                 fa = substitute_expr(kind, f, ctx.type_at(i), k)
                 ga = substitute_expr(kind, g, ctx.type_at(i), k)
                 x = Var(j, tgt.scope)
                 if tgt.type_at(j) == fa:
+                    d_fa, d_ga, d_ea = go(children[0], k, tgt)
                     dvar = VariableInst(tgt, j, (d_fa,))
-                    d_f = dvar
                     d_g = derive.conv(tgt, fa, ga, x, d_fa, d_ga, dvar, d_ea)
-                    d_e = derive.refl_tm(tgt, fa, x, d_fa, dvar)
-                else:
-                    dvar = VariableInst(tgt, j, (d_ga,))
-                    d_sym = derive.sym_ty(tgt, fa, ga, d_fa, d_ga, d_ea)
-                    d_f = derive.conv(tgt, ga, fa, x, d_ga, d_fa, dvar, d_sym)
-                    d_g = dvar
-                    refl = derive.refl_tm(tgt, ga, x, d_ga, dvar)
-                    d_e = derive.conv_eq(tgt, ga, fa, x, x, d_ga, d_fa, dvar, dvar, refl, d_sym)
-                return d_f, d_g, d_e
+                    if only_g:
+                        return None, d_g, None
+                    return dvar, d_g, derive.refl_tm(tgt, fa, x, d_fa, dvar)
+                if only_g:
+                    return None, VariableInst(tgt, j, (go(children[0], k, tgt, True)[1],)), None
+                d_fa, d_ga, d_ea = go(children[0], k, tgt)
+                dvar = VariableInst(tgt, j, (d_ga,))
+                d_sym = derive.sym_ty(tgt, fa, ga, d_fa, d_ga, d_ea)
+                d_f = derive.conv(tgt, ga, fa, x, d_ga, d_fa, dvar, d_sym)
+                refl = derive.refl_tm(tgt, ga, x, d_ga, dvar)
+                d_e = derive.conv_eq(tgt, ga, fa, x, x, d_ga, d_fa, dvar, dvar, refl, d_sym)
+                return d_f, dvar, d_e
             case RuleInst(ref=ref, inst=inst, children=children):
                 rule = theory.rule(ref)
-                i_f = subst_act_inst(kind, f, inst, k)
                 i_g = subst_act_inst(kind, g, inst, k)
+                if only_g:
+                    return None, RuleInst(ref, i_g, tgt, tuple(
+                        go(c, k + p.context.scope, instantiate_context(kind, i_g, tgt, p.context), True)[1]
+                        for c, p in zip(children, rule.premises)
+                    )), None
+                i_f = subst_act_inst(kind, f, inst, k)
                 f_children, g_children, eq_components = [], [], []
                 for child, premise in zip(children, rule.premises):
                     psi = premise.context
-                    tri_f = go(child, k + psi.scope, instantiate_context(kind, i_f, tgt, psi))
-                    # under a binder the f- and g-images of the premise live
-                    # over different target contexts, so the child is walked twice
-                    tri_g = tri_f
+                    d_f, d_g, d_e = go(child, k + psi.scope, instantiate_context(kind, i_f, tgt, psi))
+                    # under a binder the g-image of the premise lives over the
+                    # g-target context: walk the child again, for its g-image only
                     if psi.scope:
-                        tri_g = go(child, k + psi.scope, instantiate_context(kind, i_g, tgt, psi))
-                    f_children.append(tri_f[0])
-                    g_children.append(tri_g[1])
-                    eq_components.append(tri_f[2])
+                        d_g = go(child, k + psi.scope, instantiate_context(kind, i_g, tgt, psi), True)[1]
+                    f_children.append(d_f)
+                    g_children.append(d_g)
+                    eq_components.append(d_e)
                 d_f = RuleInst(ref, i_f, tgt, tuple(f_children))
                 d_g = RuleInst(ref, i_g, tgt, tuple(g_children))
                 if not rule.conclusion.form.is_object:
@@ -746,32 +770,76 @@ def _equal_image(theory, node, rule, tgt, i_f, i_g,
 
 
 # --- elimination of substitution --------------------------------------------------
+#
+# A chain of stacked substitution nodes is folded into one node before
+# anything below it is walked, so the body of the chain is walked once,
+# however long the chain is: the composition law of explicit substitutions,
+# applied to derivations.  Let the outer node carry f : target <- gamma with
+# trivial set K and typings T, and its first child, the inner node, carry
+# f' : gamma <- delta with K' and T' over the body d of delta |- J.  The
+# folded node carries h = f*f' (``compose_subst(kind, f', f)``), the trivial
+# set K'' = {i in K' : f'(i) = x_j with j in K} and, for each position i of
+# delta outside K'', the typing
+#
+# - T(j), if i is in K' and f'(i) = x_j (so j is not in K);
+# - f applied to the eliminated T'(i) by ``substitute_derivation``, if i is
+#   not in K'.
+#
+# If both nodes check, these meet the side conditions of the substitution
+# rule for h.  Let A_i be the type of i in delta.  For i in K'', f'(i) = x_j
+# with gamma(j) = f'*A_i, and f(j) = x_l with target(l) = f*gamma(j); so
+# h(i) = x_l and target(l) = f*f'*A_i = h*A_i.  For i in K' outside K'', T(j)
+# derives target |- f(j) : f*gamma(j), that is target |- h(i) : h*A_i.  For
+# i outside K', T'(i) derives gamma |- f'(i) : f'*A_i, and f carries it to
+# target |- h(i) : h*A_i.  So the folded node is a substitution node over
+# the inner node's body that checks, and by induction the fold runs down the
+# whole chain.  Its output is the one bottom-up elimination gives: a variable
+# of d sent to x_j with j outside K becomes T(j) either way, and substitution
+# commutes with the renaming that lifts a typing under binders.  (Over a
+# hypothesis the two differ only when h is the identity and a factor is not:
+# bottom-up refuses, the fold returns the hypothesis, as one node with h
+# would.)
 
 def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> TheoryDerivation:
     """A substitution-free derivation of the same judgement.
 
-    Dispatches substitution nodes to substitute_derivation and equality
-    substitution nodes to substitute_equal_derivation, bottom-up.  ``d``
-    must check in the theory: then so does each rewritten subtree handed on.
+    Folds each chain of stacked substitution nodes into one node (see the
+    comment above) and walks its body once with substitute_derivation;
+    equality substitution nodes go to substitute_equal_derivation.  Typing
+    children are eliminated before they are used.  ``d`` must check in the
+    theory: then so does each rewritten subtree handed on.
     """
+    kind = theory.kind
+
+    def typing_children(node, width: int) -> dict:
+        """The eliminated typing children of a substitution node, ``width``
+        per position outside its trivial set, keyed by that position."""
+        kids = [go(c) for c in node.children[1:]]
+        unchecked = [i for i in range(node.judgement.context.scope) if i not in node.trivial]
+        if width == 1:
+            return dict(zip(unchecked, kids))
+        return {i: tuple(kids[width * k:width * k + width]) for k, i in enumerate(unchecked)}
 
     def go(node):
         match node:
             case Hyp():
                 return node
-            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj, children=children):
-                new_children = [go(c) for c in children]
-                unchecked = [i for i in range(jj.context.scope) if i not in K]
-                typings = {i: new_children[1 + k] for k, i in enumerate(unchecked)}
-                return substitute_derivation(theory, f, tgt, K, typings, new_children[0])
-            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj, children=children):
-                new_children = [go(c) for c in children]
-                unchecked = [i for i in range(jj.context.scope) if i not in K]
-                triples = {
-                    i: (new_children[1 + 3 * k], new_children[2 + 3 * k], new_children[3 + 3 * k])
-                    for k, i in enumerate(unchecked)
-                }
-                _, _, d_eq = substitute_equal_derivation(theory, f, g, tgt, K, triples, new_children[0])
+            case SubstInst(subst=f, context=tgt, trivial=K):
+                typings = typing_children(node, 1)
+                body = node.children[0]
+                while isinstance(body, SubstInst):
+                    f_in, inner = body.subst, typing_children(body, 1)
+                    folded = frozenset(i for i in body.trivial if f_in(i).pos in K)
+                    typings = {
+                        i: typings[f_in(i).pos] if i in body.trivial
+                        else substitute_derivation(theory, f, tgt, K, typings, inner[i])
+                        for i in range(body.judgement.context.scope) if i not in folded
+                    }
+                    f, K, body = compose_subst(kind, f_in, f), folded, body.children[0]
+                return substitute_derivation(theory, f, tgt, K, typings, go(body))
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, children=children):
+                triples = typing_children(node, 3)
+                _, _, d_eq = substitute_equal_derivation(theory, f, g, tgt, K, triples, go(children[0]))
                 return d_eq
         return replace(node, children=tuple(go(c) for c in node.children))
 

@@ -380,32 +380,79 @@ def _outer_lam_tower(ctx: RawContext) -> TypedTerm:
     return lam(y_ty, TypedType(ctx_y, inner.type, inner.d_type), inner)
 
 
-def weakening_chain(k: int) -> tuple[TheoryDerivation, Judgement]:
-    """k stacked weakening subst nodes over ``_outer_lam_tower`` at x : unit.
+def _variable_typing(ctx: RawContext, p: int) -> TheoryDerivation:
+    return var(ctx, p, _derive_type_in(ctx, ctx.type_at(p))).d_term
 
-    Each step adds a unit or a Pi(unit, unit) entry.  Even steps mark every
-    position trivial; odd steps mark none and give each a variable typing,
-    which elimination must carry under the tower's two binders.
+
+def _stack_weakenings(
+    ctx, term, ty, d, k: int, trivial_at, typing=_variable_typing
+) -> tuple[TheoryDerivation, Judgement]:
+    """k weakening subst nodes stacked over d : ctx |- term : ty.
+
+    Each step adds a unit or a Pi(unit, unit) entry.  Step s marks the
+    source positions in ``trivial_at(s, n)`` trivial (n the source scope) and
+    gives each other position i the typing ``typing(target, inl(i))``, which
+    elimination must carry under the binders of d.
     """
-    ctx = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
-    t = _outer_lam_tower(ctx)
-    term, ty, d = t.term, t.type, t.d_term
     for step in range(k):
         n = ctx.scope
         entry = unit_at(ctx) if step % 3 else pi_over(unit_at(ctx))
         target = extend(ctx, entry)
         inl = [KIND.inl(n, 1, i) for i in range(n)]
         f = Substitution(n + 1, n, tuple(Var(p, n + 1) for p in inl))
-        if step % 2:
-            trivial = frozenset()
-            typings = tuple(
-                VariableInst(target, p, (_derive_type_in(target, target.type_at(p)),)) for p in inl
-            )
-        else:
-            trivial, typings = frozenset(range(n)), ()
+        trivial = trivial_at(step, n)
+        typings = tuple(typing(target, inl[i]) for i in range(n) if i not in trivial)
         d = derive.subst(f, target, trivial, is_term(ctx, term, ty), d, typings)
         ctx, term, ty = target, substitute_expr(KIND, f, term), substitute_expr(KIND, f, ty)
     return d, is_term(ctx, term, ty)
+
+
+def _all_or_none(step: int, n: int) -> frozenset[int]:
+    return frozenset(range(n)) if step % 2 == 0 else frozenset()
+
+
+def weakening_chain(k: int) -> tuple[TheoryDerivation, Judgement]:
+    """k stacked weakening subst nodes over ``_outer_lam_tower`` at x : unit.
+
+    Even steps mark every position trivial; odd steps mark none.
+    """
+    ctx = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    t = _outer_lam_tower(ctx)
+    return _stack_weakenings(ctx, t.term, t.type, t.d_term, k, _all_or_none)
+
+
+def mixed_weakening_chain(k: int) -> tuple[TheoryDerivation, Judgement]:
+    """As ``weakening_chain``, but every step marks the source positions i
+    with i % 3 != 0 trivial and types the others.  So one node holds both
+    kinds of position, and folding two stacked nodes meets a trivial
+    position sent to a trivial one and a trivial position sent to a typed
+    one (in either scope kind, which number the positions in opposite
+    orders).  A typing is a variable converted along reflexivity of its
+    type, so that the image of a typed position differs from the variable a
+    trivial one becomes."""
+    ctx = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    t = _outer_lam_tower(ctx)
+
+    def every_third_typed(step: int, n: int) -> frozenset[int]:
+        return frozenset(i for i in range(n) if i % 3)
+
+    def converted_variable(target: RawContext, p: int) -> TheoryDerivation:
+        return conv_wrap(var(target, p, _derive_type_in(target, target.type_at(p)))).d_term
+
+    return _stack_weakenings(ctx, t.term, t.type, t.d_term, k, every_third_typed, converted_variable)
+
+
+def substituted_weakening_chain(k: int) -> tuple[TheoryDerivation, Judgement]:
+    """[tt/x] into x : unit |- ``_outer_lam_tower``, under k weakenings as in
+    ``weakening_chain``.  The bottom substitution is not a weakening, so
+    the composite of the chain sends x to a term that is not a variable."""
+    ctx1 = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    t = _outer_lam_tower(ctx1)
+    tt = tt_at(EMPTY_CONTEXT)
+    f = Substitution(0, 1, (tt.term,))
+    d = derive.subst(f, EMPTY_CONTEXT, frozenset(), is_term(ctx1, t.term, t.type), t.d_term, (tt.d_term,))
+    term, ty = substitute_expr(KIND, f, t.term), substitute_expr(KIND, f, t.type)
+    return _stack_weakenings(EMPTY_CONTEXT, term, ty, d, k, _all_or_none)
 
 
 def equality_substitutions_under_binders() -> list[TheoryDerivation]:
@@ -428,6 +475,23 @@ def equality_substitutions_under_binders() -> list[TheoryDerivation]:
         derive.eq_subst(f, g, e, frozenset(), j, tower.d_term, ((ap.d_term, t.d_term, d_beta),)),
         derive.eq_subst(ident, ident, ctx1, frozenset({0}), j, tower.d_term),
     ]
+
+
+def equality_substitution_into_nested_pi(n: int) -> TheoryDerivation:
+    """[app(id, tt)/x] == [tt/x] into x : unit |- a nested Pi with n binders:
+    every premise of the Pi tower below the root is under a binder."""
+    e = EMPTY_CONTEXT
+    u0 = unit_at(e)
+    ctx1 = extend(e, u0)
+    t = tt_at(e)
+    u1 = unit_at(ctx1)
+    x0 = var(ctx1, 0, u1.d_type)
+    ap = app(u0, u1, lam(u0, u1, x0), t)
+    d_beta, _ = beta_eq(u0, u1, x0, t)
+    p = nested_pi(ctx1, n)
+    f, g = Substitution(0, 1, (ap.term,)), Substitution(0, 1, (t.term,))
+    triple = (ap.d_term, t.d_term, d_beta)
+    return derive.eq_subst(f, g, e, frozenset(), is_type(ctx1, p.type), p.d_type, (triple,))
 
 
 def hypothetical_app_rule():

@@ -5,18 +5,23 @@ and equality substitution.  Each node re-checks that the renaming respects
 types, or that the substitutions act (jointly) trivially on the trivial
 set, for every position of the current context.  Under each binder it
 builds the extended substitution table, the extended trivial set, and a
-renamed copy of every typing.
+renamed copy of every typing; equality substitution walks every binder
+premise twice for all three images.  Elimination of substitution rewrites
+each substitution node after its children, so a chain of k stacked nodes
+walks its body k times.
 
-``metatheory`` carries the root data with a binder count instead and
-checks the side conditions once, at the root.  Its outputs must be ``==``
-to these.  ``reference_transformers`` swaps these functions into
-``metatheory``, so that ``eliminate_substitution``, ``invert`` and
-``unique_typing_acceptable`` can be run on both.
+``metatheory`` carries the root data with a binder count instead, checks
+the side conditions once, at the root, and folds a chain of substitution
+nodes into one before walking it.  Its outputs must be ``==`` to these.
+``reference_transformers`` swaps these functions into ``metatheory``, so
+that ``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable``
+can be run on both.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import replace
 
 from gtt import derive, metatheory
 from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, NotTypeRespecting, TrivialityViolated
@@ -35,7 +40,7 @@ from gtt.syntax import (
     subst_act_inst,
     substitute_expr,
 )
-from gtt.theories import Hyp, RuleInst, VariableInst
+from gtt.theories import EqSubstInst, Hyp, RuleInst, SubstInst, VariableInst
 
 
 @contextlib.contextmanager
@@ -271,8 +276,34 @@ def _conv_meta(i: int) -> MetaApp:
     return MetaApp(i, (), 0, BuiltinRule.CONV_TM.rule.arity[i].cls)
 
 
+def eliminate_substitution(theory, d):
+    """Bottom-up: each substitution node is rewritten after its children."""
+
+    def go(node):
+        match node:
+            case Hyp():
+                return node
+            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj, children=children):
+                new_children = [go(c) for c in children]
+                unchecked = [i for i in range(jj.context.scope) if i not in K]
+                typings = {i: new_children[1 + k] for k, i in enumerate(unchecked)}
+                return substitute_derivation(theory, f, tgt, K, typings, new_children[0])
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj, children=children):
+                new_children = [go(c) for c in children]
+                unchecked = [i for i in range(jj.context.scope) if i not in K]
+                triples = {
+                    i: (new_children[1 + 3 * k], new_children[2 + 3 * k], new_children[3 + 3 * k])
+                    for k, i in enumerate(unchecked)
+                }
+                return substitute_equal_derivation(theory, f, g, tgt, K, triples, new_children[0])[2]
+        return replace(node, children=tuple(go(c) for c in node.children))
+
+    return go(d)
+
+
 SWAPPED = {
     "rename_derivation": rename_derivation,
     "substitute_derivation": substitute_derivation,
     "substitute_equal_derivation": substitute_equal_derivation,
+    "eliminate_substitution": eliminate_substitution,
 }

@@ -11,6 +11,7 @@ import pytest
 from corpus import THEORY, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
 from gtt import derive
 from gtt.cli import main
+from gtt.errors import ParseError
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps, expr_to_json, loads
 from gtt.theories import RuleInst, check_theory_derivation
@@ -187,6 +188,34 @@ def test_deep_term_is_a_parse_error(capsys, depth):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+HUGE_INTEGER = "1" * 5000  # over the interpreter's limit of 4300 digits for int()
+
+
+@pytest.mark.parametrize("command", ["check-derivation", "check-theory"])
+def test_huge_integer_in_a_file_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_INTEGER)
+    theory = [] if command == "check-theory" else [str(FIXTURES / "mltt_base.json")]
+    code = main([command, *theory, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    limit = sys.get_int_max_str_digits()
+    assert err == f"parse error: invalid JSON: an integer literal has more than {limit} digits\n"
+
+
+def test_huge_integer_term_is_a_parse_error(capsys):
+    code = main(["natural-type", str(FIXTURES / "mltt_base.json"), HUGE_INTEGER])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "integer literal" in err and "Traceback" not in err
+
+
+def test_bad_json_keeps_its_position():
+    # a JSONDecodeError is a ValueError too: it keeps its own message
+    with pytest.raises(ParseError, match="line 1, column 4: Expecting value"):
+        loads("[1,")
 
 
 def test_check_derivation_roundtrip(tmp_path, capsys):

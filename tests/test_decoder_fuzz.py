@@ -1,16 +1,23 @@
-"""The derivation decoder against hostile input, and the built-in rule names.
+"""The input decoders against hostile input, and the built-in rule names.
 
-Arbitrary JSON values, and corpus derivations with one field dropped or
-retyped, go to the derivation commands of the CLI (``unique-typing`` gets
-a well-formed second typing).  Each run must end with exit code 0, 1 or 2
-and print no traceback.  The wire names of the eight built-in rules
-round-trip through the codec.
+Every subcommand gets arbitrary JSON and arbitrary bytes in the input it
+reads: the derivation file of the derivation commands (``unique-typing``
+gets a well-formed second typing), the theory file of ``check-theory``
+(under each flag), ``flatten`` and ``congruence``, the script of
+``replace-step``, and the term and context arguments of ``natural-type``,
+which get the bytes as a command line would (undecodable bytes as
+surrogates).  Corpus derivations and the valid inputs of the other
+commands also go in with one field dropped or retyped.  Each run must end
+with exit code 0, 1 or 2, print no traceback, and write at most one line to
+stderr, exactly one when it exits 2.  The wire names of the eight built-in
+rules round-trip through the codec.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import pathlib
 
 import pytest
@@ -24,8 +31,46 @@ from gtt.rules import BuiltinRule
 from gtt.syntax import TY, Instantiation, mk_sym
 from gtt.theories import RuleInst
 
-BASE = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "mltt_base.json"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+BASE = FIXTURES / "mltt_base.json"
 COMMANDS = ("check-derivation", "presup", "elim-subst", "invert", "unique-typing")
+
+# Where the fuzzed input goes on a command line: FILE, a file, or an Arg, an
+# argument (after "--" or "--cxt=", so that a leading "-" is not read as an
+# option).
+FILE = object()
+
+
+class Arg(str):
+    """The fuzzed input as a command-line argument, after this prefix."""
+
+
+TERM = '{"sym":"tt","args":[]}'
+TARGETS = {
+    **{command: [command, BASE, FILE] for command in COMMANDS},
+    "check-theory": ["check-theory", FILE],
+    **{f"check-theory {flag}": ["check-theory", FILE, flag]
+       for flag in ("--acceptable", "--well-founded", "--well-presented", "--weak")},
+    "flatten": ["flatten", FILE],
+    "congruence": ["congruence", FILE, "El-form"],
+    "replace-step": ["replace-step", FIXTURES / "type_in_type.json", FILE],
+    "natural-type": ["natural-type", BASE, "--", Arg("")],
+    "natural-type --cxt": ["natural-type", BASE, Arg("--cxt="), TERM],
+}
+# the valid input of each target that is not a derivation command
+VALID = {
+    "check-theory": FIXTURES / "type_in_type.json",
+    "check-theory --acceptable": FIXTURES / "type_in_type.json",
+    "check-theory --well-founded": FIXTURES / "cyclic_quantifier.json",
+    "check-theory --well-presented": FIXTURES / "mltt_pi_presented.json",
+    "check-theory --weak": FIXTURES / "type_in_type.json",
+    "flatten": FIXTURES / "mltt_pi_presented.json",
+    "congruence": FIXTURES / "type_in_type.json",
+    "replace-step": FIXTURES / "type_in_type_replacement.json",
+    "natural-type": TERM,
+    "natural-type --cxt": '[{"sym":"unit","args":[]},'
+                          '{"sym":"Pi","args":[{"sym":"unit","args":[]},{"sym":"unit","args":[]}]}]',
+}
 
 FUZZ = settings(
     max_examples=40,
@@ -34,6 +79,9 @@ FUZZ = settings(
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
+
+# fifteen targets share one run
+FUZZ_TARGETS = settings(FUZZ, max_examples=100)
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 300) | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -46,11 +94,18 @@ node_values = st.sampled_from(
 ) | json_values
 
 
-def run_cli(tmp_path: pathlib.Path, command: str, data) -> tuple[int, str]:
-    path = tmp_path / "d.json"
-    path.write_text(dumps(data))
-    argv = [command, str(BASE), str(path)]
-    if command == "unique-typing":
+def run_cli(tmp_path: pathlib.Path, target: str, payload: bytes) -> tuple[int, str]:
+    """Run ``target`` with ``payload`` as its fuzzed input."""
+    argv = []
+    for a in TARGETS[target]:
+        if a is FILE:
+            path = tmp_path / "input.json"
+            path.write_bytes(payload)
+            a = path
+        elif isinstance(a, Arg):
+            a = a + payload.decode("utf-8", "surrogateescape")
+        argv.append(str(a))
+    if target == "unique-typing":
         # the second typing is a well-formed tt : unit
         second = tmp_path / "second.json"
         second.write_text(dumps(derivation_to_json(THEORY, SIG, tt_at(EMPTY_CONTEXT).d_term)))
@@ -61,17 +116,31 @@ def run_cli(tmp_path: pathlib.Path, command: str, data) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def assert_clean_exit(tmp_path, command, data):
-    code, err = run_cli(tmp_path, command, data)
+def assert_clean_exit(tmp_path, target, payload: bytes) -> int:
+    code, err = run_cli(tmp_path, target, payload)
     assert code in (0, 1, 2), code
     assert "Traceback" not in err
     assert err.count("\n") <= 1, err
+    assert code != 2 or err.count("\n") == 1, err
+    return code
 
 
-@FUZZ
-@given(command=st.sampled_from(COMMANDS), data=json_values)
-def test_arbitrary_json_is_refused_cleanly(tmp_path, command, data):
-    assert_clean_exit(tmp_path, command, data)
+@FUZZ_TARGETS
+@given(target=st.sampled_from(sorted(TARGETS)), data=json_values)
+def test_arbitrary_json_is_refused_cleanly(tmp_path, target, data):
+    assert_clean_exit(tmp_path, target, dumps(data).encode())
+
+
+@FUZZ_TARGETS
+@given(target=st.sampled_from(sorted(TARGETS)), data=st.binary(max_size=64))
+def test_arbitrary_bytes_are_refused_cleanly(tmp_path, target, data):
+    assert_clean_exit(tmp_path, target, data)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_huge_integer_is_a_parse_error(tmp_path, target):
+    # over the interpreter's limit of 4300 digits for int()
+    assert assert_clean_exit(tmp_path, target, b"1" * 5000) == 2
 
 
 CORPUS_JSON = [
@@ -110,7 +179,35 @@ def test_corpus_derivations_with_a_field_dropped_or_retyped(tmp_path, command, i
             del obj[name]
         else:
             obj[name] = new
-    assert_clean_exit(tmp_path, command, data)
+    assert_clean_exit(tmp_path, command, dumps(data).encode())
+
+
+def _valid_json(target: str):
+    valid = VALID[target]
+    return json.loads(valid.read_text() if isinstance(valid, pathlib.Path) else valid)
+
+
+VALID_JSON = {target: _valid_json(target) for target in VALID}
+
+
+@FUZZ_TARGETS
+@given(
+    target=st.sampled_from(sorted(VALID)),
+    where=st.integers(0, 10_000),
+    key=st.integers(0, 10_000),
+    new=st.none() | node_values,
+)
+def test_valid_inputs_with_a_field_dropped_or_retyped(tmp_path, target, where, key, new):
+    data = _copy(VALID_JSON[target])
+    objects = _objects(data, [])
+    obj = objects[where % len(objects)]
+    if obj:
+        name = sorted(obj)[key % len(obj)]
+        if new is None:
+            del obj[name]
+        else:
+            obj[name] = new
+    assert_clean_exit(tmp_path, target, dumps(data).encode())
 
 
 def _copy(data):

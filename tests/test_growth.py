@@ -7,12 +7,14 @@ of 4 per doubling); rebuilding a table under every binder crossed makes it
 grow as n^3 (a ratio near 8).  Likewise the validation calls: the root's
 conclusion is validated once, and nothing is re-validated per node.  And
 elimination of substitution checks triviality once per substitution node
-and builds no extended substitution table.
+and builds no extended substitution table; it walks the body of a chain of
+substitution nodes once, and each binder premise of an equality
+substitution once per image it needs.
 """
 
 from collections import Counter
 
-from corpus import THEORY, nested_pi, weakening_chain
+from corpus import THEORY, equality_substitution_into_nested_pi, nested_pi, weakening_chain
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
@@ -88,3 +90,50 @@ def test_elimination_checks_triviality_once_per_subst_node(monkeypatch):
     assert trivial > 0
     assert calls["extend_substitution"] == 0, calls
     assert calls["acts_trivially"] <= trivial, (calls, trivial)
+
+
+def test_elimination_walks_a_chain_of_subst_nodes_once(monkeypatch):
+    # Counted, not timed: the k stacked weakenings of a chain are folded into
+    # one substitution, so the lam tower below them is walked once and the
+    # contexts under its binders are built once, whatever k is.  Eliminating
+    # the nodes one at a time walks the tower k times (56 and 112 calls).
+    from gtt import judgements, metatheory
+
+    calls = [0]
+
+    def counted(*args, original=judgements.extend_context):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(judgements, "extend_context", counted)
+    counts = {}
+    for k in (8, 16):
+        d, _ = weakening_chain(k)
+        calls[0] = 0
+        metatheory.eliminate_substitution(THEORY, d)
+        counts[k] = calls[0]
+    assert 0 < counts[8] == counts[16], counts
+
+
+def test_equality_substitution_walks_a_binder_premise_for_its_g_image_only(monkeypatch):
+    # Counted, not timed: under a binder premise the child is walked for all
+    # three images over the f-target, and again over the g-target for its
+    # g-image alone.  The output grows from 49 to 161 nodes between n = 4 and
+    # n = 8; walking both times for all three images doubles the work per
+    # binder level (92 and 1,532 instantiations, 16.7x).
+    from gtt import metatheory
+
+    calls = [0]
+
+    def counted(*args, original=metatheory.subst_act_inst):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(metatheory, "subst_act_inst", counted)
+    counts = {}
+    for n in (4, 8):
+        d = equality_substitution_into_nested_pi(n)
+        calls[0] = 0
+        metatheory.eliminate_substitution(THEORY, d)
+        counts[n] = calls[0]
+    assert 0 < counts[8] <= 5 * counts[4], counts

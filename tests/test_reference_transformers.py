@@ -1,19 +1,23 @@
 """The substitution transformers agree with the reference transformers.
 
 ``metatheory`` checks the side conditions of renaming, substitution and
-equality substitution once, at the root, and descends with a binder count;
-``reference_transformers`` re-checks them at every node and builds the
-extended tables under every binder.  On every input, ``eliminate_substitution``,
-``invert`` and ``unique_typing_acceptable`` give ``==`` outputs with equal
-JSON bytes under both, or fail with the same kernel error.
+equality substitution once, at the root, descends with a binder count, and
+folds a chain of substitution nodes into one; ``reference_transformers``
+re-checks them at every node, builds the extended tables under every
+binder, and eliminates the nodes of a chain one at a time.  On every input,
+``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable`` give
+``==`` outputs with equal JSON bytes under both, or fail with the same
+kernel error.
 
-Inputs: the corpus, weakening chains of k = 1..8 over a lam tower that uses
-a variable from outside its binders, and equality substitutions under
-binders; each in both scope systems.  The de Bruijn levels copy is the
-indices one read through the isomorphism that sends index p of a scope n to
-level n - 1 - p: contexts, substitution tables, metavariable arguments and
-the typing children of a substitution node list their positions in the
-opposite order.
+Inputs: the corpus; chains of k stacked weakenings over a lam tower that
+uses a variable from outside its binders, with all-or-none trivial sets,
+with trivial and typed positions mixed within each node, and over a
+``[tt/x]`` node; and equality substitutions under binders, into that tower
+and into nested Pi; each in both scope systems.  The de Bruijn levels copy
+is the indices one read through the isomorphism that sends index p of a
+scope n to level n - 1 - p: contexts, substitution tables, metavariable
+arguments and the typing children of a substitution node list their
+positions in the opposite order.
 """
 
 from __future__ import annotations
@@ -26,21 +30,18 @@ from corpus import (
     THEORY,
     WITNESSES,
     build_corpus,
+    equality_substitution_into_nested_pi,
     equality_substitutions_under_binders,
+    mixed_weakening_chain,
+    substituted_weakening_chain,
     substitution_corpus,
     weakening_chain,
 )
-from gtt import derive
+from gtt import derive, metatheory
 from gtt.errors import KernelError
 from gtt.judgements import Judgement, JudgementForm, RawContext
 from gtt.jsonio import derivation_to_json, dumps
-from gtt.metatheory import (
-    check_acceptable_theory,
-    derive_presuppositions,
-    eliminate_substitution,
-    invert,
-    unique_typing_acceptable,
-)
+from gtt.metatheory import check_acceptable_theory, derive_presuppositions
 from gtt.rules import RawRule
 from gtt.scopes import ScopeKind
 from gtt.syntax import MetaApp, Signature, Substitution, SymApp, Var
@@ -53,6 +54,7 @@ from gtt.theories import (
     SubstInst,
     VariableInst,
     check_theory_derivation,
+    derivation_nodes,
 )
 from reference_transformers import reference_transformers
 
@@ -126,7 +128,11 @@ LV_WITNESSES = {
 def inputs():
     """(theory, witnesses, derivation, conclusion) in both scope systems."""
     items = build_corpus() + substitution_corpus() + [weakening_chain(k) for k in range(1, 9)]
-    items += [(d, check_theory_derivation(THEORY, (), d)) for d in equality_substitutions_under_binders()]
+    items += [mixed_weakening_chain(k) for k in range(1, 5)]
+    items += [substituted_weakening_chain(k) for k in range(0, 4)]
+    eq_substs = equality_substitutions_under_binders()
+    eq_substs += [equality_substitution_into_nested_pi(n) for n in range(1, 5)]
+    items += [(d, check_theory_derivation(THEORY, (), d)) for d in eq_substs]
     out = [(THEORY, WITNESSES, d, j) for d, j in items]
     out += [(LV_THEORY, LV_WITNESSES, lv_derivation(d), lv_judgement(j)) for d, j in items]
     return out
@@ -141,6 +147,35 @@ def test_the_levels_copy_checks():
         assert check_theory_derivation(theory, (), d) == j
 
 
+def fold_cases(d) -> set[str]:
+    """How the inner node of each pair of stacked subst nodes in ``d`` treats
+    its source positions: typed, trivial and sent to a trivial position of
+    the outer node, or trivial and sent to a typed one."""
+    cases = set()
+    for outer in derivation_nodes(d):
+        inner = outer.children[0] if isinstance(outer, SubstInst) else None
+        if not isinstance(inner, SubstInst):
+            continue
+        for i in range(inner.judgement.context.scope):
+            if i not in inner.trivial:
+                cases.add("typed")
+            elif inner.subst(i).pos in outer.trivial:
+                cases.add("trivial to trivial")
+            else:
+                cases.add("trivial to typed")
+    return cases
+
+
+@pytest.mark.parametrize("lv", [lambda d: d, lv_derivation], ids=["indices", "levels"])
+def test_the_chains_reach_every_case_of_the_fold(lv):
+    assert fold_cases(lv(mixed_weakening_chain(4)[0])) == {"typed", "trivial to trivial", "trivial to typed"}
+    # the bottom node sends x to tt, so the folded substitution does too
+    bottom = lv(substituted_weakening_chain(3)[0])
+    while isinstance(bottom.children[0], SubstInst):
+        bottom = bottom.children[0]
+    assert not isinstance(bottom.subst(0), Var)
+
+
 # --- agreement --------------------------------------------------------------------
 
 def outcome(fn, *args):
@@ -151,10 +186,12 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
-def assert_agree(theory, fn, *args):
-    got = outcome(fn, theory, *args)
+def assert_agree(theory, name, *args):
+    """``metatheory.<name>`` gives the same outcome with the reference
+    transformers swapped in (it is looked up after the swap)."""
+    got = outcome(getattr(metatheory, name), theory, *args)
     with reference_transformers():
-        want = outcome(fn, theory, *args)
+        want = outcome(getattr(metatheory, name), theory, *args)
     assert got == want
     if isinstance(got, (RuleInst, VariableInst)):
         sig = theory.signature
@@ -175,11 +212,11 @@ def test_transformers_agree_with_the_reference(kind):
     for th, witnesses, d, j in INPUTS:
         if th is not theory:
             continue
-        out = assert_agree(theory, eliminate_substitution, d)
+        out = assert_agree(theory, "eliminate_substitution", d)
         assert check_theory_derivation(theory, (), out) == j
         if j.form in (JudgementForm.IS_TY, JudgementForm.IS_TM):
-            assert_agree(theory, invert, d, witnesses)
+            assert_agree(theory, "invert", d, witnesses)
         if j.form is JudgementForm.IS_TM:
-            assert_agree(theory, unique_typing_acceptable, d, d, witnesses)
+            assert_agree(theory, "unique_typing_acceptable", d, d, witnesses)
             wrapped = conv_wrapped(theory, witnesses, d, j)
-            assert_agree(theory, unique_typing_acceptable, d, wrapped, witnesses)
+            assert_agree(theory, "unique_typing_acceptable", d, wrapped, witnesses)
