@@ -46,11 +46,18 @@ from .syntax import Argument, mv_extend_signature
 from .theories import check_theory_derivation
 
 
+class _Unwritable(Exception):
+    """The ``--out`` path cannot be written; the message is the whole report."""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except _Unwritable as e:
+        print(e, file=sys.stderr)
+        return 2
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
@@ -158,7 +165,10 @@ def _emit(args, data) -> None:
 def _write(args, text: str) -> None:
     """Write ``text`` and a newline to ``--out`` or to stdout."""
     if args.out:
-        args.out.write_text(text + "\n")
+        try:
+            args.out.write_text(text + "\n")
+        except OSError as e:
+            raise _Unwritable(f"cannot write {args.out}: {e.strerror or e}") from None
         return
     try:
         print(text)
@@ -293,8 +303,10 @@ def cmd_flatten(args) -> int:
 
 def cmd_congruence(args) -> int:
     theory, _, _ = _load_raw(args.theory)
-    idx = _rule_index(theory, args.rule, "rule")
-    cong = congruence_rule(theory.signature, theory.rule(idx))
+    rule = theory.rule(_rule_index(theory, args.rule, "rule"))
+    if not rule.is_object:
+        raise ParseError(f"rule {args.rule!r} is not an object rule: only object rules have congruence rules")
+    cong = congruence_rule(theory.signature, rule)
     # round-trip discipline: what we print must re-check structurally
     data = rule_to_json(theory.signature, cong, f"{args.rule}-cong")
     if rule_from_json(theory.signature, data) != cong:

@@ -24,11 +24,12 @@ from .errors import (
     KernelError,
     PremiseMismatch,
 )
+from .scopes import _record
 
 X = TypeVar("X")
 
 
-@dataclass(frozen=True)
+@_record
 class ClosureRule(Generic[X]):
     """Finitely many premises and one conclusion, all in the same carrier."""
 

@@ -3,11 +3,17 @@
 Contexts are flat: a scope together with one type per position, each over
 the whole scope, with no ordering assumed.  Sequentiality is layered on
 top in the presentation module.
+
+RawContext, Judgement and Boundary are tuple records (``scopes._record``),
+like expressions: the checker builds them for every premise and compares
+them by equality, which is then tuple equality, in C and class-aware.
+Their ``__post_init__`` runs on every construction, copies and unpickled
+records included, so a context or judgement that breaks its invariants is
+never built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -19,7 +25,7 @@ from .errors import (
     IndexOutOfRange,
     ScopeMismatch,
 )
-from .scopes import Scope, ScopeKind, sum_scope
+from .scopes import Scope, ScopeKind, _record
 from .syntax import (
     TM,
     TY,
@@ -29,15 +35,15 @@ from .syntax import (
     SignatureMap,
     Substitution,
     SyntacticClass,
+    _shift,
     instantiate_expr,
     substitute_expr,
     translate_expr,
     validate_expr,
-    weaken_expr,
 )
 
 
-@dataclass(frozen=True)
+@_record
 class RawContext:
     scope: Scope
     types: tuple[Expr, ...]
@@ -107,7 +113,7 @@ _SLOT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class Judgement:
     context: RawContext
     form: JudgementForm
@@ -131,7 +137,7 @@ class Judgement:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class Boundary:
     context: RawContext
     form: JudgementForm
@@ -191,15 +197,19 @@ def validate_judgement(sig: Signature, j: Judgement) -> None:
 
 
 def extend_context(kind: ScopeKind, ctx: RawContext, new_types: tuple[Expr, ...]) -> RawContext:
-    """Extend by delta-many types already scoped over the sum; old types are weakened."""
+    """Extend by delta-many types already scoped over the sum; old types are weakened.
+
+    The old types are weakened along the left inclusion and form one block:
+    the last ``ctx.scope`` positions for indices, the first for levels.
+    """
     delta = len(new_types)
-    total = sum_scope(ctx.scope, delta)
-    types: list[Expr] = [None] * total  # type: ignore[list-item]
-    for i in range(ctx.scope):
-        types[kind.inl(ctx.scope, delta, i)] = weaken_expr(kind, ctx.type_at(i), delta)
-    for j, t in enumerate(new_types):
-        types[kind.inr(ctx.scope, delta, j)] = t
-    return RawContext(total, tuple(types))
+    if delta == 0:
+        return ctx
+    if kind is ScopeKind.INDICES:
+        types = tuple(new_types) + tuple(_shift(kind, t, 0, delta) for t in ctx.types)
+    else:
+        types = tuple(_shift(kind, t, ctx.scope, delta) for t in ctx.types) + tuple(new_types)
+    return RawContext(ctx.scope + delta, types)
 
 
 def instantiate_context(kind: ScopeKind, inst: Instantiation, ctx: RawContext, inner: RawContext) -> RawContext:

@@ -637,6 +637,7 @@ def elaborate_theory(
     sym_index = {spec.rules[i].name: k for k, (i, _) in enumerate(_symbols_through(spec, None))}
 
     # the theory of the rules elaborated so far, built once per spec rule
+    # from the previous one, so that each rule is validated once
     theory = RawTypeTheory(full_sig, (), ())
     for i, rs in enumerate(spec.rules):
         allowed = {sym_index[spec.rules[j].name] for j in spec.order.predecessors(i)
@@ -654,7 +655,7 @@ def elaborate_theory(
         if rule.is_object:
             rules.append(congruence_rule(full_sig, rule))
             names.append(f"{rs.name}-cong")
-        theory = RawTypeTheory(full_sig, tuple(rules), tuple(names))
+        theory = RawTypeTheory(full_sig, tuple(rules), tuple(names), theory)
         if rule.is_object:
             from .congruence_witnesses import congruence_witnesses
 

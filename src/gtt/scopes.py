@@ -5,12 +5,17 @@ scopes is addition, so both systems are strict: gamma+0 == gamma and sums
 associate on the nose.  The two systems differ only in the coproduct
 position maps: indices shift old variables up when entering a binder,
 levels give new variables the higher positions.
+
+The module also holds ``_record``, which the layers above use to build
+their per-premise values (expressions, contexts, judgements, closure
+rules) as immutable tuple records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .errors import IndexOutOfRange, ScopeMismatch
 
@@ -105,3 +110,51 @@ def extend_renaming(kind: ScopeKind, r: Renaming, binder: Scope) -> Renaming:
     if binder == 0:
         return r
     return sum_renaming(kind, r, Renaming.identity(binder))
+
+
+def _record(cls):
+    """Rebuild an annotated class as an immutable tuple record.
+
+    The record of ``cls`` with fields f1..fn (its annotations, in order) is
+    the tuple (cls, f1, ..., fn).  Element 0 makes equality and hashing,
+    which are the tuple's own and run in C, tell records of different
+    classes apart.  Each field is a read-only property over a C
+    ``itemgetter``, as in ``collections.namedtuple``, so assigning to it
+    raises AttributeError.  A ``__post_init__`` defined by ``cls`` runs on
+    every construction, looked up on the class at that time.  ``repr``
+    reads like a dataclass's, and ``copy``, ``deepcopy`` and ``pickle``
+    rebuild a record through its constructor.  The methods and properties
+    of ``cls`` carry over.
+    """
+    ns = dict(vars(cls))
+    fields = tuple(ns.pop("__annotations__", {}))
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    params = ", ".join(fields)
+    body = f"_new(_cls, (_cls, {params}))"
+    if "__post_init__" in ns:
+        src = f"def __new__(_cls, {params}):\n    self = {body}\n    _cls.__post_init__(self)\n    return self\n"
+    else:
+        src = f"def __new__(_cls, {params}):\n    return {body}\n"
+    scope = {"_new": tuple.__new__}
+    exec(src, scope)
+    name = cls.__qualname__
+    shown = ", ".join(f"{f}={{!r}}" for f in fields)
+
+    def __repr__(self):
+        return f"{name}({shown.format(*self[1:])})"
+
+    def __reduce__(self):
+        return type(self), self[1:]
+
+    ns.update(
+        __slots__=(),
+        __new__=scope["__new__"],
+        __repr__=__repr__,
+        __reduce__=__reduce__,
+        __match_args__=fields,
+    )
+    for i, f in enumerate(fields, 1):
+        ns[f] = property(itemgetter(i), doc=f"Field {f!r}.")
+    bases = (tuple,) + tuple(b for b in cls.__bases__ if b is not object)
+    return type(cls)(cls.__name__, bases, ns)

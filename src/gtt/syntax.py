@@ -11,6 +11,15 @@ Expressions carry their scope and syntactic class; the mk_* constructors
 validate argument counts, classes, and scopes, so everything downstream
 works with well-scoped, well-classed trees by construction.
 
+Var, SymApp and MetaApp are tuple records (``scopes._record``): the
+expression is the tuple (class, fields...), so building one is cheap and
+``==`` and ``hash`` are tuple equality and hashing, in C and class-aware.
+The checker builds and compares expressions at every node, and these two
+costs were most of its time per node.  Fields are read-only properties;
+``__post_init__``, where a class defines one, runs on every construction.
+The walkers below dispatch on ``type(e)``, which is cheaper than a match
+on class patterns.
+
 Renaming and substitution under binders follow the sigma-calculus: below
 k binders a substitution f acts as the pair (f, lift k), where
 lift f = 0 . (f o shift), and the pair is applied on lookup at each
@@ -46,6 +55,7 @@ from .scopes import (
     Renaming,
     Scope,
     ScopeKind,
+    _record,
     sum_scope,
 )
 
@@ -173,7 +183,7 @@ def _fresh_name(existing: tuple[Symbol, ...], candidate: str, i: int) -> str:
     return name
 
 
-@dataclass(frozen=True)
+@_record
 class Var:
     pos: int
     scope: Scope
@@ -183,7 +193,7 @@ class Var:
         return TM
 
 
-@dataclass(frozen=True)
+@_record
 class SymApp:
     sym: int
     args: tuple["Expr", ...]
@@ -191,7 +201,7 @@ class SymApp:
     cls: SyntacticClass
 
 
-@dataclass(frozen=True)
+@_record
 class MetaApp:
     idx: int
     args: tuple["Expr", ...]
@@ -278,18 +288,20 @@ def rename_expr(kind: ScopeKind, r: Renaming, e: Expr, k: Scope = 0) -> Expr:
 
 
 def _rename(kind: ScopeKind, r: Renaming, e: Expr, k: Scope) -> Expr:
-    match e:
-        case Var(pos=p):
-            if kind is ScopeKind.INDICES:
-                q = p if p < k else r(p - k) + k
-            else:
-                q = r(p) if p < r.src else r.dst + (p - r.src)
-            return Var(q, r.dst + k)
-        case SymApp(sym=s, args=args, scope=scope, cls=cls):
-            new_args = tuple(_rename(kind, r, arg, k + arg.scope - scope) for arg in args)
-            return SymApp(s, new_args, r.dst + k, cls)
-        case MetaApp(idx=m, args=args, cls=cls):
-            return MetaApp(m, tuple(_rename(kind, r, arg, k) for arg in args), r.dst + k, cls)
+    t = type(e)
+    if t is Var:
+        p = e.pos
+        if kind is ScopeKind.INDICES:
+            q = p if p < k else r(p - k) + k
+        else:
+            q = r(p) if p < r.src else r.dst + (p - r.src)
+        return Var(q, r.dst + k)
+    if t is SymApp:
+        scope = e.scope
+        new_args = tuple(_rename(kind, r, arg, k + arg.scope - scope) for arg in e.args)
+        return SymApp(e.sym, new_args, r.dst + k, e.cls)
+    if t is MetaApp:
+        return MetaApp(e.idx, tuple(_rename(kind, r, arg, k) for arg in e.args), r.dst + k, e.cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -306,17 +318,19 @@ def weaken_expr(kind: ScopeKind, e: Expr, by: Scope) -> Expr:
 
 
 def _shift(kind: ScopeKind, e: Expr, cut: int, by: Scope) -> Expr:
-    match e:
-        case Var(pos=p, scope=scope):
-            return Var(p + by if p >= cut else p, scope + by)
-        case SymApp(sym=s, args=args, scope=scope, cls=cls):
-            if kind is ScopeKind.INDICES:
-                new_args = tuple(_shift(kind, arg, cut + arg.scope - scope, by) for arg in args)
-            else:
-                new_args = tuple(_shift(kind, arg, cut, by) for arg in args)
-            return SymApp(s, new_args, scope + by, cls)
-        case MetaApp(idx=m, args=args, scope=scope, cls=cls):
-            return MetaApp(m, tuple(_shift(kind, arg, cut, by) for arg in args), scope + by, cls)
+    t = type(e)
+    if t is Var:
+        p = e.pos
+        return Var(p + by if p >= cut else p, e.scope + by)
+    if t is SymApp:
+        scope = e.scope
+        if kind is ScopeKind.INDICES:
+            new_args = tuple(_shift(kind, arg, cut + arg.scope - scope, by) for arg in e.args)
+        else:
+            new_args = tuple(_shift(kind, arg, cut, by) for arg in e.args)
+        return SymApp(e.sym, new_args, scope + by, e.cls)
+    if t is MetaApp:
+        return MetaApp(e.idx, tuple(_shift(kind, arg, cut, by) for arg in e.args), e.scope + by, e.cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -445,18 +459,20 @@ def substitute_expr(kind: ScopeKind, f: Substitution, e: Expr, k: Scope = 0) -> 
 
 
 def _substitute(kind: ScopeKind, f: Substitution, e: Expr, k: Scope) -> Expr:
-    match e:
-        case Var(pos=p):
-            if kind is ScopeKind.INDICES:
-                return Var(p, f.src + k) if p < k else weaken_expr(kind, f(p - k), k)
-            if p < f.dst:
-                return weaken_expr(kind, f(p), k)
-            return Var(f.src + (p - f.dst), f.src + k)
-        case SymApp(sym=s, args=args, scope=scope, cls=cls):
-            new_args = tuple(_substitute(kind, f, arg, k + arg.scope - scope) for arg in args)
-            return SymApp(s, new_args, f.src + k, cls)
-        case MetaApp(idx=m, args=args, cls=cls):
-            return MetaApp(m, tuple(_substitute(kind, f, a, k) for a in args), f.src + k, cls)
+    t = type(e)
+    if t is Var:
+        p = e.pos
+        if kind is ScopeKind.INDICES:
+            return Var(p, f.src + k) if p < k else weaken_expr(kind, f(p - k), k)
+        if p < f.dst:
+            return weaken_expr(kind, f(p), k)
+        return Var(f.src + (p - f.dst), f.src + k)
+    if t is SymApp:
+        scope = e.scope
+        new_args = tuple(_substitute(kind, f, arg, k + arg.scope - scope) for arg in e.args)
+        return SymApp(e.sym, new_args, f.src + k, e.cls)
+    if t is MetaApp:
+        return MetaApp(e.idx, tuple(_substitute(kind, f, a, k) for a in e.args), f.src + k, e.cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -552,22 +568,27 @@ def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
     """
     gamma, delta = inst.scope, e.scope
     target = sum_scope(gamma, delta)
-    match e:
-        case Var(pos=p):
-            return Var(kind.inr(gamma, delta, p), target)
-        case SymApp(sym=s, args=args, cls=cls):
-            return SymApp(s, tuple(instantiate_expr(kind, inst, a) for a in args), target, cls)
-        case MetaApp(idx=m, args=args, cls=cls):
-            binder = inst.arity[m].binder
-            if is_generic_occurrence(e, binder):
-                return inst(m)
-            table: list[Expr] = [None] * (gamma + binder)  # type: ignore[list-item]
-            for i in range(gamma):
-                table[kind.inl(gamma, binder, i)] = Var(kind.inl(gamma, delta, i), target)
-            for j, arg in enumerate(args):
-                table[kind.inr(gamma, binder, j)] = instantiate_expr(kind, inst, arg)
-            f = Substitution(target, gamma + binder, tuple(table))
-            return substitute_expr(kind, f, inst(m))
+    t = type(e)
+    if t is Var:
+        return Var(kind.inr(gamma, delta, e.pos), target)
+    if t is SymApp:
+        return SymApp(e.sym, tuple(instantiate_expr(kind, inst, a) for a in e.args), target, e.cls)
+    if t is MetaApp:
+        m = e.idx
+        binder = inst.arity[m].binder
+        if is_generic_occurrence(e, binder):
+            return inst(m)
+        # gamma's positions go along the left inclusion into gamma + delta,
+        # as one block of the table; the arguments take the binder's positions
+        table: list[Expr] = [None] * (gamma + binder)  # type: ignore[list-item]
+        if kind is ScopeKind.INDICES:
+            table[binder:] = [Var(i + delta, target) for i in range(gamma)]
+        else:
+            table[:gamma] = [Var(i, target) for i in range(gamma)]
+        for j, arg in enumerate(e.args):
+            table[kind.inr(gamma, binder, j)] = instantiate_expr(kind, inst, arg)
+        f = Substitution(target, gamma + binder, tuple(table))
+        return substitute_expr(kind, f, inst(m))
     raise TypeError(f"not an expression: {e!r}")
 
 

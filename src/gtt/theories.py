@@ -57,7 +57,7 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -98,17 +98,29 @@ from .rules import (
 
 @dataclass(frozen=True)
 class RawTypeTheory:
+    """Rules over a signature, each validated against its metavariable
+    extension when the theory is built.
+
+    A theory built with ``prefix``, an existing theory over the same
+    signature whose rules begin this one's, validates only the rules after
+    that prefix: the prefix's rules were validated when it was built.
+    """
+
     signature: Signature
     rules: tuple[RawRule, ...]
     rule_names: tuple[str, ...] = field(default=(), compare=False)
+    prefix: InitVar[RawTypeTheory | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, prefix):
         if self.rule_names and len(self.rule_names) != len(self.rules):
             raise ArityMismatch("rule name list does not match rule count")
-        for rule in self.rules:
-            ext = mv_extend_signature(self.signature, rule.arity)
-            for j in rule.premises + (rule.conclusion,):
-                validate_judgement(ext, j)
+        known = 0
+        if prefix is not None:
+            if prefix.signature != self.signature or self.rules[:len(prefix.rules)] != prefix.rules:
+                raise ArityMismatch("the prefix theory does not begin this theory")
+            known = len(prefix.rules)
+        for rule in self.rules[known:]:
+            _validate_rule(self.signature, rule)
 
     @property
     def kind(self) -> ScopeKind:
@@ -130,6 +142,12 @@ class RawTypeTheory:
             if n == name:
                 return i
         raise IndexOutOfRange(f"no rule named {name!r}")
+
+
+def _validate_rule(sig: Signature, rule: RawRule) -> None:
+    ext = mv_extend_signature(sig, rule.arity)
+    for j in rule.premises + (rule.conclusion,):
+        validate_judgement(ext, j)
 
 
 # --- derivation nodes --------------------------------------------------------

@@ -160,6 +160,25 @@ def test_missing_file_message(capsys):
     assert capsys.readouterr().err == "no such file: does-not-exist.json\n"
 
 
+def test_out_path_that_is_a_directory(tmp_path, capsys):
+    code = main(["congruence", str(FIXTURES / "mltt_pi.json"), "Pi-form", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"cannot write {tmp_path}: Is a directory\n"
+
+
+def test_out_path_with_a_missing_parent(tmp_path, capsys):
+    # not reported as a missing input: the input files all exist
+    out = tmp_path / "missing" / "out.json"
+    code = main(["check-theory", str(FIXTURES / "mltt_pi.json"), "--json", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def _write_derivation(tmp_path, name, d):
     path = tmp_path / name
     path.write_text(dumps(derivation_to_json(THEORY, THEORY.signature, d)))
@@ -244,6 +263,17 @@ def test_congruence_of_undeclared_rule_is_a_parse_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "parse error: rule 'nope' is not a rule of the theory\n"
+
+
+def test_congruence_of_equality_rule_is_a_parse_error(capsys):
+    # only object rules have congruence rules; asking for one of beta is a bad argument
+    code = main(["congruence", str(FIXTURES / "mltt_pi.json"), "beta"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: rule 'beta' is not an object rule: only object rules have congruence rules\n"
+    )
 
 
 def test_congruence_recheck_failure_is_a_check_failure(monkeypatch, capsys):

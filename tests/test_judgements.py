@@ -1,11 +1,15 @@
 """Contexts, judgement forms, boundaries, and presuppositions."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
 from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_subst
-from gtt.errors import HeadForbidden, HeadRequired
+from gtt.errors import ClassMismatch, HeadForbidden, HeadRequired, ScopeMismatch
+from gtt.foundations import ClosureRule
 from gtt.judgements import (
     EMPTY_CONTEXT,
     Boundary,
@@ -25,11 +29,15 @@ from gtt.judgements import (
     translate_judgement,
     ty_eq,
 )
+from gtt.scopes import ScopeKind
 from gtt.syntax import (
     TM,
     TY,
     Instantiation,
+    MetaApp,
     SignatureMap,
+    SymApp,
+    Var,
     mk_sym,
     mk_var,
     mv_extend_signature,
@@ -248,3 +256,136 @@ def test_nested_judgement_instantiation_exact():
             KIND, inst_act_inst(KIND, I, K), instantiate_context(KIND, I, G, D), j
         )
         assert lhs == rhs
+
+
+def test_extend_context_weakens_the_old_block_in_both_scope_kinds():
+    # the definition: old entry i goes to inl(i), weakened; new entry j to inr(j)
+    rng = random.Random(41)
+    for kind in ScopeKind:
+        for _ in range(100):
+            n, delta = rng.randrange(4), rng.randrange(4)
+            ctx = RawContext(n, tuple(gen_expr(rng, SIG, n, TY, 3) for _ in range(n)))
+            new = tuple(gen_expr(rng, SIG, n + delta, TY, 3) for _ in range(delta))
+            table = [None] * (n + delta)
+            for i, t in enumerate(ctx.types):
+                table[kind.inl(n, delta, i)] = weaken_expr(kind, t, delta)
+            for j, t in enumerate(new):
+                table[kind.inr(n, delta, j)] = t
+            assert extend_context(kind, ctx, new) == RawContext(n + delta, tuple(table))
+
+
+# --- contexts, judgements, boundaries and closure rules are tuple records -----
+
+def _records():
+    u = SymApp(0, (), 1, TY)
+    ctx = RawContext(1, (u,))
+    j = Judgement(ctx, JudgementForm.IS_TM, (u,), MetaApp(2, (Var(0, 1),), 1, TM))
+    return (ctx, j, Boundary(ctx, JudgementForm.IS_TM, (u,)), ClosureRule((j,), j))
+
+
+def test_records_of_different_classes_are_unequal():
+    ctx, j, bd, _ = _records()
+    # equal fields, different classes
+    assert RawContext(0, ()) != ClosureRule(0, ())
+    assert len({RawContext(0, ()), ClosureRule(0, ())}) == 2
+    # nor is a record equal to a tuple of its fields
+    assert bd != (ctx, j.form, j.boundary)
+
+
+def test_equal_records_have_equal_hashes():
+    for r in _records():
+        twin = type(r)(*(getattr(r, f) for f in type(r).__match_args__))
+        assert twin == r and twin is not r
+        assert hash(twin) == hash(r)
+
+
+def test_record_fields_cannot_be_assigned():
+    for r in _records():
+        for f in type(r).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(r, f, None)
+        with pytest.raises(AttributeError):
+            r.note = "extra"
+
+
+def test_records_copy_deepcopy_and_pickle():
+    for r in _records():
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(twin) is type(r)
+            assert twin == r
+
+
+def test_record_reprs():
+    # the strings the frozen dataclasses printed
+    ctx = "RawContext(scope=1, types=(SymApp(sym=0, args=(), scope=1, cls=<SyntacticClass.TY: 'Ty'>),))"
+    slots = (
+        f"context={ctx}, form=<JudgementForm.IS_TM: 'IsTm'>, "
+        "boundary=(SymApp(sym=0, args=(), scope=1, cls=<SyntacticClass.TY: 'Ty'>),)"
+    )
+    j = (
+        f"Judgement({slots}, "
+        "head=MetaApp(idx=2, args=(Var(pos=0, scope=1),), scope=1, cls=<SyntacticClass.TM: 'Tm'>))"
+    )
+    assert list(map(repr, _records())) == [
+        ctx, j, f"Boundary({slots})", f"ClosureRule(premises=({j},), conclusion={j})",
+    ]
+
+
+def test_class_patterns_bind_record_fields():
+    ctx, j, bd, rule = _records()
+    match j:
+        case Judgement(context=c, form=JudgementForm.IS_TM, head=h):
+            assert (c, h) == (ctx, j.head)
+        case _:
+            pytest.fail("keyword pattern did not match")
+    match rule:
+        case ClosureRule(premises=(p,), conclusion=c):
+            assert p == c == j
+        case _:
+            pytest.fail("keyword pattern did not match")
+    match bd:
+        case Judgement():
+            pytest.fail("a Boundary matched Judgement")
+        case Boundary(context=c):
+            assert c == ctx
+
+
+def test_records_that_break_their_invariants_are_rejected():
+    u1 = b(1)
+    with pytest.raises(ScopeMismatch):
+        RawContext(2, (b(2),))
+    with pytest.raises(ScopeMismatch):
+        RawContext(1, (b(0),))
+    with pytest.raises(ClassMismatch):
+        RawContext(1, (mk_var(1, 0),))
+    ctx = RawContext(1, (u1,))
+    with pytest.raises(HeadRequired):
+        Judgement(ctx, JudgementForm.IS_TM, (u1,), None)
+    with pytest.raises(HeadForbidden):
+        Judgement(ctx, JudgementForm.TY_EQ, (u1, u1), mk_var(1, 0))
+    with pytest.raises(ClassMismatch):
+        Judgement(ctx, JudgementForm.IS_TM, (u1,), u1)
+    with pytest.raises(ScopeMismatch):
+        Judgement(ctx, JudgementForm.IS_TY, (), b(0))
+    with pytest.raises(ClassMismatch):
+        Boundary(ctx, JudgementForm.IS_TM, (mk_var(1, 0),))
+    # copies are built through the constructor, so they are checked too
+    assert copy.deepcopy(ctx) == ctx
+
+
+def test_post_init_runs_on_every_construction(monkeypatch):
+    # looked up on the class when a record is built, so a hook set later sees it
+    seen = []
+    for cls in (RawContext, Judgement, Boundary):
+        original = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, original=original: seen.append(self) or original(self))
+    ctx, j, bd, _ = _records()
+    assert seen == [ctx, j, bd]
+    seen.clear()
+    extend_context(KIND, ctx, (b(2),))
+    twin = pickle.loads(pickle.dumps(j))
+    assert [type(r) for r in seen] == [RawContext, RawContext, Judgement] and seen[-1] == twin
+
+
+def test_judgement_values_are_not_dataclasses():
+    assert not any(dataclasses.is_dataclass(c) for c in (RawContext, Judgement, Boundary, ClosureRule))

@@ -1,13 +1,15 @@
 """Sequential contexts, premise families, realisation, and elaboration."""
 
 import itertools
+import pathlib
 
 import pytest
 
 from gtt.bundled import mltt_pi, mltt_pi_presented
-from gtt.errors import StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
+from gtt.errors import ArityMismatch, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
 from gtt.foundations import FinitePoset
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
+from gtt.jsonio import load_theory_file, loads
 from gtt.metatheory import check_well_founded_theory, is_tight
 from gtt.presentation import (
     PremisesShape,
@@ -24,6 +26,7 @@ from gtt.presentation import (
     sequential_by_peeling,
 )
 from gtt.scopes import ScopeKind
+from gtt.theories import RawTypeTheory
 from gtt.syntax import (
     TM,
     TY,
@@ -36,6 +39,7 @@ from gtt.syntax import (
 )
 
 KIND = ScopeKind.INDICES
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 # the two-symbol signature of the equivalence enumeration
 TWO_SIG = Signature((Symbol("b", TY, ()), Symbol("el", TY, arity((TM, 0)))))
@@ -217,6 +221,28 @@ def test_elaborate_mltt_matches_bundled():
     assert [s.name for s in sig.symbols] == ["Pi", "lam", "app"]
     wf = check_well_founded_theory(theory, None)
     assert wf.ok, wf.diagnostics
+
+
+def test_elaboration_validates_each_rule_once(monkeypatch):
+    import gtt.theories
+
+    kind, spec = load_theory_file(loads((FIXTURES / "mltt_pi_presented.json").read_text()))
+    assert kind == "spec"
+    validated = []
+    original = gtt.theories._validate_rule
+    monkeypatch.setattr(gtt.theories, "_validate_rule", lambda sig, rule: validated.append(rule) or original(sig, rule))
+    _, theory, _ = elaborate_theory(spec)
+    # 4 spec rules, 3 of them object rules with a congruence rule each: 7 rules,
+    # validated once each (a stage theory that re-validated its prefix made 19)
+    assert len(theory.rules) == 7
+    assert validated == list(theory.rules)
+
+
+def test_a_theory_does_not_extend_a_prefix_it_does_not_begin_with():
+    theory, _ = mltt_pi()
+    head = RawTypeTheory(theory.signature, theory.rules[:2], theory.rule_names[:2])
+    with pytest.raises(ArityMismatch):
+        RawTypeTheory(theory.signature, theory.rules[1:], theory.rule_names[1:], head)
 
 
 def test_elaborate_rejects_stage_violations():

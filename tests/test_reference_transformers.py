@@ -65,10 +65,10 @@ def lv_expr(e):
     match e:
         case Var(pos=p, scope=n):
             return Var(n - 1 - p, n)
-        case SymApp(args=args):
-            return replace(e, args=tuple(map(lv_expr, args)))
-        case MetaApp(args=args):
-            return replace(e, args=tuple(map(lv_expr, reversed(args))))
+        case SymApp(sym=s, args=args, scope=n, cls=c):
+            return SymApp(s, tuple(map(lv_expr, args)), n, c)
+        case MetaApp(idx=m, args=args, scope=n, cls=c):
+            return MetaApp(m, tuple(map(lv_expr, reversed(args))), n, c)
 
 
 def lv_context(ctx: RawContext) -> RawContext:

@@ -7,6 +7,9 @@ substitution laws run in both scope systems: indices and levels share the
 tree but not the arithmetic under binders.
 """
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -33,6 +36,7 @@ from gtt.syntax import (
     SignatureMap,
     Substitution,
     Symbol,
+    SymApp,
     Var,
     arity,
     compose_subst,
@@ -537,3 +541,75 @@ def test_translate_commutes_with_rename():
         assert translate_expr(F, rename_expr(KIND, r, e)) == rename_expr(
             KIND, r, translate_expr(F, e)
         )
+
+
+# --- expressions are tuple records -------------------------------------------
+
+def _expressions():
+    v = Var(0, 1)
+    return (v, SymApp(0, (), 1, TY), MetaApp(2, (v,), 1, TM))
+
+
+def test_records_of_different_classes_are_unequal():
+    assert SymApp(0, (), 0, TY) != MetaApp(0, (), 0, TY)
+    assert len({SymApp(0, (), 0, TY), MetaApp(0, (), 0, TY)}) == 2
+    # nor is a record equal to a tuple of its fields
+    assert Var(0, 1) != (0, 1)
+
+
+def test_equal_records_have_equal_hashes():
+    for e in _expressions():
+        twin = type(e)(*(getattr(e, f) for f in type(e).__match_args__))
+        assert twin == e and twin is not e
+        assert hash(twin) == hash(e)
+
+
+def test_record_fields_cannot_be_assigned():
+    for e in _expressions():
+        for f in type(e).__match_args__:
+            with pytest.raises(AttributeError):
+                setattr(e, f, 0)
+            with pytest.raises(AttributeError):
+                delattr(e, f)
+        with pytest.raises(AttributeError):
+            e.note = "extra"
+
+
+def test_records_copy_deepcopy_and_pickle():
+    for e in _expressions():
+        for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert type(twin) is type(e)
+            assert twin == e
+
+
+def test_expression_reprs():
+    # the strings the frozen dataclasses printed
+    assert list(map(repr, _expressions())) == [
+        "Var(pos=0, scope=1)",
+        "SymApp(sym=0, args=(), scope=1, cls=<SyntacticClass.TY: 'Ty'>)",
+        "MetaApp(idx=2, args=(Var(pos=0, scope=1),), scope=1, cls=<SyntacticClass.TM: 'Tm'>)",
+    ]
+
+
+def test_class_patterns_bind_record_fields():
+    v, s, m = _expressions()
+    match SymApp(3, (v,), 1, TY):
+        case SymApp(sym=sym, args=args):
+            assert (sym, args) == (3, (v,))
+        case _:
+            pytest.fail("keyword pattern did not match")
+    match v:
+        case Var(p, n):
+            assert (p, n) == (0, 1)
+        case _:
+            pytest.fail("positional pattern did not match")
+    match m:
+        case SymApp():
+            pytest.fail("a MetaApp matched SymApp")
+        case MetaApp(idx=i, scope=n, cls=c):
+            assert (i, n, c) == (2, 1, TM)
+    assert v.cls is TM
+
+
+def test_expressions_are_not_dataclasses():
+    assert not any(dataclasses.is_dataclass(c) for c in (Var, SymApp, MetaApp))
