@@ -14,8 +14,8 @@ works with well-scoped, well-classed trees by construction.
 Var, SymApp and MetaApp are tuple records (``scopes._record``): the
 expression is the tuple (class, fields...), so building one is cheap and
 ``==`` and ``hash`` are tuple equality and hashing, in C and class-aware.
-The checker builds and compares expressions at every node, and these two
-costs were most of its time per node.  Fields are read-only properties;
+The checker builds and compares expressions at every node, so both must
+be cheap.  Fields are read-only properties;
 ``__post_init__``, where a class defines one, runs on every construction.
 The walkers below dispatch on ``type(e)``, which is cheaper than a match
 on class patterns.
