@@ -56,7 +56,7 @@ from .theories import (
 
 
 class _CongruenceEngine:
-    def __init__(self, theory: RawTypeTheory, rule_index: int, base, witness_table):
+    def __init__(self, theory: RawTypeTheory, rule_index: int, base):
         from .metatheory import check_tight
 
         self.theory = theory
@@ -64,7 +64,6 @@ class _CongruenceEngine:
         self.rule = theory.rule(rule_index)
         self.rule_index = rule_index
         self.base = base
-        self.witness_table = witness_table
         self.n = len(self.rule.premises)
         self.shift = len(self.rule.arity)
         self.objects = self.rule.object_premises()
@@ -232,7 +231,7 @@ class _CongruenceEngine:
             for k in range(self.n)
         )
         return derive_presuppositions(
-            self.theory, d, self.witness_table, self.rule.arity, hyp_presups=hyp_presups
+            self.theory, d, {}, self.rule.arity, hyp_presups=hyp_presups
         )[0]
 
     # -- context transports ------------------------------------------------------
@@ -392,14 +391,10 @@ class _CongruenceEngine:
         return derive.conv(lctx, ra, la, rh, d_ra, d_la, moved, sym)
 
 
-def congruence_witnesses(
-    theory: RawTypeTheory, rule_index: int, base, witness_table=None
-):
+def congruence_witnesses(theory: RawTypeTheory, rule_index: int, base):
     """Witnesses for the congruence rule of ``rule_index``, from R's own.
 
-    ``witness_table`` supplies other rules' witnesses for presupposition
-    side-calls; the empty default is enough when R's witnesses only cite
-    hypotheses, structural machinery, and substitution closures.
+    Presupposition side-calls get no other rule's witnesses: R's witnesses
+    cite only hypotheses, structural machinery and substitution closures.
     """
-    engine = _CongruenceEngine(theory, rule_index, base, witness_table or {})
-    return engine.build()
+    return _CongruenceEngine(theory, rule_index, base).build()

@@ -551,6 +551,9 @@ def spec_to_json(spec) -> Any:
 
     sig = theory_signature_of_spec(spec)
     rules_out = []
+    # the realised rules before the current one, for naming the rules its
+    # witnesses cite; realised only up to the last rule with witnesses
+    stage, staged = RawTypeTheory(sig, (), ()), 0
     for i, rs in enumerate(spec.rules):
         fam = rs.boundary.premises
         names = fam.names or tuple(f"p{k}" for k in range(fam.premise_count()))
@@ -573,7 +576,8 @@ def spec_to_json(spec) -> Any:
         full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
         w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
         witnesses_out = {}
-        stage = _stage_theory_for_json(spec, i) if w.premises.presups or w.conclusion else None
+        if w.premises.presups or w.conclusion:
+            stage, staged = _stage_through(stage, spec.rules[staged:i]), i
         # premise witnesses are over the sub-extension of their down-set
         for (k, p), d in sorted(w.premises.presups.items()):
             sub = _sub_signature(sig, fam.shape, names, k)
@@ -603,18 +607,13 @@ def spec_to_json(spec) -> Any:
     }
 
 
-def _stage_theory_for_json(spec, upto: int) -> RawTypeTheory:
-    """The elaborated prefix theory, for naming rules inside witnesses."""
-    from .presentation import WellPresentedTheorySpec, elaborate_theory
+def _stage_through(stage: RawTypeTheory, rules) -> RawTypeTheory:
+    """``stage`` followed by the realisations of the spec rules ``rules``."""
+    from .presentation import add_spec_rule
 
-    prefix = WellPresentedTheorySpec(
-        spec.kind,
-        FinitePoset.of(upto, {(i, j) for i, j in spec.order.edges if j < upto}),
-        spec.rules[:upto],
-        {rs.name: spec.witnesses[rs.name] for rs in spec.rules[:upto] if rs.name in spec.witnesses},
-    )
-    _, theory, _ = elaborate_theory(prefix)
-    return theory
+    for rs in rules:
+        stage = add_spec_rule(stage, rs)
+    return stage
 
 
 def spec_from_json(data: Any):
@@ -626,7 +625,6 @@ def spec_from_json(data: Any):
         TheoryRuleSpec,
         WellFoundedPremiseFamily,
         WellPresentedTheorySpec,
-        elaborate_theory,
     )
 
     data = _obj(data, "a theory spec")
@@ -667,6 +665,7 @@ def spec_from_json(data: Any):
 
     rules = []
     witnesses = {}
+    stage, staged = RawTypeTheory(sig, (), ()), 0
     for i, r in enumerate(raw_rules):
         shape = shapes[i]
         fam_names = tuple(
@@ -685,13 +684,7 @@ def spec_from_json(data: Any):
         rules.append(TheoryRuleSpec(names[i], RuleBoundarySpec(fam, form, conclusion_slots)))
         raw_w = _obj(r.get("witnesses", {}), "witnesses")
         if raw_w:
-            spec_prefix = WellPresentedTheorySpec(
-                kind,
-                FinitePoset.of(i, {(a, b) for a, b in edges if b < i}),
-                tuple(rules[:i]),
-                dict(witnesses),
-            )
-            _, stage, _ = elaborate_theory(spec_prefix)
+            stage, staged = _stage_through(stage, rules[staged:i]), i
             w = RuleBoundaryWitnesses()
             for key, dv in raw_w.items():
                 k, p = _witness_key(key, len(raw_premises[i]))

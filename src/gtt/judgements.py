@@ -71,46 +71,23 @@ EMPTY_CONTEXT = RawContext(0, ())
 
 
 class JudgementForm(Enum):
-    IS_TY = "IsTy"
-    IS_TM = "IsTm"
-    TY_EQ = "TyEq"
-    TM_EQ = "TmEq"
+    """The four judgement forms.  Each member carries, as plain attributes,
+    the classes of its boundary slots, the class of its head (None for an
+    equation) and whether it is an object form."""
 
-    @property
-    def boundary_classes(self) -> tuple[SyntacticClass, ...]:
-        return _BOUNDARY[self]
+    IS_TY = "IsTy", (), TY
+    IS_TM = "IsTm", (TY,), TM
+    TY_EQ = "TyEq", (TY, TY), None
+    TM_EQ = "TmEq", (TM, TM, TY), None
 
-    @property
-    def head_class(self) -> SyntacticClass | None:
-        return _HEAD[self]
-
-    @property
-    def is_object(self) -> bool:
-        return self in (JudgementForm.IS_TY, JudgementForm.IS_TM)
-
-    @property
-    def slot_names(self) -> tuple[str, ...]:
-        return _SLOT_NAMES[self]
-
-
-_BOUNDARY = {
-    JudgementForm.IS_TY: (),
-    JudgementForm.IS_TM: (TY,),
-    JudgementForm.TY_EQ: (TY, TY),
-    JudgementForm.TM_EQ: (TM, TM, TY),
-}
-_HEAD = {
-    JudgementForm.IS_TY: TY,
-    JudgementForm.IS_TM: TM,
-    JudgementForm.TY_EQ: None,
-    JudgementForm.TM_EQ: None,
-}
-_SLOT_NAMES = {
-    JudgementForm.IS_TY: (),
-    JudgementForm.IS_TM: ("type",),
-    JudgementForm.TY_EQ: ("lhs", "rhs"),
-    JudgementForm.TM_EQ: ("lhs", "rhs", "type"),
-}
+    def __new__(cls, value: str, boundary_classes: tuple[SyntacticClass, ...],
+                head_class: SyntacticClass | None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.boundary_classes = boundary_classes
+        member.head_class = head_class
+        member.is_object = head_class is not None
+        return member
 
 
 @_record

@@ -628,12 +628,10 @@ def elaborate_theory(
     The elaborated rule list interleaves each object rule with its congruence
     rule, so each initial segment of the spec flattens to a prefix.
     """
+    from .congruence_witnesses import congruence_witnesses
+
     full_sig = theory_signature_of_spec(spec)
-    kind = spec.kind
-    rules: list[RawRule] = []
-    names: list[str] = []
     witness_table: TheoryWitnesses = {}
-    symbol_of_rule = {i: s for i, (j, s) in [(j, (j, s)) for j, s in _symbols_through(spec, None)]}
     sym_index = {spec.rules[i].name: k for k, (i, _) in enumerate(_symbols_through(spec, None))}
 
     # the theory of the rules elaborated so far, built once per spec rule
@@ -647,21 +645,33 @@ def elaborate_theory(
         _check_stage_symbols(full_sig, rs, allowed)
         if not check_rule_boundary(theory, rs.boundary, w, diagnostics):
             raise WitnessFailure(f"rule {rs.name}: " + "; ".join(diagnostics))
-        symbol = sym_index.get(rs.name) if rs.boundary.conclusion_form.is_object else None
-        rule = realise_rule_boundary(full_sig, rs.boundary, symbol)
-        rules.append(rule)
-        names.append(rs.name)
-        witness_table[rs.name] = _boundary_to_rule_witnesses(rule, rs.boundary, w)
-        if rule.is_object:
-            rules.append(congruence_rule(full_sig, rule))
-            names.append(f"{rs.name}-cong")
-        theory = RawTypeTheory(full_sig, tuple(rules), tuple(names), theory)
-        if rule.is_object:
-            from .congruence_witnesses import congruence_witnesses
-
-            witness_table[f"{rs.name}-cong"] = congruence_witnesses(theory, len(rules) - 2, witness_table[rs.name])
+        index = len(theory.rules)
+        theory = add_spec_rule(theory, rs)
+        witness_table[rs.name] = _boundary_to_rule_witnesses(rs.boundary, w)
+        if theory.rule(index).is_object:
+            witness_table[f"{rs.name}-cong"] = congruence_witnesses(theory, index, witness_table[rs.name])
     report = check_acceptable_theory(theory, witness_table)
     return full_sig, theory, report
+
+
+def add_spec_rule(stage: RawTypeTheory, rs: TheoryRuleSpec) -> RawTypeTheory:
+    """``stage`` followed by the realisation of ``rs`` and, for an object
+    rule, its congruence rule.
+
+    ``stage`` holds the realised rules of a spec prefix over the whole
+    spec's signature, whose k-th symbol is the k-th object rule; nothing is
+    checked beyond the realisation, so a codec can name the rules a witness
+    cites without elaborating.
+    """
+    sig = stage.signature
+    symbol = None
+    if rs.boundary.conclusion_form.is_object:
+        symbol = sum(rule.is_object for rule in stage.rules)
+    rule = realise_rule_boundary(sig, rs.boundary, symbol)
+    rules, names = (rule,), (rs.name,)
+    if rule.is_object:
+        rules, names = (rule, congruence_rule(sig, rule)), (rs.name, f"{rs.name}-cong")
+    return RawTypeTheory(sig, stage.rules + rules, stage.rule_names + names, stage)
 
 
 def _check_stage_symbols(sig: Signature, rs: TheoryRuleSpec, allowed: set[int]) -> None:
@@ -679,9 +689,7 @@ def _check_stage_symbols(sig: Signature, rs: TheoryRuleSpec, allowed: set[int]) 
         raise StageViolation(f"rule {rs.name} uses later symbols: {names}")
 
 
-def _boundary_to_rule_witnesses(
-    rule: RawRule, spec: RuleBoundarySpec, w: RuleBoundaryWitnesses
-) -> RuleWitnesses:
+def _boundary_to_rule_witnesses(spec: RuleBoundarySpec, w: RuleBoundaryWitnesses) -> RuleWitnesses:
     """Reindex boundary witnesses as rule witnesses.
 
     A premise witness at stage i cites the flattening of the premises below i

@@ -21,8 +21,8 @@ from corpus import (
 )
 from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_renaming, gen_subst
 from gtt import derive
+from gtt import bundled
 from gtt.bundled import (
-    TIT_ORDER,
     cyclic_quantifier,
     mltt_base,
     mltt_pi,
@@ -238,7 +238,7 @@ def test_criterion_5_acceptability():
     assert check_acceptable_theory(theory, witnesses).acceptable
     tit, tit_w = type_in_type()
     assert check_acceptable_theory(tit, tit_w).acceptable
-    wf = check_well_founded_theory(tit, TIT_ORDER, tit_w)
+    wf = check_well_founded_theory(tit, bundled.order("type_in_type"), tit_w)
     assert not wf.ok
     assert any("u-intro" in d and "El-form" in d and "cycle" in d for d in wf.diagnostics)
     cq, cq_w = cyclic_quantifier()

@@ -457,6 +457,21 @@ def test_check_well_presented_spec(capsys):
     assert "well-founded: ok" in out
 
 
+def test_bad_witness_in_a_spec_fails_well_presented(tmp_path, capsys):
+    # lam's witness that B is a type over A cites the premise A type instead
+    data = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    lam = next(r for r in data["rules"] if r["name"] == "lam")
+    lam["witnesses"]["premise_2/0"] = {"index": 0, "node": "hyp"}
+    path = tmp_path / "bad_witness.json"
+    path.write_text(json.dumps(data))
+    code = main(["check-theory", str(path), "--well-presented"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.startswith("well-presented: FAIL (rule lam: ")
+    assert captured.out.count("\n") == 1, captured.out
+
+
 def test_replace_step_script(capsys):
     code, out = run(
         capsys,

@@ -1,12 +1,14 @@
 """Round-trip discipline for every interchange format."""
 
+import os
+import pathlib
+from collections import Counter
+
 import pytest
 
 from corpus import THEORY, build_corpus, substitution_corpus
+from gtt import bundled
 from gtt.bundled import (
-    BASE_ORDER,
-    MLTT_ORDER,
-    TIT_ORDER,
     cyclic_quantifier,
     mltt_base,
     mltt_pi,
@@ -22,6 +24,7 @@ from gtt.jsonio import (
     expr_to_json,
     judgement_from_json,
     judgement_to_json,
+    load_theory_file,
     loads,
     rule_from_json,
     rule_to_json,
@@ -33,6 +36,8 @@ from gtt.jsonio import (
 from gtt.metatheory import check_acceptable_theory
 from gtt.presentation import elaborate_theory
 from gtt.theories import check_theory_derivation
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_expression_roundtrip():
@@ -72,9 +77,9 @@ def test_rule_roundtrip():
 @pytest.mark.parametrize(
     "fn,order",
     [
-        (mltt_pi, MLTT_ORDER),
-        (mltt_base, BASE_ORDER),
-        (type_in_type, TIT_ORDER),
+        (mltt_pi, bundled.order("mltt_pi")),
+        (mltt_base, bundled.order("mltt_base")),
+        (type_in_type, bundled.order("type_in_type")),
         (cyclic_quantifier, None),
     ],
 )
@@ -105,23 +110,40 @@ def test_spec_roundtrip():
     assert report.acceptable
 
 
-def test_fixture_files_match_bundled():
-    import pathlib
+def test_bundled_files_reemit_byte_for_byte():
+    files = sorted(bundled.DATA.glob("*.json"))
+    assert [p.stem for p in files] == [
+        "cyclic_quantifier", "mltt_base", "mltt_pi", "mltt_pi_presented", "type_in_type",
+    ]
+    for path in files:
+        text = path.read_text()
+        kind, payload = load_theory_file(loads(text))
+        data = spec_to_json(payload) if kind == "spec" else theory_to_json(*payload)
+        assert dumps(data, pretty=True) + "\n" == text, path.name
+        # the fixture of the same name is the package file, not a copy
+        assert os.path.samefile(FIXTURES / path.name, path), path.name
 
-    root = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
-    for name, fn, order in [
-        ("mltt_pi.json", mltt_pi, MLTT_ORDER),
-        ("mltt_base.json", mltt_base, BASE_ORDER),
-        ("type_in_type.json", type_in_type, TIT_ORDER),
-        ("cyclic_quantifier.json", cyclic_quantifier, None),
+
+def test_spec_codec_elaborates_nothing(monkeypatch):
+    import gtt.metatheory
+    import gtt.presentation
+
+    calls = Counter()
+    for module, name in [
+        (gtt.presentation, "elaborate_theory"),
+        (gtt.presentation, "check_acceptable_theory"),
+        (gtt.metatheory, "check_acceptable_theory"),
     ]:
-        theory, witnesses = fn()
-        text = (root / name).read_text()
-        loaded, _, _ = theory_from_json(loads(text))
-        assert loaded.rules == theory.rules, name
-        assert text == dumps(theory_to_json(theory, witnesses, order), pretty=True) + "\n", name
-    text = (root / "mltt_pi_presented.json").read_text()
-    assert text == dumps(spec_to_json(mltt_pi_presented()), pretty=True) + "\n"
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a))
+    data = loads((bundled.DATA / "mltt_pi_presented.json").read_text())
+    spec = spec_from_json(data)
+    assert calls == Counter()
+    assert spec_to_json(spec) == data
+    assert calls == Counter()
+    # the counters see an elaboration
+    gtt.presentation.elaborate_theory(spec)
+    assert calls == Counter(elaborate_theory=1, check_acceptable_theory=1)
 
 
 def test_parse_errors():

@@ -21,14 +21,9 @@ from corpus import (
     var,
 )
 from gtt import derive
-from gtt.bundled import (
-    MLTT_ORDER,
-    MLTT_SIGNATURE,
-    TIT_ORDER,
-    cyclic_quantifier,
-    mltt_pi,
-    type_in_type,
-)
+from gtt import bundled
+from gtt.bundled import cyclic_quantifier, mltt_base, mltt_pi, type_in_type
+from gtt.congruence_witnesses import congruence_witnesses
 from gtt.errors import MissingWitness, NotTight
 from gtt.judgements import (
     EMPTY_CONTEXT,
@@ -82,7 +77,7 @@ from gtt.theories import (
 
 def app_variants():
     """Rules (1)-(6): the application rule and its five modifications."""
-    sig = MLTT_SIGNATURE
+    sig = mltt_pi()[0].signature
     A = sig.symbol(0).arity  # unused marker
     from gtt.syntax import arity, TM, TY
 
@@ -117,7 +112,7 @@ def variant_witnesses():
     """Presupposition witnesses for the variants that have them."""
     from gtt.syntax import arity, TM, TY
 
-    sig = MLTT_SIGNATURE
+    sig = mltt_pi()[0].signature
     app_arity = arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))
     ext = mv_extend_signature(sig, app_arity, ("A", "B", "f", "a"))
     a0 = mk_meta(ext, "a", (), 0)
@@ -125,7 +120,7 @@ def variant_witnesses():
     B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
     ctx_a = RawContext(1, (A1,))
     pi_inst = Instantiation(
-        MLTT_SIGNATURE.symbol(0).arity, 0, (mk_meta(ext, "A", (), 0), B1)
+        mltt_pi()[0].signature.symbol(0).arity, 0, (mk_meta(ext, "A", (), 0), B1)
     )
     d_pi = RuleInst(0, pi_inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
 
@@ -154,9 +149,9 @@ def variant_witnesses():
     fb = Substitution(2, 1, (Var(KIND.inl(1, 1, 0), 2),))
     x_typing = VariableInst(
         ctx_xy, KIND.inl(1, 1, 0),
-        (derive.weaken_closed(ctx_xy, is_type(EMPTY_CONTEXT, mk_meta(mv_extend_signature(sig, MLTT_SIGNATURE.symbol(0).arity, ("A", "B")), "A", (), 0)), Hyp(0)),),
+        (derive.weaken_closed(ctx_xy, is_type(EMPTY_CONTEXT, mk_meta(mv_extend_signature(sig, mltt_pi()[0].signature.symbol(0).arity, ("A", "B")), "A", (), 0)), Hyp(0)),),
     )
-    ext6 = mv_extend_signature(sig, MLTT_SIGNATURE.symbol(0).arity, ("A", "B"))
+    ext6 = mv_extend_signature(sig, mltt_pi()[0].signature.symbol(0).arity, ("A", "B"))
     w6 = RuleWitnesses(
         conclusion={
             0: SubstInst(
@@ -186,7 +181,7 @@ def test_app_variant_presuppositivity_verdicts():
 def test_every_type_expression_rule_is_not_tight():
     from gtt.syntax import arity, TY
 
-    ext = mv_extend_signature(MLTT_SIGNATURE, arity((TY, 0)), ("A",))
+    ext = mv_extend_signature(mltt_pi()[0].signature, arity((TY, 0)), ("A",))
     rule = RawRule(
         arity((TY, 0)), (), is_type(EMPTY_CONTEXT, mk_meta(ext, "A", (), 0)), ("A",)
     )
@@ -197,7 +192,7 @@ def test_symmetry_variants():
     from gtt.syntax import arity, TY
     from gtt.rules import BuiltinRule
 
-    ext = mv_extend_signature(MLTT_SIGNATURE, arity((TY, 0), (TY, 0)), ("A", "B"))
+    ext = mv_extend_signature(mltt_pi()[0].signature, arity((TY, 0), (TY, 0)), ("A", "B"))
     A0, B0 = mk_meta(ext, "A", (), 0), mk_meta(ext, "B", (), 0)
     lhs = RawRule(
         arity((TY, 0), (TY, 0)),
@@ -242,11 +237,21 @@ def test_missing_symbol_rule_breaks_tightness():
     assert not report.tight
 
 
+@pytest.mark.parametrize("fn", [mltt_pi, mltt_base, type_in_type])
+def test_congruence_witnesses_resynthesise_the_shipped_ones(fn):
+    theory, witnesses = fn()
+    objects = [i for i, rule in enumerate(theory.rules) if rule.is_object]
+    assert objects
+    for i in objects:
+        name = theory.rule_name(i)
+        assert congruence_witnesses(theory, i, witnesses[name]) == witnesses[f"{name}-cong"], name
+
+
 def test_well_founded_verdicts():
     theory, w = mltt_pi()
-    assert check_well_founded_theory(theory, MLTT_ORDER, w).ok
+    assert check_well_founded_theory(theory, bundled.order("mltt_pi"), w).ok
     tit, wt = type_in_type()
-    r = check_well_founded_theory(tit, TIT_ORDER, wt)
+    r = check_well_founded_theory(tit, bundled.order("type_in_type"), wt)
     assert not r.ok
     assert any("cycle" in d for d in r.diagnostics)
     cq, wq = cyclic_quantifier()

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from gtt.bundled import MLTT_SIGNATURE, mltt_pi
+from gtt.bundled import mltt_base, mltt_pi
 from gtt.errors import IndexOutOfRange, NotObjectRule, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
@@ -36,9 +36,10 @@ from gtt.syntax import (
     mv_extend_signature,
 )
 
-SIG = MLTT_SIGNATURE
-KIND = SIG.kind
 THEORY, _ = mltt_pi()
+SIG = THEORY.signature
+KIND = SIG.kind
+BASE_SIGNATURE = mltt_base()[0].signature
 
 
 def test_equivalence_rule_shapes():
@@ -81,8 +82,6 @@ def test_builtin_rules_are_closed():
 
 
 def test_variable_rule():
-    from gtt.bundled import BASE_SIGNATURE
-
     unit1 = mk_sym(BASE_SIGNATURE, "unit", (), 1)
     ctx = RawContext(1, (unit1,))
     rule = variable_rule(KIND, ctx, 0)
@@ -93,8 +92,7 @@ def test_variable_rule():
 
 
 def test_variable_rule_on_mutually_referencing_flat_context():
-    from gtt.bundled import BASE_SIGNATURE as BS
-
+    BS = BASE_SIGNATURE
     # flatness: entries may mention any position, even their own
     ty0 = mk_sym(BS, "Pi", (mk_sym(BS, "unit", (), 2), mk_sym(BS, "unit", (), 3)), 2)
     ctx = RawContext(2, (ty0, ty0))
@@ -103,9 +101,9 @@ def test_variable_rule_on_mutually_referencing_flat_context():
 
 
 def test_instantiate_app_rule_gives_displayed_closure_rule():
-    from gtt.bundled import BASE_SIGNATURE as BS, mltt_base
     from gtt.syntax import weaken_expr
 
+    BS = BASE_SIGNATURE
     theory, _ = mltt_base()
     app_rule = theory.rule(theory.rule_index("app-elim"))
     a = mk_sym(BS, "unit", (), 0)
@@ -125,8 +123,6 @@ def test_instantiate_app_rule_gives_displayed_closure_rule():
 
 
 def test_instantiate_rule_axiom_case():
-    from gtt.bundled import mltt_base
-
     theory, _ = mltt_base()
     unit_rule = theory.rule(theory.rule_index("unit-form"))
     closure = instantiate_rule(KIND, Instantiation((), 0, ()), EMPTY_CONTEXT, unit_rule)
@@ -135,8 +131,6 @@ def test_instantiate_rule_axiom_case():
 
 
 def test_substitution_rule_shapes():
-    from gtt.bundled import mltt_base
-
     theory, _ = mltt_base()
     sig = theory.signature
     unit = mk_sym(sig, "unit", (), 0)
@@ -159,8 +153,6 @@ def test_substitution_rule_shapes():
 
 
 def test_equality_substitution_rule_reflexive_shape():
-    from gtt.bundled import mltt_base
-
     theory, _ = mltt_base()
     sig = theory.signature
     unit1 = mk_sym(sig, "unit", (), 1)
@@ -204,8 +196,6 @@ def test_pi_congruence_rule_shape():
 
 
 def test_congruence_of_zero_premise_rule():
-    from gtt.bundled import mltt_base
-
     theory, _ = mltt_base()
     unit_rule = theory.rule(theory.rule_index("unit-form"))
     cong = congruence_rule(theory.signature, unit_rule)
@@ -221,7 +211,6 @@ def test_congruence_not_defined_for_equality_rules():
 
 
 def test_congruence_commutes_with_translation():
-    from gtt.bundled import BASE_SIGNATURE
     from gtt.rules import translate_rule
 
     # MLTT signature embeds into the base signature at the same indices
