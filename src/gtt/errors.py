@@ -45,6 +45,11 @@ class FillerConclusionMismatch(KernelError):
 
 
 class TrivialityViolated(KernelError):
+    """A substitution does not act trivially at ``position`` of its trivial set.
+
+    A renaming that does not respect the type at a position raises this too:
+    respecting types is acting trivially at every position."""
+
     def __init__(self, position, detail=""):
         super().__init__(f"substitution does not act trivially at position {position} {detail}")
         self.position = position
@@ -68,12 +73,6 @@ class NoBijection(KernelError):
 
 class MissingWitness(KernelError):
     pass
-
-
-class NotTypeRespecting(KernelError):
-    def __init__(self, position):
-        super().__init__(f"renaming does not respect the type at position {position}")
-        self.position = position
 
 
 class NotSubstitutive(KernelError):

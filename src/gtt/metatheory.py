@@ -19,7 +19,6 @@ from .errors import (
     NotObjectRule,
     NotSubstitutive,
     NotTight,
-    NotTypeRespecting,
     TrivialityViolated,
 )
 from .foundations import FinitePoset, check_well_founded
@@ -53,7 +52,6 @@ from .syntax import (
     concat_inst,
     expr_symbols,
     instantiate_expr,
-    rename_expr,
     subst_act_inst,
     substitute_expr,
 )
@@ -469,16 +467,17 @@ def _eq_subst_presups(theory, node, go):
 
 # --- admissibility of renaming and substitution ----------------------------------
 #
-# The three transformers below follow the admissibility proofs of the paper
-# with the root data held fixed, as ``rename_expr`` and ``substitute_expr``
-# do for expressions: the renaming r (or the substitution f, or the pair f,
-# g), the target context, the trivial set K and the typings stay as given,
-# and the walk descends with a binder count k, acting as r + id_k (f + id_k)
-# on lookup.  A position p of a context at depth k is bound when
-# ``kind.unsum(f.dst, k, p)`` (``r.src`` for a renaming) says "right";
-# otherwise it stands for the root position it names.  No extended table,
-# trivial set or typing copy is built: a typing is renamed by
-# ``inl_renaming(f.src, k)`` at the variable node that uses it.
+# The two substitution transformers below follow the admissibility proofs of
+# the paper with the root data held fixed, as ``substitute_expr`` does for
+# expressions: the substitution f (or the pair f, g), the target context, the
+# trivial set K and the typings stay as given, and the walk descends with a
+# binder count k, acting as f + id_k on lookup.  A position p of a context at
+# depth k is bound when ``kind.unsum(f.dst, k, p)`` says "right"; otherwise
+# it stands for the root position it names.  No extended table, trivial set
+# or typing copy is built: a typing is renamed by ``inl_renaming(f.src, k)``
+# at the variable node that uses it.  Renaming is substitution by variables
+# with every position trivial, so ``rename_derivation`` is one call of
+# ``substitute_derivation``.
 #
 # The side conditions are checked once, at the root, against the root node's
 # context (a hypothesis root has no context to check them against).
@@ -487,10 +486,10 @@ def _eq_subst_presups(theory, node, go):
 # parent's context extended by the instantiated premise context, and the
 # child's target is the parent's target extended by the same premise context
 # instantiated along f*I.  At a left position, both sides of a condition are
-# the weakening of the parent's, since weakening commutes with substitution
-# and renaming.  At a bound position, the image is the bound variable itself,
-# and its two types are (f + k)*(I(psi_p)) and (f*I)(psi_p), which are equal
-# because instantiation commutes with substitution.  A variable node's child
+# the weakening of the parent's, since weakening commutes with substitution.
+# At a bound position, the image is the bound variable itself, and its two
+# types are (f + k)*(I(psi_p)) and (f*I)(psi_p), which are equal because
+# instantiation commutes with substitution.  A variable node's child
 # lives in the node's own context.  The kernel re-checks each output where it
 # leaves the library: the CLI re-checks every derivation it prints.
 #
@@ -526,18 +525,6 @@ def _not_substitution_free(theory: RawTypeTheory, node) -> TypeError:
     return TypeError(f"substitution node in a substitution-free derivation: {_node_name(theory, node)}")
 
 
-def rename_inst(kind, r: Renaming, inst: Instantiation, k: int = 0) -> Instantiation:
-    """r + id_k acting on an instantiation over r.src + k."""
-    exprs = tuple(rename_expr(kind, r, e, a.binder + k) for e, a in zip(inst.exprs, inst.arity))
-    return Instantiation(inst.arity, r.dst + k, exprs)
-
-
-def _check_type_respecting(kind, r: Renaming, src: RawContext, dst: RawContext) -> None:
-    for i in range(src.scope):
-        if dst.type_at(r(i)) != rename_expr(kind, r, src.type_at(i)):
-            raise NotTypeRespecting(i)
-
-
 def rename_derivation(
     theory: RawTypeTheory,
     r: Renaming,
@@ -546,32 +533,14 @@ def rename_derivation(
 ) -> TheoryDerivation:
     """Rename a substitution-free derivation along a type-respecting renaming.
 
-    ``d`` must check in the theory.  Type-respect is checked against the
-    root's context only; see the comment above for why it holds below.
+    A renaming is substitution by variables: this is ``substitute_derivation``
+    along ``Substitution.of_renaming(r)`` with every position trivial and no
+    typings.  The renaming respects types exactly when that substitution acts
+    trivially at every position, so a renaming that does not respect the type
+    at position i raises ``TrivialityViolated(i)``.  ``d`` must check in the
+    theory.
     """
-    require_substitutive(theory)
-    kind = theory.kind
-    if isinstance(d, (VariableInst, RuleInst)):
-        _check_type_respecting(kind, r, d.context, target)
-
-    def go(node, k: int, tgt: RawContext):
-        match node:
-            case Hyp():
-                if r.is_identity():
-                    return node
-                raise MissingWitness("cannot rename a hypothesis")
-            case VariableInst(pos=i, children=children):
-                image = rename_expr(kind, r, Var(i, r.src + k), k)
-                return VariableInst(tgt, image.pos, (go(children[0], k, tgt),))
-            case RuleInst(ref=ref, inst=inst, children=children):
-                new_inst = rename_inst(kind, r, inst, k)
-                return RuleInst(ref, new_inst, tgt, tuple(
-                    go(c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context))
-                    for c, p in zip(children, theory.rule(ref).premises)
-                ))
-        raise _not_substitution_free(theory, node)
-
-    return go(d, 0, target)
+    return substitute_derivation(theory, Substitution.of_renaming(r), target, frozenset(range(r.src)), {}, d)
 
 
 def _check_trivial_action(kind, f, target, source, positions):

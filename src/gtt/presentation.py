@@ -41,6 +41,7 @@ from .syntax import (
     Expr,
     MetaApp,
     Signature,
+    Substitution,
     Symbol,
     SymApp,
     TM,
@@ -48,7 +49,7 @@ from .syntax import (
     Var,
     expr_symbols,
     mv_extend_signature,
-    rename_expr,
+    substitute_expr,
     validate_expr,
 )
 from .theories import (
@@ -70,7 +71,6 @@ def subscope_inclusion(kind: ScopeKind, i: int, n: int) -> Renaming:
     """The evident inclusion of the first i positions into scope n."""
     if i > n:
         raise ScopeMismatch(f"no inclusion of scope {i} into {n}")
-    r = Renaming.identity(i)
     # iterate i -> i+1 -> ... -> n through left inclusions of singleton sums
     table = list(range(i))
     for m in range(i, n):
@@ -87,7 +87,7 @@ def flatten_sequential_context(kind: ScopeKind, seq: SequentialContext) -> RawCo
             raise ScopeMismatch(f"entry {i} has scope {entry.scope}, expected {i}")
         incl = subscope_inclusion(kind, i, n)
         pos = _declared_position(kind, i, n)
-        types[pos] = rename_expr(kind, incl, entry)
+        types[pos] = substitute_expr(kind, Substitution.of_renaming(incl), entry)
     return RawContext(n, tuple(types))
 
 

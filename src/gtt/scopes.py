@@ -75,15 +75,6 @@ class Renaming:
     def identity(scope: Scope) -> "Renaming":
         return Renaming(scope, scope, tuple(range(scope)))
 
-    def is_identity(self) -> bool:
-        return self.src == self.dst and all(self.table[i] == i for i in range(self.src))
-
-    def compose(self, earlier: "Renaming") -> "Renaming":
-        """self o earlier: apply ``earlier`` first."""
-        if earlier.dst != self.src:
-            raise ScopeMismatch(f"cannot compose {self.src}<-? with ?->{earlier.dst}")
-        return Renaming(earlier.src, self.dst, tuple(self.table[v] for v in earlier.table))
-
 
 def inl_renaming(kind: ScopeKind, gamma: Scope, delta: Scope) -> Renaming:
     return Renaming(gamma, gamma + delta, tuple(kind.inl(gamma, delta, i) for i in range(gamma)))
@@ -91,25 +82,6 @@ def inl_renaming(kind: ScopeKind, gamma: Scope, delta: Scope) -> Renaming:
 
 def inr_renaming(kind: ScopeKind, gamma: Scope, delta: Scope) -> Renaming:
     return Renaming(delta, gamma + delta, tuple(kind.inr(gamma, delta, j) for j in range(delta)))
-
-
-def sum_renaming(kind: ScopeKind, r: Renaming, s: Renaming) -> Renaming:
-    """The coproduct map r+s : (r.src + s.src) -> (r.dst + s.dst)."""
-    src = r.src + s.src
-    dst = r.dst + s.dst
-    table = [0] * src
-    for i in range(r.src):
-        table[kind.inl(r.src, s.src, i)] = kind.inl(r.dst, s.dst, r(i))
-    for j in range(s.src):
-        table[kind.inr(r.src, s.src, j)] = kind.inr(r.dst, s.dst, s(j))
-    return Renaming(src, dst, tuple(table))
-
-
-def extend_renaming(kind: ScopeKind, r: Renaming, binder: Scope) -> Renaming:
-    """r + id_binder, the extension used when descending under a binder."""
-    if binder == 0:
-        return r
-    return sum_renaming(kind, r, Renaming.identity(binder))
 
 
 def _record(cls):

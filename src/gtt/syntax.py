@@ -20,12 +20,13 @@ be cheap.  Fields are read-only properties;
 The walkers below dispatch on ``type(e)``, which is cheaper than a match
 on class patterns.
 
-Renaming and substitution under binders follow the sigma-calculus: below
-k binders a substitution f acts as the pair (f, lift k), where
-lift f = 0 . (f o shift), and the pair is applied on lookup at each
-variable instead of building the table of f + k.  Weakening is one
-arithmetic shift with a cutoff: positions >= cut move up by ``by``.  The
-two scope kinds differ only in where the bound positions sit:
+Substitution under binders follows the sigma-calculus: below k binders a
+substitution f acts as the pair (f, lift k), where lift f = 0 . (f o shift),
+and the pair is applied on lookup at each variable instead of building the
+table of f + k.  A renaming acts as the substitution by variables
+``Substitution.of_renaming(r)``; there is no second walk for it.  Weakening
+is one arithmetic shift with a cutoff: positions >= cut move up by ``by``.
+The two scope kinds differ only in where the bound positions sit:
 
 - indices: positions below k are bound; entry p - k of f is shifted up by
   k with cut 0, and the cut grows under each binder inside the entry;
@@ -34,8 +35,8 @@ two scope kinds differ only in where the bound positions sit:
   binders.
 
 The scope checks stay at the entry points (the table classes, the guard of
-rename_expr and substitute_expr, the mk_* constructors); the recursions
-below them trust the tree.
+substitute_expr, the mk_* constructors); the recursions below them trust
+the tree.
 """
 
 from __future__ import annotations
@@ -269,40 +270,6 @@ def validate_expr(sig: Signature, e: Expr, scope: Scope, cls: SyntacticClass | N
             _check_args(sig, simple_arity(sig.mv_binder(m)), args, scope, sig.mv_name(m))
             for arg in args:
                 validate_expr(sig, arg, scope, TM)
-
-
-def rename_expr(kind: ScopeKind, r: Renaming, e: Expr, k: Scope = 0) -> Expr:
-    """Apply a renaming to an expression that sits under ``k`` binders.
-
-    ``e`` lives in scope ``r.src + k`` and the result in ``r.dst + k``; this
-    is the action of r + id_k.  Under the i-th argument of a node ``k`` grows
-    by that argument's binder, and the extension is applied on lookup at
-    each variable, so no table is built:
-
-    - indices: ``p < k`` is bound and stays; otherwise ``r(p - k) + k``;
-    - levels: ``p < r.src`` becomes ``r(p)``; otherwise ``r.dst + (p - r.src)``.
-    """
-    if e.scope != r.src + k:
-        raise ScopeMismatch(f"expression in scope {e.scope}, renaming from {r.src} under {k}")
-    return _rename(kind, r, e, k)
-
-
-def _rename(kind: ScopeKind, r: Renaming, e: Expr, k: Scope) -> Expr:
-    t = type(e)
-    if t is Var:
-        p = e.pos
-        if kind is ScopeKind.INDICES:
-            q = p if p < k else r(p - k) + k
-        else:
-            q = r(p) if p < r.src else r.dst + (p - r.src)
-        return Var(q, r.dst + k)
-    if t is SymApp:
-        scope = e.scope
-        new_args = tuple(_rename(kind, r, arg, k + arg.scope - scope) for arg in e.args)
-        return SymApp(e.sym, new_args, r.dst + k, e.cls)
-    if t is MetaApp:
-        return MetaApp(e.idx, tuple(_rename(kind, r, arg, k) for arg in e.args), r.dst + k, e.cls)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def weaken_expr(kind: ScopeKind, e: Expr, by: Scope) -> Expr:

@@ -2,12 +2,28 @@
 
 Each builds the tables the definitions speak of (one per binder crossed,
 one per metavariable occurrence) and copies every entry it uses; the
-kernel's versions apply them on lookup and share what they can.  The law
-tests and the reference checker compare against these.
+kernel's versions apply them on lookup and share what they can, and the
+kernel renames by substituting variables.  The law tests, the reference
+checker and the reference transformers compare against these.
 """
 
-from gtt.scopes import inl_renaming
+from gtt.scopes import Renaming, inl_renaming
 from gtt.syntax import MetaApp, Substitution, SymApp, Var
+
+
+def naive_sum_renaming(kind, r, s):
+    """Oracle: the coproduct map r+s : (r.src + s.src) -> (r.dst + s.dst) as a table."""
+    table = [0] * (r.src + s.src)
+    for i in range(r.src):
+        table[kind.inl(r.src, s.src, i)] = kind.inl(r.dst, s.dst, r(i))
+    for j in range(s.src):
+        table[kind.inr(r.src, s.src, j)] = kind.inr(r.dst, s.dst, s(j))
+    return Renaming(r.src + s.src, r.dst + s.dst, tuple(table))
+
+
+def naive_extend_renaming(kind, r, binder):
+    """Oracle: the table of r + id_binder, built when descending under a binder."""
+    return naive_sum_renaming(kind, r, Renaming.identity(binder))
 
 
 def naive_rename(kind, r, e, depth=0):

@@ -4,15 +4,17 @@ The textbook reading of the admissibility proofs for renaming, substitution
 and equality substitution.  Each node re-checks that the renaming respects
 types, or that the substitutions act (jointly) trivially on the trivial
 set, for every position of the current context.  Under each binder it
-builds the extended substitution table, the extended trivial set, and a
-renamed copy of every typing; equality substitution walks every binder
+builds the extended renaming or substitution table, the extended trivial
+set, and a renamed copy of every typing.  Renaming has a walk of its own,
+over the tables of ``naive``.  Equality substitution walks every binder
 premise twice for all three images.  Elimination of substitution rewrites
 each substitution node after its children, so a chain of k stacked nodes
 walks its body k times.
 
 ``metatheory`` carries the root data with a binder count instead, checks
-the side conditions once, at the root, and folds a chain of substitution
-nodes into one before walking it.  Its outputs must be ``==`` to these.
+the side conditions once, at the root, renames by substituting variables,
+and folds a chain of substitution nodes into one before walking it.  Its
+outputs must be ``==`` to these, and its errors equal in class and text.
 ``reference_transformers`` swaps these functions into ``metatheory``, so
 that ``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable``
 can be run on both.
@@ -24,10 +26,10 @@ import contextlib
 from dataclasses import replace
 
 from gtt import derive, metatheory
-from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, NotTypeRespecting, TrivialityViolated
+from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated
 from gtt.judgements import instantiate_context
 from gtt.rules import BuiltinRule, acts_trivially
-from gtt.scopes import Renaming, extend_renaming, inl_renaming
+from gtt.scopes import Renaming, inl_renaming
 from gtt.syntax import (
     Instantiation,
     MetaApp,
@@ -36,11 +38,11 @@ from gtt.syntax import (
     concat_inst,
     extend_substitution,
     instantiate_expr,
-    rename_expr,
     subst_act_inst,
     substitute_expr,
 )
 from gtt.theories import EqSubstInst, Hyp, RuleInst, SubstInst, VariableInst
+from naive import naive_extend_renaming, naive_rename
 
 
 @contextlib.contextmanager
@@ -57,14 +59,15 @@ def reference_transformers():
 
 
 def _rename_inst(kind, r: Renaming, inst: Instantiation) -> Instantiation:
-    exprs = tuple(rename_expr(kind, r, e, a.binder) for e, a in zip(inst.exprs, inst.arity))
+    exprs = tuple(naive_rename(kind, r, e, a.binder) for e, a in zip(inst.exprs, inst.arity))
     return Instantiation(inst.arity, r.dst, exprs)
 
 
 def _check_type_respecting(kind, r, src, dst) -> None:
+    # respecting the type at i is acting trivially there, as a substitution
     for i in range(src.scope):
-        if dst.type_at(r(i)) != rename_expr(kind, r, src.type_at(i)):
-            raise NotTypeRespecting(i)
+        if dst.type_at(r(i)) != naive_rename(kind, r, src.type_at(i)):
+            raise TrivialityViolated(i)
 
 
 def rename_derivation(theory, r, target, d):
@@ -74,9 +77,9 @@ def rename_derivation(theory, r, target, d):
     def go(node, rn, tgt):
         match node:
             case Hyp():
-                if rn.is_identity():
+                if rn == Renaming.identity(rn.src):
                     return node
-                raise MissingWitness("cannot rename a hypothesis")
+                raise MissingWitness("cannot substitute into a hypothesis")
             case VariableInst(context=ctx, pos=i, children=children):
                 _check_type_respecting(kind, rn, ctx, tgt)
                 return VariableInst(tgt, rn(i), (go(children[0], rn, tgt),))
@@ -88,7 +91,7 @@ def rename_derivation(theory, r, target, d):
                 for j, premise in enumerate(rule.premises):
                     psi = premise.context.scope
                     child_tgt = instantiate_context(kind, new_inst, tgt, premise.context)
-                    child_rn = extend_renaming(kind, rn, psi)
+                    child_rn = naive_extend_renaming(kind, rn, psi)
                     new_children.append(go(children[j], child_rn, child_tgt))
                 return RuleInst(ref, new_inst, tgt, tuple(new_children))
         raise TypeError(f"substitution node in a substitution-free derivation: {node!r}")

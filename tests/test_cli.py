@@ -84,6 +84,30 @@ def test_malformed_derivation(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"node":"subst","cxt":[],"subst":{"src":0,"map":[{"sym":"unit"}]},"children":[]}',
+            "substitution entries must be terms",
+        ),
+        (
+            '{"node":"rule","name":"tt-intro","cxt":[{"sym":"tt"}],"inst":{},"children":[]}',
+            "context entries must be types",
+        ),
+    ],
+)
+def test_ill_classed_entry_is_a_check_failure(tmp_path, capsys, text, message):
+    # the entry parses, and the kernel's table or context refuses its class
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code = main(["check-derivation", str(FIXTURES / "mltt_base.json"), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"check failed: {message}\n"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "[1]",

@@ -15,6 +15,7 @@ from corpus import (
     lam,
     newest_position,
     pi,
+    pi_over,
     substitution_corpus,
     tt_at,
     unit_at,
@@ -24,7 +25,7 @@ from gtt import derive
 from gtt import bundled
 from gtt.bundled import cyclic_quantifier, mltt_base, mltt_pi, type_in_type
 from gtt.congruence_witnesses import congruence_witnesses
-from gtt.errors import MissingWitness, NotTight
+from gtt.errors import MissingWitness, NotTight, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
@@ -71,6 +72,7 @@ from gtt.theories import (
     VariableInst,
     check_theory_derivation,
 )
+from reference_transformers import rename_derivation as reference_rename_derivation
 
 
 # --- the app-rule variants of the acceptability discussion ---------------------
@@ -322,6 +324,24 @@ def test_rename_swap_independent_entries():
     assert check_theory_derivation(THEORY, (), out) == is_term(
         ctx2, Var(1, 2), ctx2.type_at(1)
     )
+
+
+def test_rename_rejects_a_renaming_that_does_not_respect_types():
+    # x : unit, y : unit |- y : unit, renamed by the swap into a target whose
+    # newest entry has type Pi(unit, unit): position 1 goes to position 0,
+    # whose type is not unit.  Respecting types is acting trivially, so both
+    # the kernel and the reference name the position in TrivialityViolated.
+    u = unit_at(EMPTY_CONTEXT)
+    ctx1 = extend(EMPTY_CONTEXT, u)
+    ctx2 = extend(ctx1, unit_at(ctx1))
+    x = var(ctx2, 0, unit_at(ctx2).d_type)
+    target = extend(ctx1, pi_over(unit_at(ctx1)))
+    assert target.type_at(0) != target.type_at(1)
+    swap = Renaming(2, 2, (1, 0))
+    for rename in (rename_derivation, reference_rename_derivation):
+        with pytest.raises(TrivialityViolated, match="at position 1 ") as err:
+            rename(THEORY, swap, target, x.d_term)
+        assert err.value.position == 1
 
 
 def test_substitute_single_variable():

@@ -1,13 +1,14 @@
 """The substitution transformers agree with the reference transformers.
 
 ``metatheory`` checks the side conditions of renaming, substitution and
-equality substitution once, at the root, descends with a binder count, and
-folds a chain of substitution nodes into one; ``reference_transformers``
-re-checks them at every node, builds the extended tables under every
-binder, and eliminates the nodes of a chain one at a time.  On every input,
-``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable`` give
-``==`` outputs with equal JSON bytes under both, or fail with the same
-kernel error.
+equality substitution once, at the root, descends with a binder count,
+renames by substituting variables, and folds a chain of substitution nodes
+into one; ``reference_transformers`` re-checks them at every node, builds
+the extended tables under every binder, renames with a walk of its own,
+and eliminates the nodes of a chain one at a time.  On every input,
+``eliminate_substitution``, ``invert``, ``unique_typing_acceptable`` and
+``rename_derivation`` give ``==`` outputs with equal JSON bytes under both,
+or fail with the same kernel error.
 
 Inputs: the corpus; chains of k stacked weakenings over a lam tower that
 uses a variable from outside its binders, with all-or-none trivial sets,
@@ -17,7 +18,9 @@ and into nested Pi; each in both scope systems.  The de Bruijn levels copy
 is the indices one read through the isomorphism that sends index p of a
 scope n to level n - 1 - p: contexts, substitution tables, metavariable
 arguments and the typing children of a substitution node list their
-positions in the opposite order.
+positions in the opposite order.  Renaming inputs: every substitution-free
+corpus derivation weakened by one ``unit`` entry, and a swap of two ``unit``
+entries into a context that respects it and into one that does not.
 """
 
 from __future__ import annotations
@@ -27,23 +30,28 @@ from dataclasses import replace
 import pytest
 
 from corpus import (
+    KIND,
     THEORY,
     WITNESSES,
     build_corpus,
     equality_substitution_into_nested_pi,
     equality_substitutions_under_binders,
+    extend,
     mixed_weakening_chain,
+    pi_over,
     substituted_weakening_chain,
     substitution_corpus,
+    unit_at,
+    var,
     weakening_chain,
 )
 from gtt import derive, metatheory
-from gtt.errors import KernelError
-from gtt.judgements import Judgement, JudgementForm, RawContext
+from gtt.errors import KernelError, TrivialityViolated
+from gtt.judgements import EMPTY_CONTEXT, Judgement, JudgementForm, RawContext
 from gtt.jsonio import derivation_to_json, dumps
-from gtt.metatheory import check_acceptable_theory, derive_presuppositions
+from gtt.metatheory import check_acceptable_theory, derive_presuppositions, is_substitution_free
 from gtt.rules import RawRule
-from gtt.scopes import ScopeKind
+from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import MetaApp, Signature, Substitution, SymApp, Var
 from gtt.theories import (
     EqSubstInst,
@@ -82,6 +90,10 @@ def lv_judgement(j: Judgement) -> Judgement:
 
 def lv_subst(f: Substitution) -> Substitution:
     return Substitution(f.src, f.dst, tuple(map(lv_expr, reversed(f.table))))
+
+
+def lv_renaming(r: Renaming) -> Renaming:
+    return Renaming(r.src, r.dst, tuple(r.dst - 1 - r(r.src - 1 - i) for i in range(r.src)))
 
 
 def lv_derivation(d):
@@ -139,6 +151,27 @@ def inputs():
 
 
 INPUTS = inputs()
+
+
+def renamings():
+    """(renaming, target, derivation) in the indices system."""
+    out = []
+    for d, j in build_corpus():
+        if not is_substitution_free(d):
+            continue
+        ctx = j.context
+        out.append((inl_renaming(KIND, ctx.scope, 1), extend(ctx, unit_at(ctx)), d))
+    ctx1 = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    ctx2 = extend(ctx1, unit_at(ctx1))
+    x = var(ctx2, 0, unit_at(ctx2).d_type)
+    swap = Renaming(2, 2, (1, 0))
+    out.append((swap, ctx2, x.d_term))
+    # the newest entry of the target has type Pi(unit, unit): not type-respecting
+    out.append((swap, extend(ctx1, pi_over(unit_at(ctx1))), x.d_term))
+    return out
+
+
+RENAMINGS = renamings()
 
 
 def test_the_levels_copy_checks():
@@ -220,3 +253,22 @@ def test_transformers_agree_with_the_reference(kind):
             assert_agree(theory, "unique_typing_acceptable", d, d, witnesses)
             wrapped = conv_wrapped(theory, witnesses, d, j)
             assert_agree(theory, "unique_typing_acceptable", d, wrapped, witnesses)
+
+
+@pytest.mark.parametrize("kind", ["indices", "levels"])
+def test_renaming_agrees_with_the_reference(kind):
+    theory = THEORY if kind == "indices" else LV_THEORY
+    outcomes = []
+    for r, target, d in RENAMINGS:
+        if kind == "levels":
+            r, target, d = lv_renaming(r), lv_context(target), lv_derivation(d)
+        out = assert_agree(theory, "rename_derivation", r, target, d)
+        outcomes.append(out)
+        if not isinstance(out, tuple):
+            assert check_theory_derivation(theory, (), out).context == target
+    # only the last swap fails: at indices position 1, which is levels position 0
+    position = 1 if kind == "indices" else 0
+    failures = [o for o in outcomes if isinstance(o, tuple)]
+    assert failures == [outcomes[-1]] == [
+        (TrivialityViolated, f"substitution does not act trivially at position {position} ")
+    ]

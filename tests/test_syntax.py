@@ -49,7 +49,6 @@ from gtt.syntax import (
     mk_sym,
     mk_var,
     mv_extend_signature,
-    rename_expr,
     simple_arity,
     subst_act_inst,
     substitute_expr,
@@ -90,6 +89,17 @@ def test_constructor_validation():
     validate_expr(SIG, pi, 0, TY)
 
 
+def test_substitution_table_validation():
+    # one entry per position of dst, each a term over src
+    with pytest.raises(ScopeMismatch, match="table of length 0"):
+        Substitution(1, 1, ())
+    with pytest.raises(ClassMismatch, match="must be terms"):
+        Substitution(0, 1, (b(0),))
+    with pytest.raises(ScopeMismatch, match="entry in scope 2, expected 1"):
+        Substitution(1, 1, (mk_var(2, 0),))
+    Substitution(1, 1, (mk_var(1, 0),))
+
+
 def test_generator_produces_valid_trees():
     rng = random.Random(0)
     for _ in range(300):
@@ -105,9 +115,9 @@ def test_rename_identity_and_simple():
     rng = random.Random(1)
     for _ in range(100):
         e = gen_expr(rng, SIG, 3, rng.choice([TY, TM]), 3)
-        assert rename_expr(KIND, Renaming.identity(3), e) == e
+        assert substitute_expr(KIND, Substitution.of_renaming(Renaming.identity(3)), e) == e
     r = Renaming(1, 2, (1,))
-    assert rename_expr(KIND, r, mk_var(1, 0)) == mk_var(2, 1)
+    assert substitute_expr(KIND, Substitution.of_renaming(r), mk_var(1, 0)) == mk_var(2, 1)
 
 
 def test_rename_against_depth_tracking_oracle():
@@ -119,7 +129,7 @@ def test_rename_against_depth_tracking_oracle():
             k = rng.randrange(3)
             r = gen_renaming(rng, src, dst)
             e = gen_expr(rng, sig, src + k, rng.choice([TY, TM]), 3)
-            assert rename_expr(kind, r, e, k) == naive_rename(kind, r, e, k), kind
+            assert substitute_expr(kind, Substitution.of_renaming(r), e, k) == naive_rename(kind, r, e, k), kind
 
 
 def test_substitute_against_table_oracle():
@@ -171,7 +181,7 @@ def test_law_substitution_generalises_renaming():
                 gamma = 1
             r = gen_renaming(rng, delta, gamma)
             e = gen_expr(rng, sig, delta, rng.choice([TY, TM]), 3)
-            assert substitute_expr(kind, Substitution.of_renaming(r), e) == rename_expr(kind, r, e)
+            assert substitute_expr(kind, Substitution.of_renaming(r), e) == naive_rename(kind, r, e)
 
 
 def test_law_identity_substitution():
@@ -189,8 +199,9 @@ def test_law_substitution_commutes_with_renaming():
             f = gen_subst(rng, sig, gamma, delta)
             r = gen_renaming(rng, gamma, gp)
             e = gen_expr(rng, sig, delta, rng.choice([TY, TM]), 2)
-            lhs = rename_expr(kind, r, substitute_expr(kind, f, e))
-            rf = Substitution(gp, delta, tuple(rename_expr(kind, r, f(i)) for i in range(delta)))
+            sr = Substitution.of_renaming(r)
+            lhs = substitute_expr(kind, sr, substitute_expr(kind, f, e))
+            rf = Substitution(gp, delta, tuple(substitute_expr(kind, sr, f(i)) for i in range(delta)))
             assert lhs == substitute_expr(kind, rf, e)
 
             # tca f (act r e) = tca (i -> f(r(i))) e  with r into f's target scope
@@ -200,7 +211,7 @@ def test_law_substitution_commutes_with_renaming():
             f2 = gen_subst(rng, sig, theta, delta)
             r2 = gen_renaming(rng, r2_src, delta)
             e2 = gen_expr(rng, sig, r2_src, rng.choice([TY, TM]), 2)
-            lhs2 = substitute_expr(kind, f2, rename_expr(kind, r2, e2))
+            lhs2 = substitute_expr(kind, f2, substitute_expr(kind, Substitution.of_renaming(r2), e2))
             fr = Substitution(theta, r2_src, tuple(f2(r2(i)) for i in range(r2_src)))
             assert lhs2 == substitute_expr(kind, fr, e2)
 
@@ -301,7 +312,7 @@ def test_instantiate_expr_without_metas_weakens():
             I = gen_instantiation(rng, sig, APP_ARITY, gamma)
             out = instantiate_expr(kind, I, e)
             # no metavariables: the action is exactly the right coproduct inclusion
-            assert out == rename_expr(kind, inr_renaming(kind, gamma, delta), e), kind
+            assert out == substitute_expr(kind, Substitution.of_renaming(inr_renaming(kind, gamma, delta)), e), kind
 
 
 def ext_sig(alpha, names=(), sig=SIG):
@@ -538,8 +549,9 @@ def test_translate_commutes_with_rename():
         dst = rng.randrange(1, 4)
         r = gen_renaming(rng, src, dst)
         e = gen_expr(rng, SIG, src, rng.choice([TY, TM]), 3)
-        assert translate_expr(F, rename_expr(KIND, r, e)) == rename_expr(
-            KIND, r, translate_expr(F, e)
+        sr = Substitution.of_renaming(r)
+        assert translate_expr(F, substitute_expr(KIND, sr, e)) == substitute_expr(
+            KIND, sr, translate_expr(F, e)
         )
 
 
