@@ -13,7 +13,6 @@ recomputes the closure rule a typed node cites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Generic, Iterable, TypeVar
 
 from .errors import (
@@ -41,7 +40,7 @@ class ClosureRule(Generic[X]):
 ClosureSystem = tuple
 
 
-@dataclass(frozen=True)
+@_record
 class GHyp:
     """Leaf citing a hypothesis by its position in the hypothesis family."""
 
@@ -52,7 +51,7 @@ class GHyp:
         return ()
 
 
-@dataclass(frozen=True)
+@_record
 class GStep:
     """Node citing a rule, with one child derivation per premise."""
 
@@ -160,7 +159,7 @@ def map_derivation(
     raise TypeError(f"not a derivation node: {d!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class FinitePoset:
     """A relation on {0..size-1}; well-founded iff its transitive closure is irreflexive."""
 

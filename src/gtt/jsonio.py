@@ -20,7 +20,7 @@ import json
 import sys
 from typing import Any
 
-from .errors import KernelError, ParseError
+from .errors import IndexOutOfRange, KernelError, ParseError
 from .foundations import FinitePoset
 from .judgements import (
     Judgement,
@@ -283,7 +283,7 @@ def rule_to_json(sig: Signature, rule: RawRule, name: str | None = None) -> Any:
     ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
     out = {
         "arity": arity_to_json(rule.arity),
-        "metas": [ext.mv_name(i) for i in range(ext.mv_count)],
+        "metas": list(rule.metas),
         "premises": [judgement_to_json(ext, p) for p in rule.premises],
         "conclusion": judgement_to_json(ext, rule.conclusion),
     }
@@ -306,19 +306,19 @@ def rule_from_json(sig: Signature, data: Any) -> RawRule:
 
 # --- instantiations and derivations -----------------------------------------------
 
-def instantiation_to_json(sig: Signature, ext: Signature, inst: Instantiation) -> Any:
-    return {
-        ext.mv_name(i): expr_to_json(sig, e) for i, e in enumerate(inst.exprs)
-    }
+def instantiation_to_json(sig: Signature, names: tuple[str, ...], inst: Instantiation) -> Any:
+    """The entries of ``inst`` keyed by the names of the rule's metavariables (``RawRule.metas``)."""
+    if len(inst.exprs) > len(names):
+        raise IndexOutOfRange(f"metavariable {len(names)} of {len(names)}")
+    return {names[i]: expr_to_json(sig, e) for i, e in enumerate(inst.exprs)}
 
 
 def instantiation_from_json(
-    sig: Signature, ext: Signature, alpha: Arity, data: Any, scope: int
+    sig: Signature, names: tuple[str, ...], alpha: Arity, data: Any, scope: int
 ) -> Instantiation:
     data = _obj(data, "an instantiation")
     exprs = []
-    for i, slot in enumerate(alpha):
-        key = ext.mv_name(i)
+    for key, slot in zip(names, alpha):
         if key not in data:
             raise ParseError(f"instantiation misses metavariable {key!r}")
         exprs.append(expr_from_json(sig, data[key], scope + slot.binder))
@@ -343,7 +343,6 @@ def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivatio
             return {"node": "hyp", "index": k}
         case RuleInst(ref=ref, inst=inst, context=ctx):
             rule = theory.rule(ref)
-            ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
             if isinstance(ref, int):
                 head = {"node": "rule", "name": theory.rule_name(ref)}
             else:
@@ -351,7 +350,7 @@ def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivatio
             return {
                 **head,
                 "cxt": context_to_json(sig, ctx),
-                "inst": instantiation_to_json(sig, ext, inst),
+                "inst": instantiation_to_json(sig, rule.metas, inst),
                 "children": kids,
             }
         case VariableInst(context=ctx, pos=i):
@@ -406,8 +405,7 @@ def _derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any, dept
             ref = _builtin(node, data.get("which"))
         rule = theory.rule(ref)
         ctx = context_from_json(sig, data.get("cxt", []))
-        ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
-        inst = instantiation_from_json(sig, ext, rule.arity, data.get("inst", {}), ctx.scope)
+        inst = instantiation_from_json(sig, rule.metas, rule.arity, data.get("inst", {}), ctx.scope)
         return RuleInst(ref, inst, ctx, kids)
     if node == "subst":
         ctx = context_from_json(sig, data.get("cxt", []))

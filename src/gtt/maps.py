@@ -10,7 +10,6 @@ drives the builder from an acceptable theory's own rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import (
@@ -41,7 +40,7 @@ from .presentation import (
 )
 from .rules import RawRule, congruence_rule, generic_application
 from .foundations import FinitePoset
-from .scopes import ScopeKind
+from .scopes import ScopeKind, _Fresh, _record
 from .syntax import (
     Expr,
     Instantiation,
@@ -72,7 +71,7 @@ from .theories import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class RawSyntaxMap:
     """For each symbol of the source, a closed expression over the target
     extended by the symbol's arguments."""
@@ -140,7 +139,7 @@ def map_rule(m: RawSyntaxMap, rule: RawRule) -> RawRule:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class RawTheoryMap:
     """A syntax map together with derivations of the translated rules.
 
@@ -153,7 +152,7 @@ class RawTheoryMap:
     syntax: RawSyntaxMap
     src: RawTypeTheory
     dst: RawTypeTheory
-    rule_derivations: dict[int, TheoryDerivation] = field(default_factory=dict)
+    rule_derivations: dict[int, TheoryDerivation] = _Fresh(dict)
 
     def check(self, diagnostics: list[str] | None = None) -> bool:
         ok = True
@@ -232,7 +231,7 @@ def check_realiser(
     return got == target
 
 
-@dataclass
+@_record
 class ConservativityWitness:
     """One checked instance of each reflection property of a conservative map."""
 
@@ -313,7 +312,7 @@ def demote(kind: ScopeKind, gamma: int) -> Instantiation:
 
 # --- the witness-driven well-founded replacement -------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class SymbolStep:
     name: str
     boundary: RuleBoundarySpec        # over the builder theory so far
@@ -321,7 +320,7 @@ class SymbolStep:
     witness: TheoryDerivation         # the realisation derivation in the target
 
 
-@dataclass(frozen=True)
+@_record
 class EquationStep:
     name: str
     rule: RawRule                     # an equality rule over the builder theory so far
@@ -451,7 +450,7 @@ def sequential_boundary_spec(
 
 def sequential_premise_names(rule: RawRule) -> tuple[str, ...]:
     """Per-premise labels: object premises carry their metavariable's name."""
-    names = rule.meta_names or tuple(f"?{i}" for i in range(len(rule.arity)))
+    names = rule.metas
     tight = check_tight(rule)
     label = {}
     for arg, premise in enumerate(tight.premise_of_arg):
@@ -621,7 +620,7 @@ class _SectionDriver:
             sequential_premise_names(rule)[:len(prefix)],
         )
         realiser = MetaApp(self._sub_meta_index(rule, entry.idx, k), (), 0, TY)
-        meta_name = (rule.meta_names or ())[entry.idx] if rule.meta_names else f"?{entry.idx}"
+        meta_name = rule.metas[entry.idx]
         c = self._add(f"c.{name}.{meta_name}", spec, realiser, Hyp(intro))
         return generic_application(self.builder.signature, c)
 

@@ -8,8 +8,6 @@ whose outputs re-check against the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import derive
 from .errors import (
     KernelError,
@@ -38,7 +36,7 @@ from .rules import (
     congruence_rule,
     generic_application,
 )
-from .scopes import Renaming, inl_renaming
+from .scopes import Renaming, _record, inl_renaming
 from .syntax import (
     Arity,
     Expr,
@@ -73,7 +71,7 @@ from .theories import (
 
 # --- tightness ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class TightnessWitness:
     """For each argument of the rule's arity, the introducing object premise."""
 
@@ -286,7 +284,7 @@ BUILTIN_WITNESSES = _builtin_witnesses()
 
 # --- acceptability ------------------------------------------------------------
 
-@dataclass
+@_record
 class RuleReport:
     name: str
     tight: bool
@@ -294,7 +292,7 @@ class RuleReport:
     empty_conclusion_context: bool
 
 
-@dataclass
+@_record
 class AcceptabilityReport:
     rules: list[RuleReport]
     tight: bool
@@ -372,7 +370,7 @@ def graft_theory(d: TheoryDerivation, fillers: tuple[TheoryDerivation, ...]) -> 
         if not 0 <= d.index < len(fillers):
             raise MissingWitness(f"no filler for hypothesis {d.index}")
         return fillers[d.index]
-    return replace(d, children=tuple(graft_theory(c, fillers) for c in d.children))
+    return d._replace(children=tuple(graft_theory(c, fillers) for c in d.children))
 
 
 def derive_presuppositions(
@@ -399,7 +397,7 @@ def derive_presuppositions(
             case SubstInst(judgement=jj, children=children):
                 sub_presups = go(children[0])
                 return tuple(
-                    replace(node, judgement=pj, children=(sub_presups[p],) + children[1:])
+                    node._replace(judgement=pj, children=(sub_presups[p],) + children[1:])
                     for p, pj in enumerate(presuppositions(jj))
                 )
             case EqSubstInst():
@@ -810,7 +808,7 @@ def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> Theory
                 triples = typing_children(node, 3)
                 _, _, d_eq = substitute_equal_derivation(theory, f, g, tgt, K, triples, go(children[0]))
                 return d_eq
-        return replace(node, children=tuple(go(c) for c in node.children))
+        return node._replace(children=tuple(go(c) for c in node.children))
 
     return go(d)
 
@@ -1027,7 +1025,7 @@ def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozense
     return syms, cited
 
 
-@dataclass
+@_record
 class WellFoundedReport:
     ok: bool
     required_edges: frozenset[tuple[int, int]]

@@ -9,7 +9,6 @@ congruence rules of object rules, and re-checks everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 
 from .errors import (
     ArityMismatch,
@@ -34,7 +33,7 @@ from .judgements import (
 )
 from .metatheory import AcceptabilityReport, check_acceptable_theory, check_tight
 from .rules import RawRule, congruence_rule, generic_application
-from .scopes import Renaming, ScopeKind, inl_renaming
+from .scopes import Renaming, ScopeKind, _Fresh, _record, inl_renaming
 from .syntax import (
     Argument,
     Arity,
@@ -226,7 +225,7 @@ def check_wf_context(
 
 # --- premises shapes and well-founded premise families ---------------------------
 
-@dataclass(frozen=True)
+@_record
 class PremisesShape:
     """An index poset plus the form and binder scope of each premise."""
 
@@ -256,19 +255,20 @@ class PremisesShape:
         return tuple(j for j in self.object_indices() if j in preds)
 
 
-@dataclass(frozen=True)
+@_record
 class WellFoundedPremiseFamily:
     """Premise boundaries, each over the extension by its own down-set's arity.
 
     ``boundaries[i]`` has the declared form and a sequential context of the
     declared scope; its metavariables index ``shape.arity_below(i)``.
-    ``witnesses[i]`` derive the presuppositions of boundary i from the
-    flattening of the premises strictly below i.
+    The witnesses of boundary i (``PremiseWitnesses``) derive its
+    presuppositions from the flattening of the premises strictly below i.
+    ``names`` label the premises and take part in equality.
     """
 
     shape: PremisesShape
     boundaries: tuple[tuple[SequentialContext, tuple[Expr, ...]], ...]
-    names: tuple[str, ...] = field(default=(), compare=False)
+    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.boundaries) != self.shape.order.size:
@@ -372,7 +372,7 @@ def flatten_premises_below(
     return tuple(preds), tuple(out)
 
 
-@dataclass
+@_record
 class PremiseWitnesses:
     """Witness derivations for the presuppositions of each premise boundary.
 
@@ -381,7 +381,7 @@ class PremiseWitnesses:
     member of that flattening (in premise-index order).
     """
 
-    presups: dict[tuple[int, int], TheoryDerivation] = field(default_factory=dict)
+    presups: dict[tuple[int, int], TheoryDerivation] = _Fresh(dict)
 
 
 def check_premise_family(
@@ -446,7 +446,7 @@ def check_premise_family(
 
 # --- rule boundaries and realisation ----------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class RuleBoundarySpec:
     """A premise family plus an empty-context conclusion boundary over its arity."""
 
@@ -461,10 +461,10 @@ class RuleBoundarySpec:
         return self.premises.shape.arity()
 
 
-@dataclass
+@_record
 class RuleBoundaryWitnesses:
-    premises: PremiseWitnesses = field(default_factory=PremiseWitnesses)
-    conclusion: dict[int, TheoryDerivation] = field(default_factory=dict)
+    premises: PremiseWitnesses = _Fresh(PremiseWitnesses)
+    conclusion: dict[int, TheoryDerivation] = _Fresh(dict)
 
 
 def check_rule_boundary(
@@ -569,13 +569,13 @@ def _metas_in(e: Expr) -> set[int]:
 
 # --- well-presented type theories ---------------------------------------------------
 
-@dataclass(frozen=True)
+@_record
 class TheoryRuleSpec:
     name: str
     boundary: RuleBoundarySpec
 
 
-@dataclass
+@_record
 class WellPresentedTheorySpec:
     """Rules in a well-founded order; rule i's syntax lives over the signature
     of the object-form rules strictly below it."""
@@ -583,7 +583,7 @@ class WellPresentedTheorySpec:
     kind: ScopeKind
     order: FinitePoset
     rules: tuple[TheoryRuleSpec, ...]
-    witnesses: dict[str, RuleBoundaryWitnesses] = field(default_factory=dict)
+    witnesses: dict[str, RuleBoundaryWitnesses] = _Fresh(dict)
 
     def __post_init__(self):
         if self.order.size != len(self.rules):
@@ -710,4 +710,4 @@ def _boundary_to_rule_witnesses(spec: RuleBoundarySpec, w: RuleBoundaryWitnesses
 def _renumber_hyps(d: TheoryDerivation, table: dict[int, int]) -> TheoryDerivation:
     if isinstance(d, Hyp):
         return Hyp(table[d.index])
-    return replace(d, children=tuple(_renumber_hyps(c, table) for c in d.children))
+    return d._replace(children=tuple(_renumber_hyps(c, table) for c in d.children))

@@ -7,7 +7,6 @@ arity over a context yields one closure rule on judgements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -17,7 +16,7 @@ from .errors import (
     TrivialityViolated,
 )
 from .foundations import ClosureRule
-from .scopes import ScopeKind
+from .scopes import ScopeKind, _Derived, _record
 from .syntax import (
     TM,
     TY,
@@ -51,27 +50,34 @@ from .judgements import (
 )
 
 
-@dataclass(frozen=True)
+def _exposed(arity: Arity, conclusion: Judgement) -> frozenset[int]:
+    c = conclusion
+    exprs = c.context.types + c.boundary + (() if c.head is None else (c.head,))
+    return frozenset().union(*(exposed_metavariables(arity, e) for e in exprs))
+
+
+@_record
 class RawRule:
     """Premises and conclusion over the metavariable extension by ``arity``.
 
-    ``exposed`` holds the metavariables whose entry any instantiation of
-    the rule puts into its conclusion verbatim (``exposed_metavariables``
-    of the conclusion's context types, boundary and head).  It is part of
-    the rule, computed once from the fields above.
+    ``meta_names`` name the metavariables, and take part in equality: they
+    are the index set of the arity.  ``exposed`` holds the metavariables
+    whose entry any instantiation of the rule puts into its conclusion
+    verbatim (``exposed_metavariables`` of the conclusion's context types,
+    boundary and head).  It is part of the rule, computed once from the
+    fields above; it is not passed and not shown.
     """
 
     arity: Arity
     premises: tuple[Judgement, ...]
     conclusion: Judgement
-    meta_names: tuple[str, ...] = field(default=(), compare=False)
-    exposed: frozenset[int] = field(init=False, repr=False, compare=False)
+    meta_names: tuple[str, ...] = ()
+    exposed: frozenset[int] = _Derived(_exposed)
 
-    def __post_init__(self):
-        c = self.conclusion
-        exprs = c.context.types + c.boundary + (() if c.head is None else (c.head,))
-        exposed = frozenset().union(*(exposed_metavariables(self.arity, e) for e in exprs))
-        object.__setattr__(self, "exposed", exposed)
+    @property
+    def metas(self) -> tuple[str, ...]:
+        """The names of the metavariables: ``meta_names``, or ``?i`` when it is empty."""
+        return self.meta_names or tuple(f"?{i}" for i in range(len(self.arity)))
 
     @property
     def is_object(self) -> bool:
@@ -339,7 +345,7 @@ def congruence_maps(sig: Signature, rule: RawRule) -> tuple[SignatureMap, Signat
 
 
 def _doubled_names(rule: RawRule) -> tuple[str, ...]:
-    names = rule.meta_names or tuple(f"?{i}" for i in range(len(rule.arity)))
+    names = rule.metas
     return tuple(f"{n}'" for n in names) + tuple(f"{n}''" for n in names)
 
 

@@ -41,7 +41,6 @@ the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -70,7 +69,7 @@ TY = SyntacticClass.TY
 TM = SyntacticClass.TM
 
 
-@dataclass(frozen=True)
+@_record
 class Argument:
     """One argument slot of an arity: its class and how many variables it binds."""
 
@@ -90,26 +89,28 @@ def simple_arity(gamma: Scope) -> Arity:
     return tuple(Argument(TM, 0) for _ in range(gamma))
 
 
-@dataclass(frozen=True)
+@_record
 class Symbol:
     name: str
     cls: SyntacticClass
     arity: Arity
 
 
-@dataclass(frozen=True)
+@_record
 class Signature:
     """Symbols plus an optional trailing metavariable segment.
 
     ``symbols`` holds the base symbols only; the metavariable segment is
     generated from ``mv_arity`` (argument i becomes a symbol of class
-    argclass(i) with the simple arity of its binder).
+    argclass(i) with the simple arity of its binder).  ``mv_names`` name
+    the segment (``?i`` when empty) and take part in equality, as the
+    symbols' names do.
     """
 
     symbols: tuple[Symbol, ...]
     kind: ScopeKind = ScopeKind.INDICES
     mv_arity: Arity | None = None
-    mv_names: tuple[str, ...] = field(default=(), compare=False)
+    mv_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         names = [s.name for s in self.symbols]
@@ -153,10 +154,11 @@ class Signature:
         return self.mv_names[i] if self.mv_names else f"?{i}"
 
     def mv_index(self, name: str) -> int:
-        for i in range(self.mv_count):
-            if self.mv_name(i) == name:
-                return i
-        raise IndexOutOfRange(f"no metavariable named {name!r}")
+        names = self.mv_names[:self.mv_count] or tuple(f"?{i}" for i in range(self.mv_count))
+        try:
+            return names.index(name)
+        except ValueError:
+            raise IndexOutOfRange(f"no metavariable named {name!r}") from None
 
 
 def mv_extend_signature(sig: Signature, alpha: Arity, names: tuple[str, ...] = ()) -> Signature:
@@ -301,7 +303,7 @@ def _shift(kind: ScopeKind, e: Expr, cut: int, by: Scope) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class SignatureMap:
     """A class- and arity-preserving relabelling of symbols.
 
@@ -360,7 +362,7 @@ def translate_expr(fmap: SignatureMap, e: Expr) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class Substitution:
     """A raw substitution src -> dst: one term over ``src`` per position of ``dst``."""
 
@@ -457,7 +459,7 @@ def translate_subst(fmap: SignatureMap, f: Substitution) -> Substitution:
     return f.map_exprs(partial(translate_expr, fmap))
 
 
-@dataclass(frozen=True)
+@_record
 class Instantiation:
     """Expressions for the metavariables of an arity, over an ambient scope.
 

@@ -57,13 +57,12 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
 from functools import partial
 from typing import Callable
 
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
 from .foundations import ClosureRule, GHyp, check_derivation
-from .scopes import ScopeKind, sum_scope
+from .scopes import ScopeKind, _Fresh, _record, sum_scope
 from .syntax import (
     TM,
     Arity,
@@ -96,22 +95,23 @@ from .rules import (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class RawTypeTheory:
     """Rules over a signature, each validated against its metavariable
     extension when the theory is built.
 
-    A theory built with ``prefix``, an existing theory over the same
-    signature whose rules begin this one's, validates only the rules after
-    that prefix: the prefix's rules were validated when it was built.
+    ``rule_names`` take part in equality.  A theory built with ``prefix``,
+    an existing theory over the same signature whose rules begin this
+    one's, validates only the rules after that prefix: the prefix's rules
+    were validated when it was built.  The prefix is a constructor input,
+    not a field.
     """
 
     signature: Signature
     rules: tuple[RawRule, ...]
-    rule_names: tuple[str, ...] = field(default=(), compare=False)
-    prefix: InitVar[RawTypeTheory | None] = None
+    rule_names: tuple[str, ...] = ()
 
-    def __post_init__(self, prefix):
+    def __post_init__(self, prefix: RawTypeTheory | None = None):
         if self.rule_names and len(self.rule_names) != len(self.rules):
             raise ArityMismatch("rule name list does not match rule count")
         known = 0
@@ -156,12 +156,12 @@ def _validate_rule(sig: Signature, rule: RawRule) -> None:
 # its children in premise order; ``EXPR_FIELDS`` names the fields that hold
 # expressions, which is all ``map_node`` needs to know of a node kind.
 
-@dataclass(frozen=True)
+@_record
 class Hyp(GHyp):
     """Leaf citing a hypothesis judgement by its position."""
 
 
-@dataclass(frozen=True)
+@_record
 class RuleInst:
     """An instance of a raw rule: ``ref`` is a rule index of the theory or
     one of the eight members of ``rules.BuiltinRule``."""
@@ -173,7 +173,7 @@ class RuleInst:
     EXPR_FIELDS = ("inst", "context")
 
 
-@dataclass(frozen=True)
+@_record
 class VariableInst:
     context: RawContext
     pos: int
@@ -181,7 +181,7 @@ class VariableInst:
     EXPR_FIELDS = ("context",)
 
 
-@dataclass(frozen=True)
+@_record
 class SubstInst:
     subst: Substitution
     context: RawContext          # the target context the conclusion lives in
@@ -191,7 +191,7 @@ class SubstInst:
     EXPR_FIELDS = ("subst", "context", "judgement")
 
 
-@dataclass(frozen=True)
+@_record
 class EqSubstInst:
     left: Substitution
     right: Substitution
@@ -205,7 +205,7 @@ class EqSubstInst:
 TheoryDerivation = Hyp | RuleInst | VariableInst | SubstInst | EqSubstInst
 
 
-@dataclass
+@_record
 class RuleWitnesses:
     """Derivations of presuppositions, over the rule's premises as hypotheses.
 
@@ -216,8 +216,8 @@ class RuleWitnesses:
     witnesses never cite those, so the same derivations serve both).
     """
 
-    conclusion: dict[int, TheoryDerivation] = field(default_factory=dict)
-    premises: dict[tuple[int, int], TheoryDerivation] = field(default_factory=dict)
+    conclusion: dict[int, TheoryDerivation] = _Fresh(dict)
+    premises: dict[tuple[int, int], TheoryDerivation] = _Fresh(dict)
 
 
 TheoryWitnesses = dict[str, RuleWitnesses]
@@ -302,7 +302,7 @@ def map_node(node: TheoryDerivation, fn: Callable[[Expr], Expr], **changes) -> T
     """``node`` with a scope- and class-preserving map applied to every
     expression of its data, and the other fields as given in ``changes``
     (``ref``, ``pos``, ``trivial`` and the children stay otherwise)."""
-    return replace(node, **{f: getattr(node, f).map_exprs(fn) for f in node.EXPR_FIELDS}, **changes)
+    return node._replace(**{f: getattr(node, f).map_exprs(fn) for f in node.EXPR_FIELDS}, **changes)
 
 
 def node_exprs(node: TheoryDerivation) -> list[Expr]:
@@ -343,7 +343,7 @@ def map_derivation_exprs(
 
 # --- translation and instantiation of derivations ----------------------------
 
-@dataclass(frozen=True)
+@_record
 class SimpleTheoryMap:
     """A signature map plus a rule-index map with matching rule translations."""
 

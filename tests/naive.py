@@ -11,6 +11,16 @@ from gtt.scopes import Renaming, inl_renaming
 from gtt.syntax import MetaApp, Substitution, SymApp, Var
 
 
+def identity_renaming(scope):
+    """The identity renaming of ``scope`` as a table."""
+    return Renaming(scope, scope, tuple(range(scope)))
+
+
+def inr_renaming(kind, gamma, delta):
+    """The right coproduct inclusion delta -> gamma + delta as a table."""
+    return Renaming(delta, gamma + delta, tuple(kind.inr(gamma, delta, j) for j in range(delta)))
+
+
 def naive_sum_renaming(kind, r, s):
     """Oracle: the coproduct map r+s : (r.src + s.src) -> (r.dst + s.dst) as a table."""
     table = [0] * (r.src + s.src)
@@ -23,7 +33,7 @@ def naive_sum_renaming(kind, r, s):
 
 def naive_extend_renaming(kind, r, binder):
     """Oracle: the table of r + id_binder, built when descending under a binder."""
-    return naive_sum_renaming(kind, r, Renaming.identity(binder))
+    return naive_sum_renaming(kind, r, identity_renaming(binder))
 
 
 def naive_rename(kind, r, e, depth=0):

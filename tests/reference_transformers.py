@@ -23,7 +23,6 @@ can be run on both.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import replace
 
 from gtt import derive, metatheory
 from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated
@@ -42,7 +41,7 @@ from gtt.syntax import (
     substitute_expr,
 )
 from gtt.theories import EqSubstInst, Hyp, RuleInst, SubstInst, VariableInst
-from naive import naive_extend_renaming, naive_rename
+from naive import identity_renaming, naive_extend_renaming, naive_rename
 
 
 @contextlib.contextmanager
@@ -77,7 +76,7 @@ def rename_derivation(theory, r, target, d):
     def go(node, rn, tgt):
         match node:
             case Hyp():
-                if rn == Renaming.identity(rn.src):
+                if rn == identity_renaming(rn.src):
                     return node
                 raise MissingWitness("cannot substitute into a hypothesis")
             case VariableInst(context=ctx, pos=i, children=children):
@@ -299,7 +298,7 @@ def eliminate_substitution(theory, d):
                     for k, i in enumerate(unchecked)
                 }
                 return substitute_equal_derivation(theory, f, g, tgt, K, triples, new_children[0])[2]
-        return replace(node, children=tuple(go(c) for c in node.children))
+        return node._replace(children=tuple(go(c) for c in node.children))
 
     return go(d)
 

@@ -1,11 +1,13 @@
-"""The CLI loads a higher layer only for the commands that run it, and a
-bundled theory loads through the raw layer alone.
+"""The CLI loads a higher layer only for the commands that run it, a
+bundled theory loads through the raw layer alone, and no command loads
+``dataclasses``: every kernel value is a ``scopes._record``.
 
 Each case runs ``gtt.cli.main`` (or loads a bundled theory) in a fresh
-interpreter and reads back the ``gtt`` modules it imported.  Modules are
-counted, not timed.
+interpreter and reads back the ``gtt`` modules it imported, and whether it
+imported ``dataclasses`` or ``inspect``.  Modules are counted, not timed.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -14,16 +16,18 @@ import sys
 
 import pytest
 
-from corpus import THEORY, nested_pi
+from corpus import THEORY, conv_wrap, nested_pi, tt_at
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_to_json, dumps
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BASE = ROOT / "fixtures" / "mltt_base.json"
+SRC = ROOT / "src" / "gtt"
+STDLIB = ("dataclasses", "inspect")
 
 REPORT = """
-print(json.dumps([code, sorted(m for m in sys.modules if m == "gtt" or m.startswith("gtt."))]))
-"""
+print(json.dumps([code, sorted(m for m in sys.modules if m == "gtt" or m.startswith("gtt.") or m in %r)]))
+""" % (STDLIB,)
 CLI_PROBE = """
 import json, sys
 import gtt.cli
@@ -48,11 +52,14 @@ def loaded_modules(*argv, probe=CLI_PROBE) -> set[str]:
     return {m.removeprefix("gtt.") for m in modules}
 
 
+def write_derivation(path, d):
+    path.write_text(dumps(derivation_to_json(THEORY, THEORY.signature, d)))
+    return path
+
+
 @pytest.fixture(scope="module")
 def derivation_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("layers") / "pi.json"
-    path.write_text(dumps(derivation_to_json(THEORY, THEORY.signature, nested_pi(EMPTY_CONTEXT, 3).d_type)))
-    return path
+    return write_derivation(tmp_path_factory.mktemp("layers") / "pi.json", nested_pi(EMPTY_CONTEXT, 3).d_type)
 
 
 def test_check_derivation_loads_the_raw_layer_only(derivation_file):
@@ -71,3 +78,33 @@ def test_bundled_theory_loads_the_raw_layer_only():
     loaded = loaded_modules(probe=BUNDLED_PROBE)
     assert {"bundled", "jsonio", "theories"} <= loaded
     assert not loaded & {"metatheory", "presentation", "maps", "derive", "congruence_witnesses"}
+
+
+def test_the_kernel_commands_load_neither_dataclasses_nor_inspect(derivation_file, tmp_path):
+    tt = tt_at(EMPTY_CONTEXT)
+    first = write_derivation(tmp_path / "tt.json", tt.d_term)
+    second = write_derivation(tmp_path / "tt-conv.json", conv_wrap(tt).d_term)
+    runs = [
+        ("check-derivation", BASE, derivation_file),
+        ("presup", BASE, derivation_file),
+        ("elim-subst", BASE, derivation_file),
+        ("invert", BASE, derivation_file),
+        ("unique-typing", BASE, first, second),
+        ("natural-type", BASE, '{"sym":"tt","args":[]}'),
+    ]
+    for argv in runs:
+        loaded = loaded_modules(*argv)
+        assert "cli" in loaded
+        assert not loaded & set(STDLIB), argv[0]
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, path.name

@@ -72,6 +72,7 @@ from gtt.theories import (
     VariableInst,
     check_theory_derivation,
 )
+from naive import identity_renaming
 from reference_transformers import rename_derivation as reference_rename_derivation
 
 
@@ -299,7 +300,7 @@ def test_rename_identity():
     u = unit_at(EMPTY_CONTEXT)
     ctx1 = extend(EMPTY_CONTEXT, u)
     t = tt_at(ctx1)
-    out = rename_derivation(THEORY, Renaming.identity(1), ctx1, t.d_term)
+    out = rename_derivation(THEORY, identity_renaming(1), ctx1, t.d_term)
     assert check_theory_derivation(THEORY, (), out) == is_term(ctx1, t.term, t.type)
 
 

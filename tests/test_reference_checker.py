@@ -13,7 +13,7 @@ mutants that change the structure of one node.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import pytest
 
@@ -60,6 +60,7 @@ from gtt.syntax import (
 )
 from gtt.theories import (
     EqSubstInst,
+    Hyp,
     RawTypeTheory,
     RuleInst,
     SubstInst,
@@ -323,7 +324,7 @@ def ill_formed(sig, scope, cls):
 
 
 def nodes_with_paths(d, path=()):
-    if hasattr(d, "index"):  # a hypothesis leaf carries no data
+    if isinstance(d, Hyp):  # a hypothesis leaf carries no data
         return
     yield path, d
     for i, c in enumerate(d.children):
@@ -335,7 +336,7 @@ def replace_at(d, path, new):
         return new
     i = path[0]
     children = d.children[:i] + (replace_at(d.children[i], path[1:], new),) + d.children[i + 1:]
-    return replace(d, children=children)
+    return d._replace(children=children)
 
 
 def _with(seq, k, e):
@@ -349,7 +350,7 @@ def field_mutants(theory, node):
     if ctx.scope:
         k = ctx.scope - 1
         for e in ill_formed(sig, ctx.scope, TY):
-            yield "context", replace(node, context=RawContext(ctx.scope, _with(ctx.types, k, e)))
+            yield "context", node._replace(context=RawContext(ctx.scope, _with(ctx.types, k, e)))
     if isinstance(node, RuleInst):
         rule, inst = theory.rule(node.ref), node.inst
         exposed = exposed_by_definition(rule)
@@ -361,21 +362,21 @@ def field_mutants(theory, node):
             slot = inst.arity[m]
             for e in ill_formed(sig, inst.scope + slot.binder, slot.cls):
                 new_inst = Instantiation(inst.arity, inst.scope, _with(inst.exprs, m, e))
-                yield label, replace(node, inst=new_inst)
+                yield label, node._replace(inst=new_inst)
     if isinstance(node, (SubstInst, EqSubstInst)):
         for name in ("subst",) if isinstance(node, SubstInst) else ("left", "right"):
             f = getattr(node, name)
             if f.dst:
                 for e in ill_formed(sig, f.src, TM):
                     table = Substitution(f.src, f.dst, _with(f.table, 0, e))
-                    yield "table", replace(node, **{name: table})
+                    yield "table", node._replace(**{name: table})
         j = node.judgement
         for e in ill_formed(sig, j.context.scope, j.form.head_class or j.form.boundary_classes[0]):
             if j.head is not None:
                 bad = Judgement(j.context, j.form, j.boundary, e)
             else:
                 bad = Judgement(j.context, j.form, _with(j.boundary, 0, e), None)
-            yield "judgement", replace(node, judgement=bad)
+            yield "judgement", node._replace(judgement=bad)
 
 
 def test_every_planted_ill_formed_expression_is_rejected():
@@ -411,22 +412,22 @@ def structural_mutants(theory, node):
             k = builtins.index(node.ref)
             others = [builtins[(k + 1) % len(builtins)], k % n]
         for other in others:
-            yield "ref", replace(node, ref=other)
+            yield "ref", node._replace(ref=other)
     kids = node.children
     if len(kids) >= 2:
         i, j = next(((i, j) for i in range(len(kids)) for j in range(i + 1, len(kids)) if kids[i] != kids[j]), (0, 1))
         swapped = list(kids)
         swapped[i], swapped[j] = kids[j], kids[i]
-        yield "swap", replace(node, children=tuple(swapped))
+        yield "swap", node._replace(children=tuple(swapped))
     if isinstance(node, VariableInst):
         for step in (1, -1):
-            yield "position", replace(node, pos=node.pos + step)
+            yield "position", node._replace(pos=node.pos + step)
     if isinstance(node, (SubstInst, EqSubstInst)):
         K = node.trivial
         added = min(set(range(node.judgement.context.scope + 1)) - K)
-        yield "trivial", replace(node, trivial=K | {added})
+        yield "trivial", node._replace(trivial=K | {added})
         if K:
-            yield "trivial", replace(node, trivial=K - {min(K)})
+            yield "trivial", node._replace(trivial=K - {min(K)})
 
 
 def test_structural_mutants_agree_with_the_reference():

@@ -12,10 +12,9 @@ from gtt.scopes import (
     Renaming,
     ScopeKind,
     inl_renaming,
-    inr_renaming,
     sum_scope,
 )
-from naive import naive_extend_renaming, naive_sum_renaming
+from naive import identity_renaming, inr_renaming, naive_extend_renaming, naive_sum_renaming
 
 KINDS = [ScopeKind.INDICES, ScopeKind.LEVELS]
 scopes = st.integers(min_value=0, max_value=5)
@@ -40,8 +39,8 @@ def test_sum_with_empty_is_identity(kind):
     for n in range(5):
         inl = inl_renaming(kind, n, 0)
         inr = inr_renaming(kind, 0, n)
-        assert inl == Renaming.identity(n)
-        assert inr == Renaming.identity(n)
+        assert inl == identity_renaming(n)
+        assert inr == identity_renaming(n)
 
 
 def test_renaming_table_validation():
@@ -94,14 +93,14 @@ def test_sum_renaming_commutes_with_inclusions(kind, data, s1, d1, s2, d2):
 def test_sum_of_identities_is_identity(kind):
     for g in range(4):
         for d in range(4):
-            s = naive_sum_renaming(kind, Renaming.identity(g), Renaming.identity(d))
-            assert s == Renaming.identity(g + d)
+            s = naive_sum_renaming(kind, identity_renaming(g), identity_renaming(d))
+            assert s == identity_renaming(g + d)
 
 
 def test_swap_sum_identity_indices():
     kind = ScopeKind.INDICES
     swap = Renaming(2, 2, (1, 0))
-    s = naive_sum_renaming(kind, swap, Renaming.identity(1))
+    s = naive_sum_renaming(kind, swap, identity_renaming(1))
     # positions: 0 is the bound variable, 1 and 2 are the swapped outer ones
     assert s.table == (0, 2, 1)
 
@@ -109,7 +108,7 @@ def test_swap_sum_identity_indices():
 @pytest.mark.parametrize("kind", KINDS)
 def test_sum_with_empty_renaming_is_same_table(kind):
     r = Renaming(3, 4, (2, 0, 1))
-    assert naive_sum_renaming(kind, r, Renaming.identity(0)).table == r.table
+    assert naive_sum_renaming(kind, r, identity_renaming(0)).table == r.table
     assert naive_extend_renaming(kind, r, 0).table == r.table
 
 

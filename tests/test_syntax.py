@@ -23,7 +23,7 @@ from genexpr import (
     gen_template,
     generic_occurrence,
 )
-from naive import naive_extend, naive_instantiate, naive_rename, naive_substitute
+from naive import identity_renaming, inr_renaming, naive_extend, naive_instantiate, naive_rename, naive_substitute
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import (
@@ -115,7 +115,7 @@ def test_rename_identity_and_simple():
     rng = random.Random(1)
     for _ in range(100):
         e = gen_expr(rng, SIG, 3, rng.choice([TY, TM]), 3)
-        assert substitute_expr(KIND, Substitution.of_renaming(Renaming.identity(3)), e) == e
+        assert substitute_expr(KIND, Substitution.of_renaming(identity_renaming(3)), e) == e
     r = Renaming(1, 2, (1,))
     assert substitute_expr(KIND, Substitution.of_renaming(r), mk_var(1, 0)) == mk_var(2, 1)
 
@@ -302,8 +302,6 @@ def test_instantiate_app_conclusion_type():
 
 
 def test_instantiate_expr_without_metas_weakens():
-    from gtt.scopes import inr_renaming
-
     for kind, sig in KIND_SIGS:
         rng = random.Random(16)
         for _ in range(200):
