@@ -308,10 +308,14 @@ class AcceptabilityReport:
 
 
 def find_congruence(theory: RawTypeTheory, rule_index: int) -> int | None:
-    """Index of a rule structurally equal to the congruence rule of ``rule_index``."""
-    target = congruence_rule(theory.signature, theory.rule(rule_index))
+    """Index of a rule structurally equal to the congruence rule of ``rule_index``.
+
+    Structural equality ignores metavariable names: a theory may name the
+    metavariables of its congruence rules as it likes, or not at all.
+    """
+    target = congruence_rule(theory.signature, theory.rule(rule_index)).shape
     for j, r in enumerate(theory.rules):
-        if r == target:
+        if r.shape == target:
             return j
     return None
 

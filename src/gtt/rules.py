@@ -80,6 +80,11 @@ class RawRule:
         return self.meta_names or tuple(f"?{i}" for i in range(len(self.arity)))
 
     @property
+    def shape(self) -> tuple[Arity, tuple[Judgement, ...], Judgement]:
+        """The rule without its names: what structural comparisons of rules compare."""
+        return self.arity, self.premises, self.conclusion
+
+    @property
     def is_object(self) -> bool:
         return self.conclusion.is_object
 

@@ -14,7 +14,7 @@ tuple record: there is no second way to define a value.
 
 from __future__ import annotations
 
-from _collections import _tuplegetter
+from collections import _tuplegetter
 from enum import Enum
 
 from .errors import IndexOutOfRange, ScopeMismatch
@@ -92,7 +92,8 @@ def _record(cls):
       (a dict, list or set) would be shared by every record and raises
       TypeError when the class is built; ``_Fresh(factory)`` builds a new
       one at each construction instead.  ``_Derived(fn)`` marks a field the
-      constructor computes.
+      constructor computes.  A field without a default may not follow one
+      with a default; that raises TypeError naming the field.
     - A ``__post_init__`` defined by ``cls`` or a record base runs on every
       construction, looked up on the class at that time.  Its parameters
       after ``self`` are constructor arguments that are not fields, with
@@ -123,10 +124,15 @@ def _record(cls):
         defaults = dict(zip(reversed(extra), reversed(post.__defaults__ or ())))
     scope = {"_new": tuple.__new__, "_missing": _MISSING}
     params, prologue, values = [], [], []
+    defaulted = False
     for f, spec in [(f, specs[f]) for f in init] + [(p, defaults.get(p, _REQUIRED)) for p in extra]:
         if spec is _REQUIRED:
+            if defaulted:
+                raise TypeError(f"{name}.{f}: non-default field follows a default")
             params.append(f)
-        elif isinstance(spec, (dict, list, set)):
+            continue
+        defaulted = True
+        if isinstance(spec, (dict, list, set)):
             raise TypeError(f"{name}.{f}: a mutable default {type(spec).__name__} would be shared; use _Fresh")
         elif isinstance(spec, _Fresh):
             params.append(f"{f}=_missing")

@@ -345,7 +345,11 @@ def map_derivation_exprs(
 
 @_record
 class SimpleTheoryMap:
-    """A signature map plus a rule-index map with matching rule translations."""
+    """A signature map plus a rule-index map with matching rule translations.
+
+    A source rule matches its target when the translation equals it up to
+    metavariable names.
+    """
 
     fmap: SignatureMap
     src: RawTypeTheory
@@ -356,7 +360,7 @@ class SimpleTheoryMap:
         if len(self.rule_table) != len(self.src.rules):
             raise ArityMismatch("rule table length mismatch")
         for i, j in enumerate(self.rule_table):
-            if translate_rule(self.fmap, self.src.rule(i)) != self.dst.rule(j):
+            if translate_rule(self.fmap, self.src.rule(i)).shape != self.dst.rule(j).shape:
                 raise ArityMismatch(
                     f"rule {self.src.rule_name(i)} does not translate to {self.dst.rule_name(j)}"
                 )

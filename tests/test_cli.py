@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from corpus import THEORY, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
+from corpus import THEORY, WITNESSES, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
 from gtt import derive
 from gtt.cli import main
 from gtt.errors import ParseError
@@ -360,6 +360,35 @@ def test_elim_subst_command(tmp_path, capsys):
 
     back = derivation_from_json(THEORY, THEORY.signature, data)
     assert is_substitution_free(back)
+
+
+@pytest.mark.parametrize("names", ["left-out", "renamed"])
+def test_congruence_rules_match_whatever_their_metavariables_are_called(tmp_path, capsys, names):
+    # a congruence rule is found by its shape: a theory file may name the
+    # metavariables of its congruence rules as it likes, or leave them out
+    from corpus import equality_substitution_into_nested_pi
+    from gtt.jsonio import theory_to_json
+
+    rules = tuple(
+        r._replace(meta_names=() if names == "left-out" else tuple(m + "_" for m in r.metas))
+        if THEORY.rule_name(i).endswith("-cong") else r
+        for i, r in enumerate(THEORY.rules)
+    )
+    data = theory_to_json(THEORY._replace(rules=rules), WITNESSES)
+    if names == "left-out":
+        for r in data["rules"]:
+            if r["name"].endswith("-cong"):
+                del r["metas"]
+    theory = tmp_path / "theory.json"
+    theory.write_text(dumps(data))
+    code, out = run(capsys, "check-theory", theory, "--acceptable")
+    assert code == 0
+    assert "congruous: ok" in out
+    # eliminating an equality substitution into a Pi type uses Pi-form-cong
+    path = _write_derivation(tmp_path, "pi.json", equality_substitution_into_nested_pi(1))
+    code, out = run(capsys, "elim-subst", theory, path)
+    assert code == 0
+    assert json.loads(out)["name"] == "Pi-form-cong"
 
 
 def test_natural_type_app(capsys):

@@ -85,6 +85,22 @@ def test_a_mutable_default_is_refused_when_the_class_is_made(default):
             entries: object = default
 
 
+def test_a_field_without_a_default_after_one_with_a_default_is_refused():
+    with pytest.raises(TypeError, match=r"Late\.y: non-default field follows a default"):
+        @_record
+        class Late:
+            x: int = 0
+            y: int
+
+    with pytest.raises(TypeError, match=r"Checked\.limit: non-default field follows a default"):
+        @_record
+        class Checked:
+            x: int = 0
+
+            def __post_init__(self, limit):
+                pass
+
+
 def test_a_fresh_default_is_built_at_each_construction():
     a, b = RuleWitnesses(), RuleWitnesses()
     assert a == b == RuleWitnesses({}, {})
@@ -156,6 +172,8 @@ def test_names_take_part_in_equality():
     assert sig != sig._replace(mv_names=())
     rule = THEORY.rule(0)
     assert rule != rule._replace(meta_names=tuple(n + "'" for n in rule.metas))
+    # structural comparisons of rules go through ``shape``, which leaves them out
+    assert rule.shape == rule._replace(meta_names=()).shape
     assert THEORY != THEORY._replace(rule_names=tuple(n + "'" for n in THEORY.rule_names))
 
 

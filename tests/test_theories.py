@@ -123,6 +123,19 @@ def test_translate_derivation_inclusion():
     assert got == translate_judgement(ext_map, conclusion)
 
 
+def test_a_theory_map_matches_rules_up_to_metavariable_names():
+    # the rule check compares translations by shape; a map onto a copy of
+    # the theory whose rules leave their metavariables unnamed is accepted,
+    # and one that sends a rule to a different rule is not
+    unnamed = THEORY._replace(rules=tuple(r._replace(meta_names=()) for r in THEORY.rules))
+    assert unnamed.rules != THEORY.rules
+    fmap = SignatureMap.identity(THEORY.signature)
+    SimpleTheoryMap(fmap, THEORY, unnamed, tuple(range(len(THEORY.rules))))
+    swapped = (1, 0) + tuple(range(2, len(THEORY.rules)))
+    with pytest.raises(KernelError, match="does not translate"):
+        SimpleTheoryMap(fmap, THEORY, unnamed, swapped)
+
+
 def test_translate_derivation_identity_and_composite():
     idmap = SimpleTheoryMap.identity(THEORY)
     for d, j in build_corpus()[:10]:
