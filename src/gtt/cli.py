@@ -306,7 +306,7 @@ def cmd_congruence(args) -> int:
     rule = theory.rule(_rule_index(theory, args.rule, "rule"))
     if not rule.is_object:
         raise ParseError(f"rule {args.rule!r} is not an object rule: only object rules have congruence rules")
-    cong = congruence_rule(theory.signature, rule)
+    cong = congruence_rule(theory.kind, rule)
     # round-trip discipline: what we print must re-check structurally
     data = rule_to_json(theory.signature, cong, f"{args.rule}-cong")
     if rule_from_json(theory.signature, data) != cong:

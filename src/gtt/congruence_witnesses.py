@@ -30,7 +30,7 @@ from .judgements import (
     presuppositions,
     ty_eq,
 )
-from .rules import BuiltinRule, congruence_maps, congruence_rule, instantiate_rule
+from .rules import BuiltinRule, congruence_copies, congruence_rule, instantiate_rule
 from .syntax import (
     Expr,
     Instantiation,
@@ -39,8 +39,9 @@ from .syntax import (
     SymApp,
     Var,
     concat_inst,
+    generic_instantiation,
+    instantiate_expr,
     substitute_expr,
-    translate_expr,
 )
 from .theories import (
     EqSubstInst,
@@ -68,11 +69,11 @@ class _CongruenceEngine:
         self.shift = len(self.rule.arity)
         self.objects = self.rule.object_premises()
         self.tight = check_tight(self.rule)
-        self.cong = congruence_rule(theory.signature, self.rule)
+        self.cong = congruence_rule(theory.kind, self.rule)
         # the two copies of the metavariable segment in the congruence rule
-        left_map, right_map = congruence_maps(theory.signature, self.rule)
-        self.l_expr = partial(translate_expr, left_map)
-        self.r_expr = partial(translate_expr, right_map)
+        left, right = congruence_copies(self.rule)
+        self.l_expr = partial(instantiate_expr, self.kind, left)
+        self.r_expr = partial(instantiate_expr, self.kind, right)
 
     # -- little helpers -------------------------------------------------------
 
@@ -362,13 +363,8 @@ class _CongruenceEngine:
         return out
 
     def _generic_instance(self, shift: int, hyp_shift: int) -> RuleInst:
-        exprs = tuple(
-            MetaApp(i + shift, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
-            for i, a in enumerate(self.rule.arity)
-        )
-        inst = Instantiation(self.rule.arity, 0, exprs)
         return RuleInst(
-            self.rule_index, inst, EMPTY_CONTEXT,
+            self.rule_index, generic_instantiation(self.rule.arity, shift), EMPTY_CONTEXT,
             tuple(Hyp(k + hyp_shift) for k in range(self.n)),
         )
 

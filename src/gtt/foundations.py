@@ -115,36 +115,30 @@ def check_generic_derivation(
     return check_derivation(hyps, d, rule_of)
 
 
-def graft(
-    system: ClosureSystem,
-    outer: GenericDerivation,
-    fillers: tuple[GenericDerivation, ...],
-) -> GenericDerivation:
+def graft(outer, fillers: tuple):
     """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
 
     If ``outer`` derives c from H and ``fillers[h]`` derives H[h] from H',
-    the result derives c from H'.  Conclusion agreement between fillers and
-    hypotheses is the caller's obligation; ``check_generic_derivation`` on
-    the result will catch violations.
+    the result derives c from H'.  Any tree whose leaves are GHyp and whose
+    other nodes have ``children`` and ``_replace`` grafts: generic
+    derivations and the typed derivations of ``theories`` alike.
+    Conclusion agreement between fillers and hypotheses is the caller's
+    obligation; checking the result will catch violations.
     """
-    match outer:
-        case GHyp(index=k):
-            if not 0 <= k < len(fillers):
-                raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
-            return fillers[k]
-        case GStep(rule=r, children=children):
-            return GStep(r, tuple(graft(system, c, fillers) for c in children))
-    raise TypeError(f"not a derivation node: {outer!r}")
+    if isinstance(outer, GHyp):
+        k = outer.index
+        if not 0 <= k < len(fillers):
+            raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
+        return fillers[k]
+    return outer._replace(children=tuple(graft(c, fillers) for c in outer.children))
 
 
 def map_derivation(
-    rule_images: tuple[GenericDerivation, ...],
-    target_system: ClosureSystem,
-    d: GenericDerivation,
+    rule_images: tuple[GenericDerivation, ...], d: GenericDerivation
 ) -> GenericDerivation:
     """Push ``d`` along a map of closure systems.
 
-    ``rule_images[r]`` must be a derivation, over ``target_system``, of the
+    ``rule_images[r]`` must be a derivation, over the target system, of the
     image of rule r's conclusion from the images of its premises (premise i
     appearing as hypothesis i).  Hypothesis leaves are kept.
     """
@@ -154,8 +148,7 @@ def map_derivation(
         case GStep(rule=r, children=children):
             if not 0 <= r < len(rule_images):
                 raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")
-            mapped = tuple(map_derivation(rule_images, target_system, c) for c in children)
-            return graft(target_system, rule_images[r], mapped)
+            return graft(rule_images[r], tuple(map_derivation(rule_images, c) for c in children))
     raise TypeError(f"not a derivation node: {d!r}")
 
 

@@ -15,7 +15,6 @@ never built.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -32,13 +31,11 @@ from .syntax import (
     Expr,
     Instantiation,
     Signature,
-    SignatureMap,
     Substitution,
     SyntacticClass,
     _shift,
     instantiate_expr,
     substitute_expr,
-    translate_expr,
     validate_expr,
 )
 
@@ -200,15 +197,6 @@ def instantiate_context(kind: ScopeKind, inst: Instantiation, ctx: RawContext, i
     if delta == 0:
         return ctx
     return extend_context(kind, ctx, tuple(instantiate_expr(kind, inst, t) for t in inner.types))
-
-
-def translate_judgement(fmap: SignatureMap, j: Judgement) -> Judgement:
-    return j.map_exprs(partial(translate_expr, fmap))
-
-
-def translate_boundary(fmap: SignatureMap, b: Boundary) -> Boundary:
-    fn = partial(translate_expr, fmap)
-    return Boundary(b.context.map_exprs(fn), b.form, tuple(map(fn, b.boundary)))
 
 
 def instantiate_judgement(kind: ScopeKind, inst: Instantiation, ctx: RawContext, j: Judgement) -> Judgement:

@@ -2,10 +2,16 @@
 
 A raw syntax map interprets each symbol as a compound expression over the
 target signature; a raw theory map additionally sends each specific rule
-to a derivation of its translation.  The replacement builder adjoins, one
-witnessed step at a time, symbols naming realisers of rule-boundaries and
-equations reflected from the target theory; the section construction
-drives the builder from an acceptable theory's own rules.
+to a derivation of its translation.  A simple map, which relabels each
+symbol as a symbol of the same arity, is the special case whose
+interpretations are generic applications (``identity_syntax_map`` is
+one); its theory map sends each rule to the generic instance of its
+image, as ``identity_theory_map`` does.
+
+The replacement builder adjoins, one witnessed step at a time, symbols
+naming realisers of rule-boundaries and equations reflected from the
+target theory; the section construction drives the builder from an
+acceptable theory's own rules.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .judgements import (
     RawContext,
     complete_boundary,
 )
-from .metatheory import check_tight, graft_theory, rule_symbols, theory_tightness
+from .metatheory import check_tight, rule_symbols, theory_tightness
 from .presentation import (
     PremisesShape,
     RuleBoundarySpec,
@@ -39,7 +45,7 @@ from .presentation import (
     realise_rule_boundary,
 )
 from .rules import RawRule, congruence_rule, generic_application
-from .foundations import FinitePoset
+from .foundations import FinitePoset, graft
 from .scopes import ScopeKind, _Fresh, _record
 from .syntax import (
     Expr,
@@ -52,6 +58,7 @@ from .syntax import (
     TM,
     TY,
     Var,
+    generic_instantiation,
     instantiate_expr,
     mv_extend_signature,
     simple_arity,
@@ -167,16 +174,13 @@ class RawTheoryMap:
 
 def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
     m = identity_syntax_map(theory.signature)
-    derivations = {}
-    for i, rule in enumerate(theory.rules):
-        exprs = tuple(
-            MetaApp(k, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
-            for k, a in enumerate(rule.arity)
-        )
-        derivations[i] = RuleInst(
-            i, Instantiation(rule.arity, 0, exprs), EMPTY_CONTEXT,
+    derivations = {
+        i: RuleInst(
+            i, generic_instantiation(rule.arity), EMPTY_CONTEXT,
             tuple(Hyp(k) for k in range(len(rule.premises))),
         )
+        for i, rule in enumerate(theory.rules)
+    }
     return RawTheoryMap(m, theory, theory, derivations)
 
 
@@ -197,7 +201,7 @@ def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryD
                     )
                 stored = f.rule_derivations[r]
                 lowered = instantiate_derivation(f.dst, inst.map_exprs(fn), ctx.map_exprs(fn), stored)
-                return graft_theory(lowered, tuple(go(c) for c in children))
+                return graft(lowered, tuple(go(c) for c in children))
         return map_node(node, fn, children=tuple(go(c) for c in node.children))
 
     return go(d)
@@ -367,7 +371,7 @@ class ReplacementBuilder:
         )
         sym_index = self.signature.base_count - 1
         rule = realise_rule_boundary(self.signature, step.boundary, sym_index)
-        self.rules = self.rules + (rule, congruence_rule(self.signature, rule))
+        self.rules = self.rules + (rule, congruence_rule(self.signature.kind, rule))
         self.rule_names = self.rule_names + (step.name, f"{step.name}-cong")
         self.exprs = self.exprs + (step.realiser,)
         self.steps.append(step)
@@ -561,7 +565,7 @@ class _SectionDriver:
         realiser = generic_application(self.theory.signature, sym)
         witness = RuleInst(
             rule_index,
-            _generic_rule_instantiation(rule),
+            generic_instantiation(rule.arity),
             EMPTY_CONTEXT,
             tuple(Hyp(k) for k in range(len(rule.premises))),
         )
@@ -789,11 +793,3 @@ def _rescope(kind: ScopeKind, e: Expr, gamma: int) -> Expr:
             new = tuple(Var(kind.inr(gamma, b, j), gamma + b) for j in range(b))
             return MetaApp(m, new, gamma + b, c)
     raise TypeError(e)
-
-
-def _generic_rule_instantiation(rule: RawRule) -> Instantiation:
-    exprs = tuple(
-        MetaApp(i, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
-        for i, a in enumerate(rule.arity)
-    )
-    return Instantiation(rule.arity, 0, exprs)

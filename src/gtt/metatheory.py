@@ -19,7 +19,7 @@ from .errors import (
     NotTight,
     TrivialityViolated,
 )
-from .foundations import FinitePoset, check_well_founded
+from .foundations import FinitePoset, check_well_founded, graft
 from .judgements import (
     EMPTY_CONTEXT,
     Judgement,
@@ -49,6 +49,7 @@ from .syntax import (
     compose_subst,
     concat_inst,
     expr_symbols,
+    generic_meta,
     instantiate_expr,
     subst_act_inst,
     substitute_expr,
@@ -78,10 +79,6 @@ class TightnessWitness:
     premise_of_arg: tuple[int, ...]
 
 
-def _generic_meta_head(idx: int, binder: int, cls) -> Expr:
-    return MetaApp(idx, tuple(Var(j, binder) for j in range(binder)), binder, cls)
-
-
 def check_tight(rule: RawRule) -> TightnessWitness:
     """Find the unique bijection arguments <-> object premises, or raise.
 
@@ -97,7 +94,7 @@ def check_tight(rule: RawRule) -> TightnessWitness:
     assignment = []
     used = set()
     for i, arg in enumerate(rule.arity):
-        expected_head = _generic_meta_head(i, arg.binder, arg.cls)
+        expected_head = generic_meta(i, arg)
         expected_form = JudgementForm.IS_TY if arg.cls.value == "Ty" else JudgementForm.IS_TM
         found = None
         for p in object_premises:
@@ -313,7 +310,7 @@ def find_congruence(theory: RawTypeTheory, rule_index: int) -> int | None:
     Structural equality ignores metavariable names: a theory may name the
     metavariables of its congruence rules as it likes, or not at all.
     """
-    target = congruence_rule(theory.signature, theory.rule(rule_index)).shape
+    target = congruence_rule(theory.kind, theory.rule(rule_index)).shape
     for j, r in enumerate(theory.rules):
         if r.shape == target:
             return j
@@ -368,15 +365,6 @@ def require_substitutive(theory: RawTypeTheory) -> None:
 
 # --- the presuppositions theorem ----------------------------------------------
 
-def graft_theory(d: TheoryDerivation, fillers: tuple[TheoryDerivation, ...]) -> TheoryDerivation:
-    """Replace hypothesis leaves by the corresponding filler derivations."""
-    if isinstance(d, Hyp):
-        if not 0 <= d.index < len(fillers):
-            raise MissingWitness(f"no filler for hypothesis {d.index}")
-        return fillers[d.index]
-    return d._replace(children=tuple(graft_theory(c, fillers) for c in d.children))
-
-
 def derive_presuppositions(
     theory: RawTypeTheory,
     d: TheoryDerivation,
@@ -426,7 +414,7 @@ def derive_presuppositions(
                             f"missing conclusion presupposition witness {p}"
                         )
                     lowered = instantiate_derivation(theory, inst, ctx, w, ambient)
-                    out.append(graft_theory(lowered, tuple(fillers)))
+                    out.append(graft(lowered, tuple(fillers)))
                 return tuple(out)
         raise TypeError(f"not a derivation node: {_node_name(theory, node)}")
 

@@ -670,7 +670,7 @@ def add_spec_rule(stage: RawTypeTheory, rs: TheoryRuleSpec) -> RawTypeTheory:
     rule = realise_rule_boundary(sig, rs.boundary, symbol)
     rules, names = (rule,), (rs.name,)
     if rule.is_object:
-        rules, names = (rule, congruence_rule(sig, rule)), (rs.name, f"{rs.name}-cong")
+        rules, names = (rule, congruence_rule(sig.kind, rule)), (rs.name, f"{rs.name}-cong")
     return RawTypeTheory(sig, stage.rules + rules, stage.rule_names + names, stage)
 
 

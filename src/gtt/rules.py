@@ -26,26 +26,26 @@ from .syntax import (
     Instantiation,
     MetaApp,
     Signature,
-    SignatureMap,
     Substitution,
     SymApp,
     Var,
     exposed_metavariables,
-    mv_extend_signature,
+    generic_instantiation,
+    generic_meta,
+    instantiate_expr,
     substitute_expr,
-    translate_expr,
 )
 from .judgements import (
     EMPTY_CONTEXT,
     Judgement,
     JudgementForm,
     RawContext,
+    instantiate_context,
     instantiate_judgement,
     is_term,
     is_type,
     substitute_judgement,
     tm_eq,
-    translate_judgement,
     ty_eq,
 )
 
@@ -73,6 +73,10 @@ class RawRule:
     conclusion: Judgement
     meta_names: tuple[str, ...] = ()
     exposed: frozenset[int] = _Derived(_exposed)
+
+    def __post_init__(self):
+        if self.meta_names and len(self.meta_names) != len(self.arity):
+            raise ArityMismatch("metavariable name list does not match arity length")
 
     @property
     def metas(self) -> tuple[str, ...]:
@@ -103,22 +107,6 @@ def instantiate_rule(
     return ClosureRule(
         tuple(instantiate_judgement(kind, inst, ctx, p) for p in rule.premises),
         instantiate_judgement(kind, inst, ctx, rule.conclusion),
-    )
-
-
-def translate_rule(fmap: SignatureMap, rule: RawRule) -> RawRule:
-    """Translate premises and conclusion along ``fmap`` extended by the rule's arity."""
-    ext = SignatureMap(
-        mv_extend_signature(fmap.src, rule.arity, rule.meta_names),
-        mv_extend_signature(fmap.dst, rule.arity, rule.meta_names),
-        fmap.sym_table,
-        tuple(range(len(rule.arity))),
-    )
-    return RawRule(
-        rule.arity,
-        tuple(translate_judgement(ext, p) for p in rule.premises),
-        translate_judgement(ext, rule.conclusion),
-        rule.meta_names,
     )
 
 
@@ -337,16 +325,11 @@ class BuiltinRule(Enum):
 
 # --- congruence rules --------------------------------------------------------
 
-def congruence_maps(sig: Signature, rule: RawRule) -> tuple[SignatureMap, SignatureMap]:
-    """The two relabellings of Sigma+alpha into Sigma+(alpha+alpha)."""
-    n = len(rule.arity)
-    src = mv_extend_signature(sig, rule.arity, rule.meta_names)
-    doubled_names = _doubled_names(rule)
-    dst = mv_extend_signature(sig, rule.arity + rule.arity, doubled_names)
-    base = tuple(range(src.base_count))
-    left = SignatureMap(src, dst, base, tuple(range(n)))
-    right = SignatureMap(src, dst, base, tuple(range(n, 2 * n)))
-    return left, right
+def congruence_copies(rule: RawRule) -> tuple[Instantiation, Instantiation]:
+    """The left and right copies of Sigma+alpha in Sigma+(alpha+alpha): the
+    closed instantiations of alpha by the generic pattern of its own
+    metavariables and of those shifted by n = len(alpha)."""
+    return generic_instantiation(rule.arity), generic_instantiation(rule.arity, len(rule.arity))
 
 
 def _doubled_names(rule: RawRule) -> tuple[str, ...]:
@@ -354,37 +337,35 @@ def _doubled_names(rule: RawRule) -> tuple[str, ...]:
     return tuple(f"{n}'" for n in names) + tuple(f"{n}''" for n in names)
 
 
-def assoc_equality_judgement(left: SignatureMap, right: SignatureMap, j: Judgement) -> Judgement:
+def assoc_equality_judgement(
+    kind: ScopeKind, left: Instantiation, right: Instantiation, j: Judgement
+) -> Judgement:
     """The equality judgement associated to an object judgement: context and
-    boundary through the left map, the second head through the right map."""
+    boundary through the left copy, the second head through the right copy."""
     if not j.is_object:
         raise NotObjectRule("associated equality exists only for object judgements")
-    ctx = RawContext(j.context.scope, tuple(translate_expr(left, t) for t in j.context.types))
+    ctx = instantiate_context(kind, left, EMPTY_CONTEXT, j.context)
+    lhead, rhead = instantiate_expr(kind, left, j.head), instantiate_expr(kind, right, j.head)
     if j.form is JudgementForm.IS_TY:
-        return ty_eq(ctx, translate_expr(left, j.head), translate_expr(right, j.head))
-    return tm_eq(
-        ctx,
-        translate_expr(left, j.head),
-        translate_expr(right, j.head),
-        translate_expr(left, j.boundary[0]),
-    )
+        return ty_eq(ctx, lhead, rhead)
+    return tm_eq(ctx, lhead, rhead, instantiate_expr(kind, left, j.boundary[0]))
 
 
-def congruence_rule(sig: Signature, rule: RawRule) -> RawRule:
+def congruence_rule(kind: ScopeKind, rule: RawRule) -> RawRule:
     """The congruence rule of an object rule: doubled arity, premises in the
     order left block, right block, equation block, and an equality conclusion."""
     if not rule.is_object:
         raise NotObjectRule("congruence rules exist only for object rules")
-    left, right = congruence_maps(sig, rule)
-    premises = [translate_judgement(left, p) for p in rule.premises]
-    premises += [translate_judgement(right, p) for p in rule.premises]
+    left, right = congruence_copies(rule)
+    premises = [instantiate_judgement(kind, left, EMPTY_CONTEXT, p) for p in rule.premises]
+    premises += [instantiate_judgement(kind, right, EMPTY_CONTEXT, p) for p in rule.premises]
     premises += [
-        assoc_equality_judgement(left, right, rule.premises[k]) for k in rule.object_premises()
+        assoc_equality_judgement(kind, left, right, rule.premises[k]) for k in rule.object_premises()
     ]
     return RawRule(
         rule.arity + rule.arity,
         tuple(premises),
-        assoc_equality_judgement(left, right, rule.conclusion),
+        assoc_equality_judgement(kind, left, right, rule.conclusion),
         _doubled_names(rule),
     )
 
@@ -395,8 +376,4 @@ def generic_application(sig: Signature, sym: int, alpha: Arity | None = None) ->
     ar = decl.arity if alpha is None else alpha
     if ar != decl.arity:
         raise ArityMismatch(f"generic application of {decl.name} at wrong arity")
-    args = tuple(
-        MetaApp(i, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
-        for i, a in enumerate(ar)
-    )
-    return SymApp(sym, args, 0, decl.cls)
+    return SymApp(sym, tuple(generic_meta(i, a) for i, a in enumerate(ar)), 0, decl.cls)

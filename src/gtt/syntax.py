@@ -42,7 +42,6 @@ the tree.
 from __future__ import annotations
 
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 from .errors import (
@@ -304,65 +303,6 @@ def _shift(kind: ScopeKind, e: Expr, cut: int, by: Scope) -> Expr:
 
 
 @_record
-class SignatureMap:
-    """A class- and arity-preserving relabelling of symbols.
-
-    ``sym_table`` maps base symbols; ``mv_table`` maps metavariable indices
-    (identity when both signatures carry the same metavariable arity).
-    """
-
-    src: Signature
-    dst: Signature
-    sym_table: tuple[int, ...]
-    mv_table: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.src.kind is not self.dst.kind:
-            raise ScopeMismatch("signature map across scope kinds")
-        if len(self.sym_table) != self.src.base_count:
-            raise ArityMismatch("symbol table length mismatch")
-        for i, j in enumerate(self.sym_table):
-            a, b = self.src.symbol(i), self.dst.symbol(j)
-            if a.cls is not b.cls or a.arity != b.arity:
-                raise ArityMismatch(f"map does not preserve class/arity at symbol {a.name}")
-        table = self._mv_map()
-        for i, j in enumerate(table):
-            if self.src.mv_class(i) is not self.dst.mv_class(j) or self.src.mv_binder(i) != self.dst.mv_binder(j):
-                raise ArityMismatch(f"map does not preserve metavariable {i}")
-
-    def _mv_map(self) -> tuple[int, ...]:
-        if self.mv_table is not None:
-            return self.mv_table
-        if self.src.mv_count == 0:
-            return ()
-        if self.src.mv_arity != self.dst.mv_arity:
-            raise ArityMismatch("implicit metavariable map needs equal metavariable arities")
-        return tuple(range(self.src.mv_count))
-
-    @staticmethod
-    def identity(sig: Signature) -> "SignatureMap":
-        return SignatureMap(sig, sig, tuple(range(sig.base_count)))
-
-    def compose(self, earlier: "SignatureMap") -> "SignatureMap":
-        if earlier.dst is not self.src and earlier.dst != self.src:
-            raise ArityMismatch("signature maps do not chain")
-        sym = tuple(self.sym_table[v] for v in earlier.sym_table)
-        mv = tuple(self._mv_map()[v] for v in earlier._mv_map()) if earlier.src.mv_count else None
-        return SignatureMap(earlier.src, self.dst, sym, mv)
-
-
-def translate_expr(fmap: SignatureMap, e: Expr) -> Expr:
-    match e:
-        case Var():
-            return e
-        case SymApp(sym=s, args=args, scope=scope, cls=cls):
-            return SymApp(fmap.sym_table[s], tuple(translate_expr(fmap, a) for a in args), scope, cls)
-        case MetaApp(idx=m, args=args, scope=scope, cls=cls):
-            return MetaApp(fmap._mv_map()[m], tuple(translate_expr(fmap, a) for a in args), scope, cls)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-@_record
 class Substitution:
     """A raw substitution src -> dst: one term over ``src`` per position of ``dst``."""
 
@@ -455,10 +395,6 @@ def compose_subst(kind: ScopeKind, g: Substitution, f: Substitution) -> Substitu
     return Substitution(f.src, g.dst, tuple(substitute_expr(kind, f, g(k)) for k in range(g.dst)))
 
 
-def translate_subst(fmap: SignatureMap, f: Substitution) -> Substitution:
-    return f.map_exprs(partial(translate_expr, fmap))
-
-
 @_record
 class Instantiation:
     """Expressions for the metavariables of an arity, over an ambient scope.
@@ -489,19 +425,19 @@ class Instantiation:
         return Instantiation(self.arity, self.scope, tuple(map(fn, self.exprs)))
 
 
-def generic_instantiation(sig_ext: Signature, scope: Scope = 0) -> Instantiation:
-    """The instantiation sending each metavariable of ``sig_ext`` to its generic application."""
-    alpha = sig_ext.mv_arity or ()
-    exprs = tuple(
-        MetaApp(
-            i,
-            tuple(Var(j, scope + a.binder) for j in range(a.binder)),
-            scope + a.binder,
-            a.cls,
-        )
-        for i, a in enumerate(alpha)
-    )
-    return Instantiation(alpha, scope, exprs)
+def generic_meta(i: int, arg: Argument) -> MetaApp:
+    """M_i(x_0 ... x_{b-1}) in scope b, for b the binder of ``arg``: the
+    metavariable applied to the variables its argument binds."""
+    b = arg.binder
+    return MetaApp(i, tuple(Var(j, b) for j in range(b)), b, arg.cls)
+
+
+def generic_instantiation(alpha: Arity, shift: int = 0) -> Instantiation:
+    """The closed instantiation of ``alpha`` sending metavariable i to the
+    generic pattern of metavariable i + ``shift``.  With shift 0 it is the
+    identity; with shift n it relabels into the second copy of a doubled
+    arity."""
+    return Instantiation(alpha, 0, tuple(generic_meta(i + shift, a) for i, a in enumerate(alpha)))
 
 
 def is_generic_occurrence(e: MetaApp, binder: Scope) -> bool:
@@ -592,10 +528,6 @@ def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation, k: Sco
         raise ScopeMismatch(f"substitution into scope {f.dst} under {k}, instantiation over {inst.scope}")
     exprs = tuple(substitute_expr(kind, f, e, slot.binder + k) for e, slot in zip(inst.exprs, inst.arity))
     return Instantiation(inst.arity, f.src + k, exprs)
-
-
-def translate_inst(fmap: SignatureMap, inst: Instantiation) -> Instantiation:
-    return inst.map_exprs(partial(translate_expr, fmap))
 
 
 def concat_inst(left: Instantiation, right: Instantiation) -> Instantiation:

@@ -13,9 +13,9 @@ rule, either a rule of the theory or one of the eight built-in
 equivalence and conversion rules of ``rules``; ``VariableInst``,
 ``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
 ``Hyp`` cites a hypothesis.  ``map_node`` is the one map over the data of
-a node, and ``map_derivation_exprs`` lifts it to trees: translation along
-a signature map, relabelling into a copy of a metavariable segment, and
-the structural part of applying a syntax map all go through it.
+a node, and ``map_derivation_exprs`` lifts it to trees: relabelling into
+a copy of a metavariable segment and the structural part of applying a
+syntax map both go through it.
 
 Well-formedness is a property of the whole tree, so each expression is
 validated once, where it enters, and elsewhere by equality:
@@ -57,7 +57,6 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
@@ -69,12 +68,10 @@ from .syntax import (
     Expr,
     Instantiation,
     Signature,
-    SignatureMap,
     Substitution,
     inst_act_inst,
     inst_act_subst,
     mv_extend_signature,
-    translate_expr,
     validate_expr,
 )
 from .judgements import (
@@ -90,7 +87,6 @@ from .rules import (
     equality_substitution_rule,
     instantiate_rule,
     substitution_rule,
-    translate_rule,
     variable_rule,
 )
 
@@ -321,78 +317,23 @@ def node_exprs(node: TheoryDerivation) -> list[Expr]:
 def map_derivation_exprs(
     d: TheoryDerivation,
     fn: Callable[[Expr], Expr],
-    rule: Callable[[int], int] | None = None,
     hyp: Callable[[int], int] | None = None,
 ) -> TheoryDerivation:
     """The same tree with ``fn`` applied to every expression of every node.
 
-    ``fn`` must preserve scopes and classes.  ``rule`` and ``hyp`` renumber
-    theory rule indices and hypotheses (unchanged when None).
+    ``fn`` must preserve scopes and classes.  ``hyp`` renumbers hypotheses
+    (unchanged when None).
     """
 
     def go(node: TheoryDerivation) -> TheoryDerivation:
         if isinstance(node, Hyp):
             return node if hyp is None else Hyp(hyp(node.index))
-        changes = {"children": tuple(go(c) for c in node.children)}
-        if rule is not None and isinstance(node, RuleInst) and isinstance(node.ref, int):
-            changes["ref"] = rule(node.ref)
-        return map_node(node, fn, **changes)
+        return map_node(node, fn, children=tuple(go(c) for c in node.children))
 
     return go(d)
 
 
-# --- translation and instantiation of derivations ----------------------------
-
-@_record
-class SimpleTheoryMap:
-    """A signature map plus a rule-index map with matching rule translations.
-
-    A source rule matches its target when the translation equals it up to
-    metavariable names.
-    """
-
-    fmap: SignatureMap
-    src: RawTypeTheory
-    dst: RawTypeTheory
-    rule_table: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rule_table) != len(self.src.rules):
-            raise ArityMismatch("rule table length mismatch")
-        for i, j in enumerate(self.rule_table):
-            if translate_rule(self.fmap, self.src.rule(i)).shape != self.dst.rule(j).shape:
-                raise ArityMismatch(
-                    f"rule {self.src.rule_name(i)} does not translate to {self.dst.rule_name(j)}"
-                )
-
-    @staticmethod
-    def identity(theory: RawTypeTheory) -> "SimpleTheoryMap":
-        return SimpleTheoryMap(
-            SignatureMap.identity(theory.signature),
-            theory,
-            theory,
-            tuple(range(len(theory.rules))),
-        )
-
-
-def translate_derivation(
-    tmap: SimpleTheoryMap, d: TheoryDerivation, ambient: Arity | None = None
-) -> TheoryDerivation:
-    """Relabel a derivation along a simple theory map; conclusions translate pointwise.
-
-    ``ambient`` names the metavariable extension the derivation lives over;
-    the signature map then acts as its extension, fixing the metavariables.
-    """
-    fmap = tmap.fmap
-    if ambient is not None:
-        fmap = SignatureMap(
-            mv_extend_signature(tmap.fmap.src, ambient),
-            mv_extend_signature(tmap.fmap.dst, ambient),
-            tmap.fmap.sym_table,
-            tuple(range(len(ambient))),
-        )
-    return map_derivation_exprs(d, partial(translate_expr, fmap), tmap.rule_table.__getitem__)
-
+# --- instantiation of derivations ---------------------------------------------
 
 def instantiate_derivation(
     theory: RawTypeTheory,

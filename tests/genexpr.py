@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+from gtt.maps import RawSyntaxMap
+from gtt.rules import generic_application
 from gtt.syntax import (
     TM,
     TY,
@@ -23,6 +25,7 @@ from gtt.syntax import (
     mk_meta,
     mk_sym,
     mk_var,
+    mv_extend_signature,
 )
 
 # Five symbols, mixed binders: enough to exercise every recursion case.
@@ -35,6 +38,37 @@ LAW_SIGNATURE = Signature(
         Symbol("app", TM, arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))),
     )
 )
+
+
+# --- syntax maps out of a law signature ---------------------------------------
+
+def relabelling(src: Signature, dst: Signature, table: tuple[int, ...]) -> RawSyntaxMap:
+    """The simple map sending symbol i of ``src`` to symbol ``table[i]`` of
+    ``dst``: a raw syntax map whose interpretations are generic applications."""
+    return RawSyntaxMap(src, dst, tuple(generic_application(dst, j) for j in table))
+
+
+def twin_map(sig: Signature = LAW_SIGNATURE) -> RawSyntaxMap:
+    """The simple map from the law signature onto its twin, the same symbols
+    renamed, in the scope kind of ``sig``."""
+    twin = Signature(tuple(s._replace(name=f"{s.name}2") for s in sig.symbols), sig.kind)
+    return relabelling(sig, twin, tuple(range(sig.base_count)))
+
+
+def compound_map(sig: Signature = LAW_SIGNATURE) -> RawSyntaxMap:
+    """A raw syntax map from the law signature to itself that is not simple:
+    b goes to pi(b, x.b) and pi(A, x.B) to pi(A, x.pi(B, y.B[x])), where the
+    last B sits under two binders; the other symbols go to their generic
+    applications."""
+    b = sig.symbol_index("b")
+    pi = sig.symbol_index("pi")
+    exprs = [generic_application(sig, s) for s in range(sig.base_count)]
+    exprs[b] = mk_sym(sig, "pi", (mk_sym(sig, "b", (), 0), mk_sym(sig, "b", (), 1)), 0)
+    ext = mv_extend_signature(sig, sig.symbol(pi).arity)
+    x = mk_var(2, sig.kind.inl(1, 1, 0))
+    inner = mk_sym(ext, "pi", (generic_occurrence(ext, 1, 1), mk_meta(ext, 1, (x,), 2)), 1)
+    exprs[pi] = mk_sym(ext, "pi", (mk_meta(ext, 0, (), 0), inner), 0)
+    return RawSyntaxMap(sig, sig, tuple(exprs))
 
 
 def minimal_expr(sig: Signature, scope: int, cls) -> Expr:

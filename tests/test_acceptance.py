@@ -9,6 +9,7 @@ import json
 import pathlib
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -19,7 +20,16 @@ from corpus import (
     hypothetical_app_rule,
     substitution_corpus,
 )
-from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_renaming, gen_subst
+from genexpr import (
+    LAW_SIGNATURE,
+    compound_map,
+    gen_arity,
+    gen_expr,
+    gen_instantiation,
+    gen_renaming,
+    gen_subst,
+    twin_map,
+)
 from naive import naive_rename
 from gtt import derive
 from gtt import bundled
@@ -32,6 +42,7 @@ from gtt.bundled import (
 )
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, is_term, presuppositions, ty_eq
 from gtt.jsonio import dumps
+from gtt.maps import apply_syntax_map, identity_syntax_map
 from gtt.metatheory import (
     check_acceptable_theory,
     check_presuppositive,
@@ -60,9 +71,6 @@ from gtt.syntax import (
     mv_extend_signature,
     subst_act_inst,
     substitute_expr,
-    translate_expr,
-    translate_inst,
-    translate_subst,
 )
 from gtt.theories import check_theory_derivation
 
@@ -118,11 +126,12 @@ def test_criterion_1_substitution_laws():
 
 @pytest.mark.criterion(2, "instantiation boilerplate")
 def test_criterion_2_instantiation_boilerplate():
-    from test_syntax import make_translation, mv_map
-
     rng = random.Random(2027)
     start = time.monotonic()
-    F = make_translation(rng)
+    # a simple map, and on every fourth case a map that is not simple; both
+    # fix metavariables, so one map acts over the base and the extension
+    simple, compound = twin_map(), compound_map()
+    identity = partial(apply_syntax_map, identity_syntax_map(SIG))
     cases = 0
     while cases < 500:
         alpha = gen_arity(rng)
@@ -134,24 +143,16 @@ def test_criterion_2_instantiation_boilerplate():
         f = gen_subst(rng, SIG, rng.randrange(3), gamma)
         g = gen_subst(rng, ext, rng.randrange(3), delta)
         J = gen_instantiation(rng, ext, beta, delta)
-        Fa = mv_map(F, alpha)
-        # functoriality of translation
-        from gtt.syntax import SignatureMap
-
-        assert translate_inst(SignatureMap.identity(SIG), I) == I
-        # the four naturality squares
-        assert translate_expr(F, instantiate_expr(KIND, I, e)) == instantiate_expr(
-            KIND, translate_inst(F, I), translate_expr(Fa, e)
-        )
-        assert translate_subst(F, inst_act_subst(KIND, I, g)) == inst_act_subst(
-            KIND, translate_inst(F, I), translate_subst(Fa, g)
-        )
-        assert translate_inst(F, inst_act_inst(KIND, I, J)) == inst_act_inst(
-            KIND, translate_inst(F, I), translate_inst(Fa, J)
-        )
-        assert translate_inst(F, subst_act_inst(KIND, f, I)) == subst_act_inst(
-            KIND, translate_subst(F, f), translate_inst(F, I)
-        )
+        # functoriality of syntax maps
+        assert I.map_exprs(identity) == I
+        for F in (simple, compound) if cases % 4 == 0 else (simple,):
+            fn = partial(apply_syntax_map, F)
+            FI = I.map_exprs(fn)
+            # the four naturality squares
+            assert fn(instantiate_expr(KIND, I, e)) == instantiate_expr(KIND, FI, fn(e))
+            assert inst_act_subst(KIND, I, g).map_exprs(fn) == inst_act_subst(KIND, FI, g.map_exprs(fn))
+            assert inst_act_inst(KIND, I, J).map_exprs(fn) == inst_act_inst(KIND, FI, J.map_exprs(fn))
+            assert subst_act_inst(KIND, f, I).map_exprs(fn) == subst_act_inst(KIND, f.map_exprs(fn), FI)
         # substitution-action functoriality
         assert subst_act_inst(KIND, Substitution.identity(gamma), I) == I
         g2 = gen_subst(rng, SIG, rng.randrange(3), f.src)
@@ -374,7 +375,7 @@ def test_criterion_11_replacement(capsys):
     assert eq["slots"]["rhs"] == {"sym": "El'", "args": [{"sym": "u'", "args": []}]}
     assert data["well_founded"] is True
 
-    from gtt.maps import compose_syntax_maps, identity_syntax_map, section_s
+    from gtt.maps import compose_syntax_maps, section_s
 
     for fn in (mltt_pi, mltt_base, type_in_type):
         theory, witnesses = fn()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gtt.errors import DerivationError, IndexOutOfRange, PremiseMismatch
+from gtt.errors import DerivationError, FillerConclusionMismatch, IndexOutOfRange, PremiseMismatch
 from gtt.foundations import (
     ClosureRule,
     FinitePoset,
@@ -95,9 +95,27 @@ def random_tree(rng, system, hyps, goal, depth):
 
 
 def test_graft_trivial_cases():
-    assert graft(SYSTEM, GHyp(0), (GStep(0, ()),)) == GStep(0, ())
+    assert graft(GHyp(0), (GStep(0, ()),)) == GStep(0, ())
     outer = GStep(1, (GHyp(0),))
-    assert graft(SYSTEM, outer, (GStep(0, ()),)) == GStep(1, (GStep(0, ()),))
+    assert graft(outer, (GStep(0, ()),)) == GStep(1, (GStep(0, ()),))
+    with pytest.raises(FillerConclusionMismatch, match="no filler for hypothesis 1"):
+        graft(GStep(2, (GHyp(0), GHyp(1))), (GStep(0, ()),))
+
+
+def test_graft_grafts_typed_derivations():
+    # a typed hypothesis is a GHyp and a typed node has children and
+    # _replace, so the one graft serves derivations of a theory too
+    from corpus import THEORY, extend, pi, unit_at
+    from gtt.judgements import EMPTY_CONTEXT, is_type
+    from gtt.theories import Hyp, check_theory_derivation
+
+    u = unit_at(EMPTY_CONTEXT)
+    p = pi(u, unit_at(extend(EMPTY_CONTEXT, u)))
+    outer = p.d_type._replace(children=(Hyp(0), p.d_type.children[1]))
+    assert check_theory_derivation(THEORY, (is_type(EMPTY_CONTEXT, u.type),), outer) == is_type(
+        EMPTY_CONTEXT, p.type
+    )
+    assert graft(outer, (u.d_type,)) == p.d_type
 
 
 def test_graft_preserves_conclusion_randomised():
@@ -110,7 +128,7 @@ def test_graft_preserves_conclusion_randomised():
             if outer is None:
                 continue
             assert check_generic_derivation(SYSTEM, hyps, outer) == goal
-            grafted = graft(SYSTEM, outer, fillers)
+            grafted = graft(outer, fillers)
             assert check_generic_derivation(SYSTEM, (), grafted) == goal
 
 
@@ -128,7 +146,7 @@ def test_map_derivation_identity():
         d = random_tree(rng, SYSTEM, ("a",), "c", 4)
         if d is None:
             continue
-        mapped = map_derivation(images, SYSTEM, d)
+        mapped = map_derivation(images, d)
         assert mapped == d
 
 
@@ -148,7 +166,7 @@ def test_map_derivation_derived_rule_grows_depth():
     )
     d = GStep(2, (GStep(0, ()), GStep(1, (GStep(0, ()),))))
     assert check_generic_derivation(SYSTEM, (), d) == "c"
-    mapped = map_derivation(images, target, d)
+    mapped = map_derivation(images, d)
     assert check_generic_derivation(target, (), mapped) == "c"
 
 
@@ -159,8 +177,8 @@ def test_map_derivation_composition():
         d = random_tree(rng, SYSTEM, ("a", "b"), "c", 3)
         if d is None:
             continue
-        once = map_derivation(images, SYSTEM, d)
-        twice = map_derivation(images, SYSTEM, once)
+        once = map_derivation(images, d)
+        twice = map_derivation(images, once)
         assert twice == once == d
 
 

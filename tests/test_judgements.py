@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import pickle
 import random
+from functools import partial
 
 import pytest
 
-from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_subst
+from genexpr import LAW_SIGNATURE, compound_map, gen_arity, gen_expr, gen_instantiation, gen_subst, twin_map
 from gtt.errors import ClassMismatch, HeadForbidden, HeadRequired, ScopeMismatch
 from gtt.foundations import ClosureRule
+from gtt.maps import apply_syntax_map, map_judgement
 from gtt.judgements import (
     EMPTY_CONTEXT,
     Boundary,
@@ -26,7 +28,6 @@ from gtt.judgements import (
     presuppositions,
     substitute_judgement,
     tm_eq,
-    translate_judgement,
     ty_eq,
 )
 from gtt.scopes import ScopeKind
@@ -35,7 +36,6 @@ from gtt.syntax import (
     TY,
     Instantiation,
     MetaApp,
-    SignatureMap,
     SymApp,
     Var,
     mk_sym,
@@ -156,21 +156,6 @@ def test_presupposition_clauses():
     )
 
 
-def twin_map():
-    from gtt.syntax import Signature, Symbol, arity
-
-    twin = Signature(
-        (
-            Symbol("b2", TY, ()),
-            Symbol("el2", TY, arity((TM, 0))),
-            Symbol("pi2", TY, arity((TY, 0), (TY, 1))),
-            Symbol("lam2", TM, arity((TY, 0), (TY, 1), (TM, 1))),
-            Symbol("app2", TM, arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))),
-        )
-    )
-    return SignatureMap(SIG, twin, (0, 1, 2, 3, 4))
-
-
 def random_judgement(rng, sig, scope, depth=2):
     ctx = RawContext(scope, tuple(gen_expr(rng, sig, scope, TY, depth) for _ in range(scope)))
     form = rng.choice(list(JudgementForm))
@@ -181,12 +166,12 @@ def random_judgement(rng, sig, scope, depth=2):
 
 def test_presuppositions_commute_with_translation():
     rng = random.Random(31)
-    F = twin_map()
-    for _ in range(300):
-        j = random_judgement(rng, SIG, rng.randrange(3))
-        lhs = presuppositions(translate_judgement(F, j))
-        rhs = tuple(translate_judgement(F, p) for p in presuppositions(j))
-        assert lhs == rhs
+    for F in (twin_map(), compound_map()):
+        for _ in range(300):
+            j = random_judgement(rng, SIG, rng.randrange(3))
+            lhs = presuppositions(map_judgement(F, j))
+            rhs = tuple(map_judgement(F, p) for p in presuppositions(j))
+            assert lhs == rhs
 
 
 def test_presuppositions_commute_with_instantiation():
@@ -217,22 +202,18 @@ def test_presuppositions_commute_with_substitution():
 
 def test_translate_then_complete_is_natural():
     rng = random.Random(34)
-    F = twin_map()
-    for _ in range(200):
-        scope = rng.randrange(3)
-        ctx = RawContext(scope, tuple(gen_expr(rng, SIG, scope, TY, 2) for _ in range(scope)))
-        form = rng.choice(list(JudgementForm))
-        boundary = tuple(gen_expr(rng, SIG, scope, c, 2) for c in form.boundary_classes)
-        bdy = Boundary(ctx, form, boundary)
-        head = gen_expr(rng, SIG, scope, form.head_class, 2) if form.head_class else None
-        from gtt.judgements import translate_boundary
-        from gtt.syntax import translate_expr
-
-        lhs = translate_judgement(F, complete_boundary(bdy, head))
-        rhs = complete_boundary(
-            translate_boundary(F, bdy), None if head is None else translate_expr(F, head)
-        )
-        assert lhs == rhs
+    for F in (twin_map(), compound_map()):
+        fn = partial(apply_syntax_map, F)
+        for _ in range(200):
+            scope = rng.randrange(3)
+            ctx = RawContext(scope, tuple(gen_expr(rng, SIG, scope, TY, 2) for _ in range(scope)))
+            form = rng.choice(list(JudgementForm))
+            boundary = tuple(gen_expr(rng, SIG, scope, c, 2) for c in form.boundary_classes)
+            bdy = Boundary(ctx, form, boundary)
+            head = gen_expr(rng, SIG, scope, form.head_class, 2) if form.head_class else None
+            lhs = map_judgement(F, complete_boundary(bdy, head))
+            mapped = Boundary(ctx.map_exprs(fn), form, tuple(map(fn, boundary)))
+            assert lhs == complete_boundary(mapped, None if head is None else fn(head))
 
 
 def test_nested_judgement_instantiation_exact():

@@ -74,6 +74,14 @@ def test_presup_loads_neither_maps_nor_presentation(derivation_file):
     assert not loaded & {"presentation", "maps"}
 
 
+def test_congruence_loads_the_raw_layer_only():
+    # the congruence construction instantiates the rule twice in the raw
+    # layer; it needs no syntax map and no witness synthesis
+    loaded = loaded_modules("congruence", ROOT / "fixtures" / "mltt_pi.json", "Pi-form")
+    assert {"rules", "theories", "jsonio", "cli"} <= loaded
+    assert not loaded & {"metatheory", "presentation", "maps", "congruence_witnesses"}
+
+
 def test_bundled_theory_loads_the_raw_layer_only():
     loaded = loaded_modules(probe=BUNDLED_PROBE)
     assert {"bundled", "jsonio", "theories"} <= loaded

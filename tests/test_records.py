@@ -42,7 +42,6 @@ from gtt.syntax import (
     Instantiation,
     MetaApp,
     Signature,
-    SignatureMap,
     Substitution,
     Symbol,
     SymApp,
@@ -54,7 +53,6 @@ from gtt.theories import (
     RawTypeTheory,
     RuleInst,
     RuleWitnesses,
-    SimpleTheoryMap,
     SubstInst,
     VariableInst,
     closure_rule_of_node,
@@ -229,7 +227,6 @@ def samples() -> dict:
         closure_rule_of_node(THEORY, SIG, typed_app.d_term),
         GStep(0, (GHyp(0),)),
         inl_renaming(ScopeKind.INDICES, 1, 2),
-        SimpleTheoryMap.identity(theory), SignatureMap.identity(SIG),
         check_acceptable_theory(theory, witnesses), check_well_founded_theory(theory),
         check_tight(theory.rule(rule_index)),
         identity_theory_map(theory), ConservativityWitness(),

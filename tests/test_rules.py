@@ -6,18 +6,21 @@ import pickle
 import pytest
 
 from gtt.bundled import mltt_base, mltt_pi
-from gtt.errors import IndexOutOfRange, NotObjectRule, TrivialityViolated
+from gtt.errors import ArityMismatch, IndexOutOfRange, NotObjectRule, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
     RawContext,
+    instantiate_judgement,
     is_term,
     is_type,
     ty_eq,
+    validate_judgement,
 )
 from gtt.rules import (
     BuiltinRule,
-    congruence_maps,
+    RawRule,
+    congruence_copies,
     congruence_rule,
     assoc_equality_judgement,
     equality_substitution_rule,
@@ -26,9 +29,9 @@ from gtt.rules import (
     substitution_rule,
     variable_rule,
 )
+from gtt.maps import RawSyntaxMap, map_rule
 from gtt.syntax import (
     Instantiation,
-    SignatureMap,
     Substitution,
     Var,
     mk_meta,
@@ -168,23 +171,44 @@ def test_equality_substitution_rule_reflexive_shape():
 
 def test_assoc_equality_judgement():
     pi_rule = THEORY.rule(THEORY.rule_index("Pi-form"))
-    left, right = congruence_maps(SIG, pi_rule)
+    left, right = congruence_copies(pi_rule)
     j = pi_rule.conclusion
-    eq = assoc_equality_judgement(left, right, j)
+    eq = assoc_equality_judgement(KIND, left, right, j)
     assert eq.form is JudgementForm.TY_EQ
     # left side mentions the primed copy, right side the double-primed copy
     assert eq.boundary[0] != eq.boundary[1]
     term_j = THEORY.rule(THEORY.rule_index("lam-intro")).conclusion
-    l2, r2 = congruence_maps(SIG, THEORY.rule(THEORY.rule_index("lam-intro")))
-    eq2 = assoc_equality_judgement(l2, r2, term_j)
+    l2, r2 = congruence_copies(THEORY.rule(THEORY.rule_index("lam-intro")))
+    eq2 = assoc_equality_judgement(KIND, l2, r2, term_j)
     assert eq2.form is JudgementForm.TM_EQ
     with pytest.raises(NotObjectRule):
-        assoc_equality_judgement(left, right, eq)
+        assoc_equality_judgement(KIND, left, right, eq)
+
+
+def test_congruence_copies_are_the_two_generic_instantiations():
+    # the left copy keeps each metavariable m of the rule, the right copy
+    # sends it to m + n; both are closed and land over the doubled arity
+    for name in ("Pi-form", "lam-intro", "app-elim"):
+        rule = THEORY.rule(THEORY.rule_index(name))
+        n = len(rule.arity)
+        left, right = congruence_copies(rule)
+        assert left.arity == right.arity == rule.arity
+        assert left.scope == right.scope == 0
+        doubled = mv_extend_signature(SIG, rule.arity + rule.arity)
+        for m, a in enumerate(rule.arity):
+            generic = tuple(Var(j, a.binder) for j in range(a.binder))
+            assert left(m) == mk_meta(doubled, m, generic, a.binder)
+            assert right(m) == mk_meta(doubled, m + n, generic, a.binder)
+        for p in rule.premises:
+            assert instantiate_judgement(KIND, left, EMPTY_CONTEXT, p) == p
+            moved = instantiate_judgement(KIND, right, EMPTY_CONTEXT, p)
+            validate_judgement(doubled, moved)
+            assert moved.form is p.form and moved.context.scope == p.context.scope
 
 
 def test_pi_congruence_rule_shape():
     pi_rule = THEORY.rule(THEORY.rule_index("Pi-form"))
-    cong = congruence_rule(SIG, pi_rule)
+    cong = congruence_rule(KIND, pi_rule)
     assert len(cong.premises) == 6
     assert len(cong.arity) == 4
     assert cong.conclusion.form is JudgementForm.TY_EQ
@@ -198,7 +222,7 @@ def test_pi_congruence_rule_shape():
 def test_congruence_of_zero_premise_rule():
     theory, _ = mltt_base()
     unit_rule = theory.rule(theory.rule_index("unit-form"))
-    cong = congruence_rule(theory.signature, unit_rule)
+    cong = congruence_rule(theory.kind, unit_rule)
     assert cong.premises == ()
     u = mk_sym(theory.signature, "unit", (), 0)
     assert cong.conclusion == ty_eq(EMPTY_CONTEXT, u, u)
@@ -207,19 +231,29 @@ def test_congruence_of_zero_premise_rule():
 def test_congruence_not_defined_for_equality_rules():
     beta = THEORY.rule(THEORY.rule_index("beta"))
     with pytest.raises(NotObjectRule):
-        congruence_rule(SIG, beta)
+        congruence_rule(KIND, beta)
+
+
+def compound_map() -> RawSyntaxMap:
+    """A non-simple map from the Pi signature into the base one:
+    Pi(A, x.B) goes to Pi(A, x.Pi(unit, y.B[x])), lam and app stay."""
+    ext = mv_extend_signature(BASE_SIGNATURE, SIG.symbol(0).arity)
+    body = mk_sym(ext, "Pi", (mk_sym(ext, "unit", (), 1), mk_meta(ext, 1, (Var(1, 2),), 2)), 1)
+    pi_image = mk_sym(ext, "Pi", (mk_meta(ext, 0, (), 0), body), 0)
+    return RawSyntaxMap(SIG, BASE_SIGNATURE, (pi_image,) + tuple(
+        generic_application(BASE_SIGNATURE, s) for s in (1, 2)
+    ))
 
 
 def test_congruence_commutes_with_translation():
-    from gtt.rules import translate_rule
-
-    # MLTT signature embeds into the base signature at the same indices
-    fmap = SignatureMap(SIG, BASE_SIGNATURE, (0, 1, 2))
-    for name in ("Pi-form", "lam-intro", "app-elim"):
-        rule = THEORY.rule(THEORY.rule_index(name))
-        lhs = translate_rule(fmap, congruence_rule(SIG, rule))
-        rhs = congruence_rule(BASE_SIGNATURE, translate_rule(fmap, rule))
-        assert lhs == rhs
+    # the Pi signature embeds into the base signature at the same indices
+    inclusion = RawSyntaxMap(SIG, BASE_SIGNATURE, tuple(generic_application(BASE_SIGNATURE, s) for s in range(3)))
+    for m in (inclusion, compound_map()):
+        for name in ("Pi-form", "lam-intro", "app-elim"):
+            rule = THEORY.rule(THEORY.rule_index(name))
+            lhs = map_rule(m, congruence_rule(KIND, rule))
+            rhs = congruence_rule(KIND, map_rule(m, rule))
+            assert lhs == rhs
 
 
 def test_generic_application():
@@ -233,3 +267,16 @@ def test_generic_application():
         ),
         0,
     )
+
+
+def test_a_rule_needs_one_metavariable_name_per_argument():
+    # a rule built in Python with too few or too many names is refused when
+    # it is built, not later when the theory is written out
+    app_elim = THEORY.rule(THEORY.rule_index("app-elim"))
+    assert len(app_elim.meta_names) == len(app_elim.arity) == 4
+    for names in (app_elim.meta_names[:1], app_elim.meta_names + ("extra",)):
+        with pytest.raises(ArityMismatch, match="metavariable name list"):
+            app_elim._replace(meta_names=names)
+        with pytest.raises(ArityMismatch):
+            RawRule(app_elim.arity, app_elim.premises, app_elim.conclusion, names)
+    assert app_elim._replace(meta_names=()).metas == ("?0", "?1", "?2", "?3")

@@ -11,20 +11,24 @@ import copy
 import dataclasses
 import pickle
 import random
+from functools import partial
 
 import pytest
 
 from genexpr import (
     LAW_SIGNATURE,
+    compound_map,
     gen_expr,
     gen_instantiation,
     gen_renaming,
     gen_subst,
     gen_template,
     generic_occurrence,
+    twin_map,
 )
 from naive import identity_renaming, inr_renaming, naive_extend, naive_instantiate, naive_rename, naive_substitute
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
+from gtt.maps import apply_syntax_map, compose_syntax_maps, identity_syntax_map
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import (
     TM,
@@ -33,9 +37,7 @@ from gtt.syntax import (
     Instantiation,
     MetaApp,
     Signature,
-    SignatureMap,
     Substitution,
-    Symbol,
     SymApp,
     Var,
     arity,
@@ -52,9 +54,6 @@ from gtt.syntax import (
     simple_arity,
     subst_act_inst,
     substitute_expr,
-    translate_expr,
-    translate_inst,
-    translate_subst,
     validate_expr,
     weaken_expr,
 )
@@ -404,79 +403,62 @@ def test_near_generic_occurrence_substitutes():
 N_BOILER = 520
 
 
-def boiler_cases(seed):
+def boiler_cases(seed, n=N_BOILER):
     rng = random.Random(seed)
     from genexpr import gen_arity
 
-    for _ in range(N_BOILER):
+    for _ in range(n):
         alpha = gen_arity(rng)
         gamma = rng.randrange(3)
         delta = rng.randrange(3)
         yield rng, alpha, gamma, delta
 
 
-def make_translation(rng, sig=SIG):
-    """A signature map permuting same-shape symbols of SIG (b has a twin here)."""
-    twin = Signature(
-        (
-            Symbol("b2", TY, ()),
-            Symbol("el2", TY, arity((TM, 0))),
-            Symbol("pi2", TY, arity((TY, 0), (TY, 1))),
-            Symbol("lam2", TM, arity((TY, 0), (TY, 1), (TM, 1))),
-            Symbol("app2", TM, arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))),
-        ),
-        sig.kind,
-    )
-    return SignatureMap(sig, twin, (0, 1, 2, 3, 4))
+def syntax_maps(sig=SIG):
+    """A simple map (onto the twin signature) and a non-simple one, each with
+    its number of boilerplate cases: the non-simple map doubles the body of
+    every pi, so its images grow fast with depth and it runs a quarter."""
+    return (twin_map(sig), N_BOILER), (compound_map(sig), N_BOILER // 4)
 
 
 def test_boilerplate_translation_functorial():
+    # the identity map fixes every instantiation; a composite acts as its
+    # two maps in turn, here the twin map after the non-simple map
     for kind, sig in KIND_SIGS:
-        for rng, alpha, gamma, _ in boiler_cases(20):
+        idm = identity_syntax_map(sig)
+        (F, _), (C, n) = syntax_maps(sig)
+        assert compose_syntax_maps(F, idm).exprs == F.exprs
+        assert compose_syntax_maps(C, idm).exprs == C.exprs
+        FC = compose_syntax_maps(F, C)
+        for k, (rng, alpha, gamma, _) in enumerate(boiler_cases(20)):
             I = gen_instantiation(rng, sig, alpha, gamma)
-            F = make_translation(rng, sig)
-            idm = SignatureMap.identity(sig)
-            assert translate_inst(idm, I) == I
-            GF = F.compose(idm)
-            assert translate_inst(GF, I) == translate_inst(F, translate_inst(idm, I))
-
-
-def mv_map(fmap, alpha):
-    """fmap extended by an arity: metavariables map to themselves."""
-    return SignatureMap(
-        mv_extend_signature(fmap.src, alpha),
-        mv_extend_signature(fmap.dst, alpha),
-        fmap.sym_table,
-        tuple(range(len(alpha))),
-    )
+            assert I.map_exprs(partial(apply_syntax_map, idm)) == I
+            if k < n:
+                once = I.map_exprs(partial(apply_syntax_map, C)).map_exprs(partial(apply_syntax_map, F))
+                assert I.map_exprs(partial(apply_syntax_map, FC)) == once
 
 
 def test_boilerplate_naturality_wrt_signature_maps():
+    # a syntax map fixes the metavariables of an extension, so the same map
+    # acts on expressions over the base and over the extension
     from genexpr import gen_arity
 
     for kind, sig in KIND_SIGS:
-        for rng, alpha, gamma, delta in boiler_cases(21):
-            F = make_translation(rng, sig)
-            Fa = mv_map(F, alpha)
-            I = gen_instantiation(rng, sig, alpha, gamma)
-            e = gen_over_ext(rng, alpha, delta, sig=sig)
-            assert translate_expr(F, instantiate_expr(kind, I, e)) == instantiate_expr(
-                kind, translate_inst(F, I), translate_expr(Fa, e)
-            )
-            dp = rng.randrange(3)
-            f = gen_subst(rng, ext_sig(alpha, sig=sig), dp, delta)
-            lhs = translate_subst(F, inst_act_subst(kind, I, f))
-            rhs = inst_act_subst(kind, translate_inst(F, I), translate_subst(Fa, f))
-            assert lhs == rhs
-            beta = gen_arity(rng)
-            J = gen_instantiation(rng, ext_sig(alpha, sig=sig), beta, delta)
-            assert translate_inst(F, inst_act_inst(kind, I, J)) == inst_act_inst(
-                kind, translate_inst(F, I), translate_inst(Fa, J)
-            )
-            g = gen_subst(rng, sig, dp, gamma)
-            assert translate_inst(F, subst_act_inst(kind, g, I)) == subst_act_inst(
-                kind, translate_subst(F, g), translate_inst(F, I)
-            )
+        for F, n in syntax_maps(sig):
+            fn = partial(apply_syntax_map, F)
+            for rng, alpha, gamma, delta in boiler_cases(21, n):
+                I = gen_instantiation(rng, sig, alpha, gamma)
+                FI = I.map_exprs(fn)
+                e = gen_over_ext(rng, alpha, delta, sig=sig)
+                assert fn(instantiate_expr(kind, I, e)) == instantiate_expr(kind, FI, fn(e))
+                dp = rng.randrange(3)
+                f = gen_subst(rng, ext_sig(alpha, sig=sig), dp, delta)
+                assert inst_act_subst(kind, I, f).map_exprs(fn) == inst_act_subst(kind, FI, f.map_exprs(fn))
+                beta = gen_arity(rng)
+                J = gen_instantiation(rng, ext_sig(alpha, sig=sig), beta, delta)
+                assert inst_act_inst(kind, I, J).map_exprs(fn) == inst_act_inst(kind, FI, J.map_exprs(fn))
+                g = gen_subst(rng, sig, dp, gamma)
+                assert subst_act_inst(kind, g, I).map_exprs(fn) == subst_act_inst(kind, g.map_exprs(fn), FI)
 
 
 def test_boilerplate_substitution_action_functorial():
@@ -535,22 +517,47 @@ def test_generic_instantiation_is_identity():
             ext = ext_sig(alpha, sig=sig)
             delta = rng.randrange(3)
             e = gen_expr(rng, ext, delta, rng.choice([TY, TM]), 3)
-            I = generic_instantiation(ext, 0)
+            I = generic_instantiation(alpha)
+            assert I.scope == 0
             assert instantiate_expr(kind, I, e) == e
+            assert I.exprs == tuple(generic_occurrence(ext, m, a.binder) for m, a in enumerate(alpha))
+
+
+def test_shifted_generic_instantiation_relabels_into_the_second_copy():
+    # shifted by n, the generic instantiation sends each metavariable m of
+    # alpha to metavariable m + n of alpha + alpha and changes nothing else
+    from genexpr import gen_arity
+
+    def shift(e, n):
+        if isinstance(e, MetaApp):
+            return MetaApp(e.idx + n, tuple(shift(a, n) for a in e.args), e.scope, e.cls)
+        if isinstance(e, SymApp):
+            return e._replace(args=tuple(shift(a, n) for a in e.args))
+        return e
+
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(27)
+        for _ in range(200):
+            alpha = gen_arity(rng)
+            n = len(alpha)
+            e = gen_expr(rng, ext_sig(alpha, sig=sig), rng.randrange(3), rng.choice([TY, TM]), 3)
+            out = instantiate_expr(kind, generic_instantiation(alpha, n), e)
+            assert out == shift(e, n)
+            validate_expr(ext_sig(alpha + alpha, sig=sig), out, e.scope, e.cls)
 
 
 def test_translate_commutes_with_rename():
     rng = random.Random(26)
-    F = make_translation(rng)
-    for _ in range(300):
-        src = rng.randrange(1, 4)
-        dst = rng.randrange(1, 4)
-        r = gen_renaming(rng, src, dst)
-        e = gen_expr(rng, SIG, src, rng.choice([TY, TM]), 3)
-        sr = Substitution.of_renaming(r)
-        assert translate_expr(F, substitute_expr(KIND, sr, e)) == substitute_expr(
-            KIND, sr, translate_expr(F, e)
-        )
+    for F, n in syntax_maps():
+        for _ in range(300 * n // N_BOILER):
+            src = rng.randrange(1, 4)
+            dst = rng.randrange(1, 4)
+            r = gen_renaming(rng, src, dst)
+            e = gen_expr(rng, SIG, src, rng.choice([TY, TM]), 3)
+            sr = Substitution.of_renaming(r)
+            assert apply_syntax_map(F, substitute_expr(KIND, sr, e)) == substitute_expr(
+                KIND, sr, apply_syntax_map(F, e)
+            )
 
 
 # --- expressions are tuple records -------------------------------------------

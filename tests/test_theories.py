@@ -1,4 +1,4 @@
-"""The kernel checker, derivation translation, and instantiation."""
+"""The kernel checker, derivations along theory maps, and instantiation."""
 
 import pytest
 
@@ -12,20 +12,36 @@ from corpus import (
     pi,
     unit_at,
 )
+from genexpr import relabelling
 from gtt.bundled import mltt_base, mltt_pi
 from gtt.errors import DerivationError, KernelError, PremiseMismatch
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
-from gtt.syntax import Instantiation, SignatureMap, Var, mk_meta, mk_sym, mv_extend_signature
+from gtt.maps import (
+    RawSyntaxMap,
+    RawTheoryMap,
+    apply_theory_map_derivation,
+    identity_theory_map,
+    map_judgement,
+)
+from gtt.rules import generic_application
+from gtt.syntax import (
+    Instantiation,
+    Substitution,
+    Var,
+    generic_instantiation,
+    mk_meta,
+    mk_sym,
+    mv_extend_signature,
+)
 from gtt.theories import (
     Hyp,
     RawTypeTheory,
     RuleInst,
-    SimpleTheoryMap,
+    SubstInst,
     check_admissible_instance,
     check_derived_rule,
     check_theory_derivation,
     instantiate_derivation,
-    translate_derivation,
 )
 
 
@@ -97,51 +113,105 @@ def test_checking_over_metavariable_extension():
     assert check_theory_derivation(THEORY, (j,), Hyp(0), alpha, ("M",)) == j
 
 
-def test_translate_derivation_inclusion():
-    pi_theory, _ = mltt_pi()
-    base_theory, _ = mltt_base()
-    fmap = SignatureMap(pi_theory.signature, base_theory.signature, (0, 1, 2))
-    tmap = SimpleTheoryMap(fmap, pi_theory, base_theory, tuple(range(7)))
-    # a derivation with hypotheses: Pi(A, B) type from |- A type and x:A |- B type
-    ext = mv_extend_signature(pi_theory.signature, pi_theory.rule(0).arity, ("A", "B"))
+def simple_theory_map(src, dst, sym_table, rule_table) -> RawTheoryMap:
+    """A simple map as a raw theory map: the syntax map relabels symbols, and
+    rule i goes to the generic instance of rule ``rule_table[i]``."""
+    return RawTheoryMap(
+        relabelling(src.signature, dst.signature, sym_table), src, dst,
+        {
+            i: RuleInst(
+                j, generic_instantiation(src.rule(i).arity), EMPTY_CONTEXT,
+                tuple(Hyp(k) for k in range(len(src.rule(i).premises))),
+            )
+            for i, j in enumerate(rule_table)
+        },
+    )
+
+
+def pi_over_hypotheses(theory):
+    """Pi(A, x.B) type from |- A type and x:A |- B type, over the metavariable
+    extension by the arity of Pi-form: the hypotheses, the derivation and
+    its conclusion."""
+    alpha = theory.rule(0).arity
+    ext = mv_extend_signature(theory.signature, alpha, ("A", "B"))
     A0 = mk_meta(ext, "A", (), 0)
     A1 = mk_meta(ext, "A", (), 1)
     B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
     hyps = (is_type(EMPTY_CONTEXT, A0), is_type(RawContext(1, (A1,)), B1))
-    inst = Instantiation(pi_theory.rule(0).arity, 0, (A0, B1))
-    d = RuleInst(0, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
-    conclusion = check_theory_derivation(pi_theory, hyps, d, pi_theory.rule(0).arity)
-    out = translate_derivation(tmap, d, pi_theory.rule(0).arity)
-    from gtt.judgements import translate_judgement
+    d = RuleInst(0, Instantiation(alpha, 0, (A0, B1)), EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
+    return hyps, d, check_theory_derivation(theory, hyps, d, alpha)
 
-    ext_map = SignatureMap(
-        ext, mv_extend_signature(base_theory.signature, pi_theory.rule(0).arity, ("A", "B")),
-        (0, 1, 2), (0, 1),
-    )
-    new_hyps = tuple(translate_judgement(ext_map, h) for h in hyps)
+
+def test_translate_derivation_inclusion():
+    pi_theory, _ = mltt_pi()
+    base_theory, _ = mltt_base()
+    tmap = simple_theory_map(pi_theory, base_theory, (0, 1, 2), tuple(range(7)))
+    assert tmap.check()
+    hyps, d, conclusion = pi_over_hypotheses(pi_theory)
+    out = apply_theory_map_derivation(tmap, d)
+    # the inclusion keeps every index, so the tree is the same
+    assert out == d
+    new_hyps = tuple(map_judgement(tmap.syntax, h) for h in hyps)
     got = check_theory_derivation(base_theory, new_hyps, out, pi_theory.rule(0).arity)
-    assert got == translate_judgement(ext_map, conclusion)
+    assert got == map_judgement(tmap.syntax, conclusion)
+
+
+def test_theory_map_along_a_compound_interpretation():
+    # Pi(A, x.B) goes to Pi(A, x.Pi(unit, y.B[x])); Pi-form goes to a
+    # derivation of its image that weakens the hypothesis on B by y
+    pi_theory, _ = mltt_pi()
+    base, _ = mltt_base()
+    alpha = pi_theory.rule(0).arity
+    ext = mv_extend_signature(base.signature, alpha)
+    A = [mk_meta(ext, 0, (), s) for s in range(3)]
+    x_at_2 = Var(1, 2)
+    B_x = mk_meta(ext, 1, (x_at_2,), 2)
+    unit1 = mk_sym(ext, "unit", (), 1)
+    inner = mk_sym(ext, "Pi", (unit1, B_x), 1)
+    syntax = RawSyntaxMap(
+        pi_theory.signature, base.signature,
+        (mk_sym(ext, "Pi", (A[0], inner), 0),)
+        + tuple(generic_application(base.signature, s) for s in (1, 2)),
+    )
+    x_a = RawContext(1, (A[1],))
+    x_a_y_unit = RawContext(2, (mk_sym(ext, "unit", (), 2), A[2]))
+    weaken = Substitution(2, 1, (x_at_2,))
+    d_b = SubstInst(weaken, x_a_y_unit, frozenset({0}), pi_theory.rule(0).premises[1], (Hyp(1),))
+    d_unit = RuleInst(base.rule_index("unit-form"), Instantiation((), 1, ()), x_a, ())
+    d_inner = RuleInst(0, Instantiation(alpha, 1, (unit1, B_x)), x_a, (d_unit, d_b))
+    pi_form = RuleInst(0, Instantiation(alpha, 0, (A[0], inner)), EMPTY_CONTEXT, (Hyp(0), d_inner))
+    tmap = RawTheoryMap(syntax, pi_theory, base, {0: pi_form})
+    assert tmap.check()
+    hyps, d, conclusion = pi_over_hypotheses(pi_theory)
+    out = apply_theory_map_derivation(tmap, d)
+    new_hyps = tuple(map_judgement(syntax, h) for h in hyps)
+    assert check_theory_derivation(base, new_hyps, out, alpha) == map_judgement(syntax, conclusion)
+    assert map_judgement(syntax, conclusion).head == mk_sym(ext, "Pi", (A[0], inner), 0)
 
 
 def test_a_theory_map_matches_rules_up_to_metavariable_names():
-    # the rule check compares translations by shape; a map onto a copy of
-    # the theory whose rules leave their metavariables unnamed is accepted,
-    # and one that sends a rule to a different rule is not
+    # a map onto a copy of the theory whose rules leave their metavariables
+    # unnamed checks, and one that sends a rule to a different rule does not
     unnamed = THEORY._replace(rules=tuple(r._replace(meta_names=()) for r in THEORY.rules))
     assert unnamed.rules != THEORY.rules
-    fmap = SignatureMap.identity(THEORY.signature)
-    SimpleTheoryMap(fmap, THEORY, unnamed, tuple(range(len(THEORY.rules))))
-    swapped = (1, 0) + tuple(range(2, len(THEORY.rules)))
-    with pytest.raises(KernelError, match="does not translate"):
-        SimpleTheoryMap(fmap, THEORY, unnamed, swapped)
+    n = len(THEORY.rules)
+    assert simple_theory_map(THEORY, unnamed, tuple(range(SIG.base_count)), tuple(range(n))).check()
+    swapped = (1, 0) + tuple(range(2, n))
+    diagnostics: list[str] = []
+    tmap = simple_theory_map(THEORY, unnamed, tuple(range(SIG.base_count)), swapped)
+    assert not tmap.check(diagnostics)
+    assert diagnostics == [
+        f"rule {THEORY.rule_name(0)}: stored derivation fails",
+        f"rule {THEORY.rule_name(1)}: stored derivation fails",
+    ]
 
 
 def test_translate_derivation_identity_and_composite():
-    idmap = SimpleTheoryMap.identity(THEORY)
+    idmap = identity_theory_map(THEORY)
     for d, j in build_corpus()[:10]:
-        once = translate_derivation(idmap, d)
+        once = apply_theory_map_derivation(idmap, d)
         assert once == d
-        assert translate_derivation(idmap, once) == once
+        assert apply_theory_map_derivation(idmap, once) == once
 
 
 def test_instantiate_derivation_trivial_arity():
