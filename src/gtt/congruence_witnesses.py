@@ -39,7 +39,6 @@ from .syntax import (
     SymApp,
     Var,
     concat_inst,
-    generic_instantiation,
     instantiate_expr,
     substitute_expr,
 )
@@ -52,6 +51,7 @@ from .theories import (
     SubstInst,
     TheoryDerivation,
     VariableInst,
+    generic_rule_instance,
     map_derivation_exprs,
 )
 
@@ -341,8 +341,8 @@ class _CongruenceEngine:
                 out.premises[(idx, 1)] = Hyp(k)
                 out.premises[(idx, 2)] = self._transported_term(k, premise, lctx, rctx)
         conclusion = self.rule.conclusion
-        gen_l = self._generic_instance(0, 0)
-        gen_r = self._generic_instance(self.shift, n)
+        gen_l = generic_rule_instance(self.rule_index, self.rule)
+        gen_r = generic_rule_instance(self.rule_index, self.rule, self.shift, n)
         if conclusion.form is JudgementForm.IS_TY:
             out.conclusion[0] = gen_l
             out.conclusion[1] = gen_r
@@ -361,12 +361,6 @@ class _CongruenceEngine:
                     EMPTY_CONTEXT, ra, la, rh, t_a[1], t_a[0], gen_r, sym
                 )
         return out
-
-    def _generic_instance(self, shift: int, hyp_shift: int) -> RuleInst:
-        return RuleInst(
-            self.rule_index, generic_instantiation(self.rule.arity, shift), EMPTY_CONTEXT,
-            tuple(Hyp(k + hyp_shift) for k in range(self.n)),
-        )
 
     def _transported_term(self, k: int, premise: Judgement, lctx, rctx) -> TheoryDerivation:
         """The right instance of a term premise, carried to the left context

@@ -170,38 +170,55 @@ def validate_judgement(sig: Signature, j: Judgement) -> None:
         validate_expr(sig, j.head, j.context.scope, j.form.head_class)
 
 
-def extend_context(kind: ScopeKind, ctx: RawContext, new_types: tuple[Expr, ...]) -> RawContext:
+WeakeningMemo = dict[tuple[ScopeKind, RawContext, Scope], tuple[Expr, ...]]
+
+
+def extend_context(
+    kind: ScopeKind, ctx: RawContext, new_types: tuple[Expr, ...], memo: WeakeningMemo | None = None
+) -> RawContext:
     """Extend by delta-many types already scoped over the sum; old types are weakened.
 
     The old types are weakened along the left inclusion and form one block:
     the last ``ctx.scope`` positions for indices, the first for levels.
+    ``memo``, when given, keeps each weakened block under (kind, ctx,
+    delta), compared by value, so the caller that owns it weakens each
+    block once; the context is still built, and validated, anew.
     """
     delta = len(new_types)
     if delta == 0:
         return ctx
-    if kind is ScopeKind.INDICES:
-        types = tuple(new_types) + tuple(_shift(kind, t, 0, delta) for t in ctx.types)
-    else:
-        types = tuple(_shift(kind, t, ctx.scope, delta) for t in ctx.types) + tuple(new_types)
+    key = (kind, ctx, delta)
+    old = None if memo is None else memo.get(key)
+    if old is None:
+        cut = 0 if kind is ScopeKind.INDICES else ctx.scope
+        old = tuple(_shift(kind, t, cut, delta) for t in ctx.types)
+        if memo is not None:
+            memo[key] = old
+    types = tuple(new_types) + old if kind is ScopeKind.INDICES else old + tuple(new_types)
     return RawContext(ctx.scope + delta, types)
 
 
-def instantiate_context(kind: ScopeKind, inst: Instantiation, ctx: RawContext, inner: RawContext) -> RawContext:
+def instantiate_context(
+    kind: ScopeKind, inst: Instantiation, ctx: RawContext, inner: RawContext, memo: WeakeningMemo | None = None
+) -> RawContext:
     """Context extension of ``ctx`` by the instantiations of ``inner``'s types.
 
     An empty ``inner`` extends by nothing: ``ctx`` itself is returned.
+    ``memo`` is passed on to ``extend_context``.
     """
     gamma, delta = ctx.scope, inner.scope
     if inst.scope != gamma:
         raise ScopeMismatch(f"instantiation over scope {inst.scope}, context scope {gamma}")
     if delta == 0:
         return ctx
-    return extend_context(kind, ctx, tuple(instantiate_expr(kind, inst, t) for t in inner.types))
+    return extend_context(kind, ctx, tuple(instantiate_expr(kind, inst, t) for t in inner.types), memo)
 
 
-def instantiate_judgement(kind: ScopeKind, inst: Instantiation, ctx: RawContext, j: Judgement) -> Judgement:
+def instantiate_judgement(
+    kind: ScopeKind, inst: Instantiation, ctx: RawContext, j: Judgement, memo: WeakeningMemo | None = None
+) -> Judgement:
     """The judgement instantiation: context extension plus pointwise action on slots."""
-    new_ctx = instantiate_context(kind, inst, ctx, j.context)
+    new_ctx = instantiate_context(kind, inst, ctx, j.context, memo)
     return Judgement(
         new_ctx,
         j.form,

@@ -58,7 +58,6 @@ from .syntax import (
     TM,
     TY,
     Var,
-    generic_instantiation,
     instantiate_expr,
     mv_extend_signature,
     simple_arity,
@@ -73,6 +72,8 @@ from .theories import (
     TheoryWitnesses,
     check_derived_rule,
     check_theory_derivation,
+    derived_rule_failure,
+    generic_rule_instance,
     instantiate_derivation,
     map_node,
 )
@@ -165,22 +166,17 @@ class RawTheoryMap:
         ok = True
         for i, d in sorted(self.rule_derivations.items()):
             rule = map_rule(self.syntax, self.src.rule(i))
-            if not check_derived_rule(self.dst, rule, d):
+            failure = derived_rule_failure(self.dst, rule, d)
+            if failure is not None:
                 ok = False
                 if diagnostics is not None:
-                    diagnostics.append(f"rule {self.src.rule_name(i)}: stored derivation fails")
+                    diagnostics.append(f"rule {self.src.rule_name(i)}: stored derivation fails: {failure}")
         return ok
 
 
 def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
     m = identity_syntax_map(theory.signature)
-    derivations = {
-        i: RuleInst(
-            i, generic_instantiation(rule.arity), EMPTY_CONTEXT,
-            tuple(Hyp(k) for k in range(len(rule.premises))),
-        )
-        for i, rule in enumerate(theory.rules)
-    }
+    derivations = {i: generic_rule_instance(i, rule) for i, rule in enumerate(theory.rules)}
     return RawTheoryMap(m, theory, theory, derivations)
 
 
@@ -563,12 +559,7 @@ class _SectionDriver:
             self.kind, primed, form, conclusion_slots, sequential_premise_names(rule)
         )
         realiser = generic_application(self.theory.signature, sym)
-        witness = RuleInst(
-            rule_index,
-            generic_instantiation(rule.arity),
-            EMPTY_CONTEXT,
-            tuple(Hyp(k) for k in range(len(rule.premises))),
-        )
+        witness = generic_rule_instance(rule_index, rule)
         c = self._add(f"c.{decl.name}", spec, realiser, witness)
         self.c_of_symbol[sym] = c
         return c

@@ -40,6 +40,7 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
+    WeakeningMemo,
     instantiate_context,
     instantiate_judgement,
     is_term,
@@ -97,16 +98,23 @@ class RawRule:
 
 
 def instantiate_rule(
-    kind: ScopeKind, inst: Instantiation, ctx: RawContext, rule: RawRule
+    kind: ScopeKind, inst: Instantiation, ctx: RawContext, rule: RawRule, memo: WeakeningMemo | None = None
 ) -> ClosureRule:
-    """The closure rule obtained by instantiating the rule's arity over ``ctx``."""
+    """The closure rule obtained by instantiating the rule's arity over ``ctx``.
+
+    Each premise context extends ``ctx``; ``memo`` (``extend_context``)
+    keeps the weakened block of ``ctx``.  Without one, a fresh memo is
+    shared by the premises and conclusion of this rule alone.
+    """
     if inst.arity != rule.arity:
         raise ArityMismatch("instantiation arity differs from rule arity")
     if inst.scope != ctx.scope:
         raise ScopeMismatch("instantiation scope differs from context scope")
+    if memo is None:
+        memo = {}
     return ClosureRule(
-        tuple(instantiate_judgement(kind, inst, ctx, p) for p in rule.premises),
-        instantiate_judgement(kind, inst, ctx, rule.conclusion),
+        tuple(instantiate_judgement(kind, inst, ctx, p, memo) for p in rule.premises),
+        instantiate_judgement(kind, inst, ctx, rule.conclusion, memo),
     )
 
 

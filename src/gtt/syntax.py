@@ -34,6 +34,12 @@ The two scope kinds differ only in where the bound positions sit:
   entry p is shifted up by k with cut f.src, which stays fixed under
   binders.
 
+Instantiation substitutes each metavariable occurrence's arguments into
+its entry, except where the table of that substitution is a weakening:
+an occurrence M(x_0 ... x_{b-1}) of the first b variables, in any scope
+delta >= b, is one shift of its entry by delta - b, and the entry itself
+when delta = b.  No table is built for it.
+
 The scope checks stay at the entry points (the table classes, the guard of
 substitute_expr, the mk_* constructors); the recursions below them trust
 the tree.
@@ -443,7 +449,8 @@ def generic_instantiation(alpha: Arity, shift: int = 0) -> Instantiation:
 def is_generic_occurrence(e: MetaApp, binder: Scope) -> bool:
     """M(x_0 ... x_{b-1}) for b = ``binder``: in scope b, with the variable
     at position j as its j-th argument.  ``instantiate_expr`` returns the
-    entry of M itself for exactly these occurrences."""
+    entry of M itself for these occurrences; for the same pattern in a
+    larger scope it returns a weakening of the entry, a new tree."""
     return e.scope == binder and len(e.args) == binder and all(
         type(a) is Var and a.pos == j and a.scope == binder for j, a in enumerate(e.args)
     )
@@ -465,11 +472,15 @@ def exposed_metavariables(alpha: Arity, e: Expr) -> frozenset[int]:
 def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
     """Replace metavariables by their instantiation, landing in scope I.scope + e.scope.
 
-    An occurrence M(x_0 ... x_{b-1}) of a metavariable with b binders, in
-    scope b and with the variable at position j as its j-th argument, is the
-    generic pattern: the table it would build is the identity, so the entry
-    ``inst(m)`` itself is returned (e[id] = e), not a copy.  Every other
-    occurrence substitutes along its table.
+    An occurrence M(x_0 ... x_{b-1}) of a metavariable with b binders, in a
+    scope delta >= b and with the variable at position j as its j-th
+    argument, is a weakening occurrence: the table it would build sends the
+    binder's positions to themselves and gamma along the left inclusion
+    into gamma + delta, which is the weakening of the entry by delta - b.
+    So it is one ``_shift`` of ``inst(m)``: cut b for indices, cut
+    ``inst(m).scope`` for levels.  At delta = b it is the generic pattern,
+    the table is the identity, and the entry itself is returned (e[id] = e),
+    not a copy.  Every other occurrence substitutes along its table.
     """
     gamma, delta = inst.scope, e.scope
     target = sum_scope(gamma, delta)
@@ -481,8 +492,13 @@ def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
     if t is MetaApp:
         m = e.idx
         binder = inst.arity[m].binder
-        if is_generic_occurrence(e, binder):
-            return inst(m)
+        args = e.args
+        if len(args) == binder and all(type(a) is Var and a.pos == j for j, a in enumerate(args)):
+            # the table is a weakening: one shift of the entry, none at delta = b
+            entry = inst(m)
+            if delta == binder:
+                return entry
+            return _shift(kind, entry, binder if kind is ScopeKind.INDICES else entry.scope, delta - binder)
         # gamma's positions go along the left inclusion into gamma + delta,
         # as one block of the table; the arguments take the binder's positions
         table: list[Expr] = [None] * (gamma + binder)  # type: ignore[list-item]

@@ -46,6 +46,14 @@ valid data by instantiation and substitution, are then valid, and so is
 each child's conclusion, which equals one of them.  A hypothesis leaf is
 compared with a valid premise and needs nothing more.
 
+A premise context of a rule instance extends the node's context, and the
+node's types are weakened into the extension.  ``check_theory_derivation``
+keeps one weakening memo (``judgements.extend_context``) for the whole
+check, keyed by value on (scope kind, context, delta), so each block is
+weakened once per check and shared by every premise and node that extends
+the same context.  The memo lives for one check; every context is still
+built, and validated, by its constructor.
+
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
 derivations over a raw theory, so it is defined here: the raw layer reads
 and writes theory files without loading ``metatheory``.
@@ -69,14 +77,17 @@ from .syntax import (
     Instantiation,
     Signature,
     Substitution,
+    generic_instantiation,
     inst_act_inst,
     inst_act_subst,
     mv_extend_signature,
     validate_expr,
 )
 from .judgements import (
+    EMPTY_CONTEXT,
     Judgement,
     RawContext,
+    WeakeningMemo,
     instantiate_context,
     instantiate_judgement,
     validate_judgement,
@@ -225,12 +236,14 @@ def ambient_signature(theory: RawTypeTheory, ambient: Arity | None, names: tuple
     return mv_extend_signature(theory.signature, ambient, names)
 
 
-def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDerivation) -> ClosureRule:
+def closure_rule_of_node(
+    theory: RawTypeTheory, sig: Signature, node: TheoryDerivation, memo: WeakeningMemo | None = None
+) -> ClosureRule:
     """Recompute the closure rule a node cites.
 
     The node's context is its conclusion's, and the entries the conclusion
     shows are in it verbatim: only the rest of the data is validated here
-    (see the module docstring).
+    (see the module docstring).  ``memo`` goes to ``instantiate_rule``.
     """
     kind = sig.kind
     match node:
@@ -239,7 +252,7 @@ def closure_rule_of_node(theory: RawTypeTheory, sig: Signature, node: TheoryDeri
             for m, slot in enumerate(inst.arity):
                 if m not in rule.exposed:
                     validate_expr(sig, inst(m), sum_scope(inst.scope, slot.binder), slot.cls)
-            return instantiate_rule(kind, inst, ctx, rule)
+            return instantiate_rule(kind, inst, ctx, rule, memo)
         case VariableInst(context=ctx, pos=i):
             return variable_rule(kind, ctx, i)
         case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
@@ -273,12 +286,14 @@ def check_theory_derivation(
     The root's conclusion is validated once, before its children are
     checked; every other node validates only the data its conclusion does
     not show (see the module docstring).  A hypothesis at the root is
-    returned as given, as at every leaf.
+    returned as given, as at every leaf.  One weakening memo serves the
+    whole check, so each block of a context is weakened once.
     """
     sig = ambient_signature(theory, ambient, ambient_names)
+    memo: WeakeningMemo = {}
 
     def rule_of(node: TheoryDerivation) -> ClosureRule:
-        rule = closure_rule_of_node(theory, sig, node)
+        rule = closure_rule_of_node(theory, sig, node, memo)
         if node is d:
             validate_judgement(sig, rule.conclusion)
         return rule
@@ -392,15 +407,37 @@ def instantiate_derivation(
     return go(d)
 
 
+def derived_rule_failure(
+    theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
+) -> str | None:
+    """Why ``witness`` does not derive the rule's conclusion from its
+    premises: the checker's error, or that it concludes a different
+    judgement.  None when it does derive it."""
+    try:
+        got = check_theory_derivation(theory, rule.premises, witness, rule.arity, rule.meta_names)
+    except KernelError as e:
+        return str(e)
+    return None if got == rule.conclusion else "concludes a different judgement"
+
+
 def check_derived_rule(
     theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
 ) -> bool:
     """True iff ``witness`` derives the rule's conclusion from its premises."""
-    try:
-        got = check_theory_derivation(theory, rule.premises, witness, rule.arity, rule.meta_names)
-    except KernelError:
-        return False
-    return got == rule.conclusion
+    return derived_rule_failure(theory, rule, witness) is None
+
+
+def generic_rule_instance(ref: int, rule: RawRule, shift: int = 0, hyp_shift: int = 0) -> RuleInst:
+    """The instance of rule ``ref`` at the generic instantiation of
+    ``rule.arity`` (relabelled by ``shift``, see ``generic_instantiation``)
+    over the empty context, with premise k cited as ``Hyp(k + hyp_shift)``:
+    the derivation of a rule from its own premises.  ``rule`` gives the
+    arity and the premise count; it is the rule ``ref`` names, or a rule of
+    another theory that a map sends to it."""
+    return RuleInst(
+        ref, generic_instantiation(rule.arity, shift), EMPTY_CONTEXT,
+        tuple(Hyp(k + hyp_shift) for k in range(len(rule.premises))),
+    )
 
 
 def check_admissible_instance(

@@ -139,19 +139,26 @@ def gen_arity(rng: random.Random, max_args: int = 3, max_binder: int = 2) -> Ari
 
 
 def generic_occurrence(sig, m, scope):
-    """M(x_0 ... x_{b-1}): metavariable m applied to the variables of its own binder."""
-    return mk_meta(sig, m, tuple(mk_var(scope, j) for j in range(scope)), scope)
+    """M(x_0 ... x_{b-1}), for b the binder of metavariable m, in ``scope``:
+    the generic pattern when ``scope`` is b, a weakening occurrence when it
+    is larger."""
+    return mk_meta(sig, m, tuple(mk_var(scope, j) for j in range(sig.mv_binder(m))), scope)
 
 
-def gen_template(rng, sig, scope, cls, depth):
+def gen_template(rng, sig, scope, cls, depth, weakening=False):
     """Like ``gen_expr``, but a metavariable whose binder is the scope is
-    written as its generic occurrence half of the time."""
-    generic = [m for m in range(sig.mv_count) if sig.mv_binder(m) == scope and sig.mv_class(m) is cls]
+    written as its generic occurrence half of the time.  With ``weakening``
+    so is one whose binder is smaller than the scope: a weakening
+    occurrence."""
+    generic = [
+        m for m in range(sig.mv_count)
+        if sig.mv_class(m) is cls and (sig.mv_binder(m) <= scope if weakening else sig.mv_binder(m) == scope)
+    ]
     if generic and rng.random() < 0.5:
         return generic_occurrence(sig, rng.choice(generic), scope)
     if depth <= 0 or rng.random() < 0.3:
         return gen_expr(rng, sig, scope, cls, depth)
     syms = [i for i, sym in enumerate(sig.symbols) if sym.cls is cls]
     sym = sig.symbol(rng.choice(syms))
-    args = tuple(gen_template(rng, sig, scope + a.binder, a.cls, depth - 1) for a in sym.arity)
+    args = tuple(gen_template(rng, sig, scope + a.binder, a.cls, depth - 1, weakening) for a in sym.arity)
     return mk_sym(sig, sym.name, args, scope)

@@ -5,10 +5,12 @@ one per metavariable occurrence) and copies every entry it uses; the
 kernel's versions apply them on lookup and share what they can, and the
 kernel renames by substituting variables.  The law tests, the reference
 checker and the reference transformers compare against these.
+``table_instantiate`` is the kernel's instantiation with a table for every
+weakening occurrence, where the kernel shifts the entry.
 """
 
-from gtt.scopes import Renaming, inl_renaming
-from gtt.syntax import MetaApp, Substitution, SymApp, Var
+from gtt.scopes import Renaming, ScopeKind, inl_renaming
+from gtt.syntax import MetaApp, Substitution, SymApp, Var, is_generic_occurrence, substitute_expr
 
 
 def identity_renaming(scope):
@@ -96,3 +98,29 @@ def naive_instantiate(kind, inst, e):
             for j, a in enumerate(args):
                 table[kind.inr(gamma, binder, j)] = naive_instantiate(kind, inst, a)
             return naive_substitute(kind, Substitution(target, gamma + binder, tuple(table)), inst(m))
+
+
+def table_instantiate(kind, inst, e):
+    """Oracle: every metavariable occurrence other than the generic pattern
+    builds its table, weakening occurrences included, and substitutes it
+    into its entry with the kernel's ``substitute_expr``; the generic
+    pattern returns its entry."""
+    gamma, delta = inst.scope, e.scope
+    target = gamma + delta
+    match e:
+        case Var(pos=p):
+            return Var(kind.inr(gamma, delta, p), target)
+        case SymApp(sym=sym, args=args, cls=c):
+            return SymApp(sym, tuple(table_instantiate(kind, inst, a) for a in args), target, c)
+        case MetaApp(idx=m, args=args):
+            binder = inst.arity[m].binder
+            if is_generic_occurrence(e, binder):
+                return inst(m)
+            table = [None] * (gamma + binder)
+            if kind is ScopeKind.INDICES:
+                table[binder:] = [Var(i + delta, target) for i in range(gamma)]
+            else:
+                table[:gamma] = [Var(i, target) for i in range(gamma)]
+            for j, a in enumerate(args):
+                table[kind.inr(gamma, binder, j)] = table_instantiate(kind, inst, a)
+            return substitute_expr(kind, Substitution(target, gamma + binder, tuple(table)), inst(m))

@@ -1,10 +1,12 @@
 """Substitution under binders builds no per-binder table.
 
 Counted, not timed: the entries of every ``Substitution`` and ``Renaming``
-table built while checking a nested Pi.  Checking a node touches its
-context and its terms, so the count may grow as n^2 in the depth n (a ratio
-of 4 per doubling); rebuilding a table under every binder crossed makes it
-grow as n^3 (a ratio near 8).  Likewise the validation calls: the root's
+table built while checking a nested Pi, which are none, and the types
+weakened while checking a lam tower.  Checking a node touches its context
+and its terms, so the weakening may grow as n^2 in the depth n (a ratio of
+4 per doubling); weakening a context again for every premise and node that
+extends it, or rebuilding a table under every binder crossed, makes the
+work grow faster.  Likewise the validation calls: the root's
 conclusion is validated once, and nothing is re-validated per node.  And
 elimination of substitution checks triviality once per substitution node
 and builds no extended substitution table; it walks the body of a chain of
@@ -14,7 +16,17 @@ substitution once per image it needs.
 
 from collections import Counter
 
-from corpus import THEORY, equality_substitution_into_nested_pi, nested_pi, weakening_chain
+from corpus import (
+    THEORY,
+    TypedType,
+    equality_substitution_into_nested_pi,
+    extend,
+    lam,
+    nested_pi,
+    tt_at,
+    unit_at,
+    weakening_chain,
+)
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
@@ -35,10 +47,58 @@ def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
         built[0] = 0
         check_theory_derivation(THEORY, (), d)
         entries[n] = built[0]
-    assert entries[16] > 0
-    assert entries[32] / entries[16] <= 4.6, entries
-    # a generic metavariable occurrence returns its entry without a table
-    assert entries[32] <= 1000, entries
+    # a generic metavariable occurrence returns its entry and a weakening
+    # occurrence (the domain A in the context of x : A |- B type) shifts
+    # it, so no table is built at all
+    assert entries == {16: 0, 32: 0}, entries
+
+
+def lam_tower(ctx, n):
+    """lam x_1:unit. ... lam x_n:unit. tt over ``ctx``.  The type premise of
+    the lam at depth k derives a Pi nested n - k deep, so the derivation has
+    about n^2 / 2 Pi-form nodes but only n contexts."""
+    if n == 0:
+        return tt_at(ctx)
+    a = unit_at(ctx)
+    inner = extend(ctx, a)
+    body = lam_tower(inner, n - 1)
+    return lam(a, TypedType(inner, body.type, body.d_type), body)
+
+
+def test_lam_tower_weakens_each_context_block_once_per_check(monkeypatch):
+    # Counted, not timed: the types weakened by extend_context while checking
+    # a lam tower.  One check weakens the old block of each (scope kind,
+    # context, delta) once, however many premises and nodes extend that
+    # context, so the count grows as the n contexts do, n^2 (a ratio of 4
+    # per doubling).  Weakening once per node makes it n^3 (a ratio near 8).
+    from gtt import judgements
+
+    derivations = {n: lam_tower(EMPTY_CONTEXT, n).d_term for n in (16, 32)}
+    shifted = [0]
+    per_block = Counter()
+
+    def counted_shift(*args, original=judgements._shift):
+        shifted[0] += 1
+        return original(*args)
+
+    def counted_extend(kind, ctx, new_types, *rest, original=judgements.extend_context):
+        before = shifted[0]
+        out = original(kind, ctx, new_types, *rest)
+        per_block[kind, ctx, len(new_types)] += shifted[0] - before
+        return out
+
+    monkeypatch.setattr(judgements, "_shift", counted_shift)
+    monkeypatch.setattr(judgements, "extend_context", counted_extend)
+    weakened = {}
+    for n, d in derivations.items():
+        shifted[0] = 0
+        per_block.clear()
+        check_theory_derivation(THEORY, (), d)
+        again = [(ctx.scope, delta, count) for (_, ctx, delta), count in per_block.items() if count > ctx.scope]
+        assert not again, again
+        weakened[n] = shifted[0]
+    assert weakened[16] > 0
+    assert weakened[32] / weakened[16] <= 4.6, weakened
 
 
 def test_nested_pi_validates_each_expression_once(monkeypatch):

@@ -2,9 +2,11 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 
+from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_template
 from gtt.bundled import mltt_base, mltt_pi
 from gtt.errors import ArityMismatch, IndexOutOfRange, NotObjectRule, TrivialityViolated
 from gtt.judgements import (
@@ -30,7 +32,9 @@ from gtt.rules import (
     variable_rule,
 )
 from gtt.maps import RawSyntaxMap, map_rule
+from gtt.scopes import ScopeKind
 from gtt.syntax import (
+    TY,
     Instantiation,
     Substitution,
     Var,
@@ -123,6 +127,32 @@ def test_instantiate_app_rule_gives_displayed_closure_rule():
     assert closure.conclusion == is_term(
         EMPTY_CONTEXT, mk_sym(BS, "app", (a, b, lam_id, t), 0), a
     )
+
+
+def test_one_weakening_memo_gives_the_closure_rules_of_fresh_ones():
+    # One memo shared by instantiate_rule calls in both scope kinds, and on
+    # equal but distinct contexts, gives what a fresh memo per call gives.
+    # The two kinds weaken the same block differently, so the kind is part
+    # of what the memo is keyed by.
+    rng = random.Random(43)
+    memo = {}
+    for _ in range(150):
+        alpha = gen_arity(rng)
+        ext = mv_extend_signature(LAW_SIGNATURE, alpha)
+        premises = []
+        for _ in range(rng.randrange(1, 4)):
+            delta = rng.randrange(3)
+            inner = RawContext(delta, tuple(gen_template(rng, ext, delta, TY, 2, True) for _ in range(delta)))
+            premises.append(is_type(inner, gen_template(rng, ext, delta, TY, 2, True)))
+        rule = RawRule(alpha, tuple(premises), is_type(EMPTY_CONTEXT, gen_expr(rng, ext, 0, TY, 1)))
+        gamma = rng.randrange(1, 4)
+        ctx = RawContext(gamma, tuple(gen_expr(rng, LAW_SIGNATURE, gamma, TY, 2) for _ in range(gamma)))
+        inst = gen_instantiation(rng, LAW_SIGNATURE, alpha, gamma)
+        for kind in ScopeKind:
+            fresh = instantiate_rule(kind, inst, ctx, rule)
+            for c in (ctx, copy.copy(ctx)):
+                assert instantiate_rule(kind, inst, c, rule, memo) == fresh
+    assert len(memo) >= 200, len(memo)
 
 
 def test_instantiate_rule_axiom_case():

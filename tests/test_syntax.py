@@ -26,7 +26,15 @@ from genexpr import (
     generic_occurrence,
     twin_map,
 )
-from naive import identity_renaming, inr_renaming, naive_extend, naive_instantiate, naive_rename, naive_substitute
+from naive import (
+    identity_renaming,
+    inr_renaming,
+    naive_extend,
+    naive_instantiate,
+    naive_rename,
+    naive_substitute,
+    table_instantiate,
+)
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
 from gtt.maps import apply_syntax_map, compose_syntax_maps, identity_syntax_map
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
@@ -352,6 +360,39 @@ def test_instantiate_against_table_oracle():
         assert generic >= 400, generic
 
 
+def is_weakening(e):
+    """M(x_0 ... x_{b-1}) in a scope larger than its b arguments."""
+    if type(e) is not MetaApp:
+        return False
+    b = len(e.args)
+    return e.scope > b and e.args == tuple(Var(j, e.scope) for j in range(b))
+
+
+def test_weakening_occurrences_against_the_table_oracle():
+    # An occurrence M(x_0 ... x_{b-1}) in a scope delta > b is instantiated
+    # by one shift of its entry; building and substituting its table
+    # (table_instantiate) gives the same tree, and so does the textbook
+    # oracle.
+    from genexpr import gen_arity
+
+    for kind, sig in KIND_SIGS:
+        rng = random.Random(30)
+        weakening = bound = 0
+        for _ in range(600):
+            alpha = gen_arity(rng)
+            ext = ext_sig(alpha, sig=sig)
+            gamma, delta = rng.randrange(3), rng.randrange(4)
+            e = gen_template(rng, ext, delta, rng.choice([TY, TM]), 3, weakening=True)
+            I = gen_instantiation(rng, sig, alpha, gamma)
+            found = [s for s in subterms(e) if is_weakening(s)]
+            weakening += len(found)
+            bound += sum(1 for s in found if s.args)
+            got = instantiate_expr(kind, I, e)
+            assert got == table_instantiate(kind, I, e), kind
+            assert got == naive_instantiate(kind, I, e), kind
+        assert weakening >= 400 and bound >= 200, (weakening, bound)
+
+
 def test_generic_occurrence_returns_its_entry():
     alpha = arity((TY, 0), (TY, 1), (TM, 2))
     for kind, sig in KIND_SIGS:
@@ -384,7 +425,7 @@ def test_near_generic_occurrence_substitutes():
             near = [
                 # swapped arguments
                 mk_meta(ext, 2, (mk_var(2, 1), mk_var(2, 0)), 2),
-                # a scope other than the binder: delta != binder
+                # a scope other than the binder, delta != binder: a weakening
                 mk_meta(ext, 0, (), 1),
                 mk_meta(ext, 1, (mk_var(2, 0),), 2),
                 mk_meta(ext, 2, (mk_var(3, 0), mk_var(3, 1)), 3),

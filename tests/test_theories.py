@@ -28,7 +28,6 @@ from gtt.syntax import (
     Instantiation,
     Substitution,
     Var,
-    generic_instantiation,
     mk_meta,
     mk_sym,
     mv_extend_signature,
@@ -41,6 +40,7 @@ from gtt.theories import (
     check_admissible_instance,
     check_derived_rule,
     check_theory_derivation,
+    generic_rule_instance,
     instantiate_derivation,
 )
 
@@ -118,13 +118,7 @@ def simple_theory_map(src, dst, sym_table, rule_table) -> RawTheoryMap:
     rule i goes to the generic instance of rule ``rule_table[i]``."""
     return RawTheoryMap(
         relabelling(src.signature, dst.signature, sym_table), src, dst,
-        {
-            i: RuleInst(
-                j, generic_instantiation(src.rule(i).arity), EMPTY_CONTEXT,
-                tuple(Hyp(k) for k in range(len(src.rule(i).premises))),
-            )
-            for i, j in enumerate(rule_table)
-        },
+        {i: generic_rule_instance(j, src.rule(i)) for i, j in enumerate(rule_table)},
     )
 
 
@@ -200,10 +194,15 @@ def test_a_theory_map_matches_rules_up_to_metavariable_names():
     diagnostics: list[str] = []
     tmap = simple_theory_map(THEORY, unnamed, tuple(range(SIG.base_count)), swapped)
     assert not tmap.check(diagnostics)
+    cause = "at node []: instantiation arity differs from rule arity"
     assert diagnostics == [
-        f"rule {THEORY.rule_name(0)}: stored derivation fails",
-        f"rule {THEORY.rule_name(1)}: stored derivation fails",
+        f"rule {THEORY.rule_name(0)}: stored derivation fails: {cause}",
+        f"rule {THEORY.rule_name(1)}: stored derivation fails: {cause}",
     ]
+    # a stored derivation that checks but derives a premise, not the rule
+    diagnostics = []
+    assert not tmap._replace(rule_derivations={0: Hyp(0)}).check(diagnostics)
+    assert diagnostics == [f"rule {THEORY.rule_name(0)}: stored derivation fails: concludes a different judgement"]
 
 
 def test_translate_derivation_identity_and_composite():
