@@ -8,7 +8,10 @@ an element stay tagged with where it came from.
 ``check_derivation`` is the only loop that checks derivation trees.  The
 generic checker runs it with the rules of a closure system; the typed
 checker in ``theories`` runs it with ``closure_rule_of_node``, which
-recomputes the closure rule a typed node cites.
+recomputes the closure rule a typed node cites.  A tree may be stored as a
+DAG that shares node objects; each distinct node object is checked once
+per call, and its conclusion is compared with the premise at every
+occurrence.
 """
 
 from __future__ import annotations
@@ -75,7 +78,16 @@ def check_derivation(
     premise.  Failures carry the path of child indices from the root:
     DerivationError wraps a bad index, a failed ``rule_of`` or a child-count
     mismatch, and PremiseMismatch reports a premise mismatch.
+
+    A derivation may share a node object between several occurrences.  Its
+    conclusion depends only on the node and ``hyps``, so each node object is
+    checked once per call, at its first occurrence in depth-first order, and
+    met again it gives its conclusion without calling ``rule_of``; the parent
+    still compares it with the premise at every occurrence.  A tree walk
+    raises the same errors at the same paths.
     """
+    # id -> (node, conclusion); holding the node keeps its id from reuse
+    checked: dict[int, tuple[object, X]] = {}
 
     def go(node, path: tuple[int, ...]):
         if isinstance(node, GHyp):
@@ -83,6 +95,9 @@ def check_derivation(
             if not 0 <= k < len(hyps):
                 raise DerivationError(path, IndexOutOfRange(f"hypothesis {k} of {len(hyps)}"))
             return hyps[k]
+        seen = checked.get(id(node))
+        if seen is not None:
+            return seen[1]
         try:
             rule = rule_of(node)
         except KernelError as e:
@@ -97,6 +112,7 @@ def check_derivation(
             got = go(child, path + (i,))
             if got != premise:
                 raise PremiseMismatch(path + (i,), premise, got)
+        checked[id(node)] = (node, rule.conclusion)
         return rule.conclusion
 
     return go(d, ())

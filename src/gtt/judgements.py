@@ -77,6 +77,8 @@ class JudgementForm(Enum):
     TY_EQ = "TyEq", (TY, TY), None
     TM_EQ = "TmEq", (TM, TM, TY), None
 
+    __hash__ = object.__hash__  # as ScopeKind's
+
     def __new__(cls, value: str, boundary_classes: tuple[SyntacticClass, ...],
                 head_class: SyntacticClass | None):
         member = object.__new__(cls)

@@ -8,6 +8,8 @@ whose outputs re-check against the kernel.
 
 from __future__ import annotations
 
+import operator
+
 from . import derive
 from .errors import (
     KernelError,
@@ -25,6 +27,7 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
+    WeakeningMemo,
     instantiate_context,
     is_type,
     presuppositions,
@@ -520,6 +523,7 @@ def rename_derivation(
     r: Renaming,
     target: RawContext,
     d: TheoryDerivation,
+    memo: WeakeningMemo | None = None,
 ) -> TheoryDerivation:
     """Rename a substitution-free derivation along a type-respecting renaming.
 
@@ -528,9 +532,11 @@ def rename_derivation(
     typings.  The renaming respects types exactly when that substitution acts
     trivially at every position, so a renaming that does not respect the type
     at position i raises ``TrivialityViolated(i)``.  ``d`` must check in the
-    theory.
+    theory.  ``memo`` goes to ``substitute_derivation``.
     """
-    return substitute_derivation(theory, Substitution.of_renaming(r), target, frozenset(range(r.src)), {}, d)
+    return substitute_derivation(
+        theory, Substitution.of_renaming(r), target, frozenset(range(r.src)), {}, d, memo
+    )
 
 
 def _check_trivial_action(kind, f, target, source, positions):
@@ -546,6 +552,7 @@ def substitute_derivation(
     trivial: frozenset[int],
     typings: dict[int, TheoryDerivation],
     d: TheoryDerivation,
+    memo: WeakeningMemo | None = None,
 ) -> TheoryDerivation:
     """Substitute into a substitution-free derivation, keeping it substitution-free.
 
@@ -553,10 +560,14 @@ def substitute_derivation(
     target |- f(i) : f*(source type i) for every position i outside
     ``trivial``; positions inside it are only required to be trivial.  ``d``
     must check in the theory.  Triviality is checked against the root's
-    context only; see the comment above for why it holds below.
+    context only; see the comment above for why it holds below.  ``memo``
+    (``judgements.extend_context``) keeps the weakened block of each target
+    context; without one, a fresh memo serves this call.
     """
     require_substitutive(theory)
     kind = theory.kind
+    if memo is None:
+        memo = {}
     if isinstance(d, (VariableInst, RuleInst)):
         _check_trivial_action(kind, f, target, d.context, trivial)
 
@@ -575,11 +586,11 @@ def substitute_derivation(
                     raise MissingWitness(f"no typing derivation for position {i}")
                 if k == 0:
                     return typings[root]
-                return rename_derivation(theory, inl_renaming(kind, f.src, k), tgt, typings[root])
+                return rename_derivation(theory, inl_renaming(kind, f.src, k), tgt, typings[root], memo)
             case RuleInst(ref=ref, inst=inst, children=children):
                 new_inst = subst_act_inst(kind, f, inst, k)
                 return RuleInst(ref, new_inst, tgt, tuple(
-                    go(c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context))
+                    go(c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context, memo))
                     for c, p in zip(children, theory.rule(ref).premises)
                 ))
         raise _not_substitution_free(theory, node)
@@ -609,6 +620,7 @@ def substitute_equal_derivation(
     trivial: frozenset[int],
     triples: dict[int, tuple[TheoryDerivation, TheoryDerivation, TheoryDerivation]],
     d: TheoryDerivation,
+    memo: WeakeningMemo | None = None,
 ) -> tuple[TheoryDerivation, TheoryDerivation, TheoryDerivation | None]:
     """Substitute two judgementally equal substitutions into a derivation.
 
@@ -617,9 +629,12 @@ def substitute_equal_derivation(
     f-typing, g-typing, and equality derivations for each unchecked i.
     ``d`` must check in the theory.  Joint triviality is checked against
     the root's context only; see the comment above for why it holds below.
+    ``memo`` is as for ``substitute_derivation``.
     """
     require_substitutive(theory)
     kind = theory.kind
+    if memo is None:
+        memo = {}
     if isinstance(d, (VariableInst, RuleInst)):
         _check_joint_conditions(kind, f, g, target, d.context, trivial)
     congruence_of: dict[int, int] = {}
@@ -646,8 +661,8 @@ def substitute_equal_derivation(
                         return triples[root]
                     inl = inl_renaming(kind, f.src, k)
                     if only_g:
-                        return None, rename_derivation(theory, inl, tgt, triples[root][1]), None
-                    return tuple(rename_derivation(theory, inl, tgt, dv) for dv in triples[root])
+                        return None, rename_derivation(theory, inl, tgt, triples[root][1], memo), None
+                    return tuple(rename_derivation(theory, inl, tgt, dv, memo) for dv in triples[root])
                 j = substitute_expr(kind, f, Var(i, f.dst + k), k).pos
                 fa = substitute_expr(kind, f, ctx.type_at(i), k)
                 ga = substitute_expr(kind, g, ctx.type_at(i), k)
@@ -673,18 +688,18 @@ def substitute_equal_derivation(
                 i_g = subst_act_inst(kind, g, inst, k)
                 if only_g:
                     return None, RuleInst(ref, i_g, tgt, tuple(
-                        go(c, k + p.context.scope, instantiate_context(kind, i_g, tgt, p.context), True)[1]
+                        go(c, k + p.context.scope, instantiate_context(kind, i_g, tgt, p.context, memo), True)[1]
                         for c, p in zip(children, rule.premises)
                     )), None
                 i_f = subst_act_inst(kind, f, inst, k)
                 f_children, g_children, eq_components = [], [], []
                 for child, premise in zip(children, rule.premises):
                     psi = premise.context
-                    d_f, d_g, d_e = go(child, k + psi.scope, instantiate_context(kind, i_f, tgt, psi))
+                    d_f, d_g, d_e = go(child, k + psi.scope, instantiate_context(kind, i_f, tgt, psi, memo))
                     # under a binder the g-image of the premise lives over the
                     # g-target context: walk the child again, for its g-image only
                     if psi.scope:
-                        d_g = go(child, k + psi.scope, instantiate_context(kind, i_g, tgt, psi), True)[1]
+                        d_g = go(child, k + psi.scope, instantiate_context(kind, i_g, tgt, psi, memo), True)[1]
                     f_children.append(d_f)
                     g_children.append(d_g)
                     eq_components.append(d_e)
@@ -758,6 +773,11 @@ def _equal_image(theory, node, rule, tgt, i_f, i_g,
 # hypothesis the two differ only when h is the identity and a factor is not:
 # bottom-up refuses, the fold returns the hypothesis, as one node with h
 # would.)
+#
+# Outside the substitution nodes, a node whose children all come back as the
+# same objects is returned as itself, so a substitution-free subtree is kept,
+# object for object, with the sharing it had.  One weakening memo
+# (``judgements.extend_context``) serves every substitution of one call.
 
 def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> TheoryDerivation:
     """A substitution-free derivation of the same judgement.
@@ -769,6 +789,7 @@ def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> Theory
     theory: then so does each rewritten subtree handed on.
     """
     kind = theory.kind
+    memo: WeakeningMemo = {}
 
     def typing_children(node, width: int) -> dict:
         """The eliminated typing children of a substitution node, ``width``
@@ -791,16 +812,21 @@ def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> Theory
                     folded = frozenset(i for i in body.trivial if f_in(i).pos in K)
                     typings = {
                         i: typings[f_in(i).pos] if i in body.trivial
-                        else substitute_derivation(theory, f, tgt, K, typings, inner[i])
+                        else substitute_derivation(theory, f, tgt, K, typings, inner[i], memo)
                         for i in range(body.judgement.context.scope) if i not in folded
                     }
                     f, K, body = compose_subst(kind, f_in, f), folded, body.children[0]
-                return substitute_derivation(theory, f, tgt, K, typings, go(body))
+                return substitute_derivation(theory, f, tgt, K, typings, go(body), memo)
             case EqSubstInst(left=f, right=g, context=tgt, trivial=K, children=children):
                 triples = typing_children(node, 3)
-                _, _, d_eq = substitute_equal_derivation(theory, f, g, tgt, K, triples, go(children[0]))
+                _, _, d_eq = substitute_equal_derivation(
+                    theory, f, g, tgt, K, triples, go(children[0]), memo
+                )
                 return d_eq
-        return node._replace(children=tuple(go(c) for c in node.children))
+        children = tuple(go(c) for c in node.children)
+        if all(map(operator.is_, children, node.children)):
+            return node
+        return node._replace(children=children)
 
     return go(d)
 

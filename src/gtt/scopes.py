@@ -28,6 +28,10 @@ class ScopeKind(Enum):
     INDICES = "debruijn-indices"
     LEVELS = "debruijn-levels"
 
+    # Enum equality is identity; Enum.__hash__ is a Python-level call that
+    # every weakening-memo lookup would pay
+    __hash__ = object.__hash__
+
     def inl(self, left: Scope, right: Scope, i: int) -> int:
         if not 0 <= i < left:
             raise IndexOutOfRange(f"position {i} of scope {left}")

@@ -69,6 +69,8 @@ class SyntacticClass(Enum):
     TY = "Ty"
     TM = "Tm"
 
+    __hash__ = object.__hash__  # as ScopeKind's
+
 
 TY = SyntacticClass.TY
 TM = SyntacticClass.TM

@@ -46,6 +46,10 @@ valid data by instantiation and substitution, are then valid, and so is
 each child's conclusion, which equals one of them.  A hypothesis leaf is
 compared with a valid premise and needs nothing more.
 
+A derivation may share node objects, and ``check_derivation`` recomputes
+the closure rule of each distinct node object once per check (see its
+docstring); the induction above runs over the occurrences all the same.
+
 A premise context of a rule instance extends the node's context, and the
 node's types are weakened into the extension.  ``check_theory_derivation``
 keeps one weakening memo (``judgements.extend_context``) for the whole

@@ -105,6 +105,20 @@ def lam(a: TypedType, b: TypedType, body: TypedTerm) -> TypedTerm:
     )
 
 
+def lam_tower(ctx: RawContext, n: int) -> TypedTerm:
+    """lam x_1:unit. ... lam x_n:unit. tt over ``ctx``.  The type premise of
+    the lam at depth k derives a Pi nested n - k deep, so the derivation has
+    about n^2 / 2 Pi-form nodes but only n contexts.  It is a DAG: each lam
+    node and the Pi-form node of its type share the typings of its domain
+    and of its codomain."""
+    if n == 0:
+        return tt_at(ctx)
+    a = unit_at(ctx)
+    inner = extend(ctx, a)
+    body = lam_tower(inner, n - 1)
+    return lam(a, TypedType(inner, body.type, body.d_type), body)
+
+
 def app(a: TypedType, b: TypedType, f: TypedTerm, arg: TypedTerm) -> TypedTerm:
     ctx = a.ctx
     e = mk_sym(SIG, "app", (a.type, b.type, f.term, arg.term), ctx.scope)

@@ -1,10 +1,14 @@
 """Closure-system derivations, grafting, maps, and well-founded orders."""
 
 import itertools
+import operator
 import random
+from collections import Counter
 
 import pytest
 
+from corpus import THEORY, lam_tower
+from reference_checker import reference_check
 from gtt.errors import DerivationError, FillerConclusionMismatch, IndexOutOfRange, PremiseMismatch
 from gtt.foundations import (
     ClosureRule,
@@ -16,6 +20,8 @@ from gtt.foundations import (
     graft,
     map_derivation,
 )
+from gtt.judgements import EMPTY_CONTEXT
+from gtt.theories import check_theory_derivation, derivation_nodes
 
 
 def test_hypothesis_case():
@@ -61,6 +67,88 @@ def test_index_out_of_range():
             check_generic_derivation((), (), bad)
         assert isinstance(exc.value.cause, IndexOutOfRange)
         assert exc.value.path == ()
+
+
+# --- shared subderivations ----------------------------------------------------
+
+def occurrences(d, path=()):
+    """(path, node) for every occurrence of a node in ``d``, depth first."""
+    yield path, d
+    for i, c in enumerate(d.children):
+        yield from occurrences(c, path + (i,))
+
+
+def replace_object(d, old, new):
+    """``d`` with every occurrence of the object ``old`` replaced by ``new``;
+    every other node object met more than once stays shared."""
+    done = {}
+
+    def go(node):
+        if node is old:
+            return new
+        if id(node) not in done:
+            kids = tuple(go(c) for c in node.children)
+            same = all(map(operator.is_, kids, node.children))
+            done[id(node)] = node if same else node._replace(children=kids)
+        return done[id(node)]
+
+    return go(d)
+
+
+def test_each_node_object_is_checked_once_per_call(monkeypatch):
+    # Counted, not timed: the lam tower of depth 8 has 82 tree nodes over 25
+    # node objects, and the checker recomputes one closure rule per object.
+    from gtt import theories
+
+    d = lam_tower(EMPTY_CONTEXT, 8).d_term
+    calls = Counter()
+
+    def counted(theory, sig, node, *rest, original=theories.closure_rule_of_node):
+        calls[id(node)] += 1
+        return original(theory, sig, node, *rest)
+
+    monkeypatch.setattr(theories, "closure_rule_of_node", counted)
+    for _ in range(2):
+        calls.clear()
+        check_theory_derivation(THEORY, (), d)
+        objects = {id(node) for node in derivation_nodes(d)}
+        assert set(calls) == objects and set(calls.values()) == {1}
+    assert len(objects) < sum(1 for _ in derivation_nodes(d))
+
+
+def test_a_broken_shared_subtree_fails_at_its_first_occurrence():
+    # Break one node object that occurs more than once, everywhere it occurs:
+    # the kernel reports the mismatch at the path of its first occurrence in
+    # depth-first order, as the tree-walking reference checker does.
+    d = lam_tower(EMPTY_CONTEXT, 8).d_term
+    seen = Counter(id(node) for _, node in occurrences(d))
+    broken = 0
+    for path, node in occurrences(d):
+        if seen[id(node)] < 2 or len(node.children) < 2 or path == ():
+            continue
+        seen[id(node)] = 0  # one mutant per object, at its first occurrence
+        bad = replace_object(d, node, node._replace(children=node.children[::-1]))
+        errors = []
+        for check in (check_theory_derivation, reference_check):
+            with pytest.raises(PremiseMismatch) as exc:
+                check(THEORY, (), bad)
+            errors.append(exc.value)
+        kernel, reference = errors
+        assert kernel.path == reference.path == path + (0,)
+        assert str(kernel) == str(reference)
+        broken += 1
+    assert broken >= 6
+
+
+def test_a_shared_node_is_compared_with_the_premise_at_every_occurrence():
+    # The shared node derives "a"; its first occurrence is cited for "a", its
+    # second for "b".  Checked once, it is still compared twice.
+    system = (ClosureRule((), "a"), ClosureRule((), "b"), ClosureRule(("a", "b"), "c"))
+    shared = GStep(0, ())
+    with pytest.raises(PremiseMismatch) as exc:
+        check_generic_derivation(system, (), GStep(2, (shared, shared)))
+    assert exc.value.path == (1,)
+    assert check_generic_derivation(system, (), GStep(2, (shared, GStep(1, ())))) == "c"
 
 
 SYSTEM = (

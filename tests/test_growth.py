@@ -18,13 +18,10 @@ from collections import Counter
 
 from corpus import (
     THEORY,
-    TypedType,
     equality_substitution_into_nested_pi,
-    extend,
-    lam,
+    equality_substitutions_under_binders,
+    lam_tower,
     nested_pi,
-    tt_at,
-    unit_at,
     weakening_chain,
 )
 from gtt.judgements import EMPTY_CONTEXT
@@ -53,27 +50,12 @@ def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
     assert entries == {16: 0, 32: 0}, entries
 
 
-def lam_tower(ctx, n):
-    """lam x_1:unit. ... lam x_n:unit. tt over ``ctx``.  The type premise of
-    the lam at depth k derives a Pi nested n - k deep, so the derivation has
-    about n^2 / 2 Pi-form nodes but only n contexts."""
-    if n == 0:
-        return tt_at(ctx)
-    a = unit_at(ctx)
-    inner = extend(ctx, a)
-    body = lam_tower(inner, n - 1)
-    return lam(a, TypedType(inner, body.type, body.d_type), body)
-
-
-def test_lam_tower_weakens_each_context_block_once_per_check(monkeypatch):
-    # Counted, not timed: the types weakened by extend_context while checking
-    # a lam tower.  One check weakens the old block of each (scope kind,
-    # context, delta) once, however many premises and nodes extend that
-    # context, so the count grows as the n contexts do, n^2 (a ratio of 4
-    # per doubling).  Weakening once per node makes it n^3 (a ratio near 8).
+def count_weakening(monkeypatch):
+    """Count the types extend_context weakens, in total and per (scope kind,
+    context, delta) block: ``run(f, *args)`` calls f and returns the total
+    after asserting that no block was weakened more than once."""
     from gtt import judgements
 
-    derivations = {n: lam_tower(EMPTY_CONTEXT, n).d_term for n in (16, 32)}
     shifted = [0]
     per_block = Counter()
 
@@ -89,16 +71,47 @@ def test_lam_tower_weakens_each_context_block_once_per_check(monkeypatch):
 
     monkeypatch.setattr(judgements, "_shift", counted_shift)
     monkeypatch.setattr(judgements, "extend_context", counted_extend)
-    weakened = {}
-    for n, d in derivations.items():
+
+    def run(f, *args):
         shifted[0] = 0
         per_block.clear()
-        check_theory_derivation(THEORY, (), d)
+        f(*args)
         again = [(ctx.scope, delta, count) for (_, ctx, delta), count in per_block.items() if count > ctx.scope]
         assert not again, again
-        weakened[n] = shifted[0]
+        return shifted[0]
+
+    return run
+
+
+def test_lam_tower_weakens_each_context_block_once_per_check(monkeypatch):
+    # Counted, not timed: the types weakened by extend_context while checking
+    # a lam tower.  One check weakens the old block of each (scope kind,
+    # context, delta) once, however many premises and nodes extend that
+    # context, so the count grows as the n contexts do, n^2 (a ratio of 4
+    # per doubling).  Weakening once per node makes it n^3 (a ratio near 8).
+    derivations = {n: lam_tower(EMPTY_CONTEXT, n).d_term for n in (16, 32)}
+    run = count_weakening(monkeypatch)
+    weakened = {n: run(check_theory_derivation, THEORY, (), d) for n, d in derivations.items()}
     assert weakened[16] > 0
     assert weakened[32] / weakened[16] <= 4.6, weakened
+
+
+def test_elimination_weakens_each_context_block_once_per_call(monkeypatch):
+    # Counted, not timed: one eliminate_substitution call keeps one weakening
+    # memo for every substitution it runs, the renamings of typings under
+    # binders included, so each block of a target context is weakened once.
+    # With no memo, the chain weakens 68 types for 19 and the equality
+    # substitution into nested Pi 196 for 28; a fresh memo per renaming
+    # weakens a block of the app(id, tt) typing twice.
+    from gtt.metatheory import eliminate_substitution
+
+    run = count_weakening(monkeypatch)
+    for d in (
+        weakening_chain(8)[0],
+        equality_substitution_into_nested_pi(8),
+        *equality_substitutions_under_binders(),
+    ):
+        assert run(eliminate_substitution, THEORY, d) > 0
 
 
 def test_nested_pi_validates_each_expression_once(monkeypatch):

@@ -13,6 +13,7 @@ from corpus import (
     extend,
     hypothetical_app_rule,
     lam,
+    lam_tower,
     newest_position,
     pi,
     pi_over,
@@ -71,6 +72,7 @@ from gtt.theories import (
     SubstInst,
     VariableInst,
     check_theory_derivation,
+    derivation_nodes,
 )
 from naive import identity_renaming
 from reference_transformers import rename_derivation as reference_rename_derivation
@@ -424,7 +426,8 @@ def test_elimination_on_augmented_corpus():
         out = eliminate_substitution(THEORY, d)
         assert is_substitution_free(out)
         assert check_theory_derivation(THEORY, (), out) == j
-        assert eliminate_substitution(THEORY, out) == out
+        # a substitution-free derivation comes back as the same object
+        assert eliminate_substitution(THEORY, out) is out
 
 
 def test_elimination_nested_subst():
@@ -539,6 +542,18 @@ def test_inversion_on_corpus():
             assert penultimate == is_term(
                 j.context, j.head, natural_type(THEORY, j.context, j.head)
             )
+
+
+def test_inversion_of_a_lam_tower_builds_one_object_per_distinct_value():
+    # Elimination returns the substitution-free tower as itself, so its
+    # sharing survives into the output: each distinct subderivation of the
+    # inversion is one object, however often the tree repeats it.
+    for n in (1, 2, 4, 8):
+        t = lam_tower(EMPTY_CONTEXT, n)
+        out = invert(THEORY, t.d_term, WITNESSES)
+        objects = {id(node): node for node in derivation_nodes(out)}
+        assert len(objects) == len(set(objects.values())) < sum(1 for _ in derivation_nodes(out)), n
+        assert check_theory_derivation(THEORY, (), out) == is_term(EMPTY_CONTEXT, t.term, t.type)
 
 
 def test_inversion_merges_stacked_conversions():
