@@ -58,4 +58,6 @@ def cyclic_quantifier() -> tuple[RawTypeTheory, TheoryWitnesses]:
 def mltt_pi_presented():
     """The well-presented form of the products theory: rule boundaries over
     staged signatures, with witnesses, elaborating to ``mltt_pi``'s rules."""
-    return jsonio.spec_from_json(_read("mltt_pi_presented"))
+    from .presentation import spec_from_json
+
+    return spec_from_json(_read("mltt_pi_presented"))

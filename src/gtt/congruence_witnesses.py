@@ -30,6 +30,7 @@ from .judgements import (
     presuppositions,
     ty_eq,
 )
+from .metatheory import concat_inst, generic_rule_instance, map_derivation_exprs
 from .rules import BuiltinRule, congruence_copies, congruence_rule, instantiate_rule
 from .syntax import (
     Expr,
@@ -38,7 +39,6 @@ from .syntax import (
     Substitution,
     SymApp,
     Var,
-    concat_inst,
     instantiate_expr,
     substitute_expr,
 )
@@ -51,8 +51,6 @@ from .theories import (
     SubstInst,
     TheoryDerivation,
     VariableInst,
-    generic_rule_instance,
-    map_derivation_exprs,
 )
 
 

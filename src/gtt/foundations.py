@@ -1,4 +1,4 @@
-"""Closure systems, generic derivations, grafting, and finite strict orders.
+"""Closure systems, generic derivations, and finite relations.
 
 Everything here is independent of syntax: derivations are trees over an
 arbitrary carrier set X.  Families are ordered finite tuples; the index
@@ -12,6 +12,10 @@ recomputes the closure rule a typed node cites.  A tree may be stored as a
 DAG that shares node objects; each distinct node object is checked once
 per call, and its conclusion is compared with the premise at every
 occurrence.
+
+Grafting, maps of closure systems and the well-foundedness of a finite
+relation are only needed above the raw layer: they live in
+``metatheory``, so checking a derivation does not load them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Callable, Generic, Iterable, TypeVar
 from .errors import (
     ChildCountMismatch,
     DerivationError,
-    FillerConclusionMismatch,
     IndexOutOfRange,
     KernelError,
     PremiseMismatch,
@@ -131,46 +134,10 @@ def check_generic_derivation(
     return check_derivation(hyps, d, rule_of)
 
 
-def graft(outer, fillers: tuple):
-    """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
-
-    If ``outer`` derives c from H and ``fillers[h]`` derives H[h] from H',
-    the result derives c from H'.  Any tree whose leaves are GHyp and whose
-    other nodes have ``children`` and ``_replace`` grafts: generic
-    derivations and the typed derivations of ``theories`` alike.
-    Conclusion agreement between fillers and hypotheses is the caller's
-    obligation; checking the result will catch violations.
-    """
-    if isinstance(outer, GHyp):
-        k = outer.index
-        if not 0 <= k < len(fillers):
-            raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
-        return fillers[k]
-    return outer._replace(children=tuple(graft(c, fillers) for c in outer.children))
-
-
-def map_derivation(
-    rule_images: tuple[GenericDerivation, ...], d: GenericDerivation
-) -> GenericDerivation:
-    """Push ``d`` along a map of closure systems.
-
-    ``rule_images[r]`` must be a derivation, over the target system, of the
-    image of rule r's conclusion from the images of its premises (premise i
-    appearing as hypothesis i).  Hypothesis leaves are kept.
-    """
-    match d:
-        case GHyp(index=k):
-            return GHyp(k)
-        case GStep(rule=r, children=children):
-            if not 0 <= r < len(rule_images):
-                raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")
-            return graft(rule_images[r], tuple(map_derivation(rule_images, c) for c in children))
-    raise TypeError(f"not a derivation node: {d!r}")
-
-
 @_record
 class FinitePoset:
-    """A relation on {0..size-1}; well-founded iff its transitive closure is irreflexive."""
+    """A relation on {0..size-1}; well-founded iff its transitive closure is
+    irreflexive (``metatheory.check_well_founded``)."""
 
     size: int
     edges: frozenset[tuple[int, int]]
@@ -183,31 +150,3 @@ class FinitePoset:
     @staticmethod
     def of(size: int, edges: Iterable[tuple[int, int]] = ()) -> "FinitePoset":
         return FinitePoset(size, frozenset(edges))
-
-    def transitive_closure(self) -> frozenset[tuple[int, int]]:
-        reach = {i: {j for (a, j) in self.edges if a == i} for i in range(self.size)}
-        changed = True
-        while changed:
-            changed = False
-            for i in range(self.size):
-                extra = set()
-                for j in reach[i]:
-                    extra |= reach[j] - reach[i]
-                if extra:
-                    reach[i] |= extra
-                    changed = True
-        return frozenset((i, j) for i in range(self.size) for j in reach[i])
-
-    def predecessors(self, x: int) -> set[int]:
-        closure = self.transitive_closure()
-        return {i for (i, j) in closure if j == x}
-
-
-def check_well_founded(p: FinitePoset) -> bool:
-    """True iff the transitive closure of p.edges is acyclic."""
-    return all(i != j for i, j in p.transitive_closure())
-
-
-def topological_respects(p: FinitePoset) -> bool:
-    """True iff every edge goes from a lower to a higher index."""
-    return all(i < j for i, j in p.edges)

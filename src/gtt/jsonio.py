@@ -1,4 +1,4 @@
-"""JSON interchange for every kernel object the CLI moves around.
+"""JSON interchange for the kernel objects of the raw layer.
 
 Expressions carry no scopes on the wire; decoding re-validates everything
 against the declared signature and the scope implied by context, so a
@@ -10,8 +10,12 @@ type-checked before anything is built from it, and the decoders refuse an
 expression or a derivation nested deeper than ``MAX_DEPTH``, so a
 malformed or hostile input file ends in ``ParseError``.
 
-This module belongs to the raw layer: the codec of well-presented specs
-imports ``presentation`` only when it runs.
+This module belongs to the raw layer.  It decodes theory files and
+decodes and encodes expressions, judgements, rules and derivations.  The
+codec of well-presented specs and the encoder of raw theory files live
+in ``presentation``: only the commands that elaborate a spec or emit a
+theory need them, and ``load_theory_file`` imports that module only for a
+spec file.
 """
 
 from __future__ import annotations
@@ -187,13 +191,6 @@ def _class_from(v) -> SyntacticClass:
     if v == "Tm":
         return TM
     raise ParseError(f"bad syntactic class {v!r}")
-
-
-def signature_to_json(sig: Signature) -> Any:
-    return [
-        {"name": s.name, "class": s.cls.value, "arity": arity_to_json(s.arity)}
-        for s in sig.symbols
-    ]
 
 
 def signature_from_json(data: Any, kind: ScopeKind) -> Signature:
@@ -438,45 +435,6 @@ def _builtin(family: str, v) -> BuiltinRule:
 
 # --- theory files ------------------------------------------------------------------
 
-def theory_to_json(
-    theory: RawTypeTheory,
-    witnesses: TheoryWitnesses | None = None,
-    order: FinitePoset | None = None,
-) -> Any:
-    sig = theory.signature
-    out = {
-        "scope_system": theory.kind.value,
-        "signature": signature_to_json(sig),
-        "rules": [
-            rule_to_json(sig, rule, theory.rule_name(i))
-            for i, rule in enumerate(theory.rules)
-        ],
-    }
-    if witnesses:
-        out["witnesses"] = [
-            {
-                "rule": name,
-                "presup_witnesses": _rule_witnesses_to_json(theory, name, w),
-            }
-            for name, w in sorted(witnesses.items())
-        ]
-    if order is not None:
-        out["order"] = sorted(
-            [theory.rule_name(i), theory.rule_name(j)] for i, j in order.edges
-        )
-    return out
-
-
-def _rule_witnesses_to_json(theory, name, w: RuleWitnesses) -> Any:
-    rule = theory.rule(theory.rule_index(name))
-    ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
-    out = {}
-    for p, d in sorted(w.conclusion.items()):
-        out[f"conclusion/{p}"] = derivation_to_json(theory, ext, d)
-    for (i, p), d in sorted(w.premises.items()):
-        out[f"premise_{i}/{p}"] = derivation_to_json(theory, ext, d)
-    return out
-
 
 def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FinitePoset | None]:
     data = _obj(data, "a theory file")
@@ -541,187 +499,10 @@ def _witness_key(key: str, premises: int) -> tuple[int | None, int]:
     raise ParseError(f"bad witness key {key!r}")
 
 
-# --- well-presented theory specs ------------------------------------------------------
-
-def spec_to_json(spec) -> Any:
-    """The JSON of a ``presentation.WellPresentedTheorySpec``."""
-    from .presentation import RuleBoundaryWitnesses, theory_signature_of_spec
-
-    sig = theory_signature_of_spec(spec)
-    rules_out = []
-    # the realised rules before the current one, for naming the rules its
-    # witnesses cite; realised only up to the last rule with witnesses
-    stage, staged = RawTypeTheory(sig, (), ()), 0
-    for i, rs in enumerate(spec.rules):
-        fam = rs.boundary.premises
-        names = fam.names or tuple(f"p{k}" for k in range(fam.premise_count()))
-        premises_out = []
-        for k in range(fam.premise_count()):
-            form, scope = fam.shape.slots[k]
-            seq, slots = fam.boundaries[k]
-            sub = _sub_signature(sig, fam.shape, names, k)
-            premises_out.append(
-                {
-                    "name": names[k],
-                    "form": form.value,
-                    "cxt_seq": [expr_to_json(sub, t) for t in seq],
-                    "boundary": {
-                        key: expr_to_json(sub, e)
-                        for key, e in zip(_BOUNDARY_KEYS[form], slots)
-                    },
-                }
-            )
-        full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
-        w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
-        witnesses_out = {}
-        if w.premises.presups or w.conclusion:
-            stage, staged = _stage_through(stage, spec.rules[staged:i]), i
-        # premise witnesses are over the sub-extension of their down-set
-        for (k, p), d in sorted(w.premises.presups.items()):
-            sub = _sub_signature(sig, fam.shape, names, k)
-            witnesses_out[f"premise_{k}/{p}"] = derivation_to_json(stage, sub, d)
-        for p, d in sorted(w.conclusion.items()):
-            witnesses_out[f"conclusion/{p}"] = derivation_to_json(stage, full, d)
-        rules_out.append(
-            {
-                "name": rs.name,
-                "conclusion_form": rs.boundary.conclusion_form.value,
-                "premise_order": sorted(list(e) for e in fam.shape.order.edges),
-                "premises": premises_out,
-                "conclusion_boundary": {
-                    key: expr_to_json(full, e)
-                    for key, e in zip(
-                        _BOUNDARY_KEYS[rs.boundary.conclusion_form], rs.boundary.conclusion_slots
-                    )
-                },
-                "witnesses": witnesses_out,
-            }
-        )
-    return {
-        "scope_system": spec.kind.value,
-        "well_presented": True,
-        "order": sorted([spec.rules[i].name, spec.rules[j].name] for i, j in spec.order.edges),
-        "rules": rules_out,
-    }
-
-
-def _stage_through(stage: RawTypeTheory, rules) -> RawTypeTheory:
-    """``stage`` followed by the realisations of the spec rules ``rules``."""
-    from .presentation import add_spec_rule
-
-    for rs in rules:
-        stage = add_spec_rule(stage, rs)
-    return stage
-
-
-def spec_from_json(data: Any):
-    """A ``presentation.WellPresentedTheorySpec`` read from its JSON."""
-    from .presentation import (
-        PremisesShape,
-        RuleBoundarySpec,
-        RuleBoundaryWitnesses,
-        TheoryRuleSpec,
-        WellFoundedPremiseFamily,
-        WellPresentedTheorySpec,
-    )
-
-    data = _obj(data, "a theory spec")
-    kind = _kind_from(data)
-    raw_rules = [_obj(r, "a rule spec") for r in _list(data.get("rules", []), "rules")]
-    names = [_str(r.get("name"), "rule name") for r in raw_rules]
-    name_index = {n: i for i, n in enumerate(names)}
-    edges = set()
-    for pair in _list(data.get("order", []), "order"):
-        a, b = _edge(pair, name_index)
-        edges.add((name_index[a], name_index[b]))
-    order = FinitePoset.of(len(raw_rules), edges)
-
-    # first pass: shapes, to compute the staged signatures
-    raw_premises = []
-    shapes = []
-    for r in raw_rules:
-        premises = [_obj(p, "a premise") for p in _list(r.get("premises", []), "premises")]
-        raw_premises.append(premises)
-        slots = tuple(
-            (_form_from(p.get("form")), len(_list(p.get("cxt_seq", []), "cxt_seq")))
-            for p in premises
-        )
-        n = len(slots)
-        p_edges = r.get("premise_order")
-        if p_edges is None:
-            p_edge_set = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        else:
-            p_edge_set = {_edge(pair, range(n)) for pair in _list(p_edges, "premise_order")}
-        shapes.append(PremisesShape(FinitePoset.of(n, p_edge_set), slots))
-
-    symbols = []
-    for i, r in enumerate(raw_rules):
-        form = _form_from(r.get("conclusion_form"))
-        if form.is_object:
-            symbols.append(Symbol(names[i], form.head_class, shapes[i].arity()))
-    sig = Signature(tuple(symbols), kind)
-
-    rules = []
-    witnesses = {}
-    stage, staged = RawTypeTheory(sig, (), ()), 0
-    for i, r in enumerate(raw_rules):
-        shape = shapes[i]
-        fam_names = tuple(
-            _str(p.get("name", f"p{k}"), "premise name") for k, p in enumerate(raw_premises[i])
-        )
-        boundaries = []
-        for k, p in enumerate(raw_premises[i]):
-            seq, _, slots = premise_from_json(_sub_signature(sig, shape, fam_names, k), p)
-            boundaries.append((seq, slots))
-        fam = WellFoundedPremiseFamily(shape, tuple(boundaries), fam_names)
-        form = _form_from(r.get("conclusion_form"))
-        full = mv_extend_signature(sig, fam.shape.arity(), fam.meta_names())
-        conclusion_slots = _boundary_from_json(
-            full, _obj(r.get("conclusion_boundary", {}), "conclusion_boundary"), form, 0, "conclusion_boundary"
-        )
-        rules.append(TheoryRuleSpec(names[i], RuleBoundarySpec(fam, form, conclusion_slots)))
-        raw_w = _obj(r.get("witnesses", {}), "witnesses")
-        if raw_w:
-            stage, staged = _stage_through(stage, rules[staged:i]), i
-            w = RuleBoundaryWitnesses()
-            for key, dv in raw_w.items():
-                k, p = _witness_key(key, len(raw_premises[i]))
-                if k is None:
-                    w.conclusion[p] = derivation_from_json(stage, full, dv)
-                else:
-                    sub = _sub_signature(sig, shape, fam_names, k)
-                    w.premises.presups[(k, p)] = derivation_from_json(stage, sub, dv)
-            witnesses[names[i]] = w
-    return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)
-
-
-def premise_from_json(sig: Signature, data: Any) -> tuple[tuple[Expr, ...], JudgementForm, tuple[Expr, ...]]:
-    """A premise of a sequential boundary: (context entries, form, boundary slots) over ``sig``."""
-    data = _obj(data, "a premise")
-    form = _form_from(data.get("form"))
-    seq = tuple(
-        expr_from_json(sig, t, pos) for pos, t in enumerate(_list(data.get("cxt_seq", []), "cxt_seq"))
-    )
-    slots = _boundary_from_json(sig, _obj(data.get("boundary", {}), "premise boundary"), form, len(seq), "premise boundary")
-    return seq, form, slots
-
-
-def _edge(pair: Any, ends) -> tuple:
-    """An order entry ``[a, b]`` with both ends in ``ends`` (rule names or premise indices)."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (str, int)) and v in ends for v in pair)):
-        raise ParseError(f"bad order entry {pair!r}")
-    return pair[0], pair[1]
-
-
-def _sub_signature(sig: Signature, shape, names: tuple[str, ...], k: int) -> Signature:
-    """``sig`` extended by the object premises below premise k."""
-    below = shape.arity_below(k)
-    sub_arity = tuple(Argument(shape.slots[j][0].head_class, shape.slots[j][1]) for j in below)
-    return mv_extend_signature(sig, sub_arity, tuple(names[j] for j in below))
-
-
 def load_theory_file(data: Any):
     """Dispatch on the file shape: a raw theory or a well-presented spec."""
     if _obj(data, "a theory file").get("well_presented"):
+        from .presentation import spec_from_json
+
         return ("spec", spec_from_json(data))
     return ("raw", theory_from_json(data))

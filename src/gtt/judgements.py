@@ -241,10 +241,6 @@ def substitute_judgement(kind: ScopeKind, f: Substitution, target: RawContext, j
     )
 
 
-def boundary_of(j: Judgement) -> tuple[Boundary, Expr | None]:
-    return Boundary(j.context, j.form, j.boundary), j.head
-
-
 def complete_boundary(b: Boundary, head: Expr | None) -> Judgement:
     """Fill an object boundary with a head; equality boundaries take none."""
     hc = b.form.head_class

@@ -34,7 +34,10 @@ from .judgements import (
     RawContext,
     complete_boundary,
 )
-from .metatheory import check_tight, rule_symbols, theory_tightness
+from .metatheory import (
+    check_tight, generic_rule_instance, graft, instantiate_derivation, map_node, rule_symbols,
+    theory_tightness,
+)
 from .presentation import (
     PremisesShape,
     RuleBoundarySpec,
@@ -45,7 +48,7 @@ from .presentation import (
     realise_rule_boundary,
 )
 from .rules import RawRule, congruence_rule, generic_application
-from .foundations import FinitePoset, graft
+from .foundations import FinitePoset
 from .scopes import ScopeKind, _Fresh, _record
 from .syntax import (
     Expr,
@@ -70,12 +73,7 @@ from .theories import (
     SubstInst,
     TheoryDerivation,
     TheoryWitnesses,
-    check_derived_rule,
     check_theory_derivation,
-    derived_rule_failure,
-    generic_rule_instance,
-    instantiate_derivation,
-    map_node,
 )
 
 
@@ -201,6 +199,26 @@ def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryD
         return map_node(node, fn, children=tuple(go(c) for c in node.children))
 
     return go(d)
+
+
+def derived_rule_failure(
+    theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
+) -> str | None:
+    """Why ``witness`` does not derive the rule's conclusion from its
+    premises: the checker's error, or that it concludes a different
+    judgement.  None when it does derive it."""
+    try:
+        got = check_theory_derivation(theory, rule.premises, witness, rule.arity, rule.meta_names)
+    except KernelError as e:
+        return str(e)
+    return None if got == rule.conclusion else "concludes a different judgement"
+
+
+def check_derived_rule(
+    theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
+) -> bool:
+    """True iff ``witness`` derives the rule's conclusion from its premises."""
+    return derived_rule_failure(theory, rule, witness) is None
 
 
 # --- realisers and conservativity ----------------------------------------------

@@ -9,19 +9,14 @@ whose outputs re-check against the kernel.
 from __future__ import annotations
 
 import operator
+from typing import Callable
 
 from . import derive
 from .errors import (
-    KernelError,
-    MissingWitness,
-    NoBijection,
-    NotCongruous,
-    NotObjectRule,
-    NotSubstitutive,
-    NotTight,
-    TrivialityViolated,
+    ClassMismatch, FillerConclusionMismatch, IndexOutOfRange, KernelError, MissingWitness, NoBijection,
+    NotCongruous, NotObjectRule, NotSubstitutive, NotTight, ScopeMismatch, TrivialityViolated,
 )
-from .foundations import FinitePoset, check_well_founded, graft
+from .foundations import FinitePoset, GenericDerivation, GHyp, GStep
 from .judgements import (
     EMPTY_CONTEXT,
     Judgement,
@@ -29,6 +24,7 @@ from .judgements import (
     RawContext,
     WeakeningMemo,
     instantiate_context,
+    instantiate_judgement,
     is_type,
     presuppositions,
 )
@@ -39,8 +35,9 @@ from .rules import (
     congruence_rule,
     generic_application,
 )
-from .scopes import Renaming, _record, inl_renaming
+from .scopes import Renaming, Scope, ScopeKind, _record, inl_renaming, sum_scope
 from .syntax import (
+    TM,
     Arity,
     Expr,
     Instantiation,
@@ -49,12 +46,9 @@ from .syntax import (
     Substitution,
     SymApp,
     Var,
-    compose_subst,
-    concat_inst,
-    expr_symbols,
+    generic_instantiation,
     generic_meta,
     instantiate_expr,
-    subst_act_inst,
     substitute_expr,
 )
 from .theories import (
@@ -68,10 +62,228 @@ from .theories import (
     TheoryWitnesses,
     VariableInst,
     check_theory_derivation,
-    derivation_nodes,
-    instantiate_derivation,
-    node_exprs,
 )
+
+# --- syntax and derivation operations of the transformers -------------------------
+# (here, not in the raw layer: checking a derivation needs none of them)
+
+def compose_subst(kind: ScopeKind, g: Substitution, f: Substitution) -> Substitution:
+    """g after f in the contravariant sense: (g o f)(k) = substitute(f, g(k)).
+
+    With f : gamma -> delta and g : delta -> theta this is gamma -> theta.
+    """
+    if g.src != f.dst:
+        raise ScopeMismatch(f"cannot compose {g.src}<-? with ?->{f.dst}")
+    return Substitution(f.src, g.dst, tuple(substitute_expr(kind, f, g(k)) for k in range(g.dst)))
+
+
+def inst_act_subst(kind: ScopeKind, inst: Instantiation, f: Substitution) -> Substitution:
+    """I acting on f : delta' -> delta gives gamma+delta' -> gamma+delta."""
+    gamma = inst.scope
+    src, dst = sum_scope(gamma, f.src), sum_scope(gamma, f.dst)
+    table: list[Expr] = [None] * dst  # type: ignore[list-item]
+    for i in range(gamma):
+        table[kind.inl(gamma, f.dst, i)] = Var(kind.inl(gamma, f.src, i), src)
+    for j in range(f.dst):
+        table[kind.inr(gamma, f.dst, j)] = instantiate_expr(kind, inst, f(j))
+    return Substitution(src, dst, tuple(table))
+
+
+def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) -> Instantiation:
+    """I acting on J pointwise; the result lives in scope I.scope + J.scope."""
+    return Instantiation(
+        other.arity,
+        sum_scope(inst.scope, other.scope),
+        tuple(instantiate_expr(kind, inst, e) for e in other.exprs),
+    )
+
+
+def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation, k: Scope = 0) -> Instantiation:
+    """f + id_k, for f : delta -> gamma, acting on an instantiation over gamma + k.
+
+    Entry i sits under ``k`` plus its own binder, and the result is over
+    delta + k.
+    """
+    if f.dst + k != inst.scope:
+        raise ScopeMismatch(f"substitution into scope {f.dst} under {k}, instantiation over {inst.scope}")
+    exprs = tuple(substitute_expr(kind, f, e, slot.binder + k) for e, slot in zip(inst.exprs, inst.arity))
+    return Instantiation(inst.arity, f.src + k, exprs)
+
+
+def concat_inst(left: Instantiation, right: Instantiation) -> Instantiation:
+    """Pair two instantiations over the same scope into one of the summed arity."""
+    if left.scope != right.scope:
+        raise ScopeMismatch("instantiations over different scopes")
+    return Instantiation(left.arity + right.arity, left.scope, left.exprs + right.exprs)
+
+
+def expr_symbols(e: Expr) -> frozenset[int]:
+    """Base symbol indices occurring anywhere in the expression."""
+    match e:
+        case Var():
+            return frozenset()
+        case SymApp(sym=s, args=args):
+            out = frozenset({s})
+        case MetaApp(args=args):
+            out = frozenset()
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    for a in args:
+        out |= expr_symbols(a)
+    return out
+
+
+def derivation_nodes(d: TheoryDerivation):
+    yield d
+    for c in d.children:
+        yield from derivation_nodes(c)
+
+
+def graft(outer, fillers: tuple):
+    """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
+
+    If ``outer`` derives c from H and ``fillers[h]`` derives H[h] from H',
+    the result derives c from H'.  Any tree whose leaves are GHyp and whose
+    other nodes have ``children`` and ``_replace`` grafts: generic
+    derivations and the typed derivations of ``theories`` alike.
+    Conclusion agreement between fillers and hypotheses is the caller's
+    obligation; checking the result will catch violations.
+    """
+    if isinstance(outer, GHyp):
+        k = outer.index
+        if not 0 <= k < len(fillers):
+            raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
+        return fillers[k]
+    return outer._replace(children=tuple(graft(c, fillers) for c in outer.children))
+
+
+def map_derivation(
+    rule_images: tuple[GenericDerivation, ...], d: GenericDerivation
+) -> GenericDerivation:
+    """Push ``d`` along a map of closure systems.
+
+    ``rule_images[r]`` must be a derivation, over the target system, of the
+    image of rule r's conclusion from the images of its premises (premise i
+    appearing as hypothesis i).  Hypothesis leaves are kept.
+    """
+    match d:
+        case GHyp(index=k):
+            return GHyp(k)
+        case GStep(rule=r, children=children):
+            if not 0 <= r < len(rule_images):
+                raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")
+            return graft(rule_images[r], tuple(map_derivation(rule_images, c) for c in children))
+    raise TypeError(f"not a derivation node: {d!r}")
+
+
+def map_node(node: TheoryDerivation, fn: Callable[[Expr], Expr], **changes) -> TheoryDerivation:
+    """``node`` with a scope- and class-preserving map applied to every
+    expression of its data, and the other fields as given in ``changes``
+    (``ref``, ``pos``, ``trivial`` and the children stay otherwise)."""
+    return node._replace(**{f: getattr(node, f).map_exprs(fn) for f in node.EXPR_FIELDS}, **changes)
+
+
+def node_exprs(node: TheoryDerivation) -> list[Expr]:
+    """Every expression the data of one node carries."""
+    out: list[Expr] = []
+
+    def keep(e: Expr) -> Expr:
+        out.append(e)
+        return e
+
+    if not isinstance(node, Hyp):
+        map_node(node, keep)
+    return out
+
+
+def map_derivation_exprs(
+    d: TheoryDerivation,
+    fn: Callable[[Expr], Expr],
+    hyp: Callable[[int], int] | None = None,
+) -> TheoryDerivation:
+    """The same tree with ``fn`` applied to every expression of every node.
+
+    ``fn`` must preserve scopes and classes.  ``hyp`` renumbers hypotheses
+    (unchanged when None).
+    """
+
+    def go(node: TheoryDerivation) -> TheoryDerivation:
+        if isinstance(node, Hyp):
+            return node if hyp is None else Hyp(hyp(node.index))
+        return map_node(node, fn, children=tuple(go(c) for c in node.children))
+
+    return go(d)
+
+
+def instantiate_derivation(
+    theory: RawTypeTheory,
+    inst: Instantiation,
+    ctx: RawContext,
+    d: TheoryDerivation,
+    outer_ambient: Arity | None = None,
+) -> TheoryDerivation:
+    """Push a derivation over the extension by ``inst.arity`` down to the base.
+
+    ``d`` must check over the theory at ambient ``inst.arity`` (itself over
+    ``outer_ambient`` when nested); the result checks over ``outer_ambient``
+    with the instantiated conclusion.  Under strict scopes every node maps to
+    a node of the same kind, so the tree shape is preserved.
+    """
+    kind = theory.kind
+    gamma = inst.scope
+
+    def inl_set(sigma: int) -> frozenset[int]:
+        return frozenset(kind.inl(gamma, sigma, i) for i in range(gamma))
+
+    def go(node: TheoryDerivation) -> TheoryDerivation:
+        if isinstance(node, Hyp):
+            return node
+        children = tuple(go(c) for c in node.children)
+        match node:
+            case RuleInst(ref=ref, inst=j, context=delta):
+                return RuleInst(
+                    ref, inst_act_inst(kind, inst, j), instantiate_context(kind, inst, ctx, delta), children
+                )
+            case VariableInst(context=delta, pos=i):
+                return VariableInst(
+                    instantiate_context(kind, inst, ctx, delta), kind.inr(gamma, delta.scope, i), children
+                )
+            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj):
+                sigma = jj.context.scope
+                return SubstInst(
+                    inst_act_subst(kind, inst, f),
+                    instantiate_context(kind, inst, ctx, tgt),
+                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    instantiate_judgement(kind, inst, ctx, jj),
+                    children,
+                )
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj):
+                sigma = jj.context.scope
+                return EqSubstInst(
+                    inst_act_subst(kind, inst, f),
+                    inst_act_subst(kind, inst, g),
+                    instantiate_context(kind, inst, ctx, tgt),
+                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    instantiate_judgement(kind, inst, ctx, jj),
+                    children,
+                )
+        raise TypeError(f"not a derivation node: {node!r}")
+
+    return go(d)
+
+
+def generic_rule_instance(ref: int, rule: RawRule, shift: int = 0, hyp_shift: int = 0) -> RuleInst:
+    """The instance of rule ``ref`` at the generic instantiation of
+    ``rule.arity`` (relabelled by ``shift``, see ``generic_instantiation``)
+    over the empty context, with premise k cited as ``Hyp(k + hyp_shift)``:
+    the derivation of a rule from its own premises.  ``rule`` gives the
+    arity and the premise count; it is the rule ``ref`` names, or a rule of
+    another theory that a map sends to it."""
+    return RuleInst(
+        ref, generic_instantiation(rule.arity, shift), EMPTY_CONTEXT,
+        tuple(Hyp(k + hyp_shift) for k in range(len(rule.premises))),
+    )
+
 
 # --- tightness ----------------------------------------------------------------
 
@@ -915,7 +1127,10 @@ def unique_typing_acceptable(
 
 def natural_type(theory: RawTypeTheory, ctx: RawContext, t: Expr) -> Expr:
     """The type read off the symbol rules: a variable gets its context type,
-    a symbol application the instantiated conclusion type of its rule."""
+    a symbol application the instantiated conclusion type of its rule.
+    Natural types are defined for terms only."""
+    if t.cls is not TM:
+        raise ClassMismatch(f"natural types are defined for terms only, not for a {t.cls.value} expression")
     kind = theory.kind
     match t:
         case Var(pos=i):
@@ -999,6 +1214,26 @@ def is_canonical_inversion(theory: RawTypeTheory, d: TheoryDerivation) -> bool:
 
 
 # --- well-founded theories ------------------------------------------------------
+
+def transitive_closure(p: FinitePoset) -> frozenset[tuple[int, int]]:
+    reach = {i: {j for (a, j) in p.edges if a == i} for i in range(p.size)}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(p.size):
+            extra = set()
+            for j in reach[i]:
+                extra |= reach[j] - reach[i]
+            if extra:
+                reach[i] |= extra
+                changed = True
+    return frozenset((i, j) for i in range(p.size) for j in reach[i])
+
+
+def check_well_founded(p: FinitePoset) -> bool:
+    """True iff the transitive closure of p.edges is acyclic."""
+    return all(i != j for i, j in transitive_closure(p))
+
 
 def judgement_symbols(j: Judgement) -> frozenset[int]:
     out = frozenset()
@@ -1105,7 +1340,7 @@ def check_well_founded_theory(
         names = " < ".join(theory.rule_name(i) for i in cycle)
         diagnostics.append(f"dependency cycle: {names}")
     if order is not None:
-        closure = order.transitive_closure()
+        closure = transitive_closure(order)
         for i, j in sorted(edges):
             if i == j or (i, j) not in closure:
                 diagnostics.append(

@@ -9,10 +9,12 @@ congruence rules of object rules, and re-checks everything.
 
 from __future__ import annotations
 
+from typing import Any
 
 from .errors import (
     ArityMismatch,
     NoBijection,
+    ParseError,
     ScopeMismatch,
     StageViolation,
     SymbolArityMismatch,
@@ -20,7 +22,7 @@ from .errors import (
     SymbolRequired,
     WitnessFailure,
 )
-from .foundations import FinitePoset, check_well_founded, topological_respects
+from .foundations import FinitePoset
 from .judgements import (
     Boundary,
     EMPTY_CONTEXT,
@@ -31,7 +33,14 @@ from .judgements import (
     complete_boundary,
     is_type,
 )
-from .metatheory import AcceptabilityReport, check_acceptable_theory, check_tight
+from .jsonio import (
+    _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, _witness_key,
+    arity_to_json, derivation_from_json, derivation_to_json, expr_from_json, expr_to_json, rule_to_json,
+)
+from .metatheory import (
+    AcceptabilityReport, check_acceptable_theory, check_tight, check_well_founded, expr_symbols,
+    transitive_closure,
+)
 from .rules import RawRule, congruence_rule, generic_application
 from .scopes import Renaming, ScopeKind, _Fresh, _record, inl_renaming
 from .syntax import (
@@ -46,7 +55,6 @@ from .syntax import (
     TM,
     TY,
     Var,
-    expr_symbols,
     mv_extend_signature,
     substitute_expr,
     validate_expr,
@@ -225,6 +233,15 @@ def check_wf_context(
 
 # --- premises shapes and well-founded premise families ---------------------------
 
+def topological_respects(p: FinitePoset) -> bool:
+    """True iff every edge goes from a lower to a higher index."""
+    return all(i < j for i, j in p.edges)
+
+
+def predecessors(p: FinitePoset, x: int) -> set[int]:
+    return {i for (i, j) in transitive_closure(p) if j == x}
+
+
 @_record
 class PremisesShape:
     """An index poset plus the form and binder scope of each premise."""
@@ -251,7 +268,7 @@ class PremisesShape:
 
     def arity_below(self, i: int) -> tuple[int, ...]:
         """Object premise indices strictly below i in the poset, in index order."""
-        preds = self.order.predecessors(i)
+        preds = predecessors(self.order, i)
         return tuple(j for j in self.object_indices() if j in preds)
 
 
@@ -351,7 +368,7 @@ def flatten_premises_below(
     judgements over the extension by arity(shape below i).
     """
     kind = sig.kind
-    preds = sorted(family.shape.order.predecessors(i))
+    preds = sorted(predecessors(family.shape.order, i))
     below_objects = family.shape.arity_below(i)
     out = []
     for j in preds:
@@ -638,7 +655,7 @@ def elaborate_theory(
     # from the previous one, so that each rule is validated once
     theory = RawTypeTheory(full_sig, (), ())
     for i, rs in enumerate(spec.rules):
-        allowed = {sym_index[spec.rules[j].name] for j in spec.order.predecessors(i)
+        allowed = {sym_index[spec.rules[j].name] for j in predecessors(spec.order, i)
                    if spec.rules[j].boundary.conclusion_form.is_object}
         diagnostics: list[str] = []
         w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
@@ -699,7 +716,7 @@ def _boundary_to_rule_witnesses(spec: RuleBoundarySpec, w: RuleBoundaryWitnesses
     out = RuleWitnesses()
     fam = spec.premises
     for (i, p), d in w.premises.presups.items():
-        preds = sorted(fam.shape.order.predecessors(i))
+        preds = sorted(predecessors(fam.shape.order, i))
         table = {k: preds[k] for k in range(len(preds))}
         out.premises[(i, p)] = _renumber_hyps(d, table)
     for p, d in w.conclusion.items():
@@ -711,3 +728,217 @@ def _renumber_hyps(d: TheoryDerivation, table: dict[int, int]) -> TheoryDerivati
     if isinstance(d, Hyp):
         return Hyp(table[d.index])
     return d._replace(children=tuple(_renumber_hyps(c, table) for c in d.children))
+
+
+# --- the JSON of specs and of raw theory files -------------------------------------
+# (here, not in the raw layer's ``jsonio``: only the commands above it use them)
+
+def signature_to_json(sig: Signature) -> Any:
+    return [
+        {"name": s.name, "class": s.cls.value, "arity": arity_to_json(s.arity)}
+        for s in sig.symbols
+    ]
+
+
+def theory_to_json(
+    theory: RawTypeTheory,
+    witnesses: TheoryWitnesses | None = None,
+    order: FinitePoset | None = None,
+) -> Any:
+    sig = theory.signature
+    out = {
+        "scope_system": theory.kind.value,
+        "signature": signature_to_json(sig),
+        "rules": [
+            rule_to_json(sig, rule, theory.rule_name(i))
+            for i, rule in enumerate(theory.rules)
+        ],
+    }
+    if witnesses:
+        out["witnesses"] = [
+            {
+                "rule": name,
+                "presup_witnesses": _rule_witnesses_to_json(theory, name, w),
+            }
+            for name, w in sorted(witnesses.items())
+        ]
+    if order is not None:
+        out["order"] = sorted(
+            [theory.rule_name(i), theory.rule_name(j)] for i, j in order.edges
+        )
+    return out
+
+
+def _rule_witnesses_to_json(theory, name, w: RuleWitnesses) -> Any:
+    rule = theory.rule(theory.rule_index(name))
+    ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
+    out = {}
+    for p, d in sorted(w.conclusion.items()):
+        out[f"conclusion/{p}"] = derivation_to_json(theory, ext, d)
+    for (i, p), d in sorted(w.premises.items()):
+        out[f"premise_{i}/{p}"] = derivation_to_json(theory, ext, d)
+    return out
+
+
+def spec_to_json(spec) -> Any:
+    """The JSON of a ``WellPresentedTheorySpec``."""
+    sig = theory_signature_of_spec(spec)
+    rules_out = []
+    # the realised rules before the current one, for naming the rules its
+    # witnesses cite; realised only up to the last rule with witnesses
+    stage, staged = RawTypeTheory(sig, (), ()), 0
+    for i, rs in enumerate(spec.rules):
+        fam = rs.boundary.premises
+        names = fam.names or tuple(f"p{k}" for k in range(fam.premise_count()))
+        premises_out = []
+        for k in range(fam.premise_count()):
+            form, scope = fam.shape.slots[k]
+            seq, slots = fam.boundaries[k]
+            sub = _sub_signature(sig, fam.shape, names, k)
+            premises_out.append(
+                {
+                    "name": names[k],
+                    "form": form.value,
+                    "cxt_seq": [expr_to_json(sub, t) for t in seq],
+                    "boundary": {
+                        key: expr_to_json(sub, e)
+                        for key, e in zip(_BOUNDARY_KEYS[form], slots)
+                    },
+                }
+            )
+        full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
+        w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
+        witnesses_out = {}
+        if w.premises.presups or w.conclusion:
+            stage, staged = _stage_through(stage, spec.rules[staged:i]), i
+        # premise witnesses are over the sub-extension of their down-set
+        for (k, p), d in sorted(w.premises.presups.items()):
+            sub = _sub_signature(sig, fam.shape, names, k)
+            witnesses_out[f"premise_{k}/{p}"] = derivation_to_json(stage, sub, d)
+        for p, d in sorted(w.conclusion.items()):
+            witnesses_out[f"conclusion/{p}"] = derivation_to_json(stage, full, d)
+        rules_out.append(
+            {
+                "name": rs.name,
+                "conclusion_form": rs.boundary.conclusion_form.value,
+                "premise_order": sorted(list(e) for e in fam.shape.order.edges),
+                "premises": premises_out,
+                "conclusion_boundary": {
+                    key: expr_to_json(full, e)
+                    for key, e in zip(
+                        _BOUNDARY_KEYS[rs.boundary.conclusion_form], rs.boundary.conclusion_slots
+                    )
+                },
+                "witnesses": witnesses_out,
+            }
+        )
+    return {
+        "scope_system": spec.kind.value,
+        "well_presented": True,
+        "order": sorted([spec.rules[i].name, spec.rules[j].name] for i, j in spec.order.edges),
+        "rules": rules_out,
+    }
+
+
+def _stage_through(stage: RawTypeTheory, rules) -> RawTypeTheory:
+    """``stage`` followed by the realisations of the spec rules ``rules``."""
+    for rs in rules:
+        stage = add_spec_rule(stage, rs)
+    return stage
+
+
+def spec_from_json(data: Any):
+    """A ``WellPresentedTheorySpec`` read from its JSON."""
+    data = _obj(data, "a theory spec")
+    kind = _kind_from(data)
+    raw_rules = [_obj(r, "a rule spec") for r in _list(data.get("rules", []), "rules")]
+    names = [_str(r.get("name"), "rule name") for r in raw_rules]
+    name_index = {n: i for i, n in enumerate(names)}
+    edges = set()
+    for pair in _list(data.get("order", []), "order"):
+        a, b = _edge(pair, name_index)
+        edges.add((name_index[a], name_index[b]))
+    order = FinitePoset.of(len(raw_rules), edges)
+
+    # first pass: shapes, to compute the staged signatures
+    raw_premises = []
+    shapes = []
+    for r in raw_rules:
+        premises = [_obj(p, "a premise") for p in _list(r.get("premises", []), "premises")]
+        raw_premises.append(premises)
+        slots = tuple(
+            (_form_from(p.get("form")), len(_list(p.get("cxt_seq", []), "cxt_seq")))
+            for p in premises
+        )
+        n = len(slots)
+        p_edges = r.get("premise_order")
+        if p_edges is None:
+            p_edge_set = {(i, j) for i in range(n) for j in range(i + 1, n)}
+        else:
+            p_edge_set = {_edge(pair, range(n)) for pair in _list(p_edges, "premise_order")}
+        shapes.append(PremisesShape(FinitePoset.of(n, p_edge_set), slots))
+
+    symbols = []
+    for i, r in enumerate(raw_rules):
+        form = _form_from(r.get("conclusion_form"))
+        if form.is_object:
+            symbols.append(Symbol(names[i], form.head_class, shapes[i].arity()))
+    sig = Signature(tuple(symbols), kind)
+
+    rules = []
+    witnesses = {}
+    stage, staged = RawTypeTheory(sig, (), ()), 0
+    for i, r in enumerate(raw_rules):
+        shape = shapes[i]
+        fam_names = tuple(
+            _str(p.get("name", f"p{k}"), "premise name") for k, p in enumerate(raw_premises[i])
+        )
+        boundaries = []
+        for k, p in enumerate(raw_premises[i]):
+            seq, _, slots = premise_from_json(_sub_signature(sig, shape, fam_names, k), p)
+            boundaries.append((seq, slots))
+        fam = WellFoundedPremiseFamily(shape, tuple(boundaries), fam_names)
+        form = _form_from(r.get("conclusion_form"))
+        full = mv_extend_signature(sig, fam.shape.arity(), fam.meta_names())
+        conclusion_slots = _boundary_from_json(
+            full, _obj(r.get("conclusion_boundary", {}), "conclusion_boundary"), form, 0, "conclusion_boundary"
+        )
+        rules.append(TheoryRuleSpec(names[i], RuleBoundarySpec(fam, form, conclusion_slots)))
+        raw_w = _obj(r.get("witnesses", {}), "witnesses")
+        if raw_w:
+            stage, staged = _stage_through(stage, rules[staged:i]), i
+            w = RuleBoundaryWitnesses()
+            for key, dv in raw_w.items():
+                k, p = _witness_key(key, len(raw_premises[i]))
+                if k is None:
+                    w.conclusion[p] = derivation_from_json(stage, full, dv)
+                else:
+                    sub = _sub_signature(sig, shape, fam_names, k)
+                    w.premises.presups[(k, p)] = derivation_from_json(stage, sub, dv)
+            witnesses[names[i]] = w
+    return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)
+
+
+def premise_from_json(sig: Signature, data: Any) -> tuple[tuple[Expr, ...], JudgementForm, tuple[Expr, ...]]:
+    """A premise of a sequential boundary: (context entries, form, boundary slots) over ``sig``."""
+    data = _obj(data, "a premise")
+    form = _form_from(data.get("form"))
+    seq = tuple(
+        expr_from_json(sig, t, pos) for pos, t in enumerate(_list(data.get("cxt_seq", []), "cxt_seq"))
+    )
+    slots = _boundary_from_json(sig, _obj(data.get("boundary", {}), "premise boundary"), form, len(seq), "premise boundary")
+    return seq, form, slots
+
+
+def _edge(pair: Any, ends) -> tuple:
+    """An order entry ``[a, b]`` with both ends in ``ends`` (rule names or premise indices)."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (str, int)) and v in ends for v in pair)):
+        raise ParseError(f"bad order entry {pair!r}")
+    return pair[0], pair[1]
+
+
+def _sub_signature(sig: Signature, shape, names: tuple[str, ...], k: int) -> Signature:
+    """``sig`` extended by the object premises below premise k."""
+    below = shape.arity_below(k)
+    sub_arity = tuple(Argument(shape.slots[j][0].head_class, shape.slots[j][1]) for j in below)
+    return mv_extend_signature(sig, sub_arity, tuple(names[j] for j in below))

@@ -393,16 +393,6 @@ def _substitute(kind: ScopeKind, f: Substitution, e: Expr, k: Scope) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def compose_subst(kind: ScopeKind, g: Substitution, f: Substitution) -> Substitution:
-    """g after f in the contravariant sense: (g o f)(k) = substitute(f, g(k)).
-
-    With f : gamma -> delta and g : delta -> theta this is gamma -> theta.
-    """
-    if g.src != f.dst:
-        raise ScopeMismatch(f"cannot compose {g.src}<-? with ?->{f.dst}")
-    return Substitution(f.src, g.dst, tuple(substitute_expr(kind, f, g(k)) for k in range(g.dst)))
-
-
 @_record
 class Instantiation:
     """Expressions for the metavariables of an arity, over an ambient scope.
@@ -513,59 +503,3 @@ def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
         f = Substitution(target, gamma + binder, tuple(table))
         return substitute_expr(kind, f, inst(m))
     raise TypeError(f"not an expression: {e!r}")
-
-
-def inst_act_subst(kind: ScopeKind, inst: Instantiation, f: Substitution) -> Substitution:
-    """I acting on f : delta' -> delta gives gamma+delta' -> gamma+delta."""
-    gamma = inst.scope
-    src, dst = sum_scope(gamma, f.src), sum_scope(gamma, f.dst)
-    table: list[Expr] = [None] * dst  # type: ignore[list-item]
-    for i in range(gamma):
-        table[kind.inl(gamma, f.dst, i)] = Var(kind.inl(gamma, f.src, i), src)
-    for j in range(f.dst):
-        table[kind.inr(gamma, f.dst, j)] = instantiate_expr(kind, inst, f(j))
-    return Substitution(src, dst, tuple(table))
-
-
-def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) -> Instantiation:
-    """I acting on J pointwise; the result lives in scope I.scope + J.scope."""
-    return Instantiation(
-        other.arity,
-        sum_scope(inst.scope, other.scope),
-        tuple(instantiate_expr(kind, inst, e) for e in other.exprs),
-    )
-
-
-def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation, k: Scope = 0) -> Instantiation:
-    """f + id_k, for f : delta -> gamma, acting on an instantiation over gamma + k.
-
-    Entry i sits under ``k`` plus its own binder, and the result is over
-    delta + k.
-    """
-    if f.dst + k != inst.scope:
-        raise ScopeMismatch(f"substitution into scope {f.dst} under {k}, instantiation over {inst.scope}")
-    exprs = tuple(substitute_expr(kind, f, e, slot.binder + k) for e, slot in zip(inst.exprs, inst.arity))
-    return Instantiation(inst.arity, f.src + k, exprs)
-
-
-def concat_inst(left: Instantiation, right: Instantiation) -> Instantiation:
-    """Pair two instantiations over the same scope into one of the summed arity."""
-    if left.scope != right.scope:
-        raise ScopeMismatch("instantiations over different scopes")
-    return Instantiation(left.arity + right.arity, left.scope, left.exprs + right.exprs)
-
-
-def expr_symbols(e: Expr) -> frozenset[int]:
-    """Base symbol indices occurring anywhere in the expression."""
-    match e:
-        case Var():
-            return frozenset()
-        case SymApp(sym=s, args=args):
-            out = frozenset({s})
-        case MetaApp(args=args):
-            out = frozenset()
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
-    for a in args:
-        out |= expr_symbols(a)
-    return out

@@ -12,10 +12,9 @@ A derivation has five kinds of node.  ``RuleInst`` instantiates a raw
 rule, either a rule of the theory or one of the eight built-in
 equivalence and conversion rules of ``rules``; ``VariableInst``,
 ``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
-``Hyp`` cites a hypothesis.  ``map_node`` is the one map over the data of
-a node, and ``map_derivation_exprs`` lifts it to trees: relabelling into
-a copy of a metavariable segment and the structural part of applying a
-syntax map both go through it.
+``Hyp`` cites a hypothesis.  ``metatheory.map_node`` is the one map over
+the data of a node (``EXPR_FIELDS`` names the fields it maps), and the
+transformers build derivations with it; this module only checks them.
 
 Well-formedness is a property of the whole tree, so each expression is
 validated once, where it enters, and elsewhere by equality:
@@ -69,31 +68,22 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
 from .foundations import ClosureRule, GHyp, check_derivation
 from .scopes import ScopeKind, _Fresh, _record, sum_scope
 from .syntax import (
     TM,
     Arity,
-    Expr,
     Instantiation,
     Signature,
     Substitution,
-    generic_instantiation,
-    inst_act_inst,
-    inst_act_subst,
     mv_extend_signature,
     validate_expr,
 )
 from .judgements import (
-    EMPTY_CONTEXT,
     Judgement,
     RawContext,
     WeakeningMemo,
-    instantiate_context,
-    instantiate_judgement,
     validate_judgement,
 )
 from .rules import (
@@ -165,7 +155,7 @@ def _validate_rule(sig: Signature, rule: RawRule) -> None:
 #
 # Each node other than a hypothesis carries a context (its conclusion's) and
 # its children in premise order; ``EXPR_FIELDS`` names the fields that hold
-# expressions, which is all ``map_node`` needs to know of a node kind.
+# expressions, which is all ``metatheory.map_node`` needs to know of a node kind.
 
 @_record
 class Hyp(GHyp):
@@ -303,158 +293,3 @@ def check_theory_derivation(
         return rule
 
     return check_derivation(hyps, d, rule_of)
-
-
-def derivation_nodes(d: TheoryDerivation):
-    yield d
-    for c in d.children:
-        yield from derivation_nodes(c)
-
-
-# --- the data of a node, and maps over it --------------------------------------
-
-def map_node(node: TheoryDerivation, fn: Callable[[Expr], Expr], **changes) -> TheoryDerivation:
-    """``node`` with a scope- and class-preserving map applied to every
-    expression of its data, and the other fields as given in ``changes``
-    (``ref``, ``pos``, ``trivial`` and the children stay otherwise)."""
-    return node._replace(**{f: getattr(node, f).map_exprs(fn) for f in node.EXPR_FIELDS}, **changes)
-
-
-def node_exprs(node: TheoryDerivation) -> list[Expr]:
-    """Every expression the data of one node carries."""
-    out: list[Expr] = []
-
-    def keep(e: Expr) -> Expr:
-        out.append(e)
-        return e
-
-    if not isinstance(node, Hyp):
-        map_node(node, keep)
-    return out
-
-
-def map_derivation_exprs(
-    d: TheoryDerivation,
-    fn: Callable[[Expr], Expr],
-    hyp: Callable[[int], int] | None = None,
-) -> TheoryDerivation:
-    """The same tree with ``fn`` applied to every expression of every node.
-
-    ``fn`` must preserve scopes and classes.  ``hyp`` renumbers hypotheses
-    (unchanged when None).
-    """
-
-    def go(node: TheoryDerivation) -> TheoryDerivation:
-        if isinstance(node, Hyp):
-            return node if hyp is None else Hyp(hyp(node.index))
-        return map_node(node, fn, children=tuple(go(c) for c in node.children))
-
-    return go(d)
-
-
-# --- instantiation of derivations ---------------------------------------------
-
-def instantiate_derivation(
-    theory: RawTypeTheory,
-    inst: Instantiation,
-    ctx: RawContext,
-    d: TheoryDerivation,
-    outer_ambient: Arity | None = None,
-) -> TheoryDerivation:
-    """Push a derivation over the extension by ``inst.arity`` down to the base.
-
-    ``d`` must check over the theory at ambient ``inst.arity`` (itself over
-    ``outer_ambient`` when nested); the result checks over ``outer_ambient``
-    with the instantiated conclusion.  Under strict scopes every node maps to
-    a node of the same kind, so the tree shape is preserved.
-    """
-    kind = theory.kind
-    gamma = inst.scope
-
-    def inl_set(sigma: int) -> frozenset[int]:
-        return frozenset(kind.inl(gamma, sigma, i) for i in range(gamma))
-
-    def go(node: TheoryDerivation) -> TheoryDerivation:
-        if isinstance(node, Hyp):
-            return node
-        children = tuple(go(c) for c in node.children)
-        match node:
-            case RuleInst(ref=ref, inst=j, context=delta):
-                return RuleInst(
-                    ref, inst_act_inst(kind, inst, j), instantiate_context(kind, inst, ctx, delta), children
-                )
-            case VariableInst(context=delta, pos=i):
-                return VariableInst(
-                    instantiate_context(kind, inst, ctx, delta), kind.inr(gamma, delta.scope, i), children
-                )
-            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj):
-                sigma = jj.context.scope
-                return SubstInst(
-                    inst_act_subst(kind, inst, f),
-                    instantiate_context(kind, inst, ctx, tgt),
-                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
-                    instantiate_judgement(kind, inst, ctx, jj),
-                    children,
-                )
-            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj):
-                sigma = jj.context.scope
-                return EqSubstInst(
-                    inst_act_subst(kind, inst, f),
-                    inst_act_subst(kind, inst, g),
-                    instantiate_context(kind, inst, ctx, tgt),
-                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
-                    instantiate_judgement(kind, inst, ctx, jj),
-                    children,
-                )
-        raise TypeError(f"not a derivation node: {node!r}")
-
-    return go(d)
-
-
-def derived_rule_failure(
-    theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
-) -> str | None:
-    """Why ``witness`` does not derive the rule's conclusion from its
-    premises: the checker's error, or that it concludes a different
-    judgement.  None when it does derive it."""
-    try:
-        got = check_theory_derivation(theory, rule.premises, witness, rule.arity, rule.meta_names)
-    except KernelError as e:
-        return str(e)
-    return None if got == rule.conclusion else "concludes a different judgement"
-
-
-def check_derived_rule(
-    theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
-) -> bool:
-    """True iff ``witness`` derives the rule's conclusion from its premises."""
-    return derived_rule_failure(theory, rule, witness) is None
-
-
-def generic_rule_instance(ref: int, rule: RawRule, shift: int = 0, hyp_shift: int = 0) -> RuleInst:
-    """The instance of rule ``ref`` at the generic instantiation of
-    ``rule.arity`` (relabelled by ``shift``, see ``generic_instantiation``)
-    over the empty context, with premise k cited as ``Hyp(k + hyp_shift)``:
-    the derivation of a rule from its own premises.  ``rule`` gives the
-    arity and the premise count; it is the rule ``ref`` names, or a rule of
-    another theory that a map sends to it."""
-    return RuleInst(
-        ref, generic_instantiation(rule.arity, shift), EMPTY_CONTEXT,
-        tuple(Hyp(k + hyp_shift) for k in range(len(rule.premises))),
-    )
-
-
-def check_admissible_instance(
-    theory: RawTypeTheory,
-    rule: RawRule,
-    inst: Instantiation,
-    ctx: RawContext,
-    witness: TheoryDerivation,
-) -> bool:
-    """True iff ``witness`` derives the instance's conclusion from its premises."""
-    closure = instantiate_rule(theory.kind, inst, ctx, rule)
-    try:
-        got = check_theory_derivation(theory, closure.premises, witness)
-    except KernelError:
-        return False
-    return got == closure.conclusion

@@ -27,6 +27,7 @@ import contextlib
 from gtt import derive, metatheory
 from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated
 from gtt.judgements import instantiate_context
+from gtt.metatheory import concat_inst, subst_act_inst
 from gtt.rules import BuiltinRule, acts_trivially
 from gtt.scopes import Renaming, inl_renaming
 from gtt.syntax import (
@@ -34,10 +35,8 @@ from gtt.syntax import (
     MetaApp,
     Substitution,
     Var,
-    concat_inst,
     extend_substitution,
     instantiate_expr,
-    subst_act_inst,
     substitute_expr,
 )
 from gtt.theories import EqSubstInst, Hyp, RuleInst, SubstInst, VariableInst

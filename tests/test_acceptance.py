@@ -47,13 +47,17 @@ from gtt.metatheory import (
     check_acceptable_theory,
     check_presuppositive,
     check_well_founded_theory,
+    compose_subst,
     derive_presuppositions,
     eliminate_substitution,
+    inst_act_inst,
+    inst_act_subst,
     invert,
     is_canonical_inversion,
     is_substitution_free,
     is_tight,
     natural_type,
+    subst_act_inst,
     unique_typing,
     unique_typing_acceptable,
 )
@@ -63,13 +67,9 @@ from gtt.syntax import (
     TM,
     TY,
     Substitution,
-    compose_subst,
     extend_substitution,
-    inst_act_inst,
-    inst_act_subst,
     instantiate_expr,
     mv_extend_signature,
-    subst_act_inst,
     substitute_expr,
 )
 from gtt.theories import check_theory_derivation

@@ -367,7 +367,7 @@ def test_congruence_rules_match_whatever_their_metavariables_are_called(tmp_path
     # a congruence rule is found by its shape: a theory file may name the
     # metavariables of its congruence rules as it likes, or leave them out
     from corpus import equality_substitution_into_nested_pi
-    from gtt.jsonio import theory_to_json
+    from gtt.presentation import theory_to_json
 
     rules = tuple(
         r._replace(meta_names=() if names == "left-out" else tuple(m + "_" for m in r.metas))
@@ -466,6 +466,19 @@ def test_unique_typing_refuses_type_judgements(tmp_path, capsys):
     code, err = run_err(capsys, "unique-typing", FIXTURES / "mltt_base.json", path, path)
     assert code == 2
     assert err.count("\n") == 1 and "term judgements" in err, err
+
+
+@pytest.mark.parametrize("theory, expr", [
+    ("mltt_base.json", '{"sym":"unit","args":[]}'),
+    ("mltt_base.json", '{"sym":"Pi","args":[{"sym":"unit","args":[]},{"sym":"unit","args":[]}]}'),
+    ("type_in_type.json", '{"sym":"El","args":[{"sym":"u","args":[]}]}'),
+], ids=["unit", "Pi(unit,unit)", "El(u)"])
+def test_natural_type_refuses_type_expressions(capsys, theory, expr):
+    # natural types are defined for terms only: a type is bad input, as it is
+    # for unique-typing
+    code, err = run_err(capsys, "natural-type", FIXTURES / theory, expr)
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err and "term expression" in err, err
 
 
 def test_unique_typing_checks_its_inputs(tmp_path, capsys):

@@ -6,7 +6,8 @@ gets a well-formed second typing), the theory file of ``check-theory``
 (under each flag), ``flatten`` and ``congruence``, the script of
 ``replace-step``, and the term and context arguments of ``natural-type``,
 which get the bytes as a command line would (undecodable bytes as
-surrogates).  Corpus derivations and the valid inputs of the other
+surrogates); the context goes in once with a term and once with a type
+expression, which ``natural-type`` refuses.  Corpus derivations and the valid inputs of the other
 commands also go in with one field dropped or retyped.  Each run must end
 with exit code 0, 1 or 2, print no traceback, and write at most one line to
 stderr, exactly one when it exits 2.  The wire names of the eight built-in
@@ -46,6 +47,7 @@ class Arg(str):
 
 
 TERM = '{"sym":"tt","args":[]}'
+TYPE = '{"sym":"Pi","args":[{"sym":"unit","args":[]},{"sym":"unit","args":[]}]}'
 TARGETS = {
     **{command: [command, BASE, FILE] for command in COMMANDS},
     "check-theory": ["check-theory", FILE],
@@ -56,6 +58,7 @@ TARGETS = {
     "replace-step": ["replace-step", FIXTURES / "type_in_type.json", FILE],
     "natural-type": ["natural-type", BASE, "--", Arg("")],
     "natural-type --cxt": ["natural-type", BASE, Arg("--cxt="), TERM],
+    "natural-type --cxt, type": ["natural-type", BASE, Arg("--cxt="), TYPE],
 }
 # the valid input of each target that is not a derivation command
 VALID = {
@@ -71,6 +74,7 @@ VALID = {
     "natural-type --cxt": '[{"sym":"unit","args":[]},'
                           '{"sym":"Pi","args":[{"sym":"unit","args":[]},{"sym":"unit","args":[]}]}]',
 }
+VALID["natural-type --cxt, type"] = VALID["natural-type --cxt"]
 
 FUZZ = settings(
     max_examples=40,
@@ -80,7 +84,7 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 
-# fifteen targets share one run
+# sixteen targets share one run
 FUZZ_TARGETS = settings(FUZZ, max_examples=100)
 
 json_values = st.recursive(

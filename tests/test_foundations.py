@@ -16,12 +16,16 @@ from gtt.foundations import (
     GHyp,
     GStep,
     check_generic_derivation,
-    check_well_founded,
-    graft,
-    map_derivation,
 )
 from gtt.judgements import EMPTY_CONTEXT
-from gtt.theories import check_theory_derivation, derivation_nodes
+from gtt.metatheory import (
+    check_well_founded,
+    derivation_nodes,
+    graft,
+    map_derivation,
+    transitive_closure,
+)
+from gtt.theories import check_theory_derivation
 
 
 def test_hypothesis_case():
@@ -274,7 +278,7 @@ def test_map_derivation_composition():
 
 def wf_oracle(p: FinitePoset) -> bool:
     """Every <-progressive subset (w.r.t. the transitive closure) is everything."""
-    closure = p.transitive_closure()
+    closure = transitive_closure(p)
     below = {x: {y for (y, z) in closure if z == x} for x in range(p.size)}
     universe = set(range(p.size))
     for bits in itertools.product([False, True], repeat=p.size):

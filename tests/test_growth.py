@@ -25,9 +25,10 @@ from corpus import (
     weakening_chain,
 )
 from gtt.judgements import EMPTY_CONTEXT
+from gtt.metatheory import derivation_nodes
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
-from gtt.theories import SubstInst, check_theory_derivation, derivation_nodes
+from gtt.theories import SubstInst, check_theory_derivation
 
 
 def test_nested_pi_table_entries_grow_quadratically(monkeypatch):

@@ -28,13 +28,15 @@ from gtt.jsonio import (
     loads,
     rule_from_json,
     rule_to_json,
-    spec_from_json,
-    spec_to_json,
     theory_from_json,
-    theory_to_json,
 )
 from gtt.metatheory import check_acceptable_theory
-from gtt.presentation import elaborate_theory
+from gtt.presentation import (
+    elaborate_theory,
+    spec_from_json,
+    spec_to_json,
+    theory_to_json,
+)
 from gtt.theories import check_theory_derivation
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"

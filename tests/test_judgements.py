@@ -18,7 +18,6 @@ from gtt.judgements import (
     Judgement,
     JudgementForm,
     RawContext,
-    boundary_of,
     complete_boundary,
     extend_context,
     instantiate_context,
@@ -123,7 +122,7 @@ def test_boundary_roundtrip():
         boundary = tuple(gen_expr(rng, SIG, scope, c, 2) for c in form.boundary_classes)
         head = gen_expr(rng, SIG, scope, form.head_class, 2) if form.head_class else None
         j = Judgement(ctx, form, boundary, head)
-        bdy, h = boundary_of(j)
+        bdy, h = Boundary(j.context, j.form, j.boundary), j.head
         assert complete_boundary(bdy, h) == j
 
 
@@ -230,7 +229,7 @@ def test_nested_judgement_instantiation_exact():
         I = gen_instantiation(rng, SIG, alpha, gamma)
         K = gen_instantiation(rng, ext_a, beta, delta)
         j = random_judgement(rng, ext_ab, theta)
-        from gtt.syntax import inst_act_inst
+        from gtt.metatheory import inst_act_inst
 
         lhs = instantiate_judgement(KIND, I, G, instantiate_judgement(KIND, K, D, j))
         rhs = instantiate_judgement(

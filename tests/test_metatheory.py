@@ -26,7 +26,7 @@ from gtt import derive
 from gtt import bundled
 from gtt.bundled import cyclic_quantifier, mltt_base, mltt_pi, type_in_type
 from gtt.congruence_witnesses import congruence_witnesses
-from gtt.errors import MissingWitness, NotTight, TrivialityViolated
+from gtt.errors import ClassMismatch, MissingWitness, NotTight, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
@@ -41,6 +41,7 @@ from gtt.metatheory import (
     check_acceptable_theory,
     check_presuppositive,
     check_well_founded_theory,
+    derivation_nodes,
     derive_presuppositions,
     eliminate_substitution,
     invert,
@@ -72,7 +73,6 @@ from gtt.theories import (
     SubstInst,
     VariableInst,
     check_theory_derivation,
-    derivation_nodes,
 )
 from naive import identity_renaming
 from reference_transformers import rename_derivation as reference_rename_derivation
@@ -528,6 +528,13 @@ def test_natural_type_rejects_metavariable_heads():
     ext = mv_extend_signature(SIG, arity((TM, 0)), ("s",))
     with pytest.raises(NotTight):
         natural_type(THEORY, EMPTY_CONTEXT, mk_meta(ext, "s", (), 0))
+
+
+def test_natural_type_is_defined_for_terms_only():
+    u = unit_at(EMPTY_CONTEXT)
+    for ty in (u.type, pi(u, unit_at(extend(EMPTY_CONTEXT, u))).type):
+        with pytest.raises(ClassMismatch, match="terms only"):
+            natural_type(THEORY, EMPTY_CONTEXT, ty)
 
 
 def test_inversion_on_corpus():

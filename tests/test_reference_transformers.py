@@ -47,7 +47,12 @@ from gtt import derive, metatheory
 from gtt.errors import KernelError, TrivialityViolated
 from gtt.judgements import EMPTY_CONTEXT, Judgement, JudgementForm, RawContext
 from gtt.jsonio import derivation_to_json, dumps
-from gtt.metatheory import check_acceptable_theory, derive_presuppositions, is_substitution_free
+from gtt.metatheory import (
+    check_acceptable_theory,
+    derivation_nodes,
+    derive_presuppositions,
+    is_substitution_free,
+)
 from gtt.rules import RawRule
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import MetaApp, Signature, Substitution, SymApp, Var
@@ -60,7 +65,6 @@ from gtt.theories import (
     SubstInst,
     VariableInst,
     check_theory_derivation,
-    derivation_nodes,
 )
 from reference_transformers import reference_transformers
 

@@ -37,6 +37,12 @@ from naive import (
 )
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
 from gtt.maps import apply_syntax_map, compose_syntax_maps, identity_syntax_map
+from gtt.metatheory import (
+    compose_subst,
+    inst_act_inst,
+    inst_act_subst,
+    subst_act_inst,
+)
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import (
     TM,
@@ -49,18 +55,14 @@ from gtt.syntax import (
     SymApp,
     Var,
     arity,
-    compose_subst,
     extend_substitution,
     generic_instantiation,
-    inst_act_inst,
-    inst_act_subst,
     instantiate_expr,
     mk_meta,
     mk_sym,
     mk_var,
     mv_extend_signature,
     simple_arity,
-    subst_act_inst,
     substitute_expr,
     validate_expr,
     weaken_expr,

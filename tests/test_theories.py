@@ -20,10 +20,12 @@ from gtt.maps import (
     RawSyntaxMap,
     RawTheoryMap,
     apply_theory_map_derivation,
+    check_derived_rule,
     identity_theory_map,
     map_judgement,
 )
-from gtt.rules import generic_application
+from gtt.metatheory import generic_rule_instance, instantiate_derivation
+from gtt.rules import generic_application, instantiate_rule
 from gtt.syntax import (
     Instantiation,
     Substitution,
@@ -37,11 +39,7 @@ from gtt.theories import (
     RawTypeTheory,
     RuleInst,
     SubstInst,
-    check_admissible_instance,
-    check_derived_rule,
     check_theory_derivation,
-    generic_rule_instance,
-    instantiate_derivation,
 )
 
 
@@ -297,4 +295,6 @@ def test_admissible_instance():
     rule = THEORY.rule(pi_rule_idx)
     inst = Instantiation(rule.arity, 0, (u.type, unit_at(ctx1).type))
     witness = RuleInst(pi_rule_idx, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
-    assert check_admissible_instance(THEORY, rule, inst, EMPTY_CONTEXT, witness)
+    # the instance is admissible: the witness derives its conclusion from its premises
+    closure = instantiate_rule(THEORY.kind, inst, EMPTY_CONTEXT, rule)
+    assert check_theory_derivation(THEORY, closure.premises, witness) == closure.conclusion
