@@ -29,7 +29,6 @@ def cmd_check_theory(args) -> int:
 
         try:
             _, theory, report = elaborate_theory(payload)
-            elaborated = True
         except KernelError as e:
             report_json["checks"]["well-presented"] = {"ok": False, "diagnostics": [str(e)]}
             _print_report(args, report_json, ["well-presented: FAIL ({})".format(e)])

@@ -144,7 +144,7 @@ def _expr_from_json(sig: Signature, data: Any, scope: int, depth: int) -> Expr:
 
 
 def _nat(v, what) -> int:
-    if not isinstance(v, int) or v < 0:
+    if type(v) is not int or v < 0:  # a JSON boolean is a bool, an int subclass
         raise ParseError(f"{what} must be a natural number, got {v!r}")
     return v
 
@@ -425,7 +425,7 @@ def _trivial(data) -> frozenset[int]:
 def _builtin(family: str, v) -> BuiltinRule:
     """The built-in rule of ``family`` called ``v``, or at position ``v`` of the family."""
     refs = [b for b in BuiltinRule if b.family == family]
-    if isinstance(v, int) and 0 <= v < len(refs):
+    if type(v) is int and 0 <= v < len(refs):
         return refs[v]
     for b in refs:
         if b.wire_name == v:

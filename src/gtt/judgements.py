@@ -172,7 +172,8 @@ def validate_judgement(sig: Signature, j: Judgement) -> None:
         validate_expr(sig, j.head, j.context.scope, j.form.head_class)
 
 
-WeakeningMemo = dict[tuple[ScopeKind, RawContext, Scope], tuple[Expr, ...]]
+# (kind, type, cut, delta) -> _shift(kind, type, cut, delta), one per owner
+WeakeningMemo = dict[tuple[ScopeKind, Expr, int, Scope], Expr]
 
 
 def extend_context(
@@ -182,21 +183,21 @@ def extend_context(
 
     The old types are weakened along the left inclusion and form one block:
     the last ``ctx.scope`` positions for indices, the first for levels.
-    ``memo``, when given, keeps each weakened block under (kind, ctx,
-    delta), compared by value, so the caller that owns it weakens each
-    block once; the context is still built, and validated, anew.
+    ``memo`` keeps each weakened type under (kind, type, cut, delta), the
+    four values ``_shift`` is a function of, compared by value: its owner
+    weakens each distinct type once, in whatever contexts it occurs.  A call
+    given none makes a fresh one.  The context is still built anew.
     """
     delta = len(new_types)
     if delta == 0:
         return ctx
-    key = (kind, ctx, delta)
-    old = None if memo is None else memo.get(key)
-    if old is None:
-        cut = 0 if kind is ScopeKind.INDICES else ctx.scope
-        old = tuple(_shift(kind, t, cut, delta) for t in ctx.types)
-        if memo is not None:
-            memo[key] = old
-    types = tuple(new_types) + old if kind is ScopeKind.INDICES else old + tuple(new_types)
+    memo = {} if memo is None else memo
+    cut = 0 if kind is ScopeKind.INDICES else ctx.scope
+    old = []
+    for t in ctx.types:
+        w = memo.get(k := (kind, t, cut, delta))
+        old.append(w if w is not None else memo.setdefault(k, _shift(*k)))
+    types = tuple(new_types) + tuple(old) if kind is ScopeKind.INDICES else tuple(old) + tuple(new_types)
     return RawContext(ctx.scope + delta, types)
 
 

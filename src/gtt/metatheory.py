@@ -773,7 +773,7 @@ def substitute_derivation(
     ``trivial``; positions inside it are only required to be trivial.  ``d``
     must check in the theory.  Triviality is checked against the root's
     context only; see the comment above for why it holds below.  ``memo``
-    (``judgements.extend_context``) keeps the weakened block of each target
+    (``judgements.extend_context``) keeps the weakened types of each target
     context; without one, a fresh memo serves this call.
     """
     require_substitutive(theory)

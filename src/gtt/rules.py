@@ -103,7 +103,7 @@ def instantiate_rule(
     """The closure rule obtained by instantiating the rule's arity over ``ctx``.
 
     Each premise context extends ``ctx``; ``memo`` (``extend_context``)
-    keeps the weakened block of ``ctx``.  Without one, a fresh memo is
+    keeps the weakened types of ``ctx``.  Without one, a fresh memo is
     shared by the premises and conclusion of this rule alone.
     """
     if inst.arity != rule.arity:

@@ -52,10 +52,10 @@ docstring); the induction above runs over the occurrences all the same.
 A premise context of a rule instance extends the node's context, and the
 node's types are weakened into the extension.  ``check_theory_derivation``
 keeps one weakening memo (``judgements.extend_context``) for the whole
-check, keyed by value on (scope kind, context, delta), so each block is
-weakened once per check and shared by every premise and node that extends
-the same context.  The memo lives for one check; every context is still
-built, and validated, by its constructor.
+check, keyed by value on (scope kind, type, cut, delta), so each distinct
+type is weakened once per check, however many positions, contexts,
+premises and nodes hold it.  The memo lives for one check; every context
+is still built, and validated, by its constructor.
 
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
 derivations over a raw theory, so it is defined here: the raw layer reads
@@ -281,7 +281,7 @@ def check_theory_derivation(
     checked; every other node validates only the data its conclusion does
     not show (see the module docstring).  A hypothesis at the root is
     returned as given, as at every leaf.  One weakening memo serves the
-    whole check, so each block of a context is weakened once.
+    whole check, so each distinct type of its contexts is weakened once.
     """
     sig = ambient_signature(theory, ambient, ambient_names)
     memo: WeakeningMemo = {}

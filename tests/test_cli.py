@@ -255,6 +255,37 @@ def test_huge_integer_term_is_a_parse_error(capsys):
     assert len(err.splitlines()) == 1 and "integer literal" in err and "Traceback" not in err
 
 
+def _write_json(tmp_path, data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _unit_unit_variable(tmp_path):
+    """A check-derivation file of x : unit, y : unit |- y : unit with position
+    ``true`` for 1."""
+    ctx1 = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    ctx2 = extend(ctx1, unit_at(ctx1))
+    data = derivation_to_json(THEORY, THEORY.signature, var(ctx2, 1, unit_at(ctx2).d_type).d_term)
+    return _write_json(tmp_path, {**data, "i": True})
+
+
+@pytest.mark.parametrize("field, value, argv", [
+    ("var", True, lambda tmp_path: ["natural-type", FIXTURES / "mltt_base.json", '{"var":true}',
+                                    '--cxt=[{"sym":"unit","args":[]},{"sym":"unit","args":[]}]']),
+    ("i", True, lambda tmp_path: ["check-derivation", FIXTURES / "mltt_base.json", _unit_unit_variable(tmp_path)]),
+    ("index", False, lambda tmp_path: ["check-derivation", FIXTURES / "mltt_base.json",
+                                       _write_json(tmp_path, {"node": "hyp", "index": False})]),
+], ids=["var", "i", "index"])
+def test_a_json_boolean_is_not_a_natural_number(tmp_path, capsys, field, value, argv):
+    # a JSON boolean parses as a Python bool, which is an int: true read as 1
+    # made the variable and the natural type valid, false read as 0 a
+    # hypothesis "False of 0"
+    code, err = run_err(capsys, *argv(tmp_path))
+    assert code == 2
+    assert err == f"parse error: {field} must be a natural number, got {value!r}\n"
+
+
 def test_bad_json_keeps_its_position():
     # a JSONDecodeError is a ValueError too: it keeps its own message
     with pytest.raises(ParseError, match="line 1, column 4: Expecting value"):

@@ -2,19 +2,22 @@
 
 Counted, not timed: the entries of every ``Substitution`` and ``Renaming``
 table built while checking a nested Pi, which are none, and the types
-weakened while checking a lam tower.  Checking a node touches its context
-and its terms, so the weakening may grow as n^2 in the depth n (a ratio of
-4 per doubling); weakening a context again for every premise and node that
-extends it, or rebuilding a table under every binder crossed, makes the
-work grow faster.  Likewise the validation calls: the root's
-conclusion is validated once, and nothing is re-validated per node.  And
-elimination of substitution checks triviality once per substitution node
-and builds no extended substitution table; it walks the body of a chain of
-substitution nodes once, and each binder premise of an equality
+weakened while checking a nested Pi or a lam tower.  A check of depth n
+meets n contexts whose types repeat across positions and depths, and
+weakens each distinct (scope kind, type, cut, delta) once, so the
+weakening grows linearly (a ratio of 2 per doubling); weakening every type
+of a context at each extension makes it n^2, and again for every premise
+and node that extends it faster still.  Likewise the validation calls: the
+root's conclusion is validated once, and nothing is re-validated per node.
+And elimination of substitution checks triviality once per substitution
+node and builds no extended substitution table; it walks the body of a
+chain of substitution nodes once, and each binder premise of an equality
 substitution once per image it needs.
 """
 
 from collections import Counter
+
+import pytest
 
 from corpus import (
     THEORY,
@@ -52,44 +55,35 @@ def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
 
 
 def count_weakening(monkeypatch):
-    """Count the types extend_context weakens, in total and per (scope kind,
-    context, delta) block: ``run(f, *args)`` calls f and returns the total
-    after asserting that no block was weakened more than once."""
+    """Count the types extend_context weakens: ``run(f, *args)`` calls f and
+    returns the number, after asserting that no (scope kind, type, cut,
+    delta) was shifted twice."""
     from gtt import judgements
 
-    shifted = [0]
-    per_block = Counter()
+    per_key = Counter()
 
-    def counted_shift(*args, original=judgements._shift):
-        shifted[0] += 1
-        return original(*args)
-
-    def counted_extend(kind, ctx, new_types, *rest, original=judgements.extend_context):
-        before = shifted[0]
-        out = original(kind, ctx, new_types, *rest)
-        per_block[kind, ctx, len(new_types)] += shifted[0] - before
-        return out
+    def counted_shift(*key, original=judgements._shift):
+        per_key[key] += 1
+        return original(*key)
 
     monkeypatch.setattr(judgements, "_shift", counted_shift)
-    monkeypatch.setattr(judgements, "extend_context", counted_extend)
 
     def run(f, *args):
-        shifted[0] = 0
-        per_block.clear()
+        per_key.clear()
         f(*args)
-        again = [(ctx.scope, delta, count) for (_, ctx, delta), count in per_block.items() if count > ctx.scope]
+        again = [(kind, t.scope, cut, delta, count) for (kind, t, cut, delta), count in per_key.items() if count > 1]
         assert not again, again
-        return shifted[0]
+        return sum(per_key.values())
 
     return run
 
 
 def test_lam_tower_weakens_each_context_block_once_per_check(monkeypatch):
     # Counted, not timed: the types weakened by extend_context while checking
-    # a lam tower.  One check weakens the old block of each (scope kind,
-    # context, delta) once, however many premises and nodes extend that
-    # context, so the count grows as the n contexts do, n^2 (a ratio of 4
-    # per doubling).  Weakening once per node makes it n^3 (a ratio near 8).
+    # a lam tower.  One check weakens each distinct type once, however many
+    # contexts, premises and nodes hold it, so the count grows at most as the
+    # n contexts do, n^2 (a ratio of 4 per doubling); it is linear in fact,
+    # see below.  Weakening once per node makes it n^3 (a ratio near 8).
     derivations = {n: lam_tower(EMPTY_CONTEXT, n).d_term for n in (16, 32)}
     run = count_weakening(monkeypatch)
     weakened = {n: run(check_theory_derivation, THEORY, (), d) for n, d in derivations.items()}
@@ -97,13 +91,31 @@ def test_lam_tower_weakens_each_context_block_once_per_check(monkeypatch):
     assert weakened[32] / weakened[16] <= 4.6, weakened
 
 
+@pytest.mark.parametrize("build, depths", [
+    (lambda n: nested_pi(EMPTY_CONTEXT, n).d_type, (16, 32, 64)),
+    (lambda n: lam_tower(EMPTY_CONTEXT, n).d_term, (16, 32)),
+], ids=["nested_pi", "lam_tower"])
+def test_weakened_types_grow_linearly_in_the_depth(monkeypatch, build, depths):
+    # Counted, not timed: the n contexts of a check repeat a few types (unit,
+    # Pi(unit, unit), ...) across positions and depths, and one memo keyed by
+    # type weakens each (kind, type, cut, delta) once: 15, 31, 63 types at
+    # n = 16, 32, 64.  A memo keyed by the whole context weakens every type
+    # of every new context, n^2/2 (120, 496, 2,016: a ratio of 4).
+    run = count_weakening(monkeypatch)
+    weakened = [run(check_theory_derivation, THEORY, (), build(n)) for n in depths]
+    assert weakened[0] > 0
+    assert all(big / small <= 2.2 for small, big in zip(weakened, weakened[1:])), weakened
+
+
 def test_elimination_weakens_each_context_block_once_per_call(monkeypatch):
     # Counted, not timed: one eliminate_substitution call keeps one weakening
     # memo for every substitution it runs, the renamings of typings under
-    # binders included, so each block of a target context is weakened once.
-    # With no memo, the chain weakens 68 types for 19 and the equality
-    # substitution into nested Pi 196 for 28; a fresh memo per renaming
-    # weakens a block of the app(id, tt) typing twice.
+    # binders included, so each distinct type of a target context is
+    # weakened once: 4 types for the chain and 7 for the equality
+    # substitution into nested Pi.  With a fresh memo per extension they
+    # weaken 14 and 42 (a memo keyed by context block weakened 19 and 28);
+    # a fresh memo per renaming weakens a type of the app(id, tt) typing
+    # twice.
     from gtt.metatheory import eliminate_substitution
 
     run = count_weakening(monkeypatch)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from corpus import THEORY, build_corpus, substitution_corpus
+from corpus import THEORY, build_corpus, conv_wrap, substitution_corpus, tt_at, weakening_chain
 from gtt import bundled
 from gtt.bundled import (
     cyclic_quantifier,
@@ -17,6 +17,7 @@ from gtt.bundled import (
 )
 from gtt.errors import ParseError
 from gtt.jsonio import (
+    arity_from_json,
     derivation_from_json,
     derivation_to_json,
     dumps,
@@ -28,8 +29,10 @@ from gtt.jsonio import (
     loads,
     rule_from_json,
     rule_to_json,
+    substitution_from_json,
     theory_from_json,
 )
+from gtt.judgements import EMPTY_CONTEXT
 from gtt.metatheory import check_acceptable_theory
 from gtt.presentation import (
     elaborate_theory,
@@ -157,6 +160,33 @@ def test_parse_errors():
         expr_from_json(THEORY.signature, {"sym": "nope", "args": []}, 0)
     with pytest.raises(ParseError):
         judgement_from_json(THEORY.signature, {"form": "IsWhat", "cxt": [], "slots": {}})
+
+
+SIG = THEORY.signature
+UNIT = {"sym": "unit", "args": []}
+
+
+def _node(d, **fields):
+    """The JSON of derivation ``d`` with ``fields`` replaced at its root."""
+    return {**derivation_to_json(THEORY, SIG, d), **fields}
+
+
+@pytest.mark.parametrize("field, value, parse", [
+    ("var", True, lambda v: expr_from_json(SIG, {"var": v}, 2)),
+    ("i", True, lambda v: derivation_from_json(THEORY, SIG, {"node": "var", "cxt": [UNIT, UNIT], "i": v})),
+    ("index", False, lambda v: derivation_from_json(THEORY, SIG, {"node": "hyp", "index": v})),
+    ("binder", True, lambda v: arity_from_json([["Ty", v]])),
+    ("trivial", True, lambda v: derivation_from_json(THEORY, SIG, _node(weakening_chain(1)[0], trivial=[v]))),
+    ("src", True, lambda v: substitution_from_json(SIG, {"src": v, "map": []})),
+    ("which", False, lambda v: derivation_from_json(THEORY, SIG, _node(conv_wrap(tt_at(EMPTY_CONTEXT)).d_term, which=v))),
+], ids=["var", "i", "index", "binder", "trivial", "src", "which"])
+def test_a_json_boolean_is_not_a_natural_number(field, value, parse):
+    # a JSON boolean parses as a Python bool, which is an int: false and true
+    # must not pass for the positions 0 and 1, which do parse
+    parse(int(value))
+    message = f"unknown structural rule {value}" if field == "which" else f"{field} must be a natural number, got {value}"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse(value)
 
 
 def test_canonical_emission_is_stable():

@@ -37,6 +37,7 @@ from gtt.syntax import (
     MetaApp,
     SymApp,
     Var,
+    _shift,
     mk_sym,
     mk_var,
     mv_extend_signature,
@@ -252,6 +253,48 @@ def test_extend_context_weakens_the_old_block_in_both_scope_kinds():
             for j, t in enumerate(new):
                 table[kind.inr(n, delta, j)] = t
             assert extend_context(kind, ctx, new) == RawContext(n + delta, tuple(table))
+
+
+def _subexpressions(e):
+    yield e
+    for a in getattr(e, "args", ()):
+        yield from _subexpressions(a)
+
+
+def _binds_and_has_a_free_variable(t):
+    """Whether ``t`` has a binder and, read in indices, a free variable."""
+    subs = list(_subexpressions(t))
+    free = any(type(s) is Var and s.pos >= s.scope - t.scope for s in subs)
+    return free and any(type(s) is SymApp and any(a.scope > s.scope for a in s.args) for s in subs)
+
+
+def test_one_weakening_memo_weakens_each_type_as_a_fresh_shift():
+    # One memo shared by the extensions of many contexts in both scope kinds
+    # gives the contexts that a fresh _shift of each old type gives.  The
+    # contexts draw from a few types per scope, so types repeat within and
+    # across contexts, and the two kinds weaken the same type differently:
+    # every entry must be the shift its key (kind, type, cut, delta) names.
+    rng = random.Random(44)
+    pool = {}
+    for n in (1, 2, 3):
+        pool[n] = []
+        while len(pool[n]) < 4:
+            t = gen_expr(rng, SIG, n, TY, 3)
+            if _binds_and_has_a_free_variable(t):
+                pool[n].append(t)
+    memo, weakened = {}, 0
+    for _ in range(200):
+        n, delta = rng.randrange(1, 4), rng.randrange(1, 3)
+        ctx = RawContext(n, tuple(rng.choice(pool[n]) for _ in range(n)))
+        for kind in ScopeKind:
+            new = tuple(gen_expr(rng, SIG, n + delta, TY, 2) for _ in range(delta))
+            old = tuple(_shift(kind, t, 0 if kind is ScopeKind.INDICES else n, delta) for t in ctx.types)
+            fresh = new + old if kind is ScopeKind.INDICES else old + new
+            assert extend_context(kind, ctx, new, memo) == RawContext(n + delta, fresh)
+            weakened += n
+    assert all(w == _shift(*key) for key, w in memo.items())
+    assert {key[0] for key in memo} == set(ScopeKind)
+    assert len(memo) <= weakened / 4, (len(memo), weakened)
 
 
 # --- contexts, judgements, boundaries and closure rules are tuple records -----

@@ -132,8 +132,8 @@ def test_instantiate_app_rule_gives_displayed_closure_rule():
 def test_one_weakening_memo_gives_the_closure_rules_of_fresh_ones():
     # One memo shared by instantiate_rule calls in both scope kinds, and on
     # equal but distinct contexts, gives what a fresh memo per call gives.
-    # The two kinds weaken the same block differently, so the kind is part
-    # of what the memo is keyed by.
+    # The two kinds weaken the same type differently, at different cuts, so
+    # the memo is keyed by both.
     rng = random.Random(43)
     memo = {}
     for _ in range(150):
