@@ -91,12 +91,13 @@ def check_derivation(
     """
     # id -> (node, conclusion); holding the node keeps its id from reuse
     checked: dict[int, tuple[object, X]] = {}
+    path: list[int] = []  # child indices from the root to the node at hand
 
-    def go(node, path: tuple[int, ...]):
+    def go(node):
         if isinstance(node, GHyp):
             k = node.index
             if not 0 <= k < len(hyps):
-                raise DerivationError(path, IndexOutOfRange(f"hypothesis {k} of {len(hyps)}"))
+                raise DerivationError(tuple(path), IndexOutOfRange(f"hypothesis {k} of {len(hyps)}"))
             return hyps[k]
         seen = checked.get(id(node))
         if seen is not None:
@@ -104,21 +105,23 @@ def check_derivation(
         try:
             rule = rule_of(node)
         except KernelError as e:
-            raise DerivationError(path, e) from e
+            raise DerivationError(tuple(path), e) from e
         children = node.children
         if len(children) != len(rule.premises):
             raise DerivationError(
-                path,
+                tuple(path),
                 ChildCountMismatch(f"{len(rule.premises)} premises, {len(children)} children"),
             )
         for i, (child, premise) in enumerate(zip(children, rule.premises)):
-            got = go(child, path + (i,))
+            path.append(i)
+            got = go(child)
             if got != premise:
-                raise PremiseMismatch(path + (i,), premise, got)
+                raise PremiseMismatch(tuple(path), premise, got)
+            path.pop()
         checked[id(node)] = (node, rule.conclusion)
         return rule.conclusion
 
-    return go(d, ())
+    return go(d)
 
 
 def check_generic_derivation(

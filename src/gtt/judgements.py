@@ -89,15 +89,39 @@ class JudgementForm(Enum):
         return member
 
 
+def _check_slots(self) -> None:
+    """The ``__post_init__`` of Judgement and Boundary: each slot has its
+    class and the context's scope, and a judgement has a head iff its form does."""
+    ctx, form, boundary = self.context, self.form, self.boundary
+    classes = form.boundary_classes
+    if len(boundary) != len(classes):
+        raise ClassMismatch(f"{form.value} takes {len(classes)} boundary slots, got {len(boundary)}")
+    for e, c in zip(boundary, classes):
+        if e.cls is not c:
+            raise ClassMismatch(f"boundary slot of {form.value}: expected {c}, got {e.cls}")
+        if e.scope != ctx.scope:
+            raise ScopeMismatch(f"slot in scope {e.scope}, context scope {ctx.scope}")
+    if type(self) is Judgement:
+        head, hc = self.head, form.head_class
+        if hc is None:
+            if head is not None:
+                raise HeadForbidden(f"{form.value} has no head slot")
+        else:
+            if head is None:
+                raise HeadRequired(f"{form.value} requires a head")
+            if head.cls is not hc:
+                raise ClassMismatch(f"head of {form.value}: expected {hc}, got {head.cls}")
+            if head.scope != ctx.scope:
+                raise ScopeMismatch(f"head in scope {head.scope}, context scope {ctx.scope}")
+
+
 @_record
 class Judgement:
     context: RawContext
     form: JudgementForm
     boundary: tuple[Expr, ...]
     head: Expr | None
-
-    def __post_init__(self):
-        _check_slots(self.context, self.form, self.boundary, self.head, head_required=True)
+    __post_init__ = _check_slots
 
     @property
     def is_object(self) -> bool:
@@ -118,32 +142,7 @@ class Boundary:
     context: RawContext
     form: JudgementForm
     boundary: tuple[Expr, ...]
-
-    def __post_init__(self):
-        _check_slots(self.context, self.form, self.boundary, None, head_required=False)
-
-
-def _check_slots(ctx, form, boundary, head, head_required):
-    classes = form.boundary_classes
-    if len(boundary) != len(classes):
-        raise ClassMismatch(f"{form.value} takes {len(classes)} boundary slots, got {len(boundary)}")
-    for e, c in zip(boundary, classes):
-        if e.cls is not c:
-            raise ClassMismatch(f"boundary slot of {form.value}: expected {c}, got {e.cls}")
-        if e.scope != ctx.scope:
-            raise ScopeMismatch(f"slot in scope {e.scope}, context scope {ctx.scope}")
-    if head_required:
-        hc = form.head_class
-        if hc is None:
-            if head is not None:
-                raise HeadForbidden(f"{form.value} has no head slot")
-        else:
-            if head is None:
-                raise HeadRequired(f"{form.value} requires a head")
-            if head.cls is not hc:
-                raise ClassMismatch(f"head of {form.value}: expected {hc}, got {head.cls}")
-            if head.scope != ctx.scope:
-                raise ScopeMismatch(f"head in scope {head.scope}, context scope {ctx.scope}")
+    __post_init__ = _check_slots
 
 
 def is_type(ctx: RawContext, a: Expr) -> Judgement:
@@ -214,18 +213,17 @@ def instantiate_context(
         raise ScopeMismatch(f"instantiation over scope {inst.scope}, context scope {gamma}")
     if delta == 0:
         return ctx
-    return extend_context(kind, ctx, tuple(instantiate_expr(kind, inst, t) for t in inner.types), memo)
+    return extend_context(kind, ctx, tuple([instantiate_expr(kind, inst, t) for t in inner.types]), memo)
 
 
 def instantiate_judgement(
     kind: ScopeKind, inst: Instantiation, ctx: RawContext, j: Judgement, memo: WeakeningMemo | None = None
 ) -> Judgement:
     """The judgement instantiation: context extension plus pointwise action on slots."""
-    new_ctx = instantiate_context(kind, inst, ctx, j.context, memo)
     return Judgement(
-        new_ctx,
+        instantiate_context(kind, inst, ctx, j.context, memo),
         j.form,
-        tuple(instantiate_expr(kind, inst, e) for e in j.boundary),
+        tuple([instantiate_expr(kind, inst, e) for e in j.boundary]),
         None if j.head is None else instantiate_expr(kind, inst, j.head),
     )
 
@@ -237,7 +235,7 @@ def substitute_judgement(kind: ScopeKind, f: Substitution, target: RawContext, j
     return Judgement(
         target,
         j.form,
-        tuple(substitute_expr(kind, f, e) for e in j.boundary),
+        tuple([substitute_expr(kind, f, e) for e in j.boundary]),
         None if j.head is None else substitute_expr(kind, f, j.head),
     )
 
@@ -256,8 +254,9 @@ def complete_boundary(b: Boundary, head: Expr | None) -> Judgement:
     return Judgement(b.context, b.form, b.boundary, head)
 
 
-def presuppositions(j: Judgement) -> tuple[Judgement, ...]:
-    """The judgements obtained by promoting boundary slots to heads."""
+def presuppositions(j: Judgement | Boundary) -> tuple[Judgement, ...]:
+    """The judgements obtained by promoting boundary slots to heads; a
+    boundary has the same ones, with no head needed."""
     ctx = j.context
     match j.form:
         case JudgementForm.IS_TY:
@@ -271,20 +270,3 @@ def presuppositions(j: Judgement) -> tuple[Judgement, ...]:
             s, t, a = j.boundary
             return (is_type(ctx, a), is_term(ctx, s, a), is_term(ctx, t, a))
     raise TypeError(j.form)
-
-
-def boundary_presuppositions(b: Boundary) -> tuple[Judgement, ...]:
-    """Presuppositions of a boundary: same clauses, no head needed."""
-    ctx = b.context
-    match b.form:
-        case JudgementForm.IS_TY:
-            return ()
-        case JudgementForm.IS_TM:
-            return (is_type(ctx, b.boundary[0]),)
-        case JudgementForm.TY_EQ:
-            a, bb = b.boundary
-            return (is_type(ctx, a), is_type(ctx, bb))
-        case JudgementForm.TM_EQ:
-            s, t, a = b.boundary
-            return (is_type(ctx, a), is_term(ctx, s, a), is_term(ctx, t, a))
-    raise TypeError(b.form)

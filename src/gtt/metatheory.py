@@ -35,7 +35,7 @@ from .rules import (
     congruence_rule,
     generic_application,
 )
-from .scopes import Renaming, Scope, ScopeKind, _record, inl_renaming, sum_scope
+from .scopes import Renaming, Scope, ScopeKind, _record, inl_renaming
 from .syntax import (
     TM,
     Arity,
@@ -80,7 +80,7 @@ def compose_subst(kind: ScopeKind, g: Substitution, f: Substitution) -> Substitu
 def inst_act_subst(kind: ScopeKind, inst: Instantiation, f: Substitution) -> Substitution:
     """I acting on f : delta' -> delta gives gamma+delta' -> gamma+delta."""
     gamma = inst.scope
-    src, dst = sum_scope(gamma, f.src), sum_scope(gamma, f.dst)
+    src, dst = gamma + f.src, gamma + f.dst
     table: list[Expr] = [None] * dst  # type: ignore[list-item]
     for i in range(gamma):
         table[kind.inl(gamma, f.dst, i)] = Var(kind.inl(gamma, f.src, i), src)
@@ -93,7 +93,7 @@ def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) ->
     """I acting on J pointwise; the result lives in scope I.scope + J.scope."""
     return Instantiation(
         other.arity,
-        sum_scope(inst.scope, other.scope),
+        inst.scope + other.scope,
         tuple(instantiate_expr(kind, inst, e) for e in other.exprs),
     )
 

@@ -29,9 +29,9 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
-    boundary_presuppositions,
     complete_boundary,
     is_type,
+    presuppositions,
 )
 from .jsonio import (
     _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, _witness_key,
@@ -438,7 +438,7 @@ def check_premise_family(
                 diagnostics.append(f"premise {i}: {e}")
             continue
         _, hyp_family = flatten_premises_below(sig, family, i)
-        for p, target in enumerate(boundary_presuppositions(boundary)):
+        for p, target in enumerate(presuppositions(boundary)):
             w = witnesses.presups.get((i, p))
             if w is None:
                 ok = False
@@ -496,7 +496,7 @@ def check_rule_boundary(
     sig = theory.signature
     alpha = spec.arity()
     hyps = flatten_premise_family(sig, spec.premises)
-    for p, target in enumerate(boundary_presuppositions(spec.conclusion_boundary())):
+    for p, target in enumerate(presuppositions(spec.conclusion_boundary())):
         w = witnesses.conclusion.get(p)
         if w is None:
             ok = False
@@ -931,8 +931,8 @@ def premise_from_json(sig: Signature, data: Any) -> tuple[tuple[Expr, ...], Judg
 
 
 def _edge(pair: Any, ends) -> tuple:
-    """An order entry ``[a, b]`` with both ends in ``ends`` (rule names or premise indices)."""
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, (str, int)) and v in ends for v in pair)):
+    """An order entry ``[a, b]`` with both ends in ``ends``: rule names or premise indices, not booleans."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(type(v) in (str, int) and v in ends for v in pair)):
         raise ParseError(f"bad order entry {pair!r}")
     return pair[0], pair[1]
 

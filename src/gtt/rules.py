@@ -113,7 +113,7 @@ def instantiate_rule(
     if memo is None:
         memo = {}
     return ClosureRule(
-        tuple(instantiate_judgement(kind, inst, ctx, p, memo) for p in rule.premises),
+        tuple([instantiate_judgement(kind, inst, ctx, p, memo) for p in rule.premises]),
         instantiate_judgement(kind, inst, ctx, rule.conclusion, memo),
     )
 
@@ -168,10 +168,9 @@ def substitution_rule(
         if not acts_trivially(kind, f, target, source, i):
             raise TrivialityViolated(i)
     premises = [j]
-    for i in range(source.scope):
-        if i in trivial:
-            continue
-        premises.append(is_term(target, f(i), substitute_expr(kind, f, source.type_at(i))))
+    for i, (ty, fi) in enumerate(zip(source.types, f.table)):
+        if i not in trivial:
+            premises.append(is_term(target, fi, substitute_expr(kind, f, ty)))
     return ClosureRule(tuple(premises), substitute_judgement(kind, f, target, j))
 
 
@@ -200,15 +199,10 @@ def equality_substitution_rule(
         if not act_jointly_trivially(kind, f, g, target, source, i):
             raise TrivialityViolated(i)
     premises = [j]
-    for i in range(source.scope):
-        if i in trivial:
-            continue
-        ty_i = source.type_at(i)
-        f_ty = substitute_expr(kind, f, ty_i)
-        g_ty = substitute_expr(kind, g, ty_i)
-        premises.append(is_term(target, f(i), f_ty))
-        premises.append(is_term(target, g(i), g_ty))
-        premises.append(tm_eq(target, f(i), g(i), f_ty))
+    for i, (ty, fi, gi) in enumerate(zip(source.types, f.table, g.table)):
+        if i not in trivial:
+            f_ty, g_ty = substitute_expr(kind, f, ty), substitute_expr(kind, g, ty)
+            premises += [is_term(target, fi, f_ty), is_term(target, gi, g_ty), tm_eq(target, fi, gi, f_ty)]
     if j.form is JudgementForm.IS_TY:
         conclusion = ty_eq(
             target, substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)

@@ -21,8 +21,6 @@ from .errors import IndexOutOfRange, ScopeMismatch
 
 Scope = int
 
-EMPTY_SCOPE: Scope = 0
-
 
 class ScopeKind(Enum):
     INDICES = "debruijn-indices"
@@ -49,10 +47,6 @@ class ScopeKind(Enum):
         if self is ScopeKind.INDICES:
             return ("right", p) if p < right else ("left", p - right)
         return ("left", p) if p < left else ("right", p - left)
-
-
-def sum_scope(gamma: Scope, delta: Scope) -> Scope:
-    return gamma + delta
 
 
 class _Fresh:

@@ -17,8 +17,6 @@ expression is the tuple (class, fields...), so building one is cheap and
 The checker builds and compares expressions at every node, so both must
 be cheap.  Fields are read-only properties;
 ``__post_init__``, where a class defines one, runs on every construction.
-The walkers below dispatch on ``type(e)``, which is cheaper than a match
-on class patterns.
 
 Substitution under binders follows the sigma-calculus: below k binders a
 substitution f acts as the pair (f, lift k), where lift f = 0 . (f o shift),
@@ -42,7 +40,10 @@ when delta = b.  No table is built for it.
 
 The scope checks stay at the entry points (the table classes, the guard of
 substitute_expr, the mk_* constructors); the recursions below them trust
-the tree.
+the tree.  A walker costs one Python frame per node, its own recursion: it
+dispatches on ``type(e)`` and calls no helper at a node, and where a check
+it makes inline fails it calls the helper that made it, to raise the same
+error.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .scopes import (
     Scope,
     ScopeKind,
     _record,
-    sum_scope,
 )
 
 
@@ -197,10 +197,7 @@ def _fresh_name(existing: tuple[Symbol, ...], candidate: str, i: int) -> str:
 class Var:
     pos: int
     scope: Scope
-
-    @property
-    def cls(self) -> SyntacticClass:
-        return TM
+    cls = TM  # not a field: every variable is a term
 
 
 @_record
@@ -250,35 +247,54 @@ def _check_args(sig: Signature, ar: Arity, args: tuple[Expr, ...], scope: Scope,
     for i, (arg, slot) in enumerate(zip(args, ar)):
         if arg.cls is not slot.cls:
             raise ClassMismatch(f"argument {i} of {name}: expected {slot.cls}, got {arg.cls}")
-        if arg.scope != sum_scope(scope, slot.binder):
+        if arg.scope != scope + slot.binder:
             raise ScopeMismatch(
-                f"argument {i} of {name}: expected scope {sum_scope(scope, slot.binder)}, got {arg.scope}"
+                f"argument {i} of {name}: expected scope {scope + slot.binder}, got {arg.scope}"
             )
 
 
 def validate_expr(sig: Signature, e: Expr, scope: Scope, cls: SyntacticClass | None = None) -> None:
-    """Recursively re-validate an expression tree against a signature."""
+    """Recursively re-validate an expression tree against a signature.
+
+    A node checks its symbol or variable, then its arguments' classes and
+    scopes before it visits them, so only ``e``'s are checked here."""
     if cls is not None and e.cls is not cls:
         raise ClassMismatch(f"expected {cls}, got {e.cls} at {e!r}")
     if e.scope != scope:
         raise ScopeMismatch(f"expected scope {scope}, got {e.scope} at {e!r}")
-    match e:
-        case Var(pos=p):
-            if not 0 <= p < scope:
-                raise IndexOutOfRange(f"variable {p} of scope {scope}")
-        case SymApp(sym=s, args=args):
-            decl = sig.symbol(s)
-            if e.cls is not decl.cls:
-                raise ClassMismatch(f"{decl.name} has class {decl.cls}, node says {e.cls}")
-            _check_args(sig, decl.arity, args, scope, decl.name)
-            for arg, slot in zip(args, decl.arity):
-                validate_expr(sig, arg, sum_scope(scope, slot.binder), slot.cls)
-        case MetaApp(idx=m, args=args):
-            if e.cls is not sig.mv_class(m):
-                raise ClassMismatch(f"metavariable {m} has class {sig.mv_class(m)}")
-            _check_args(sig, simple_arity(sig.mv_binder(m)), args, scope, sig.mv_name(m))
-            for arg in args:
-                validate_expr(sig, arg, scope, TM)
+    _validate(sig, e)
+
+
+def _validate(sig: Signature, e: Expr) -> None:
+    t, scope = type(e), e.scope
+    if t is Var:
+        if not 0 <= e.pos < scope:
+            raise IndexOutOfRange(f"variable {e.pos} of scope {scope}")
+    elif t is SymApp:
+        s, symbols, args = e.sym, sig.symbols, e.args
+        decl = symbols[s] if 0 <= s < len(symbols) else sig.symbol(s)
+        if e.cls is not decl.cls:
+            raise ClassMismatch(f"{decl.name} has class {decl.cls}, node says {e.cls}")
+        ar = decl.arity
+        if len(args) != len(ar):
+            _check_args(sig, ar, args, scope, decl.name)
+        for a, slot in zip(args, ar):
+            if a.cls is not slot.cls or a.scope != scope + slot.binder:
+                _check_args(sig, ar, args, scope, decl.name)
+        for a in args:
+            _validate(sig, a)
+    elif t is MetaApp:
+        m, mv, args = e.idx, sig.mv_arity, e.args
+        slot = mv[m] if mv is not None and 0 <= m < len(mv) else sig._mv_arg(m)
+        if e.cls is not slot.cls:
+            raise ClassMismatch(f"metavariable {m} has class {slot.cls}")
+        if len(args) != slot.binder:
+            _check_args(sig, simple_arity(slot.binder), args, scope, sig.mv_name(m))
+        for a in args:
+            if a.cls is not TM or a.scope != scope:
+                _check_args(sig, simple_arity(slot.binder), args, scope, sig.mv_name(m))
+        for a in args:
+            _validate(sig, a)
 
 
 def weaken_expr(kind: ScopeKind, e: Expr, by: Scope) -> Expr:
@@ -301,12 +317,12 @@ def _shift(kind: ScopeKind, e: Expr, cut: int, by: Scope) -> Expr:
     if t is SymApp:
         scope = e.scope
         if kind is ScopeKind.INDICES:
-            new_args = tuple(_shift(kind, arg, cut + arg.scope - scope, by) for arg in e.args)
+            new_args = tuple([_shift(kind, arg, cut + arg.scope - scope, by) for arg in e.args])
         else:
-            new_args = tuple(_shift(kind, arg, cut, by) for arg in e.args)
+            new_args = tuple([_shift(kind, arg, cut, by) for arg in e.args])
         return SymApp(e.sym, new_args, scope + by, e.cls)
     if t is MetaApp:
-        return MetaApp(e.idx, tuple(_shift(kind, arg, cut, by) for arg in e.args), e.scope + by, e.cls)
+        return MetaApp(e.idx, tuple([_shift(kind, arg, cut, by) for arg in e.args]), e.scope + by, e.cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -380,16 +396,19 @@ def _substitute(kind: ScopeKind, f: Substitution, e: Expr, k: Scope) -> Expr:
     if t is Var:
         p = e.pos
         if kind is ScopeKind.INDICES:
-            return Var(p, f.src + k) if p < k else weaken_expr(kind, f(p - k), k)
-        if p < f.dst:
-            return weaken_expr(kind, f(p), k)
-        return Var(f.src + (p - f.dst), f.src + k)
+            if p < k:
+                return Var(p, f.src + k)
+            p -= k
+        elif p >= f.dst:
+            return Var(f.src + (p - f.dst), f.src + k)
+        entry = f.table[p] if 0 <= p < f.dst else f(p)  # f(p) raises
+        return _shift(kind, entry, 0 if kind is ScopeKind.INDICES else f.src, k) if k else entry
     if t is SymApp:
         scope = e.scope
-        new_args = tuple(_substitute(kind, f, arg, k + arg.scope - scope) for arg in e.args)
+        new_args = tuple([_substitute(kind, f, arg, k + arg.scope - scope) for arg in e.args])
         return SymApp(e.sym, new_args, f.src + k, e.cls)
     if t is MetaApp:
-        return MetaApp(e.idx, tuple(_substitute(kind, f, a, k) for a in e.args), f.src + k, e.cls)
+        return MetaApp(e.idx, tuple([_substitute(kind, f, a, k) for a in e.args]), f.src + k, e.cls)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -410,9 +429,9 @@ class Instantiation:
         for i, (e, slot) in enumerate(zip(self.exprs, self.arity)):
             if e.cls is not slot.cls:
                 raise ClassMismatch(f"entry {i}: expected {slot.cls}, got {e.cls}")
-            if e.scope != sum_scope(self.scope, slot.binder):
+            if e.scope != self.scope + slot.binder:
                 raise ScopeMismatch(
-                    f"entry {i}: expected scope {sum_scope(self.scope, slot.binder)}, got {e.scope}"
+                    f"entry {i}: expected scope {self.scope + slot.binder}, got {e.scope}"
                 )
 
     def __call__(self, i: int) -> Expr:
@@ -469,37 +488,41 @@ def instantiate_expr(kind: ScopeKind, inst: Instantiation, e: Expr) -> Expr:
     argument, is a weakening occurrence: the table it would build sends the
     binder's positions to themselves and gamma along the left inclusion
     into gamma + delta, which is the weakening of the entry by delta - b.
-    So it is one ``_shift`` of ``inst(m)``: cut b for indices, cut
-    ``inst(m).scope`` for levels.  At delta = b it is the generic pattern,
+    So it is one ``_shift`` of the entry: cut b for indices, cut the
+    entry's scope for levels.  At delta = b it is the generic pattern,
     the table is the identity, and the entry itself is returned (e[id] = e),
     not a copy.  Every other occurrence substitutes along its table.
     """
     gamma, delta = inst.scope, e.scope
-    target = sum_scope(gamma, delta)
+    target = gamma + delta
     t = type(e)
     if t is Var:
-        return Var(kind.inr(gamma, delta, e.pos), target)
+        p = e.pos
+        if not 0 <= p < delta:
+            kind.inr(gamma, delta, p)  # raises
+        return Var(p if kind is ScopeKind.INDICES else p + gamma, target)
     if t is SymApp:
-        return SymApp(e.sym, tuple(instantiate_expr(kind, inst, a) for a in e.args), target, e.cls)
+        return SymApp(e.sym, tuple([instantiate_expr(kind, inst, a) for a in e.args]), target, e.cls)
     if t is MetaApp:
-        m = e.idx
-        binder = inst.arity[m].binder
-        args = e.args
-        if len(args) == binder and all(type(a) is Var and a.pos == j for j, a in enumerate(args)):
-            # the table is a weakening: one shift of the entry, none at delta = b
-            entry = inst(m)
-            if delta == binder:
-                return entry
-            return _shift(kind, entry, binder if kind is ScopeKind.INDICES else entry.scope, delta - binder)
+        m, args = e.idx, e.args
+        binder, entry = inst.arity[m].binder, inst.exprs[m]
+        for j, a in enumerate(args):
+            if type(a) is not Var or a.pos != j:
+                break
+        else:
+            if len(args) == binder:  # the table is a weakening: one shift of the entry, none at delta = b
+                if delta == binder:
+                    return entry
+                return _shift(kind, entry, binder if kind is ScopeKind.INDICES else entry.scope, delta - binder)
         # gamma's positions go along the left inclusion into gamma + delta,
-        # as one block of the table; the arguments take the binder's positions
+        # as one block of the table; the arguments take the binder's positions,
+        # the table's dst is the entry's scope, so no guard is needed
         table: list[Expr] = [None] * (gamma + binder)  # type: ignore[list-item]
         if kind is ScopeKind.INDICES:
             table[binder:] = [Var(i + delta, target) for i in range(gamma)]
         else:
             table[:gamma] = [Var(i, target) for i in range(gamma)]
-        for j, arg in enumerate(e.args):
+        for j, arg in enumerate(args):
             table[kind.inr(gamma, binder, j)] = instantiate_expr(kind, inst, arg)
-        f = Substitution(target, gamma + binder, tuple(table))
-        return substitute_expr(kind, f, inst(m))
+        return _substitute(kind, Substitution(target, gamma + binder, tuple(table)), entry, 0)
     raise TypeError(f"not an expression: {e!r}")

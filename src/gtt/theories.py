@@ -49,13 +49,13 @@ A derivation may share node objects, and ``check_derivation`` recomputes
 the closure rule of each distinct node object once per check (see its
 docstring); the induction above runs over the occurrences all the same.
 
-A premise context of a rule instance extends the node's context, and the
-node's types are weakened into the extension.  ``check_theory_derivation``
-keeps one weakening memo (``judgements.extend_context``) for the whole
-check, keyed by value on (scope kind, type, cut, delta), so each distinct
-type is weakened once per check, however many positions, contexts,
-premises and nodes hold it.  The memo lives for one check; every context
-is still built, and validated, by its constructor.
+A premise context of a rule instance extends the node's context, whose
+types are weakened into it.  One weakening memo per check
+(``judgements.extend_context``), keyed by value on (scope kind, type, cut,
+delta), weakens each distinct type once however many positions, contexts
+and nodes hold it; every context is still built by its constructor.  So a
+node costs the frames of ``closure_rule_of_node``, which dispatches on
+``type(node)``, and of the syntax walkers, one per expression node.
 
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
 derivations over a raw theory, so it is defined here: the raw layer reads
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
 from .foundations import ClosureRule, GHyp, check_derivation
-from .scopes import ScopeKind, _Fresh, _record, sum_scope
+from .scopes import ScopeKind, _Fresh, _record
 from .syntax import (
     TM,
     Arity,
@@ -239,25 +239,25 @@ def closure_rule_of_node(
     shows are in it verbatim: only the rest of the data is validated here
     (see the module docstring).  ``memo`` goes to ``instantiate_rule``.
     """
-    kind = sig.kind
-    match node:
-        case RuleInst(ref=ref, inst=inst, context=ctx):
-            rule = theory.rule(ref)
-            for m, slot in enumerate(inst.arity):
-                if m not in rule.exposed:
-                    validate_expr(sig, inst(m), sum_scope(inst.scope, slot.binder), slot.cls)
-            return instantiate_rule(kind, inst, ctx, rule, memo)
-        case VariableInst(context=ctx, pos=i):
-            return variable_rule(kind, ctx, i)
-        case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
-            validate_judgement(sig, j)
-            _validate_table(sig, f)
-            return substitution_rule(kind, f, ctx, K, j)
-        case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
-            validate_judgement(sig, j)
-            _validate_table(sig, f)
-            _validate_table(sig, g)
-            return equality_substitution_rule(kind, f, g, ctx, K, j)
+    kind, t = sig.kind, type(node)
+    if t is RuleInst:
+        inst, rule = node.inst, theory.rule(node.ref)
+        for m, (entry, slot) in enumerate(zip(inst.exprs, inst.arity)):
+            if m not in rule.exposed:
+                validate_expr(sig, entry, inst.scope + slot.binder, slot.cls)
+        return instantiate_rule(kind, inst, node.context, rule, memo)
+    if t is VariableInst:
+        return variable_rule(kind, node.context, node.pos)
+    if t is SubstInst:
+        validate_judgement(sig, node.judgement)
+        _validate_table(sig, node.subst)
+        return substitution_rule(kind, node.subst, node.context, node.trivial, node.judgement)
+    if t is EqSubstInst:
+        f, g, j = node.left, node.right, node.judgement
+        validate_judgement(sig, j)
+        _validate_table(sig, f)
+        _validate_table(sig, g)
+        return equality_substitution_rule(kind, f, g, node.context, node.trivial, j)
     raise KernelError(f"not a derivation node: {node!r}")
 
 

@@ -286,6 +286,17 @@ def test_a_json_boolean_is_not_a_natural_number(tmp_path, capsys, field, value, 
     assert err == f"parse error: {field} must be a natural number, got {value!r}\n"
 
 
+def test_a_json_boolean_is_not_a_premise_index(tmp_path, capsys):
+    # the lam rule's premise order [[0,1],[0,2],[1,2]] with false for 0 and
+    # true for 1 was read as that order: well-presented: ok, exit 0
+    data = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    (lam,) = [r for r in data["rules"] if r["name"] == "lam"]
+    lam["premise_order"] = [[False, True], [False, 2], [True, 2]]
+    code, err = run_err(capsys, "check-theory", _write_json(tmp_path, data), "--well-presented")
+    assert code == 2
+    assert err == "parse error: bad order entry [False, True]\n"
+
+
 def test_bad_json_keeps_its_position():
     # a JSONDecodeError is a ValueError too: it keeps its own message
     with pytest.raises(ParseError, match="line 1, column 4: Expecting value"):

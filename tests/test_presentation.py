@@ -1,12 +1,13 @@
 """Sequential contexts, premise families, realisation, and elaboration."""
 
 import itertools
+import json
 import pathlib
 
 import pytest
 
 from gtt.bundled import mltt_pi, mltt_pi_presented
-from gtt.errors import ArityMismatch, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
+from gtt.errors import ArityMismatch, ParseError, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
 from gtt.foundations import FinitePoset
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
 from gtt.jsonio import load_theory_file, loads
@@ -282,3 +283,24 @@ def test_is_sequential_rule_validator():
 
     reversed_pi = RawRule(pi.arity, pi.premises[::-1], pi.conclusion, pi.meta_names)
     assert not is_sequential_rule(reversed_pi)
+
+
+def _lam_with_premise_order(order):
+    data = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    (lam,) = [r for r in data["rules"] if r["name"] == "lam"]
+    lam["premise_order"] = order
+    return data
+
+
+@pytest.mark.parametrize("order, first_bad", [
+    ([[False, True], [False, 2], [True, 2]], "[False, True]"),
+    ([[0, 1], [0, 2], [True, 2]], "[True, 2]"),
+])
+def test_a_json_boolean_is_not_a_premise_index(order, first_bad):
+    # a JSON boolean is a bool, an int subclass: false and true were read as
+    # the premise indices 0 and 1, and the spec passed as well presented
+    with pytest.raises(ParseError) as caught:
+        load_theory_file(_lam_with_premise_order(order))
+    assert str(caught.value) == f"bad order entry {first_bad}"
+    # the same order in numbers is the fixture's own
+    load_theory_file(_lam_with_premise_order([[int(a), int(b)] for a, b in order]))

@@ -12,7 +12,6 @@ from gtt.scopes import (
     Renaming,
     ScopeKind,
     inl_renaming,
-    sum_scope,
 )
 from naive import identity_renaming, inr_renaming, naive_extend_renaming, naive_sum_renaming
 
@@ -22,14 +21,12 @@ scopes = st.integers(min_value=0, max_value=5)
 
 def test_indices_inclusions_match_walkthrough():
     kind = ScopeKind.INDICES
-    assert sum_scope(3, 2) == 5
     assert kind.inl(3, 2, 0) == 2
     assert kind.inr(3, 2, 0) == 0
 
 
 def test_levels_inclusions():
     kind = ScopeKind.LEVELS
-    assert sum_scope(3, 2) == 5
     assert kind.inl(3, 2, 0) == 0
     assert kind.inr(3, 2, 0) == 3
 
