@@ -38,7 +38,7 @@ def cmd_check_theory(args) -> int:
             report_json["checks"]["well-presented"] = {"ok": True, "diagnostics": []}
             lines.append("well-presented: ok")
         if args.acceptable or args.well_founded:
-            failed |= _acceptability_into(args, theory, {}, report_json, lines, report)
+            failed |= _acceptability_into(theory, {}, report_json, lines, report)
         if args.well_founded:
             wf = check_well_founded_theory(theory, None)
             report_json["checks"]["well-founded"] = {
@@ -59,7 +59,7 @@ def cmd_check_theory(args) -> int:
         lines.append("well-presented: FAIL (not a spec file)")
         failed = True
     if args.acceptable or not (args.well_founded or args.well_presented):
-        failed |= _acceptability_into(args, theory, witnesses, report_json, lines)
+        failed |= _acceptability_into(theory, witnesses, report_json, lines)
     if args.well_founded:
         wf = check_well_founded_theory(theory, order, witnesses)
         report_json["checks"]["well-founded"] = {"ok": wf.ok, "diagnostics": wf.diagnostics}
@@ -71,7 +71,7 @@ def cmd_check_theory(args) -> int:
     return 1 if failed else 0
 
 
-def _acceptability_into(args, theory, witnesses, report_json, lines, ready=None) -> bool:
+def _acceptability_into(theory, witnesses, report_json, lines, ready=None) -> bool:
     from .metatheory import check_acceptable_theory
 
     report = ready or check_acceptable_theory(theory, witnesses)
@@ -272,6 +272,4 @@ def _script_boundary(builder, step):
     conclusion_slots = _boundary_from_json(
         full_sig, _obj(step.get("boundary", {}), "conclusion boundary"), form, 0, "conclusion boundary"
     )
-    return sequential_boundary_spec(
-        bsig.kind, tuple(premises), form, conclusion_slots, names
-    )
+    return sequential_boundary_spec(tuple(premises), form, conclusion_slots, names)

@@ -229,9 +229,7 @@ class _CongruenceEngine:
             )
             for k in range(self.n)
         )
-        return derive_presuppositions(
-            self.theory, d, {}, self.rule.arity, hyp_presups=hyp_presups
-        )[0]
+        return derive_presuppositions(self.theory, d, {}, hyp_presups=hyp_presups)[0]
 
     # -- context transports ------------------------------------------------------
 

@@ -24,7 +24,6 @@ from .errors import (
     KernelError,
     MissingWitness,
     NotAcceptable,
-    ScopeMismatch,
     WitnessFailure,
 )
 from .judgements import (
@@ -46,6 +45,7 @@ from .presentation import (
     flatten_premise_family,
     is_sequential_flat_context,
     realise_rule_boundary,
+    relabel_metas,
 )
 from .rules import RawRule, congruence_rule, generic_application
 from .foundations import FinitePoset
@@ -63,7 +63,6 @@ from .syntax import (
     Var,
     instantiate_expr,
     mv_extend_signature,
-    simple_arity,
     validate_expr,
 )
 from .theories import (
@@ -221,7 +220,7 @@ def check_derived_rule(
     return derived_rule_failure(theory, rule, witness) is None
 
 
-# --- realisers and conservativity ----------------------------------------------
+# --- realisers ----------------------------------------------------------------
 
 def check_realiser(
     theory: RawTypeTheory,
@@ -249,30 +248,6 @@ def check_realiser(
     return got == target
 
 
-@_record
-class ConservativityWitness:
-    """One checked instance of each reflection property of a conservative map."""
-
-    equation: tuple[RawRule, TheoryDerivation, TheoryDerivation] | None = None
-    realiser: tuple[RuleBoundarySpec, Expr, TheoryDerivation, Expr, TheoryDerivation] | None = None
-
-
-def check_conservativity_witness(f: RawTheoryMap, w: ConservativityWitness) -> bool:
-    """Validate the reflection data: the image facts hold in the target and
-    the reflected facts hold in the source."""
-    ok = True
-    if w.equation is not None:
-        rule, d_image, d_source = w.equation
-        ok &= check_derived_rule(f.dst, map_rule(f.syntax, rule), d_image)
-        ok &= check_derived_rule(f.src, rule, d_source)
-    if w.realiser is not None:
-        spec, e_image, d_image, e_source, d_source = w.realiser
-        image_spec = map_rule_boundary(f.syntax, spec)
-        ok &= check_realiser(f.dst, image_spec, e_image, d_image)
-        ok &= check_realiser(f.src, spec, e_source, d_source)
-    return ok
-
-
 def map_rule_boundary(m: RawSyntaxMap, spec: RuleBoundarySpec) -> RuleBoundarySpec:
     fam = spec.premises
     new_boundaries = tuple(
@@ -286,45 +261,6 @@ def map_rule_boundary(m: RawSyntaxMap, spec: RuleBoundarySpec) -> RuleBoundarySp
         WellFoundedPremiseFamily(fam.shape, new_boundaries, fam.names),
         spec.conclusion_form,
         tuple(apply_syntax_map(m, s) for s in spec.conclusion_slots),
-    )
-
-
-# --- promotion and demotion -------------------------------------------------------
-
-def promote(kind: ScopeKind, e: Expr, gamma: int) -> Expr:
-    """Replace the gamma-scope variables of e by metavariables; variables
-    bound inside e stay put, so the result is closed over the extension by
-    the simple arity of gamma."""
-
-    def go(node: Expr, extra: int) -> Expr:
-        match node:
-            case Var(pos=p, scope=s):
-                if extra:
-                    side, q = kind.unsum(gamma, extra, p)
-                    if side == "right":
-                        return Var(q, s - gamma)
-                    return MetaApp(q, (), s - gamma, TM)
-                return MetaApp(p, (), 0, TM)
-            case SymApp(sym=sym, args=args, scope=s, cls=c):
-                return SymApp(
-                    sym,
-                    tuple(go(a, extra + (a.scope - s)) for a in args),
-                    s - gamma,
-                    c,
-                )
-            case MetaApp():
-                raise MissingWitness("promotion applies to metavariable-free expressions")
-        raise TypeError(node)
-
-    if e.scope < gamma:
-        raise ScopeMismatch(f"expression in scope {e.scope} cannot promote {gamma} variables")
-    return go(e, e.scope - gamma)
-
-
-def demote(kind: ScopeKind, gamma: int) -> Instantiation:
-    """The instantiation taking the promoted metavariables back to variables."""
-    return Instantiation(
-        simple_arity(gamma), gamma, tuple(Var(i, gamma) for i in range(gamma))
     )
 
 
@@ -403,43 +339,18 @@ class ReplacementBuilder:
         self.steps.append(step)
         return len(self.rules) - 1
 
-    def theory_map(self) -> RawTheoryMap:
-        """The factor map from the builder theory to the target.
-
-        Symbol rules carry their realiser witnesses; equation rules their
-        step witnesses.  Congruence rules of adjoined symbols are derivable
-        in any congruous target; their derivations are not synthesised here.
-        """
-        derivations: dict[int, TheoryDerivation] = {}
-        i = 0
-        for step in self.steps:
-            if isinstance(step, SymbolStep):
-                derivations[i] = step.witness
-                i += 2  # skip the congruence rule
-            else:
-                derivations[i] = step.witness
-                i += 1
-        return RawTheoryMap(self.syntax_map(), self.theory(), self.target, derivations)
-
     def check_well_founded(self) -> bool:
         """Each rule mentions only symbols adjoined strictly before it."""
-        seen: set[int] = set()
         next_symbol = 0
         for name, rule in zip(self.rule_names, self.rules):
+            if any(s >= next_symbol for s in rule_symbols(rule)):
+                return False
             if rule.is_object and not name.endswith("-cong"):
-                # the rule introducing symbol `next_symbol`
-                if any(s >= next_symbol for s in rule_symbols(rule)):
-                    return False
-                seen.add(next_symbol)
-                next_symbol += 1
-            else:
-                if any(s >= next_symbol for s in rule_symbols(rule)):
-                    return False
+                next_symbol += 1  # the rule introduced symbol `next_symbol`
         return True
 
 
 def sequential_boundary_spec(
-    kind: ScopeKind,
     premises: tuple[tuple[tuple[Expr, ...], JudgementForm, tuple[Expr, ...]], ...],
     conclusion_form: JudgementForm,
     conclusion_slots: tuple[Expr, ...],
@@ -531,7 +442,7 @@ def section_d(
             "premise-family image via the returned spec instead"
         )
     spec = sequential_boundary_spec(
-        theory.kind, primed, rule.conclusion.form, conclusion_slots,
+        primed, rule.conclusion.form, conclusion_slots,
         sequential_premise_names(rule),
     )
     return driver.builder, spec, realized
@@ -574,7 +485,7 @@ class _SectionDriver:
                 self._primed_conclusion_type(rule, name, primed),
             )
         spec = sequential_boundary_spec(
-            self.kind, primed, form, conclusion_slots, sequential_premise_names(rule)
+            primed, form, conclusion_slots, sequential_premise_names(rule)
         )
         realiser = generic_application(self.theory.signature, sym)
         witness = generic_rule_instance(rule_index, rule)
@@ -629,7 +540,7 @@ class _SectionDriver:
             )
         intro = self._intro_premise(rule, entry.idx)
         spec = sequential_boundary_spec(
-            self.kind, prefix, JudgementForm.IS_TY, (),
+            prefix, JudgementForm.IS_TY, (),
             sequential_premise_names(rule)[:len(prefix)],
         )
         realiser = MetaApp(self._sub_meta_index(rule, entry.idx, k), (), 0, TY)
@@ -651,7 +562,7 @@ class _SectionDriver:
         promoted = self._promote_slot(rule, slot, k, gamma, sub)
         witness = self._slot_witness(rule, premise, slot, k, gamma, sub)
         spec = sequential_boundary_spec(
-            self.kind, tuple(prefix_family), JudgementForm.IS_TY, (),
+            tuple(prefix_family), JudgementForm.IS_TY, (),
             sequential_premise_names(rule)[:k] + tuple(f"x{i}" for i in range(gamma)),
         )
         c = self._add(f"c.{name}.p{k}", spec, promoted, witness)
@@ -708,12 +619,15 @@ class _SectionDriver:
     def _slot_witness(self, rule, premise, slot, k: int, gamma: int, sub: int):
         """A derivation of the promoted slot's typing over the boundary's
         hypotheses: prefix premises first, then the promotion typings."""
-        if isinstance(slot, MetaApp) and _is_generic_args(self.kind, slot.args, gamma, self):
+        if isinstance(slot, MetaApp) and _is_generic_args(slot.args, gamma, self):
             intro = self._intro_premise(rule, slot.idx)
             if gamma == 0:
                 return Hyp(intro)
             intro_premise = rule.premises[intro]
-            sub_j = _reindex_judgement_into_prefix(self, rule, intro_premise, k)
+            # the intro premise's metavariables reindexed into the arity of the first k premises
+            sub_j = intro_premise.map_exprs(
+                partial(relabel_metas, index=lambda m: self._sub_meta_index(rule, m, k))
+            )
             table = [None] * gamma
             for j in range(gamma):
                 table[self._declared_position(j, gamma)] = MetaApp(sub + j, (), 0, TM)
@@ -745,7 +659,7 @@ class _SectionDriver:
         if w is None or 0 not in w.conclusion:
             raise MissingWitness(f"rule {name} has no conclusion-type witness")
         spec = sequential_boundary_spec(
-            self.kind, primed, JudgementForm.IS_TY, (), sequential_premise_names(rule)
+            primed, JudgementForm.IS_TY, (), sequential_premise_names(rule)
         )
         c = self._add(f"c.{name}.ty", spec, promoted, w.conclusion[0])
         return generic_application(self.builder.signature, c)
@@ -764,7 +678,7 @@ class _SectionDriver:
         return idx
 
 
-def _is_generic_args(kind, args, gamma: int, driver) -> bool:
+def _is_generic_args(args, gamma: int, driver) -> bool:
     """args are exactly the context variables in declaration order."""
     if len(args) != gamma:
         return False
@@ -772,25 +686,6 @@ def _is_generic_args(kind, args, gamma: int, driver) -> bool:
         if not (isinstance(a, Var) and a.pos == driver._declared_position(j, gamma)):
             return False
     return True
-
-
-def _reindex_judgement_into_prefix(driver, rule, premise, k: int) -> Judgement:
-    """A premise judgement with its metavariables reindexed into the arity of
-    the first k premises (the identity for sequential families)."""
-
-    def go(e: Expr) -> Expr:
-        match e:
-            case Var():
-                return e
-            case SymApp(sym=s2, args=args, scope=sc, cls=c):
-                return SymApp(s2, tuple(go(a) for a in args), sc, c)
-            case MetaApp(idx=m, args=args, scope=sc, cls=c):
-                return MetaApp(
-                    driver._sub_meta_index(rule, m, k), tuple(go(a) for a in args), sc, c
-                )
-        raise TypeError(e)
-
-    return premise.map_exprs(go)
 
 
 def _rescope(kind: ScopeKind, e: Expr, gamma: int) -> Expr:

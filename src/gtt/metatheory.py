@@ -38,7 +38,6 @@ from .rules import (
 from .scopes import Renaming, Scope, ScopeKind, _record, inl_renaming
 from .syntax import (
     TM,
-    Arity,
     Expr,
     Instantiation,
     MetaApp,
@@ -220,14 +219,13 @@ def instantiate_derivation(
     inst: Instantiation,
     ctx: RawContext,
     d: TheoryDerivation,
-    outer_ambient: Arity | None = None,
 ) -> TheoryDerivation:
     """Push a derivation over the extension by ``inst.arity`` down to the base.
 
-    ``d`` must check over the theory at ambient ``inst.arity`` (itself over
-    ``outer_ambient`` when nested); the result checks over ``outer_ambient``
-    with the instantiated conclusion.  Under strict scopes every node maps to
-    a node of the same kind, so the tree shape is preserved.
+    ``d`` must check over the theory at ambient ``inst.arity``; the result
+    checks over the ambient the entries of ``inst`` are written in, with the
+    instantiated conclusion.  Under strict scopes every node maps to a node
+    of the same kind, so the tree shape is preserved.
     """
     kind = theory.kind
     gamma = inst.scope
@@ -584,14 +582,15 @@ def derive_presuppositions(
     theory: RawTypeTheory,
     d: TheoryDerivation,
     witnesses: TheoryWitnesses,
-    ambient: Arity | None = None,
     hyp_presups: tuple[tuple[TheoryDerivation, ...], ...] | None = None,
 ) -> tuple[TheoryDerivation, ...]:
     """Derivations of every presupposition of d's conclusion.
 
     Requires (weak) presupposition witnesses for every specific rule used.
     Hypothesis leaves are only allowed if ``hyp_presups`` supplies
-    derivations of the presuppositions of each hypothesis.
+    derivations of the presuppositions of each hypothesis.  The results
+    check over whatever ambient arity ``d`` checks over: each witness is
+    instantiated by the node that cites its rule, so no ambient is passed.
     """
     def go(node: TheoryDerivation) -> tuple[TheoryDerivation, ...]:
         match node:
@@ -628,7 +627,7 @@ def derive_presuppositions(
                         raise MissingWitness(
                             f"missing conclusion presupposition witness {p}"
                         )
-                    lowered = instantiate_derivation(theory, inst, ctx, w, ambient)
+                    lowered = instantiate_derivation(theory, inst, ctx, w)
                     out.append(graft(lowered, tuple(fillers)))
                 return tuple(out)
         raise TypeError(f"not a derivation node: {_node_name(theory, node)}")
@@ -1115,11 +1114,10 @@ def unique_typing_acceptable(
     d1: TheoryDerivation,
     d2: TheoryDerivation,
     witnesses: TheoryWitnesses,
-    ambient: Arity | None = None,
 ) -> TheoryDerivation:
     """The corollary form: typings of the two types come from presuppositions."""
-    d_a = derive_presuppositions(theory, d1, witnesses, ambient)[0]
-    d_b = derive_presuppositions(theory, d2, witnesses, ambient)[0]
+    d_a = derive_presuppositions(theory, d1, witnesses)[0]
+    d_b = derive_presuppositions(theory, d2, witnesses)[0]
     return unique_typing(theory, d_a, d_b, d1, d2)
 
 
@@ -1149,7 +1147,6 @@ def invert(
     theory: RawTypeTheory,
     d: TheoryDerivation,
     witnesses: TheoryWitnesses,
-    ambient: Arity | None = None,
 ) -> TheoryDerivation:
     """Canonical form of a term- or type-judgement derivation.
 
@@ -1174,7 +1171,7 @@ def invert(
                     raise NotObjectRule("inversion applies to object judgements")
                 natty = instantiate_expr(kind, inst, conclusion.boundary[0])
                 head = instantiate_expr(kind, inst, conclusion.head)
-                d_natty = derive_presuppositions(theory, node, witnesses, ambient)[0]
+                d_natty = derive_presuppositions(theory, node, witnesses)[0]
                 refl = derive.refl_ty(ctx, natty, d_natty)
                 return derive.conv(ctx, natty, natty, head, d_natty, d_natty, node, refl)
             case RuleInst(ref=BuiltinRule.CONV_TM, inst=inst, context=ctx, children=children):

@@ -9,11 +9,12 @@ congruence rules of object rules, and re-checks everything.
 
 from __future__ import annotations
 
-from typing import Any
+from functools import partial
+from typing import Any, Callable
 
 from .errors import (
     ArityMismatch,
-    NoBijection,
+    KernelError,
     ParseError,
     ScopeMismatch,
     StageViolation,
@@ -30,7 +31,6 @@ from .judgements import (
     JudgementForm,
     RawContext,
     complete_boundary,
-    is_type,
     presuppositions,
 )
 from .jsonio import (
@@ -38,7 +38,7 @@ from .jsonio import (
     arity_to_json, derivation_from_json, derivation_to_json, expr_from_json, expr_to_json, rule_to_json,
 )
 from .metatheory import (
-    AcceptabilityReport, check_acceptable_theory, check_tight, check_well_founded, expr_symbols,
+    AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols,
     transitive_closure,
 )
 from .rules import RawRule, congruence_rule, generic_application
@@ -208,29 +208,6 @@ def sequential_by_peeling(kind: ScopeKind, ctx: RawContext) -> bool:
     return sequential_by_peeling(kind, RawContext(n - 1, tuple(types)))
 
 
-def check_wf_context(
-    theory: RawTypeTheory,
-    seq: SequentialContext,
-    witnesses: tuple[TheoryDerivation, ...],
-    hyps: tuple[Judgement, ...] = (),
-    ambient: Arity | None = None,
-    ambient_names: tuple[str, ...] = (),
-) -> bool:
-    """Each witness must derive that the i-th entry is a type over the initial segment."""
-    if len(witnesses) != len(seq):
-        return False
-    kind = theory.kind
-    for i, entry in enumerate(seq):
-        target = is_type(flatten_sequential_context(kind, seq[:i]), entry)
-        try:
-            got = check_theory_derivation(theory, hyps, witnesses[i], ambient, ambient_names)
-        except Exception:
-            return False
-        if got != target:
-            return False
-    return True
-
-
 # --- premises shapes and well-founded premise families ---------------------------
 
 def topological_respects(p: FinitePoset) -> bool:
@@ -300,93 +277,56 @@ class WellFoundedPremiseFamily:
         return tuple(self.names[i] for i in self.shape.object_indices())
 
 
-def _reindex_map(sub: tuple[int, ...], full: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(full.index(j) for j in sub)
+def relabel_metas(e: Expr, index: Callable[[int], int]) -> Expr:
+    """``e`` with each metavariable m renamed to ``index(m)``."""
+    match e:
+        case Var():
+            return e
+        case SymApp(sym=s, args=args, scope=sc, cls=c):
+            return SymApp(s, tuple(relabel_metas(a, index) for a in args), sc, c)
+        case MetaApp(idx=m, args=args, scope=sc, cls=c):
+            return MetaApp(index(m), tuple(relabel_metas(a, index) for a in args), sc, c)
+    raise TypeError(e)
 
 
-def _embed_boundary_exprs(
-    sig: Signature,
-    kind: ScopeKind,
-    family: WellFoundedPremiseFamily,
-    i: int,
-    into_objects: tuple[int, ...],
-) -> tuple[RawContext, tuple[Expr, ...]]:
-    """Reindex boundary i's metavariables from its down-set arity into a larger one."""
-    below = family.shape.arity_below(i)
-    mapping = _reindex_map(below, into_objects)
-    seq, slots = family.boundaries[i]
-    ctx = flatten_sequential_context(kind, seq)
-
-    def remap(e: Expr) -> Expr:
-        match e:
-            case Var():
-                return e
-            case SymApp(sym=s, args=args, scope=sc, cls=c):
-                return SymApp(s, tuple(remap(a) for a in args), sc, c)
-            case MetaApp(idx=m, args=args, scope=sc, cls=c):
-                return MetaApp(mapping[m], tuple(remap(a) for a in args), sc, c)
-        raise TypeError(e)
-
-    new_ctx = RawContext(ctx.scope, tuple(remap(t) for t in ctx.types))
-    return new_ctx, tuple(remap(s) for s in slots)
+def _flatten_premises(
+    kind: ScopeKind, family: WellFoundedPremiseFamily, indices, objects: tuple[int, ...]
+) -> tuple[Judgement, ...]:
+    """Premises ``indices`` over the extension by the arity of the object
+    premises ``objects``: each boundary's metavariables reindexed from its
+    down-set arity, object boundaries completed with their generic
+    metavariable head."""
+    out = []
+    for i in indices:
+        form, scope = family.shape.slots[i]
+        below = family.shape.arity_below(i)
+        relabel = partial(relabel_metas, index=tuple(objects.index(j) for j in below).__getitem__)
+        seq, slots = family.boundaries[i]
+        ctx = flatten_sequential_context(kind, seq).map_exprs(relabel)
+        if ctx.scope != scope:
+            raise ScopeMismatch(f"premise {i}: context scope {ctx.scope}, declared {scope}")
+        boundary = Boundary(ctx, form, tuple(map(relabel, slots)))
+        head = None
+        if form.is_object:
+            head = MetaApp(objects.index(i), tuple(Var(j, scope) for j in range(scope)), scope, form.head_class)
+        out.append(complete_boundary(boundary, head))
+    return tuple(out)
 
 
 def flatten_premise_family(
     sig: Signature, family: WellFoundedPremiseFamily
 ) -> tuple[Judgement, ...]:
-    """Judgements over the extension by the full arity: boundaries reindexed,
-    object boundaries completed with their generic metavariable head."""
-    kind = sig.kind
-    objects = family.shape.object_indices()
-    out = []
-    for i in range(family.premise_count()):
-        form, scope = family.shape.slots[i]
-        ctx, slots = _embed_boundary_exprs(sig, kind, family, i, objects)
-        if ctx.scope != scope:
-            raise ScopeMismatch(f"premise {i}: context scope {ctx.scope}, declared {scope}")
-        boundary = Boundary(ctx, form, slots)
-        if form.is_object:
-            arg = objects.index(i)
-            head = MetaApp(
-                arg,
-                tuple(Var(j, scope) for j in range(scope)),
-                scope,
-                TY if form is JudgementForm.IS_TY else TM,
-            )
-            out.append(complete_boundary(boundary, head))
-        else:
-            out.append(complete_boundary(boundary, None))
-    return tuple(out)
+    """Judgements over the extension by the full arity."""
+    return _flatten_premises(sig.kind, family, range(family.premise_count()), family.shape.object_indices())
 
 
 def flatten_premises_below(
     sig: Signature, family: WellFoundedPremiseFamily, i: int
-) -> tuple[tuple[int, ...], tuple[Judgement, ...]]:
-    """The flattening of the strict down-set of i, over its own arity.
-
-    Returns the premise indices it contains (in index order) and their
-    judgements over the extension by arity(shape below i).
-    """
-    kind = sig.kind
+) -> tuple[Judgement, ...]:
+    """The flattening of the strict down-set of i, in index order, over
+    the extension by arity(shape below i)."""
     preds = sorted(predecessors(family.shape.order, i))
-    below_objects = family.shape.arity_below(i)
-    out = []
-    for j in preds:
-        form, scope = family.shape.slots[j]
-        ctx, slots = _embed_boundary_exprs(sig, kind, family, j, below_objects)
-        boundary = Boundary(ctx, form, slots)
-        if form.is_object:
-            arg = below_objects.index(j)
-            head = MetaApp(
-                arg,
-                tuple(Var(p, scope) for p in range(scope)),
-                scope,
-                TY if form is JudgementForm.IS_TY else TM,
-            )
-            out.append(complete_boundary(boundary, head))
-        else:
-            out.append(complete_boundary(boundary, None))
-    return tuple(preds), tuple(out)
+    return _flatten_premises(sig.kind, family, preds, family.shape.arity_below(i))
 
 
 @_record
@@ -432,12 +372,12 @@ def check_premise_family(
             boundary = Boundary(ctx, form, slots)
             for e, c in zip(slots, form.boundary_classes):
                 validate_expr(sub_sig, e, scope, c)
-        except Exception as e:
+        except KernelError as e:
             ok = False
             if diagnostics is not None:
                 diagnostics.append(f"premise {i}: {e}")
             continue
-        _, hyp_family = flatten_premises_below(sig, family, i)
+        hyp_family = flatten_premises_below(sig, family, i)
         for p, target in enumerate(presuppositions(boundary)):
             w = witnesses.presups.get((i, p))
             if w is None:
@@ -447,7 +387,7 @@ def check_premise_family(
                 continue
             try:
                 got = check_theory_derivation(theory, hyp_family, w, sub_arity)
-            except Exception as e:
+            except KernelError as e:
                 ok = False
                 if diagnostics is not None:
                     diagnostics.append(f"premise {i}/presup {p}: witness fails: {e}")
@@ -505,7 +445,7 @@ def check_rule_boundary(
             continue
         try:
             got = check_theory_derivation(theory, hyps, w, alpha, spec.premises.meta_names())
-        except Exception as e:
+        except KernelError as e:
             ok = False
             if diagnostics is not None:
                 diagnostics.append(f"conclusion/presup {p}: witness fails: {e}")
@@ -542,46 +482,6 @@ def realise_rule_boundary(
             raise SymbolForbidden("an equality rule-boundary takes no symbol")
         conclusion = complete_boundary(boundary, None)
     return RawRule(alpha, premises, conclusion, spec.premises.meta_names())
-
-
-def is_sequential_rule(rule: RawRule) -> bool:
-    """The provisional validator: tight, and each premise uses only
-    metavariables introduced by strictly earlier premises."""
-    try:
-        beta = check_tight(rule)
-    except NoBijection:
-        return False
-    intro_of = {arg: premise for arg, premise in enumerate(beta.premise_of_arg)}
-    for i, premise in enumerate(rule.premises):
-        used: set[int] = set()
-        for t in premise.context.types:
-            used |= _metas_in(t)
-        for e in premise.boundary:
-            used |= _metas_in(e)
-        if premise.head is not None and premise.is_object:
-            # the generic head introduces its own metavariable; skip its root
-            for a in premise.head.args:
-                used |= _metas_in(a)
-        elif premise.head is not None:
-            used |= _metas_in(premise.head)
-        if any(intro_of[m] >= i for m in used):
-            return False
-    return True
-
-
-def _metas_in(e: Expr) -> set[int]:
-    match e:
-        case Var():
-            return set()
-        case SymApp(args=args):
-            out: set[int] = set()
-        case MetaApp(idx=m, args=args):
-            out = {m}
-        case _:
-            raise TypeError(e)
-    for a in args:
-        out |= _metas_in(a)
-    return out
 
 
 # --- well-presented type theories ---------------------------------------------------

@@ -11,6 +11,8 @@ from enum import Enum
 
 from .errors import (
     ArityMismatch,
+    ClassMismatch,
+    IndexOutOfRange,
     NotObjectRule,
     ScopeMismatch,
     TrivialityViolated,
@@ -51,10 +53,30 @@ from .judgements import (
 )
 
 
+def _exprs(j: Judgement) -> tuple[Expr, ...]:
+    return j.context.types + j.boundary + (() if j.head is None else (j.head,))
+
+
 def _exposed(arity: Arity, conclusion: Judgement) -> frozenset[int]:
-    c = conclusion
-    exprs = c.context.types + c.boundary + (() if c.head is None else (c.head,))
-    return frozenset().union(*(exposed_metavariables(arity, e) for e in exprs))
+    return frozenset().union(*(exposed_metavariables(arity, e) for e in _exprs(conclusion)))
+
+
+def _check_metas(arity: Arity, e: Expr) -> None:
+    """Each metavariable occurrence in ``e`` names an argument of ``arity``,
+    has its class, and has one argument per variable that argument binds:
+    what instantiating the rule relies on without checking."""
+    if type(e) is MetaApp:
+        m, n = e.idx, len(arity)
+        if not 0 <= m < n:
+            raise IndexOutOfRange(f"metavariable {m} of {n}")
+        slot = arity[m]
+        if e.cls is not slot.cls:
+            raise ClassMismatch(f"metavariable {m} has class {slot.cls}")
+        if len(e.args) != slot.binder:
+            raise ArityMismatch(f"metavariable {m} expects {slot.binder} arguments, got {len(e.args)}")
+    if type(e) is not Var:
+        for a in e.args:
+            _check_metas(arity, a)
 
 
 @_record
@@ -66,7 +88,9 @@ class RawRule:
     whose entry any instantiation of the rule puts into its conclusion
     verbatim (``exposed_metavariables`` of the conclusion's context types,
     boundary and head).  It is part of the rule, computed once from the
-    fields above; it is not passed and not shown.
+    fields above; it is not passed and not shown.  Building a rule checks
+    each metavariable occurrence against ``arity``, since instantiation
+    trusts them; the theory that holds the rule validates its symbols.
     """
 
     arity: Arity
@@ -78,6 +102,9 @@ class RawRule:
     def __post_init__(self):
         if self.meta_names and len(self.meta_names) != len(self.arity):
             raise ArityMismatch("metavariable name list does not match arity length")
+        for j in self.premises + (self.conclusion,):
+            for e in _exprs(j):
+                _check_metas(self.arity, e)
 
     @property
     def metas(self) -> tuple[str, ...]:
@@ -118,7 +145,7 @@ def instantiate_rule(
     )
 
 
-def variable_rule(kind: ScopeKind, ctx: RawContext, i: int) -> ClosureRule:
+def variable_rule(ctx: RawContext, i: int) -> ClosureRule:
     """Premise: the type of position i is a type; conclusion: the variable inhabits it."""
     a = ctx.type_at(i)
     return ClosureRule(
@@ -372,10 +399,7 @@ def congruence_rule(kind: ScopeKind, rule: RawRule) -> RawRule:
     )
 
 
-def generic_application(sig: Signature, sym: int, alpha: Arity | None = None) -> Expr:
+def generic_application(sig: Signature, sym: int) -> Expr:
     """S applied to the generic metavariable pattern M_i(x_0, ..)."""
     decl = sig.symbol(sym)
-    ar = decl.arity if alpha is None else alpha
-    if ar != decl.arity:
-        raise ArityMismatch(f"generic application of {decl.name} at wrong arity")
-    return SymApp(sym, tuple(generic_meta(i, a) for i, a in enumerate(ar)), 0, decl.cls)
+    return SymApp(sym, tuple(generic_meta(i, a) for i, a in enumerate(decl.arity)), 0, decl.cls)

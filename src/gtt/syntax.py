@@ -229,7 +229,7 @@ def mk_sym(sig: Signature, sym: int | str, args: tuple[Expr, ...], scope: Scope)
     if isinstance(sym, str):
         sym = sig.symbol_index(sym)
     decl = sig.symbol(sym)
-    _check_args(sig, decl.arity, args, scope, decl.name)
+    _check_args(decl.arity, args, scope, decl.name)
     return SymApp(sym, tuple(args), scope, decl.cls)
 
 
@@ -237,11 +237,11 @@ def mk_meta(sig: Signature, idx: int | str, args: tuple[Expr, ...], scope: Scope
     if isinstance(idx, str):
         idx = sig.mv_index(idx)
     cls = sig.mv_class(idx)
-    _check_args(sig, simple_arity(sig.mv_binder(idx)), args, scope, sig.mv_name(idx))
+    _check_args(simple_arity(sig.mv_binder(idx)), args, scope, sig.mv_name(idx))
     return MetaApp(idx, tuple(args), scope, cls)
 
 
-def _check_args(sig: Signature, ar: Arity, args: tuple[Expr, ...], scope: Scope, name: str) -> None:
+def _check_args(ar: Arity, args: tuple[Expr, ...], scope: Scope, name: str) -> None:
     if len(args) != len(ar):
         raise ArityMismatch(f"{name} expects {len(ar)} arguments, got {len(args)}")
     for i, (arg, slot) in enumerate(zip(args, ar)):
@@ -277,10 +277,10 @@ def _validate(sig: Signature, e: Expr) -> None:
             raise ClassMismatch(f"{decl.name} has class {decl.cls}, node says {e.cls}")
         ar = decl.arity
         if len(args) != len(ar):
-            _check_args(sig, ar, args, scope, decl.name)
+            _check_args(ar, args, scope, decl.name)
         for a, slot in zip(args, ar):
             if a.cls is not slot.cls or a.scope != scope + slot.binder:
-                _check_args(sig, ar, args, scope, decl.name)
+                _check_args(ar, args, scope, decl.name)
         for a in args:
             _validate(sig, a)
     elif t is MetaApp:
@@ -289,10 +289,10 @@ def _validate(sig: Signature, e: Expr) -> None:
         if e.cls is not slot.cls:
             raise ClassMismatch(f"metavariable {m} has class {slot.cls}")
         if len(args) != slot.binder:
-            _check_args(sig, simple_arity(slot.binder), args, scope, sig.mv_name(m))
+            _check_args(simple_arity(slot.binder), args, scope, sig.mv_name(m))
         for a in args:
             if a.cls is not TM or a.scope != scope:
-                _check_args(sig, simple_arity(slot.binder), args, scope, sig.mv_name(m))
+                _check_args(simple_arity(slot.binder), args, scope, sig.mv_name(m))
         for a in args:
             _validate(sig, a)
 

@@ -247,7 +247,7 @@ def closure_rule_of_node(
                 validate_expr(sig, entry, inst.scope + slot.binder, slot.cls)
         return instantiate_rule(kind, inst, node.context, rule, memo)
     if t is VariableInst:
-        return variable_rule(kind, node.context, node.pos)
+        return variable_rule(node.context, node.pos)
     if t is SubstInst:
         validate_judgement(sig, node.judgement)
         _validate_table(sig, node.subst)

@@ -126,14 +126,14 @@ LINE_BUDGETS = {
     "check-derivation": 2750,
     "congruence": 3473,
     "check-theory": 4702,
-    "check-theory spec": 5805,
-    "flatten": 5805,
+    "check-theory spec": 5695,
+    "flatten": 5695,
     "presup": 4702,
     "elim-subst": 4702,
     "invert": 4702,
     "natural-type": 4702,
     "unique-typing": 4702,
-    "replace-step": 6201,
+    "replace-step": 6008,
 }
 
 

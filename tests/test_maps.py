@@ -1,29 +1,25 @@
-"""Syntax maps, theory maps, realisers, promotion, and the replacement."""
+"""Syntax maps, theory maps, realisers, and the replacement."""
 
 import random
 
 import pytest
 
-from corpus import THEORY, build_corpus, tt_at, unit_at
+from corpus import THEORY, build_corpus, tt_at
 from genexpr import LAW_SIGNATURE, gen_expr
 from gtt.bundled import mltt_base, mltt_pi, type_in_type
 from gtt.errors import MissingWitness, WitnessFailure
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, ty_eq
 from gtt.maps import (
-    ConservativityWitness,
     EquationStep,
     RawSyntaxMap,
     ReplacementBuilder,
     SymbolStep,
     apply_syntax_map,
     apply_theory_map_derivation,
-    check_conservativity_witness,
     check_realiser,
     compose_syntax_maps,
-    demote,
     identity_syntax_map,
     identity_theory_map,
-    promote,
     section_s,
     sequential_boundary_spec,
 )
@@ -34,13 +30,11 @@ from gtt.syntax import (
     TM,
     TY,
     Instantiation,
-    MetaApp,
     Signature,
     Symbol,
     SymApp,
     Var,
     arity,
-    instantiate_expr,
     mk_meta,
     mk_sym,
     mv_extend_signature,
@@ -110,7 +104,6 @@ def test_check_realiser_mltt():
     A0 = mk_meta(ext, "A", (), 0)
     B1 = mk_meta(ext, "B", (Var(0, 1),), 1)
     spec = sequential_boundary_spec(
-        KIND,
         (((), JudgementForm.IS_TY, ()), ((A0,), JudgementForm.IS_TY, ())),
         JudgementForm.IS_TY,
         (),
@@ -129,26 +122,6 @@ def test_check_realiser_mltt():
     assert not check_realiser(THEORY, spec, a_term, witness)
 
 
-def test_promote_demote_clauses():
-    sig = LAW_SIGNATURE
-    # closed expressions promote to themselves
-    e = mk_sym(sig, "b", (), 0)
-    assert promote(KIND, e, 0) == e
-    # a variable becomes the corresponding metavariable
-    assert promote(KIND, Var(0, 1), 1) == MetaApp(0, (), 0, TM)
-
-
-def test_promote_demote_roundtrip():
-    rng = random.Random(52)
-    sig = LAW_SIGNATURE
-    for _ in range(300):
-        gamma = rng.randrange(4)
-        e = gen_expr(rng, sig, gamma, rng.choice([TY, TM]), 3)
-        promoted = promote(KIND, e, gamma)
-        back = instantiate_expr(KIND, demote(KIND, gamma), promoted)
-        assert back == e
-
-
 def test_replacement_script_type_in_type():
     """The worked example: adjoin U, El', u', and the equation U == El'(u')."""
     tit, _ = type_in_type()
@@ -161,14 +134,13 @@ def test_replacement_script_type_in_type():
     d_el_u = RuleInst(
         2, Instantiation(arity((TM, 0)), 0, (mk_sym(sig, "u", (), 0),)), EMPTY_CONTEXT, (d_u,)
     )
-    u_boundary = sequential_boundary_spec(KIND, (), JudgementForm.IS_TY, ())
+    u_boundary = sequential_boundary_spec((), JudgementForm.IS_TY, ())
     U = builder.add_symbol(SymbolStep("U", u_boundary, el_of_u, d_el_u))
 
     # step 2: El' over a : U, realised by the generic application of El
     bsig = builder.signature
     U_at = SymApp(U, (), 0, TY)
     elp_boundary = sequential_boundary_spec(
-        KIND,
         (((), JudgementForm.IS_TM, (U_at,)),),
         JudgementForm.IS_TY,
         (),
@@ -182,9 +154,7 @@ def test_replacement_script_type_in_type():
     Elp = builder.add_symbol(SymbolStep("El'", elp_boundary, gen_el, d_el_a))
 
     # step 3: u', realised by the generic application of u
-    up_boundary = sequential_boundary_spec(
-        KIND, (), JudgementForm.IS_TM, (SymApp(U, (), 0, TY),)
-    )
+    up_boundary = sequential_boundary_spec((), JudgementForm.IS_TM, (SymApp(U, (), 0, TY),))
     up = builder.add_symbol(SymbolStep("u'", up_boundary, generic_application(sig, 0), d_u))
 
     # step 4: the equation U == El'(u')
@@ -209,7 +179,7 @@ def test_replacement_script_type_in_type():
 def test_replacement_rejects_bad_witness():
     tit, _ = type_in_type()
     builder = ReplacementBuilder(tit)
-    boundary = sequential_boundary_spec(KIND, (), JudgementForm.IS_TY, ())
+    boundary = sequential_boundary_spec((), JudgementForm.IS_TY, ())
     el_of_u = mk_sym(tit.signature, "El", (mk_sym(tit.signature, "u", (), 0),), 0)
     bad_witness = Hyp(0)
     with pytest.raises(WitnessFailure):
@@ -262,30 +232,6 @@ def test_section_derives_symbol_rules():
     assert set(beta.values()) == {
         i for i, r in enumerate(built.rules) if r.is_object
     }
-
-
-def test_theory_map_structural_only_derivation_through_section():
-    # a derivation using only structural machinery maps along the section's
-    # factor map without any rule derivations
-    theory, witnesses = mltt_pi()
-    builder, s = section_s(theory, witnesses)
-    t_map = builder.theory_map()
-    diagnostics = []
-    assert t_map.check(diagnostics), diagnostics
-
-
-def test_conservativity_interface():
-    f = identity_theory_map(THEORY)
-    u = unit_at(EMPTY_CONTEXT)
-    eq_rule = RawRule((), (), ty_eq(EMPTY_CONTEXT, u.type, u.type))
-    from gtt import derive
-
-    refl = derive.refl_ty(EMPTY_CONTEXT, u.type, u.d_type)
-    w = ConservativityWitness(equation=(eq_rule, refl, refl))
-    assert check_conservativity_witness(f, w)
-    spec = sequential_boundary_spec(KIND, (), JudgementForm.IS_TY, ())
-    w2 = ConservativityWitness(realiser=(spec, u.type, u.d_type, u.type, u.d_type))
-    assert check_conservativity_witness(f, w2)
 
 
 def test_section_d_maps_rules_to_symbol_rules():

@@ -1,9 +1,18 @@
-"""Every top-level function and class of the package is used somewhere,
-and every imported name is read.
+"""Every definition of the package has a caller in the package, every
+parameter of its functions is read, and every imported name is read.
 
-A name counts as used when it occurs, as a whole word, anywhere in the
-package modules (``__init__.py`` excluded: re-exporting is not a use), the
-tests or the benchmark, other than in its own definition.
+A top-level function or class, or a method of a top-level class (dunder
+methods excepted), is called when its name occurs in a package module
+(``__init__.py`` excluded: re-exporting is not a use) outside its own
+definition: as a name, as an attribute, or as a string that a call takes
+as its first argument (the CLI looks command bodies up by name).  Tests
+and the benchmark are not callers.  The one exception is ``LIBRARY_API``: library
+entry points that an acceptance criterion, the benchmark or a definition
+of the paper needs although no command runs them.  README.md names each
+of them in the Layout row of its module.
+
+Every parameter of a function or lambda of the package is read in its
+body; ``self``, ``cls`` and names starting with ``_`` are exempt.
 
 An import in a package module or a test module must bind a name that the
 module reads (as an ``ast.Name``), unless another of these modules imports
@@ -18,29 +27,112 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtt"
 
+LIBRARY_API = {
+    "bundled.cyclic_quantifier",
+    "bundled.mltt_base",
+    "bundled.mltt_pi",
+    "bundled.mltt_pi_presented",
+    "bundled.type_in_type",
+    "derive.eq_subst",
+    "derive.var",
+    "foundations.check_generic_derivation",
+    "maps.RawTheoryMap.check",
+    "maps.apply_theory_map_derivation",
+    "maps.compose_syntax_maps",
+    "maps.identity_theory_map",
+    "maps.section_d",
+    "maps.section_s",
+    "metatheory.map_derivation",
+    "presentation.sequential_by_occurrence",
+    "presentation.sequential_by_peeling",
+    "presentation.spec_to_json",
+    "syntax.extend_substitution",
+    "syntax.weaken_expr",
+}
 
-def _sources() -> list[pathlib.Path]:
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    return modules + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {
+        p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"
+    }
 
 
-def _definitions() -> list[tuple[str, str]]:
-    out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+def _definitions(trees: dict[str, ast.Module]):
+    """(qualified name, node) of every top-level function and class and of
+    every method of a top-level class other than a dunder."""
+    for module, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                out.append((path.stem, node.name))
+                yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        method.name.startswith("__") and method.name.endswith("__")
+                    ):
+                        yield f"{module}.{node.name}.{method.name}", method
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """The names and attributes in ``node``, and the strings passed to a
+    call as its first argument."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Call) and n.args and isinstance(n.args[0], ast.Constant):
+            out[n.args[0].value] += 1
     return out
 
 
-def unreferenced_names() -> list[str]:
-    # a name occurs as a whole word exactly where it is a maximal run of \w
-    words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in _sources())))
-    return [f"{module}.{name}" for module, name in _definitions() if words[name] <= 1]
+def uncalled_definitions() -> list[str]:
+    trees = _package_trees()
+    everywhere = sum((_mentions(t) for t in trees.values()), Counter())
+    return [
+        qualified for qualified, node in _definitions(trees)
+        if everywhere[node.name] - _mentions(node)[node.name] <= 0
+    ]
 
 
 def test_every_top_level_name_is_referenced():
-    assert unreferenced_names() == []
+    assert sorted(set(uncalled_definitions()) - LIBRARY_API) == []
+
+
+def test_the_library_api_has_no_caller_and_is_named_in_the_readme():
+    # an entry that gains a caller in the package leaves the list
+    assert sorted(LIBRARY_API - set(uncalled_definitions())) == []
+    readme = (ROOT / "README.md").read_text()
+    unnamed = []
+    for entry in sorted(LIBRARY_API):
+        module, rest = entry.split(".", 1)
+        row = re.search(rf"^\| `gtt\.{module}` \|.*$", readme, re.M)
+        if row is None or f"`{rest}`" not in row.group(0):
+            unnamed.append(entry)
+    assert unnamed == []
+
+
+def unread_parameters() -> list[str]:
+    out = []
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            out += [
+                f"{module}:{node.lineno} {name}({p.arg})"
+                for p in params
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+            ]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
 
 
 def _module_name(path: pathlib.Path) -> str:

@@ -16,12 +16,10 @@ from gtt.presentation import (
     PremisesShape,
     WellFoundedPremiseFamily,
     WellPresentedTheorySpec,
-    check_wf_context,
     elaborate_theory,
     flatten_premise_family,
     flatten_sequential_context,
     is_sequential_flat_context,
-    is_sequential_rule,
     realise_rule_boundary,
     sequential_by_occurrence,
     sequential_by_peeling,
@@ -119,20 +117,6 @@ def test_three_definitions_coincide_levels():
             d2 = sequential_by_occurrence(kind, ctx)
             d3 = sequential_by_peeling(kind, ctx)
             assert d1 == d2 == d3, ctx
-
-
-def test_check_wf_context():
-    from corpus import THEORY, extend, unit_at
-
-    assert check_wf_context(THEORY, (), ())
-    u = unit_at(EMPTY_CONTEXT)
-    seq = (u.type, unit_at(extend(EMPTY_CONTEXT, u)).type)
-    # entry i must be derived over the flattening of the strictly earlier part
-    w0 = u.d_type
-    w1 = unit_at(extend(EMPTY_CONTEXT, u)).d_type
-    assert check_wf_context(THEORY, seq, (w0, w1))
-    assert not check_wf_context(THEORY, seq, (w0, w0))
-    assert not check_wf_context(THEORY, seq, (w0,))
 
 
 def test_premises_shape_arities():
@@ -271,18 +255,6 @@ def test_incomparable_rules_accepted():
     sig, theory, report = elaborate_theory(two)
     assert [s.name for s in sig.symbols] == ["Pi", "Sigma"]
     assert report.acceptable
-
-
-def test_is_sequential_rule_validator():
-    theory, _ = mltt_pi()
-    for name in ("Pi-form", "lam-intro", "app-elim"):
-        assert is_sequential_rule(theory.rule(theory.rule_index(name)))
-    # reversing the premises breaks sequentiality
-    pi = theory.rule(theory.rule_index("Pi-form"))
-    from gtt.rules import RawRule
-
-    reversed_pi = RawRule(pi.arity, pi.premises[::-1], pi.conclusion, pi.meta_names)
-    assert not is_sequential_rule(reversed_pi)
 
 
 def _lam_with_premise_order(order):

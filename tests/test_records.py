@@ -31,7 +31,7 @@ from gtt.bundled import mltt_pi, mltt_pi_presented, order
 from gtt.errors import ArityMismatch, IndexOutOfRange, ScopeMismatch
 from gtt.foundations import GHyp, GStep
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
-from gtt.maps import ConservativityWitness, EquationStep, SymbolStep, identity_theory_map
+from gtt.maps import EquationStep, SymbolStep, identity_theory_map
 from gtt.metatheory import check_acceptable_theory, check_tight, check_well_founded_theory
 from gtt.rules import BuiltinRule, RawRule
 from gtt.scopes import Renaming, ScopeKind, _Derived, _record, inl_renaming
@@ -229,7 +229,7 @@ def samples() -> dict:
         inl_renaming(ScopeKind.INDICES, 1, 2),
         check_acceptable_theory(theory, witnesses), check_well_founded_theory(theory),
         check_tight(theory.rule(rule_index)),
-        identity_theory_map(theory), ConservativityWitness(),
+        identity_theory_map(theory),
         boundary.conclusion_boundary(),
         SymbolStep("U", boundary, u.type, u.d_type),
         EquationStep("U-unfold", theory.rule(0), Hyp(0)),

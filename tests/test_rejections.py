@@ -14,11 +14,13 @@ import pytest
 
 from corpus import KIND, SIG, THEORY, UNIT_FORM, extend, tt_at, unit_at
 from gtt.cli import main
-from gtt.errors import ArityMismatch, ClassMismatch, DerivationError, KernelError, ScopeMismatch
+from gtt.errors import (
+    ArityMismatch, ClassMismatch, DerivationError, IndexOutOfRange, KernelError, ScopeMismatch,
+)
 from gtt.judgements import EMPTY_CONTEXT, Boundary, Judgement, JudgementForm, RawContext, is_type
 from gtt.jsonio import derivation_to_json, dumps
 from gtt.maps import RawSyntaxMap
-from gtt.rules import instantiate_rule
+from gtt.rules import RawRule, congruence_rule, instantiate_rule
 from gtt.syntax import TM, TY, Instantiation, MetaApp, Signature, Substitution, Symbol, SymApp, arity
 from gtt.syntax import substitute_expr, validate_expr
 from gtt.theories import RuleInst, SubstInst, VariableInst, check_theory_derivation
@@ -133,7 +135,7 @@ def test_a_judgement_with_the_wrong_slots_is_rejected():
         assert (type(e), str(e)) == (cls, message)
 
 
-# --- rules: the scope guards of a rule instance and a substitution rule ---------
+# --- rules: the metavariables of a rule, the scope guards of its instances ------
 
 def test_an_instantiation_over_another_scope_is_rejected():
     inst = Instantiation((), 1, ())
@@ -143,6 +145,27 @@ def test_an_instantiation_over_another_scope_is_rejected():
     e = raised(instantiate_rule, KIND, inst, EMPTY_CONTEXT, THEORY.rule(UNIT_FORM))
     assert (type(e), str(e)) == (ScopeMismatch, "instantiation scope differs from context scope")
 
+
+
+def test_a_rule_forging_its_metavariables_is_rejected():
+    # instantiate_rule and congruence_rule trust each metavariable occurrence
+    # of a rule; the rule checks them against its arity when it is built
+    ar = arity((TY, 1), (TM, 0))
+    inst = Instantiation(ar, 0, (unit_at(CTX1).type, tt_at(EMPTY_CONTEXT).term))
+    forged = {
+        MetaApp(2, (), 0, TY): (IndexOutOfRange, "metavariable 2 of 2"),
+        MetaApp(0, (), 0, TY): (ArityMismatch, "metavariable 0 expects 1 arguments, got 0"),
+        MetaApp(1, (), 0, TY): (ClassMismatch, "metavariable 1 has class SyntacticClass.TM"),
+        MetaApp(0, (MetaApp(2, (), 0, TM),), 0, TY): (IndexOutOfRange, "metavariable 2 of 2"),
+    }
+    for head, expected in forged.items():
+        conclusion = is_type(EMPTY_CONTEXT, head)
+        with pytest.raises(KernelError) as caught:
+            instantiate_rule(KIND, inst, EMPTY_CONTEXT, RawRule(ar, (), conclusion))
+        assert (type(caught.value), str(caught.value)) == expected
+        with pytest.raises(KernelError) as caught:
+            congruence_rule(KIND, RawRule(ar, (conclusion,), conclusion))
+        assert (type(caught.value), str(caught.value)) == expected
 
 def test_a_substitution_between_other_contexts_is_rejected(tmp_path, capsys):
     # x : unit |- unit type, substituted along a table from scope 1 into the

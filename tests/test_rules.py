@@ -91,11 +91,11 @@ def test_builtin_rules_are_closed():
 def test_variable_rule():
     unit1 = mk_sym(BASE_SIGNATURE, "unit", (), 1)
     ctx = RawContext(1, (unit1,))
-    rule = variable_rule(KIND, ctx, 0)
+    rule = variable_rule(ctx, 0)
     assert rule.premises == (is_type(ctx, unit1),)
     assert rule.conclusion == is_term(ctx, Var(0, 1), unit1)
     with pytest.raises(IndexOutOfRange):
-        variable_rule(KIND, ctx, 1)
+        variable_rule(ctx, 1)
 
 
 def test_variable_rule_on_mutually_referencing_flat_context():
@@ -103,7 +103,7 @@ def test_variable_rule_on_mutually_referencing_flat_context():
     # flatness: entries may mention any position, even their own
     ty0 = mk_sym(BS, "Pi", (mk_sym(BS, "unit", (), 2), mk_sym(BS, "unit", (), 3)), 2)
     ctx = RawContext(2, (ty0, ty0))
-    rule = variable_rule(KIND, ctx, 1)
+    rule = variable_rule(ctx, 1)
     assert rule.conclusion == is_term(ctx, Var(1, 2), ty0)
 
 

@@ -82,21 +82,23 @@ def test_bad_indices_are_derivation_errors():
 
 def test_hand_built_rules_are_validated_when_the_theory_is_built():
     # a rule is a template over the signature extended by its arity; the
-    # checker trusts it, so the theory validates it: a negative metavariable
-    # index must not reach Python's negative indexing, nor an unknown symbol
+    # checker trusts it, so a negative metavariable index must not reach
+    # Python's negative indexing, nor an unknown symbol: the rule checks its
+    # metavariables against its arity when it is built, the theory validates
+    # the rest
     from gtt.rules import RawRule
     from gtt.syntax import TY, MetaApp, SymApp, arity
 
     bad_meta = is_type(EMPTY_CONTEXT, MetaApp(-1, (), 0, TY))
     alpha = arity((TY, 0))
     rules = [
-        RawRule((), (), bad_meta),
-        RawRule(alpha, (is_type(EMPTY_CONTEXT, MetaApp(0, (), 0, TY)),), bad_meta, ("M",)),
-        RawRule((), (), is_type(EMPTY_CONTEXT, SymApp(99, (), 0, TY))),
+        lambda: RawRule((), (), bad_meta),
+        lambda: RawRule(alpha, (is_type(EMPTY_CONTEXT, MetaApp(0, (), 0, TY)),), bad_meta, ("M",)),
+        lambda: RawRule((), (), is_type(EMPTY_CONTEXT, SymApp(99, (), 0, TY))),
     ]
     for rule in rules:
         with pytest.raises(KernelError):
-            RawTypeTheory(SIG, THEORY.rules + (rule,), THEORY.rule_names + ("bad",))
+            RawTypeTheory(SIG, THEORY.rules + (rule(),), THEORY.rule_names + ("bad",))
 
 
 def test_checking_over_metavariable_extension():
