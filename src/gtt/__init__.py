@@ -7,6 +7,6 @@ rules, and runs constructive metatheorem transformers.
 The package exports nothing itself: import from its submodules.  The raw
 layer (``errors``, ``scopes``, ``syntax``, ``judgements``, ``foundations``,
 ``rules``, ``theories``, ``jsonio``) imports no higher layer, so a caller
-that only checks derivations of a raw theory never loads ``metatheory``,
+that only checks derivations of a raw theory never loads a metatheorem,
 ``presentation`` or ``maps``.
 """

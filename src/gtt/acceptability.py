@@ -1,0 +1,317 @@
+"""Acceptability (checked against supplied witnesses: nothing here searches)
+and well-foundedness of raw type theories."""
+
+from __future__ import annotations
+
+from .derivation_ops import derivation_nodes, find_congruence, node_exprs
+from .errors import KernelError, NotTight
+from .foundations import FinitePoset
+from .judgements import Judgement, presuppositions
+from .rules import RawRule
+from .scopes import _record
+from .syntax import Expr, MetaApp, SymApp, Var
+from .theories import (
+    RawTypeTheory, RuleInst, RuleWitnesses, TheoryDerivation, TheoryWitnesses, check_theory_derivation,
+)
+from .tightness import is_tight, theory_tightness
+
+
+# --- presuppositivity ---------------------------------------------------------
+
+def presupposition_hypotheses(rule: RawRule, weak: bool) -> tuple[Judgement, ...]:
+    hyps = rule.premises
+    if weak:
+        for p in rule.premises:
+            hyps = hyps + presuppositions(p)
+    return hyps
+
+
+def check_presuppositive(
+    theory: RawTypeTheory,
+    rule: RawRule,
+    witnesses: RuleWitnesses | None,
+    weak: bool = False,
+    diagnostics: list[str] | None = None,
+) -> bool:
+    """Check the supplied witnesses: every presupposition of the conclusion
+    (and, unless weak, of every premise) must be derived from the premises."""
+    witnesses = witnesses or RuleWitnesses()
+    hyps = presupposition_hypotheses(rule, weak)
+    ok = True
+
+    def run(target: Judgement, d: TheoryDerivation | None, tag: str) -> bool:
+        if d is None:
+            _log(diagnostics, f"{tag}: no witness supplied")
+            return False
+        try:
+            got = check_theory_derivation(theory, hyps, d, rule.arity, rule.meta_names)
+        except KernelError as e:
+            _log(diagnostics, f"{tag}: witness fails to check: {e}")
+            return False
+        if got != target:
+            _log(diagnostics, f"{tag}: witness derives {got!r}, wanted {target!r}")
+            return False
+        return True
+
+    for p, target in enumerate(presuppositions(rule.conclusion)):
+        ok &= run(target, witnesses.conclusion.get(p), f"conclusion/{p}")
+    if not weak:
+        for i, premise in enumerate(rule.premises):
+            for p, target in enumerate(presuppositions(premise)):
+                ok &= run(target, witnesses.premises.get((i, p)), f"premise_{i}/{p}")
+    return ok
+
+
+def _log(diagnostics: list[str] | None, msg: str) -> None:
+    if diagnostics is not None:
+        diagnostics.append(msg)
+
+
+
+# --- acceptability ------------------------------------------------------------
+
+@_record
+class RuleReport:
+    name: str
+    tight: bool
+    presuppositive: bool
+    empty_conclusion_context: bool
+
+
+@_record
+class AcceptabilityReport:
+    rules: list[RuleReport]
+    tight: bool
+    presuppositive: bool
+    substitutive: bool
+    congruous: bool
+    diagnostics: list[str]
+    symbol_rules: dict[int, int] | None
+
+    @property
+    def acceptable(self) -> bool:
+        return self.tight and self.presuppositive and self.substitutive and self.congruous
+
+
+def check_acceptable_theory(
+    theory: RawTypeTheory, witnesses: TheoryWitnesses | None = None
+) -> AcceptabilityReport:
+    witnesses = witnesses or {}
+    diagnostics: list[str] = []
+    rule_reports = []
+    all_presup = True
+    for i, rule in enumerate(theory.rules):
+        name = theory.rule_name(i)
+        tight = is_tight(rule)
+        presup = check_presuppositive(
+            theory, rule, witnesses.get(name), weak=False, diagnostics=diagnostics
+        )
+        empty = rule.conclusion.context.scope == 0
+        if not tight:
+            diagnostics.append(f"rule {name} is not tight")
+        if not presup:
+            diagnostics.append(f"rule {name} is not presuppositive with the supplied witnesses")
+        if not empty:
+            diagnostics.append(f"rule {name} has a non-empty conclusion context")
+        all_presup &= presup
+        rule_reports.append(RuleReport(name, tight, presup, empty))
+    try:
+        beta = theory_tightness(theory)
+        theory_tight = True
+    except NotTight as e:
+        beta = None
+        theory_tight = False
+        diagnostics.append(str(e))
+    substitutive = all(r.empty_conclusion_context for r in rule_reports)
+    congruous = True
+    for i, rule in enumerate(theory.rules):
+        if rule.is_object and find_congruence(theory, i) is None:
+            congruous = False
+            diagnostics.append(f"no congruence rule for {theory.rule_name(i)}")
+    return AcceptabilityReport(
+        rule_reports, theory_tight, all_presup, substitutive, congruous, diagnostics, beta
+    )
+
+
+# --- well-founded theories ------------------------------------------------------
+
+def expr_symbols(e: Expr) -> frozenset[int]:
+    """Base symbol indices occurring anywhere in the expression."""
+    match e:
+        case Var():
+            return frozenset()
+        case SymApp(sym=s, args=args):
+            out = frozenset({s})
+        case MetaApp(args=args):
+            out = frozenset()
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    for a in args:
+        out |= expr_symbols(a)
+    return out
+
+
+def transitive_closure(p: FinitePoset) -> frozenset[tuple[int, int]]:
+    reach = {i: {j for (a, j) in p.edges if a == i} for i in range(p.size)}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(p.size):
+            extra = set()
+            for j in reach[i]:
+                extra |= reach[j] - reach[i]
+            if extra:
+                reach[i] |= extra
+                changed = True
+    return frozenset((i, j) for i in range(p.size) for j in reach[i])
+
+
+def check_well_founded(p: FinitePoset) -> bool:
+    """True iff the transitive closure of p.edges is acyclic."""
+    return all(i != j for i, j in transitive_closure(p))
+
+
+def judgement_symbols(j: Judgement) -> frozenset[int]:
+    out = frozenset()
+    for t in j.context.types:
+        out |= expr_symbols(t)
+    for e in j.boundary:
+        out |= expr_symbols(e)
+    if j.head is not None:
+        out |= expr_symbols(j.head)
+    return out
+
+
+def rule_symbols(rule: RawRule) -> frozenset[int]:
+    """Symbols a rule depends on; the defining head of an object rule is the
+    symbol being introduced, so only its arguments count there."""
+    out = frozenset()
+    for p in rule.premises:
+        out |= judgement_symbols(p)
+    c = rule.conclusion
+    for t in c.context.types:
+        out |= expr_symbols(t)
+    for e in c.boundary:
+        out |= expr_symbols(e)
+    if c.head is not None:
+        if rule.is_object and isinstance(c.head, SymApp):
+            for a in c.head.args:
+                out |= expr_symbols(a)
+        else:
+            out |= expr_symbols(c.head)
+    return out
+
+
+def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozenset[int]]:
+    """(symbols, specific rule indices) a derivation's nodes mention."""
+    syms: frozenset[int] = frozenset()
+    cited: frozenset[int] = frozenset()
+    for node in derivation_nodes(d):
+        if isinstance(node, RuleInst) and isinstance(node.ref, int):
+            cited |= {node.ref}
+        for e in node_exprs(node):
+            syms |= expr_symbols(e)
+    return syms, cited
+
+
+@_record
+class WellFoundedReport:
+    ok: bool
+    required_edges: frozenset[tuple[int, int]]
+    diagnostics: list[str]
+
+
+def required_precedence(
+    theory: RawTypeTheory,
+    beta: dict[int, int],
+    witnesses: TheoryWitnesses | None = None,
+) -> tuple[frozenset[tuple[int, int]], list[str]]:
+    """Edges (i, j): rule i must precede rule j, from symbol occurrences and
+    witness provenance."""
+    edges: set[tuple[int, int]] = set()
+    diagnostics: list[str] = []
+    for j, rule in enumerate(theory.rules):
+        for s in rule_symbols(rule):
+            edges.add((beta[s], j))
+        w = (witnesses or {}).get(theory.rule_name(j))
+        if w is None:
+            continue
+        for dv in list(w.conclusion.values()) + list(w.premises.values()):
+            syms, cited = derivation_provenance(dv)
+            for s in syms:
+                edges.add((beta[s], j))
+            for r in cited:
+                edges.add((r, j))
+    for i, j in sorted(edges):
+        if i == j:
+            diagnostics.append(
+                f"rule {theory.rule_name(j)} depends on itself"
+            )
+    return frozenset(edges), diagnostics
+
+
+def check_well_founded_theory(
+    theory: RawTypeTheory,
+    order: FinitePoset | None = None,
+    witnesses: TheoryWitnesses | None = None,
+    beta: dict[int, int] | None = None,
+) -> WellFoundedReport:
+    """Acyclicity of the dependency constraints, and conformance of a supplied order.
+
+    The constraints: every symbol occurring in a rule must be introduced by an
+    earlier rule, and every witness may cite only earlier symbols and rules.
+    """
+    diagnostics: list[str] = []
+    if beta is None:
+        try:
+            beta = theory_tightness(theory)
+        except NotTight as e:
+            return WellFoundedReport(False, frozenset(), [str(e)])
+    edges, diag = required_precedence(theory, beta, witnesses)
+    diagnostics.extend(diag)
+    n = len(theory.rules)
+    constraint = FinitePoset.of(n, {(i, j) for i, j in edges if i != j})
+    if not check_well_founded(constraint):
+        cycle = _find_cycle(n, constraint.edges)
+        names = " < ".join(theory.rule_name(i) for i in cycle)
+        diagnostics.append(f"dependency cycle: {names}")
+    if order is not None:
+        closure = transitive_closure(order)
+        for i, j in sorted(edges):
+            if i == j or (i, j) not in closure:
+                diagnostics.append(
+                    f"order does not place {theory.rule_name(i)} before {theory.rule_name(j)}"
+                )
+        if not check_well_founded(order):
+            diagnostics.append("supplied order is cyclic")
+    ok = not diagnostics
+    return WellFoundedReport(ok, edges, diagnostics)
+
+
+def _find_cycle(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i, j in edges:
+        adj[i].append(j)
+    state = {i: 0 for i in range(n)}
+    stack: list[int] = []
+
+    def dfs(v):
+        state[v] = 1
+        stack.append(v)
+        for w in adj[v]:
+            if state[w] == 1:
+                return stack[stack.index(w):]
+            if state[w] == 0:
+                found = dfs(w)
+                if found:
+                    return found
+        stack.pop()
+        state[v] = 2
+        return None
+
+    for v in range(n):
+        if state[v] == 0:
+            found = dfs(v)
+            if found:
+                return found
+    return []

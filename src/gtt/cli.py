@@ -8,10 +8,10 @@ command writes nothing more, prints no traceback and keeps its exit code.
 
 This module holds the parser, ``main``, the file and output helpers, and
 the bodies of ``check-derivation`` and ``congruence``, which run the raw
-layer alone.  The bodies of the other commands are in ``gtt.commands``,
-which is imported only when one of them runs, and each of those imports
-``metatheory``, ``presentation`` or ``maps`` only when it runs them.  So
-``check-derivation`` on a raw theory compiles the raw layer alone.
+layer alone.  The other bodies are in ``gtt.commands`` (the derivation
+transformers) and ``gtt.theory_commands``, each imported only when one of
+its commands runs, and each body imports only the modules it runs.  So a
+call compiles the raw layer and what its command runs, no more.
 """
 
 from __future__ import annotations
@@ -59,13 +59,13 @@ def main(argv=None) -> int:
         return 1
 
 
-def _higher(name: str):
-    """The command body ``name`` of ``gtt.commands``, imported when it runs."""
+def _higher(name: str, module: str = "commands"):
+    """The command body ``name`` of ``gtt.<module>``, imported when it runs."""
 
     def run(args) -> int:
-        from . import commands
+        from importlib import import_module
 
-        return getattr(commands, name)(args)
+        return getattr(import_module(f"gtt.{module}"), name)(args)
 
     return run
 
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
         return p
 
-    p = cmd("check-theory", _higher("cmd_check_theory"), "check a theory file's well-behavedness")
+    p = cmd("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness")
     p.add_argument("theory", type=Path)
     p.add_argument("--acceptable", action="store_true")
     p.add_argument("--well-founded", action="store_true")
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory", type=Path)
     p.add_argument("derivation", type=Path)
 
-    p = cmd("flatten", _higher("cmd_flatten"), "elaborate a well-presented spec to a raw theory")
+    p = cmd("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory")
     p.add_argument("theory", type=Path)
 
     p = cmd("congruence", cmd_congruence, "emit the congruence rule of an object rule")
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first", type=Path)
     p.add_argument("second", type=Path)
 
-    p = cmd("replace-step", _higher("cmd_replace_step"), "run a replacement script against a theory")
+    p = cmd("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory")
     p.add_argument("theory", type=Path)
     p.add_argument("script", type=Path)
 
@@ -212,7 +212,7 @@ def cmd_congruence(args) -> int:
 
 if __name__ == "__main__":
     # ``python -m gtt.cli`` runs this file as ``__main__``: register it as
-    # ``gtt.cli`` too, so that ``gtt.commands`` imports these helpers (and
+    # ``gtt.cli`` too, so that the command modules import these helpers (and
     # ``_Unwritable``) from it instead of compiling a second copy
     sys.modules.setdefault("gtt.cli", sys.modules[__name__])
     sys.exit(main())

@@ -30,7 +30,8 @@ from .judgements import (
     presuppositions,
     ty_eq,
 )
-from .metatheory import concat_inst, generic_rule_instance, map_derivation_exprs
+from .derivation_ops import concat_inst, find_congruence, generic_rule_instance, map_derivation_exprs
+from .presuppositions import derive_presuppositions
 from .rules import BuiltinRule, congruence_copies, congruence_rule, instantiate_rule
 from .syntax import (
     Expr,
@@ -52,12 +53,11 @@ from .theories import (
     TheoryDerivation,
     VariableInst,
 )
+from .tightness import check_tight, theory_tightness
 
 
 class _CongruenceEngine:
     def __init__(self, theory: RawTypeTheory, rule_index: int, base):
-        from .metatheory import check_tight
-
         self.theory = theory
         self.kind = theory.kind
         self.rule = theory.rule(rule_index)
@@ -111,8 +111,6 @@ class _CongruenceEngine:
         raise MissingWitness(f"congruence synthesis cannot handle {type(d).__name__} nodes")
 
     def _rule_triple(self, node):
-        from .metatheory import find_congruence
-
         rule, inst, ctx, children = self.theory.rule(node.ref), node.inst, node.context, node.children
         d_l, d_r = self.left(node), self.right(node)
         if not rule.conclusion.is_object:
@@ -220,8 +218,6 @@ class _CongruenceEngine:
 
     def _presup_type_derivation(self, d: TheoryDerivation) -> TheoryDerivation:
         """The derivation of the underlying-type presupposition of a typing."""
-        from .metatheory import derive_presuppositions
-
         hyp_presups = tuple(
             tuple(
                 self.base.premises[(k, p)]
@@ -296,8 +292,6 @@ class _CongruenceEngine:
                 closed = ty_eq(EMPTY_CONTEXT, self.l_expr(generic), self.r_expr(generic))
                 return derive.weaken_closed(lctx, closed, Hyp(self.eq_hyp(intro)))
         if isinstance(a, SymApp):
-            from .metatheory import find_congruence, theory_tightness
-
             beta = theory_tightness(self.theory)
             cidx = find_congruence(self.theory, beta[a.sym])
             if cidx is not None:

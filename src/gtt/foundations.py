@@ -15,7 +15,7 @@ occurrence.
 
 Grafting, maps of closure systems and the well-foundedness of a finite
 relation are only needed above the raw layer: they live in
-``metatheory``, so checking a derivation does not load them.
+``presuppositions`` and ``acceptability``, so checking does not load them.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def check_generic_derivation(
 @_record
 class FinitePoset:
     """A relation on {0..size-1}; well-founded iff its transitive closure is
-    irreflexive (``metatheory.check_well_founded``)."""
+    irreflexive (``acceptability.check_well_founded``)."""
 
     size: int
     edges: frozenset[tuple[int, int]]

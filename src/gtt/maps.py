@@ -33,10 +33,9 @@ from .judgements import (
     RawContext,
     complete_boundary,
 )
-from .metatheory import (
-    check_tight, generic_rule_instance, graft, instantiate_derivation, map_node, rule_symbols,
-    theory_tightness,
-)
+from .acceptability import rule_symbols
+from .derivation_ops import generic_rule_instance, map_node
+from .presuppositions import graft, instantiate_derivation
 from .presentation import (
     PremisesShape,
     RuleBoundarySpec,
@@ -74,6 +73,7 @@ from .theories import (
     TheoryWitnesses,
     check_theory_derivation,
 )
+from .tightness import check_tight, theory_tightness
 
 
 @_record

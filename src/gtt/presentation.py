@@ -37,9 +37,8 @@ from .jsonio import (
     _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, _witness_key,
     arity_to_json, derivation_from_json, derivation_to_json, expr_from_json, expr_to_json, rule_to_json,
 )
-from .metatheory import (
-    AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols,
-    transitive_closure,
+from .acceptability import (
+    AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols, transitive_closure,
 )
 from .rules import RawRule, congruence_rule, generic_application
 from .scopes import Renaming, ScopeKind, _Fresh, _record, inl_renaming
@@ -347,10 +346,14 @@ def check_premise_family(
     witnesses: PremiseWitnesses,
     diagnostics: list[str] | None = None,
 ) -> bool:
-    """Validate boundaries (scope, stage discipline) and their witnesses."""
+    """Validate boundaries (scope, stage discipline) and their witnesses.
+
+    The witnesses of a premise are not checked when a premise below it
+    failed validation: their hypotheses would flatten that premise."""
     sig = theory.signature
     kind = sig.kind
     ok = True
+    failed: set[int] = set()
     for i in range(family.premise_count()):
         form, scope = family.shape.slots[i]
         below = family.shape.arity_below(i)
@@ -374,8 +377,13 @@ def check_premise_family(
                 validate_expr(sub_sig, e, scope, c)
         except KernelError as e:
             ok = False
+            failed.add(i)
             if diagnostics is not None:
                 diagnostics.append(f"premise {i}: {e}")
+            continue
+        if failed and (bad := failed & predecessors(family.shape.order, i)):
+            if diagnostics is not None:
+                diagnostics.append(f"premise {i}: witnesses not checked, invalid premises below it: {sorted(bad)}")
             continue
         hyp_family = flatten_premises_below(sig, family, i)
         for p, target in enumerate(presuppositions(boundary)):

@@ -12,7 +12,7 @@ A derivation has five kinds of node.  ``RuleInst`` instantiates a raw
 rule, either a rule of the theory or one of the eight built-in
 equivalence and conversion rules of ``rules``; ``VariableInst``,
 ``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
-``Hyp`` cites a hypothesis.  ``metatheory.map_node`` is the one map over
+``Hyp`` cites a hypothesis.  ``derivation_ops.map_node`` is the one map over
 the data of a node (``EXPR_FIELDS`` names the fields it maps), and the
 transformers build derivations with it; this module only checks them.
 
@@ -59,7 +59,7 @@ node costs the frames of ``closure_rule_of_node``, which dispatches on
 
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
 derivations over a raw theory, so it is defined here: the raw layer reads
-and writes theory files without loading ``metatheory``.
+and writes theory files without loading a metatheorem.
 
 Derivations over a metavariable extension of the theory's signature reuse
 the same trees: pass the extension arity as ``ambient``.  Base symbol
@@ -155,7 +155,7 @@ def _validate_rule(sig: Signature, rule: RawRule) -> None:
 #
 # Each node other than a hypothesis carries a context (its conclusion's) and
 # its children in premise order; ``EXPR_FIELDS`` names the fields that hold
-# expressions, which is all ``metatheory.map_node`` needs to know of a node kind.
+# expressions, which is all ``derivation_ops.map_node`` needs to know of a node kind.
 
 @_record
 class Hyp(GHyp):

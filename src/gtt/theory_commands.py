@@ -1,0 +1,189 @@
+"""The bodies of the ``gtt`` commands that check or rewrite a theory: ``check-theory``,
+``flatten`` and ``replace-step``.  Each imports ``acceptability``, ``presentation`` or
+``maps`` when it runs, and ``gtt.cli`` imports this module only when one of them runs."""
+
+from __future__ import annotations
+
+import sys
+
+from .cli import _emit, _load_raw, _read_json, _write
+from .errors import KernelError, ParseError
+from .jsonio import (
+    _boundary_from_json, _form_from, _list, _obj, _str, derivation_from_json, expr_from_json, expr_to_json,
+    load_theory_file, rule_from_json,
+)
+from .syntax import Argument, mv_extend_signature
+
+
+def cmd_check_theory(args) -> int:
+    from .acceptability import check_well_founded_theory
+
+    kind, payload = load_theory_file(_read_json(args.theory))
+    report_json = {"file": str(args.theory), "checks": {}}
+    failed = False
+    if kind == "spec":
+        from .presentation import elaborate_theory
+
+        try:
+            _, theory, report = elaborate_theory(payload)
+        except KernelError as e:
+            report_json["checks"]["well-presented"] = {"ok": False, "diagnostics": [str(e)]}
+            _print_report(args, report_json, ["well-presented: FAIL ({})".format(e)])
+            return 1
+        lines = []
+        if args.well_presented or not (args.acceptable or args.well_founded):
+            report_json["checks"]["well-presented"] = {"ok": True, "diagnostics": []}
+            lines.append("well-presented: ok")
+        if args.acceptable or args.well_founded:
+            failed |= _acceptability_into(theory, {}, report_json, lines, report)
+        if args.well_founded:
+            wf = check_well_founded_theory(theory, None)
+            report_json["checks"]["well-founded"] = {
+                "ok": wf.ok, "diagnostics": wf.diagnostics,
+            }
+            lines.append(f"well-founded: {'ok' if wf.ok else 'FAIL'}")
+            failed |= not wf.ok
+        _print_report(args, report_json, lines)
+        return 1 if failed else 0
+
+    theory, witnesses, order = payload
+    lines = []
+    if args.well_presented:
+        report_json["checks"]["well-presented"] = {
+            "ok": False,
+            "diagnostics": ["not a well-presented spec file"],
+        }
+        lines.append("well-presented: FAIL (not a spec file)")
+        failed = True
+    if args.acceptable or not (args.well_founded or args.well_presented):
+        failed |= _acceptability_into(theory, witnesses, report_json, lines)
+    if args.well_founded:
+        wf = check_well_founded_theory(theory, order, witnesses)
+        report_json["checks"]["well-founded"] = {"ok": wf.ok, "diagnostics": wf.diagnostics}
+        lines.append(f"well-founded: {'ok' if wf.ok else 'FAIL'}")
+        for d in wf.diagnostics:
+            lines.append(f"  - {d}")
+        failed |= not wf.ok
+    _print_report(args, report_json, lines)
+    return 1 if failed else 0
+
+
+def _acceptability_into(theory, witnesses, report_json, lines, ready=None) -> bool:
+    from .acceptability import check_acceptable_theory
+
+    report = ready or check_acceptable_theory(theory, witnesses)
+    report_json["checks"]["acceptable"] = {
+        "ok": report.acceptable,
+        "tight": report.tight,
+        "presuppositive": report.presuppositive,
+        "substitutive": report.substitutive,
+        "congruous": report.congruous,
+        "rules": [
+            {
+                "name": r.name,
+                "tight": r.tight,
+                "presuppositive": r.presuppositive,
+                "empty_conclusion_context": r.empty_conclusion_context,
+            }
+            for r in report.rules
+        ],
+        "diagnostics": report.diagnostics,
+    }
+    lines.append(f"acceptable: {'ok' if report.acceptable else 'FAIL'}")
+    for flag in ("tight", "presuppositive", "substitutive", "congruous"):
+        lines.append(f"  {flag}: {'ok' if getattr(report, flag) else 'FAIL'}")
+    if not report.acceptable:
+        for d in report.diagnostics[:10]:
+            lines.append(f"  - {d}")
+    return not report.acceptable
+
+
+def _print_report(args, report_json, lines) -> None:
+    if args.json:
+        _emit(args, report_json)
+    else:
+        _write(args, "\n".join(lines))
+
+
+def cmd_flatten(args) -> int:
+    kind, payload = load_theory_file(_read_json(args.theory))
+    if kind != "spec":
+        print("flatten expects a well-presented spec file", file=sys.stderr)
+        return 2
+    from .presentation import elaborate_theory, theory_to_json
+
+    _, theory, report = elaborate_theory(payload)
+    if not report.acceptable:
+        print("elaboration produced a non-acceptable theory", file=sys.stderr)
+        return 1
+    _emit(args, theory_to_json(theory))
+    return 0
+
+
+def cmd_replace_step(args) -> int:
+    from .maps import EquationStep, ReplacementBuilder, SymbolStep
+    from .presentation import theory_to_json
+
+    theory, _, _ = _load_raw(args.theory)
+    script = _obj(_read_json(args.script), "a replacement script")
+    builder = ReplacementBuilder(theory)
+    for step in _list(script.get("steps", []), "steps"):
+        step = _obj(step, "a script step")
+        kind = step.get("kind")
+        if kind == "symbol":
+            spec = _script_boundary(builder, step)
+            alpha = spec.arity()
+            ext = mv_extend_signature(theory.signature, alpha, spec.premises.meta_names())
+            realiser = expr_from_json(ext, step.get("realiser"), 0)
+            witness = derivation_from_json(theory, ext, step.get("witness"))
+            builder.add_symbol(SymbolStep(_str(step.get("name"), "step name"), spec, realiser, witness))
+        elif kind == "equation":
+            rule = rule_from_json(builder.signature, step.get("rule"))
+            ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
+            witness = derivation_from_json(theory, ext, step.get("witness"))
+            builder.add_equation(EquationStep(_str(step.get("name"), "step name"), rule, witness))
+        else:
+            raise ParseError(f"unknown step kind {kind!r}")
+    out = {
+        "theory": theory_to_json(builder.theory()),
+        "well_founded": builder.check_well_founded(),
+        "symbol_images": [
+            expr_to_json(
+                mv_extend_signature(
+                    theory.signature, builder.signature.symbol(i).arity
+                ),
+                e,
+            )
+            for i, e in enumerate(builder.syntax_map().exprs)
+        ],
+    }
+    _emit(args, out)
+    return 0
+
+
+def _script_boundary(builder, step):
+    from .maps import sequential_boundary_spec
+    from .presentation import premise_from_json
+
+    bsig = builder.signature
+    raw_premises = _list(step.get("premises", []), "premises")
+    names = tuple(
+        _str(_obj(p, "a premise").get("name", f"p{k}"), "premise name")
+        for k, p in enumerate(raw_premises)
+    )
+    premises = []
+    sub_args: list[Argument] = []
+    obj_names: list[str] = []
+    for k, p in enumerate(raw_premises):
+        sub_sig = mv_extend_signature(bsig, tuple(sub_args), tuple(obj_names))
+        seq, form, slots = premise_from_json(sub_sig, p)
+        premises.append((seq, form, slots))
+        if form.is_object:
+            sub_args.append(Argument(form.head_class, len(seq)))
+            obj_names.append(names[k])
+    form = _form_from(step.get("conclusion_form"))
+    full_sig = mv_extend_signature(bsig, tuple(sub_args), tuple(obj_names))
+    conclusion_slots = _boundary_from_json(
+        full_sig, _obj(step.get("boundary", {}), "conclusion boundary"), form, 0, "conclusion boundary"
+    )
+    return sequential_boundary_spec(tuple(premises), form, conclusion_slots, names)

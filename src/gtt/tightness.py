@@ -1,0 +1,123 @@
+"""Tightness of rules and theories, and the natural types read off the symbol rules."""
+
+from __future__ import annotations
+
+from .errors import ClassMismatch, NoBijection, NotTight
+from .judgements import JudgementForm, RawContext
+from .rules import RawRule, generic_application
+from .scopes import _record
+from .syntax import TM, Expr, Instantiation, MetaApp, Signature, SymApp, Var, generic_meta, instantiate_expr
+from .theories import RawTypeTheory
+
+
+@_record
+class TightnessWitness:
+    """For each argument of the rule's arity, the introducing object premise."""
+
+    premise_of_arg: tuple[int, ...]
+
+
+def check_tight(rule: RawRule) -> TightnessWitness:
+    """Find the unique bijection arguments <-> object premises, or raise.
+
+    Argument i must be introduced by a premise whose context scope is the
+    argument's binder, whose form is the argument's class, and whose head
+    is the metavariable applied to exactly the variables of that scope.
+    """
+    object_premises = rule.object_premises()
+    if len(object_premises) != len(rule.arity):
+        raise NoBijection(
+            f"{len(rule.arity)} arguments but {len(object_premises)} object premises"
+        )
+    assignment = []
+    used = set()
+    for i, arg in enumerate(rule.arity):
+        expected_head = generic_meta(i, arg)
+        expected_form = JudgementForm.IS_TY if arg.cls.value == "Ty" else JudgementForm.IS_TM
+        found = None
+        for p in object_premises:
+            premise = rule.premises[p]
+            if (
+                premise.form is expected_form
+                and premise.context.scope == arg.binder
+                and premise.head == expected_head
+            ):
+                found = p
+                break
+        if found is None:
+            raise NoBijection(f"no introducing premise for argument {i}")
+        if found in used:
+            raise NoBijection(f"premise {found} introduces two arguments")
+        used.add(found)
+        assignment.append(found)
+    return TightnessWitness(tuple(assignment))
+
+
+def is_tight(rule: RawRule) -> bool:
+    try:
+        check_tight(rule)
+        return True
+    except NoBijection:
+        return False
+
+
+def is_symbol_rule(sig: Signature, rule: RawRule, sym: int) -> bool:
+    """Arity, conclusion form, and generic-application head all match the symbol."""
+    decl = sig.symbol(sym)
+    if rule.arity != decl.arity:
+        return False
+    if not rule.conclusion.is_object:
+        return False
+    expected_form = JudgementForm.IS_TY if decl.cls.value == "Ty" else JudgementForm.IS_TM
+    if rule.conclusion.form is not expected_form:
+        return False
+    if rule.conclusion.context.scope != 0:
+        return False
+    return rule.conclusion.head == generic_application(sig, sym)
+
+
+def theory_tightness(theory: RawTypeTheory) -> dict[int, int]:
+    """The bijection symbol -> rule index witnessing theory tightness."""
+    for i, rule in enumerate(theory.rules):
+        if not is_tight(rule):
+            raise NotTight(f"rule {theory.rule_name(i)} is not tight")
+    object_rules = [i for i, r in enumerate(theory.rules) if r.is_object]
+    beta: dict[int, int] = {}
+    for i in object_rules:
+        head = theory.rules[i].conclusion.head
+        if not isinstance(head, SymApp):
+            raise NotTight(f"object rule {theory.rule_name(i)} does not conclude a symbol application")
+        sym = head.sym
+        if not is_symbol_rule(theory.signature, theory.rules[i], sym):
+            raise NotTight(f"rule {theory.rule_name(i)} is not a symbol rule")
+        if sym in beta:
+            raise NotTight(
+                f"symbol {theory.signature.symbol(sym).name} has two rules: "
+                f"{theory.rule_name(beta[sym])} and {theory.rule_name(i)}"
+            )
+        beta[sym] = i
+    missing = set(range(theory.signature.base_count)) - set(beta)
+    if missing:
+        names = ", ".join(theory.signature.symbol(s).name for s in sorted(missing))
+        raise NotTight(f"symbols without rules: {names}")
+    return beta
+
+
+def natural_type(theory: RawTypeTheory, ctx: RawContext, t: Expr) -> Expr:
+    """The type read off the symbol rules: a variable gets its context type,
+    a symbol application the instantiated conclusion type of its rule.
+    Natural types are defined for terms only."""
+    if t.cls is not TM:
+        raise ClassMismatch(f"natural types are defined for terms only, not for a {t.cls.value} expression")
+    kind = theory.kind
+    match t:
+        case Var(pos=i):
+            return ctx.type_at(i)
+        case SymApp(sym=s, args=args, scope=scope):
+            beta = theory_tightness(theory)
+            rule = theory.rule(beta[s])
+            inst = Instantiation(theory.signature.symbol(s).arity, scope, args)
+            return instantiate_expr(kind, inst, rule.conclusion.boundary[0])
+        case MetaApp():
+            raise NotTight("natural types are undefined at metavariable applications")
+    raise TypeError(f"not a term: {t!r}")

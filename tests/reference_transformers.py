@@ -15,7 +15,8 @@ walks its body k times.
 the side conditions once, at the root, renames by substituting variables,
 and folds a chain of substitution nodes into one before walking it.  Its
 outputs must be ``==`` to these, and its errors equal in class and text.
-``reference_transformers`` swaps these functions into ``metatheory``, so
+``reference_transformers`` swaps these functions into every ``gtt`` module
+that holds them (``metatheory`` re-exports the modules that define them), so
 that ``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable``
 can be run on both.
 """
@@ -23,11 +24,12 @@ can be run on both.
 from __future__ import annotations
 
 import contextlib
+import sys
 
 from gtt import derive, metatheory
 from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated
 from gtt.judgements import instantiate_context
-from gtt.metatheory import concat_inst, subst_act_inst
+from gtt.metatheory import concat_inst, find_congruence, require_substitutive, subst_act_inst
 from gtt.rules import BuiltinRule, acts_trivially
 from gtt.scopes import Renaming, inl_renaming
 from gtt.syntax import (
@@ -45,15 +47,21 @@ from naive import identity_renaming, naive_extend_renaming, naive_rename
 
 @contextlib.contextmanager
 def reference_transformers():
-    """Run ``metatheory`` with the reference transformers in place."""
-    saved = {name: getattr(metatheory, name) for name in SWAPPED}
+    """Run the transformers with the reference ones in place: each swapped
+    name is replaced in every ``gtt`` module that holds the original."""
+    modules = [m for n, m in list(sys.modules.items()) if n == "gtt" or n.startswith("gtt.")]
+    saved = []
     for name, fn in SWAPPED.items():
-        setattr(metatheory, name, fn)
+        original = getattr(metatheory, name)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                saved.append((module, name, original))
+                setattr(module, name, fn)
     try:
         yield
     finally:
-        for name, fn in saved.items():
-            setattr(metatheory, name, fn)
+        for module, name, original in saved:
+            setattr(module, name, original)
 
 
 def _rename_inst(kind, r: Renaming, inst: Instantiation) -> Instantiation:
@@ -69,7 +77,7 @@ def _check_type_respecting(kind, r, src, dst) -> None:
 
 
 def rename_derivation(theory, r, target, d):
-    metatheory.require_substitutive(theory)
+    require_substitutive(theory)
     kind = theory.kind
 
     def go(node, rn, tgt):
@@ -104,7 +112,7 @@ def _check_trivial_action(kind, f, target, source, positions):
 
 
 def substitute_derivation(theory, f, target, trivial, typings, d):
-    metatheory.require_substitutive(theory)
+    require_substitutive(theory)
     kind = theory.kind
 
     def go(node, fs, tgt, K, typ):
@@ -159,11 +167,11 @@ def _check_joint_conditions(kind, f, g, target, source, K):
 
 
 def substitute_equal_derivation(theory, f, g, target, trivial, triples, d):
-    metatheory.require_substitutive(theory)
+    require_substitutive(theory)
     kind = theory.kind
 
     def cong_index(r):
-        j = metatheory.find_congruence(theory, r)
+        j = find_congruence(theory, r)
         if j is None:
             raise NotCongruous(f"no congruence rule for {theory.rule_name(r)}")
         return j

@@ -56,6 +56,14 @@ def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
     assert entries == {16: 0, 32: 0}, entries
 
 
+def patch_everywhere(monkeypatch, name, original, replacement):
+    """Replace ``original`` by ``replacement`` in every ``gtt`` module that
+    holds it under ``name``: the module defining it and those importing it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gtt.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def count_weakening(monkeypatch):
     """Count the types extend_context weakens: ``run(f, *args)`` calls f and
     returns the number, after asserting that no (scope kind, type, cut,
@@ -170,9 +178,7 @@ def test_elimination_checks_triviality_once_per_subst_node(monkeypatch):
             calls[name] += 1
             return original(*args)
 
-        for holder in (module, metatheory):
-            if getattr(holder, name, None) is original:
-                monkeypatch.setattr(holder, name, counted)
+        patch_everywhere(monkeypatch, name, original, counted)
     metatheory.eliminate_substitution(THEORY, d)
     trivial = sum(len(n.trivial) for n in derivation_nodes(d) if isinstance(n, SubstInst))
     assert trivial > 0
@@ -217,7 +223,7 @@ def test_equality_substitution_walks_a_binder_premise_for_its_g_image_only(monke
         calls[0] += 1
         return original(*args)
 
-    monkeypatch.setattr(metatheory, "subst_act_inst", counted)
+    patch_everywhere(monkeypatch, "subst_act_inst", metatheory.subst_act_inst, counted)
     counts = {}
     for n in (4, 8):
         d = equality_substitution_into_nested_pi(n)

@@ -42,10 +42,10 @@ LIBRARY_API = {
     "maps.identity_theory_map",
     "maps.section_d",
     "maps.section_s",
-    "metatheory.map_derivation",
     "presentation.sequential_by_occurrence",
     "presentation.sequential_by_peeling",
     "presentation.spec_to_json",
+    "presuppositions.map_derivation",
     "syntax.extend_substitution",
     "syntax.weaken_expr",
 }

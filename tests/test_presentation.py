@@ -13,9 +13,11 @@ from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
 from gtt.jsonio import load_theory_file, loads
 from gtt.metatheory import check_well_founded_theory, is_tight
 from gtt.presentation import (
+    PremiseWitnesses,
     PremisesShape,
     WellFoundedPremiseFamily,
     WellPresentedTheorySpec,
+    check_premise_family,
     elaborate_theory,
     flatten_premise_family,
     flatten_sequential_context,
@@ -163,6 +165,22 @@ def test_equality_premise_keeps_arity():
     flat = flatten_premise_family(TWO_SIG, fam)
     assert flat[1].form is JudgementForm.TY_EQ
     assert flat[1].head is None
+
+
+def test_premises_above_an_invalid_premise_are_skipped_with_a_diagnostic():
+    # A type, a : M with M a term metavariable in a type slot, B type above
+    # both: B's witnesses would be checked over a flattening of a : M, so B
+    # is skipped and reported instead of raising the class mismatch of a : M
+    theory = RawTypeTheory(TWO_SIG, (), ())
+    slots = ((JudgementForm.IS_TY, 0), (JudgementForm.IS_TM, 0), (JudgementForm.IS_TY, 0))
+    boundaries = (((), ()), ((), (MetaApp(0, (), 0, TM),)), ((), ()))
+    for n in (2, 3):
+        order = FinitePoset.of(n, [(i, j) for j in range(n) for i in range(j)])
+        fam = WellFoundedPremiseFamily(PremisesShape(order, slots[:n]), boundaries[:n], ("A", "a", "B")[:n])
+        diagnostics = []
+        assert check_premise_family(theory, fam, PremiseWitnesses(), diagnostics) is False
+        assert [d.split(":")[0] for d in diagnostics] == [f"premise {i}" for i in range(1, n)], diagnostics
+    assert diagnostics[1] == "premise 2: witnesses not checked, invalid premises below it: [1]"
 
 
 def test_realise_pi_boundary_with_both_symbols():
