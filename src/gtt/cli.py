@@ -150,12 +150,10 @@ def _load_raw(path: Path):
     if kind == "spec":
         from .presentation import elaborate_theory
 
-        spec = payload
-        _, theory, report = elaborate_theory(spec)
+        _, theory, report = elaborate_theory(payload)
         if not report.acceptable:
             raise KernelError("the elaborated theory is not acceptable")
-        witnesses = {}
-        return theory, witnesses, None
+        return theory, {}, None
     return payload
 
 

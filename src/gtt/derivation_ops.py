@@ -91,13 +91,14 @@ def find_congruence(theory: RawTypeTheory, rule_index: int) -> int | None:
     """Index of a rule structurally equal to the congruence rule of ``rule_index``.
 
     Structural equality ignores metavariable names: a theory may name the
-    metavariables of its congruence rules as it likes, or not at all.
+    metavariables of its congruence rules as it likes, or not at all.  The
+    index is found once per theory object and rule (``memo``).
     """
-    target = congruence_rule(theory.kind, theory.rule(rule_index)).shape
-    for j, r in enumerate(theory.rules):
-        if r.shape == target:
-            return j
-    return None
+    key = ("congruence", rule_index)
+    if key not in theory.memo:
+        target = congruence_rule(theory.kind, theory.rule(rule_index)).shape
+        theory.memo[key] = next((j for j, r in enumerate(theory.rules) if r.shape == target), None)
+    return theory.memo[key]
 
 
 def require_substitutive(theory: RawTypeTheory) -> None:

@@ -206,15 +206,6 @@ def substitute_equal_derivation(
         memo = {}
     if isinstance(d, (VariableInst, RuleInst)):
         _check_joint_conditions(kind, f, g, target, d.context, trivial)
-    congruence_of: dict[int, int] = {}
-
-    def cong_index(r: int) -> int:
-        if r not in congruence_of:
-            j = find_congruence(theory, r)
-            if j is None:
-                raise NotCongruous(f"no congruence rule for {theory.rule_name(r)}")
-            congruence_of[r] = j
-        return congruence_of[r]
 
     def go(node, k: int, tgt: RawContext, only_g: bool = False):
         """The triple of images of ``node``; only its g-image if ``only_g``."""
@@ -276,21 +267,21 @@ def substitute_equal_derivation(
                 d_g = RuleInst(ref, i_g, tgt, tuple(g_children))
                 if not rule.conclusion.form.is_object:
                     return d_f, d_g, None
-                d_e = _equal_image(theory, node, rule, tgt, i_f, i_g,
-                                   f_children, g_children, eq_components, cong_index)
+                d_e = _equal_image(theory, node, rule, tgt, i_f, i_g, f_children, g_children, eq_components)
                 return d_f, d_g, d_e
         raise _not_substitution_free(theory, node)
 
     return go(d, 0, target)
 
 
-def _equal_image(theory, node, rule, tgt, i_f, i_g,
-                 f_children, g_children, eq_components, cong_index):
+def _equal_image(theory, node, rule, tgt, i_f, i_g, f_children, g_children, eq_components):
     """The (f == g)-image at an object-rule node: congruence rule for specific
     rules, conversion bookkeeping for the term-conversion rule."""
     match node.ref:
         case int() as r:
-            cidx = cong_index(r)
+            cidx = find_congruence(theory, r)
+            if cidx is None:
+                raise NotCongruous(f"no congruence rule for {theory.rule_name(r)}")
             ii = concat_inst(i_f, i_g)
             children = list(f_children) + list(g_children)
             for k in rule.object_premises():

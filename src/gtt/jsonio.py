@@ -26,11 +26,7 @@ from typing import Any
 
 from .errors import IndexOutOfRange, KernelError, ParseError
 from .foundations import FinitePoset
-from .judgements import (
-    Judgement,
-    JudgementForm,
-    RawContext,
-)
+from .judgements import Judgement, JudgementForm, RawContext
 from .rules import BuiltinRule, RawRule
 from .scopes import ScopeKind
 from .syntax import (

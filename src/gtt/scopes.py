@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import _tuplegetter
 from enum import Enum
+from functools import cached_property
 
 from .errors import IndexOutOfRange, ScopeMismatch
 
@@ -101,6 +102,9 @@ def _record(cls):
     - ``repr`` shows the class name and each constructor field as
       ``name=value``.  ``copy``, ``deepcopy`` and ``pickle`` rebuild a
       record through its constructor.
+    - A ``functools.cached_property`` keeps the class a ``__dict__`` for its
+      value, which is not a field: equality, hashing, repr, ``_replace``,
+      copies and pickles leave it out.
     """
     ns = dict(vars(cls))
     ns.pop("__dict__", None)
@@ -169,9 +173,10 @@ def _record(cls):
             raise TypeError(f"{name} has no constructor field {', '.join(changes)}")
         return type(self)(*args)
 
+    if not any(isinstance(v, cached_property) for v in ns.values()):
+        ns["__slots__"] = ()
     ns.update(
         __qualname__=name,
-        __slots__=(),
         __new__=scope["__new__"],
         __repr__=__repr__,
         __reduce__=__reduce__,

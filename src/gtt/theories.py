@@ -68,31 +68,15 @@ indices stay valid and MetaApp nodes refer to the ambient extension.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
 from .foundations import ClosureRule, GHyp, check_derivation
 from .scopes import ScopeKind, _Fresh, _record
-from .syntax import (
-    TM,
-    Arity,
-    Instantiation,
-    Signature,
-    Substitution,
-    mv_extend_signature,
-    validate_expr,
-)
-from .judgements import (
-    Judgement,
-    RawContext,
-    WeakeningMemo,
-    validate_judgement,
-)
+from .syntax import TM, Arity, Instantiation, Signature, Substitution, mv_extend_signature, validate_expr
+from .judgements import Judgement, RawContext, WeakeningMemo, validate_judgement
 from .rules import (
-    BuiltinRule,
-    RawRule,
-    equality_substitution_rule,
-    instantiate_rule,
-    substitution_rule,
-    variable_rule,
+    BuiltinRule, RawRule, equality_substitution_rule, instantiate_rule, substitution_rule, variable_rule,
 )
 
 
@@ -122,6 +106,15 @@ class RawTypeTheory:
             known = len(prefix.rules)
         for rule in self.rules[known:]:
             _validate_rule(self.signature, rule)
+
+    @cached_property
+    def memo(self) -> dict:
+        """What this object's conditions came to, filled on first use and not
+        a field: the symbol-rule bijection of ``tightness.theory_tightness``
+        and the congruence rules ``derivation_ops.find_congruence`` found,
+        each as an immutable value.  A copy, pickle or ``_replace`` starts
+        empty."""
+        return {}
 
     @property
     def kind(self) -> ScopeKind:

@@ -77,7 +77,9 @@ def is_symbol_rule(sig: Signature, rule: RawRule, sym: int) -> bool:
 
 
 def theory_tightness(theory: RawTypeTheory) -> dict[int, int]:
-    """The bijection symbol -> rule index witnessing theory tightness."""
+    """The bijection symbol -> rule index witnessing theory tightness, found once per theory object."""
+    if "tightness" in theory.memo:
+        return dict(theory.memo["tightness"])
     for i, rule in enumerate(theory.rules):
         if not is_tight(rule):
             raise NotTight(f"rule {theory.rule_name(i)} is not tight")
@@ -100,6 +102,7 @@ def theory_tightness(theory: RawTypeTheory) -> dict[int, int]:
     if missing:
         names = ", ".join(theory.signature.symbol(s).name for s in sorted(missing))
         raise NotTight(f"symbols without rules: {names}")
+    theory.memo["tightness"] = tuple(beta.items())
     return beta
 
 

@@ -14,8 +14,13 @@ node and builds no extended substitution table; it walks the body of a
 chain of substitution nodes once, and each binder premise of an equality
 substitution once per image it needs.  And the Python calls of a check: a
 syntax walker spends one frame per expression node, its own recursion.
+And the conditions of a theory: its tightness bijection and congruence
+indices are found once per theory object, however many metatheorem calls
+read them.
 """
 
+import copy
+import pickle
 import sys
 from collections import Counter
 
@@ -23,17 +28,24 @@ import pytest
 
 from corpus import (
     THEORY,
+    WITNESSES,
+    app,
+    conv_wrap,
     equality_substitution_into_nested_pi,
     equality_substitutions_under_binders,
+    extend,
+    lam,
     lam_tower,
     nested_pi,
+    tt_at,
+    unit_at,
     weakening_chain,
 )
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.metatheory import derivation_nodes
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
-from gtt.theories import SubstInst, check_theory_derivation
+from gtt.theories import RawTypeTheory, SubstInst, check_theory_derivation
 
 
 def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
@@ -263,3 +275,66 @@ def test_a_check_spends_one_python_frame_per_expression_node(build, bound):
     # argument); one frame per node makes 931, 1,016 and 7,193.
     d = build()
     assert count_calls(check_theory_derivation, THEORY, (), d) <= bound
+
+
+def fresh_theory() -> RawTypeTheory:
+    """A theory object equal to ``THEORY`` whose memo no other test filled."""
+    return RawTypeTheory(THEORY.signature, THEORY.rules, THEORY.rule_names)
+
+
+def test_a_theory_finds_its_tightness_and_congruences_once(monkeypatch):
+    # Counted, not timed: 100 uniqueness-of-typing and 100 natural-type calls
+    # check each rule's tightness once and match each object rule with its
+    # symbol once; recomputing the bijection per call makes 100 times that.
+    # An equal theory object finds its own, and so do congruence lookups.
+    from gtt import rules, tightness
+    from gtt.metatheory import eliminate_substitution, natural_type, unique_typing_acceptable
+
+    calls = Counter()
+    for module, name in ((tightness, "check_tight"), (tightness, "is_symbol_rule"), (rules, "congruence_rule")):
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        patch_everywhere(monkeypatch, name, original, counted)
+    u = unit_at(EMPTY_CONTEXT)
+    x_unit = extend(EMPTY_CONTEXT, u)
+    typed = app(u, unit_at(x_unit), lam(u, unit_at(x_unit), tt_at(x_unit)), tt_at(EMPTY_CONTEXT))
+    second = conv_wrap(typed).d_term
+    theory = fresh_theory()
+    objects = sum(rule.is_object for rule in theory.rules)
+    for _ in range(100):
+        unique_typing_acceptable(theory, typed.d_term, second, WITNESSES)
+        assert natural_type(theory, EMPTY_CONTEXT, typed.term) == typed.type
+    assert calls == Counter(check_tight=len(theory.rules), is_symbol_rule=objects), calls
+    again = fresh_theory()
+    natural_type(again, EMPTY_CONTEXT, typed.term)
+    assert calls == Counter(check_tight=2 * len(theory.rules), is_symbol_rule=2 * objects), calls
+
+    # elimination looks up the congruence rule of each object rule its
+    # equality substitution meets, once per theory object
+    d = equality_substitution_into_nested_pi(2)
+    eliminate_substitution(theory, d)
+    congruences = calls["congruence_rule"]
+    assert congruences > 0
+    for _ in range(9):
+        eliminate_substitution(theory, d)
+    eliminate_substitution(again, d)
+    assert calls["congruence_rule"] == 2 * congruences, calls
+
+
+def test_the_memo_is_not_a_field():
+    from gtt.metatheory import find_congruence, theory_tightness
+
+    theory = fresh_theory()
+    beta = theory_tightness(theory)
+    find_congruence(theory, THEORY.rule_index("Pi-form"))
+    assert theory.memo
+    twin = fresh_theory()
+    assert theory == twin and hash(theory) == hash(twin) and repr(theory) == repr(twin)
+    for copied in (copy.copy(theory), copy.deepcopy(theory), pickle.loads(pickle.dumps(theory)), theory._replace()):
+        assert copied == theory
+        assert vars(copied) == {}
+        assert theory_tightness(copied) == beta

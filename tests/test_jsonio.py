@@ -130,14 +130,15 @@ def test_bundled_files_reemit_byte_for_byte():
 
 
 def test_spec_codec_elaborates_nothing(monkeypatch):
-    import gtt.metatheory
+    import gtt.acceptability
     import gtt.presentation
 
     calls = Counter()
+    # ``theory_commands`` looks ``check_acceptable_theory`` up in ``acceptability`` when it runs
     for module, name in [
         (gtt.presentation, "elaborate_theory"),
         (gtt.presentation, "check_acceptable_theory"),
-        (gtt.metatheory, "check_acceptable_theory"),
+        (gtt.acceptability, "check_acceptable_theory"),
     ]:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a))

@@ -148,10 +148,10 @@ LINE_BUDGETS = {
     "check-theory spec": 5070,
     "flatten": 5070,
     "presup": 3310,
-    "elim-subst": 3420,
-    "invert": 3990,
+    "elim-subst": 3400,
+    "invert": 3980,
     "natural-type": 2950,
-    "unique-typing": 3990,
+    "unique-typing": 3980,
     "replace-step": 5390,
 }
 

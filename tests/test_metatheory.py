@@ -1,5 +1,7 @@
 """Tightness, presuppositivity, acceptability, and the four metatheorems."""
 
+import re
+
 import pytest
 
 from corpus import (
@@ -236,10 +238,24 @@ def test_missing_symbol_rule_breaks_tightness():
     smaller = theory.__class__(
         theory.signature, theory.rules[:-3], theory.rule_names[:-3]
     )
-    with pytest.raises(NotTight):
-        theory_tightness(smaller)
+    # a failure is not remembered: every call raises the same error, and
+    # uniqueness of typing raises it before it does any work
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NotTight) as raised:
+            theory_tightness(smaller)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] != ""
+    d = tt_at(EMPTY_CONTEXT).d_term
+    with pytest.raises(NotTight, match=re.escape(messages[0])):
+        unique_typing(smaller, d, d, d, d)
     report = check_acceptable_theory(smaller, witnesses)
     assert not report.tight
+    # a caller may change the bijection it gets; the next call does not see that
+    beta = theory_tightness(theory)
+    expected = dict(beta)
+    beta.clear()
+    assert theory_tightness(theory) == expected
 
 
 @pytest.mark.parametrize("fn", [mltt_pi, mltt_base, type_in_type])

@@ -4,12 +4,15 @@ parameter of its functions is read, and every imported name is read.
 A top-level function or class, or a method of a top-level class (dunder
 methods excepted), is called when its name occurs in a package module
 (``__init__.py`` excluded: re-exporting is not a use) outside its own
-definition: as a name, as an attribute, or as a string that a call takes
-as its first argument (the CLI looks command bodies up by name).  Tests
-and the benchmark are not callers.  The one exception is ``LIBRARY_API``: library
-entry points that an acceptance criterion, the benchmark or a definition
-of the paper needs although no command runs them.  README.md names each
-of them in the Layout row of its module.
+definition: as an attribute, as a string that a call takes as its first
+argument (the CLI looks command bodies up by name), or, for a function or
+class but not a method, as a name.  A bare name never reaches a method, so
+a method that shares its name with a module function does not pass on that
+function's callers.  Tests and the benchmark are not callers.  The one
+exception is ``LIBRARY_API``: library entry points that an acceptance
+criterion, the benchmark or a definition of the paper needs although no
+command runs them.  README.md names each of them in the Layout row of its
+module.
 
 Every parameter of a function or lambda of the package is read in its
 body; ``self``, ``cls`` and names starting with ``_`` are exempt.
@@ -72,13 +75,14 @@ def _definitions(trees: dict[str, ast.Module]):
                         yield f"{module}.{node.name}.{method.name}", method
 
 
-def _mentions(node: ast.AST) -> Counter:
-    """The names and attributes in ``node``, and the strings passed to a
-    call as its first argument."""
+def _mentions(node: ast.AST, method: bool = False) -> Counter:
+    """The attributes in ``node``, the strings passed to a call as its first
+    argument, and its names unless ``method``."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out[n.id] += 1
+            if not method:
+                out[n.id] += 1
         elif isinstance(n, ast.Attribute):
             out[n.attr] += 1
         elif isinstance(n, ast.Call) and n.args and isinstance(n.args[0], ast.Constant):
@@ -88,11 +92,15 @@ def _mentions(node: ast.AST) -> Counter:
 
 def uncalled_definitions() -> list[str]:
     trees = _package_trees()
-    everywhere = sum((_mentions(t) for t in trees.values()), Counter())
-    return [
-        qualified for qualified, node in _definitions(trees)
-        if everywhere[node.name] - _mentions(node)[node.name] <= 0
-    ]
+    everywhere = {
+        method: sum((_mentions(t, method) for t in trees.values()), Counter()) for method in (False, True)
+    }
+    out = []
+    for qualified, node in _definitions(trees):
+        method = qualified.count(".") == 2
+        if everywhere[method][node.name] - _mentions(node, method)[node.name] <= 0:
+            out.append(qualified)
+    return out
 
 
 def test_every_top_level_name_is_referenced():
