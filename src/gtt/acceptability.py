@@ -6,10 +6,10 @@ from __future__ import annotations
 from .derivation_ops import derivation_nodes, find_congruence, node_exprs
 from .errors import KernelError, NotTight
 from .foundations import FinitePoset
-from .judgements import Judgement, presuppositions
+from .judgements import Boundary, Judgement, presuppositions
 from .rules import RawRule
 from .scopes import _record
-from .syntax import Expr, MetaApp, SymApp, Var
+from .syntax import Arity, Expr, MetaApp, SymApp, Var
 from .theories import (
     RawTypeTheory, RuleInst, RuleWitnesses, TheoryDerivation, TheoryWitnesses, check_theory_derivation,
 )
@@ -37,35 +37,49 @@ def check_presuppositive(
     (and, unless weak, of every premise) must be derived from the premises."""
     witnesses = witnesses or RuleWitnesses()
     hyps = presupposition_hypotheses(rule, weak)
-    ok = True
-
-    def run(target: Judgement, d: TheoryDerivation | None, tag: str) -> bool:
-        if d is None:
-            _log(diagnostics, f"{tag}: no witness supplied")
-            return False
-        try:
-            got = check_theory_derivation(theory, hyps, d, rule.arity, rule.meta_names)
-        except KernelError as e:
-            _log(diagnostics, f"{tag}: witness fails to check: {e}")
-            return False
-        if got != target:
-            _log(diagnostics, f"{tag}: witness derives {got!r}, wanted {target!r}")
-            return False
-        return True
-
-    for p, target in enumerate(presuppositions(rule.conclusion)):
-        ok &= run(target, witnesses.conclusion.get(p), f"conclusion/{p}")
+    failures = witness_failures(theory, hyps, rule.conclusion, witnesses, None, rule.arity, rule.meta_names)
     if not weak:
         for i, premise in enumerate(rule.premises):
-            for p, target in enumerate(presuppositions(premise)):
-                ok &= run(target, witnesses.premises.get((i, p)), f"premise_{i}/{p}")
-    return ok
-
-
-def _log(diagnostics: list[str] | None, msg: str) -> None:
+            failures += witness_failures(theory, hyps, premise, witnesses, i, rule.arity, rule.meta_names)
     if diagnostics is not None:
-        diagnostics.append(msg)
+        diagnostics.extend(failures)
+    return not failures
 
+
+def derivation_failure(
+    theory: RawTypeTheory, hyps: tuple[Judgement, ...], d: TheoryDerivation, target: Judgement,
+    ambient: Arity, names: tuple[str, ...],
+) -> str | None:
+    """Why ``d`` does not derive ``target`` from ``hyps`` over the extension
+    by ``ambient``: the checker's error, or the judgement it derives
+    instead.  None when it derives ``target``.  This is the one derivability
+    check of witnesses: presuppositions, premise families, rule-boundaries,
+    realisers and derived rules."""
+    try:
+        got = check_theory_derivation(theory, hyps, d, ambient, names)
+    except KernelError as e:
+        return f"witness fails to check: {e}"
+    return None if got == target else f"witness derives {got!r}, wanted {target!r}"
+
+
+def witness_failures(
+    theory: RawTypeTheory, hyps: tuple[Judgement, ...], j: Judgement | Boundary, witnesses: RuleWitnesses,
+    premise: int | None, ambient: Arity, names: tuple[str, ...],
+) -> list[str]:
+    """One diagnostic for each presupposition of ``j`` whose witness is
+    missing or fails, tagged with its JSON witness key: ``j`` is the
+    conclusion (``premise`` None) or premise ``premise`` of the rule
+    ``witnesses`` belong to."""
+    out = []
+    for p, target in enumerate(presuppositions(j)):
+        if premise is None:
+            key, d = f"conclusion/{p}", witnesses.conclusion.get(p)
+        else:
+            key, d = f"premise_{premise}/{p}", witnesses.premises.get((premise, p))
+        failure = "no witness supplied" if d is None else derivation_failure(theory, hyps, d, target, ambient, names)
+        if failure is not None:
+            out.append(f"{key}: {failure}")
+    return out
 
 
 # --- acceptability ------------------------------------------------------------

@@ -33,7 +33,7 @@ from .judgements import (
     RawContext,
     complete_boundary,
 )
-from .acceptability import rule_symbols
+from .acceptability import derivation_failure, rule_symbols
 from .derivation_ops import generic_rule_instance, map_node
 from .presuppositions import graft, instantiate_derivation
 from .presentation import (
@@ -71,7 +71,6 @@ from .theories import (
     SubstInst,
     TheoryDerivation,
     TheoryWitnesses,
-    check_theory_derivation,
 )
 from .tightness import check_tight, theory_tightness
 
@@ -163,11 +162,11 @@ class RawTheoryMap:
         ok = True
         for i, d in sorted(self.rule_derivations.items()):
             rule = map_rule(self.syntax, self.src.rule(i))
-            failure = derived_rule_failure(self.dst, rule, d)
+            failure = derivation_failure(self.dst, rule.premises, d, rule.conclusion, rule.arity, rule.meta_names)
             if failure is not None:
                 ok = False
                 if diagnostics is not None:
-                    diagnostics.append(f"rule {self.src.rule_name(i)}: stored derivation fails: {failure}")
+                    diagnostics.append(f"rule {self.src.rule_name(i)}: {failure}")
         return ok
 
 
@@ -200,24 +199,11 @@ def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryD
     return go(d)
 
 
-def derived_rule_failure(
-    theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
-) -> str | None:
-    """Why ``witness`` does not derive the rule's conclusion from its
-    premises: the checker's error, or that it concludes a different
-    judgement.  None when it does derive it."""
-    try:
-        got = check_theory_derivation(theory, rule.premises, witness, rule.arity, rule.meta_names)
-    except KernelError as e:
-        return str(e)
-    return None if got == rule.conclusion else "concludes a different judgement"
-
-
 def check_derived_rule(
     theory: RawTypeTheory, rule: RawRule, witness: TheoryDerivation
 ) -> bool:
     """True iff ``witness`` derives the rule's conclusion from its premises."""
-    return derived_rule_failure(theory, rule, witness) is None
+    return derivation_failure(theory, rule.premises, witness, rule.conclusion, rule.arity, rule.meta_names) is None
 
 
 # --- realisers ----------------------------------------------------------------
@@ -241,11 +227,7 @@ def check_realiser(
         return False
     hyps = flatten_premise_family(theory.signature, spec.premises)
     target = complete_boundary(boundary, e)
-    try:
-        got = check_theory_derivation(theory, hyps, witness, alpha, spec.premises.meta_names())
-    except KernelError:
-        return False
-    return got == target
+    return derivation_failure(theory, hyps, witness, target, alpha, spec.premises.meta_names()) is None
 
 
 def map_rule_boundary(m: RawSyntaxMap, spec: RuleBoundarySpec) -> RuleBoundarySpec:
@@ -313,9 +295,7 @@ class ReplacementBuilder:
         image = self._image_boundary(step.boundary)
         if not check_realiser(self.target, image, step.realiser, step.witness):
             raise WitnessFailure(f"step {step.name}: realiser witness fails in the target")
-        boundary = step.boundary.conclusion_boundary()
-        cls = TY if boundary.form is JudgementForm.IS_TY else TM
-        symbol = Symbol(step.name, cls, step.boundary.arity())
+        symbol = Symbol(step.name, step.boundary.conclusion_form.head_class, step.boundary.arity())
         self.signature = Signature(
             self.signature.symbols + (symbol,), self.signature.kind
         )

@@ -31,7 +31,6 @@ from .judgements import (
     JudgementForm,
     RawContext,
     complete_boundary,
-    presuppositions,
 )
 from .jsonio import (
     _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, _witness_key,
@@ -39,7 +38,9 @@ from .jsonio import (
 )
 from .acceptability import (
     AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols, transitive_closure,
+    witness_failures,
 )
+from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
 from .scopes import Renaming, ScopeKind, _Fresh, _record, inl_renaming
 from .syntax import (
@@ -51,21 +52,13 @@ from .syntax import (
     Substitution,
     Symbol,
     SymApp,
-    TM,
     TY,
     Var,
     mv_extend_signature,
     substitute_expr,
     validate_expr,
 )
-from .theories import (
-    Hyp,
-    RawTypeTheory,
-    RuleWitnesses,
-    TheoryDerivation,
-    TheoryWitnesses,
-    check_theory_derivation,
-)
+from .theories import RawTypeTheory, RuleWitnesses, TheoryWitnesses
 
 
 # --- sequential contexts --------------------------------------------------------
@@ -237,10 +230,11 @@ class PremisesShape:
         return tuple(i for i, (f, _) in enumerate(self.slots) if f.is_object)
 
     def arity(self) -> Arity:
-        return tuple(
-            Argument(TY if f is JudgementForm.IS_TY else TM, sc)
-            for f, sc in (self.slots[i] for i in self.object_indices())
-        )
+        return self.arity_of(self.object_indices())
+
+    def arity_of(self, indices) -> Arity:
+        """The arity of the object premises ``indices``, in that order."""
+        return tuple(Argument(self.slots[i][0].head_class, self.slots[i][1]) for i in indices)
 
     def arity_below(self, i: int) -> tuple[int, ...]:
         """Object premise indices strictly below i in the poset, in index order."""
@@ -254,8 +248,8 @@ class WellFoundedPremiseFamily:
 
     ``boundaries[i]`` has the declared form and a sequential context of the
     declared scope; its metavariables index ``shape.arity_below(i)``.
-    The witnesses of boundary i (``PremiseWitnesses``) derive its
-    presuppositions from the flattening of the premises strictly below i.
+    The witnesses of boundary i (``RuleWitnesses.premises[(i, p)]``) derive
+    its presuppositions from the flattening of the premises strictly below i.
     ``names`` label the premises and take part in equality.
     """
 
@@ -328,43 +322,25 @@ def flatten_premises_below(
     return _flatten_premises(sig.kind, family, preds, family.shape.arity_below(i))
 
 
-@_record
-class PremiseWitnesses:
-    """Witness derivations for the presuppositions of each premise boundary.
-
-    ``presups[(i, p)]`` derives the p-th presupposition of boundary i from
-    the flattening of the premises strictly below i; Hyp(k) cites the k-th
-    member of that flattening (in premise-index order).
-    """
-
-    presups: dict[tuple[int, int], TheoryDerivation] = _Fresh(dict)
-
-
 def check_premise_family(
     theory: RawTypeTheory,
     family: WellFoundedPremiseFamily,
-    witnesses: PremiseWitnesses,
+    witnesses: RuleWitnesses,
     diagnostics: list[str] | None = None,
 ) -> bool:
-    """Validate boundaries (scope, stage discipline) and their witnesses.
+    """Validate boundaries (scope, stage discipline) and their witnesses
+    ``witnesses.premises``.
 
     The witnesses of a premise are not checked when a premise below it
     failed validation: their hypotheses would flatten that premise."""
     sig = theory.signature
     kind = sig.kind
-    ok = True
+    out: list[str] = []
     failed: set[int] = set()
     for i in range(family.premise_count()):
         form, scope = family.shape.slots[i]
-        below = family.shape.arity_below(i)
         seq, slots = family.boundaries[i]
-        sub_arity = tuple(
-            Argument(
-                TY if family.shape.slots[j][0] is JudgementForm.IS_TY else TM,
-                family.shape.slots[j][1],
-            )
-            for j in below
-        )
+        sub_arity = family.shape.arity_of(family.shape.arity_below(i))
         sub_sig = mv_extend_signature(sig, sub_arity)
         try:
             ctx = flatten_sequential_context(kind, seq)
@@ -376,37 +352,17 @@ def check_premise_family(
             for e, c in zip(slots, form.boundary_classes):
                 validate_expr(sub_sig, e, scope, c)
         except KernelError as e:
-            ok = False
             failed.add(i)
-            if diagnostics is not None:
-                diagnostics.append(f"premise {i}: {e}")
+            out.append(f"premise {i}: {e}")
             continue
         if failed and (bad := failed & predecessors(family.shape.order, i)):
-            if diagnostics is not None:
-                diagnostics.append(f"premise {i}: witnesses not checked, invalid premises below it: {sorted(bad)}")
+            out.append(f"premise {i}: witnesses not checked, invalid premises below it: {sorted(bad)}")
             continue
-        hyp_family = flatten_premises_below(sig, family, i)
-        for p, target in enumerate(presuppositions(boundary)):
-            w = witnesses.presups.get((i, p))
-            if w is None:
-                ok = False
-                if diagnostics is not None:
-                    diagnostics.append(f"premise {i}: missing witness for presupposition {p}")
-                continue
-            try:
-                got = check_theory_derivation(theory, hyp_family, w, sub_arity)
-            except KernelError as e:
-                ok = False
-                if diagnostics is not None:
-                    diagnostics.append(f"premise {i}/presup {p}: witness fails: {e}")
-                continue
-            if got != target:
-                ok = False
-                if diagnostics is not None:
-                    diagnostics.append(
-                        f"premise {i}/presup {p}: witness derives {got!r}, wanted {target!r}"
-                    )
-    return ok
+        hyps = flatten_premises_below(sig, family, i)
+        out += witness_failures(theory, hyps, boundary, witnesses, i, sub_arity, ())
+    if diagnostics is not None:
+        diagnostics.extend(out)
+    return not out
 
 
 # --- rule boundaries and realisation ----------------------------------------------
@@ -426,43 +382,22 @@ class RuleBoundarySpec:
         return self.premises.shape.arity()
 
 
-@_record
-class RuleBoundaryWitnesses:
-    premises: PremiseWitnesses = _Fresh(PremiseWitnesses)
-    conclusion: dict[int, TheoryDerivation] = _Fresh(dict)
-
-
 def check_rule_boundary(
     theory: RawTypeTheory,
     spec: RuleBoundarySpec,
-    witnesses: RuleBoundaryWitnesses,
+    witnesses: RuleWitnesses,
     diagnostics: list[str] | None = None,
 ) -> bool:
     """Premise family well-formed, and conclusion presuppositions derivable
     from the flattened premises."""
-    ok = check_premise_family(theory, spec.premises, witnesses.premises, diagnostics)
-    sig = theory.signature
-    alpha = spec.arity()
-    hyps = flatten_premise_family(sig, spec.premises)
-    for p, target in enumerate(presuppositions(spec.conclusion_boundary())):
-        w = witnesses.conclusion.get(p)
-        if w is None:
-            ok = False
-            if diagnostics is not None:
-                diagnostics.append(f"conclusion: missing witness for presupposition {p}")
-            continue
-        try:
-            got = check_theory_derivation(theory, hyps, w, alpha, spec.premises.meta_names())
-        except KernelError as e:
-            ok = False
-            if diagnostics is not None:
-                diagnostics.append(f"conclusion/presup {p}: witness fails: {e}")
-            continue
-        if got != target:
-            ok = False
-            if diagnostics is not None:
-                diagnostics.append(f"conclusion/presup {p}: derives {got!r}, wanted {target!r}")
-    return ok
+    out: list[str] = []
+    check_premise_family(theory, spec.premises, witnesses, out)
+    hyps = flatten_premise_family(theory.signature, spec.premises)
+    boundary = spec.conclusion_boundary()
+    out += witness_failures(theory, hyps, boundary, witnesses, None, spec.arity(), spec.premises.meta_names())
+    if diagnostics is not None:
+        diagnostics.extend(out)
+    return not out
 
 
 def realise_rule_boundary(
@@ -481,8 +416,7 @@ def realise_rule_boundary(
             raise SymbolArityMismatch(
                 f"symbol {decl.name} has arity {decl.arity}, boundary wants {alpha}"
             )
-        expected = TY if boundary.form is JudgementForm.IS_TY else TM
-        if decl.cls is not expected:
+        if decl.cls is not boundary.form.head_class:
             raise SymbolArityMismatch(f"symbol {decl.name} has the wrong class")
         conclusion = complete_boundary(boundary, generic_application(sig, symbol))
     else:
@@ -503,12 +437,19 @@ class TheoryRuleSpec:
 @_record
 class WellPresentedTheorySpec:
     """Rules in a well-founded order; rule i's syntax lives over the signature
-    of the object-form rules strictly below it."""
+    of the object-form rules strictly below it.
+
+    ``witnesses`` maps a rule's name to the witnesses of its boundary.  A
+    conclusion witness cites the flattened premises, as a rule witness
+    does; a premise witness ``premises[(i, p)]`` cites the flattening of
+    the premises strictly below i (Hyp(k) its k-th member, in index order),
+    over the extension by their arity, ``shape.arity_below(i)``.
+    """
 
     kind: ScopeKind
     order: FinitePoset
     rules: tuple[TheoryRuleSpec, ...]
-    witnesses: dict[str, RuleBoundaryWitnesses] = _Fresh(dict)
+    witnesses: TheoryWitnesses = _Fresh(dict)
 
     def __post_init__(self):
         if self.order.size != len(self.rules):
@@ -519,29 +460,16 @@ class WellPresentedTheorySpec:
             raise StageViolation("rule indices must respect the order (list a linear extension)")
 
 
-def _symbols_through(spec: WellPresentedTheorySpec, upto: int | None) -> tuple[tuple[int, Symbol], ...]:
-    """(rule index, symbol) pairs for object-form rules with index < upto."""
-    out = []
-    limit = len(spec.rules) if upto is None else upto
-    for i in range(limit):
-        rs = spec.rules[i]
-        form = rs.boundary.conclusion_form
-        if form.is_object:
-            out.append(
-                (
-                    i,
-                    Symbol(
-                        rs.name,
-                        TY if form is JudgementForm.IS_TY else TM,
-                        rs.boundary.arity(),
-                    ),
-                )
-            )
-    return tuple(out)
+def _spec_symbols(spec: WellPresentedTheorySpec) -> tuple[tuple[int, Symbol], ...]:
+    """(rule index, symbol) pairs of the object-form rules."""
+    return tuple(
+        (i, Symbol(rs.name, rs.boundary.conclusion_form.head_class, rs.boundary.arity()))
+        for i, rs in enumerate(spec.rules) if rs.boundary.conclusion_form.is_object
+    )
 
 
 def theory_signature_of_spec(spec: WellPresentedTheorySpec) -> Signature:
-    return Signature(tuple(s for _, s in _symbols_through(spec, None)), spec.kind)
+    return Signature(tuple(s for _, s in _spec_symbols(spec)), spec.kind)
 
 
 def elaborate_theory(
@@ -557,7 +485,7 @@ def elaborate_theory(
 
     full_sig = theory_signature_of_spec(spec)
     witness_table: TheoryWitnesses = {}
-    sym_index = {spec.rules[i].name: k for k, (i, _) in enumerate(_symbols_through(spec, None))}
+    sym_index = {spec.rules[i].name: k for k, (i, _) in enumerate(_spec_symbols(spec))}
 
     # the theory of the rules elaborated so far, built once per spec rule
     # from the previous one, so that each rule is validated once
@@ -566,7 +494,7 @@ def elaborate_theory(
         allowed = {sym_index[spec.rules[j].name] for j in predecessors(spec.order, i)
                    if spec.rules[j].boundary.conclusion_form.is_object}
         diagnostics: list[str] = []
-        w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
+        w = spec.witnesses.get(rs.name, RuleWitnesses())
         _check_stage_symbols(full_sig, rs, allowed)
         if not check_rule_boundary(theory, rs.boundary, w, diagnostics):
             raise WitnessFailure(f"rule {rs.name}: " + "; ".join(diagnostics))
@@ -614,28 +542,22 @@ def _check_stage_symbols(sig: Signature, rs: TheoryRuleSpec, allowed: set[int]) 
         raise StageViolation(f"rule {rs.name} uses later symbols: {names}")
 
 
-def _boundary_to_rule_witnesses(spec: RuleBoundarySpec, w: RuleBoundaryWitnesses) -> RuleWitnesses:
-    """Reindex boundary witnesses as rule witnesses.
+def _boundary_to_rule_witnesses(spec: RuleBoundarySpec, w: RuleWitnesses) -> RuleWitnesses:
+    """Boundary witnesses as rule witnesses.
 
-    A premise witness at stage i cites the flattening of the premises below i
-    by their index order; as a rule witness it must cite absolute premise
-    positions, so hypothesis leaves are renumbered.
+    A premise witness of boundary i cites the flattening of the premises
+    below i, over the extension by their arity; as a rule witness it cites
+    absolute premise positions over the full arity, so its hypotheses are
+    renumbered and its metavariables relabelled in one walk.
     """
-    out = RuleWitnesses()
-    fam = spec.premises
-    for (i, p), d in w.premises.presups.items():
-        preds = sorted(predecessors(fam.shape.order, i))
-        table = {k: preds[k] for k in range(len(preds))}
-        out.premises[(i, p)] = _renumber_hyps(d, table)
-    for p, d in w.conclusion.items():
-        out.conclusion[p] = d
-    return out
-
-
-def _renumber_hyps(d: TheoryDerivation, table: dict[int, int]) -> TheoryDerivation:
-    if isinstance(d, Hyp):
-        return Hyp(table[d.index])
-    return d._replace(children=tuple(_renumber_hyps(c, table) for c in d.children))
+    shape = spec.premises.shape
+    objects = shape.object_indices()
+    premises = {}
+    for (i, p), d in w.premises.items():
+        below = sorted(predecessors(shape.order, i))
+        metas = tuple(objects.index(j) for j in shape.arity_below(i))
+        premises[(i, p)] = map_derivation_exprs(d, partial(relabel_metas, index=metas.__getitem__), below.__getitem__)
+    return RuleWitnesses(dict(w.conclusion), premises)
 
 
 # --- the JSON of specs and of raw theory files -------------------------------------
@@ -715,12 +637,12 @@ def spec_to_json(spec) -> Any:
                 }
             )
         full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
-        w = spec.witnesses.get(rs.name, RuleBoundaryWitnesses())
+        w = spec.witnesses.get(rs.name, RuleWitnesses())
         witnesses_out = {}
-        if w.premises.presups or w.conclusion:
+        if w.premises or w.conclusion:
             stage, staged = _stage_through(stage, spec.rules[staged:i]), i
         # premise witnesses are over the sub-extension of their down-set
-        for (k, p), d in sorted(w.premises.presups.items()):
+        for (k, p), d in sorted(w.premises.items()):
             sub = _sub_signature(sig, fam.shape, names, k)
             witnesses_out[f"premise_{k}/{p}"] = derivation_to_json(stage, sub, d)
         for p, d in sorted(w.conclusion.items()):
@@ -769,23 +691,8 @@ def spec_from_json(data: Any):
     order = FinitePoset.of(len(raw_rules), edges)
 
     # first pass: shapes, to compute the staged signatures
-    raw_premises = []
-    shapes = []
-    for r in raw_rules:
-        premises = [_obj(p, "a premise") for p in _list(r.get("premises", []), "premises")]
-        raw_premises.append(premises)
-        slots = tuple(
-            (_form_from(p.get("form")), len(_list(p.get("cxt_seq", []), "cxt_seq")))
-            for p in premises
-        )
-        n = len(slots)
-        p_edges = r.get("premise_order")
-        if p_edges is None:
-            p_edge_set = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        else:
-            p_edge_set = {_edge(pair, range(n)) for pair in _list(p_edges, "premise_order")}
-        shapes.append(PremisesShape(FinitePoset.of(n, p_edge_set), slots))
-
+    raw_premises = [[_obj(p, "a premise") for p in _list(r.get("premises", []), "premises")] for r in raw_rules]
+    shapes = [premises_shape_from_json(ps, r.get("premise_order")) for r, ps in zip(raw_rules, raw_premises)]
     symbols = []
     for i, r in enumerate(raw_rules):
         form = _form_from(r.get("conclusion_form"))
@@ -797,45 +704,58 @@ def spec_from_json(data: Any):
     witnesses = {}
     stage, staged = RawTypeTheory(sig, (), ()), 0
     for i, r in enumerate(raw_rules):
-        shape = shapes[i]
-        fam_names = tuple(
-            _str(p.get("name", f"p{k}"), "premise name") for k, p in enumerate(raw_premises[i])
+        boundary = rule_boundary_from_json(
+            sig, shapes[i], raw_premises[i], _form_from(r.get("conclusion_form")), r.get("conclusion_boundary", {})
         )
-        boundaries = []
-        for k, p in enumerate(raw_premises[i]):
-            seq, _, slots = premise_from_json(_sub_signature(sig, shape, fam_names, k), p)
-            boundaries.append((seq, slots))
-        fam = WellFoundedPremiseFamily(shape, tuple(boundaries), fam_names)
-        form = _form_from(r.get("conclusion_form"))
-        full = mv_extend_signature(sig, fam.shape.arity(), fam.meta_names())
-        conclusion_slots = _boundary_from_json(
-            full, _obj(r.get("conclusion_boundary", {}), "conclusion_boundary"), form, 0, "conclusion_boundary"
-        )
-        rules.append(TheoryRuleSpec(names[i], RuleBoundarySpec(fam, form, conclusion_slots)))
+        rules.append(TheoryRuleSpec(names[i], boundary))
         raw_w = _obj(r.get("witnesses", {}), "witnesses")
         if raw_w:
             stage, staged = _stage_through(stage, rules[staged:i]), i
-            w = RuleBoundaryWitnesses()
+            fam = boundary.premises
+            full = mv_extend_signature(sig, boundary.arity(), fam.meta_names())
+            w = RuleWitnesses()
             for key, dv in raw_w.items():
                 k, p = _witness_key(key, len(raw_premises[i]))
                 if k is None:
                     w.conclusion[p] = derivation_from_json(stage, full, dv)
                 else:
-                    sub = _sub_signature(sig, shape, fam_names, k)
-                    w.premises.presups[(k, p)] = derivation_from_json(stage, sub, dv)
+                    sub = _sub_signature(sig, fam.shape, fam.names, k)
+                    w.premises[(k, p)] = derivation_from_json(stage, sub, dv)
             witnesses[names[i]] = w
     return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)
 
 
-def premise_from_json(sig: Signature, data: Any) -> tuple[tuple[Expr, ...], JudgementForm, tuple[Expr, ...]]:
-    """A premise of a sequential boundary: (context entries, form, boundary slots) over ``sig``."""
-    data = _obj(data, "a premise")
-    form = _form_from(data.get("form"))
-    seq = tuple(
-        expr_from_json(sig, t, pos) for pos, t in enumerate(_list(data.get("cxt_seq", []), "cxt_seq"))
-    )
-    slots = _boundary_from_json(sig, _obj(data.get("boundary", {}), "premise boundary"), form, len(seq), "premise boundary")
-    return seq, form, slots
+def premises_shape_from_json(premises: list, order: Any) -> PremisesShape:
+    """The shape of a list of premise objects: the form and context length
+    of each, ordered by the JSON ``order`` (all pairs i < j when None)."""
+    slots = tuple((_form_from(p.get("form")), len(_list(p.get("cxt_seq", []), "cxt_seq"))) for p in premises)
+    n = len(slots)
+    if order is None:
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    else:
+        edges = {_edge(pair, range(n)) for pair in _list(order, "premise_order")}
+    return PremisesShape(FinitePoset.of(n, edges), slots)
+
+
+def rule_boundary_from_json(
+    sig: Signature, shape: PremisesShape, premises: list, form: JudgementForm, conclusion: Any
+) -> RuleBoundarySpec:
+    """A rule-boundary over ``sig``: the premise objects ``premises`` of
+    shape ``shape``, each over the extension by the premises below it, and
+    the JSON ``conclusion`` of its conclusion boundary of form ``form``."""
+    names = tuple(_str(p.get("name", f"p{k}"), "premise name") for k, p in enumerate(premises))
+    boundaries = []
+    for k, p in enumerate(premises):
+        sub = _sub_signature(sig, shape, names, k)
+        seq = tuple(expr_from_json(sub, t, pos) for pos, t in enumerate(_list(p.get("cxt_seq", []), "cxt_seq")))
+        slots = _boundary_from_json(
+            sub, _obj(p.get("boundary", {}), "premise boundary"), shape.slots[k][0], len(seq), "premise boundary"
+        )
+        boundaries.append((seq, slots))
+    fam = WellFoundedPremiseFamily(shape, tuple(boundaries), names)
+    full = mv_extend_signature(sig, shape.arity(), fam.meta_names())
+    slots = _boundary_from_json(full, _obj(conclusion, "conclusion boundary"), form, 0, "conclusion boundary")
+    return RuleBoundarySpec(fam, form, slots)
 
 
 def _edge(pair: Any, ends) -> tuple:
@@ -848,5 +768,4 @@ def _edge(pair: Any, ends) -> tuple:
 def _sub_signature(sig: Signature, shape, names: tuple[str, ...], k: int) -> Signature:
     """``sig`` extended by the object premises below premise k."""
     below = shape.arity_below(k)
-    sub_arity = tuple(Argument(shape.slots[j][0].head_class, shape.slots[j][1]) for j in below)
-    return mv_extend_signature(sig, sub_arity, tuple(names[j] for j in below))
+    return mv_extend_signature(sig, shape.arity_of(below), tuple(names[j] for j in below))

@@ -9,10 +9,9 @@ import sys
 from .cli import _emit, _load_raw, _read_json, _write
 from .errors import KernelError, ParseError
 from .jsonio import (
-    _boundary_from_json, _form_from, _list, _obj, _str, derivation_from_json, expr_from_json, expr_to_json,
-    load_theory_file, rule_from_json,
+    _form_from, _list, _obj, _str, derivation_from_json, expr_from_json, expr_to_json, load_theory_file, rule_from_json,
 )
-from .syntax import Argument, mv_extend_signature
+from .syntax import mv_extend_signature
 
 
 def cmd_check_theory(args) -> int:
@@ -162,28 +161,9 @@ def cmd_replace_step(args) -> int:
 
 
 def _script_boundary(builder, step):
-    from .maps import sequential_boundary_spec
-    from .presentation import premise_from_json
+    from .presentation import premises_shape_from_json, rule_boundary_from_json
 
-    bsig = builder.signature
-    raw_premises = _list(step.get("premises", []), "premises")
-    names = tuple(
-        _str(_obj(p, "a premise").get("name", f"p{k}"), "premise name")
-        for k, p in enumerate(raw_premises)
-    )
-    premises = []
-    sub_args: list[Argument] = []
-    obj_names: list[str] = []
-    for k, p in enumerate(raw_premises):
-        sub_sig = mv_extend_signature(bsig, tuple(sub_args), tuple(obj_names))
-        seq, form, slots = premise_from_json(sub_sig, p)
-        premises.append((seq, form, slots))
-        if form.is_object:
-            sub_args.append(Argument(form.head_class, len(seq)))
-            obj_names.append(names[k])
+    premises = [_obj(p, "a premise") for p in _list(step.get("premises", []), "premises")]
+    shape = premises_shape_from_json(premises, None)
     form = _form_from(step.get("conclusion_form"))
-    full_sig = mv_extend_signature(bsig, tuple(sub_args), tuple(obj_names))
-    conclusion_slots = _boundary_from_json(
-        full_sig, _obj(step.get("boundary", {}), "conclusion boundary"), form, 0, "conclusion boundary"
-    )
-    return sequential_boundary_spec(tuple(premises), form, conclusion_slots, names)
+    return rule_boundary_from_json(builder.signature, shape, premises, form, step.get("boundary", {}))

@@ -2,13 +2,16 @@
 parameter of its functions is read, and every imported name is read.
 
 A top-level function or class, or a method of a top-level class (dunder
-methods excepted), is called when its name occurs in a package module
-(``__init__.py`` excluded: re-exporting is not a use) outside its own
-definition: as an attribute, as a string that a call takes as its first
-argument (the CLI looks command bodies up by name), or, for a function or
-class but not a method, as a name.  A bare name never reaches a method, so
-a method that shares its name with a module function does not pass on that
-function's callers.  Tests and the benchmark are not callers.  The one
+methods excepted), is called when a package module (``__init__.py``
+excluded: re-exporting is not a use) reaches it outside its own
+definition.  A top-level ``f`` of module ``m`` is reached by binding: as a
+bare name in ``m``, as a bare name in a module that imports ``f`` from
+``m``, or as an attribute ``m.f`` of a name bound to the module ``m``
+(``derive.conv``).  A method is reached as an attribute of any value.  Both
+are also reached as a string that a call takes as its first argument (the
+CLI looks command bodies up by name).  So an unrelated attribute ``x.f``
+never reaches a top-level ``f``, and a bare name never reaches a method.
+Tests and the benchmark are not callers.  The one
 exception is ``LIBRARY_API``: library entry points that an acceptance
 criterion, the benchmark or a definition of the paper needs although no
 command runs them.  README.md names each of them in the Layout row of its
@@ -75,30 +78,53 @@ def _definitions(trees: dict[str, ast.Module]):
                         yield f"{module}.{node.name}.{method.name}", method
 
 
-def _mentions(node: ast.AST, method: bool = False) -> Counter:
-    """The attributes in ``node``, the strings passed to a call as its first
-    argument, and its names unless ``method``."""
+def _package_imports(tree: ast.AST):
+    """(bound name, package module, imported name) of every import of the
+    package in ``tree``; the imported name is None for ``from . import m``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module is None:
+                    yield bound, alias.name, None
+                else:
+                    yield bound, node.module, alias.name
+
+
+def _uses(node: ast.AST, module: str, bindings: dict) -> Counter:
+    """What ``node``, in ``module``, reaches: (module, name) for a bare name
+    or a module attribute, resolved through ``bindings`` (the module's
+    package imports); ("attr", name) for any attribute; ("str", s) for a
+    string that a call takes as its first argument."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            if not method:
-                out[n.id] += 1
+            source, name = bindings.get(n.id, (module, n.id))
+            if name is not None:
+                out[source, name] += 1
         elif isinstance(n, ast.Attribute):
-            out[n.attr] += 1
+            out["attr", n.attr] += 1
+            bound = bindings.get(n.value.id) if isinstance(n.value, ast.Name) else None
+            if bound is not None and bound[1] is None:  # an attribute of a package module
+                out[bound[0], n.attr] += 1
         elif isinstance(n, ast.Call) and n.args and isinstance(n.args[0], ast.Constant):
-            out[n.args[0].value] += 1
+            out["str", n.args[0].value] += 1
     return out
 
 
 def uncalled_definitions() -> list[str]:
     trees = _package_trees()
-    everywhere = {
-        method: sum((_mentions(t, method) for t in trees.values()), Counter()) for method in (False, True)
+    bindings = {
+        module: {bound: (source, name) for bound, source, name in _package_imports(tree)}
+        for module, tree in trees.items()
     }
+    everywhere = sum((_uses(t, m, bindings[m]) for m, t in trees.items()), Counter())
     out = []
     for qualified, node in _definitions(trees):
-        method = qualified.count(".") == 2
-        if everywhere[method][node.name] - _mentions(node, method)[node.name] <= 0:
+        module = qualified.split(".")[0]
+        key = ("attr", node.name) if qualified.count(".") == 2 else (module, node.name)
+        own = _uses(node, module, bindings[module])
+        if everywhere[key] - own[key] + everywhere["str", node.name] - own["str", node.name] <= 0:
             out.append(qualified)
     return out
 

@@ -7,13 +7,13 @@ import pathlib
 import pytest
 
 from gtt.bundled import mltt_pi, mltt_pi_presented
+from gtt.cli import main
 from gtt.errors import ArityMismatch, ParseError, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
 from gtt.foundations import FinitePoset
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
 from gtt.jsonio import load_theory_file, loads
 from gtt.metatheory import check_well_founded_theory, is_tight
 from gtt.presentation import (
-    PremiseWitnesses,
     PremisesShape,
     WellFoundedPremiseFamily,
     WellPresentedTheorySpec,
@@ -27,7 +27,7 @@ from gtt.presentation import (
     sequential_by_peeling,
 )
 from gtt.scopes import ScopeKind
-from gtt.theories import RawTypeTheory
+from gtt.theories import RawTypeTheory, RuleWitnesses
 from gtt.syntax import (
     TM,
     TY,
@@ -178,7 +178,7 @@ def test_premises_above_an_invalid_premise_are_skipped_with_a_diagnostic():
         order = FinitePoset.of(n, [(i, j) for j in range(n) for i in range(j)])
         fam = WellFoundedPremiseFamily(PremisesShape(order, slots[:n]), boundaries[:n], ("A", "a", "B")[:n])
         diagnostics = []
-        assert check_premise_family(theory, fam, PremiseWitnesses(), diagnostics) is False
+        assert check_premise_family(theory, fam, RuleWitnesses(), diagnostics) is False
         assert [d.split(":")[0] for d in diagnostics] == [f"premise {i}" for i in range(1, n)], diagnostics
     assert diagnostics[1] == "premise 2: witnesses not checked, invalid premises below it: [1]"
 
@@ -294,3 +294,50 @@ def test_a_json_boolean_is_not_a_premise_index(order, first_bad):
     assert str(caught.value) == f"bad order entry {first_bad}"
     # the same order in numbers is the fixture's own
     load_theory_file(_lam_with_premise_order([[int(a), int(b)] for a, b in order]))
+
+
+def _universe_spec(premise_order, hyp):
+    """U type; El(a) type for a : U; R(A, a, x) type for A type, a : U and
+    x : El(a), with R's premises ordered by ``premise_order``.  R's witness
+    that El(a) is a type cites a : U as Hyp(``hyp``) of the flattening of
+    the premises below x."""
+    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
+    el_type = {"node": "rule", "name": "El", "cxt": [], "inst": {"a": {"meta": "a", "args": []}},
+               "children": [{"node": "hyp", "index": hyp}]}
+    a_in_u = {"name": "a", "form": "IsTm", "cxt_seq": [], "boundary": {"type": {"sym": "U", "args": []}}}
+    return {
+        "scope_system": "debruijn-indices",
+        "well_presented": True,
+        "order": [["U", "El"], ["U", "R"], ["El", "R"]],
+        "rules": [
+            {"name": "U", "conclusion_form": "IsTy", "premises": []},
+            {"name": "El", "conclusion_form": "IsTy", "premises": [a_in_u],
+             "witnesses": {"premise_0/0": u_type}},
+            {"name": "R", "conclusion_form": "IsTy", "premise_order": premise_order,
+             "premises": [
+                 {"name": "A", "form": "IsTy", "cxt_seq": []},
+                 a_in_u,
+                 {"name": "x", "form": "IsTm", "cxt_seq": [],
+                  "boundary": {"type": {"sym": "El", "args": [{"meta": "a", "args": []}]}}},
+             ],
+             "witnesses": {"premise_1/0": u_type, "premise_2/0": el_type}},
+        ],
+    }
+
+
+def test_a_premise_order_that_is_not_linear_elaborates(tmp_path):
+    # below x sit only a : U, so R's witness for El(a) type cites it as Hyp(0)
+    # over the extension by a alone; as a rule witness it cites premise 1 and
+    # the metavariable a at its index in the full arity (A, a, x)
+    theories = []
+    for premise_order, hyp in (([[1, 2]], 0), ([[0, 1], [0, 2], [1, 2]], 1)):
+        kind, spec = load_theory_file(_universe_spec(premise_order, hyp))
+        assert kind == "spec"
+        _, theory, report = elaborate_theory(spec)
+        assert report.acceptable, report.diagnostics
+        theories.append(theory)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_universe_spec(premise_order, hyp)))
+        assert main(["check-theory", str(path), "--well-presented", "--acceptable"]) == 0
+    # the premise order is not part of the raw rule
+    assert theories[0] == theories[1]

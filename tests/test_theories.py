@@ -23,6 +23,7 @@ from gtt.maps import (
     check_derived_rule,
     identity_theory_map,
     map_judgement,
+    map_rule,
 )
 from gtt.metatheory import generic_rule_instance, instantiate_derivation
 from gtt.rules import generic_application, instantiate_rule
@@ -196,13 +197,16 @@ def test_a_theory_map_matches_rules_up_to_metavariable_names():
     assert not tmap.check(diagnostics)
     cause = "at node []: instantiation arity differs from rule arity"
     assert diagnostics == [
-        f"rule {THEORY.rule_name(0)}: stored derivation fails: {cause}",
-        f"rule {THEORY.rule_name(1)}: stored derivation fails: {cause}",
+        f"rule {THEORY.rule_name(0)}: witness fails to check: {cause}",
+        f"rule {THEORY.rule_name(1)}: witness fails to check: {cause}",
     ]
     # a stored derivation that checks but derives a premise, not the rule
     diagnostics = []
     assert not tmap._replace(rule_derivations={0: Hyp(0)}).check(diagnostics)
-    assert diagnostics == [f"rule {THEORY.rule_name(0)}: stored derivation fails: concludes a different judgement"]
+    rule = map_rule(tmap.syntax, THEORY.rule(0))
+    assert diagnostics == [
+        f"rule {THEORY.rule_name(0)}: witness derives {rule.premises[0]!r}, wanted {rule.conclusion!r}"
+    ]
 
 
 def test_translate_derivation_identity_and_composite():
