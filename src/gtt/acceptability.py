@@ -7,6 +7,7 @@ from .derivation_ops import derivation_nodes, find_congruence, node_exprs
 from .errors import KernelError, NotTight
 from .foundations import FinitePoset
 from .judgements import Boundary, Judgement, presuppositions
+from .jsonio import witness_key
 from .rules import RawRule
 from .scopes import _record
 from .syntax import Arity, Expr, MetaApp, SymApp, Var
@@ -72,13 +73,10 @@ def witness_failures(
     ``witnesses`` belong to."""
     out = []
     for p, target in enumerate(presuppositions(j)):
-        if premise is None:
-            key, d = f"conclusion/{p}", witnesses.conclusion.get(p)
-        else:
-            key, d = f"premise_{premise}/{p}", witnesses.premises.get((premise, p))
+        d = witnesses.conclusion.get(p) if premise is None else witnesses.premises.get((premise, p))
         failure = "no witness supplied" if d is None else derivation_failure(theory, hyps, d, target, ambient, names)
         if failure is not None:
-            out.append(f"{key}: {failure}")
+            out.append(f"{witness_key(premise, p)}: {failure}")
     return out
 
 

@@ -32,7 +32,7 @@ from .judgements import (
 )
 from .derivation_ops import concat_inst, find_congruence, generic_rule_instance, map_derivation_exprs
 from .presuppositions import derive_presuppositions
-from .rules import BuiltinRule, congruence_copies, congruence_rule, instantiate_rule
+from .rules import congruence_copies, congruence_rule, instantiate_rule
 from .syntax import (
     Expr,
     Instantiation,
@@ -111,39 +111,13 @@ class _CongruenceEngine:
         raise MissingWitness(f"congruence synthesis cannot handle {type(d).__name__} nodes")
 
     def _rule_triple(self, node):
-        rule, inst, ctx, children = self.theory.rule(node.ref), node.inst, node.context, node.children
         d_l, d_r = self.left(node), self.right(node)
-        if not rule.conclusion.is_object:
+        if not self.theory.rule(node.ref).conclusion.is_object:
             return d_l, d_r, None
-        lctx = ctx.map_exprs(self.l_expr)
-        match node.ref:
-            case int() as r:
-                cidx = find_congruence(self.theory, r)
-                if cidx is None:
-                    raise MissingWitness(f"no congruence rule for {self.theory.rule_name(r)}")
-                eq_children = [self.triple(children[k])[2] for k in rule.object_premises()]
-                ii = concat_inst(inst.map_exprs(self.l_expr), inst.map_exprs(self.r_expr))
-                cong_children = (
-                    [self.left(c) for c in children]
-                    + [self.right(c) for c in children]
-                    + eq_children
-                )
-                return d_l, d_r, RuleInst(cidx, ii, lctx, tuple(cong_children))
-            case BuiltinRule.CONV_TM:
-                la, ra = self.l_expr(inst.exprs[0]), self.r_expr(inst.exprs[0])
-                lb = self.l_expr(inst.exprs[1])
-                ls, rs = self.l_expr(inst.exprs[2]), self.r_expr(inst.exprs[2])
-                tA = self.triple(children[0])
-                tS = self.triple(children[2])
-                sym = derive.sym_ty(lctx, la, ra, tA[0], tA[1], tA[2])
-                rs_at_la = derive.conv(lctx, ra, la, rs, tA[1], tA[0], tS[1], sym)
-                d_e = derive.conv_eq(
-                    lctx, la, lb, ls, rs,
-                    tA[0], self.left(children[1]), tS[0], rs_at_la, tS[2],
-                    self.left(children[3]),
-                )
-                return d_l, d_r, d_e
-        raise MissingWitness(f"congruence synthesis cannot handle object node {node!r}")
+        return d_l, d_r, derive.equality_image(
+            self.theory, node, d_l.context, d_l.inst, d_r.inst, d_l.children, d_r.children,
+            lambda k: self.triple(node.children[k])[2],
+        )
 
     def _subst_triple(self, node):
         """A closing substitution node: chase the equality through both legs."""
@@ -258,11 +232,11 @@ class _CongruenceEngine:
 
     def _transport(self, d, from_ctx: RawContext, to_ctx: RawContext, judgement: Judgement):
         """Carry a derivation between equal-scope contexts with judgementally
-        equal entries, by an identity-table substitution."""
+        equal entries, by the identity substitution."""
         scope = from_ctx.scope
         if scope == 0 or from_ctx == to_ctx:
             return d
-        f = Substitution(scope, scope, tuple(Var(i, scope) for i in range(scope)))
+        f = Substitution.identity(scope)
         typings = []
         for q in range(scope):
             to_ty = to_ctx.type_at(q)

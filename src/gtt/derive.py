@@ -1,16 +1,16 @@
-"""Convenience constructors for derivation nodes.
-
-These only assemble node data; all trust stays with the checker.  Each
-helper takes the expressions naming the closure-rule instance and the
-child derivations in premise order.
+"""Convenience constructors for derivation nodes, and the equality image
+of an object-rule node that equality substitution and congruence synthesis
+share.  These only assemble node data; all trust stays with the checker.
 """
 
 from __future__ import annotations
 
+from .derivation_ops import concat_inst, find_congruence
+from .errors import NotCongruous
 from .judgements import Judgement, RawContext
 from .rules import BuiltinRule
 from .syntax import Expr, Instantiation, Substitution
-from .theories import EqSubstInst, RuleInst, SubstInst, VariableInst
+from .theories import EqSubstInst, RawTypeTheory, RuleInst, SubstInst, VariableInst
 
 
 def _builtin(ref: BuiltinRule, ctx: RawContext, exprs: tuple[Expr, ...], children) -> RuleInst:
@@ -81,3 +81,18 @@ def weaken_closed(target: RawContext, judgement: Judgement, d_judgement) -> Subs
         raise ValueError("weaken_closed applies to judgements in the empty context")
     f = Substitution(target.scope, 0, ())
     return subst(f, target, frozenset(), judgement, d_judgement)
+
+
+def equality_image(theory: RawTypeTheory, node: RuleInst, tgt: RawContext, i_f, i_g, f_children, g_children, eq):
+    """The equality over ``tgt`` of two images of an object-rule node, given its instantiations ``i_f``, ``i_g``,
+    its children's images ``f_children``, ``g_children`` and ``eq(k)``, the equality image of object premise k."""
+    if node.ref is BuiltinRule.CONV_TM:
+        # premises A, B, s : A, A == B; conclusion s : B; no metavariable binds
+        (fa, fb, fs), (ga, _, gs) = i_f.exprs, i_g.exprs
+        sym = sym_ty(tgt, fa, ga, f_children[0], g_children[0], eq(0))
+        gs_at_fa = conv(tgt, ga, fa, gs, g_children[0], f_children[0], g_children[2], sym)
+        return conv_eq(tgt, fa, fb, fs, gs, *f_children[:3], gs_at_fa, eq(2), f_children[3])
+    if (cidx := find_congruence(theory, node.ref)) is None:
+        raise NotCongruous(f"no congruence rule for {theory.rule_name(node.ref)}")
+    eqs = map(eq, theory.rule(node.ref).object_premises())
+    return RuleInst(cidx, concat_inst(i_f, i_g), tgt, (*f_children, *g_children, *eqs))

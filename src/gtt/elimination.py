@@ -6,10 +6,10 @@ from __future__ import annotations
 import operator
 
 from . import derive
-from .derivation_ops import _node_name, concat_inst, derivation_nodes, find_congruence, require_substitutive
-from .errors import MissingWitness, NotCongruous, NotObjectRule, ScopeMismatch, TrivialityViolated
+from .derivation_ops import _node_name, derivation_nodes, require_substitutive
+from .errors import MissingWitness, ScopeMismatch, TrivialityViolated
 from .judgements import RawContext, WeakeningMemo, instantiate_context
-from .rules import BuiltinRule, acts_trivially
+from .rules import acts_trivially
 from .scopes import Renaming, Scope, ScopeKind, inl_renaming
 from .syntax import Instantiation, Substitution, Var, substitute_expr
 from .theories import EqSubstInst, Hyp, RawTypeTheory, RuleInst, SubstInst, TheoryDerivation, VariableInst
@@ -267,40 +267,11 @@ def substitute_equal_derivation(
                 d_g = RuleInst(ref, i_g, tgt, tuple(g_children))
                 if not rule.conclusion.form.is_object:
                     return d_f, d_g, None
-                d_e = _equal_image(theory, node, rule, tgt, i_f, i_g, f_children, g_children, eq_components)
-                return d_f, d_g, d_e
+                eq = eq_components.__getitem__
+                return d_f, d_g, derive.equality_image(theory, node, tgt, i_f, i_g, f_children, g_children, eq)
         raise _not_substitution_free(theory, node)
 
     return go(d, 0, target)
-
-
-def _equal_image(theory, node, rule, tgt, i_f, i_g, f_children, g_children, eq_components):
-    """The (f == g)-image at an object-rule node: congruence rule for specific
-    rules, conversion bookkeeping for the term-conversion rule."""
-    match node.ref:
-        case int() as r:
-            cidx = find_congruence(theory, r)
-            if cidx is None:
-                raise NotCongruous(f"no congruence rule for {theory.rule_name(r)}")
-            ii = concat_inst(i_f, i_g)
-            children = list(f_children) + list(g_children)
-            for k in rule.object_premises():
-                children.append(eq_components[k])
-            return RuleInst(cidx, ii, tgt, tuple(children))
-        case BuiltinRule.CONV_TM:
-            # premises A, B, s : A, A == B; conclusion s : B.  Its metavariables
-            # bind nothing, so the images of A, B and s are the entries of i_f, i_g
-            t0 = (f_children[0], g_children[0], eq_components[0])
-            t1 = (f_children[1], g_children[1], eq_components[1])
-            t2 = (f_children[2], g_children[2], eq_components[2])
-            t3 = (f_children[3], g_children[3], None)
-            (fA, fB, fsx), (gA, _, gsx) = i_f.exprs, i_g.exprs
-            sym = derive.sym_ty(tgt, fA, gA, t0[0], t0[1], t0[2])
-            gs_at_fA = derive.conv(tgt, gA, fA, gsx, t0[1], t0[0], t2[1], sym)
-            return derive.conv_eq(
-                tgt, fA, fB, fsx, gsx, t0[0], t1[0], t2[0], gs_at_fA, t2[2], t3[0]
-            )
-    raise NotObjectRule(f"no equality image for node {_node_name(theory, node)}")
 
 
 # --- elimination of substitution --------------------------------------------------

@@ -214,12 +214,6 @@ def context_from_json(sig: Signature, data: Any) -> RawContext:
     return RawContext(scope, tuple(expr_from_json(sig, t, scope) for t in data))
 
 
-_SLOT_KEYS = {
-    JudgementForm.IS_TY: ("head",),
-    JudgementForm.IS_TM: ("head", "type"),
-    JudgementForm.TY_EQ: ("lhs", "rhs"),
-    JudgementForm.TM_EQ: ("lhs", "rhs", "type"),
-}
 _BOUNDARY_KEYS = {
     JudgementForm.IS_TY: (),
     JudgementForm.IS_TM: ("type",),
@@ -448,15 +442,8 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
         name = entry.get("rule")
         rule = theory.rule(_rule_index(theory, name, "witness rule name"))
         ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
-        w = RuleWitnesses()
-        for key, dv in _obj(entry.get("presup_witnesses", {}), "presup_witnesses").items():
-            i, p = _witness_key(key, len(rule.premises))
-            d = derivation_from_json(theory, ext, dv)
-            if i is None:
-                w.conclusion[p] = d
-            else:
-                w.premises[(i, p)] = d
-        witnesses[name] = w
+        raw = _obj(entry.get("presup_witnesses", {}), "presup_witnesses")
+        witnesses[name] = witnesses_from_json(theory, raw, len(rule.premises), lambda _: ext)
     order = None
     if "order" in data:
         edges = set()
@@ -483,15 +470,27 @@ def _kind_from(data: dict) -> ScopeKind:
     raise ParseError(f"unknown scope system {kind_name!r}")
 
 
+def witness_key(premise: int | None, p: int) -> str:
+    """The JSON key of witness p of the conclusion (``premise`` None) or of premise ``premise``."""
+    return f"conclusion/{p}" if premise is None else f"premise_{premise}/{p}"
+
+
+def witnesses_from_json(theory: RawTypeTheory, data: dict, premises: int, signature) -> RuleWitnesses:
+    """Witnesses keyed by ``witness_key``, each over ``signature(i)`` for premise i (None: the conclusion)."""
+    w = RuleWitnesses()
+    for key, dv in data.items():
+        i, p = _witness_key(key, premises)
+        table, at = (w.conclusion, p) if i is None else (w.premises, (i, p))
+        table[at] = derivation_from_json(theory, signature(i), dv)
+    return w
+
+
 def _witness_key(key: str, premises: int) -> tuple[int | None, int]:
     """``conclusion/p`` as ``(None, p)``; ``premise_i/p`` as ``(i, p)``, with i below ``premises``."""
     head, _, p = key.partition("/")
-    if p.isdecimal():
-        if head == "conclusion":
-            return None, int(p)
-        i = head.removeprefix("premise_")
-        if i != head and i.isdecimal() and int(i) < premises:
-            return int(i), int(p)
+    i = head.removeprefix("premise_")
+    if p.isdecimal() and (head == "conclusion" or i != head and i.isdecimal() and int(i) < premises):
+        return None if head == "conclusion" else int(i), int(p)
     raise ParseError(f"bad witness key {key!r}")
 
 

@@ -413,9 +413,9 @@ def section_d(
         spec = step.boundary
         realized = realise_rule_boundary(driver.builder.signature, spec, c)
         return driver.builder, spec, realized
-    primed = driver._primed_premises(rule, rule_name)
+    primed = driver._primed_premises(index)
     if rule.conclusion.form.is_object:
-        conclusion_slots = (driver._primed_conclusion_type(rule, rule_name, primed),)
+        conclusion_slots = (driver._primed_conclusion_type(index, primed),)
     else:
         raise MissingWitness(
             "the d-image of equality conclusions primes both sides; use the "
@@ -456,13 +456,13 @@ class _SectionDriver:
         rule = self.theory.rule(rule_index)
         decl = self.theory.signature.symbol(sym)
         name = self.theory.rule_name(rule_index)
-        primed = self._primed_premises(rule, name)
+        primed = self._primed_premises(rule_index)
         if decl.cls is TY:
             form, conclusion_slots = JudgementForm.IS_TY, ()
         else:
             form = JudgementForm.IS_TM
             conclusion_slots = (
-                self._primed_conclusion_type(rule, name, primed),
+                self._primed_conclusion_type(rule_index, primed),
             )
         spec = sequential_boundary_spec(
             primed, form, conclusion_slots, sequential_premise_names(rule)
@@ -475,7 +475,8 @@ class _SectionDriver:
 
     # -- the d-image of a premise family ------------------------------------------
 
-    def _primed_premises(self, rule: RawRule, name: str) -> tuple:
+    def _primed_premises(self, index: int) -> tuple:
+        rule, name = self.theory.rule(index), self.theory.rule_name(index)
         out: list[tuple[tuple[Expr, ...], JudgementForm, tuple[Expr, ...]]] = []
         for k, premise in enumerate(rule.premises):
             seq = self._sequential_entries(premise.context)
@@ -483,7 +484,7 @@ class _SectionDriver:
                 self._primed_entry(rule, name, tuple(out), entry, k) for entry in seq
             )
             primed_slots = tuple(
-                self._primed_slot(rule, name, tuple(out), premise, slot, cls, k)
+                self._primed_slot(index, tuple(out), premise, slot, cls, k)
                 for slot, cls in zip(premise.boundary, premise.form.boundary_classes)
             )
             out.append((primed_seq, premise.form, primed_slots))
@@ -528,11 +529,12 @@ class _SectionDriver:
         c = self._add(f"c.{name}.{meta_name}", spec, realiser, Hyp(intro))
         return generic_application(self.builder.signature, c)
 
-    def _primed_slot(self, rule, name, prefix, premise, slot: Expr, cls, k: int) -> Expr:
+    def _primed_slot(self, index: int, prefix, premise, slot: Expr, cls, k: int) -> Expr:
         if cls is not TY:
             raise MissingWitness(
                 "the section construction primes type slots only"
             )
+        rule, name = self.theory.rule(index), self.theory.rule_name(index)
         gamma = premise.context.scope
         prefix_family = list(prefix)
         for entry in self._sequential_entries(premise.context):
@@ -540,7 +542,7 @@ class _SectionDriver:
             prefix_family.append(((), JudgementForm.IS_TM, (primed,)))
         sub = self._sub_arity_len(rule, k)
         promoted = self._promote_slot(rule, slot, k, gamma, sub)
-        witness = self._slot_witness(rule, premise, slot, k, gamma, sub)
+        witness = self._slot_witness(index, premise, slot, k, gamma, sub)
         spec = sequential_boundary_spec(
             tuple(prefix_family), JudgementForm.IS_TY, (),
             sequential_premise_names(rule)[:k] + tuple(f"x{i}" for i in range(gamma)),
@@ -555,11 +557,8 @@ class _SectionDriver:
                 new_args.append(_rescope(self.kind, a, gamma))
             else:
                 j = i - sub
-                new_args.append(Var(self._declared_position(j, gamma), gamma))
+                new_args.append(Var(_declared_position(self.kind, j, gamma), gamma))
         return SymApp(genapp_c.sym, tuple(new_args), gamma, TY)
-
-    def _declared_position(self, j: int, gamma: int) -> int:
-        return _declared_position(self.kind, j, gamma)
 
     def _promote_slot(self, rule, slot: Expr, k: int, gamma: int, sub: int) -> Expr:
         """The slot with context variables promoted to fresh metavariables and
@@ -573,8 +572,8 @@ class _SectionDriver:
                         side, q = kind.unsum(gamma, extra, p)
                         if side == "right":
                             return Var(q, sc - gamma)
-                        return MetaApp(sub + self._declared_index(q, gamma), (), sc - gamma, TM)
-                    return MetaApp(sub + self._declared_index(p, gamma), (), 0, TM)
+                        return MetaApp(sub + _declared_position(kind, q, gamma), (), sc - gamma, TM)
+                    return MetaApp(sub + _declared_position(kind, p, gamma), (), 0, TM)
                 case SymApp(sym=s2, args=args, scope=sc, cls=c):
                     return SymApp(
                         s2, tuple(go(a, extra + (a.scope - sc)) for a in args), sc - gamma, c
@@ -590,16 +589,13 @@ class _SectionDriver:
 
         return go(slot, slot.scope - gamma)
 
-    def _declared_index(self, pos: int, gamma: int) -> int:
-        for j in range(gamma):
-            if self._declared_position(j, gamma) == pos:
-                return j
-        raise KernelError("position outside the context")
-
-    def _slot_witness(self, rule, premise, slot, k: int, gamma: int, sub: int):
+    def _slot_witness(self, index: int, premise, slot, k: int, gamma: int, sub: int):
         """A derivation of the promoted slot's typing over the boundary's
         hypotheses: prefix premises first, then the promotion typings."""
-        if isinstance(slot, MetaApp) and _is_generic_args(slot.args, gamma, self):
+        rule = self.theory.rule(index)
+        # the slot is a metavariable applied to the context variables in declaration order
+        declared = tuple(Var(_declared_position(self.kind, j, gamma), gamma) for j in range(gamma))
+        if isinstance(slot, MetaApp) and slot.args == declared:
             intro = self._intro_premise(rule, slot.idx)
             if gamma == 0:
                 return Hyp(intro)
@@ -608,14 +604,13 @@ class _SectionDriver:
             sub_j = intro_premise.map_exprs(
                 partial(relabel_metas, index=lambda m: self._sub_meta_index(rule, m, k))
             )
-            table = [None] * gamma
-            for j in range(gamma):
-                table[self._declared_position(j, gamma)] = MetaApp(sub + j, (), 0, TM)
-            f = Substitution(0, gamma, tuple(table))
+            f = Substitution(0, gamma, tuple(
+                MetaApp(sub + _declared_position(self.kind, p, gamma), (), 0, TM) for p in range(gamma)
+            ))
             typings = tuple(Hyp(k + j) for j in range(gamma))
             return SubstInst(f, EMPTY_CONTEXT, frozenset(), sub_j, (Hyp(intro),) + typings)
         if gamma == 0:
-            w = self.witnesses.get(self.theory.rule_name(self.beta_of_rule(rule)))
+            w = self.witnesses.get(self.theory.rule_name(index))
             if w is not None:
                 slot_index = list(premise.boundary).index(slot)
                 d = w.premises.get((k, slot_index))
@@ -625,17 +620,12 @@ class _SectionDriver:
             f"no witness available for the boundary slot {slot!r} of premise {k}"
         )
 
-    def beta_of_rule(self, rule: RawRule) -> int:
-        for i, r in enumerate(self.theory.rules):
-            if r == rule:
-                return i
-        raise KernelError("rule not in theory")
-
-    def _primed_conclusion_type(self, rule: RawRule, name: str, primed) -> Expr:
+    def _primed_conclusion_type(self, index: int, primed) -> Expr:
+        rule, name = self.theory.rule(index), self.theory.rule_name(index)
         a = rule.conclusion.boundary[0]
         sub = len(rule.arity)
         promoted = self._promote_slot(rule, a, len(rule.premises), 0, sub)
-        w = self.witnesses.get(self.theory.rule_name(self.beta_of_rule(rule)))
+        w = self.witnesses.get(name)
         if w is None or 0 not in w.conclusion:
             raise MissingWitness(f"rule {name} has no conclusion-type witness")
         spec = sequential_boundary_spec(
@@ -656,16 +646,6 @@ class _SectionDriver:
         idx = self.builder.add_symbol(SymbolStep(unique, spec, realiser, witness))
         self._cache[key] = idx
         return idx
-
-
-def _is_generic_args(args, gamma: int, driver) -> bool:
-    """args are exactly the context variables in declaration order."""
-    if len(args) != gamma:
-        return False
-    for j, a in enumerate(args):
-        if not (isinstance(a, Var) and a.pos == driver._declared_position(j, gamma)):
-            return False
-    return True
 
 
 def _rescope(kind: ScopeKind, e: Expr, gamma: int) -> Expr:

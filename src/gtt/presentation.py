@@ -33,8 +33,8 @@ from .judgements import (
     complete_boundary,
 )
 from .jsonio import (
-    _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, _witness_key,
-    arity_to_json, derivation_from_json, derivation_to_json, expr_from_json, expr_to_json, rule_to_json,
+    _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, arity_to_json,
+    derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import (
     AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols, transitive_closure,
@@ -42,21 +42,20 @@ from .acceptability import (
 )
 from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
-from .scopes import Renaming, ScopeKind, _Fresh, _record, inl_renaming
+from .scopes import ScopeKind, _Fresh, _record
 from .syntax import (
     Argument,
     Arity,
     Expr,
     MetaApp,
     Signature,
-    Substitution,
     Symbol,
     SymApp,
     TY,
     Var,
     mv_extend_signature,
-    substitute_expr,
     validate_expr,
+    weaken_expr,
 )
 from .theories import RawTypeTheory, RuleWitnesses, TheoryWitnesses
 
@@ -66,87 +65,56 @@ from .theories import RawTypeTheory, RuleWitnesses, TheoryWitnesses
 SequentialContext = tuple  # of Expr; the i-th entry lives in scope i
 
 
-def subscope_inclusion(kind: ScopeKind, i: int, n: int) -> Renaming:
-    """The evident inclusion of the first i positions into scope n."""
-    if i > n:
-        raise ScopeMismatch(f"no inclusion of scope {i} into {n}")
-    # iterate i -> i+1 -> ... -> n through left inclusions of singleton sums
-    table = list(range(i))
-    for m in range(i, n):
-        table = [kind.inl(m, 1, p) for p in table]
-    return Renaming(i, n, tuple(table))
-
-
 def flatten_sequential_context(kind: ScopeKind, seq: SequentialContext) -> RawContext:
-    """Weaken each entry along the subscope inclusion into the full scope."""
+    """Weaken each entry along the left inclusion of its scope into the full scope."""
     n = len(seq)
     types: list[Expr] = [None] * n  # type: ignore[list-item]
     for i, entry in enumerate(seq):
         if entry.scope != i:
             raise ScopeMismatch(f"entry {i} has scope {entry.scope}, expected {i}")
-        incl = subscope_inclusion(kind, i, n)
-        pos = _declared_position(kind, i, n)
-        types[pos] = substitute_expr(kind, Substitution.of_renaming(incl), entry)
+        types[_declared_position(kind, i, n)] = weaken_expr(kind, entry, n - i)
     return RawContext(n, tuple(types))
 
 
 def _declared_position(kind: ScopeKind, i: int, n: int) -> int:
-    """The position of the i-th declared variable in the flat scope n."""
-    p = kind.inr(i, 1, 0)
-    for m in range(i + 1, n):
-        p = kind.inl(m, 1, p)
-    return p
+    """The position of the i-th declared variable in the flat scope n: the
+    new position of scope i + 1, included on the left into n.  The map is
+    its own inverse: the variable at position p is declared at this value of p."""
+    return kind.inl(i + 1, n - i - 1, kind.inr(i, 1, 0))
 
 
 def is_sequential_flat_context(kind: ScopeKind, ctx: RawContext) -> SequentialContext | None:
-    """Invert flattening: each type must be in the image of its subscope inclusion."""
+    """Invert flattening: each type must be the weakening of one over its own scope."""
     n = ctx.scope
     out = []
     for i in range(n):
-        incl = subscope_inclusion(kind, i, n)
-        entry = _unrename(kind, incl, ctx.type_at(_declared_position(kind, i, n)))
+        entry = strengthen_expr(kind, ctx.type_at(_declared_position(kind, i, n)), n - i)
         if entry is None:
             return None
         out.append(entry)
     return tuple(out)
 
 
-def _unrename(kind: ScopeKind, r: Renaming, e: Expr) -> Expr | None:
-    """Invert a (necessarily injective for this use) renaming on an expression."""
-    inverse = {}
-    for i in range(r.src):
-        if r(i) in inverse:
-            return None
-        inverse[r(i)] = i
+def strengthen_expr(kind: ScopeKind, e: Expr, by: int) -> Expr | None:
+    """The expression whose ``weaken_expr(kind, _, by)`` is ``e``, or None
+    when ``e`` mentions one of the ``by`` positions weakening adds: those at
+    ``cut <= p < cut + by``, with ``cut`` as in ``weaken_expr``."""
 
-    def go(node: Expr, extra: int) -> Expr | None:
-        match node:
-            case Var(pos=p, scope=s):
-                side, q = kind.unsum(r.dst, extra, p) if extra else ("left", p)
-                if side == "right":
-                    return Var(kind.inr(r.src, extra, q), s - r.dst + r.src)
-                if q not in inverse:
-                    return None
-                return Var(kind.inl(r.src, extra, inverse[q]) if extra else inverse[q], s - r.dst + r.src)
-            case SymApp(sym=sym, args=args, scope=s, cls=c):
-                new = []
-                for a in args:
-                    na = go(a, extra + (a.scope - s))
-                    if na is None:
-                        return None
-                    new.append(na)
-                return SymApp(sym, tuple(new), s - r.dst + r.src, c)
-            case MetaApp(idx=m, args=args, scope=s, cls=c):
-                new = []
-                for a in args:
-                    na = go(a, extra)
-                    if na is None:
-                        return None
-                    new.append(na)
-                return MetaApp(m, tuple(new), s - r.dst + r.src, c)
-        raise TypeError(node)
+    def go(node: Expr, cut: int) -> Expr | None:
+        if isinstance(node, Var):
+            p = node.pos
+            if cut <= p < cut + by:
+                return None
+            return Var(p - by if p >= cut else p, node.scope - by)
+        args = []
+        for a in node.args:
+            binder = a.scope - node.scope if kind is ScopeKind.INDICES and isinstance(node, SymApp) else 0
+            if (na := go(a, cut + binder)) is None:
+                return None
+            args.append(na)
+        return node._replace(args=tuple(args), scope=node.scope - by)
 
-    return go(e, 0)
+    return go(e, 0 if kind is ScopeKind.INDICES else e.scope - by)
 
 
 def sequential_by_occurrence(kind: ScopeKind, ctx: RawContext) -> bool:
@@ -182,21 +150,13 @@ def sequential_by_peeling(kind: ScopeKind, ctx: RawContext) -> bool:
     n = ctx.scope
     if n == 0:
         return True
-    newest = _declared_position(kind, n - 1, n)
-    incl = inl_renaming(kind, n - 1, 1)
-    peeled_types = []
-    for i in range(n - 1):
-        pos_old = _declared_position(kind, i, n - 1)
-        pos_new = _declared_position(kind, i, n)
-        entry = _unrename(kind, incl, ctx.type_at(pos_new))
+    types: list[Expr] = [None] * (n - 1)  # type: ignore[list-item]
+    for i in range(n):
+        entry = strengthen_expr(kind, ctx.type_at(_declared_position(kind, i, n)), 1)
         if entry is None:
             return False
-        peeled_types.append((pos_old, entry))
-    if _unrename(kind, incl, ctx.type_at(newest)) is None:
-        return False
-    types: list[Expr] = [None] * (n - 1)  # type: ignore[list-item]
-    for pos_old, entry in peeled_types:
-        types[pos_old] = entry
+        if i < n - 1:
+            types[_declared_position(kind, i, n - 1)] = entry
     return sequential_by_peeling(kind, RawContext(n - 1, tuple(types)))
 
 
@@ -602,12 +562,13 @@ def theory_to_json(
 def _rule_witnesses_to_json(theory, name, w: RuleWitnesses) -> Any:
     rule = theory.rule(theory.rule_index(name))
     ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
-    out = {}
-    for p, d in sorted(w.conclusion.items()):
-        out[f"conclusion/{p}"] = derivation_to_json(theory, ext, d)
-    for (i, p), d in sorted(w.premises.items()):
-        out[f"premise_{i}/{p}"] = derivation_to_json(theory, ext, d)
-    return out
+    return _witnesses_to_json(theory, w, lambda _: ext)
+
+
+def _witnesses_to_json(theory: RawTypeTheory, w: RuleWitnesses, signature) -> dict:
+    """``w`` keyed by ``witness_key``, each over ``signature(i)`` for premise i (None: the conclusion)."""
+    entries = [((None, p), d) for p, d in sorted(w.conclusion.items())] + sorted(w.premises.items())
+    return {witness_key(i, p): derivation_to_json(theory, signature(i), d) for (i, p), d in entries}
 
 
 def spec_to_json(spec) -> Any:
@@ -638,15 +599,12 @@ def spec_to_json(spec) -> Any:
             )
         full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
         w = spec.witnesses.get(rs.name, RuleWitnesses())
-        witnesses_out = {}
         if w.premises or w.conclusion:
             stage, staged = _stage_through(stage, spec.rules[staged:i]), i
         # premise witnesses are over the sub-extension of their down-set
-        for (k, p), d in sorted(w.premises.items()):
-            sub = _sub_signature(sig, fam.shape, names, k)
-            witnesses_out[f"premise_{k}/{p}"] = derivation_to_json(stage, sub, d)
-        for p, d in sorted(w.conclusion.items()):
-            witnesses_out[f"conclusion/{p}"] = derivation_to_json(stage, full, d)
+        witnesses_out = _witnesses_to_json(
+            stage, w, lambda k: full if k is None else _sub_signature(sig, fam.shape, names, k)
+        )
         rules_out.append(
             {
                 "name": rs.name,
@@ -713,15 +671,9 @@ def spec_from_json(data: Any):
             stage, staged = _stage_through(stage, rules[staged:i]), i
             fam = boundary.premises
             full = mv_extend_signature(sig, boundary.arity(), fam.meta_names())
-            w = RuleWitnesses()
-            for key, dv in raw_w.items():
-                k, p = _witness_key(key, len(raw_premises[i]))
-                if k is None:
-                    w.conclusion[p] = derivation_from_json(stage, full, dv)
-                else:
-                    sub = _sub_signature(sig, fam.shape, fam.names, k)
-                    w.premises[(k, p)] = derivation_from_json(stage, sub, dv)
-            witnesses[names[i]] = w
+            witnesses[names[i]] = witnesses_from_json(stage, raw_w, len(raw_premises[i]), lambda k: (
+                full if k is None else _sub_signature(sig, fam.shape, fam.names, k)
+            ))
     return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)
 
 

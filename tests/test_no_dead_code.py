@@ -7,10 +7,12 @@ excluded: re-exporting is not a use) reaches it outside its own
 definition.  A top-level ``f`` of module ``m`` is reached by binding: as a
 bare name in ``m``, as a bare name in a module that imports ``f`` from
 ``m``, or as an attribute ``m.f`` of a name bound to the module ``m``
-(``derive.conv``).  A method is reached as an attribute of any value.  Both
-are also reached as a string that a call takes as its first argument (the
-CLI looks command bodies up by name).  So an unrelated attribute ``x.f``
-never reaches a top-level ``f``, and a bare name never reaches a method.
+(``derive.conv``).  A method is reached as an attribute of any value.  A
+command body ``cmd_x`` of module ``m`` is also reached by the call
+``_higher("cmd_x", "m")`` (``m`` defaults to ``commands``), through which
+the CLI imports and runs it.  So an unrelated attribute ``x.f`` never
+reaches a top-level ``f``, a bare name never reaches a method, and a
+string reaches nothing else.
 Tests and the benchmark are not callers.  The one
 exception is ``LIBRARY_API``: library entry points that an acceptance
 criterion, the benchmark or a definition of the paper needs although no
@@ -38,8 +40,10 @@ LIBRARY_API = {
     "bundled.mltt_base",
     "bundled.mltt_pi",
     "bundled.mltt_pi_presented",
+    "bundled.order",
     "bundled.type_in_type",
     "derive.eq_subst",
+    "derive.rule",
     "derive.var",
     "foundations.check_generic_derivation",
     "maps.RawTheoryMap.check",
@@ -53,7 +57,6 @@ LIBRARY_API = {
     "presentation.spec_to_json",
     "presuppositions.map_derivation",
     "syntax.extend_substitution",
-    "syntax.weaken_expr",
 }
 
 
@@ -94,8 +97,8 @@ def _package_imports(tree: ast.AST):
 def _uses(node: ast.AST, module: str, bindings: dict) -> Counter:
     """What ``node``, in ``module``, reaches: (module, name) for a bare name
     or a module attribute, resolved through ``bindings`` (the module's
-    package imports); ("attr", name) for any attribute; ("str", s) for a
-    string that a call takes as its first argument."""
+    package imports), or for a command body named in a ``_higher`` call;
+    ("attr", name) for any attribute."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -107,8 +110,9 @@ def _uses(node: ast.AST, module: str, bindings: dict) -> Counter:
             bound = bindings.get(n.value.id) if isinstance(n.value, ast.Name) else None
             if bound is not None and bound[1] is None:  # an attribute of a package module
                 out[bound[0], n.attr] += 1
-        elif isinstance(n, ast.Call) and n.args and isinstance(n.args[0], ast.Constant):
-            out["str", n.args[0].value] += 1
+        elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_higher":
+            body, *home = (a.value for a in n.args)
+            out[home[0] if home else "commands", body] += 1
     return out
 
 
@@ -124,7 +128,7 @@ def uncalled_definitions() -> list[str]:
         module = qualified.split(".")[0]
         key = ("attr", node.name) if qualified.count(".") == 2 else (module, node.name)
         own = _uses(node, module, bindings[module])
-        if everywhere[key] - own[key] + everywhere["str", node.name] - own["str", node.name] <= 0:
+        if everywhere[key] - own[key] <= 0:
             out.append(qualified)
     return out
 

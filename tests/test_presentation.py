@@ -3,9 +3,11 @@
 import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
+from genexpr import LAW_SIGNATURE, gen_expr
 from gtt.bundled import mltt_pi, mltt_pi_presented
 from gtt.cli import main
 from gtt.errors import ArityMismatch, ParseError, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
@@ -25,6 +27,7 @@ from gtt.presentation import (
     realise_rule_boundary,
     sequential_by_occurrence,
     sequential_by_peeling,
+    strengthen_expr,
 )
 from gtt.scopes import ScopeKind
 from gtt.theories import RawTypeTheory, RuleWitnesses
@@ -37,6 +40,8 @@ from gtt.syntax import (
     Var,
     arity,
     mk_sym,
+    mv_extend_signature,
+    weaken_expr,
 )
 
 KIND = ScopeKind.INDICES
@@ -119,6 +124,56 @@ def test_three_definitions_coincide_levels():
             d2 = sequential_by_occurrence(kind, ctx)
             d3 = sequential_by_peeling(kind, ctx)
             assert d1 == d2 == d3, ctx
+
+
+# the law signature with a term metavariable binding one variable and a closed type one
+LAW_META_SIG = mv_extend_signature(LAW_SIGNATURE, arity((TM, 1), (TY, 0)))
+
+
+def outer_positions(kind, e, outer):
+    """The positions of the scope ``outer`` that occur free in ``e``."""
+    if isinstance(e, Var):
+        side, q = kind.unsum(outer, e.scope - outer, e.pos)
+        return {q} if side == "left" else set()
+    return set().union(*(outer_positions(kind, a, outer) for a in e.args))
+
+
+@pytest.mark.parametrize("kind", list(ScopeKind))
+def test_strengthening_inverts_weakening(kind):
+    rng = random.Random(25)
+    refused = 0
+    for _ in range(300):
+        scope, by = rng.randrange(3), rng.randrange(1, 3)
+        cls = rng.choice([TY, TM])
+        e = gen_expr(rng, LAW_META_SIG, scope, cls, 4)
+        assert strengthen_expr(kind, weaken_expr(kind, e, by), by) == e
+        # over the wider scope: None exactly when one of the added positions occurs
+        wide = gen_expr(rng, LAW_META_SIG, scope + by, cls, 4)
+        added = {kind.inr(scope, by, j) for j in range(by)}
+        narrow = strengthen_expr(kind, wide, by)
+        if outer_positions(kind, wide, scope + by) & added:
+            assert narrow is None
+            refused += 1
+        else:
+            assert weaken_expr(kind, narrow, by) == wide
+    assert 0 < refused < 300
+
+
+@pytest.mark.parametrize("kind", list(ScopeKind))
+def test_three_definitions_coincide_on_random_contexts(kind):
+    # types with binders and metavariables: flattened sequential contexts,
+    # and flat contexts whose types range over the whole scope
+    rng = random.Random(10)
+    for _ in range(100):
+        n = rng.randrange(5)
+        seq = tuple(gen_expr(rng, LAW_META_SIG, i, TY, 3) for i in range(n))
+        flat = RawContext(n, tuple(gen_expr(rng, LAW_META_SIG, n, TY, 3) for _ in range(n)))
+        for ctx in (flatten_sequential_context(kind, seq), flat):
+            via_inverse = is_sequential_flat_context(kind, ctx)
+            assert (via_inverse is not None) == sequential_by_occurrence(kind, ctx) == sequential_by_peeling(kind, ctx)
+            if via_inverse is not None:
+                assert flatten_sequential_context(kind, via_inverse) == ctx
+        assert is_sequential_flat_context(kind, flatten_sequential_context(kind, seq)) == seq
 
 
 def test_premises_shape_arities():
