@@ -8,9 +8,9 @@ from .errors import KernelError, NotTight
 from .foundations import FinitePoset
 from .judgements import Boundary, Judgement, presuppositions
 from .jsonio import witness_key
-from .rules import RawRule
+from .rules import RawRule, _exprs
 from .scopes import _record
-from .syntax import Arity, Expr, MetaApp, SymApp, Var
+from .syntax import Arity, Expr, SymApp, Var
 from .theories import (
     RawTypeTheory, RuleInst, RuleWitnesses, TheoryDerivation, TheoryWitnesses, check_theory_derivation,
 )
@@ -147,20 +147,21 @@ def check_acceptable_theory(
 
 # --- well-founded theories ------------------------------------------------------
 
-def expr_symbols(e: Expr) -> frozenset[int]:
-    """Base symbol indices occurring anywhere in the expression."""
-    match e:
-        case Var():
-            return frozenset()
-        case SymApp(sym=s, args=args):
-            out = frozenset({s})
-        case MetaApp(args=args):
-            out = frozenset()
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
-    for a in args:
-        out |= expr_symbols(a)
-    return out
+def subexpressions(e: Expr):
+    """Every node of ``e``, each before its arguments, read off an explicit
+    stack; in both scope kinds a node sits under ``node.scope - e.scope``
+    binders."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is not Var:
+            stack.extend(reversed(node.args))
+
+
+def expr_symbols(*es: Expr) -> frozenset[int]:
+    """Base symbol indices occurring anywhere in the expressions."""
+    return frozenset(node.sym for e in es for node in subexpressions(e) if type(node) is SymApp)
 
 
 def transitive_closure(p: FinitePoset) -> frozenset[tuple[int, int]]:
@@ -183,47 +184,19 @@ def check_well_founded(p: FinitePoset) -> bool:
     return all(i != j for i, j in transitive_closure(p))
 
 
-def judgement_symbols(j: Judgement) -> frozenset[int]:
-    out = frozenset()
-    for t in j.context.types:
-        out |= expr_symbols(t)
-    for e in j.boundary:
-        out |= expr_symbols(e)
-    if j.head is not None:
-        out |= expr_symbols(j.head)
-    return out
-
-
 def rule_symbols(rule: RawRule) -> frozenset[int]:
     """Symbols a rule depends on; the defining head of an object rule is the
     symbol being introduced, so only its arguments count there."""
-    out = frozenset()
-    for p in rule.premises:
-        out |= judgement_symbols(p)
     c = rule.conclusion
-    for t in c.context.types:
-        out |= expr_symbols(t)
-    for e in c.boundary:
-        out |= expr_symbols(e)
-    if c.head is not None:
-        if rule.is_object and isinstance(c.head, SymApp):
-            for a in c.head.args:
-                out |= expr_symbols(a)
-        else:
-            out |= expr_symbols(c.head)
-    return out
+    head = () if c.head is None else c.head.args if type(c.head) is SymApp else (c.head,)
+    return expr_symbols(*(e for p in rule.premises for e in _exprs(p)), *c.context.types, *c.boundary, *head)
 
 
 def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozenset[int]]:
     """(symbols, specific rule indices) a derivation's nodes mention."""
-    syms: frozenset[int] = frozenset()
-    cited: frozenset[int] = frozenset()
-    for node in derivation_nodes(d):
-        if isinstance(node, RuleInst) and isinstance(node.ref, int):
-            cited |= {node.ref}
-        for e in node_exprs(node):
-            syms |= expr_symbols(e)
-    return syms, cited
+    nodes = tuple(derivation_nodes(d))
+    cited = frozenset(n.ref for n in nodes if isinstance(n, RuleInst) and isinstance(n.ref, int))
+    return expr_symbols(*(e for n in nodes for e in node_exprs(n))), cited
 
 
 @_record

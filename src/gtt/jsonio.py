@@ -93,6 +93,7 @@ def loads(text: str) -> Any:
 # --- expressions ------------------------------------------------------------------
 
 def expr_to_json(sig: Signature, e: Expr) -> Any:
+    """The codec walks by hand: it is in the raw layer, below ``subexpressions``."""
     match e:
         case Var(pos=p):
             return {"var": p}
@@ -223,9 +224,7 @@ _BOUNDARY_KEYS = {
 
 
 def judgement_to_json(sig: Signature, j: Judgement) -> Any:
-    slots = {}
-    for key, e in zip(_BOUNDARY_KEYS[j.form], j.boundary):
-        slots[key] = expr_to_json(sig, e)
+    slots = {key: expr_to_json(sig, e) for key, e in zip(_BOUNDARY_KEYS[j.form], j.boundary)}
     if j.head is not None:
         slots["head"] = expr_to_json(sig, j.head)
     return {

@@ -43,12 +43,13 @@ from .presentation import (
     _declared_position,
     flatten_premise_family,
     is_sequential_flat_context,
+    map_expr,
     realise_rule_boundary,
     relabel_metas,
 )
 from .rules import RawRule, congruence_rule, generic_application
 from .foundations import FinitePoset
-from .scopes import ScopeKind, _Fresh, _record
+from .scopes import _Fresh, _record
 from .syntax import (
     Expr,
     Instantiation,
@@ -106,7 +107,8 @@ def identity_syntax_map(sig: Signature) -> RawSyntaxMap:
 
 def apply_syntax_map(m: RawSyntaxMap, e: Expr) -> Expr:
     """Variables stay, symbols unfold to their interpretations, metavariables
-    of an ambient extension are fixed."""
+    of an ambient extension are fixed.  A symbol unfolds by instantiation, not
+    node for node, so this walk is not a ``map_expr``."""
     kind = m.dst.kind
     match e:
         case Var():
@@ -549,15 +551,17 @@ class _SectionDriver:
         )
         c = self._add(f"c.{name}.p{k}", spec, promoted, witness)
         genapp_c = generic_application(self.builder.signature, c)
-        # demote: promotion metavariables become the context variables again,
-        # prefix metavariables stay generic at the widened scope
-        new_args = []
-        for i, a in enumerate(genapp_c.args):
-            if i < sub:
-                new_args.append(_rescope(self.kind, a, gamma))
-            else:
-                j = i - sub
-                new_args.append(Var(_declared_position(self.kind, j, gamma), gamma))
+        # demote: prefix metavariables stay generic at the widened scope, moved
+        # along the right inclusion b -> gamma + b, and promotion
+        # metavariables become the context variables again
+        kind = self.kind
+
+        def right(v: Var) -> Var:
+            return Var(kind.inr(gamma, v.scope, v.pos), gamma + v.scope)
+
+        args = genapp_c.args
+        new_args = [map_expr(a, right, lambda m: m, gamma) for a in args[:sub]]
+        new_args += [Var(_declared_position(kind, j, gamma), gamma) for j in range(len(args) - sub)]
         return SymApp(genapp_c.sym, tuple(new_args), gamma, TY)
 
     def _promote_slot(self, rule, slot: Expr, k: int, gamma: int, sub: int) -> Expr:
@@ -565,29 +569,13 @@ class _SectionDriver:
         rule metavariables reindexed into the premise-prefix arity."""
         kind = self.kind
 
-        def go(node: Expr, extra: int) -> Expr:
-            match node:
-                case Var(pos=p, scope=sc):
-                    if extra:
-                        side, q = kind.unsum(gamma, extra, p)
-                        if side == "right":
-                            return Var(q, sc - gamma)
-                        return MetaApp(sub + _declared_position(kind, q, gamma), (), sc - gamma, TM)
-                    return MetaApp(sub + _declared_position(kind, p, gamma), (), 0, TM)
-                case SymApp(sym=s2, args=args, scope=sc, cls=c):
-                    return SymApp(
-                        s2, tuple(go(a, extra + (a.scope - sc)) for a in args), sc - gamma, c
-                    )
-                case MetaApp(idx=m, args=args, scope=sc, cls=c):
-                    return MetaApp(
-                        self._sub_meta_index(rule, m, k),
-                        tuple(go(a, extra) for a in args),
-                        sc - gamma,
-                        c,
-                    )
-            raise TypeError(node)
+        def var(v: Var) -> Expr:
+            side, q = kind.unsum(gamma, v.scope - gamma, v.pos)
+            if side == "right":
+                return Var(q, v.scope - gamma)
+            return MetaApp(sub + _declared_position(kind, q, gamma), (), v.scope - gamma, TM)
 
-        return go(slot, slot.scope - gamma)
+        return map_expr(slot, var, lambda m: self._sub_meta_index(rule, m, k), -gamma)
 
     def _slot_witness(self, index: int, premise, slot, k: int, gamma: int, sub: int):
         """A derivation of the promoted slot's typing over the boundary's
@@ -646,14 +634,3 @@ class _SectionDriver:
         idx = self.builder.add_symbol(SymbolStep(unique, spec, realiser, witness))
         self._cache[key] = idx
         return idx
-
-
-def _rescope(kind: ScopeKind, e: Expr, gamma: int) -> Expr:
-    """Weaken a generic metavariable application into an ambient scope: its
-    arguments keep naming the variables bound in that argument position."""
-    match e:
-        case MetaApp(idx=m, args=args, cls=c):
-            b = len(args)
-            new = tuple(Var(kind.inr(gamma, b, j), gamma + b) for j in range(b))
-            return MetaApp(m, new, gamma + b, c)
-    raise TypeError(e)

@@ -37,8 +37,8 @@ from .jsonio import (
     derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import (
-    AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols, transitive_closure,
-    witness_failures,
+    AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols, subexpressions,
+    transitive_closure, witness_failures,
 )
 from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
@@ -95,26 +95,35 @@ def is_sequential_flat_context(kind: ScopeKind, ctx: RawContext) -> SequentialCo
     return tuple(out)
 
 
+def map_expr(e: Expr, var: Callable[[Var], Expr | None], meta: Callable[[int], int], by: int) -> Expr | None:
+    """``e`` rebuilt bottom-up: each variable ``v`` becomes ``var(v)``, each
+    metavariable index ``m`` becomes ``meta(m)``, and every scope moves by
+    ``by``; None wherever ``var`` gives None.  In both scope kinds a
+    variable ``v`` sits under ``v.scope - root.scope`` binders."""
+    if type(e) is Var:
+        return var(e)
+    args = []
+    for a in e.args:
+        if (new := map_expr(a, var, meta, by)) is None:
+            return None
+        args.append(new)
+    if type(e) is SymApp:
+        return SymApp(e.sym, tuple(args), e.scope + by, e.cls)
+    return MetaApp(meta(e.idx), tuple(args), e.scope + by, e.cls)
+
+
 def strengthen_expr(kind: ScopeKind, e: Expr, by: int) -> Expr | None:
     """The expression whose ``weaken_expr(kind, _, by)`` is ``e``, or None
     when ``e`` mentions one of the ``by`` positions weakening adds: those at
     ``cut <= p < cut + by``, with ``cut`` as in ``weaken_expr``."""
 
-    def go(node: Expr, cut: int) -> Expr | None:
-        if isinstance(node, Var):
-            p = node.pos
-            if cut <= p < cut + by:
-                return None
-            return Var(p - by if p >= cut else p, node.scope - by)
-        args = []
-        for a in node.args:
-            binder = a.scope - node.scope if kind is ScopeKind.INDICES and isinstance(node, SymApp) else 0
-            if (na := go(a, cut + binder)) is None:
-                return None
-            args.append(na)
-        return node._replace(args=tuple(args), scope=node.scope - by)
+    def var(v: Var) -> Var | None:
+        cut = v.scope - e.scope if kind is ScopeKind.INDICES else e.scope - by
+        if cut <= v.pos < cut + by:
+            return None
+        return Var(v.pos - by if v.pos >= cut else v.pos, v.scope - by)
 
-    return go(e, 0 if kind is ScopeKind.INDICES else e.scope - by)
+    return map_expr(e, var, lambda m: m, -by)
 
 
 def sequential_by_occurrence(kind: ScopeKind, ctx: RawContext) -> bool:
@@ -130,19 +139,13 @@ def sequential_by_occurrence(kind: ScopeKind, ctx: RawContext) -> bool:
 
 def _occurring_outer(kind: ScopeKind, e: Expr, outer: int) -> set[int]:
     """Positions of the outer scope that occur free in e (under binders)."""
-    match e:
-        case Var(pos=p, scope=s):
-            extra = s - outer
-            if extra:
-                side, q = kind.unsum(outer, extra, p)
-                return {q} if side == "left" else set()
-            return {p}
-        case SymApp(args=args) | MetaApp(args=args):
-            out: set[int] = set()
-            for a in args:
-                out |= _occurring_outer(kind, a, outer)
-            return out
-    raise TypeError(e)
+    out = set()
+    for v in subexpressions(e):
+        if type(v) is Var:
+            side, q = kind.unsum(outer, v.scope - outer, v.pos)
+            if side == "left":
+                out.add(q)
+    return out
 
 
 def sequential_by_peeling(kind: ScopeKind, ctx: RawContext) -> bool:
@@ -232,14 +235,7 @@ class WellFoundedPremiseFamily:
 
 def relabel_metas(e: Expr, index: Callable[[int], int]) -> Expr:
     """``e`` with each metavariable m renamed to ``index(m)``."""
-    match e:
-        case Var():
-            return e
-        case SymApp(sym=s, args=args, scope=sc, cls=c):
-            return SymApp(s, tuple(relabel_metas(a, index) for a in args), sc, c)
-        case MetaApp(idx=m, args=args, scope=sc, cls=c):
-            return MetaApp(index(m), tuple(relabel_metas(a, index) for a in args), sc, c)
-    raise TypeError(e)
+    return map_expr(e, lambda v: v, index, 0)
 
 
 def _flatten_premises(
@@ -488,14 +484,8 @@ def add_spec_rule(stage: RawTypeTheory, rs: TheoryRuleSpec) -> RawTypeTheory:
 
 
 def _check_stage_symbols(sig: Signature, rs: TheoryRuleSpec, allowed: set[int]) -> None:
-    used: set[int] = set()
-    for seq, slots in rs.boundary.premises.boundaries:
-        for t in seq:
-            used |= expr_symbols(t)
-        for e in slots:
-            used |= expr_symbols(e)
-    for e in rs.boundary.conclusion_slots:
-        used |= expr_symbols(e)
+    boundaries = rs.boundary.premises.boundaries
+    used = expr_symbols(*(e for seq, slots in boundaries for e in seq + slots), *rs.boundary.conclusion_slots)
     bad = used - allowed
     if bad:
         names = ", ".join(sig.symbol(s).name for s in sorted(bad))

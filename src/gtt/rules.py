@@ -62,9 +62,9 @@ def _exposed(arity: Arity, conclusion: Judgement) -> frozenset[int]:
 
 
 def _check_metas(arity: Arity, e: Expr) -> None:
-    """Each metavariable occurrence in ``e`` names an argument of ``arity``,
-    has its class, and has one argument per variable that argument binds:
-    what instantiating the rule relies on without checking."""
+    """Each metavariable occurrence in ``e`` names an argument of ``arity``, has
+    its class and one argument per variable it binds, as instantiation assumes.
+    A hand walk: the raw layer, at its line budget, has no ``subexpressions``."""
     if type(e) is MetaApp:
         m, n = e.idx, len(arity)
         if not 0 <= m < n:

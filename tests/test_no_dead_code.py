@@ -1,14 +1,19 @@
 """Every definition of the package has a caller in the package, every
 parameter of its functions is read, and every imported name is read.
 
-A top-level function or class, or a method of a top-level class (dunder
-methods excepted), is called when a package module (``__init__.py``
-excluded: re-exporting is not a use) reaches it outside its own
-definition.  A top-level ``f`` of module ``m`` is reached by binding: as a
-bare name in ``m``, as a bare name in a module that imports ``f`` from
-``m``, or as an attribute ``m.f`` of a name bound to the module ``m``
-(``derive.conv``).  A method is reached as an attribute of any value.  A
-command body ``cmd_x`` of module ``m`` is also reached by the call
+A top-level function, class or constant (a ``NAME = ...`` or
+``NAME: T = ...`` statement of the module body), or a method of a
+top-level class (dunder methods excepted), is called when a package
+module (``__init__.py`` excluded: re-exporting is not a use) reaches it
+outside its own definition.  A top-level ``f`` of module ``m`` is reached
+by binding: as a bare name in ``m``, as a bare name in a module that
+imports ``f`` from ``m``, or as an attribute ``m.f`` of a name bound to
+the module ``m`` (``derive.conv``).  A name that a function, lambda or
+comprehension binds (as an assignment target, a parameter, a loop or
+comprehension variable, or a ``with`` or ``except`` name) and does not
+declare ``global`` is local to all of its body and the scopes nested in
+it, so there it reaches nothing.  A method is reached as an attribute of
+any value.  A command body ``cmd_x`` of module ``m`` is also reached by the call
 ``_higher("cmd_x", "m")`` (``m`` defaults to ``commands``), through which
 the CLI imports and runs it.  So an unrelated attribute ``x.f`` never
 reaches a top-level ``f``, a bare name never reaches a method, and a
@@ -31,6 +36,8 @@ import ast
 import pathlib
 import re
 from collections import Counter
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtt"
@@ -67,12 +74,21 @@ def _package_trees() -> dict[str, ast.Module]:
 
 
 def _definitions(trees: dict[str, ast.Module]):
-    """(qualified name, node) of every top-level function and class and of
-    every method of a top-level class other than a dunder."""
+    """(qualified name, node) of every top-level function, class and
+    constant and of every method of a top-level class other than a dunder."""
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield f"{module}.{node.name}", node
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                targets = []
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield f"{module}.{target.id}", node
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
@@ -94,14 +110,43 @@ def _package_imports(tree: ast.AST):
                     yield bound, node.module, alias.name
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope: ast.AST) -> tuple[set[str], set[str]]:
+    """(names bound, names declared ``global``) in the function, lambda or
+    comprehension ``scope`` itself, not in the scopes nested in it."""
+    bound, declared = set(), set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        bound = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]}
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            bound.add(n.id)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            bound.add(n.name)
+        elif isinstance(n, ast.Global):
+            declared.update(n.names)
+        if not isinstance(n, _SCOPES):
+            stack.extend(ast.iter_child_nodes(n))
+    return bound, declared
+
+
 def _uses(node: ast.AST, module: str, bindings: dict) -> Counter:
     """What ``node``, in ``module``, reaches: (module, name) for a bare name
-    or a module attribute, resolved through ``bindings`` (the module's
-    package imports), or for a command body named in a ``_higher`` call;
-    ("attr", name) for any attribute."""
+    that no enclosing function binds, or for a module attribute, resolved
+    through ``bindings`` (the module's package imports), or for a command
+    body named in a ``_higher`` call; ("attr", name) for any attribute."""
     out = Counter()
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+    stack = [(node, frozenset())]
+    while stack:
+        n, local = stack.pop()
+        if isinstance(n, _SCOPES):
+            bound, declared = _local_names(n)
+            local = (local | bound) - declared
+        if isinstance(n, ast.Name) and n.id not in local:
             source, name = bindings.get(n.id, (module, n.id))
             if name is not None:
                 out[source, name] += 1
@@ -113,11 +158,12 @@ def _uses(node: ast.AST, module: str, bindings: dict) -> Counter:
         elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_higher":
             body, *home = (a.value for a in n.args)
             out[home[0] if home else "commands", body] += 1
+        stack.extend((child, local) for child in ast.iter_child_nodes(n))
     return out
 
 
-def uncalled_definitions() -> list[str]:
-    trees = _package_trees()
+def uncalled_definitions(trees: dict[str, ast.Module] | None = None) -> list[str]:
+    trees = trees or _package_trees()
     bindings = {
         module: {bound: (source, name) for bound, source, name in _package_imports(tree)}
         for module, tree in trees.items()
@@ -126,7 +172,8 @@ def uncalled_definitions() -> list[str]:
     out = []
     for qualified, node in _definitions(trees):
         module = qualified.split(".")[0]
-        key = ("attr", node.name) if qualified.count(".") == 2 else (module, node.name)
+        name = qualified.rsplit(".", 1)[1]
+        key = ("attr", name) if qualified.count(".") == 2 else (module, name)
         own = _uses(node, module, bindings[module])
         if everywhere[key] - own[key] <= 0:
             out.append(qualified)
@@ -135,6 +182,18 @@ def uncalled_definitions() -> list[str]:
 
 def test_every_top_level_name_is_referenced():
     assert sorted(set(uncalled_definitions()) - LIBRARY_API) == []
+
+
+@pytest.mark.parametrize("planted, reported", [
+    # ``rule_from_json`` binds a local ``conclusion``: it does not call this one
+    ("def conclusion(rule):\n    return rule", "jsonio.conclusion"),
+    ("_SLOT_KEYS = {'IsTy': ()}", "jsonio._SLOT_KEYS"),
+    ("_SLOT_KEYS: dict = {'IsTy': ()}", "jsonio._SLOT_KEYS"),
+])
+def test_a_planted_unused_definition_is_reported(planted, reported):
+    trees = _package_trees()
+    trees["jsonio"].body += ast.parse(planted).body
+    assert set(uncalled_definitions(trees)) - LIBRARY_API == {reported}
 
 
 def test_the_library_api_has_no_caller_and_is_named_in_the_readme():

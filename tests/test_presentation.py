@@ -8,6 +8,7 @@ import random
 import pytest
 
 from genexpr import LAW_SIGNATURE, gen_expr
+from gtt.acceptability import expr_symbols
 from gtt.bundled import mltt_pi, mltt_pi_presented
 from gtt.cli import main
 from gtt.errors import ArityMismatch, ParseError, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
@@ -19,6 +20,7 @@ from gtt.presentation import (
     PremisesShape,
     WellFoundedPremiseFamily,
     WellPresentedTheorySpec,
+    _occurring_outer,
     check_premise_family,
     elaborate_theory,
     flatten_premise_family,
@@ -157,6 +159,19 @@ def test_strengthening_inverts_weakening(kind):
         else:
             assert weaken_expr(kind, narrow, by) == wide
     assert 0 < refused < 300
+
+
+@pytest.mark.parametrize("kind", list(ScopeKind))
+def test_the_expression_scans_take_a_chain_of_5000_binders(kind):
+    # lam(b, b, x. lam(...)) nested 5,000 deep around a variable of the
+    # outer scope: each scan reads the nodes off a stack, not the Python one
+    outer, depth = 2, 5000
+    sig = Signature(LAW_SIGNATURE.symbols, kind)
+    e = Var(kind.inl(outer, depth, 1), outer + depth)
+    for s in reversed(range(outer, outer + depth)):
+        e = mk_sym(sig, "lam", (mk_sym(sig, "b", (), s), mk_sym(sig, "b", (), s + 1), e), s)
+    assert expr_symbols(e) == {sig.symbol_index("b"), sig.symbol_index("lam")}
+    assert _occurring_outer(kind, e, outer) == {1}
 
 
 @pytest.mark.parametrize("kind", list(ScopeKind))

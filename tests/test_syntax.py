@@ -43,6 +43,7 @@ from gtt.metatheory import (
     inst_act_subst,
     subst_act_inst,
 )
+from gtt.presentation import map_expr, relabel_metas
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
 from gtt.syntax import (
     TM,
@@ -563,6 +564,7 @@ def test_generic_instantiation_is_identity():
             I = generic_instantiation(alpha)
             assert I.scope == 0
             assert instantiate_expr(kind, I, e) == e
+            assert map_expr(e, lambda v: v, lambda m: m, 0) == e
             assert I.exprs == tuple(generic_occurrence(ext, m, a.binder) for m, a in enumerate(alpha))
 
 
@@ -585,7 +587,7 @@ def test_shifted_generic_instantiation_relabels_into_the_second_copy():
             n = len(alpha)
             e = gen_expr(rng, ext_sig(alpha, sig=sig), rng.randrange(3), rng.choice([TY, TM]), 3)
             out = instantiate_expr(kind, generic_instantiation(alpha, n), e)
-            assert out == shift(e, n)
+            assert out == shift(e, n) == relabel_metas(e, lambda m: m + n)
             validate_expr(ext_sig(alpha + alpha, sig=sig), out, e.scope, e.cls)
 
 
