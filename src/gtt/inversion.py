@@ -104,7 +104,12 @@ def invert(
 
     Term judgements end with exactly one conversion whose left branch ends in
     the variable or symbol rule at the natural type; type judgements end with
-    the symbol rule.  Requires an acceptable theory (witnesses supplied).
+    the symbol rule.  Requires an acceptable theory.  Witnesses are needed
+    only where a natural type is typed: at the symbol-rule node a term
+    judgement ends in (under its conversions), for its rule and for what
+    ``derive_presuppositions`` reaches from it, which raises
+    ``MissingWitness`` there as it does itself; reaching a hypothesis
+    raises it too, and no other node needs a witness.
     """
     kind = theory.kind
     d = eliminate_substitution(theory, d)

@@ -40,18 +40,21 @@ def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) ->
     )
 
 
-def graft(outer, fillers: tuple):
+def graft(outer, fillers):
     """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
 
-    If ``outer`` derives c from H and ``fillers[h]`` derives H[h] from H',
-    the result derives c from H'.  Any tree whose leaves are GHyp and whose
-    other nodes have ``children`` and ``_replace`` grafts: generic
-    derivations and the typed derivations of ``theories`` alike.
+    If ``outer`` derives c from H and filler h derives H[h] from H', the
+    result derives c from H'.  ``fillers`` is a tuple, or a function of h
+    that builds filler h when a leaf cites it.  Any tree whose leaves are
+    GHyp and whose other nodes have ``children`` and ``_replace`` grafts:
+    generic derivations and the typed derivations of ``theories`` alike.
     Conclusion agreement between fillers and hypotheses is the caller's
     obligation; checking the result will catch violations.
     """
     if isinstance(outer, GHyp):
         k = outer.index
+        if callable(fillers):
+            return fillers(k)
         if not 0 <= k < len(fillers):
             raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
         return fillers[k]
@@ -139,11 +142,7 @@ def _builtin_witnesses() -> dict[BuiltinRule, RuleWitnesses]:
     Each conclusion/premise presupposition is a hypothesis outright, except
     the two sides of the equality-conversion conclusion, which convert.
     """
-    c = EMPTY_CONTEXT
-
-    def h(k):
-        return Hyp(k)
-
+    c, h = EMPTY_CONTEXT, Hyp
     # conv-eq: metas A B s t; presups of s == t : B are B type, s : B, t : B
     ceq = BuiltinRule.CONV_EQ.rule
     mA = MetaApp(0, (), 0, ceq.arity[0].cls)
@@ -156,41 +155,20 @@ def _builtin_witnesses() -> dict[BuiltinRule, RuleWitnesses]:
         BuiltinRule.EQUIV_TY_REFL: RuleWitnesses({0: h(0), 1: h(0)}, {}),
         BuiltinRule.EQUIV_TY_SYM: RuleWitnesses({0: h(1), 1: h(0)}, {(2, 0): h(0), (2, 1): h(1)}),
         BuiltinRule.EQUIV_TY_TRANS: RuleWitnesses(
-            {0: h(0), 1: h(2)},
-            {(3, 0): h(0), (3, 1): h(1), (4, 0): h(1), (4, 1): h(2)},
+            {0: h(0), 1: h(2)}, {(3, 0): h(0), (3, 1): h(1), (4, 0): h(1), (4, 1): h(2)}
         ),
         BuiltinRule.EQUIV_TM_REFL: RuleWitnesses({0: h(0), 1: h(1), 2: h(1)}, {(1, 0): h(0)}),
         BuiltinRule.EQUIV_TM_SYM: RuleWitnesses(
-            {0: h(0), 1: h(2), 2: h(1)},
-            {(1, 0): h(0), (2, 0): h(0), (3, 0): h(0), (3, 1): h(1), (3, 2): h(2)},
+            {0: h(0), 1: h(2), 2: h(1)}, {(1, 0): h(0), (2, 0): h(0), (3, 0): h(0), (3, 1): h(1), (3, 2): h(2)}
         ),
-        BuiltinRule.EQUIV_TM_TRANS: RuleWitnesses(
-            {0: h(0), 1: h(1), 2: h(3)},
-            {
-                (1, 0): h(0),
-                (2, 0): h(0),
-                (3, 0): h(0),
-                (4, 0): h(0),
-                (4, 1): h(1),
-                (4, 2): h(2),
-                (5, 0): h(0),
-                (5, 1): h(2),
-                (5, 2): h(3),
-            },
-        ),
+        BuiltinRule.EQUIV_TM_TRANS: RuleWitnesses({0: h(0), 1: h(1), 2: h(3)}, {
+            (1, 0): h(0), (2, 0): h(0), (3, 0): h(0),
+            (4, 0): h(0), (4, 1): h(1), (4, 2): h(2), (5, 0): h(0), (5, 1): h(2), (5, 2): h(3),
+        }),
         BuiltinRule.CONV_TM: RuleWitnesses({0: h(1)}, {(2, 0): h(0), (3, 0): h(0), (3, 1): h(1)}),
-        BuiltinRule.CONV_EQ: RuleWitnesses(
-            {0: h(1), 1: s_in_B, 2: t_in_B},
-            {
-                (2, 0): h(0),
-                (3, 0): h(0),
-                (4, 0): h(0),
-                (4, 1): h(2),
-                (4, 2): h(3),
-                (5, 0): h(0),
-                (5, 1): h(1),
-            },
-        ),
+        BuiltinRule.CONV_EQ: RuleWitnesses({0: h(1), 1: s_in_B, 2: t_in_B}, {
+            (2, 0): h(0), (3, 0): h(0), (4, 0): h(0), (4, 1): h(2), (4, 2): h(3), (5, 0): h(0), (5, 1): h(1),
+        }),
     }
 
 BUILTIN_WITNESSES = _builtin_witnesses()
@@ -204,11 +182,19 @@ def derive_presuppositions(
 ) -> tuple[TheoryDerivation, ...]:
     """Derivations of every presupposition of d's conclusion.
 
-    Requires (weak) presupposition witnesses for every specific rule used.
-    Hypothesis leaves are only allowed if ``hyp_presups`` supplies
-    derivations of the presuppositions of each hypothesis.  The results
-    check over whatever ambient arity ``d`` checks over: each witness is
-    instantiated by the node that cites its rule, so no ambient is passed.
+    The results check over whatever ambient arity ``d`` checks over: each
+    witness is instantiated by the node that cites its rule, so no ambient
+    is passed.  A node's presuppositions are derived only when used: at the
+    root, at the body of a substitution node whose own are used (for an
+    equality substitution, only when it types a term), and at premise j of
+    a rule node whose own are used, once, when a conclusion witness of the
+    rule cites a presupposition of premise j.  Such a weak witness numbers
+    those hypotheses after the premises, premise by premise.  So witnesses
+    are needed only for the rules of the rule nodes reached, and
+    ``MissingWitness`` is raised only there (no entry for a theory rule, or
+    no conclusion witness in it) and at a reached hypothesis leaf when
+    ``hyp_presups``, the presuppositions of each hypothesis, is None.  A
+    witness citing a hypothesis beyond those raises ``FillerConclusionMismatch``.
     """
     def go(node: TheoryDerivation) -> tuple[TheoryDerivation, ...]:
         match node:
@@ -234,19 +220,26 @@ def derive_presuppositions(
                         raise MissingWitness(f"no presupposition witnesses for rule {theory.rule_name(ref)}")
                 else:
                     rw = BUILTIN_WITNESSES[ref]
-                fillers = list(children)
-                for j, premise in enumerate(rule.premises):
-                    child_presups = go(children[j]) if presuppositions(premise) else ()
-                    fillers.extend(child_presups)
+                derived: dict[int, tuple[TheoryDerivation, ...]] = {}
+
+                def fill(h: int) -> TheoryDerivation:
+                    if 0 <= h < len(children):
+                        return children[h]
+                    k = h - len(children)
+                    for j, premise in enumerate(rule.premises):
+                        if 0 <= k < len(premise.boundary):  # a presupposition per boundary slot
+                            if j not in derived:
+                                derived[j] = go(children[j])
+                            return derived[j][k]
+                        k -= len(premise.boundary)
+                    raise FillerConclusionMismatch(f"no filler for hypothesis {h}")
+
                 out = []
-                for p in range(len(presuppositions(rule.conclusion))):
+                for p in range(len(rule.conclusion.boundary)):
                     w = rw.conclusion.get(p)
                     if w is None:
-                        raise MissingWitness(
-                            f"missing conclusion presupposition witness {p}"
-                        )
-                    lowered = instantiate_derivation(theory, inst, ctx, w)
-                    out.append(graft(lowered, tuple(fillers)))
+                        raise MissingWitness(f"missing conclusion presupposition witness {p}")
+                    out.append(graft(instantiate_derivation(theory, inst, ctx, w), fill))
                 return tuple(out)
         raise TypeError(f"not a derivation node: {_node_name(theory, node)}")
 

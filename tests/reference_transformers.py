@@ -1,4 +1,5 @@
-"""Reference substitution transformers: every side condition at every node.
+"""Reference transformers: every side condition at every node, and every
+presupposition at every premise.
 
 The textbook reading of the admissibility proofs for renaming, substitution
 and equality substitution.  Each node re-checks that the renaming respects
@@ -9,12 +10,17 @@ set, and a renamed copy of every typing.  Renaming has a walk of its own,
 over the tables of ``naive``.  Equality substitution walks every binder
 premise twice for all three images.  Elimination of substitution rewrites
 each substitution node after its children, so a chain of k stacked nodes
-walks its body k times.
+walks its body k times.  The presuppositions theorem derives the
+presuppositions of every premise of every rule node it reaches and grafts
+them after the premises, whether or not a witness cites them.
 
 ``metatheory`` carries the root data with a binder count instead, checks
 the side conditions once, at the root, renames by substituting variables,
-and folds a chain of substitution nodes into one before walking it.  Its
-outputs must be ``==`` to these, and its errors equal in class and text.
+folds a chain of substitution nodes into one before walking it, and
+derives the presuppositions of a premise only when a witness cites them.
+Its outputs must be ``==`` to these, and its errors equal in class and
+text where the reference's come from what it uses (a missing witness below
+a premise that nothing cites raises here only).
 ``reference_transformers`` swaps these functions into every ``gtt`` module
 that holds them (``metatheory`` re-exports the modules that define them), so
 that ``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable``
@@ -28,8 +34,12 @@ import sys
 
 from gtt import derive, metatheory
 from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated
-from gtt.judgements import instantiate_context
-from gtt.metatheory import concat_inst, find_congruence, require_substitutive, subst_act_inst
+from gtt.judgements import instantiate_context, presuppositions
+from gtt.metatheory import (
+    BUILTIN_WITNESSES, concat_inst, find_congruence, graft, instantiate_derivation, require_substitutive,
+    subst_act_inst,
+)
+from gtt.presuppositions import _eq_subst_presups
 from gtt.rules import BuiltinRule, acts_trivially
 from gtt.scopes import Renaming, inl_renaming
 from gtt.syntax import (
@@ -310,9 +320,52 @@ def eliminate_substitution(theory, d):
     return go(d)
 
 
+def derive_presuppositions(theory, d, witnesses, hyp_presups=None):
+    """Eager: every premise's presuppositions are derived, used or not."""
+
+    def go(node):
+        match node:
+            case Hyp(index=k):
+                if hyp_presups is None:
+                    raise MissingWitness("presuppositions of a hypothesis are not derivable")
+                return hyp_presups[k]
+            case VariableInst(children=children):
+                return (children[0],)
+            case SubstInst(judgement=jj, children=children):
+                sub_presups = go(children[0])
+                return tuple(
+                    node._replace(judgement=pj, children=(sub_presups[p],) + children[1:])
+                    for p, pj in enumerate(presuppositions(jj))
+                )
+            case EqSubstInst():
+                return _eq_subst_presups(theory, node, go)
+            case RuleInst(ref=ref, inst=inst, context=ctx, children=children):
+                rule = theory.rule(ref)
+                if isinstance(ref, int):
+                    rw = witnesses.get(theory.rule_name(ref))
+                    if rw is None:
+                        raise MissingWitness(f"no presupposition witnesses for rule {theory.rule_name(ref)}")
+                else:
+                    rw = BUILTIN_WITNESSES[ref]
+                fillers = list(children)
+                for j, premise in enumerate(rule.premises):
+                    fillers.extend(go(children[j]) if presuppositions(premise) else ())
+                out = []
+                for p in range(len(presuppositions(rule.conclusion))):
+                    w = rw.conclusion.get(p)
+                    if w is None:
+                        raise MissingWitness(f"missing conclusion presupposition witness {p}")
+                    out.append(graft(instantiate_derivation(theory, inst, ctx, w), tuple(fillers)))
+                return tuple(out)
+        raise TypeError(f"not a derivation node: {node!r}")
+
+    return go(d)
+
+
 SWAPPED = {
     "rename_derivation": rename_derivation,
     "substitute_derivation": substitute_derivation,
     "substitute_equal_derivation": substitute_equal_derivation,
     "eliminate_substitution": eliminate_substitution,
+    "derive_presuppositions": derive_presuppositions,
 }

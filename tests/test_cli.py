@@ -385,6 +385,25 @@ def test_presup_command(tmp_path, capsys):
     assert results[0]["judgement"]["form"] == "IsTy"
 
 
+def test_presup_needs_witnesses_only_where_it_uses_presuppositions(tmp_path, capsys):
+    # no tt-intro entry: the lam-intro witness cites its premises, so the tt
+    # below it is never visited, but a tt root needs the missing entry
+    data = json.loads((FIXTURES / "mltt_base.json").read_text())
+    data["witnesses"] = [w for w in data["witnesses"] if w["rule"] != "tt-intro"]
+    theory = _write_json(tmp_path, data)
+    u = unit_at(EMPTY_CONTEXT)
+    x_unit = extend(EMPTY_CONTEXT, u)
+    f = _write_derivation(tmp_path, "lam.json", lam(u, unit_at(x_unit), tt_at(x_unit)).d_term)
+    code, out = run(capsys, "presup", theory, f)
+    assert code == 0
+    assert run(capsys, "presup", FIXTURES / "mltt_base.json", f) == (0, out)
+    [result] = json.loads(out)
+    assert result["judgement"]["form"] == "IsTy" and result["derivation"]["name"] == "Pi-form"
+    code, err = run_err(capsys, "presup", theory, _write_derivation(tmp_path, "tt.json", tt_at(EMPTY_CONTEXT).d_term))
+    assert code == 1
+    assert err.count("\n") == 1 and "no presupposition witnesses for rule tt-intro" in err, err
+
+
 def test_elim_subst_command(tmp_path, capsys):
     u = unit_at(EMPTY_CONTEXT)
     ctx1 = extend(EMPTY_CONTEXT, u)

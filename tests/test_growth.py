@@ -16,7 +16,9 @@ substitution once per image it needs.  And the Python calls of a check: a
 syntax walker spends one frame per expression node, its own recursion.
 And the conditions of a theory: its tightness bijection and congruence
 indices are found once per theory object, however many metatheorem calls
-read them.
+read them.  And the presuppositions of a lam tower: the shipped witnesses
+cite premises only, so one witness is instantiated per presupposition of
+the root, whatever the depth.
 """
 
 import copy
@@ -41,7 +43,7 @@ from corpus import (
     unit_at,
     weakening_chain,
 )
-from gtt.judgements import EMPTY_CONTEXT
+from gtt.judgements import EMPTY_CONTEXT, presuppositions
 from gtt.metatheory import derivation_nodes
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
@@ -243,6 +245,27 @@ def test_equality_substitution_walks_a_binder_premise_for_its_g_image_only(monke
         metatheory.eliminate_substitution(THEORY, d)
         counts[n] = calls[0]
     assert 0 < counts[8] <= 5 * counts[4], counts
+
+
+def test_presuppositions_instantiate_one_witness_per_presupposition_of_the_root(monkeypatch):
+    # Counted, not timed: no witness of mltt_base or of the built-in rules
+    # cites a premise's presuppositions, so none below the root is derived.
+    # Deriving every premise's presuppositions instantiates a witness at
+    # each lam node and at the tt below them: n + 1 at depth n.
+    from gtt import metatheory
+
+    calls = [0]
+
+    def counted(*args, original=metatheory.instantiate_derivation):
+        calls[0] += 1
+        return original(*args)
+
+    patch_everywhere(monkeypatch, "instantiate_derivation", metatheory.instantiate_derivation, counted)
+    for n in range(2, 17):
+        t = lam_tower(EMPTY_CONTEXT, n)
+        calls[0] = 0
+        assert metatheory.derive_presuppositions(THEORY, t.d_term, WITNESSES) == (t.d_type,)
+        assert calls[0] == len(presuppositions(check_theory_derivation(THEORY, (), t.d_term))) == 1
 
 
 def count_calls(f, *args) -> int:

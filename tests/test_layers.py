@@ -145,13 +145,13 @@ LINE_BUDGETS = {
     "check-derivation": 2720,
     "congruence": 2720,
     "check-theory": 3430,
-    "check-theory spec": 4880,
-    "flatten": 4880,
+    "check-theory spec": 4870,
+    "flatten": 4870,
     "presup": 3310,
     "elim-subst": 3390,
-    "invert": 3970,
+    "invert": 3960,
     "natural-type": 2950,
-    "unique-typing": 3970,
+    "unique-typing": 3960,
     "replace-step": 5160,
 }
 
