@@ -1,0 +1,328 @@
+"""A fixed set of ``gtt`` command lines, and the bytes each one prints.
+
+Each request runs ``gtt.cli.main`` in-process, in a fresh work directory
+that holds copies of the fixtures and the derivation and malformed files
+the requests read, under relative names, so that no output names an
+absolute or temporary path.  A request records its exit code and the
+sha256 of its stdout and of its stderr.  The set covers:
+
+- every command on every fixture, and each command once with ``--pretty``;
+- ``check-theory --json`` on every fixture with no flag, with each flag,
+  and with all four (``--json`` changes the report of this command only),
+  and without ``--json`` with all four;
+- derivation files of ``corpus`` (the corpus, the substitution corpus,
+  weakening chains and equality substitutions under binders) through
+  ``check-derivation``, ``presup``, ``elim-subst``, ``invert`` and
+  ``unique-typing``;
+- the malformed inputs of ``test_cli``.
+
+The manifest also holds the sha256 of every input file that is not a
+fixture, so a change in ``derivation_to_json`` shows even where no
+request prints the node it changes.
+
+A run loads a theory file for every request, which costs most of its
+time; so the corpus is sampled (every fourth item through ``presup``,
+every eighth through the other commands) to keep the run under 3 s.
+
+``tests/golden_manifest.json`` holds the recorded results, and
+``test_golden`` compares a fresh run with it.  A change that alters the
+emitted bytes on purpose records them again with
+
+    python tests/golden.py --write
+
+and names each changed request.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import shutil
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MANIFEST = ROOT / "tests" / "golden_manifest.json"
+FIXTURES = ROOT / "fixtures"
+
+if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from corpus import (  # noqa: E402
+    THEORY,
+    app,
+    build_corpus,
+    conv_wrap,
+    equality_substitution_into_nested_pi,
+    equality_substitutions_under_binders,
+    extend,
+    lam,
+    lam_tower,
+    mixed_weakening_chain,
+    newest_position,
+    substituted_weakening_chain,
+    substitution_corpus,
+    tt_at,
+    unit_at,
+    var,
+    weakening_chain,
+)
+from gtt import derive  # noqa: E402
+from gtt.cli import main  # noqa: E402
+from gtt.judgements import EMPTY_CONTEXT, JudgementForm  # noqa: E402
+from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps  # noqa: E402
+from gtt.theories import RuleInst, check_theory_derivation  # noqa: E402
+
+THEORY_FLAGS = ("--acceptable", "--well-founded", "--well-presented", "--weak")
+FLAG_SETS = ((), *((f,) for f in THEORY_FLAGS), THEORY_FLAGS)
+UNIT = '{"sym":"unit","args":[]}'
+TT = '{"sym":"tt","args":[]}'
+
+# the malformed inputs of ``test_cli``
+BAD_DERIVATIONS = (
+    "[1,2]",
+    '{"node":"rule","name":"tt-intro","children":5}',
+    '{"node":"subst","cxt":[],"subst":5,"children":[]}',
+    '{"node":"subst","cxt":[],"subst":{"src":0,"map":[]},"judgement":5,"children":[]}',
+    '{"node":"equiv","which":0,"cxt":[],"inst":5,"children":[]}',
+    '{"node":"rule","name":"a","children":[]}',
+    '{"node":"subst","cxt":[],"subst":{"src":0,"map":[{"sym":"unit"}]},"children":[]}',
+    '{"node":"rule","name":"tt-intro","cxt":[{"sym":"tt"}],"inst":{},"children":[]}',
+    '{"node":"hyp","index":false}',
+    "1" * 5000,
+)
+BAD_THEORIES = (
+    "{oops",
+    "[1]",
+    '{"signature":[{"class":"Ty"}],"rules":[]}',
+    '{"signature":[],"rules":[],"witnesses":[5]}',
+    '{"signature":[],"rules":[],"order":5}',
+    '{"signature":[],"rules":[],"order":[["a","b"]]}',
+    '{"signature":[],"rules":[],"witnesses":[{"rule":"a"}]}',
+    '{"scope_system":[1]}',
+    '{"well_presented":true,"rules":[5]}',
+    '{"well_presented":true,"scope_system":"x"}',
+    '{"well_presented":true,"order":[["A","B"]],"rules":[{"name":"A","conclusion_form":"IsTy"}]}',
+    '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTy",'
+    '"premises":[{"form":"IsTy"}],"premise_order":[[0,3]]}]}',
+    '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTm"}]}',
+    '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTy",'
+    '"witnesses":{"premise_0/0":{}}}]}',
+    "1" * 5000,
+)
+BAD_SCRIPTS = (
+    "[1]",
+    '{"steps":5}',
+    '{"steps":[{"kind":"symbol"}]}',
+    '{"steps":[{"kind":"symbol","conclusion_form":"IsTy","premises":[{"form":"IsTm"}]}]}',
+    '{"steps":[{"kind":"equation"}]}',
+)
+
+
+def corpus_derivations() -> list:
+    """The corpus derivations the requests check and transform."""
+    items = [d for d, _ in build_corpus() + substitution_corpus()]
+    items += [weakening_chain(k)[0] for k in (1, 2, 4)]
+    items += [mixed_weakening_chain(k)[0] for k in (1, 4)]
+    items += [substituted_weakening_chain(k)[0] for k in (0, 3)]
+    items += equality_substitutions_under_binders()
+    items += [equality_substitution_into_nested_pi(n) for n in (1, 2)]
+    return items
+
+
+def _emit(d) -> str:
+    return dumps(derivation_to_json(THEORY, THEORY.signature, d))
+
+
+def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
+    """The input files (text, bytes, or None for a directory) by relative
+    name, and the argv of every request in order."""
+    files: dict[str, str | bytes | None] = {}
+    reqs: list[tuple[str, ...]] = []
+    fixtures = sorted(f"fixtures/{p.name}" for p in FIXTURES.glob("*.json"))
+    script = "fixtures/type_in_type_replacement.json"
+    base = "fixtures/mltt_base.json"
+
+    tt, u = tt_at(EMPTY_CONTEXT), unit_at(EMPTY_CONTEXT)
+    x_unit = extend(EMPTY_CONTEXT, u)
+    b, x = unit_at(x_unit), var(x_unit, newest_position(0), unit_at(x_unit).d_type)
+    tower = lam_tower(EMPTY_CONTEXT, 2)
+    files["tt.json"] = _emit(tt.d_term)
+    files["tt-conv.json"] = _emit(conv_wrap(tt).d_term)
+    files["lam.json"] = _emit(tower.d_term)
+    files["lam-conv.json"] = _emit(conv_wrap(tower).d_term)
+    files["app.json"] = _emit(app(u, b, lam(u, b, x), tt).d_type)
+
+    for f in fixtures:
+        for flags in FLAG_SETS:
+            reqs.append(("check-theory", f, *flags, "--json"))
+        reqs.append(("check-theory", f, *THEORY_FLAGS))
+        reqs.append(("flatten", f))
+        reqs.append(("congruence", f, (rule_names(f) or ["no-such-rule"])[0]))
+        reqs.append(("natural-type", f, TT))
+        for command in ("check-derivation", "presup", "elim-subst", "invert"):
+            reqs.append((command, f, "lam.json"))
+        reqs.append(("unique-typing", f, "tt.json", "tt-conv.json"))
+        reqs.append(("replace-step", f, script))
+    for argv in (
+        ("check-theory", "fixtures/mltt_pi.json", *THEORY_FLAGS, "--json"),
+        ("flatten", "fixtures/mltt_pi_presented.json"), ("congruence", base, "Pi-form"), ("natural-type", base, TT),
+        ("check-derivation", base, "lam.json"), ("presup", base, "lam.json"), ("elim-subst", base, "app.json"),
+        ("invert", base, "lam.json"), ("unique-typing", base, "lam.json", "lam-conv.json"),
+        ("replace-step", "fixtures/type_in_type.json", script),
+    ):
+        reqs.append((*argv, "--pretty"))
+    for rule in ("lam-intro", "beta", "no-such-rule"):
+        reqs.append(("congruence", base, rule))
+    reqs.append(("natural-type", base, '{"var":0}', f"--cxt=[{UNIT}]"))
+
+    # every item written, every fourth through presup, every eighth through the others too
+    for i, d in enumerate(corpus_derivations()):
+        name = f"corpus-{i:03}.json"
+        files[name] = _emit(d)
+        if i % 4:
+            continue
+        reqs.append(("presup", base, name))
+        if i % 8:
+            continue
+        for command in ("check-derivation", "elim-subst", "invert"):
+            reqs.append((command, base, name))
+        if check_theory_derivation(THEORY, (), d).form is JudgementForm.IS_TM:
+            reqs.append(("unique-typing", base, name, "tt.json" if i % 16 else name))
+
+    for i, text in enumerate(BAD_DERIVATIONS):
+        files[f"bad-derivation-{i}.json"] = text
+        reqs.append(("check-derivation", base, f"bad-derivation-{i}.json"))
+    for command in ("presup", "elim-subst", "invert"):
+        reqs.append((command, base, "bad-derivation-1.json"))
+    reqs.append(("unique-typing", base, "tt.json", "bad-derivation-0.json"))
+    for i, text in enumerate(BAD_THEORIES):
+        files[f"bad-theory-{i}.json"] = text
+        reqs.append(("check-theory", f"bad-theory-{i}.json"))
+    for i, text in enumerate(BAD_SCRIPTS):
+        files[f"bad-script-{i}.json"] = text
+        reqs.append(("replace-step", "fixtures/type_in_type.json", f"bad-script-{i}.json"))
+    witness_key = json.loads((FIXTURES / "type_in_type.json").read_text())
+    witness_key["witnesses"][0]["presup_witnesses"] = {"conclusion/x": {}}
+    files["bad-witness-key.json"] = dumps(witness_key)
+    reqs.append(("check-theory", "bad-witness-key.json"))
+    presented = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    (lam_rule,) = [r for r in presented["rules"] if r["name"] == "lam"]
+    order = lam_rule["premise_order"]
+    lam_rule["premise_order"] = [[False, True], [False, 2], [True, 2]]
+    files["bool-order.json"] = json.dumps(presented)
+    reqs.append(("check-theory", "bool-order.json", "--well-presented"))
+    lam_rule["premise_order"] = order
+    lam_rule["witnesses"]["premise_2/0"] = {"index": 0, "node": "hyp"}
+    files["bad-witness.json"] = json.dumps(presented)
+    reqs.append(("check-theory", "bad-witness.json", "--well-presented"))
+    no_tt = json.loads((FIXTURES / "mltt_base.json").read_text())
+    no_tt["witnesses"] = [w for w in no_tt["witnesses"] if w["rule"] != "tt-intro"]
+    files["no-tt-witness.json"] = json.dumps(no_tt)
+    for name in ("tt.json", "lam.json"):
+        reqs.append(("presup", "no-tt-witness.json", name))
+    t = tt.d_term
+    files["stray.json"] = _emit(RuleInst(t.ref, t.inst, t.context, (tt.d_type,)))
+    reqs.append(("unique-typing", base, "stray.json", "tt.json"))
+    files["refl.json"] = _emit(derive.refl_ty(EMPTY_CONTEXT, u.type, u.d_type))
+    reqs.append(("invert", base, "refl.json"))
+    files["binary.json"] = b"\xff\xfe\x00"
+    files["directory.json"] = None
+    for name in ("binary.json", "directory.json", "does-not-exist.json"):
+        reqs.append(("check-derivation", base, name))
+    reqs.append(("check-theory", "does-not-exist.json"))
+    files["over-limit.json"] = '{"node":"var","cxt":[],"i":0,"children":[' * MAX_DEPTH + TT + "]}" * MAX_DEPTH
+    reqs.append(("check-derivation", base, "over-limit.json"))
+    n = MAX_DEPTH
+    reqs.append(("natural-type", base, f'{{"sym":"Pi","args":[{UNIT},' * n + UNIT + "]}" * n))
+    reqs.append(("natural-type", base, "1" * 5000))
+    reqs.append(("natural-type", base, '{"var":true}', f"--cxt=[{UNIT},{UNIT}]"))
+    reqs.append(("natural-type", base, UNIT))
+    reqs.append(("congruence", "fixtures/mltt_pi.json", "Pi-form", "--out", "directory.json"))
+    reqs.append(("check-theory", "fixtures/mltt_pi.json", "--json", "--out", "missing/out.json"))
+    return files, reqs
+
+
+def rule_names(fixture: str) -> list[str]:
+    """The names of the rules a fixture file lists."""
+    return [r["name"] for r in json.loads((ROOT / fixture).read_text()).get("rules", ()) if "name" in r]
+
+
+def label(argv: tuple[str, ...]) -> str:
+    """The manifest key of a request: its argv, with a long argument cut to
+    its length and digest."""
+    parts = []
+    for a in argv:
+        if len(a) > 80:
+            a = f"<{len(a)} chars {hashlib.sha256(a.encode()).hexdigest()[:12]}>"
+        parts.append(a)
+    return " ".join(parts)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_all() -> dict[str, dict]:
+    """Run every request and give ``label -> {code, stdout, stderr}``, and
+    ``file <name> -> {bytes}`` for each input file written from ``corpus``
+    (those bytes are ``derivation_to_json``'s too)."""
+    files, reqs = build()
+    results: dict[str, dict] = {
+        f"file {name}": {"bytes": _sha(content)} for name, content in files.items() if isinstance(content, str)
+    }
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(FIXTURES, pathlib.Path(work) / "fixtures")
+        for name, content in files.items():
+            path = pathlib.Path(work) / name
+            if content is None:
+                path.mkdir()
+            elif isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+        os.chdir(work)
+        try:
+            for argv in reqs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main(list(argv))
+                    except SystemExit as e:
+                        code = e.code
+                key = label(argv)
+                assert key not in results, key
+                for text in (out.getvalue(), err.getvalue()):
+                    assert work not in text and str(ROOT) not in text, key
+                results[key] = {"code": code, "stdout": _sha(out.getvalue()), "stderr": _sha(err.getvalue())}
+        finally:
+            os.chdir(cwd)
+    return results
+
+
+def differences(recorded: dict[str, dict], fresh: dict[str, dict]) -> list[str]:
+    """One line per entry whose results differ, or that only one side has."""
+    lines = []
+    for key in sorted(recorded.keys() | fresh.keys()):
+        want, got = recorded.get(key), fresh.get(key)
+        if want == got:
+            continue
+        if want is None or got is None:
+            lines.append(f"{'not recorded' if want is None else 'not run'}: {key}")
+        else:
+            changed = ", ".join(f for f in want if want[f] != got.get(f))
+            lines.append(f"{changed} differ: {key}")
+    return lines
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/golden.py --write")
+    results = run_all()
+    MANIFEST.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+    print(f"{len(results)} entries recorded in {MANIFEST.relative_to(ROOT)}")
