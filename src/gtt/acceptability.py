@@ -3,7 +3,7 @@ and well-foundedness of raw type theories."""
 
 from __future__ import annotations
 
-from .derivation_ops import derivation_nodes, find_congruence, node_exprs
+from .derivation_ops import derivation_nodes, find_congruence, map_derivation_exprs
 from .errors import KernelError, NotTight
 from .foundations import FinitePoset
 from .judgements import Boundary, Judgement, presuppositions
@@ -194,9 +194,10 @@ def rule_symbols(rule: RawRule) -> frozenset[int]:
 
 def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozenset[int]]:
     """(symbols, specific rule indices) a derivation's nodes mention."""
-    nodes = tuple(derivation_nodes(d))
-    cited = frozenset(n.ref for n in nodes if isinstance(n, RuleInst) and isinstance(n.ref, int))
-    return expr_symbols(*(e for n in nodes for e in node_exprs(n))), cited
+    exprs: list[Expr] = []
+    map_derivation_exprs(d, lambda e: exprs.append(e) or e)
+    cited = frozenset(n.ref for n in derivation_nodes(d) if isinstance(n, RuleInst) and isinstance(n.ref, int))
+    return expr_symbols(*exprs), cited
 
 
 @_record

@@ -93,6 +93,7 @@ class _CongruenceEngine:
     # -- (left, right, equality) images of derivations over R's premises -------
 
     def triple(self, d: TheoryDerivation):
+        """Its own walk, not a ``derivation_ops.rebuild``: a premise's equality is asked for lazily."""
         match d:
             case Hyp(index=k):
                 eq = Hyp(self.eq_hyp(k)) if self.rule.premises[k].is_object else None

@@ -1,11 +1,12 @@
-"""Derivation operations the metatheorem transformers share, and the two theory
-conditions substitution relies on (substitutive, congruous); checking needs none."""
+"""Derivation operations the metatheorem transformers share, ``rebuild`` first, and the
+two theory conditions substitution relies on (substitutive, congruous); checking needs none."""
 
 from __future__ import annotations
 
 from typing import Callable
 
 from .errors import NotSubstitutive, ScopeMismatch
+from .foundations import GHyp
 from .judgements import EMPTY_CONTEXT
 from .rules import BuiltinRule, RawRule, congruence_rule
 from .syntax import Expr, Instantiation, generic_instantiation
@@ -20,9 +21,30 @@ def concat_inst(left: Instantiation, right: Instantiation) -> Instantiation:
 
 
 def derivation_nodes(d: TheoryDerivation):
-    yield d
-    for c in d.children:
-        yield from derivation_nodes(c)
+    """Every node occurrence of ``d``, pre-order, over an explicit stack."""
+    stack = [d]
+    while stack:
+        yield (node := stack.pop())
+        stack.extend(reversed(node.children))
+
+
+def rebuild(d, leaf, step):
+    """``d`` rebuilt post-order over an explicit stack, children in premise order: a
+    hypothesis leaf h as ``leaf(h)``, another node as ``step(node, children)``.  A node
+    object met again gives its first result (one memo per call, keyed by ``id``, holding it)."""
+    memo, done, stack = {}, [], [(d, False)]  # done: the rebuilt children of the nodes on the stack
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in memo:
+            done.append(memo[id(node)][1])
+        elif not (ready or isinstance(node, GHyp)):
+            stack += [(node, True)] + [(c, False) for c in reversed(node.children)]
+        else:
+            k = len(done) - len(node.children)
+            out = leaf(node) if isinstance(node, GHyp) else step(node, tuple(done[k:]))
+            memo[id(node)] = node, out
+            done[k:] = [out]
+    return done[0]
 
 
 def map_node(node: TheoryDerivation, fn: Callable[[Expr], Expr], **changes) -> TheoryDerivation:
@@ -32,36 +54,16 @@ def map_node(node: TheoryDerivation, fn: Callable[[Expr], Expr], **changes) -> T
     return node._replace(**{f: getattr(node, f).map_exprs(fn) for f in node.EXPR_FIELDS}, **changes)
 
 
-def node_exprs(node: TheoryDerivation) -> list[Expr]:
-    """Every expression the data of one node carries."""
-    out: list[Expr] = []
-
-    def keep(e: Expr) -> Expr:
-        out.append(e)
-        return e
-
-    if not isinstance(node, Hyp):
-        map_node(node, keep)
-    return out
-
-
 def map_derivation_exprs(
-    d: TheoryDerivation,
-    fn: Callable[[Expr], Expr],
-    hyp: Callable[[int], int] | None = None,
+    d: TheoryDerivation, fn: Callable[[Expr], Expr], hyp: Callable[[int], int] | None = None
 ) -> TheoryDerivation:
     """The same tree with ``fn`` applied to every expression of every node.
 
     ``fn`` must preserve scopes and classes.  ``hyp`` renumbers hypotheses
     (unchanged when None).
     """
-
-    def go(node: TheoryDerivation) -> TheoryDerivation:
-        if isinstance(node, Hyp):
-            return node if hyp is None else Hyp(hyp(node.index))
-        return map_node(node, fn, children=tuple(go(c) for c in node.children))
-
-    return go(d)
+    leaf = (lambda h: h) if hyp is None else lambda h: Hyp(hyp(h.index))
+    return rebuild(d, leaf, lambda node, children: map_node(node, fn, children=children))
 
 
 def generic_rule_instance(ref: int, rule: RawRule, shift: int = 0, hyp_shift: int = 0) -> RuleInst:

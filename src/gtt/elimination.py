@@ -131,7 +131,8 @@ def substitute_derivation(
     must check in the theory.  Triviality is checked against the root's
     context only; see the comment above for why it holds below.  ``memo``
     (``judgements.extend_context``) keeps the weakened types of each target
-    context; without one, a fresh memo serves this call.
+    context; without one, a fresh memo serves this call.  It walks on its own,
+    not by ``derivation_ops.rebuild``: each child gets its binder count and target.
     """
     require_substitutive(theory)
     kind = theory.kind
@@ -198,7 +199,7 @@ def substitute_equal_derivation(
     f-typing, g-typing, and equality derivations for each unchecked i.
     ``d`` must check in the theory.  Joint triviality is checked against
     the root's context only; see the comment above for why it holds below.
-    ``memo`` is as for ``substitute_derivation``.
+    ``memo`` is as for ``substitute_derivation``, and so is why it walks on its own.
     """
     require_substitutive(theory)
     kind = theory.kind
@@ -317,7 +318,8 @@ def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> Theory
     comment above) and walks its body once with substitute_derivation;
     equality substitution nodes go to substitute_equal_derivation.  Typing
     children are eliminated before they are used.  ``d`` must check in the
-    theory: then so does each rewritten subtree handed on.
+    theory: then so does each rewritten subtree handed on.  It walks on its own:
+    ``derivation_ops.rebuild`` would walk the body of a k-long chain k times.
     """
     kind = theory.kind
     memo: WeakeningMemo = {}

@@ -11,11 +11,9 @@ checker in ``theories`` runs it with ``closure_rule_of_node``, which
 recomputes the closure rule a typed node cites.  A tree may be stored as a
 DAG that shares node objects; each distinct node object is checked once
 per call, and its conclusion is compared with the premise at every
-occurrence.
-
-Grafting, maps of closure systems and the well-foundedness of a finite
-relation are only needed above the raw layer: they live in
-``presuppositions`` and ``acceptability``, so checking does not load them.
+occurrence.  Grafting and maps of closure systems (``presuppositions``)
+and the well-foundedness of a finite relation (``acceptability``) live
+above the raw layer.
 """
 
 from __future__ import annotations
@@ -80,7 +78,9 @@ def check_derivation(
     the node cites, and each child's conclusion must equal the corresponding
     premise.  Failures carry the path of child indices from the root:
     DerivationError wraps a bad index, a failed ``rule_of`` or a child-count
-    mismatch, and PremiseMismatch reports a premise mismatch.
+    mismatch, and PremiseMismatch reports a premise mismatch.  ``rule_of``
+    runs before the children are checked, which fixes that order and those
+    paths, so the walk is its own, not a post-order ``derivation_ops.rebuild``.
 
     A derivation may share a node object between several occurrences.  Its
     conclusion depends only on the node and ``hyps``, so each node object is

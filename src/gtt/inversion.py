@@ -24,7 +24,8 @@ def unique_typing(
     d2: TheoryDerivation,
 ) -> TheoryDerivation:
     """From derivations of t : A and t : B (plus typings of A and B), a
-    derivation of A == B.  Requires a tight, substitutive theory."""
+    derivation of A == B.  Requires a tight, substitutive theory.  It walks
+    down the conversions of both, its own walk: no other node is visited."""
     theory_tightness(theory)
     require_substitutive(theory)
     kind = theory.kind
@@ -109,7 +110,8 @@ def invert(
     judgement ends in (under its conversions), for its rule and for what
     ``derive_presuppositions`` reaches from it, which raises
     ``MissingWitness`` there as it does itself; reaching a hypothesis
-    raises it too, and no other node needs a witness.
+    raises it too, and no other node needs a witness.  It walks down the
+    conversions on its own: no other node is visited.
     """
     kind = theory.kind
     d = eliminate_substitution(theory, d)

@@ -323,6 +323,7 @@ def substitution_from_json(sig: Signature, data: Any) -> Substitution:
 
 
 def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivation) -> Any:
+    """``d`` as JSON, by its own walk: ``derivation_ops.rebuild`` is above the raw layer."""
     kids = [derivation_to_json(theory, sig, c) for c in d.children]
     match d:
         case Hyp(index=k):

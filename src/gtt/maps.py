@@ -34,8 +34,8 @@ from .judgements import (
     complete_boundary,
 )
 from .acceptability import derivation_failure, rule_symbols
-from .derivation_ops import generic_rule_instance, map_node
-from .presuppositions import graft, instantiate_derivation
+from .derivation_ops import generic_rule_instance, map_node, rebuild
+from .presuppositions import grafting, instantiate_derivation
 from .presentation import (
     PremisesShape,
     RuleBoundarySpec,
@@ -180,25 +180,22 @@ def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
 
 def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryDerivation:
     """Push a derivation along a theory map: an instance of a theory rule
-    maps to the stored derived rule with mapped children grafted at its
-    hypotheses, every other node to a node of the same kind."""
+    maps to the stored derived rule, instantiated with the mapped children
+    grafted at its hypotheses in the same walk, every other node to a node
+    of the same kind.  Children map first: the first unmapped rule in
+    post-order is the one reported."""
     fn = partial(apply_syntax_map, f.syntax)
 
-    def go(node):
+    def step(node, children):
         match node:
-            case Hyp():
-                return node
-            case RuleInst(ref=int() as r, inst=inst, context=ctx, children=children):
+            case RuleInst(ref=int() as r, inst=inst, context=ctx):
                 if r not in f.rule_derivations:
-                    raise MissingWitness(
-                        f"theory map has no derivation for rule {f.src.rule_name(r)}"
-                    )
+                    raise MissingWitness(f"theory map has no derivation for rule {f.src.rule_name(r)}")
                 stored = f.rule_derivations[r]
-                lowered = instantiate_derivation(f.dst, inst.map_exprs(fn), ctx.map_exprs(fn), stored)
-                return graft(lowered, tuple(go(c) for c in children))
-        return map_node(node, fn, children=tuple(go(c) for c in node.children))
+                return instantiate_derivation(f.dst, inst.map_exprs(fn), ctx.map_exprs(fn), stored, grafting(children))
+        return map_node(node, fn, children=children)
 
-    return go(d)
+    return rebuild(d, lambda h: h, step)
 
 
 def check_derived_rule(

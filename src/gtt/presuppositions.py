@@ -4,7 +4,7 @@ derivation cites, instantiated at each node and grafted onto its premises."""
 from __future__ import annotations
 
 from . import derive
-from .derivation_ops import _node_name
+from .derivation_ops import _node_name, rebuild
 from .errors import FillerConclusionMismatch, IndexOutOfRange, MissingWitness
 from .foundations import GenericDerivation, GHyp, GStep
 from .judgements import (
@@ -40,44 +40,36 @@ def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) ->
     )
 
 
-def graft(outer, fillers):
-    """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
-
-    If ``outer`` derives c from H and filler h derives H[h] from H', the
-    result derives c from H'.  ``fillers`` is a tuple, or a function of h
-    that builds filler h when a leaf cites it.  Any tree whose leaves are
-    GHyp and whose other nodes have ``children`` and ``_replace`` grafts:
-    generic derivations and the typed derivations of ``theories`` alike.
-    Conclusion agreement between fillers and hypotheses is the caller's
-    obligation; checking the result will catch violations.
-    """
-    if isinstance(outer, GHyp):
-        k = outer.index
-        if callable(fillers):
-            return fillers(k)
-        if not 0 <= k < len(fillers):
-            raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
-        return fillers[k]
-    return outer._replace(children=tuple(graft(c, fillers) for c in outer.children))
+def grafting(fillers: tuple):
+    """The leaf map of ``graft``: hypothesis leaf h becomes filler h."""
+    def leaf(h):
+        if not 0 <= h.index < len(fillers):
+            raise FillerConclusionMismatch(f"no filler for hypothesis {h.index}")
+        return fillers[h.index]
+    return leaf
 
 
-def map_derivation(
-    rule_images: tuple[GenericDerivation, ...], d: GenericDerivation
-) -> GenericDerivation:
-    """Push ``d`` along a map of closure systems.
+def graft(outer, fillers: tuple):
+    """Replace each hypothesis leaf h of ``outer``, a generic or a typed
+    derivation, by filler h: if ``outer`` derives c from H and filler h
+    derives H[h] from H', the result derives c from H'.  That agreement is
+    the caller's obligation; checking the result catches violations."""
+    return rebuild(outer, grafting(fillers), lambda node, children: node._replace(children=children))
 
-    ``rule_images[r]`` must be a derivation, over the target system, of the
-    image of rule r's conclusion from the images of its premises (premise i
-    appearing as hypothesis i).  Hypothesis leaves are kept.
-    """
-    match d:
-        case GHyp(index=k):
-            return GHyp(k)
-        case GStep(rule=r, children=children):
-            if not 0 <= r < len(rule_images):
-                raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")
-            return graft(rule_images[r], tuple(map_derivation(rule_images, c) for c in children))
-    raise TypeError(f"not a derivation node: {d!r}")
+
+def map_derivation(rule_images: tuple[GenericDerivation, ...], d: GenericDerivation) -> GenericDerivation:
+    """Push ``d`` along a map of closure systems: ``rule_images[r]`` derives,
+    over the target system, the image of rule r's conclusion from the images
+    of its premises (premise i as hypothesis i).  Hypothesis leaves are kept."""
+
+    def step(node, children):
+        if not isinstance(node, GStep):
+            raise TypeError(f"not a derivation node: {node!r}")
+        if not 0 <= node.rule < len(rule_images):
+            raise IndexOutOfRange(f"rule {node.rule} of {len(rule_images)}")
+        return graft(rule_images[node.rule], children)
+
+    return rebuild(d, lambda h: GHyp(h.index), step)
 
 
 def instantiate_derivation(
@@ -85,24 +77,23 @@ def instantiate_derivation(
     inst: Instantiation,
     ctx: RawContext,
     d: TheoryDerivation,
+    leaf=lambda h: h,
 ) -> TheoryDerivation:
     """Push a derivation over the extension by ``inst.arity`` down to the base.
 
     ``d`` must check over the theory at ambient ``inst.arity``; the result
     checks over the ambient the entries of ``inst`` are written in, with the
     instantiated conclusion.  Under strict scopes every node maps to a node
-    of the same kind, so the tree shape is preserved.
+    of the same kind, so the tree shape is preserved.  A hypothesis leaf h
+    becomes ``leaf(h)``, so a leaf map such as ``grafting`` grafts in the same walk.
     """
     kind = theory.kind
     gamma = inst.scope
 
-    def inl_set(sigma: int) -> frozenset[int]:
-        return frozenset(kind.inl(gamma, sigma, i) for i in range(gamma))
+    def trivial(sigma: int, K: frozenset[int]) -> frozenset[int]:
+        return frozenset(kind.inl(gamma, sigma, i) for i in range(gamma)) | {kind.inr(gamma, sigma, i) for i in K}
 
-    def go(node: TheoryDerivation) -> TheoryDerivation:
-        if isinstance(node, Hyp):
-            return node
-        children = tuple(go(c) for c in node.children)
+    def step(node: TheoryDerivation, children: tuple) -> TheoryDerivation:
         match node:
             case RuleInst(ref=ref, inst=j, context=delta):
                 return RuleInst(
@@ -113,27 +104,25 @@ def instantiate_derivation(
                     instantiate_context(kind, inst, ctx, delta), kind.inr(gamma, delta.scope, i), children
                 )
             case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj):
-                sigma = jj.context.scope
                 return SubstInst(
                     inst_act_subst(kind, inst, f),
                     instantiate_context(kind, inst, ctx, tgt),
-                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    trivial(jj.context.scope, K),
                     instantiate_judgement(kind, inst, ctx, jj),
                     children,
                 )
             case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj):
-                sigma = jj.context.scope
                 return EqSubstInst(
                     inst_act_subst(kind, inst, f),
                     inst_act_subst(kind, inst, g),
                     instantiate_context(kind, inst, ctx, tgt),
-                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    trivial(jj.context.scope, K),
                     instantiate_judgement(kind, inst, ctx, jj),
                     children,
                 )
         raise TypeError(f"not a derivation node: {node!r}")
 
-    return go(d)
+    return rebuild(d, leaf, step)
 
 
 def _builtin_witnesses() -> dict[BuiltinRule, RuleWitnesses]:
@@ -195,6 +184,7 @@ def derive_presuppositions(
     no conclusion witness in it) and at a reached hypothesis leaf when
     ``hyp_presups``, the presuppositions of each hypothesis, is None.  A
     witness citing a hypothesis beyond those raises ``FillerConclusionMismatch``.
+    So the walk is its own, top-down: a post-order rebuild would visit every premise.
     """
     def go(node: TheoryDerivation) -> tuple[TheoryDerivation, ...]:
         match node:
@@ -222,7 +212,8 @@ def derive_presuppositions(
                     rw = BUILTIN_WITNESSES[ref]
                 derived: dict[int, tuple[TheoryDerivation, ...]] = {}
 
-                def fill(h: int) -> TheoryDerivation:
+                def fill(leaf: Hyp) -> TheoryDerivation:
+                    h = leaf.index
                     if 0 <= h < len(children):
                         return children[h]
                     k = h - len(children)
@@ -239,7 +230,7 @@ def derive_presuppositions(
                     w = rw.conclusion.get(p)
                     if w is None:
                         raise MissingWitness(f"missing conclusion presupposition witness {p}")
-                    out.append(graft(instantiate_derivation(theory, inst, ctx, w), fill))
+                    out.append(instantiate_derivation(theory, inst, ctx, w, fill))
                 return tuple(out)
         raise TypeError(f"not a derivation node: {_node_name(theory, node)}")
 

@@ -12,9 +12,9 @@ A derivation has five kinds of node.  ``RuleInst`` instantiates a raw
 rule, either a rule of the theory or one of the eight built-in
 equivalence and conversion rules of ``rules``; ``VariableInst``,
 ``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
-``Hyp`` cites a hypothesis.  ``derivation_ops.map_node`` is the one map over
-the data of a node (``EXPR_FIELDS`` names the fields it maps), and the
-transformers build derivations with it; this module only checks them.
+``Hyp`` cites a hypothesis.  ``derivation_ops.rebuild`` and ``map_node`` are
+the one rebuild of a derivation and the one map over a node's data (its
+``EXPR_FIELDS``): the transformers build with them, this module only checks.
 
 Well-formedness is a property of the whole tree, so each expression is
 validated once, where it enters, and elsewhere by equality:

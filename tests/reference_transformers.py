@@ -25,18 +25,31 @@ a premise that nothing cites raises here only).
 that holds them (``metatheory`` re-exports the modules that define them), so
 that ``eliminate_substitution``, ``invert`` and ``unique_typing_acceptable``
 can be run on both.
+
+The reference presuppositions graft with recursive walks of their own, kept
+at the end as they were before ``derivation_ops.rebuild`` replaced them:
+``graft``, ``map_derivation``, ``instantiate_derivation``,
+``map_derivation_exprs`` and ``apply_theory_map_derivation``, one call per
+node occurrence and no memo.  ``test_rebuild`` compares the rebuilt ones
+with them, so the oracle runs none of the code it checks.
 """
 
 from __future__ import annotations
 
 import contextlib
 import sys
+from functools import partial
 
 from gtt import derive, metatheory
-from gtt.errors import MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated
-from gtt.judgements import instantiate_context, presuppositions
+from gtt.derivation_ops import map_node
+from gtt.errors import (
+    FillerConclusionMismatch, IndexOutOfRange, MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated,
+)
+from gtt.foundations import GHyp, GStep
+from gtt.judgements import instantiate_context, instantiate_judgement, presuppositions
+from gtt.maps import apply_syntax_map
 from gtt.metatheory import (
-    BUILTIN_WITNESSES, concat_inst, find_congruence, graft, instantiate_derivation, require_substitutive,
+    BUILTIN_WITNESSES, concat_inst, find_congruence, inst_act_inst, inst_act_subst, require_substitutive,
     subst_act_inst,
 )
 from gtt.presuppositions import _eq_subst_presups
@@ -358,6 +371,153 @@ def derive_presuppositions(theory, d, witnesses, hyp_presups=None):
                     out.append(graft(instantiate_derivation(theory, inst, ctx, w), tuple(fillers)))
                 return tuple(out)
         raise TypeError(f"not a derivation node: {node!r}")
+
+    return go(d)
+
+
+# --- the recursive derivation walks -------------------------------------------------
+#
+# ``graft``, ``map_derivation`` and ``instantiate_derivation`` of
+# ``presuppositions``, ``map_derivation_exprs`` of ``derivation_ops`` and
+# ``apply_theory_map_derivation`` of ``maps`` as each once recursed on the
+# Python stack: one call per node, no memo, every occurrence rebuilt.  The
+# reference transformers above graft with these, and the rebuilds of
+# ``derivation_ops.rebuild`` must agree with them node for node.
+
+def graft(outer, fillers):
+    """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
+
+    If ``outer`` derives c from H and filler h derives H[h] from H', the
+    result derives c from H'.  ``fillers`` is a tuple, or a function of h
+    that builds filler h when a leaf cites it.  Any tree whose leaves are
+    GHyp and whose other nodes have ``children`` and ``_replace`` grafts:
+    generic derivations and the typed derivations of ``theories`` alike.
+    Conclusion agreement between fillers and hypotheses is the caller's
+    obligation; checking the result will catch violations.
+    """
+    if isinstance(outer, GHyp):
+        k = outer.index
+        if callable(fillers):
+            return fillers(k)
+        if not 0 <= k < len(fillers):
+            raise FillerConclusionMismatch(f"no filler for hypothesis {k}")
+        return fillers[k]
+    return outer._replace(children=tuple(graft(c, fillers) for c in outer.children))
+
+
+def map_derivation(
+    rule_images: tuple[GenericDerivation, ...], d: GenericDerivation
+) -> GenericDerivation:
+    """Push ``d`` along a map of closure systems.
+
+    ``rule_images[r]`` must be a derivation, over the target system, of the
+    image of rule r's conclusion from the images of its premises (premise i
+    appearing as hypothesis i).  Hypothesis leaves are kept.
+    """
+    match d:
+        case GHyp(index=k):
+            return GHyp(k)
+        case GStep(rule=r, children=children):
+            if not 0 <= r < len(rule_images):
+                raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")
+            return graft(rule_images[r], tuple(map_derivation(rule_images, c) for c in children))
+    raise TypeError(f"not a derivation node: {d!r}")
+
+
+def instantiate_derivation(
+    theory: RawTypeTheory,
+    inst: Instantiation,
+    ctx: RawContext,
+    d: TheoryDerivation,
+) -> TheoryDerivation:
+    """Push a derivation over the extension by ``inst.arity`` down to the base.
+
+    ``d`` must check over the theory at ambient ``inst.arity``; the result
+    checks over the ambient the entries of ``inst`` are written in, with the
+    instantiated conclusion.  Under strict scopes every node maps to a node
+    of the same kind, so the tree shape is preserved.
+    """
+    kind = theory.kind
+    gamma = inst.scope
+
+    def inl_set(sigma: int) -> frozenset[int]:
+        return frozenset(kind.inl(gamma, sigma, i) for i in range(gamma))
+
+    def go(node: TheoryDerivation) -> TheoryDerivation:
+        if isinstance(node, Hyp):
+            return node
+        children = tuple(go(c) for c in node.children)
+        match node:
+            case RuleInst(ref=ref, inst=j, context=delta):
+                return RuleInst(
+                    ref, inst_act_inst(kind, inst, j), instantiate_context(kind, inst, ctx, delta), children
+                )
+            case VariableInst(context=delta, pos=i):
+                return VariableInst(
+                    instantiate_context(kind, inst, ctx, delta), kind.inr(gamma, delta.scope, i), children
+                )
+            case SubstInst(subst=f, context=tgt, trivial=K, judgement=jj):
+                sigma = jj.context.scope
+                return SubstInst(
+                    inst_act_subst(kind, inst, f),
+                    instantiate_context(kind, inst, ctx, tgt),
+                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    instantiate_judgement(kind, inst, ctx, jj),
+                    children,
+                )
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, judgement=jj):
+                sigma = jj.context.scope
+                return EqSubstInst(
+                    inst_act_subst(kind, inst, f),
+                    inst_act_subst(kind, inst, g),
+                    instantiate_context(kind, inst, ctx, tgt),
+                    inl_set(sigma) | frozenset(kind.inr(gamma, sigma, i) for i in K),
+                    instantiate_judgement(kind, inst, ctx, jj),
+                    children,
+                )
+        raise TypeError(f"not a derivation node: {node!r}")
+
+    return go(d)
+
+
+def map_derivation_exprs(
+    d: TheoryDerivation,
+    fn: Callable[[Expr], Expr],
+    hyp: Callable[[int], int] | None = None,
+) -> TheoryDerivation:
+    """The same tree with ``fn`` applied to every expression of every node.
+
+    ``fn`` must preserve scopes and classes.  ``hyp`` renumbers hypotheses
+    (unchanged when None).
+    """
+
+    def go(node: TheoryDerivation) -> TheoryDerivation:
+        if isinstance(node, Hyp):
+            return node if hyp is None else Hyp(hyp(node.index))
+        return map_node(node, fn, children=tuple(go(c) for c in node.children))
+
+    return go(d)
+
+
+def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryDerivation:
+    """Push a derivation along a theory map: an instance of a theory rule
+    maps to the stored derived rule with mapped children grafted at its
+    hypotheses, every other node to a node of the same kind."""
+    fn = partial(apply_syntax_map, f.syntax)
+
+    def go(node):
+        match node:
+            case Hyp():
+                return node
+            case RuleInst(ref=int() as r, inst=inst, context=ctx, children=children):
+                if r not in f.rule_derivations:
+                    raise MissingWitness(
+                        f"theory map has no derivation for rule {f.src.rule_name(r)}"
+                    )
+                stored = f.rule_derivations[r]
+                lowered = instantiate_derivation(f.dst, inst.map_exprs(fn), ctx.map_exprs(fn), stored)
+                return graft(lowered, tuple(go(c) for c in children))
+        return map_node(node, fn, children=tuple(go(c) for c in node.children))
 
     return go(d)
 

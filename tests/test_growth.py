@@ -18,7 +18,7 @@ And the conditions of a theory: its tightness bijection and congruence
 indices are found once per theory object, however many metatheorem calls
 read them.  And the presuppositions of a lam tower: the shipped witnesses
 cite premises only, so one witness is instantiated per presupposition of
-the root, whatever the depth.
+the root, whatever the depth, in one walk that grafts as it instantiates.
 """
 
 import copy
@@ -47,7 +47,7 @@ from gtt.judgements import EMPTY_CONTEXT, presuppositions
 from gtt.metatheory import derivation_nodes
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
-from gtt.theories import RawTypeTheory, SubstInst, check_theory_derivation
+from gtt.theories import Hyp, RawTypeTheory, SubstInst, check_theory_derivation
 
 
 def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
@@ -266,6 +266,36 @@ def test_presuppositions_instantiate_one_witness_per_presupposition_of_the_root(
         calls[0] = 0
         assert metatheory.derive_presuppositions(THEORY, t.d_term, WITNESSES) == (t.d_type,)
         assert calls[0] == len(presuppositions(check_theory_derivation(THEORY, (), t.d_term))) == 1
+
+
+def test_presuppositions_instantiate_and_graft_each_cited_witness_in_one_walk(monkeypatch):
+    # Counted, not timed: a presupposition of the root is one rebuild of the
+    # one witness it cites (lam-intro's ``Pi(A, B) type``), whose instantiating
+    # step runs once per node object of that witness and whose leaf map grafts
+    # the premises in the same walk; no second walk grafts the instantiated one.
+    from gtt import derivation_ops, metatheory
+
+    walks, steps = [], Counter()
+
+    def counted(d, leaf, step, original=derivation_ops.rebuild):
+        walks.append(d)
+
+        def counted_step(node, children):
+            steps[id(node)] += 1
+            return step(node, children)
+
+        return original(d, leaf, counted_step)
+
+    patch_everywhere(monkeypatch, "rebuild", derivation_ops.rebuild, counted)
+    (witness,) = WITNESSES[THEORY.rule_name(THEORY.rule_index("lam-intro"))].conclusion.values()
+    nodes = {id(n) for n in derivation_nodes(witness) if not isinstance(n, Hyp)}
+    for n in range(2, 17):
+        t = lam_tower(EMPTY_CONTEXT, n)
+        walks.clear()
+        steps.clear()
+        assert metatheory.derive_presuppositions(THEORY, t.d_term, WITNESSES) == (t.d_type,)
+        assert walks == [witness]
+        assert set(steps) == nodes and set(steps.values()) == {1}
 
 
 def count_calls(f, *args) -> int:
