@@ -147,12 +147,12 @@ LINE_BUDGETS = {
     "check-theory": 3430,
     "check-theory spec": 4870,
     "flatten": 4870,
-    "presup": 3310,
+    "presup": 3300,
     "elim-subst": 3390,
     "invert": 3960,
     "natural-type": 2950,
     "unique-typing": 3960,
-    "replace-step": 5160,
+    "replace-step": 5150,
 }
 
 
