@@ -146,9 +146,9 @@ def _validate_rule(sig: Signature, rule: RawRule) -> None:
 
 # --- derivation nodes --------------------------------------------------------
 #
-# Each node other than a hypothesis carries a context (its conclusion's) and
-# its children in premise order; ``EXPR_FIELDS`` names the fields that hold
-# expressions, which is all ``derivation_ops.map_node`` needs to know of a node kind.
+# Each node other than a hypothesis carries a context (its conclusion's) and its
+# children in premise order, all ``derivation_ops.rebuild`` reads; ``EXPR_FIELDS``
+# names the fields that hold expressions, all ``map_node`` needs of a node kind.
 
 @_record
 class Hyp(GHyp):
