@@ -14,7 +14,10 @@ sha256 of its stdout and of its stderr.  The set covers:
   weakening chains and equality substitutions under binders) through
   ``check-derivation``, ``presup``, ``elim-subst``, ``invert`` and
   ``unique-typing``;
-- the malformed inputs of ``test_cli``.
+- the malformed inputs of ``test_cli``;
+- a spec with a closed type ``U`` and a term ``u : U`` ahead of the
+  ``mltt_pi_presented`` rules, through ``check-theory`` and every command
+  that reads a derivation, on a derivation of ``u``.
 
 The manifest also holds the sha256 of every input file that is not a
 fixture, so a change in ``derivation_to_json`` shows even where no
@@ -220,6 +223,19 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
     lam_rule["witnesses"]["premise_2/0"] = {"index": 0, "node": "hyp"}
     files["bad-witness.json"] = json.dumps(presented)
     reqs.append(("check-theory", "bad-witness.json", "--well-presented"))
+    universe = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    universe["rules"][:0] = [
+        {"name": "U", "conclusion_form": "IsTy", "conclusion_boundary": {}, "premises": [], "witnesses": {}},
+        {"name": "u", "conclusion_form": "IsTm", "conclusion_boundary": {"type": {"sym": "U", "args": []}},
+         "premises": [], "witnesses": {"conclusion/0": {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}}},
+    ]
+    universe["order"].append(["U", "u"])
+    files["universe.json"] = json.dumps(universe)
+    files["u.json"] = json.dumps({"node": "rule", "name": "u", "cxt": [], "inst": {}, "children": []})
+    reqs.append(("check-theory", "universe.json", "--acceptable", "--well-founded", "--json"))
+    for command in ("check-derivation", "presup", "elim-subst", "invert"):
+        reqs.append((command, "universe.json", "u.json"))
+    reqs.append(("unique-typing", "universe.json", "u.json", "u.json"))
     no_tt = json.loads((FIXTURES / "mltt_base.json").read_text())
     no_tt["witnesses"] = [w for w in no_tt["witnesses"] if w["rule"] != "tt-intro"]
     files["no-tt-witness.json"] = json.dumps(no_tt)
