@@ -106,8 +106,10 @@ class AcceptabilityReport:
 
 
 def check_acceptable_theory(
-    theory: RawTypeTheory, witnesses: TheoryWitnesses | None = None
+    theory: RawTypeTheory, witnesses: TheoryWitnesses | None = None, weak: bool = False
 ) -> AcceptabilityReport:
+    """Tightness, presuppositivity (weak presuppositivity if ``weak``: see
+    ``check_presuppositive``), substitutivity and congruousness."""
     witnesses = witnesses or {}
     diagnostics: list[str] = []
     rule_reports = []
@@ -115,9 +117,7 @@ def check_acceptable_theory(
     for i, rule in enumerate(theory.rules):
         name = theory.rule_name(i)
         tight = is_tight(rule)
-        presup = check_presuppositive(
-            theory, rule, witnesses.get(name), weak=False, diagnostics=diagnostics
-        )
+        presup = check_presuppositive(theory, rule, witnesses.get(name), weak, diagnostics)
         empty = rule.conclusion.context.scope == 0
         if not tight:
             diagnostics.append(f"rule {name} is not tight")

@@ -9,9 +9,8 @@ command writes nothing more, prints no traceback and keeps its exit code.
 This module holds the parser, ``main``, the file and output helpers, and
 the bodies of ``check-derivation`` and ``congruence``, which run the raw
 layer alone.  The other bodies are in ``gtt.commands`` (the derivation
-transformers) and ``gtt.theory_commands``, each imported only when one of
-its commands runs, and each body imports only the modules it runs.  So a
-call compiles the raw layer and what its command runs, no more.
+transformers) and ``gtt.theory_commands``, each imported when one of its
+commands runs; a body imports only the modules it runs, no more.
 """
 
 from __future__ import annotations
@@ -82,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         p.add_argument("--out", type=Path, help="write the result here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
-        p.add_argument("--json", action="store_true", help="machine-readable report")
         return p
 
     p = cmd("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness")
     p.add_argument("theory", type=Path)
+    p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--acceptable", action="store_true")
     p.add_argument("--well-founded", action="store_true")
     p.add_argument("--well-presented", action="store_true")
@@ -148,12 +147,13 @@ def _read_json(path: Path):
 def _load_raw(path: Path):
     kind, payload = load_theory_file(_read_json(path))
     if kind == "spec":
+        from .acceptability import check_acceptable_theory
         from .presentation import elaborate_theory
 
-        _, theory, report = elaborate_theory(payload)
-        if not report.acceptable:
+        theory, witnesses = elaborate_theory(payload)
+        if not check_acceptable_theory(theory, witnesses).acceptable:
             raise KernelError("the elaborated theory is not acceptable")
-        return theory, {}, None
+        return theory, witnesses, None
     return payload
 
 

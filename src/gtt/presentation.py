@@ -3,8 +3,10 @@
 A well-presented theory is specified in three stages: shapes (an index
 poset plus forms and scopes), raw boundaries over the signature of the
 strictly-earlier stage, and well-formedness witnesses over the flattened
-earlier theory.  Elaboration realises every rule-boundary, adds the
-congruence rules of object rules, and re-checks everything.
+earlier theory.  Elaboration realises every rule-boundary, checks each
+supplied witness on the stage it cites, adds the congruence rules of object
+rules with synthesised witnesses, and gives the raw theory with its witness
+table, on which every later check and metatheorem runs.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from .jsonio import (
     derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import (
-    AcceptabilityReport, check_acceptable_theory, check_well_founded, expr_symbols, subexpressions,
-    transitive_closure, witness_failures,
+    check_well_founded, expr_symbols, subexpressions, transitive_closure, witness_failures,
 )
 from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
@@ -428,14 +429,15 @@ def theory_signature_of_spec(spec: WellPresentedTheorySpec) -> Signature:
     return Signature(tuple(s for _, s in _spec_symbols(spec)), spec.kind)
 
 
-def elaborate_theory(
-    spec: WellPresentedTheorySpec,
-) -> tuple[Signature, RawTypeTheory, AcceptabilityReport]:
+def elaborate_theory(spec: WellPresentedTheorySpec) -> tuple[RawTypeTheory, TheoryWitnesses]:
     """Realise every rule-boundary in order, adding congruence rules for the
-    object rules, checking stage discipline and every witness along the way.
+    object rules, checking stage discipline and every supplied witness along
+    the way; give the raw theory and its witness table.
 
     The elaborated rule list interleaves each object rule with its congruence
-    rule, so each initial segment of the spec flattens to a prefix.
+    rule, so each initial segment of the spec flattens to a prefix.  The
+    synthesised congruence witnesses are not checked here: the caller that
+    uses the theory checks its acceptability (``check_acceptable_theory``).
     """
     from .congruence_witnesses import congruence_witnesses
 
@@ -459,8 +461,7 @@ def elaborate_theory(
         witness_table[rs.name] = _boundary_to_rule_witnesses(rs.boundary, w)
         if theory.rule(index).is_object:
             witness_table[f"{rs.name}-cong"] = congruence_witnesses(theory, index, witness_table[rs.name])
-    report = check_acceptable_theory(theory, witness_table)
-    return full_sig, theory, report
+    return theory, witness_table
 
 
 def add_spec_rule(stage: RawTypeTheory, rs: TheoryRuleSpec) -> RawTypeTheory:

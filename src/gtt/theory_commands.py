@@ -19,43 +19,31 @@ def cmd_check_theory(args) -> int:
 
     kind, payload = load_theory_file(_read_json(args.theory))
     report_json = {"file": str(args.theory), "checks": {}}
+    lines = []
     failed = False
+    # with no flag, a spec is checked for well-presentedness and a raw theory for acceptability
+    default = not (args.acceptable or args.well_founded or args.well_presented)
     if kind == "spec":
         from .presentation import elaborate_theory
 
         try:
-            _, theory, report = elaborate_theory(payload)
+            theory, witnesses = elaborate_theory(payload)
         except KernelError as e:
             report_json["checks"]["well-presented"] = {"ok": False, "diagnostics": [str(e)]}
             _print_report(args, report_json, ["well-presented: FAIL ({})".format(e)])
             return 1
-        lines = []
-        if args.well_presented or not (args.acceptable or args.well_founded):
+        order = None
+        if args.well_presented or default:
             report_json["checks"]["well-presented"] = {"ok": True, "diagnostics": []}
             lines.append("well-presented: ok")
-        if args.acceptable or args.well_founded:
-            failed |= _acceptability_into(theory, {}, report_json, lines, report)
-        if args.well_founded:
-            wf = check_well_founded_theory(theory, None)
-            report_json["checks"]["well-founded"] = {
-                "ok": wf.ok, "diagnostics": wf.diagnostics,
-            }
-            lines.append(f"well-founded: {'ok' if wf.ok else 'FAIL'}")
-            failed |= not wf.ok
-        _print_report(args, report_json, lines)
-        return 1 if failed else 0
-
-    theory, witnesses, order = payload
-    lines = []
-    if args.well_presented:
-        report_json["checks"]["well-presented"] = {
-            "ok": False,
-            "diagnostics": ["not a well-presented spec file"],
-        }
-        lines.append("well-presented: FAIL (not a spec file)")
-        failed = True
-    if args.acceptable or not (args.well_founded or args.well_presented):
-        failed |= _acceptability_into(theory, witnesses, report_json, lines)
+    else:
+        theory, witnesses, order = payload
+        if args.well_presented:
+            report_json["checks"]["well-presented"] = {"ok": False, "diagnostics": ["not a well-presented spec file"]}
+            lines.append("well-presented: FAIL (not a spec file)")
+            failed = True
+    if args.acceptable or (default and kind != "spec"):
+        failed |= _acceptability_into(theory, witnesses, args.weak, report_json, lines)
     if args.well_founded:
         wf = check_well_founded_theory(theory, order, witnesses)
         report_json["checks"]["well-founded"] = {"ok": wf.ok, "diagnostics": wf.diagnostics}
@@ -67,10 +55,10 @@ def cmd_check_theory(args) -> int:
     return 1 if failed else 0
 
 
-def _acceptability_into(theory, witnesses, report_json, lines, ready=None) -> bool:
+def _acceptability_into(theory, witnesses, weak, report_json, lines) -> bool:
     from .acceptability import check_acceptable_theory
 
-    report = ready or check_acceptable_theory(theory, witnesses)
+    report = check_acceptable_theory(theory, witnesses, weak)
     report_json["checks"]["acceptable"] = {
         "ok": report.acceptable,
         "tight": report.tight,
@@ -109,10 +97,11 @@ def cmd_flatten(args) -> int:
     if kind != "spec":
         print("flatten expects a well-presented spec file", file=sys.stderr)
         return 2
+    from .acceptability import check_acceptable_theory
     from .presentation import elaborate_theory, theory_to_json
 
-    _, theory, report = elaborate_theory(payload)
-    if not report.acceptable:
+    theory, witnesses = elaborate_theory(payload)
+    if not check_acceptable_theory(theory, witnesses).acceptable:
         print("elaboration produced a non-acceptable theory", file=sys.stderr)
         return 1
     _emit(args, theory_to_json(theory))

@@ -224,14 +224,15 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
     files["bad-witness.json"] = json.dumps(presented)
     reqs.append(("check-theory", "bad-witness.json", "--well-presented"))
     universe = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
     universe["rules"][:0] = [
         {"name": "U", "conclusion_form": "IsTy", "conclusion_boundary": {}, "premises": [], "witnesses": {}},
         {"name": "u", "conclusion_form": "IsTm", "conclusion_boundary": {"type": {"sym": "U", "args": []}},
-         "premises": [], "witnesses": {"conclusion/0": {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}}},
+         "premises": [], "witnesses": {"conclusion/0": u_type}},
     ]
     universe["order"].append(["U", "u"])
     files["universe.json"] = json.dumps(universe)
-    files["u.json"] = json.dumps({"node": "rule", "name": "u", "cxt": [], "inst": {}, "children": []})
+    files["u.json"] = json.dumps({**u_type, "name": "u"})
     reqs.append(("check-theory", "universe.json", "--acceptable", "--well-founded", "--json"))
     for command in ("check-derivation", "presup", "elim-subst", "invert"):
         reqs.append((command, "universe.json", "u.json"))

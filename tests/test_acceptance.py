@@ -249,9 +249,9 @@ def test_criterion_5_acceptability():
     assert not wf2.ok
     assert any("itself" in d for d in wf2.diagnostics)
     spec = mltt_pi_presented()
-    _, elaborated, report = elaborate_theory(spec)
-    assert report.acceptable
-    assert check_well_founded_theory(elaborated, None).ok
+    elaborated, elaborated_w = elaborate_theory(spec)
+    assert check_acceptable_theory(elaborated, elaborated_w).acceptable
+    assert check_well_founded_theory(elaborated, None, elaborated_w).ok
 
 
 @pytest.mark.criterion(6, "presuppositions theorem on the corpus")

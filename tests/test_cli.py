@@ -599,6 +599,75 @@ def test_bad_witness_in_a_spec_fails_well_presented(tmp_path, capsys):
     assert captured.out.count("\n") == 1, captured.out
 
 
+def _universe_spec(tmp_path):
+    """``mltt_pi_presented`` after a closed type ``U`` and a term ``u : U``
+    whose conclusion witness is the rule ``U``, and a derivation of ``u``."""
+    data = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
+    data["rules"][:0] = [
+        {"name": "U", "conclusion_form": "IsTy", "conclusion_boundary": {}, "premises": []},
+        {"name": "u", "conclusion_form": "IsTm", "conclusion_boundary": {"type": {"sym": "U", "args": []}},
+         "premises": [], "witnesses": {"conclusion/0": u_type}},
+    ]
+    data["order"].append(["U", "u"])
+    spec, d = tmp_path / "universe.json", tmp_path / "u.json"
+    spec.write_text(json.dumps(data))
+    d.write_text(json.dumps({**u_type, "name": "u"}))
+    return spec, d, u_type
+
+
+def test_a_spec_runs_with_its_elaborated_witnesses(tmp_path, capsys):
+    spec, d, u_type = _universe_spec(tmp_path)
+    code, out = run(capsys, "presup", spec, d)
+    assert code == 0
+    [result] = json.loads(out)
+    assert result["derivation"] == u_type
+    for argv in (("invert", spec, d), ("unique-typing", spec, d, d)):
+        code, out = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["children"][0] == u_type
+
+
+@pytest.mark.parametrize("argv", [("check-theory", "--acceptable"), ("presup",), ("flatten",)])
+def test_a_spec_command_checks_acceptability_once(tmp_path, capsys, monkeypatch, argv):
+    import gtt.acceptability
+
+    spec, d, _ = _universe_spec(tmp_path)
+    calls = []
+    original = gtt.acceptability.check_acceptable_theory
+    monkeypatch.setattr(gtt.acceptability, "check_acceptable_theory", lambda *a: calls.append(a) or original(*a))
+    command, *flags = argv
+    code, _ = run(capsys, command, spec, *([d] if command == "presup" else flags))
+    assert code == 0
+    [(_, witnesses, *_)] = calls
+    assert "u" in witnesses
+
+
+def test_a_spec_under_well_founded_gets_its_witnesses_and_no_acceptability_block(tmp_path, capsys, monkeypatch):
+    import gtt.acceptability
+
+    seen = []
+    original = gtt.acceptability.check_well_founded_theory
+    monkeypatch.setattr(gtt.acceptability, "check_well_founded_theory", lambda *a: seen.append(a) or original(*a))
+    code, out = run(capsys, "check-theory", FIXTURES / "mltt_pi_presented.json", "--well-founded", "--json")
+    assert code == 0
+    assert list(json.loads(out)["checks"]) == ["well-founded"]
+    [(theory, order, witnesses)] = seen
+    assert order is None and set(witnesses) == {theory.rule_name(i) for i in range(len(theory.rules))}
+
+
+def test_weak_checks_weak_presuppositivity(capsys):
+    # Q-form-cong has no witnesses: the strong check misses those of its conclusion and
+    # premises, the weak check only those of its conclusion
+    def diagnostics(*flags):
+        code, out = run(capsys, "check-theory", FIXTURES / "cyclic_quantifier.json", *flags, "--json")
+        assert code == 1
+        return json.loads(out)["checks"]["acceptable"]["diagnostics"]
+
+    strong, weak = diagnostics(), diagnostics("--weak")
+    assert (len(strong), len(weak)) == (10, 3)
+    assert set(weak) < set(strong)
+
+
 def test_replace_step_script(capsys):
     code, out = run(
         capsys,

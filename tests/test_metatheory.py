@@ -69,6 +69,7 @@ from gtt.syntax import (
     mv_extend_signature,
 )
 from gtt.theories import (
+    EqSubstInst,
     Hyp,
     RuleInst,
     RuleWitnesses,
@@ -266,6 +267,26 @@ def test_congruence_witnesses_resynthesise_the_shipped_ones(fn):
     for i in objects:
         name = theory.rule_name(i)
         assert congruence_witnesses(theory, i, witnesses[name]) == witnesses[f"{name}-cong"], name
+
+
+def test_congruence_synthesis_refuses_what_it_cannot_handle():
+    # lam-intro of mltt_pi with its shipped witnesses, but for the witness of the conclusion's type
+    theory, witnesses = mltt_pi()
+    i = theory.rule_index("lam-intro")
+    rule, base = theory.rule(i), witnesses["lam-intro"]
+
+    def synthesise(node):
+        return congruence_witnesses(theory, i, RuleWitnesses({**base.conclusion, 0: node}, base.premises))
+
+    ident = Substitution.identity(0)
+    a_type = presuppositions(rule.conclusion)[0]
+    with pytest.raises(MissingWitness, match="^congruence synthesis cannot handle EqSubstInst nodes$"):
+        synthesise(EqSubstInst(ident, ident, EMPTY_CONTEXT, frozenset(), a_type, ()))
+    # a substitution node into the body premise t : B(x), a term judgement
+    body = rule.premises[2]
+    only_types = "^congruence synthesis supports substitution nodes into type judgements only$"
+    with pytest.raises(MissingWitness, match=only_types):
+        synthesise(SubstInst(Substitution.identity(1), body.context, frozenset(), body, ()))
 
 
 def test_well_founded_verdicts():

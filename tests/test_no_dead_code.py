@@ -27,17 +27,23 @@ module.
 Every parameter of a function or lambda of the package is read in its
 body; ``self``, ``cls`` and names starting with ``_`` are exempt.
 
+Every optional argument of every ``gtt`` subcommand is read: some package
+module reads ``args.<dest>`` for its ``dest``.
+
 An import in a package module or a test module must bind a name that the
 module reads (as an ``ast.Name``), unless another of these modules imports
 that name from it.  ``__future__`` imports and ``__init__.py`` are exempt.
 """
 
+import argparse
 import ast
 import pathlib
 import re
 from collections import Counter
 
 import pytest
+
+from gtt.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtt"
@@ -230,6 +236,35 @@ def unread_parameters() -> list[str]:
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def unread_options(parser=None) -> list[str]:
+    """``command --option`` for each optional argument of a subcommand whose
+    ``dest`` no package module reads as ``args.<dest>``."""
+    parser = parser or build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    read = {
+        n.attr for tree in _package_trees().values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+    }
+    return [
+        f"{name} {a.option_strings[-1]}"
+        for name, sub in commands.choices.items() for a in sub._actions
+        if a.option_strings and a.dest != "help" and a.dest not in read
+    ]
+
+
+def test_every_option_is_read():
+    assert unread_options() == []
+
+
+def test_a_planted_unread_option_is_reported():
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands.choices["presup"].add_argument("--planted", action="store_true")
+    # ``--cxt`` is read as ``args.cxt``, by ``natural-type`` only
+    commands.choices["presup"].add_argument("--cxt")
+    assert unread_options(parser) == ["presup --planted"]
 
 
 def _module_name(path: pathlib.Path) -> str:

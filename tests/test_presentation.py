@@ -15,7 +15,7 @@ from gtt.errors import ArityMismatch, ParseError, StageViolation, SymbolArityMis
 from gtt.foundations import FinitePoset
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
 from gtt.jsonio import load_theory_file, loads
-from gtt.metatheory import check_well_founded_theory, is_tight
+from gtt.metatheory import check_acceptable_theory, check_well_founded_theory, is_tight
 from gtt.presentation import (
     PremisesShape,
     WellFoundedPremiseFamily,
@@ -278,7 +278,8 @@ def test_realise_pi_boundary_with_both_symbols():
 def test_realise_equality_boundary():
     spec = mltt_pi_presented()
     beta_boundary = spec.rules[3].boundary
-    sig, theory, _ = elaborate_theory(spec)
+    theory, _ = elaborate_theory(spec)
+    sig = theory.signature
     rule = realise_rule_boundary(sig, beta_boundary, None)
     assert rule == theory.rule(theory.rule_index("beta"))
     with pytest.raises(SymbolForbidden):
@@ -287,12 +288,12 @@ def test_realise_equality_boundary():
 
 def test_elaborate_mltt_matches_bundled():
     spec = mltt_pi_presented()
-    sig, theory, report = elaborate_theory(spec)
+    theory, witnesses = elaborate_theory(spec)
     ref, _ = mltt_pi()
-    assert report.acceptable
+    assert check_acceptable_theory(theory, witnesses).acceptable
     assert theory.rules == ref.rules
-    assert [s.name for s in sig.symbols] == ["Pi", "lam", "app"]
-    wf = check_well_founded_theory(theory, None)
+    assert [s.name for s in theory.signature.symbols] == ["Pi", "lam", "app"]
+    wf = check_well_founded_theory(theory, None, witnesses)
     assert wf.ok, wf.diagnostics
 
 
@@ -304,7 +305,7 @@ def test_elaboration_validates_each_rule_once(monkeypatch):
     validated = []
     original = gtt.theories._validate_rule
     monkeypatch.setattr(gtt.theories, "_validate_rule", lambda sig, rule: validated.append(rule) or original(sig, rule))
-    _, theory, _ = elaborate_theory(spec)
+    theory, _ = elaborate_theory(spec)
     # 4 spec rules, 3 of them object rules with a congruence rule each: 7 rules,
     # validated once each (a stage theory that re-validated its prefix made 19)
     assert len(theory.rules) == 7
@@ -340,9 +341,9 @@ def test_incomparable_rules_accepted():
     two = WellPresentedTheorySpec(
         spec.kind, FinitePoset.of(2, []), (pi_rule, sigma_rule), {}
     )
-    sig, theory, report = elaborate_theory(two)
-    assert [s.name for s in sig.symbols] == ["Pi", "Sigma"]
-    assert report.acceptable
+    theory, witnesses = elaborate_theory(two)
+    assert [s.name for s in theory.signature.symbols] == ["Pi", "Sigma"]
+    assert check_acceptable_theory(theory, witnesses).acceptable
 
 
 def _lam_with_premise_order(order):
@@ -403,7 +404,8 @@ def test_a_premise_order_that_is_not_linear_elaborates(tmp_path):
     for premise_order, hyp in (([[1, 2]], 0), ([[0, 1], [0, 2], [1, 2]], 1)):
         kind, spec = load_theory_file(_universe_spec(premise_order, hyp))
         assert kind == "spec"
-        _, theory, report = elaborate_theory(spec)
+        theory, witnesses = elaborate_theory(spec)
+        report = check_acceptable_theory(theory, witnesses)
         assert report.acceptable, report.diagnostics
         theories.append(theory)
         path = tmp_path / "spec.json"

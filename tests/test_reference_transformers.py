@@ -14,7 +14,10 @@ Inputs: the corpus; chains of k stacked weakenings over a lam tower that
 uses a variable from outside its binders, with all-or-none trivial sets,
 with trivial and typed positions mixed within each node, and over a
 ``[tt/x]`` node; and equality substitutions under binders, into that tower
-and into nested Pi; each in both scope systems.  The de Bruijn levels copy
+and into nested Pi; equality substitutions into a small theory with a type
+family ``Fam(a)`` over ``unit`` and two equal terms ``tt``, ``tt2``, whose
+variables have types that the two substitutions send apart; each in both
+scope systems.  The de Bruijn levels copy
 is the indices one read through the isomorphism that sends index p of a
 scope n to level n - 1 - p: contexts, substitution tables, metavariable
 arguments and the typing children of a substitution node list their
@@ -24,6 +27,9 @@ entries into a context that respects it and into one that does not.
 """
 
 from __future__ import annotations
+
+import json
+import pathlib
 
 import pytest
 
@@ -45,17 +51,20 @@ from corpus import (
 )
 from gtt import derive, metatheory
 from gtt.errors import KernelError, TrivialityViolated
-from gtt.judgements import EMPTY_CONTEXT, Judgement, JudgementForm, RawContext
-from gtt.jsonio import derivation_to_json, dumps
+from gtt.judgements import EMPTY_CONTEXT, Judgement, JudgementForm, RawContext, extend_context, is_term, tm_eq
+from gtt.jsonio import derivation_to_json, dumps, load_theory_file
 from gtt.metatheory import (
     check_acceptable_theory,
     derivation_nodes,
     derive_presuppositions,
     is_substitution_free,
 )
+from gtt.presentation import elaborate_theory
 from gtt.rules import RawRule
 from gtt.scopes import Renaming, ScopeKind, inl_renaming
-from gtt.syntax import MetaApp, Signature, Substitution, SymApp, Var
+from gtt.syntax import (
+    Instantiation, MetaApp, Signature, Substitution, SymApp, Var, mk_sym, substitute_expr, weaken_expr,
+)
 from gtt.theories import (
     EqSubstInst,
     Hyp,
@@ -274,3 +283,111 @@ def test_renaming_agrees_with_the_reference(kind):
     assert failures == [outcomes[-1]] == [
         (TrivialityViolated, f"substitution does not act trivially at position {position} ")
     ]
+
+
+# --- a type family over a type with two equal terms ---------------------------------
+
+def _closed(name: str) -> dict:
+    return {"node": "rule", "name": name, "cxt": [], "inst": {}, "children": []}
+
+
+def family_theory() -> RawTypeTheory:
+    """``Pi`` and ``lam`` of ``mltt_pi_presented``, ``unit`` with ``tt``, ``tt2``
+    and the rule ``tt == tt2 : unit``, and ``a : unit |- Fam(a) type``, elaborated.
+
+    ``Fam`` is the last object rule: congruence synthesis for its premise
+    ``a : unit`` reads the tightness of the theory built so far, which fails
+    while a later object rule has no rule yet."""
+    fixtures = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    presented = json.loads((fixtures / "mltt_pi_presented.json").read_text())
+    unit = {"sym": "unit", "args": []}
+    spec = {
+        "well_presented": True, "scope_system": presented["scope_system"],
+        "rules": presented["rules"][:2] + [
+            {"name": "unit", "conclusion_form": "IsTy"},
+            *({"name": c, "conclusion_form": "IsTm", "conclusion_boundary": {"type": unit},
+               "witnesses": {"conclusion/0": _closed("unit")}} for c in ("tt", "tt2")),
+            {"name": "tt-eq", "conclusion_form": "TmEq",
+             "conclusion_boundary": {"lhs": {"sym": "tt", "args": []}, "rhs": {"sym": "tt2", "args": []}, "type": unit},
+             "witnesses": {f"conclusion/{p}": _closed(c) for p, c in enumerate(("unit", "tt", "tt2"))}},
+            {"name": "Fam", "conclusion_form": "IsTy",
+             "premises": [{"name": "a", "form": "IsTm", "boundary": {"type": unit}}],
+             "witnesses": {"premise_0/0": _closed("unit")}},
+        ],
+        "order": [["Pi", "lam"], ["unit", "tt"], ["unit", "tt2"], ["tt", "tt-eq"], ["tt2", "tt-eq"], ["unit", "Fam"]],
+    }
+    theory, witnesses = elaborate_theory(load_theory_file(spec)[1])
+    assert check_acceptable_theory(theory, witnesses).acceptable
+    return theory
+
+
+FAMILY = family_theory()
+
+
+def family_inputs():
+    """Equality substitutions [tt/y] == [tt2/y] into derivations over y : unit
+    in ``FAMILY``: (eqsubst nodes for ``eliminate_substitution``, arguments of
+    a direct ``substitute_equal_derivation`` call)."""
+    theory, kind = FAMILY, FAMILY.kind
+
+    def sym(name, scope, *args):
+        return mk_sym(theory.signature, name, args, scope)
+
+    def rule(name, ctx, exprs=(), children=()):
+        i = theory.rule_index(name)
+        return RuleInst(i, Instantiation(theory.rule(i).arity, ctx.scope, tuple(exprs)), ctx, tuple(children))
+
+    def triple(ctx):
+        return rule("tt", ctx), rule("tt2", ctx), rule("tt-eq", ctx)
+
+    e = EMPTY_CONTEXT
+    ctx1 = extend_context(kind, e, (sym("unit", 1),))  # y : unit
+    fam_y = sym("Fam", 1, Var(0, 1))
+    ctx2 = extend_context(kind, ctx1, (weaken_expr(kind, fam_y, 1),))  # y : unit, x : Fam(y)
+    y_at, x_at = kind.inl(1, 1, 0), kind.inr(1, 1, 0)
+    d_y1 = VariableInst(ctx1, 0, (rule("unit", ctx1),))
+    d_fam2 = rule("Fam", ctx2, (Var(y_at, 2),), (VariableInst(ctx2, y_at, (rule("unit", ctx2),)),))
+    d_x = VariableInst(ctx2, x_at, (d_fam2,))
+    f, g = Substitution(0, 1, (sym("tt", 0),)), Substitution(0, 1, (sym("tt2", 0),))
+
+    # y : unit converted along the reflexivity of unit: y is a free variable
+    # at the root, and ty-refl a rule node with an equality conclusion
+    u, d_u = sym("unit", 1), rule("unit", ctx1)
+    conv_y = derive.conv(ctx1, u, u, Var(0, 1), d_u, d_u, d_y1, derive.refl_ty(ctx1, u, d_u))
+    # lam(x : Fam(y). x): under the binder x has type Fam(tt) in the f-image
+    # and Fam(tt2) in the g-image
+    lam_x = rule("lam", ctx1, (fam_y, weaken_expr(kind, fam_y, 1), Var(x_at, 2)),
+                 (rule("Fam", ctx1, (Var(0, 1),), (d_y1,)), d_fam2, d_x))
+    eqsubsts = [
+        derive.eq_subst(f, g, e, frozenset(), check_theory_derivation(theory, (), d), d, (triple(e),))
+        for d in (conv_y, lam_x)
+    ]
+    # x : Fam(y) with x trivial and a target entry of type Fam(tt2), the g-image
+    # of Fam(y): the kernel's rule asks both images to be the entry's type, so
+    # only a direct call accepts this
+    target = extend_context(kind, e, (sym("Fam", 1, sym("tt2", 1)),))
+    table = [None, None]
+    table[x_at], table[y_at] = Var(0, 1), sym("tt", 1)
+    f2 = Substitution(1, 2, tuple(table))
+    table[y_at] = sym("tt2", 1)
+    g2 = Substitution(1, 2, tuple(table))
+    direct = (f2, g2, target, frozenset({x_at}), {y_at: triple(target)}, d_x)
+    return eqsubsts, direct
+
+
+def test_the_family_theory_reaches_the_cases_of_equality_substitution():
+    theory, kind = FAMILY, FAMILY.kind
+    lv = lv_theory(theory)
+    eqsubsts, (f, g, target, trivial, triples, d) = family_inputs()
+    for th, convert in ((theory, lambda x: x), (lv, lv_derivation)):
+        for node in eqsubsts:
+            node = convert(node)
+            out = assert_agree(th, "eliminate_substitution", node)
+            assert is_substitution_free(out)
+            assert check_theory_derivation(th, (), out) == check_theory_derivation(th, (), node)
+    d_f, d_g, d_e = assert_agree(theory, "substitute_equal_derivation", f, g, target, trivial, triples, d)
+    fam_tt, fam_tt2 = (substitute_expr(kind, s, d.context.type_at(d.pos)) for s in (f, g))
+    x = Var(0, 1)
+    assert check_theory_derivation(theory, (), d_f) == is_term(target, x, fam_tt)
+    assert check_theory_derivation(theory, (), d_g) == is_term(target, x, fam_tt2)
+    assert check_theory_derivation(theory, (), d_e) == tm_eq(target, x, x, fam_tt)

@@ -29,7 +29,7 @@ LAM = THEORY.rule_index("lam-intro")
 RULE = THEORY.rule(LAM)
 SPEC = mltt_pi_presented()
 LAM_SPEC = SPEC.rules[1]
-_, STAGED, _ = elaborate_theory(SPEC)
+STAGED, _ = elaborate_theory(SPEC)
 
 # the witness each entry point gets: None is a missing witness, Hyp(7) cites
 # a hypothesis that is not there, Hyp(0) derives lam's first premise, A type
