@@ -3,10 +3,9 @@
 A well-presented theory is specified in three stages: shapes (an index
 poset plus forms and scopes), raw boundaries over the signature of the
 strictly-earlier stage, and well-formedness witnesses over the flattened
-earlier theory.  Elaboration realises every rule-boundary, checks each
-supplied witness on the stage it cites, adds the congruence rules of object
-rules with synthesised witnesses, and gives the raw theory with its witness
-table, on which every later check and metatheorem runs.
+earlier theory.  Elaboration realises every rule-boundary, checks the
+supplied witnesses, adds the congruence rules of object rules with
+synthesised witnesses, and gives the raw theory with its witness table.
 """
 
 from __future__ import annotations
@@ -436,8 +435,8 @@ def elaborate_theory(spec: WellPresentedTheorySpec) -> tuple[RawTypeTheory, Theo
 
     The elaborated rule list interleaves each object rule with its congruence
     rule, so each initial segment of the spec flattens to a prefix.  The
-    synthesised congruence witnesses are not checked here: the caller that
-    uses the theory checks its acceptability (``check_acceptable_theory``).
+    synthesised congruence witnesses are checked where the theory is used,
+    by ``check_acceptable_theory``, not here.
     """
     from .congruence_witnesses import congruence_witnesses
 

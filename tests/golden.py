@@ -223,16 +223,8 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
     lam_rule["witnesses"]["premise_2/0"] = {"index": 0, "node": "hyp"}
     files["bad-witness.json"] = json.dumps(presented)
     reqs.append(("check-theory", "bad-witness.json", "--well-presented"))
-    universe = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
-    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
-    universe["rules"][:0] = [
-        {"name": "U", "conclusion_form": "IsTy", "conclusion_boundary": {}, "premises": [], "witnesses": {}},
-        {"name": "u", "conclusion_form": "IsTm", "conclusion_boundary": {"type": {"sym": "U", "args": []}},
-         "premises": [], "witnesses": {"conclusion/0": u_type}},
-    ]
-    universe["order"].append(["U", "u"])
-    files["universe.json"] = json.dumps(universe)
-    files["u.json"] = json.dumps({**u_type, "name": "u"})
+    universe, u_term = universe_spec()
+    files["universe.json"], files["u.json"] = json.dumps(universe), json.dumps(u_term)
     reqs.append(("check-theory", "universe.json", "--acceptable", "--well-founded", "--json"))
     for command in ("check-derivation", "presup", "elim-subst", "invert"):
         reqs.append((command, "universe.json", "u.json"))
@@ -262,6 +254,20 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
     reqs.append(("congruence", "fixtures/mltt_pi.json", "Pi-form", "--out", "directory.json"))
     reqs.append(("check-theory", "fixtures/mltt_pi.json", "--json", "--out", "missing/out.json"))
     return files, reqs
+
+
+def universe_spec() -> tuple[dict, dict]:
+    """``mltt_pi_presented`` after a closed type ``U`` and a term ``u : U``
+    whose conclusion witness is the rule ``U``, and a derivation of ``u``."""
+    universe = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
+    universe["rules"][:0] = [
+        {"name": "U", "conclusion_form": "IsTy", "conclusion_boundary": {}, "premises": [], "witnesses": {}},
+        {"name": "u", "conclusion_form": "IsTm", "conclusion_boundary": {"type": {"sym": "U", "args": []}},
+         "premises": [], "witnesses": {"conclusion/0": u_type}},
+    ]
+    universe["order"].append(["U", "u"])
+    return universe, {**u_type, "name": "u"}
 
 
 def rule_names(fixture: str) -> list[str]:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from corpus import THEORY, WITNESSES, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
+from golden import universe_spec
 from gtt import derive
 from gtt.cli import main
 from gtt.errors import ParseError
@@ -600,20 +601,12 @@ def test_bad_witness_in_a_spec_fails_well_presented(tmp_path, capsys):
 
 
 def _universe_spec(tmp_path):
-    """``mltt_pi_presented`` after a closed type ``U`` and a term ``u : U``
-    whose conclusion witness is the rule ``U``, and a derivation of ``u``."""
-    data = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
-    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
-    data["rules"][:0] = [
-        {"name": "U", "conclusion_form": "IsTy", "conclusion_boundary": {}, "premises": []},
-        {"name": "u", "conclusion_form": "IsTm", "conclusion_boundary": {"type": {"sym": "U", "args": []}},
-         "premises": [], "witnesses": {"conclusion/0": u_type}},
-    ]
-    data["order"].append(["U", "u"])
+    """The files of ``golden.universe_spec`` and the witness of ``U type`` that ``u`` cites."""
+    data, u = universe_spec()
     spec, d = tmp_path / "universe.json", tmp_path / "u.json"
     spec.write_text(json.dumps(data))
-    d.write_text(json.dumps({**u_type, "name": "u"}))
-    return spec, d, u_type
+    d.write_text(json.dumps(u))
+    return spec, d, {**u, "name": "U"}
 
 
 def test_a_spec_runs_with_its_elaborated_witnesses(tmp_path, capsys):

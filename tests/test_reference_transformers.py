@@ -293,11 +293,7 @@ def _closed(name: str) -> dict:
 
 def family_theory() -> RawTypeTheory:
     """``Pi`` and ``lam`` of ``mltt_pi_presented``, ``unit`` with ``tt``, ``tt2``
-    and the rule ``tt == tt2 : unit``, and ``a : unit |- Fam(a) type``, elaborated.
-
-    ``Fam`` is the last object rule: congruence synthesis for its premise
-    ``a : unit`` reads the tightness of the theory built so far, which fails
-    while a later object rule has no rule yet."""
+    and the rule ``tt == tt2 : unit``, and ``a : unit |- Fam(a) type``, elaborated."""
     fixtures = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
     presented = json.loads((fixtures / "mltt_pi_presented.json").read_text())
     unit = {"sym": "unit", "args": []}
