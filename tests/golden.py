@@ -17,7 +17,9 @@ sha256 of its stdout and of its stderr.  The set covers:
 - the malformed inputs of ``test_cli``;
 - a spec with a closed type ``U`` and a term ``u : U`` ahead of the
   ``mltt_pi_presented`` rules, through ``check-theory`` and every command
-  that reads a derivation, on a derivation of ``u``.
+  that reads a derivation, on a derivation of ``u``; the same spec with
+  ``U`` and ``u`` after ``beta``, and ``Pi`` with a rule whose term
+  premise has the type ``Pi(A, A)``, through ``check-theory``.
 
 The manifest also holds the sha256 of every input file that is not a
 fixture, so a change in ``derivation_to_json`` shows even where no
@@ -229,6 +231,10 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
     for command in ("check-derivation", "presup", "elim-subst", "invert"):
         reqs.append((command, "universe.json", "u.json"))
     reqs.append(("unique-typing", "universe.json", "u.json", "u.json"))
+    files["universe-last.json"], files["self.json"] = json.dumps(universe_last_spec()), json.dumps(self_spec())
+    for spec in ("universe-last.json", "self.json"):
+        reqs.append(("check-theory", spec, "--acceptable", "--well-founded", "--json"))
+    reqs.append(("presup", "universe-last.json", "u.json"))
     no_tt = json.loads((FIXTURES / "mltt_base.json").read_text())
     no_tt["witnesses"] = [w for w in no_tt["witnesses"] if w["rule"] != "tt-intro"]
     files["no-tt-witness.json"] = json.dumps(no_tt)
@@ -268,6 +274,32 @@ def universe_spec() -> tuple[dict, dict]:
     ]
     universe["order"].append(["U", "u"])
     return universe, {**u_type, "name": "u"}
+
+
+def universe_last_spec() -> dict:
+    """``universe_spec`` with ``U`` and ``u`` listed after ``beta``."""
+    universe, _ = universe_spec()
+    universe["rules"] = universe["rules"][2:] + universe["rules"][:2]
+    return universe
+
+
+def self_spec() -> dict:
+    """``Pi`` and ``self(A, f) : A`` for ``A type`` and ``f : Pi(A, A)``,
+    whose witness that ``Pi(A, A)`` is a type weakens ``A type`` into ``x : A``."""
+    spec = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())
+    a = {"meta": "A", "args": []}
+    hyp_a = {"node": "hyp", "index": 0}
+    a_under_x = {"node": "subst", "cxt": [a], "subst": {"src": 1, "map": []}, "trivial": [],
+                 "judgement": {"cxt": [], "form": "IsTy", "slots": {"head": a}}, "children": [hyp_a]}
+    pi_aa = {"node": "rule", "name": "Pi", "cxt": [], "inst": {"A": a, "B": a}, "children": [hyp_a, a_under_x]}
+    spec["rules"][1:] = [
+        {"name": "self", "conclusion_form": "IsTm", "conclusion_boundary": {"type": a},
+         "premises": [{"name": "A", "form": "IsTy", "cxt_seq": [], "boundary": {}},
+                      {"name": "f", "form": "IsTm", "cxt_seq": [], "boundary": {"type": {"sym": "Pi", "args": [a, a]}}}],
+         "premise_order": [[0, 1]], "witnesses": {"conclusion/0": hyp_a, "premise_1/0": pi_aa}},
+    ]
+    spec["order"] = [["Pi", "self"]]
+    return spec
 
 
 def rule_names(fixture: str) -> list[str]:
