@@ -2,47 +2,37 @@
 
 Given a tight object rule R with its own presupposition witnesses, the
 congruence rule inherits witnesses: the left and right premise blocks
-reuse R's witnesses relabelled into the two metavariable copies, the
-equation premises combine the object hypotheses with context transports,
-and the conclusion's right-hand typing converts along a synthesised
-equality of the two images of the conclusion type.
+reuse R's witnesses relabelled into the two metavariable copies, and the
+equation premises combine the object hypotheses with context transports.
+Wherever a right-hand term must have the left-hand type (the equation of
+a term premise, and the conclusion's right-hand typing), it converts
+along the equality of the two images of that type, taken from the triple
+of R's own witness that the type is a type.  So the witnesses depend on
+R and its witnesses alone, not on the rest of the theory.
 
-The equality synthesis walks R's own witness derivations, sending each
-node to its congruence counterpart.  It covers the node kinds bundled
-witnesses produce: hypotheses, variables, instances of theory rules and
-of the built-in rules, and closing substitutions into metavariable-free
-targets.  Anything else raises MissingWitness, so theory files can
-ship hand-written congruence witnesses instead.
+The triple walks a witness derivation, sending each node to its left
+image, its right image and the equality of the two.  It covers the node
+kinds bundled witnesses produce: hypotheses, variables, instances of
+theory rules and of the built-in rules, closed judgements weakened into
+a context, and closing substitutions into metavariable-free targets.
+Anything else raises MissingWitness, so theory files can ship
+hand-written congruence witnesses instead.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .errors import MissingWitness
+from .errors import MissingWitness, NotObjectRule
 from . import derive
 from .judgements import (
-    EMPTY_CONTEXT,
-    Judgement,
-    JudgementForm,
-    RawContext,
-    is_type,
-    presuppositions,
-    ty_eq,
+    EMPTY_CONTEXT, Judgement, JudgementForm, RawContext, instantiate_context, instantiate_judgement, is_type,
+    presuppositions, ty_eq,
 )
-from .derivation_ops import concat_inst, find_congruence, generic_rule_instance, map_derivation_exprs
+from .derivation_ops import generic_rule_instance, map_derivation_exprs
 from .presuppositions import derive_presuppositions
-from .rules import congruence_copies, congruence_rule, instantiate_rule
-from .syntax import (
-    Expr,
-    Instantiation,
-    MetaApp,
-    Substitution,
-    SymApp,
-    Var,
-    instantiate_expr,
-    substitute_expr,
-)
+from .rules import congruence_copies
+from .syntax import Expr, MetaApp, Substitution, Var, instantiate_expr, substitute_expr
 from .theories import (
     EqSubstInst,
     Hyp,
@@ -53,7 +43,7 @@ from .theories import (
     TheoryDerivation,
     VariableInst,
 )
-from .tightness import check_tight, theory_tightness
+from .tightness import check_tight
 
 
 class _CongruenceEngine:
@@ -61,13 +51,14 @@ class _CongruenceEngine:
         self.theory = theory
         self.kind = theory.kind
         self.rule = theory.rule(rule_index)
+        if not self.rule.is_object:
+            raise NotObjectRule("congruence rules exist only for object rules")
         self.rule_index = rule_index
         self.base = base
         self.n = len(self.rule.premises)
         self.shift = len(self.rule.arity)
         self.objects = self.rule.object_premises()
         self.tight = check_tight(self.rule)
-        self.cong = congruence_rule(theory.kind, self.rule)
         # the two copies of the metavariable segment in the congruence rule
         left, right = congruence_copies(self.rule)
         self.l_expr = partial(instantiate_expr, self.kind, left)
@@ -84,20 +75,16 @@ class _CongruenceEngine:
     def right(self, d):
         return map_derivation_exprs(d, self.r_expr, hyp=lambda k: k + self.n)
 
-    def find_hyp(self, judgement: Judgement) -> TheoryDerivation:
-        for k, p in enumerate(self.cong.premises):
-            if p == judgement:
-                return Hyp(k)
-        raise MissingWitness(f"no congruence hypothesis matches {judgement!r}")
-
     # -- (left, right, equality) images of derivations over R's premises -------
 
     def triple(self, d: TheoryDerivation):
-        """Its own walk, not a ``derivation_ops.rebuild``: a premise's equality is asked for lazily."""
+        """``d`` derives an object judgement: R's witnesses derive types, and
+        the walk asks only for the equalities of object premises.  Its own
+        walk, not a ``derivation_ops.rebuild``: a premise's equality is
+        asked for lazily."""
         match d:
             case Hyp(index=k):
-                eq = Hyp(self.eq_hyp(k)) if self.rule.premises[k].is_object else None
-                return self.left(d), self.right(d), eq
+                return self.left(d), self.right(d), Hyp(self.eq_hyp(k))
             case VariableInst(context=ctx, pos=i, children=children):
                 d_fa, _, _ = self.triple(children[0])
                 lctx = ctx.map_exprs(self.l_expr)
@@ -113,10 +100,17 @@ class _CongruenceEngine:
 
     def _rule_triple(self, node):
         d_l, d_r = self.left(node), self.right(node)
-        if not self.theory.rule(node.ref).conclusion.is_object:
-            return d_l, d_r, None
+        lctx, rctx, r_children = d_l.context, d_r.context, d_r.children
+        if lctx != rctx:
+            # carry each right child from the right copy of the node's context to its left copy
+            moved = []
+            for c, p in zip(r_children, self.theory.rule(node.ref).premises):
+                j = instantiate_judgement(self.kind, d_r.inst, rctx, p)
+                to_ctx = instantiate_context(self.kind, d_r.inst, lctx, p.context)
+                moved.append(self._transport(c, j.context, to_ctx, j))
+            r_children = tuple(moved)
         return d_l, d_r, derive.equality_image(
-            self.theory, node, d_l.context, d_l.inst, d_r.inst, d_l.children, d_r.children,
+            self.theory, node, lctx, d_l.inst, d_r.inst, d_l.children, r_children,
             lambda k: self.triple(node.children[k])[2],
         )
 
@@ -125,18 +119,20 @@ class _CongruenceEngine:
         kind = self.kind
         f, tgt, K, jj = node.subst, node.context, node.trivial, node.judgement
         d_l, d_r = self.left(node), self.right(node)
-        if not jj.is_object:
-            return d_l, d_r, None
         if jj.form is not JudgementForm.IS_TY:
             raise MissingWitness(
                 "congruence synthesis supports substitution nodes into type judgements only"
             )
-        if K or tgt.map_exprs(self.l_expr) != tgt.map_exprs(self.r_expr):
+        lctx = tgt.map_exprs(self.l_expr)
+        if jj.context.scope == 0:
+            # a closed judgement weakened into the target: weaken its equality the same way
+            closed = ty_eq(EMPTY_CONTEXT, self.l_expr(jj.head), self.r_expr(jj.head))
+            return d_l, d_r, SubstInst(f, lctx, frozenset(), closed, (self.triple(node.children[0])[2],))
+        if K or lctx != tgt.map_exprs(self.r_expr):
             raise MissingWitness(
                 "congruence synthesis supports substitution nodes only with no checked "
                 "positions and a metavariable-free target context"
             )
-        lctx = tgt.map_exprs(self.l_expr)
         src = jj.context
         lf, rf = f.map_exprs(self.l_expr), f.map_exprs(self.r_expr)
         d_j = node.children[0]
@@ -215,74 +211,38 @@ class _CongruenceEngine:
             raise MissingWitness(
                 "congruence synthesis needs context entries that are closed metavariables"
             )
-        left_copy = isinstance(e, MetaApp) and e.idx < self.shift
+        left_copy = e.idx < self.shift
         intro = self.tight.premise_of_arg[m]
         hyp = Hyp(intro + (0 if left_copy else self.n))
         head = self.rule.premises[intro].head
         closed = is_type(EMPTY_CONTEXT, (self.l_expr if left_copy else self.r_expr)(head))
         return derive.weaken_closed(ctx, closed, hyp)
 
-    def _entry_equality(self, ctx: RawContext, to_ty: Expr, from_ty: Expr) -> TheoryDerivation:
-        m, m2 = self._entry_meta(to_ty), self._entry_meta(from_ty)
-        if m is None or m != m2:
-            raise MissingWitness("congruence synthesis needs matching closed metavariable entries")
-        intro = self.tight.premise_of_arg[m]
+    def _entry_equality(self, ctx: RawContext, to_ty: Expr) -> TheoryDerivation:
+        """The equality of an entry's left copy ``to_ty`` and its right copy,
+        which ``_entry_type`` has accepted as a closed metavariable."""
+        intro = self.tight.premise_of_arg[self._entry_meta(to_ty)]
         head = self.rule.premises[intro].head
         closed = ty_eq(EMPTY_CONTEXT, self.l_expr(head), self.r_expr(head))
         return derive.weaken_closed(ctx, closed, Hyp(self.eq_hyp(intro)))
 
     def _transport(self, d, from_ctx: RawContext, to_ctx: RawContext, judgement: Judgement):
-        """Carry a derivation between equal-scope contexts with judgementally
-        equal entries, by the identity substitution."""
-        scope = from_ctx.scope
-        if scope == 0 or from_ctx == to_ctx:
+        """Carry a derivation by the identity substitution from ``from_ctx``
+        to ``to_ctx``: each entry of ``from_ctx`` is the right copy of the
+        entry of ``to_ctx`` at its position, or the same entry, where the
+        substitution acts trivially."""
+        if from_ctx == to_ctx:
             return d
-        f = Substitution.identity(scope)
+        scope = from_ctx.scope
+        shared = frozenset(q for q in range(scope) if from_ctx.type_at(q) == to_ctx.type_at(q))
         typings = []
-        for q in range(scope):
-            to_ty = to_ctx.type_at(q)
-            from_ty = from_ctx.type_at(q)
+        for q in sorted(set(range(scope)) - shared):
+            to_ty, from_ty = to_ctx.type_at(q), from_ctx.type_at(q)
             d_to = self._entry_type(to_ctx, to_ty)
-            x = Var(q, scope)
             dvar = VariableInst(to_ctx, q, (d_to,))
-            if from_ty == to_ty:
-                typings.append(dvar)
-                continue
-            d_from = self._entry_type(to_ctx, from_ty)
-            d_eq = self._entry_equality(to_ctx, to_ty, from_ty)
-            typings.append(derive.conv(to_ctx, to_ty, from_ty, x, d_to, d_from, dvar, d_eq))
-        return SubstInst(f, to_ctx, frozenset(), judgement, (d,) + tuple(typings))
-
-    # -- the equality of the two images of a boundary type -------------------------
-
-    def _boundary_equality(self, lctx: RawContext, a: Expr) -> TheoryDerivation:
-        la, ra = self.l_expr(a), self.r_expr(a)
-        if isinstance(a, MetaApp):
-            intro = self.tight.premise_of_arg[a.idx]
-            generic = self.rule.premises[intro].head
-            intro_lctx = self.rule.premises[intro].context.map_exprs(self.l_expr)
-            if a == generic and intro_lctx == lctx:
-                return Hyp(self.eq_hyp(intro))
-            if not a.args and self.rule.premises[intro].context.scope == 0:
-                closed = ty_eq(EMPTY_CONTEXT, self.l_expr(generic), self.r_expr(generic))
-                return derive.weaken_closed(lctx, closed, Hyp(self.eq_hyp(intro)))
-        if isinstance(a, SymApp):
-            beta = theory_tightness(self.theory)
-            cidx = find_congruence(self.theory, beta[a.sym])
-            if cidx is not None:
-                arity = self.theory.signature.symbol(a.sym).arity
-                inst = concat_inst(
-                    Instantiation(arity, lctx.scope, tuple(self.l_expr(x) for x in a.args)),
-                    Instantiation(arity, lctx.scope, tuple(self.r_expr(x) for x in a.args)),
-                )
-                closure = instantiate_rule(self.kind, inst, lctx, self.theory.rule(cidx))
-                if closure.conclusion == ty_eq(lctx, la, ra):
-                    children = tuple(self.find_hyp(p) for p in closure.premises)
-                    return RuleInst(cidx, inst, lctx, children)
-        raise MissingWitness(
-            f"cannot synthesise the equality of the two images of {a!r}; "
-            "supply the congruence witnesses by hand"
-        )
+            d_from, d_eq = self._entry_type(to_ctx, from_ty), self._entry_equality(to_ctx, to_ty)
+            typings.append(derive.conv(to_ctx, to_ty, from_ty, Var(q, scope), d_to, d_from, dvar, d_eq))
+        return SubstInst(Substitution.identity(scope), to_ctx, shared, judgement, (d,) + tuple(typings))
 
     # -- assembling the witnesses ----------------------------------------------------
 
@@ -304,7 +264,8 @@ class _CongruenceEngine:
             else:
                 out.premises[(idx, 0)] = self.left(self.base.premises[(k, 0)])
                 out.premises[(idx, 1)] = Hyp(k)
-                out.premises[(idx, 2)] = self._transported_term(k, premise, lctx, rctx)
+                moved = self._transport(Hyp(n + k), rctx, lctx, r_j)
+                out.premises[(idx, 2)] = self._to_left_type(premise, self.base.premises[(k, 0)], moved)
         conclusion = self.rule.conclusion
         gen_l = generic_rule_instance(self.rule_index, self.rule)
         gen_r = generic_rule_instance(self.rule_index, self.rule, self.shift, n)
@@ -312,38 +273,24 @@ class _CongruenceEngine:
             out.conclusion[0] = gen_l
             out.conclusion[1] = gen_r
         else:
-            a = conclusion.boundary[0]
-            la, ra = self.l_expr(a), self.r_expr(a)
             out.conclusion[0] = self.left(self.base.conclusion[0])
             out.conclusion[1] = gen_l
-            if la == ra:
-                out.conclusion[2] = gen_r
-            else:
-                t_a = self.triple(self.base.conclusion[0])
-                sym = derive.sym_ty(EMPTY_CONTEXT, la, ra, t_a[0], t_a[1], t_a[2])
-                rh = self.r_expr(conclusion.head)
-                out.conclusion[2] = derive.conv(
-                    EMPTY_CONTEXT, ra, la, rh, t_a[1], t_a[0], gen_r, sym
-                )
+            out.conclusion[2] = self._to_left_type(conclusion, self.base.conclusion[0], gen_r)
         return out
 
-    def _transported_term(self, k: int, premise: Judgement, lctx, rctx) -> TheoryDerivation:
-        """The right instance of a term premise, carried to the left context
-        and converted to the left type."""
-        r_j = premise.map_exprs(self.r_expr)
-        moved = self._transport(Hyp(self.n + k), rctx, lctx, r_j)
-        a = premise.boundary[0]
+    def _to_left_type(self, j: Judgement, d_type: TheoryDerivation, moved) -> TheoryDerivation:
+        """Convert ``moved``, the right head of the term judgement ``j`` over
+        the left context, to the left type, along the triple of ``d_type``,
+        R's witness that j's type is a type."""
+        a = j.boundary[0]
         la, ra = self.l_expr(a), self.r_expr(a)
         if la == ra:
             return moved
-        rh = self.r_expr(premise.head)
-        d_la = self.left(self.base.premises[(k, 0)])
-        d_ra = self._transport(
-            self.right(self.base.premises[(k, 0)]), rctx, lctx, is_type(rctx, ra)
-        )
-        d_eq = self._boundary_equality(lctx, a)
+        lctx, rctx = j.context.map_exprs(self.l_expr), j.context.map_exprs(self.r_expr)
+        d_la, d_ra, d_eq = self.triple(d_type)
+        d_ra = self._transport(d_ra, rctx, lctx, is_type(rctx, ra))
         sym = derive.sym_ty(lctx, la, ra, d_la, d_ra, d_eq)
-        return derive.conv(lctx, ra, la, rh, d_ra, d_la, moved, sym)
+        return derive.conv(lctx, ra, la, self.r_expr(j.head), d_ra, d_la, moved, sym)
 
 
 def congruence_witnesses(theory: RawTypeTheory, rule_index: int, base):

@@ -145,8 +145,8 @@ LINE_BUDGETS = {
     "check-derivation": 2720,
     "congruence": 2720,
     "check-theory": 3420,
-    "check-theory spec": 4860,
-    "flatten": 4860,
+    "check-theory spec": 4810,
+    "flatten": 4810,
     "presup": 3300,
     "elim-subst": 3390,
     "invert": 3960,

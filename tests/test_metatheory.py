@@ -28,11 +28,12 @@ from gtt import derive
 from gtt import bundled
 from gtt.bundled import cyclic_quantifier, mltt_base, mltt_pi, type_in_type
 from gtt.congruence_witnesses import congruence_witnesses
-from gtt.errors import ClassMismatch, MissingWitness, NotTight, TrivialityViolated
+from gtt.errors import ClassMismatch, MissingWitness, NotObjectRule, NotTight, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
     RawContext,
+    extend_context,
     is_term,
     is_type,
     presuppositions,
@@ -67,6 +68,7 @@ from gtt.syntax import (
     mk_meta,
     mk_sym,
     mv_extend_signature,
+    weaken_expr,
 )
 from gtt.theories import (
     EqSubstInst,
@@ -287,6 +289,34 @@ def test_congruence_synthesis_refuses_what_it_cannot_handle():
     only_types = "^congruence synthesis supports substitution nodes into type judgements only$"
     with pytest.raises(MissingWitness, match=only_types):
         synthesise(SubstInst(Substitution.identity(1), body.context, frozenset(), body, ()))
+
+
+def test_congruence_synthesis_refuses_substitutions_it_cannot_chase():
+    # app-elim of mltt_pi with its shipped witnesses, but for the witness of B(t) type
+    theory, witnesses = mltt_pi()
+    i = theory.rule_index("app-elim")
+    rule, base = theory.rule(i), witnesses["app-elim"]
+
+    def synthesise(node):
+        return congruence_witnesses(theory, i, RuleWitnesses({**base.conclusion, 0: node}, base.premises))
+
+    b, t = rule.premises[1], rule.premises[3].head
+    checked = "^congruence synthesis supports substitution nodes only with no checked positions"
+    # x : A |- B type into the target x : A, which mentions a metavariable
+    with pytest.raises(MissingWitness, match=checked):
+        synthesise(SubstInst(Substitution.identity(1), b.context, frozenset(), b, (Hyp(1), Hyp(0))))
+    # into the empty target, with the position of x checked
+    with pytest.raises(MissingWitness, match=checked):
+        synthesise(SubstInst(Substitution(0, 1, (t,)), EMPTY_CONTEXT, frozenset({0}), b, (Hyp(1), Hyp(3))))
+    # y : B(x), x : A |- A type by x, y := t, t: the entry B(x) becomes B(t) on
+    # the left and B'(t') on the right, which no single substitution relates
+    src = extend_context(theory.kind, b.context, (weaken_expr(theory.kind, b.head, 1),))
+    a_under = src.type_at(1)
+    with pytest.raises(MissingWitness, match="^congruence synthesis needs context entry types that close"):
+        synthesise(SubstInst(Substitution(0, 2, (t, t)), EMPTY_CONTEXT, frozenset(), is_type(src, a_under),
+                             (Hyp(0), Hyp(3), Hyp(3))))
+    with pytest.raises(NotObjectRule, match="^congruence rules exist only for object rules$"):
+        congruence_witnesses(theory, theory.rule_index("beta"), witnesses["beta"])
 
 
 def test_well_founded_verdicts():

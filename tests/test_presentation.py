@@ -8,10 +8,11 @@ import random
 import pytest
 
 from genexpr import LAW_SIGNATURE, gen_expr
+from golden import self_spec, universe_spec
 from gtt.acceptability import expr_symbols
 from gtt.bundled import mltt_pi, mltt_pi_presented
 from gtt.cli import main
-from gtt.errors import ArityMismatch, ParseError, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
+from gtt.errors import ArityMismatch, MissingWitness, ParseError, StageViolation, SymbolArityMismatch, SymbolForbidden, SymbolRequired
 from gtt.foundations import FinitePoset
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, RawContext
 from gtt.jsonio import load_theory_file, loads
@@ -413,3 +414,102 @@ def test_a_premise_order_that_is_not_linear_elaborates(tmp_path):
         assert main(["check-theory", str(path), "--well-presented", "--acceptable"]) == 0
     # the premise order is not part of the raw rule
     assert theories[0] == theories[1]
+
+
+def _linear_extensions(names, order):
+    return [p for p in itertools.permutations(names) if all(p.index(a) < p.index(b) for a, b in order)]
+
+
+def test_every_rule_order_the_spec_allows_elaborates():
+    # congruence synthesis reads only the rule and its own witnesses, so no
+    # order of the rules elaborates a stage it cannot handle
+    data, _ = universe_spec()
+    rules = {r["name"]: r for r in data["rules"]}
+    orders = _linear_extensions(rules, data["order"])
+    assert len(orders) == 30
+    for names in orders:
+        _, spec = load_theory_file({**data, "rules": [rules[n] for n in names]})
+        theory, witnesses = elaborate_theory(spec)
+        assert check_acceptable_theory(theory, witnesses).acceptable, names
+
+
+A_META = {"meta": "A", "args": []}
+U_TYPE = {"sym": "U", "args": []}
+U_RULE = {"name": "U", "conclusion_form": "IsTy", "premises": []}
+HYP_0 = {"node": "hyp", "index": 0}
+# the weakening of the closed premise A type into x : A
+A_UNDER_X = {"node": "subst", "cxt": [A_META], "subst": {"src": 1, "map": []}, "trivial": [],
+             "judgement": {"cxt": [], "form": "IsTy", "slots": {"head": A_META}}, "children": [HYP_0]}
+
+
+def _chain_spec(*rules) -> dict:
+    """A spec of ``rules``, each ordered below the next."""
+    names = [r["name"] for r in rules]
+    return {"scope_system": "debruijn-indices", "well_presented": True,
+            "order": [list(pair) for pair in zip(names, names[1:])], "rules": list(rules)}
+
+
+def _family_spec() -> dict:
+    """F(A, a) type for a : A, and R(A, t) type for x : A |- t : F(A, x),
+    whose witness is a rule node over x : A with a variable below it."""
+    x = {"node": "var", "cxt": [A_META], "i": 0, "children": [A_UNDER_X]}
+    f_ax = {"node": "rule", "name": "F", "cxt": [A_META], "inst": {"A": A_META, "a": {"var": 0}},
+            "children": [A_UNDER_X, x]}
+    return _chain_spec(
+        {"name": "F", "conclusion_form": "IsTy", "premise_order": [[0, 1]],
+         "premises": [{"name": "A", "form": "IsTy"}, {"name": "a", "form": "IsTm", "boundary": {"type": A_META}}],
+         "witnesses": {"premise_1/0": HYP_0}},
+        {"name": "R", "conclusion_form": "IsTy", "premise_order": [[0, 1]],
+         "premises": [{"name": "A", "form": "IsTy"},
+                      {"name": "t", "form": "IsTm", "cxt_seq": [A_META],
+                       "boundary": {"type": {"sym": "F", "args": [A_META, {"var": 0}]}}}],
+         "witnesses": {"premise_1/0": f_ax}},
+    )
+
+
+def _mixed_context_spec() -> dict:
+    """R(A, B) type for x : A, y : U |- B type: the two copies of B's
+    context share the entry U."""
+    return _chain_spec(U_RULE, {
+        "name": "R", "conclusion_form": "IsTy", "premise_order": [[0, 1]],
+        "premises": [{"name": "A", "form": "IsTy"}, {"name": "B", "form": "IsTy", "cxt_seq": [A_META, U_TYPE]}],
+    })
+
+
+def _closed_source_spec() -> dict:
+    """c(a, B) : B(a) for a : U and x : U |- B type, whose witness substitutes
+    a into B over the closed context x : U."""
+    u_type = {"node": "rule", "name": "U", "cxt": [], "inst": {}, "children": []}
+    b_of_a = {"node": "subst", "cxt": [], "subst": {"src": 0, "map": [{"meta": "a", "args": []}]}, "trivial": [],
+              "judgement": {"cxt": [U_TYPE], "form": "IsTy", "slots": {"head": {"meta": "B", "args": [{"var": 0}]}}},
+              "children": [{"node": "hyp", "index": 1}, HYP_0]}
+    return _chain_spec(U_RULE, {
+        "name": "c", "conclusion_form": "IsTm", "premise_order": [[0, 1]],
+        "conclusion_boundary": {"type": {"meta": "B", "args": [{"meta": "a", "args": []}]}},
+        "premises": [{"name": "a", "form": "IsTm", "boundary": {"type": U_TYPE}},
+                     {"name": "B", "form": "IsTy", "cxt_seq": [U_TYPE]}],
+        "witnesses": {"premise_0/0": u_type, "conclusion/0": b_of_a},
+    })
+
+
+@pytest.mark.parametrize("make", [self_spec, _family_spec, _mixed_context_spec, _closed_source_spec])
+def test_the_congruence_witnesses_synthesised_from_a_rule_s_own_check(make):
+    # each spec's last rule needs a case of congruence synthesis that no
+    # bundled theory does: see the docstring of each spec
+    _, spec = load_theory_file(make())
+    theory, witnesses = elaborate_theory(spec)
+    report = check_acceptable_theory(theory, witnesses)
+    assert report.acceptable, report.diagnostics
+
+
+def test_a_premise_context_entry_that_is_not_a_metavariable_is_refused():
+    # R(A, B) type for A type and x : Pi(A, A) |- B type: the congruence
+    # witnesses would carry B' across Pi(A', A') == Pi(A, A)
+    pi = json.loads((FIXTURES / "mltt_pi_presented.json").read_text())["rules"][0]
+    _, spec = load_theory_file(_chain_spec(pi, {
+        "name": "R", "conclusion_form": "IsTy", "premise_order": [[0, 1]],
+        "premises": [{"name": "A", "form": "IsTy"},
+                     {"name": "B", "form": "IsTy", "cxt_seq": [{"sym": "Pi", "args": [A_META, A_META]}]}],
+    }))
+    with pytest.raises(MissingWitness, match="^congruence synthesis needs context entries that are closed metavariables$"):
+        elaborate_theory(spec)
