@@ -15,8 +15,9 @@ image, its right image and the equality of the two.  It covers the node
 kinds bundled witnesses produce: hypotheses, variables, instances of
 theory rules and of the built-in rules, closed judgements weakened into
 a context, and closing substitutions into metavariable-free targets.
-Anything else raises MissingWitness, so theory files can ship
-hand-written congruence witnesses instead.
+Anything else raises MissingWitness: a raw theory file whose witnesses
+need it ships its congruence witnesses by hand, and a spec that needs it
+does not elaborate.
 """
 
 from __future__ import annotations

@@ -493,7 +493,7 @@ def _closed_source_spec() -> dict:
 
 
 @pytest.mark.parametrize("make", [self_spec, _family_spec, _mixed_context_spec, _closed_source_spec])
-def test_the_congruence_witnesses_synthesised_from_a_rule_s_own_check(make):
+def test_synthesised_congruence_witnesses_check(make):
     # each spec's last rule needs a case of congruence synthesis that no
     # bundled theory does: see the docstring of each spec
     _, spec = load_theory_file(make())
