@@ -76,58 +76,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(required=True)
 
-    def cmd(name, run, help):
+    def cmd(name, run, help, *files):
+        """A subcommand that reads a theory file and then each of ``files``."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--out", type=Path, help="write the result here instead of stdout")
         p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
+        for f in ("theory", *files):
+            p.add_argument(f, type=Path)
         return p
 
     p = cmd("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness")
-    p.add_argument("theory", type=Path)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--acceptable", action="store_true")
     p.add_argument("--well-founded", action="store_true")
     p.add_argument("--well-presented", action="store_true")
     p.add_argument("--weak", action="store_true", help="check weak presuppositivity")
-
-    p = cmd("check-derivation", cmd_check_derivation, "check a derivation against a theory")
-    p.add_argument("theory", type=Path)
-    p.add_argument("derivation", type=Path)
-
-    p = cmd("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory")
-    p.add_argument("theory", type=Path)
-
-    p = cmd("congruence", cmd_congruence, "emit the congruence rule of an object rule")
-    p.add_argument("theory", type=Path)
-    p.add_argument("rule")
-
-    p = cmd("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion")
-    p.add_argument("theory", type=Path)
-    p.add_argument("derivation", type=Path)
-
-    p = cmd("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation")
-    p.add_argument("theory", type=Path)
-    p.add_argument("derivation", type=Path)
-
+    cmd("check-derivation", cmd_check_derivation, "check a derivation against a theory", "derivation")
+    cmd("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory")
+    cmd("congruence", cmd_congruence, "emit the congruence rule of an object rule").add_argument("rule")
+    cmd("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion", "derivation")
+    cmd("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation", "derivation")
     p = cmd("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term")
-    p.add_argument("theory", type=Path)
     p.add_argument("term", help="term expression as JSON")
     p.add_argument("--cxt", default="[]", help="context as JSON (default empty)")
-
-    p = cmd("invert", _higher("cmd_invert"), "canonical form of a term or type derivation")
-    p.add_argument("theory", type=Path)
-    p.add_argument("derivation", type=Path)
-
-    p = cmd("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings")
-    p.add_argument("theory", type=Path)
-    p.add_argument("first", type=Path)
-    p.add_argument("second", type=Path)
-
-    p = cmd("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory")
-    p.add_argument("theory", type=Path)
-    p.add_argument("script", type=Path)
-
+    cmd("invert", _higher("cmd_invert"), "canonical form of a term or type derivation", "derivation")
+    cmd("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings", "first", "second")
+    cmd("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory",
+        "script")
     return parser
 
 

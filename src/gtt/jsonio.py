@@ -10,6 +10,14 @@ type-checked before anything is built from it, and the decoders refuse an
 expression or a derivation nested deeper than ``MAX_DEPTH``, so a
 malformed or hostile input file ends in ``ParseError``.
 
+The decoder takes one frame per node, as the kernel's walkers do, and
+hash-conses what one call builds over one signature: a node equal to one
+built earlier in the call is that object, returned without a second
+validation, so a decoded derivation shares what it repeats.  The encoder
+reuses, per call, the JSON of each node object it has encoded.  A raw
+theory file's witness table is decoded rule by rule, when a rule's
+witnesses are first read; a load checks only its shape, rule names and keys.
+
 This module belongs to the raw layer.  It decodes theory files and
 decodes and encodes expressions, judgements, rules and derivations.  The
 codec of well-presented specs and the encoder of raw theory files live
@@ -21,51 +29,30 @@ spec file.
 from __future__ import annotations
 
 import json
+import re
 import sys
+from functools import cached_property
 from typing import Any
 
-from .errors import IndexOutOfRange, KernelError, ParseError
+from .errors import IndexOutOfRange, ParseError
 from .foundations import FinitePoset
 from .judgements import Judgement, JudgementForm, RawContext
 from .rules import BuiltinRule, RawRule
 from .scopes import ScopeKind
 from .syntax import (
-    Argument,
-    Arity,
-    Expr,
-    Instantiation,
-    MetaApp,
-    Signature,
-    Substitution,
-    SymApp,
-    Symbol,
-    SyntacticClass,
-    TM,
-    TY,
-    Var,
-    mk_meta,
-    mk_sym,
-    mk_var,
-    mv_extend_signature,
+    TM, Argument, Arity, Expr, Instantiation, MetaApp, Signature, Substitution, SymApp, Symbol, SyntacticClass,
+    Var, mk_meta, mk_sym, mk_var, mv_extend_signature,
 )
 from .theories import (
-    EqSubstInst,
-    Hyp,
-    RawTypeTheory,
-    RuleInst,
-    RuleWitnesses,
-    SubstInst,
-    TheoryDerivation,
-    TheoryWitnesses,
+    EqSubstInst, Hyp, RawTypeTheory, RuleInst, RuleWitnesses, SubstInst, TheoryDerivation, TheoryWitnesses,
     VariableInst,
 )
 
 
-# The kernel recurses once per level of an expression (substitution,
-# validation, equality) and of a derivation (checking, transformers).  At
-# this depth a nested Pi still checks, presups, inverts and eliminates
-# substitution under Python's default recursion limit of 1000; near 256
-# levels expression equality overflows it.
+# Under Python's default recursion limit of 1000, ``check_theory_derivation``
+# reaches a nested Pi of 983 levels, and ``eliminate_substitution``,
+# ``invert``, ``derivation_to_json`` and the decoder one of about 495.  This
+# limit leaves every entry point a margin.
 MAX_DEPTH = 200
 
 
@@ -92,52 +79,180 @@ def loads(text: str) -> Any:
 
 # --- expressions ------------------------------------------------------------------
 
-def expr_to_json(sig: Signature, e: Expr) -> Any:
-    """The codec walks by hand: it is in the raw layer, below ``subexpressions``."""
-    match e:
-        case Var(pos=p):
-            return {"var": p}
-        case SymApp(sym=s, args=args):
-            return {"sym": sig.symbol(s).name, "args": [expr_to_json(sig, a) for a in args]}
-        case MetaApp(idx=m, args=args):
-            return {"meta": sig.mv_name(m), "args": [expr_to_json(sig, a) for a in args]}
-    raise TypeError(e)
+def expr_to_json(sig: Signature, e: Expr, memo: dict | None = None) -> Any:
+    """``e`` as JSON, by hand (the raw layer is below ``subexpressions``).  ``memo``
+    holds the JSON of each object one emission has encoded, by ``id``."""
+    memo = {} if memo is None else memo
+    out = memo.get(id(e))
+    if out is None:
+        t = type(e)
+        if t is Var:
+            out = {"var": e.pos}
+        elif t is SymApp:
+            out = {"sym": sig.symbol(e.sym).name, "args": [expr_to_json(sig, a, memo) for a in e.args]}
+        elif t is MetaApp:
+            out = {"meta": sig.mv_name(e.idx), "args": [expr_to_json(sig, a, memo) for a in e.args]}
+        else:
+            raise TypeError(e)
+        memo[id(e)] = out
+    return out
 
 
 def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
-    return _expr_from_json(sig, data, scope, 1)
+    return _Decoder(sig).expr(data, scope, 1)
 
 
-def _expr_from_json(sig: Signature, data: Any, scope: int, depth: int) -> Expr:
-    if depth > MAX_DEPTH:
-        raise ParseError(f"expression nested deeper than {MAX_DEPTH}")
-    if not isinstance(data, dict):
-        raise ParseError(f"expected an expression object, got {data!r}")
-    if "var" in data:
-        return mk_var(scope, _nat(data["var"], "var"))
-    if "sym" in data:
+class _Decoder:
+    """One decode call over one signature (and one theory, for derivations).
+
+    ``memo`` hash-conses what the call builds, keyed by a node's scalars and
+    the ids of its decoded parts, which it keeps alive: ``(pos, scope)``,
+    ``(name, scope, *args)``, ``(scope, name, *args)`` for a variable, a
+    symbol and a metavariable, the class first for any other record.  Where
+    a check made inline fails, the ``mk_*`` constructor it stands for is
+    called to raise the same error."""
+
+    def __init__(self, sig: Signature, theory: RawTypeTheory | None = None):
+        self.sig, self.theory, self.memo = sig, theory, {}
+        self.syms = {s.name: (i, s) for i, s in enumerate(sig.symbols)}
+        names = sig.mv_names[:sig.mv_count] or [f"?{i}" for i in range(sig.mv_count)]
+        # the first metavariable of a name, as ``Signature.mv_index``
+        self.metas = {n: (i, sig.mv_arity[i]) for i, n in reversed(list(enumerate(names)))}
+
+    def cons(self, make, *fs):
+        """``make(*fs)``, or the equal record this call built: in the key, a
+        record field is its id, a tuple its items' ids, any other field itself."""
+        key = (make, *[(tuple(map(id, f)) if type(f) is tuple else id(f)) if isinstance(f, tuple) else f for f in fs])
+        obj = self.memo.get(key)
+        if obj is None:
+            obj = self.memo[key] = make(*fs)
+        return obj
+
+    def expr(self, data: Any, scope: int, depth: int) -> Expr:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH}")
+        if not isinstance(data, dict):
+            raise ParseError(f"expected an expression object, got {data!r}")
+        memo = self.memo
+        if "var" in data:
+            pos = data["var"]
+            if type(pos) is not int or pos < 0:
+                _nat(pos, "var")
+            e = memo.get((pos, scope))
+            if e is None:
+                e = memo[pos, scope] = Var(pos, scope) if pos < scope else mk_var(scope, pos)
+            return e
+        if "sym" in data:
+            name = data["sym"]
+            entry = self.syms.get(name) if isinstance(name, str) else None
+            if entry is None:
+                raise ParseError(f"no symbol named {_str(name, 'sym')!r}")
+            idx, decl = entry
+            raw, ar = _list(data.get("args", []), "args"), decl.arity
+            if len(raw) != len(ar):
+                raise ParseError(f"{name} expects {len(ar)} arguments")
+            args = tuple([self.expr(a, scope + slot.binder, depth + 1) for a, slot in zip(raw, ar)])
+            key = (name, scope, *map(id, args))
+            e = memo.get(key)
+            if e is None:
+                for a, slot in zip(args, ar):
+                    if a.cls is not slot.cls:
+                        mk_sym(self.sig, idx, args, scope)
+                e = memo[key] = SymApp(idx, args, scope, decl.cls)
+            return e
+        if "meta" in data:
+            name = data["meta"]
+            entry = self.metas.get(name) if isinstance(name, str) else None
+            if entry is None:
+                raise ParseError(f"no metavariable named {_str(name, 'meta')!r}")
+            idx, slot = entry
+            args = tuple([self.expr(a, scope, depth + 1) for a in _list(data.get("args", []), "args")])
+            key = (scope, name, *map(id, args))
+            e = memo.get(key)
+            if e is None:
+                if len(args) != slot.binder or any(a.cls is not TM for a in args):
+                    mk_meta(self.sig, idx, args, scope)
+                e = memo[key] = MetaApp(idx, args, scope, slot.cls)
+            return e
+        raise ParseError(f"not an expression: {data!r}")
+
+    def context(self, data: Any) -> RawContext:
+        # a derivation repeats its contexts: look one up by its ``repr``
+        # first, which, unlike ``==``, tells ``true`` from ``1``
+        if not isinstance(data, list):
+            raise ParseError("a context is a list of types, indexed by position")
         try:
-            idx = sig.symbol_index(_str(data["sym"], "sym"))
-        except KernelError as e:
-            raise ParseError(str(e)) from e
-        decl = sig.symbol(idx)
-        raw_args = _list(data.get("args", []), "args")
-        if len(raw_args) != len(decl.arity):
-            raise ParseError(f"{decl.name} expects {len(decl.arity)} arguments")
-        args = tuple(
-            _expr_from_json(sig, a, scope + slot.binder, depth + 1)
-            for a, slot in zip(raw_args, decl.arity)
-        )
-        return mk_sym(sig, idx, args, scope)
-    if "meta" in data:
-        try:
-            idx = sig.mv_index(_str(data["meta"], "meta"))
-        except KernelError as e:
-            raise ParseError(str(e)) from e
-        raw_args = _list(data.get("args", []), "args")
-        args = tuple(_expr_from_json(sig, a, scope, depth + 1) for a in raw_args)
-        return mk_meta(sig, idx, args, scope)
-    raise ParseError(f"not an expression: {data!r}")
+            text = repr(data)
+        except RecursionError:  # deeper than an expression may be: decoding refuses it
+            text = None
+        ctx = self.memo.get(text)
+        if ctx is None:
+            scope = len(data)
+            types = tuple([self.expr(t, scope, 1) for t in data])
+            ctx = self.cons(RawContext, scope, types)
+            if text is not None:
+                self.memo[text] = ctx
+        return ctx
+
+    def judgement(self, data: Any) -> Judgement:
+        data = _obj(data, "a judgement")
+        form = _form_from(data.get("form"))
+        ctx = self.context(data.get("cxt", []))
+        slots = _obj(data.get("slots", {}), "judgement slots")
+        boundary = self.boundary(slots, form, ctx.scope, f"{form.value} judgement")
+        head = None
+        if form.head_class is not None:
+            if "head" not in slots:
+                raise ParseError(f"{form.value} judgement needs a head slot")
+            head = self.expr(slots["head"], ctx.scope, 1)
+        return self.cons(Judgement, ctx, form, boundary, head)
+
+    def boundary(self, slots: dict, form: JudgementForm, scope: int, what: str) -> tuple[Expr, ...]:
+        """The boundary slots of ``form``, read from an object keyed by slot name."""
+        for k in _BOUNDARY_KEYS[form]:
+            if k not in slots:
+                raise ParseError(f"{what} needs a {k} slot")
+        return tuple([self.expr(slots[k], scope, 1) for k in _BOUNDARY_KEYS[form]])
+
+    def substitution(self, data: Any) -> Substitution:
+        data = _obj(data, "a substitution")
+        src = _nat(data.get("src"), "src")
+        table = tuple([self.expr(e, src, 1) for e in _list(data.get("map", []), "map")])
+        return self.cons(Substitution, src, len(table), table)
+
+    def derivation(self, data: Any, depth: int) -> TheoryDerivation:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"derivation nested deeper than {MAX_DEPTH}")
+        data = _obj(data, "derivation node")
+        node = data.get("node")
+        children = _list(data.get("children", []), "children of a derivation node")
+        kids = tuple([self.derivation(c, depth + 1) for c in children])
+        if node == "hyp":
+            return self.cons(Hyp, _nat(data.get("index"), "index"))
+        if node == "var":
+            ctx = self.context(data.get("cxt", []))
+            return self.cons(VariableInst, ctx, _nat(data.get("i"), "i"), kids)
+        if node in ("rule", "equiv", "conv"):
+            if node == "rule":
+                ref = _rule_index(self.theory, data.get("name"), "rule name")
+            else:
+                ref = _builtin(node, data.get("which"))
+            rule = self.theory.rule(ref)
+            ctx = self.context(data.get("cxt", []))
+            inst, exprs = _obj(data.get("inst", {}), "an instantiation"), []
+            for key, slot in zip(rule.metas, rule.arity):
+                if key not in inst:
+                    raise ParseError(f"instantiation misses metavariable {key!r}")
+                exprs.append(self.expr(inst[key], ctx.scope + slot.binder, 1))
+            inst = self.cons(Instantiation, rule.arity, ctx.scope, tuple(exprs))
+            return self.cons(RuleInst, ref, inst, ctx, kids)
+        if node in ("subst", "eqsubst"):
+            ctx = self.context(data.get("cxt", []))
+            fs = [self.substitution(data.get(k, {})) for k in (("subst",) if node == "subst" else ("left", "right"))]
+            j = self.judgement(data.get("judgement", {}))
+            K, make = _trivial(data), SubstInst if node == "subst" else EqSubstInst
+            return self.cons(make, *fs, ctx, K, j, kids)
+        raise ParseError(f"unknown derivation node {node!r}")
 
 
 def _nat(v, what) -> int:
@@ -183,10 +298,8 @@ def arity_from_json(data: Any) -> Arity:
 
 
 def _class_from(v) -> SyntacticClass:
-    if v == "Ty":
-        return TY
-    if v == "Tm":
-        return TM
+    if v in ("Ty", "Tm"):
+        return SyntacticClass(v)
     raise ParseError(f"bad syntactic class {v!r}")
 
 
@@ -204,15 +317,12 @@ def signature_from_json(data: Any, kind: ScopeKind) -> Signature:
 
 # --- contexts, judgements, boundaries -------------------------------------------------
 
-def context_to_json(sig: Signature, ctx: RawContext) -> Any:
-    return [expr_to_json(sig, t) for t in ctx.types]
+def context_to_json(sig: Signature, ctx: RawContext, memo: dict | None = None) -> Any:
+    return [expr_to_json(sig, t, memo) for t in ctx.types]
 
 
 def context_from_json(sig: Signature, data: Any) -> RawContext:
-    if not isinstance(data, list):
-        raise ParseError("a context is a list of types, indexed by position")
-    scope = len(data)
-    return RawContext(scope, tuple(expr_from_json(sig, t, scope) for t in data))
+    return _Decoder(sig).context(data)
 
 
 _BOUNDARY_KEYS = {
@@ -223,15 +333,11 @@ _BOUNDARY_KEYS = {
 }
 
 
-def judgement_to_json(sig: Signature, j: Judgement) -> Any:
-    slots = {key: expr_to_json(sig, e) for key, e in zip(_BOUNDARY_KEYS[j.form], j.boundary)}
+def judgement_to_json(sig: Signature, j: Judgement, memo: dict | None = None) -> Any:
+    slots = {key: expr_to_json(sig, e, memo) for key, e in zip(_BOUNDARY_KEYS[j.form], j.boundary)}
     if j.head is not None:
-        slots["head"] = expr_to_json(sig, j.head)
-    return {
-        "cxt": context_to_json(sig, j.context),
-        "form": j.form.value,
-        "slots": slots,
-    }
+        slots["head"] = expr_to_json(sig, j.head, memo)
+    return {"cxt": context_to_json(sig, j.context, memo), "form": j.form.value, "slots": slots}
 
 
 def _form_from(v) -> JudgementForm:
@@ -239,28 +345,6 @@ def _form_from(v) -> JudgementForm:
         return JudgementForm(v)
     except ValueError:
         raise ParseError(f"bad judgement form {v!r}") from None
-
-
-def judgement_from_json(sig: Signature, data: Any) -> Judgement:
-    data = _obj(data, "a judgement")
-    form = _form_from(data.get("form"))
-    ctx = context_from_json(sig, data.get("cxt", []))
-    slots = _obj(data.get("slots", {}), "judgement slots")
-    boundary = _boundary_from_json(sig, slots, form, ctx.scope, f"{form.value} judgement")
-    head = None
-    if form.head_class is not None:
-        if "head" not in slots:
-            raise ParseError(f"{form.value} judgement needs a head slot")
-        head = expr_from_json(sig, slots["head"], ctx.scope)
-    return Judgement(ctx, form, boundary, head)
-
-
-def _boundary_from_json(sig: Signature, slots: dict, form: JudgementForm, scope: int, what: str) -> tuple[Expr, ...]:
-    """The boundary slots of ``form``, read from an object keyed by slot name."""
-    for k in _BOUNDARY_KEYS[form]:
-        if k not in slots:
-            raise ParseError(f"{what} needs a {k} slot")
-    return tuple(expr_from_json(sig, slots[k], scope) for k in _BOUNDARY_KEYS[form])
 
 
 # --- rules ------------------------------------------------------------------------
@@ -284,128 +368,52 @@ def rule_from_json(sig: Signature, data: Any) -> RawRule:
     metas = tuple(_str(m, "meta name") for m in _list(data.get("metas", []), "metas"))
     if metas and len(metas) != len(alpha):
         raise ParseError("meta name list does not match the arity")
-    ext = mv_extend_signature(sig, alpha, metas)
-    premises = tuple(judgement_from_json(ext, p) for p in _list(data.get("premises", []), "premises"))
-    conclusion = judgement_from_json(ext, data.get("conclusion"))
+    decode = _Decoder(mv_extend_signature(sig, alpha, metas))
+    premises = tuple(decode.judgement(p) for p in _list(data.get("premises", []), "premises"))
+    conclusion = decode.judgement(data.get("conclusion"))
     return RawRule(alpha, premises, conclusion, metas)
 
 
-# --- instantiations and derivations -----------------------------------------------
+# --- derivations ---------------------------------------------------------------
 
-def instantiation_to_json(sig: Signature, names: tuple[str, ...], inst: Instantiation) -> Any:
-    """The entries of ``inst`` keyed by the names of the rule's metavariables (``RawRule.metas``)."""
-    if len(inst.exprs) > len(names):
-        raise IndexOutOfRange(f"metavariable {len(names)} of {len(names)}")
-    return {names[i]: expr_to_json(sig, e) for i, e in enumerate(inst.exprs)}
-
-
-def instantiation_from_json(
-    sig: Signature, names: tuple[str, ...], alpha: Arity, data: Any, scope: int
-) -> Instantiation:
-    data = _obj(data, "an instantiation")
-    exprs = []
-    for key, slot in zip(names, alpha):
-        if key not in data:
-            raise ParseError(f"instantiation misses metavariable {key!r}")
-        exprs.append(expr_from_json(sig, data[key], scope + slot.binder))
-    return Instantiation(alpha, scope, tuple(exprs))
-
-
-def substitution_to_json(sig: Signature, f: Substitution) -> Any:
-    return {"src": f.src, "map": [expr_to_json(sig, e) for e in f.table]}
-
-
-def substitution_from_json(sig: Signature, data: Any) -> Substitution:
-    data = _obj(data, "a substitution")
-    src = _nat(data.get("src"), "src")
-    table = tuple(expr_from_json(sig, e, src) for e in _list(data.get("map", []), "map"))
-    return Substitution(src, len(table), table)
-
-
-def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivation) -> Any:
-    """``d`` as JSON, by its own walk: ``derivation_ops.rebuild`` is above the raw layer."""
-    kids = [derivation_to_json(theory, sig, c) for c in d.children]
-    match d:
-        case Hyp(index=k):
-            return {"node": "hyp", "index": k}
-        case RuleInst(ref=ref, inst=inst, context=ctx):
-            rule = theory.rule(ref)
+def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivation, memo: dict | None = None) -> Any:
+    """``d`` as JSON, by its own walk (``derivation_ops.rebuild`` is above the
+    raw layer); ``memo`` as ``expr_to_json`` reads it, for nodes too."""
+    memo = {} if memo is None else memo
+    out = memo.get(id(d))
+    if out is not None:
+        return out
+    kids = [derivation_to_json(theory, sig, c, memo) for c in d.children]
+    t = type(d)
+    if t is Hyp:
+        out = {"node": "hyp", "index": d.index}
+    elif t in (VariableInst, RuleInst, SubstInst, EqSubstInst):
+        out = {"cxt": context_to_json(sig, d.context, memo), "children": kids}
+        if t is VariableInst:
+            out |= {"node": "var", "i": d.pos}
+        elif t is RuleInst:
+            ref, names = d.ref, theory.rule(d.ref).metas
+            if len(d.inst.exprs) > len(names):
+                raise IndexOutOfRange(f"metavariable {len(names)} of {len(names)}")
             if isinstance(ref, int):
-                head = {"node": "rule", "name": theory.rule_name(ref)}
+                out |= {"node": "rule", "name": theory.rule_name(ref)}
             else:
-                head = {"node": ref.family, "which": ref.wire_name}
-            return {
-                **head,
-                "cxt": context_to_json(sig, ctx),
-                "inst": instantiation_to_json(sig, rule.metas, inst),
-                "children": kids,
-            }
-        case VariableInst(context=ctx, pos=i):
-            return {
-                "node": "var",
-                "cxt": context_to_json(sig, ctx),
-                "i": i,
-                "children": kids,
-            }
-        case SubstInst(subst=f, context=ctx, trivial=K, judgement=j):
-            return {
-                "node": "subst",
-                "cxt": context_to_json(sig, ctx),
-                "subst": substitution_to_json(sig, f),
-                "trivial": sorted(K),
-                "judgement": judgement_to_json(sig, j),
-                "children": kids,
-            }
-        case EqSubstInst(left=f, right=g, context=ctx, trivial=K, judgement=j):
-            return {
-                "node": "eqsubst",
-                "cxt": context_to_json(sig, ctx),
-                "left": substitution_to_json(sig, f),
-                "right": substitution_to_json(sig, g),
-                "trivial": sorted(K),
-                "judgement": judgement_to_json(sig, j),
-                "children": kids,
-            }
-    raise TypeError(d)
+                out |= {"node": ref.family, "which": ref.wire_name}
+            out["inst"] = {n: expr_to_json(sig, e, memo) for n, e in zip(names, d.inst.exprs)}
+        else:
+            tables = [("subst", d.subst)] if t is SubstInst else [("left", d.left), ("right", d.right)]
+            for key, f in tables:
+                out[key] = {"src": f.src, "map": [expr_to_json(sig, e, memo) for e in f.table]}
+            out |= {"node": "subst" if t is SubstInst else "eqsubst", "trivial": sorted(d.trivial),
+                    "judgement": judgement_to_json(sig, d.judgement, memo)}
+    else:
+        raise TypeError(d)
+    memo[id(d)] = out
+    return out
 
 
 def derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any) -> TheoryDerivation:
-    return _derivation_from_json(theory, sig, data, 1)
-
-
-def _derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any, depth: int) -> TheoryDerivation:
-    if depth > MAX_DEPTH:
-        raise ParseError(f"derivation nested deeper than {MAX_DEPTH}")
-    data = _obj(data, "derivation node")
-    node = data.get("node")
-    children = _list(data.get("children", []), "children of a derivation node")
-    kids = tuple(_derivation_from_json(theory, sig, c, depth + 1) for c in children)
-    if node == "hyp":
-        return Hyp(_nat(data.get("index"), "index"))
-    if node == "var":
-        ctx = context_from_json(sig, data.get("cxt", []))
-        return VariableInst(ctx, _nat(data.get("i"), "i"), kids)
-    if node in ("rule", "equiv", "conv"):
-        if node == "rule":
-            ref = _rule_index(theory, data.get("name"), "rule name")
-        else:
-            ref = _builtin(node, data.get("which"))
-        rule = theory.rule(ref)
-        ctx = context_from_json(sig, data.get("cxt", []))
-        inst = instantiation_from_json(sig, rule.metas, rule.arity, data.get("inst", {}), ctx.scope)
-        return RuleInst(ref, inst, ctx, kids)
-    if node == "subst":
-        ctx = context_from_json(sig, data.get("cxt", []))
-        f = substitution_from_json(sig, data.get("subst", {}))
-        j = judgement_from_json(sig, data.get("judgement", {}))
-        return SubstInst(f, ctx, _trivial(data), j, kids)
-    if node == "eqsubst":
-        ctx = context_from_json(sig, data.get("cxt", []))
-        f = substitution_from_json(sig, data.get("left", {}))
-        g = substitution_from_json(sig, data.get("right", {}))
-        j = judgement_from_json(sig, data.get("judgement", {}))
-        return EqSubstInst(f, g, ctx, _trivial(data), j, kids)
-    raise ParseError(f"unknown derivation node {node!r}")
+    return _Decoder(sig, theory).derivation(data, 1)
 
 
 def _trivial(data) -> frozenset[int]:
@@ -427,6 +435,9 @@ def _builtin(family: str, v) -> BuiltinRule:
 
 
 def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FinitePoset | None]:
+    """The theory, witness table and order of a raw theory file.  The table
+    holds a ``_PendingWitnesses`` for each entry until its rule's witnesses
+    are first read."""
     data = _obj(data, "a theory file")
     kind = _kind_from(data)
     sig = signature_from_json(data.get("signature", []), kind)
@@ -441,9 +452,13 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
         entry = _obj(entry, "a witness entry")
         name = entry.get("rule")
         rule = theory.rule(_rule_index(theory, name, "witness rule name"))
-        ext = mv_extend_signature(sig, rule.arity, rule.meta_names)
+        if name in witnesses:
+            raise ParseError(f"rule {name!r} has a second witness entry")
         raw = _obj(entry.get("presup_witnesses", {}), "presup_witnesses")
-        witnesses[name] = witnesses_from_json(theory, raw, len(rule.premises), lambda _: ext)
+        forms = tuple(j.form for j in rule.premises + (rule.conclusion,))
+        for key in raw:
+            _witness_key(key, forms)
+        witnesses[name] = _PendingWitnesses(witnesses, name, theory, rule, raw, forms)
     order = None
     if "order" in data:
         edges = set()
@@ -453,6 +468,34 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
             edges.add(tuple(_rule_index(theory, end, "order entry") for end in pair))
         order = FinitePoset.of(len(theory.rules), edges)
     return theory, witnesses, order
+
+
+class _PendingWitnesses:
+    """The entry of one rule in a raw theory file's witness table, its keys
+    checked but its derivations not yet decoded.  The first read of either
+    table decodes the whole entry and puts the ``RuleWitnesses`` in its
+    place in the table, so a later lookup is a dict lookup."""
+
+    def __init__(self, table: TheoryWitnesses, *where):
+        self.table, self.where = table, where
+
+    @cached_property
+    def decoded(self) -> RuleWitnesses:
+        name, theory, rule, raw, forms = self.where
+        ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
+        self.table[name] = w = witnesses_from_json(theory, raw, forms, lambda _: ext)
+        return w
+
+    @property
+    def conclusion(self) -> dict:
+        return self.decoded.conclusion
+
+    @property
+    def premises(self) -> dict:
+        return self.decoded.premises
+
+    def __eq__(self, other):
+        return self.decoded == other
 
 
 def _rule_index(theory: RawTypeTheory, name: Any, what: str) -> int:
@@ -475,22 +518,29 @@ def witness_key(premise: int | None, p: int) -> str:
     return f"conclusion/{p}" if premise is None else f"premise_{premise}/{p}"
 
 
-def witnesses_from_json(theory: RawTypeTheory, data: dict, premises: int, signature) -> RuleWitnesses:
-    """Witnesses keyed by ``witness_key``, each over ``signature(i)`` for premise i (None: the conclusion)."""
+def witnesses_from_json(theory: RawTypeTheory, data: dict, forms: tuple, signature) -> RuleWitnesses:
+    """Witnesses keyed by ``witness_key``, each over ``signature(i)`` for
+    premise i (None: the conclusion); ``forms`` as ``_witness_key`` reads it."""
     w = RuleWitnesses()
     for key, dv in data.items():
-        i, p = _witness_key(key, premises)
+        i, p = _witness_key(key, forms)
         table, at = (w.conclusion, p) if i is None else (w.premises, (i, p))
         table[at] = derivation_from_json(theory, signature(i), dv)
     return w
 
 
-def _witness_key(key: str, premises: int) -> tuple[int | None, int]:
-    """``conclusion/p`` as ``(None, p)``; ``premise_i/p`` as ``(i, p)``, with i below ``premises``."""
-    head, _, p = key.partition("/")
-    i = head.removeprefix("premise_")
-    if p.isdecimal() and (head == "conclusion" or i != head and i.isdecimal() and int(i) < premises):
-        return None if head == "conclusion" else int(i), int(p)
+# both numbers in canonical decimal: ASCII digits, no leading zero
+_WITNESS_KEY = re.compile(r"(?:conclusion|premise_(0|[1-9][0-9]{0,8}))/(0|[1-9][0-9]{0,8})")
+
+
+def _witness_key(key: str, forms: tuple[JudgementForm, ...]) -> tuple[int | None, int]:
+    """``conclusion/p`` as ``(None, p)`` and ``premise_i/p`` as ``(i, p)``, for
+    ``forms`` the forms of the premises and then of the conclusion: p is
+    below the number of presuppositions of that judgement's form."""
+    m = _WITNESS_KEY.fullmatch(key)
+    i = None if m is None or m[1] is None else int(m[1])
+    if m and (i is None or i < len(forms) - 1) and int(m[2]) < len(forms[-1 if i is None else i].boundary_classes):
+        return i, int(m[2])
     raise ParseError(f"bad witness key {key!r}")
 
 

@@ -34,7 +34,7 @@ from .judgements import (
     complete_boundary,
 )
 from .jsonio import (
-    _BOUNDARY_KEYS, _boundary_from_json, _form_from, _kind_from, _list, _obj, _str, arity_to_json,
+    _BOUNDARY_KEYS, _Decoder, _form_from, _kind_from, _list, _obj, _str, arity_to_json,
     derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import (
@@ -661,7 +661,8 @@ def spec_from_json(data: Any):
             stage, staged = _stage_through(stage, rules[staged:i]), i
             fam = boundary.premises
             full = mv_extend_signature(sig, boundary.arity(), fam.meta_names())
-            witnesses[names[i]] = witnesses_from_json(stage, raw_w, len(raw_premises[i]), lambda k: (
+            forms = (*(f for f, _ in fam.shape.slots), boundary.conclusion_form)
+            witnesses[names[i]] = witnesses_from_json(stage, raw_w, forms, lambda k: (
                 full if k is None else _sub_signature(sig, fam.shape, fam.names, k)
             ))
     return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)
@@ -690,13 +691,13 @@ def rule_boundary_from_json(
     for k, p in enumerate(premises):
         sub = _sub_signature(sig, shape, names, k)
         seq = tuple(expr_from_json(sub, t, pos) for pos, t in enumerate(_list(p.get("cxt_seq", []), "cxt_seq")))
-        slots = _boundary_from_json(
-            sub, _obj(p.get("boundary", {}), "premise boundary"), shape.slots[k][0], len(seq), "premise boundary"
+        slots = _Decoder(sub).boundary(
+            _obj(p.get("boundary", {}), "premise boundary"), shape.slots[k][0], len(seq), "premise boundary"
         )
         boundaries.append((seq, slots))
     fam = WellFoundedPremiseFamily(shape, tuple(boundaries), names)
     full = mv_extend_signature(sig, shape.arity(), fam.meta_names())
-    slots = _boundary_from_json(full, _obj(conclusion, "conclusion boundary"), form, 0, "conclusion boundary")
+    slots = _Decoder(full).boundary(_obj(conclusion, "conclusion boundary"), form, 0, "conclusion boundary")
     return RuleBoundarySpec(fam, form, slots)
 
 

@@ -119,6 +119,28 @@ BAD_THEORIES = (
     '"witnesses":{"premise_0/0":{}}}]}',
     "1" * 5000,
 )
+
+
+def bad_witness_tables() -> tuple[str, ...]:
+    """``type_in_type`` with a witness key past the presuppositions of its
+    premise, with a second spelling of a witness key, and with a second,
+    empty entry for ``El-form``: each refused when the file loads."""
+    out = []
+    for change in ("past the presuppositions", "leading zero", "second entry"):
+        data = json.loads((FIXTURES / "type_in_type.json").read_text())
+        (entry,) = [w for w in data["witnesses"] if w["rule"] == "El-form"]
+        table = entry["presup_witnesses"]
+        if change == "past the presuppositions":
+            table["premise_0/5"] = {"node": "hyp", "index": 99}
+        elif change == "leading zero":
+            table["premise_00/0"] = {"node": "hyp", "index": 99}
+        else:
+            data["witnesses"].append({"rule": "El-form", "presup_witnesses": {}})
+        out.append(json.dumps(data))
+    return tuple(out)
+
+
+BAD_THEORIES += bad_witness_tables()
 BAD_SCRIPTS = (
     "[1]",
     '{"steps":5}',

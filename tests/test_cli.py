@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from corpus import THEORY, WITNESSES, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
-from golden import universe_spec
+from golden import bad_witness_tables, universe_spec
 from gtt import derive
 from gtt.cli import main
 from gtt.errors import ParseError
@@ -126,6 +126,7 @@ def test_ill_classed_entry_is_a_check_failure(tmp_path, capsys, text, message):
         '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTm"}]}',
         '{"well_presented":true,"rules":[{"name":"A","conclusion_form":"IsTy",'
         '"witnesses":{"premise_0/0":{}}}]}',
+        *bad_witness_tables(),
     ],
 )
 def test_malformed_theory(tmp_path, capsys, text):

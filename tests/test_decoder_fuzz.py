@@ -24,7 +24,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from corpus import SIG, THEORY, build_corpus, substitution_corpus, tt_at
+from corpus import SIG, THEORY, build_corpus, conv_wrap, substitution_corpus, tt_at
 from gtt.cli import main
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_from_json, derivation_to_json, dumps
@@ -245,3 +245,36 @@ def test_every_wire_name_names_one_builtin_rule():
     assert sorted((ref.family, ref.wire_name) for ref in BuiltinRule) == sorted(
         (family, name) for family, names in WIRE_NAMES.items() for name in names
     )
+
+
+# A theory file whose witness derivation is arbitrary JSON: ``mltt_base``
+# with the type witness of ``tt-intro`` replaced.  Each command that reads
+# that rule's table decodes it there and refuses it; ``tt.json`` cites
+# ``tt-intro``, and ``presup``, ``invert`` and ``unique-typing`` read its
+# table to type ``tt``.
+WITNESS_READERS = (
+    ("check-theory", FILE, "--acceptable"),
+    ("presup", FILE, "tt.json"),
+    ("invert", FILE, "tt.json"),
+    ("unique-typing", FILE, "tt.json", "tt-conv.json"),
+)
+BASE_JSON = json.loads(BASE.read_text())
+
+
+@settings(FUZZ, max_examples=15)
+@given(witness=json_values)
+def test_an_arbitrary_witness_derivation_is_refused_by_each_command_that_reads_it(tmp_path, witness):
+    data = _copy(BASE_JSON)
+    (entry,) = [w for w in data["witnesses"] if w["rule"] == "tt-intro"]
+    entry["presup_witnesses"]["conclusion/0"] = witness
+    theory = tmp_path / "theory.json"
+    theory.write_text(dumps(data))
+    tt = tt_at(EMPTY_CONTEXT)
+    for name, d in (("tt.json", tt.d_term), ("tt-conv.json", conv_wrap(tt).d_term)):
+        (tmp_path / name).write_text(dumps(derivation_to_json(THEORY, SIG, d)))
+    for argv in WITNESS_READERS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(theory if a is FILE else tmp_path / a if a.endswith(".json") else a) for a in argv])
+        assert code == 2, (argv[0], err.getvalue())
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()

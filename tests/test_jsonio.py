@@ -17,19 +17,18 @@ from gtt.bundled import (
 )
 from gtt.errors import ParseError
 from gtt.jsonio import (
+    _Decoder,
     arity_from_json,
     derivation_from_json,
     derivation_to_json,
     dumps,
     expr_from_json,
     expr_to_json,
-    judgement_from_json,
     judgement_to_json,
     load_theory_file,
     loads,
     rule_from_json,
     rule_to_json,
-    substitution_from_json,
     theory_from_json,
 )
 from gtt.judgements import EMPTY_CONTEXT
@@ -62,7 +61,7 @@ def test_expression_roundtrip():
 def test_judgement_roundtrip_on_corpus():
     for d, j in build_corpus():
         data = loads(dumps(judgement_to_json(THEORY.signature, j)))
-        assert judgement_from_json(THEORY.signature, data) == j
+        assert _Decoder(THEORY.signature).judgement(data) == j
 
 
 def test_derivation_roundtrip_on_corpus():
@@ -160,7 +159,7 @@ def test_parse_errors():
     with pytest.raises(ParseError):
         expr_from_json(THEORY.signature, {"sym": "nope", "args": []}, 0)
     with pytest.raises(ParseError):
-        judgement_from_json(THEORY.signature, {"form": "IsWhat", "cxt": [], "slots": {}})
+        _Decoder(THEORY.signature).judgement({"form": "IsWhat", "cxt": [], "slots": {}})
 
 
 SIG = THEORY.signature
@@ -178,7 +177,7 @@ def _node(d, **fields):
     ("index", False, lambda v: derivation_from_json(THEORY, SIG, {"node": "hyp", "index": v})),
     ("binder", True, lambda v: arity_from_json([["Ty", v]])),
     ("trivial", True, lambda v: derivation_from_json(THEORY, SIG, _node(weakening_chain(1)[0], trivial=[v]))),
-    ("src", True, lambda v: substitution_from_json(SIG, {"src": v, "map": []})),
+    ("src", True, lambda v: _Decoder(SIG).substitution({"src": v, "map": []})),
     ("which", False, lambda v: derivation_from_json(THEORY, SIG, _node(conv_wrap(tt_at(EMPTY_CONTEXT)).d_term, which=v))),
 ], ids=["var", "i", "index", "binder", "trivial", "src", "which"])
 def test_a_json_boolean_is_not_a_natural_number(field, value, parse):
