@@ -40,8 +40,8 @@ class _Unwritable(Exception):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.run(args)
     except _Unwritable as e:
@@ -69,42 +69,44 @@ def _higher(name: str, module: str = "commands"):
     return run
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``gtt``.  Each subcommand costs every call its build, so
+    a call that names one gets that one alone, and any other call all."""
     parser = argparse.ArgumentParser(
         prog="gtt",
         description="a kernel in which dependent type theories are data",
     )
     sub = parser.add_subparsers(required=True)
 
-    def cmd(name, run, help, *files):
-        """A subcommand that reads a theory file and then each of ``files``."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        p.add_argument("--out", type=Path, help="write the result here instead of stdout")
-        p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
-        for f in ("theory", *files):
-            p.add_argument(f, type=Path)
-        return p
+    def cmd(name, run, help, *files, options=()):
+        """A subcommand that reads a theory file, then each of ``files``, then
+        ``options``: each a name and the keywords ``add_argument`` takes."""
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(run=run)
+            p.add_argument("--out", type=Path, help="write the result here instead of stdout")
+            p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
+            for arg, kw in [("theory", {"type": Path}), *((f, {"type": Path}) for f in files), *options]:
+                p.add_argument(arg, **kw)
 
-    p = cmd("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--acceptable", action="store_true")
-    p.add_argument("--well-founded", action="store_true")
-    p.add_argument("--well-presented", action="store_true")
-    p.add_argument("--weak", action="store_true", help="check weak presuppositivity")
+    flag = {"action": "store_true"}
+    cmd("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness",
+        options=[("--json", {**flag, "help": "machine-readable report"}), ("--acceptable", flag),
+                 ("--well-founded", flag), ("--well-presented", flag),
+                 ("--weak", {**flag, "help": "check weak presuppositivity"})])
     cmd("check-derivation", cmd_check_derivation, "check a derivation against a theory", "derivation")
     cmd("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory")
-    cmd("congruence", cmd_congruence, "emit the congruence rule of an object rule").add_argument("rule")
+    cmd("congruence", cmd_congruence, "emit the congruence rule of an object rule", options=[("rule", {})])
     cmd("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion", "derivation")
     cmd("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation", "derivation")
-    p = cmd("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term")
-    p.add_argument("term", help="term expression as JSON")
-    p.add_argument("--cxt", default="[]", help="context as JSON (default empty)")
+    cmd("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term",
+        options=[("term", {"help": "term expression as JSON"}),
+                 ("--cxt", {"default": "[]", "help": "context as JSON (default empty)"})])
     cmd("invert", _higher("cmd_invert"), "canonical form of a term or type derivation", "derivation")
     cmd("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings", "first", "second")
     cmd("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory",
         "script")
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def _read_json(path: Path):

@@ -29,7 +29,6 @@ spec file.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from functools import cached_property
 from typing import Any
@@ -529,19 +528,21 @@ def witnesses_from_json(theory: RawTypeTheory, data: dict, forms: tuple, signatu
     return w
 
 
-# both numbers in canonical decimal: ASCII digits, no leading zero
-_WITNESS_KEY = re.compile(r"(?:conclusion|premise_(0|[1-9][0-9]{0,8}))/(0|[1-9][0-9]{0,8})")
-
-
-def _witness_key(key: str, forms: tuple[JudgementForm, ...]) -> tuple[int | None, int]:
+def _witness_key(key: str, forms: tuple) -> tuple[int | None, int]:
     """``conclusion/p`` as ``(None, p)`` and ``premise_i/p`` as ``(i, p)``, for
     ``forms`` the forms of the premises and then of the conclusion: p is
     below the number of presuppositions of that judgement's form."""
-    m = _WITNESS_KEY.fullmatch(key)
-    i = None if m is None or m[1] is None else int(m[1])
-    if m and (i is None or i < len(forms) - 1) and int(m[2]) < len(forms[-1 if i is None else i].boundary_classes):
-        return i, int(m[2])
+    head, _, p = key.partition("/")
+    i = None if head == "conclusion" else _index(head.removeprefix("premise_")) if head.startswith("premise_") else -1
+    form = forms[-1] if i is None else forms[i] if 0 <= i < len(forms) - 1 else None
+    if form is not None and 0 <= _index(p) < len(form.boundary_classes):
+        return i, int(p)
     raise ParseError(f"bad witness key {key!r}")
+
+
+def _index(s: str) -> int:
+    """``s`` as a number in canonical decimal (ASCII digits, no leading zero), or -1."""
+    return int(s) if s.isascii() and s.isdigit() and len(s) < 10 and (s == "0" or s[0] != "0") else -1
 
 
 def load_theory_file(data: Any):
