@@ -55,10 +55,6 @@ def write(tmp_path, name: str, d) -> pathlib.Path:
     return path
 
 
-def test_the_bundled_fixture_is_the_corpus_theory():
-    assert theory_from_json(loads(pathlib.Path(BASE).read_text()))[0] == THEORY
-
-
 @pytest.mark.parametrize("command", ["check-derivation", "congruence", "elim-subst", "natural-type"])
 def test_a_command_that_reads_no_witness_decodes_none(monkeypatch, tmp_path, command):
     lam = write(tmp_path, "lam.json", lam_tower(EMPTY_CONTEXT, 2).d_term)
@@ -178,3 +174,15 @@ def test_a_decoded_elimination_output_shares_what_it_repeats():
     assert back == out
     objects = {id(node): node for node in derivation_nodes(back)}
     assert len(objects) <= 2 * len(set(objects.values()))
+
+
+def test_a_witness_key_index_too_long_to_convert_is_a_bad_key(tmp_path, capsys):
+    # over the interpreter's limit of 4300 digits for int(), the index of a
+    # premise is refused with the key, not with a traceback
+    data = loads((FIXTURES / "type_in_type.json").read_text())
+    key = "premise_" + "1" * 5000 + "/0"
+    data["witnesses"][0]["presup_witnesses"][key] = {"node": "hyp", "index": 0}
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-theory", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: bad witness key {key!r}\n"
