@@ -7,7 +7,6 @@ from .derivation_ops import derivation_nodes, find_congruence, map_derivation_ex
 from .errors import KernelError, NotTight
 from .foundations import FinitePoset
 from .judgements import Boundary, Judgement, presuppositions
-from .jsonio import witness_key
 from .rules import RawRule, _exprs
 from .scopes import _record
 from .syntax import Arity, Expr, SymApp, Var
@@ -37,6 +36,7 @@ def check_presuppositive(
     """Check the supplied witnesses: every presupposition of the conclusion
     (and, unless weak, of every premise) must be derived from the premises."""
     witnesses = witnesses or RuleWitnesses()
+    witnesses.premises  # read even when weak: it decodes a theory file's entry whole, and so checks it
     hyps = presupposition_hypotheses(rule, weak)
     failures = witness_failures(theory, hyps, rule.conclusion, witnesses, None, rule.arity, rule.meta_names)
     if not weak:
@@ -61,6 +61,11 @@ def derivation_failure(
     except KernelError as e:
         return f"witness fails to check: {e}"
     return None if got == target else f"witness derives {got!r}, wanted {target!r}"
+
+
+def witness_key(premise: int | None, p: int) -> str:
+    """The JSON key of witness p of the conclusion (``premise`` None) or of premise ``premise``."""
+    return f"conclusion/{p}" if premise is None else f"premise_{premise}/{p}"
 
 
 def witness_failures(

@@ -70,43 +70,47 @@ def _higher(name: str, module: str = "commands"):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``gtt``.  Each subcommand costs every call its build, so
-    a call that names one gets that one alone, and any other call all."""
+    """The parser of ``gtt``.  A call that names a subcommand builds that
+    subcommand's parser alone, any other call (``--help``, none, an unknown
+    one) all of them; the usage names every subcommand either way."""
     parser = argparse.ArgumentParser(
         prog="gtt",
         description="a kernel in which dependent type theories are data",
     )
-    sub = parser.add_subparsers(required=True)
-
-    def cmd(name, run, help, *files, options=()):
-        """A subcommand that reads a theory file, then each of ``files``, then
-        ``options``: each a name and the keywords ``add_argument`` takes."""
-        if command in (None, name):
-            p = sub.add_parser(name, help=help)
-            p.set_defaults(run=run)
-            p.add_argument("--out", type=Path, help="write the result here instead of stdout")
-            p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
-            for arg, kw in [("theory", {"type": Path}), *((f, {"type": Path}) for f in files), *options]:
-                p.add_argument(arg, **kw)
-
     flag = {"action": "store_true"}
-    cmd("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness",
-        options=[("--json", {**flag, "help": "machine-readable report"}), ("--acceptable", flag),
-                 ("--well-founded", flag), ("--well-presented", flag),
-                 ("--weak", {**flag, "help": "check weak presuppositivity"})])
-    cmd("check-derivation", cmd_check_derivation, "check a derivation against a theory", "derivation")
-    cmd("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory")
-    cmd("congruence", cmd_congruence, "emit the congruence rule of an object rule", options=[("rule", {})])
-    cmd("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion", "derivation")
-    cmd("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation", "derivation")
-    cmd("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term",
-        options=[("term", {"help": "term expression as JSON"}),
-                 ("--cxt", {"default": "[]", "help": "context as JSON (default empty)"})])
-    cmd("invert", _higher("cmd_invert"), "canonical form of a term or type derivation", "derivation")
-    cmd("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings", "first", "second")
-    cmd("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory",
-        "script")
-    return parser if sub.choices else build_parser()
+    # name, body, help, the files read after the theory file, and the other
+    # arguments: each a name and the keywords ``add_argument`` takes
+    commands = [
+        ("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness",
+         (), [("--json", {**flag, "help": "machine-readable report"}), ("--acceptable", flag),
+              ("--well-founded", flag), ("--well-presented", flag),
+              ("--weak", {**flag, "help": "check weak presuppositivity"})]),
+        ("check-derivation", cmd_check_derivation, "check a derivation against a theory", ("derivation",), []),
+        ("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory",
+         (), []),
+        ("congruence", cmd_congruence, "emit the congruence rule of an object rule", (), [("rule", {})]),
+        ("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion",
+         ("derivation",), []),
+        ("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation",
+         ("derivation",), []),
+        ("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term",
+         (), [("term", {"help": "term expression as JSON"}),
+              ("--cxt", {"default": "[]", "help": "context as JSON (default empty)"})]),
+        ("invert", _higher("cmd_invert"), "canonical form of a term or type derivation", ("derivation",), []),
+        ("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings",
+         ("first", "second"), []),
+        ("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory",
+         ("script",), []),
+    ]
+    sub = parser.add_subparsers(required=True, metavar="{" + ",".join(c[0] for c in commands) + "}")
+    for name, run, help, files, options in [c for c in commands if c[0] == command] or commands:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--out", type=Path, help="write the result here instead of stdout")
+        p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
+        for arg, kw in [("theory", {"type": Path}), *((f, {"type": Path}) for f in files), *options]:
+            p.add_argument(arg, **kw)
+    return parser
 
 
 def _read_json(path: Path):

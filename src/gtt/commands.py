@@ -40,19 +40,13 @@ def cmd_presup(args) -> int:
 def cmd_elim_subst(args) -> int:
     from .elimination import eliminate_substitution, is_substitution_free
 
-    return _rewrite(args, lambda theory, d, _: eliminate_substitution(theory, d),
-                    lambda _, out: is_substitution_free(out), "elimination")
-
-
-def _rewrite(args, transform, shaped, what: str) -> int:
-    """Emit ``transform(theory, d, witnesses)`` for the derivation ``d`` of the
-    file, once it re-checks to ``d``'s conclusion and ``shaped(theory, out)``."""
-    theory, witnesses, _ = _load_raw(args.theory)
+    theory, _, _ = _load_raw(args.theory)
     d = _load_derivation(theory, args.derivation)
     before = check_theory_derivation(theory, (), d)
-    out = transform(theory, d, witnesses)
-    if check_theory_derivation(theory, (), out) != before or not shaped(theory, out):
-        raise KernelError(f"{what} result does not re-check")
+    out = eliminate_substitution(theory, d)
+    after = check_theory_derivation(theory, (), out)
+    if after != before or not is_substitution_free(out):
+        raise KernelError("elimination result does not re-check")
     _emit(args, derivation_to_json(theory, theory.signature, out))
     return 0
 
@@ -74,7 +68,15 @@ def cmd_natural_type(args) -> int:
 def cmd_invert(args) -> int:
     from .inversion import invert, is_canonical_inversion
 
-    return _rewrite(args, invert, is_canonical_inversion, "inversion")
+    theory, witnesses, _ = _load_raw(args.theory)
+    d = _load_derivation(theory, args.derivation)
+    before = check_theory_derivation(theory, (), d)
+    out = invert(theory, d, witnesses)
+    after = check_theory_derivation(theory, (), out)
+    if after != before or not is_canonical_inversion(theory, out):
+        raise KernelError("inversion result does not re-check")
+    _emit(args, derivation_to_json(theory, theory.signature, out))
+    return 0
 
 
 def cmd_unique_typing(args) -> int:

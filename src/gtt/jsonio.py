@@ -10,14 +10,6 @@ type-checked before anything is built from it, and the decoders refuse an
 expression or a derivation nested deeper than ``MAX_DEPTH``, so a
 malformed or hostile input file ends in ``ParseError``.
 
-The decoder takes one frame per node, as the kernel's walkers do, and
-hash-conses what one call builds over one signature: a node equal to one
-built earlier in the call is that object, returned without a second
-validation, so a decoded derivation shares what it repeats.  The encoder
-reuses, per call, the JSON of each node object it has encoded.  A raw
-theory file's witness table is decoded rule by rule, when a rule's
-witnesses are first read; a load checks only its shape, rule names and keys.
-
 This module belongs to the raw layer.  It decodes theory files and
 decodes and encodes expressions, judgements, rules and derivations.  The
 codec of well-presented specs and the encoder of raw theory files live
@@ -39,11 +31,33 @@ from .judgements import Judgement, JudgementForm, RawContext
 from .rules import BuiltinRule, RawRule
 from .scopes import ScopeKind
 from .syntax import (
-    TM, Argument, Arity, Expr, Instantiation, MetaApp, Signature, Substitution, SymApp, Symbol, SyntacticClass,
-    Var, mk_meta, mk_sym, mk_var, mv_extend_signature,
+    Argument,
+    Arity,
+    Expr,
+    Instantiation,
+    MetaApp,
+    Signature,
+    Substitution,
+    SymApp,
+    Symbol,
+    SyntacticClass,
+    TM,
+    TY,
+    Var,
+    mk_meta,
+    mk_sym,
+    mk_var,
+    mv_extend_signature,
 )
 from .theories import (
-    EqSubstInst, Hyp, RawTypeTheory, RuleInst, RuleWitnesses, SubstInst, TheoryDerivation, TheoryWitnesses,
+    EqSubstInst,
+    Hyp,
+    RawTypeTheory,
+    RuleInst,
+    RuleWitnesses,
+    SubstInst,
+    TheoryDerivation,
+    TheoryWitnesses,
     VariableInst,
 )
 
@@ -78,23 +92,16 @@ def loads(text: str) -> Any:
 
 # --- expressions ------------------------------------------------------------------
 
-def expr_to_json(sig: Signature, e: Expr, memo: dict | None = None) -> Any:
-    """``e`` as JSON, by hand (the raw layer is below ``subexpressions``).  ``memo``
-    holds the JSON of each object one emission has encoded, by ``id``."""
-    memo = {} if memo is None else memo
-    out = memo.get(id(e))
-    if out is None:
-        t = type(e)
-        if t is Var:
-            out = {"var": e.pos}
-        elif t is SymApp:
-            out = {"sym": sig.symbol(e.sym).name, "args": [expr_to_json(sig, a, memo) for a in e.args]}
-        elif t is MetaApp:
-            out = {"meta": sig.mv_name(e.idx), "args": [expr_to_json(sig, a, memo) for a in e.args]}
-        else:
-            raise TypeError(e)
-        memo[id(e)] = out
-    return out
+def expr_to_json(sig: Signature, e: Expr) -> Any:
+    """The codec walks by hand: it is in the raw layer, below ``subexpressions``."""
+    match e:
+        case Var(pos=p):
+            return {"var": p}
+        case SymApp(sym=s, args=args):
+            return {"sym": sig.symbol(s).name, "args": [expr_to_json(sig, a) for a in args]}
+        case MetaApp(idx=m, args=args):
+            return {"meta": sig.mv_name(m), "args": [expr_to_json(sig, a) for a in args]}
+    raise TypeError(e)
 
 
 def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
@@ -102,96 +109,48 @@ def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
 
 
 class _Decoder:
-    """One decode call over one signature (and one theory, for derivations).
-
-    ``memo`` hash-conses what the call builds, keyed by a node's scalars and
-    the ids of its decoded parts, which it keeps alive: ``(pos, scope)``,
-    ``(name, scope, *args)``, ``(scope, name, *args)`` for a variable, a
-    symbol and a metavariable, the class first for any other record.  Where
-    a check made inline fails, the ``mk_*`` constructor it stands for is
-    called to raise the same error."""
+    """Decodes over one signature (and one theory, for derivations).  Each
+    symbol or metavariable name is looked up once, in a table built with
+    the decoder; the ``mk_*`` constructor or record that builds a node
+    validates it."""
 
     def __init__(self, sig: Signature, theory: RawTypeTheory | None = None):
-        self.sig, self.theory, self.memo = sig, theory, {}
-        self.syms = {s.name: (i, s) for i, s in enumerate(sig.symbols)}
+        self.sig, self.theory = sig, theory
+        self.syms = {s.name: i for i, s in enumerate(sig.symbols)}
         names = sig.mv_names[:sig.mv_count] or [f"?{i}" for i in range(sig.mv_count)]
         # the first metavariable of a name, as ``Signature.mv_index``
-        self.metas = {n: (i, sig.mv_arity[i]) for i, n in reversed(list(enumerate(names)))}
-
-    def cons(self, make, *fs):
-        """``make(*fs)``, or the equal record this call built: in the key, a
-        record field is its id, a tuple its items' ids, any other field itself."""
-        key = (make, *[(tuple(map(id, f)) if type(f) is tuple else id(f)) if isinstance(f, tuple) else f for f in fs])
-        obj = self.memo.get(key)
-        if obj is None:
-            obj = self.memo[key] = make(*fs)
-        return obj
+        self.metas = {n: i for i, n in reversed(list(enumerate(names)))}
 
     def expr(self, data: Any, scope: int, depth: int) -> Expr:
         if depth > MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {MAX_DEPTH}")
         if not isinstance(data, dict):
             raise ParseError(f"expected an expression object, got {data!r}")
-        memo = self.memo
         if "var" in data:
-            pos = data["var"]
-            if type(pos) is not int or pos < 0:
-                _nat(pos, "var")
-            e = memo.get((pos, scope))
-            if e is None:
-                e = memo[pos, scope] = Var(pos, scope) if pos < scope else mk_var(scope, pos)
-            return e
+            return mk_var(scope, _nat(data["var"], "var"))
         if "sym" in data:
-            name = data["sym"]
-            entry = self.syms.get(name) if isinstance(name, str) else None
-            if entry is None:
-                raise ParseError(f"no symbol named {_str(name, 'sym')!r}")
-            idx, decl = entry
-            raw, ar = _list(data.get("args", []), "args"), decl.arity
-            if len(raw) != len(ar):
-                raise ParseError(f"{name} expects {len(ar)} arguments")
-            args = tuple([self.expr(a, scope + slot.binder, depth + 1) for a, slot in zip(raw, ar)])
-            key = (name, scope, *map(id, args))
-            e = memo.get(key)
-            if e is None:
-                for a, slot in zip(args, ar):
-                    if a.cls is not slot.cls:
-                        mk_sym(self.sig, idx, args, scope)
-                e = memo[key] = SymApp(idx, args, scope, decl.cls)
-            return e
+            idx = self.syms.get(_str(data["sym"], "sym"))
+            if idx is None:
+                raise ParseError(f"no symbol named {data['sym']!r}")
+            decl = self.sig.symbols[idx]
+            raw_args = _list(data.get("args", []), "args")
+            if len(raw_args) != len(decl.arity):
+                raise ParseError(f"{decl.name} expects {len(decl.arity)} arguments")
+            args = tuple([self.expr(a, scope + slot.binder, depth + 1) for a, slot in zip(raw_args, decl.arity)])
+            return mk_sym(self.sig, idx, args, scope)
         if "meta" in data:
-            name = data["meta"]
-            entry = self.metas.get(name) if isinstance(name, str) else None
-            if entry is None:
-                raise ParseError(f"no metavariable named {_str(name, 'meta')!r}")
-            idx, slot = entry
+            idx = self.metas.get(_str(data["meta"], "meta"))
+            if idx is None:
+                raise ParseError(f"no metavariable named {data['meta']!r}")
             args = tuple([self.expr(a, scope, depth + 1) for a in _list(data.get("args", []), "args")])
-            key = (scope, name, *map(id, args))
-            e = memo.get(key)
-            if e is None:
-                if len(args) != slot.binder or any(a.cls is not TM for a in args):
-                    mk_meta(self.sig, idx, args, scope)
-                e = memo[key] = MetaApp(idx, args, scope, slot.cls)
-            return e
+            return mk_meta(self.sig, idx, args, scope)
         raise ParseError(f"not an expression: {data!r}")
 
     def context(self, data: Any) -> RawContext:
-        # a derivation repeats its contexts: look one up by its ``repr``
-        # first, which, unlike ``==``, tells ``true`` from ``1``
         if not isinstance(data, list):
             raise ParseError("a context is a list of types, indexed by position")
-        try:
-            text = repr(data)
-        except RecursionError:  # deeper than an expression may be: decoding refuses it
-            text = None
-        ctx = self.memo.get(text)
-        if ctx is None:
-            scope = len(data)
-            types = tuple([self.expr(t, scope, 1) for t in data])
-            ctx = self.cons(RawContext, scope, types)
-            if text is not None:
-                self.memo[text] = ctx
-        return ctx
+        scope = len(data)
+        return RawContext(scope, tuple([self.expr(t, scope, 1) for t in data]))
 
     def judgement(self, data: Any) -> Judgement:
         data = _obj(data, "a judgement")
@@ -204,7 +163,7 @@ class _Decoder:
             if "head" not in slots:
                 raise ParseError(f"{form.value} judgement needs a head slot")
             head = self.expr(slots["head"], ctx.scope, 1)
-        return self.cons(Judgement, ctx, form, boundary, head)
+        return Judgement(ctx, form, boundary, head)
 
     def boundary(self, slots: dict, form: JudgementForm, scope: int, what: str) -> tuple[Expr, ...]:
         """The boundary slots of ``form``, read from an object keyed by slot name."""
@@ -217,7 +176,16 @@ class _Decoder:
         data = _obj(data, "a substitution")
         src = _nat(data.get("src"), "src")
         table = tuple([self.expr(e, src, 1) for e in _list(data.get("map", []), "map")])
-        return self.cons(Substitution, src, len(table), table)
+        return Substitution(src, len(table), table)
+
+    def instantiation(self, rule: RawRule, data: Any, scope: int) -> Instantiation:
+        data = _obj(data, "an instantiation")
+        exprs = []
+        for key, slot in zip(rule.metas, rule.arity):
+            if key not in data:
+                raise ParseError(f"instantiation misses metavariable {key!r}")
+            exprs.append(self.expr(data[key], scope + slot.binder, 1))
+        return Instantiation(rule.arity, scope, tuple(exprs))
 
     def derivation(self, data: Any, depth: int) -> TheoryDerivation:
         if depth > MAX_DEPTH:
@@ -227,30 +195,29 @@ class _Decoder:
         children = _list(data.get("children", []), "children of a derivation node")
         kids = tuple([self.derivation(c, depth + 1) for c in children])
         if node == "hyp":
-            return self.cons(Hyp, _nat(data.get("index"), "index"))
+            return Hyp(_nat(data.get("index"), "index"))
         if node == "var":
             ctx = self.context(data.get("cxt", []))
-            return self.cons(VariableInst, ctx, _nat(data.get("i"), "i"), kids)
+            return VariableInst(ctx, _nat(data.get("i"), "i"), kids)
         if node in ("rule", "equiv", "conv"):
             if node == "rule":
                 ref = _rule_index(self.theory, data.get("name"), "rule name")
             else:
                 ref = _builtin(node, data.get("which"))
-            rule = self.theory.rule(ref)
             ctx = self.context(data.get("cxt", []))
-            inst, exprs = _obj(data.get("inst", {}), "an instantiation"), []
-            for key, slot in zip(rule.metas, rule.arity):
-                if key not in inst:
-                    raise ParseError(f"instantiation misses metavariable {key!r}")
-                exprs.append(self.expr(inst[key], ctx.scope + slot.binder, 1))
-            inst = self.cons(Instantiation, rule.arity, ctx.scope, tuple(exprs))
-            return self.cons(RuleInst, ref, inst, ctx, kids)
-        if node in ("subst", "eqsubst"):
+            inst = self.instantiation(self.theory.rule(ref), data.get("inst", {}), ctx.scope)
+            return RuleInst(ref, inst, ctx, kids)
+        if node == "subst":
             ctx = self.context(data.get("cxt", []))
-            fs = [self.substitution(data.get(k, {})) for k in (("subst",) if node == "subst" else ("left", "right"))]
+            f = self.substitution(data.get("subst", {}))
             j = self.judgement(data.get("judgement", {}))
-            K, make = _trivial(data), SubstInst if node == "subst" else EqSubstInst
-            return self.cons(make, *fs, ctx, K, j, kids)
+            return SubstInst(f, ctx, _trivial(data), j, kids)
+        if node == "eqsubst":
+            ctx = self.context(data.get("cxt", []))
+            f = self.substitution(data.get("left", {}))
+            g = self.substitution(data.get("right", {}))
+            j = self.judgement(data.get("judgement", {}))
+            return EqSubstInst(f, g, ctx, _trivial(data), j, kids)
         raise ParseError(f"unknown derivation node {node!r}")
 
 
@@ -297,8 +264,10 @@ def arity_from_json(data: Any) -> Arity:
 
 
 def _class_from(v) -> SyntacticClass:
-    if v in ("Ty", "Tm"):
-        return SyntacticClass(v)
+    if v == "Ty":
+        return TY
+    if v == "Tm":
+        return TM
     raise ParseError(f"bad syntactic class {v!r}")
 
 
@@ -316,8 +285,8 @@ def signature_from_json(data: Any, kind: ScopeKind) -> Signature:
 
 # --- contexts, judgements, boundaries -------------------------------------------------
 
-def context_to_json(sig: Signature, ctx: RawContext, memo: dict | None = None) -> Any:
-    return [expr_to_json(sig, t, memo) for t in ctx.types]
+def context_to_json(sig: Signature, ctx: RawContext) -> Any:
+    return [expr_to_json(sig, t) for t in ctx.types]
 
 
 def context_from_json(sig: Signature, data: Any) -> RawContext:
@@ -332,11 +301,15 @@ _BOUNDARY_KEYS = {
 }
 
 
-def judgement_to_json(sig: Signature, j: Judgement, memo: dict | None = None) -> Any:
-    slots = {key: expr_to_json(sig, e, memo) for key, e in zip(_BOUNDARY_KEYS[j.form], j.boundary)}
+def judgement_to_json(sig: Signature, j: Judgement) -> Any:
+    slots = {key: expr_to_json(sig, e) for key, e in zip(_BOUNDARY_KEYS[j.form], j.boundary)}
     if j.head is not None:
-        slots["head"] = expr_to_json(sig, j.head, memo)
-    return {"cxt": context_to_json(sig, j.context, memo), "form": j.form.value, "slots": slots}
+        slots["head"] = expr_to_json(sig, j.head)
+    return {
+        "cxt": context_to_json(sig, j.context),
+        "form": j.form.value,
+        "slots": slots,
+    }
 
 
 def _form_from(v) -> JudgementForm:
@@ -375,40 +348,38 @@ def rule_from_json(sig: Signature, data: Any) -> RawRule:
 
 # --- derivations ---------------------------------------------------------------
 
-def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivation, memo: dict | None = None) -> Any:
-    """``d`` as JSON, by its own walk (``derivation_ops.rebuild`` is above the
-    raw layer); ``memo`` as ``expr_to_json`` reads it, for nodes too."""
-    memo = {} if memo is None else memo
-    out = memo.get(id(d))
-    if out is not None:
-        return out
-    kids = [derivation_to_json(theory, sig, c, memo) for c in d.children]
-    t = type(d)
-    if t is Hyp:
-        out = {"node": "hyp", "index": d.index}
-    elif t in (VariableInst, RuleInst, SubstInst, EqSubstInst):
-        out = {"cxt": context_to_json(sig, d.context, memo), "children": kids}
-        if t is VariableInst:
-            out |= {"node": "var", "i": d.pos}
-        elif t is RuleInst:
-            ref, names = d.ref, theory.rule(d.ref).metas
-            if len(d.inst.exprs) > len(names):
+def substitution_to_json(sig: Signature, f: Substitution) -> Any:
+    return {"src": f.src, "map": [expr_to_json(sig, e) for e in f.table]}
+
+
+def derivation_to_json(theory: RawTypeTheory, sig: Signature, d: TheoryDerivation) -> Any:
+    """``d`` as JSON, by its own walk: ``derivation_ops.rebuild`` is above the
+    raw layer.  Every node but a hypothesis has a context and children, and
+    a ``subst`` or ``eqsubst`` node its trivial positions and judgement."""
+    kids = [derivation_to_json(theory, sig, c) for c in d.children]
+    match d:
+        case Hyp(index=k):
+            return {"node": "hyp", "index": k}
+        case RuleInst(ref=ref, inst=inst):
+            names = theory.rule(ref).metas
+            if len(inst.exprs) > len(names):
                 raise IndexOutOfRange(f"metavariable {len(names)} of {len(names)}")
             if isinstance(ref, int):
-                out |= {"node": "rule", "name": theory.rule_name(ref)}
+                out = {"node": "rule", "name": theory.rule_name(ref)}
             else:
-                out |= {"node": ref.family, "which": ref.wire_name}
-            out["inst"] = {n: expr_to_json(sig, e, memo) for n, e in zip(names, d.inst.exprs)}
-        else:
-            tables = [("subst", d.subst)] if t is SubstInst else [("left", d.left), ("right", d.right)]
-            for key, f in tables:
-                out[key] = {"src": f.src, "map": [expr_to_json(sig, e, memo) for e in f.table]}
-            out |= {"node": "subst" if t is SubstInst else "eqsubst", "trivial": sorted(d.trivial),
-                    "judgement": judgement_to_json(sig, d.judgement, memo)}
-    else:
-        raise TypeError(d)
-    memo[id(d)] = out
-    return out
+                out = {"node": ref.family, "which": ref.wire_name}
+            out["inst"] = {n: expr_to_json(sig, e) for n, e in zip(names, inst.exprs)}
+        case VariableInst(pos=i):
+            out = {"node": "var", "i": i}
+        case SubstInst(subst=f):
+            out = {"node": "subst", "subst": substitution_to_json(sig, f)}
+        case EqSubstInst(left=f, right=g):
+            out = {"node": "eqsubst", "left": substitution_to_json(sig, f), "right": substitution_to_json(sig, g)}
+        case _:
+            raise TypeError(d)
+    if isinstance(d, (SubstInst, EqSubstInst)):
+        out |= {"trivial": sorted(d.trivial), "judgement": judgement_to_json(sig, d.judgement)}
+    return out | {"cxt": context_to_json(sig, d.context), "children": kids}
 
 
 def derivation_from_json(theory: RawTypeTheory, sig: Signature, data: Any) -> TheoryDerivation:
@@ -434,9 +405,8 @@ def _builtin(family: str, v) -> BuiltinRule:
 
 
 def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FinitePoset | None]:
-    """The theory, witness table and order of a raw theory file.  The table
-    holds a ``_PendingWitnesses`` for each entry until its rule's witnesses
-    are first read."""
+    """The theory, witness table and order of a raw theory file.  A load
+    checks the table's shape, rule names and keys; see ``_PendingWitnesses``."""
     data = _obj(data, "a theory file")
     kind = _kind_from(data)
     sig = signature_from_json(data.get("signature", []), kind)
@@ -470,19 +440,20 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
 
 
 class _PendingWitnesses:
-    """The entry of one rule in a raw theory file's witness table, its keys
-    checked but its derivations not yet decoded.  The first read of either
-    table decodes the whole entry and puts the ``RuleWitnesses`` in its
-    place in the table, so a later lookup is a dict lookup."""
+    """The entry ``raw`` of rule ``name`` in a raw theory file's witness
+    ``table``, its keys checked against ``forms``, its derivations not yet
+    decoded.  The first read of ``conclusion`` or ``premises`` decodes it
+    whole, with one decoder, and puts the ``RuleWitnesses`` in its place in
+    ``table``, so a later lookup is a dict lookup.  It equals its decode."""
 
-    def __init__(self, table: TheoryWitnesses, *where):
-        self.table, self.where = table, where
+    def __init__(self, table: TheoryWitnesses, name: str, theory: RawTypeTheory, rule: RawRule, raw: dict, forms):
+        self.table, self.name, self.theory, self.rule, self.raw, self.forms = table, name, theory, rule, raw, forms
 
     @cached_property
     def decoded(self) -> RuleWitnesses:
-        name, theory, rule, raw, forms = self.where
-        ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
-        self.table[name] = w = witnesses_from_json(theory, raw, forms, lambda _: ext)
+        ext = mv_extend_signature(self.theory.signature, self.rule.arity, self.rule.meta_names)
+        decode = _Decoder(ext, self.theory)
+        self.table[self.name] = w = witnesses_from_json(self.raw, self.forms, lambda _: decode)
         return w
 
     @property
@@ -512,19 +483,14 @@ def _kind_from(data: dict) -> ScopeKind:
     raise ParseError(f"unknown scope system {kind_name!r}")
 
 
-def witness_key(premise: int | None, p: int) -> str:
-    """The JSON key of witness p of the conclusion (``premise`` None) or of premise ``premise``."""
-    return f"conclusion/{p}" if premise is None else f"premise_{premise}/{p}"
-
-
-def witnesses_from_json(theory: RawTypeTheory, data: dict, forms: tuple, signature) -> RuleWitnesses:
-    """Witnesses keyed by ``witness_key``, each over ``signature(i)`` for
-    premise i (None: the conclusion); ``forms`` as ``_witness_key`` reads it."""
+def witnesses_from_json(data: dict, forms: tuple, decoder) -> RuleWitnesses:
+    """Witnesses keyed by ``acceptability.witness_key``, each decoded by
+    ``decoder(i)`` for premise i (None: the conclusion)."""
     w = RuleWitnesses()
     for key, dv in data.items():
         i, p = _witness_key(key, forms)
         table, at = (w.conclusion, p) if i is None else (w.premises, (i, p))
-        table[at] = derivation_from_json(theory, signature(i), dv)
+        table[at] = decoder(i).derivation(dv, 1)
     return w
 
 

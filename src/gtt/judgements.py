@@ -241,8 +241,16 @@ def substitute_judgement(kind: ScopeKind, f: Substitution, target: RawContext, j
 
 
 def complete_boundary(b: Boundary, head: Expr | None) -> Judgement:
-    """Fill an object boundary with a head; equality boundaries take none
-    (``Judgement`` refuses a missing, a forbidden or a misclassed head)."""
+    """Fill an object boundary with a head; equality boundaries take none."""
+    hc = b.form.head_class
+    if hc is None:
+        if head is not None:
+            raise HeadForbidden(f"{b.form.value} boundary takes no head")
+        return Judgement(b.context, b.form, b.boundary, None)
+    if head is None:
+        raise HeadRequired(f"{b.form.value} boundary needs a head")
+    if head.cls is not hc:
+        raise ClassMismatch(f"head of class {head.cls}, boundary wants {hc}")
     return Judgement(b.context, b.form, b.boundary, head)
 
 

@@ -171,8 +171,13 @@ def act_jointly_trivially(
     source: RawContext,
     i: int,
 ) -> bool:
-    """f and g act trivially at position i, by the same variable."""
-    return f(i) == g(i) and acts_trivially(kind, f, target, source, i) and acts_trivially(kind, g, target, source, i)
+    e, e2 = f(i), g(i)
+    if not (isinstance(e, Var) and isinstance(e2, Var) and e.pos == e2.pos):
+        return False
+    j = e.pos
+    fi = substitute_expr(kind, f, source.type_at(i))
+    gi = substitute_expr(kind, g, source.type_at(i))
+    return target.type_at(j) == fi and target.type_at(j) == gi
 
 
 def substitution_rule(
@@ -213,7 +218,9 @@ def equality_substitution_rule(
     if not j.is_object:
         raise NotObjectRule("equality substitution applies to object judgements")
     source = j.context
-    if any(h.src != target.scope or h.dst != source.scope for h in (f, g)):
+    if f.src != target.scope or f.dst != source.scope:
+        raise ScopeMismatch("substitution endpoints do not match the contexts")
+    if g.src != target.scope or g.dst != source.scope:
         raise ScopeMismatch("substitution endpoints do not match the contexts")
     for i in sorted(trivial):
         if not act_jointly_trivially(kind, f, g, target, source, i):
@@ -223,10 +230,18 @@ def equality_substitution_rule(
         if i not in trivial:
             f_ty, g_ty = substitute_expr(kind, f, ty), substitute_expr(kind, g, ty)
             premises += [is_term(target, fi, f_ty), is_term(target, gi, g_ty), tm_eq(target, fi, gi, f_ty)]
-    fh, gh = substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)
     if j.form is JudgementForm.IS_TY:
-        return ClosureRule(tuple(premises), ty_eq(target, fh, gh))
-    return ClosureRule(tuple(premises), tm_eq(target, fh, gh, substitute_expr(kind, f, j.boundary[0])))
+        conclusion = ty_eq(
+            target, substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)
+        )
+    else:
+        conclusion = tm_eq(
+            target,
+            substitute_expr(kind, f, j.head),
+            substitute_expr(kind, g, j.head),
+            substitute_expr(kind, f, j.boundary[0]),
+        )
+    return ClosureRule(tuple(premises), conclusion)
 
 
 # --- the eight built-in raw rules --------------------------------------------

@@ -217,6 +217,12 @@ class RuleWitnesses:
 TheoryWitnesses = dict[str, RuleWitnesses]
 
 
+def ambient_signature(theory: RawTypeTheory, ambient: Arity | None, names: tuple[str, ...] = ()) -> Signature:
+    if ambient is None:
+        return theory.signature
+    return mv_extend_signature(theory.signature, ambient, names)
+
+
 def closure_rule_of_node(
     theory: RawTypeTheory, sig: Signature, node: TheoryDerivation, memo: WeakeningMemo | None = None
 ) -> ClosureRule:
@@ -270,7 +276,7 @@ def check_theory_derivation(
     returned as given, as at every leaf.  One weakening memo serves the
     whole check, so each distinct type of its contexts is weakened once.
     """
-    sig = theory.signature if ambient is None else mv_extend_signature(theory.signature, ambient, ambient_names)
+    sig = ambient_signature(theory, ambient, ambient_names)
     memo: WeakeningMemo = {}
 
     def rule_of(node: TheoryDerivation) -> ClosureRule:

@@ -28,13 +28,14 @@ from gtt.errors import (
 from gtt.judgements import Judgement, JudgementForm, RawContext, is_term, is_type, tm_eq, ty_eq
 from gtt.rules import BuiltinRule, _conversion_rules, _equivalence_rules
 from gtt.scopes import inl_renaming
-from gtt.syntax import TM, TY, Var, mv_extend_signature, validate_expr
+from gtt.syntax import TM, TY, Var, validate_expr
 from gtt.theories import (
     EqSubstInst,
     Hyp,
     RuleInst,
     SubstInst,
     VariableInst,
+    ambient_signature,
 )
 
 
@@ -51,7 +52,7 @@ BUILTIN_BY_WIRE_NAME = dict(
 
 def reference_check(theory, hyps, d, ambient=None, ambient_names=()) -> Judgement:
     """The conclusion of ``d`` over ``theory`` and ``hyps``, or KernelError."""
-    sig = theory.signature if ambient is None else mv_extend_signature(theory.signature, ambient, ambient_names)
+    sig = ambient_signature(theory, ambient, ambient_names)
 
     def go(node, path):
         if isinstance(node, Hyp):

@@ -683,3 +683,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text())
     assert len(data["premises"]) == 6
+
+
+def test_a_usage_error_names_every_subcommand(capsys):
+    # a call builds the parser of the subcommand it names alone; the usage an
+    # argument error prints is the one of a parser with all of them
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    full = capsys.readouterr().out.split("\n\n")[0]
+    with pytest.raises(SystemExit) as e:
+        main(["check-theory", "theory.json", "--bogus"])
+    assert e.value.code == 2
+    usage, error = capsys.readouterr().err.split("gtt: error: ")
+    assert usage.rstrip("\n") == full
+    assert error == "unrecognized arguments: --bogus\n"

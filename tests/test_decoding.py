@@ -1,10 +1,8 @@
-"""What the decoder decodes, and what its hash-consing shares.
+"""What the decoder decodes, and that it checks every occurrence.
 
 A raw theory file's witness table is decoded rule by rule, when a rule's
-witnesses are first read, so a command that reads none decodes none.  One
-decode call hash-conses what it builds over one signature; a node it
-returns from its memo was validated when it was first built, at the same
-scope, so no check is skipped that a second occurrence would need.
+witnesses are first read, so a command that reads none decodes none.  A
+subtree that occurs twice is decoded, and checked, at each occurrence.
 """
 
 import contextlib
@@ -14,14 +12,14 @@ import pathlib
 
 import pytest
 
-from corpus import SIG, THEORY, equality_substitution_into_nested_pi, lam_tower, tt_at
+from corpus import SIG, THEORY, lam_tower, tt_at
 from gtt import jsonio
 from gtt.cli import main
 from gtt.derivation_ops import derivation_nodes
-from gtt.elimination import eliminate_substitution
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange
 from gtt.judgements import EMPTY_CONTEXT
-from gtt.jsonio import _Decoder, derivation_from_json, derivation_to_json, dumps, loads, theory_from_json
+from gtt.jsonio import _Decoder, derivation_to_json, dumps, loads, theory_from_json
+from gtt.syntax import Var, mv_extend_signature
 from gtt.theories import RuleInst, RuleWitnesses
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -33,7 +31,7 @@ def run_counting(monkeypatch, *argv) -> tuple[int, dict, int]:
     """Run ``gtt`` in this process: its exit code, the witness table of the
     theory file it loaded, and how many witness derivations it decoded."""
     tables, decoded = [], []
-    load, decode = jsonio.theory_from_json, jsonio.derivation_from_json
+    load, decode = jsonio.theory_from_json, jsonio.witnesses_from_json
 
     def loaded(data):
         out = load(data)
@@ -41,12 +39,11 @@ def run_counting(monkeypatch, *argv) -> tuple[int, dict, int]:
         return out
 
     monkeypatch.setattr(jsonio, "theory_from_json", loaded)
-    # the witness decoder looks ``derivation_from_json`` up in ``jsonio``; the
-    # CLI reads its input derivation through its own import of it
-    monkeypatch.setattr(jsonio, "derivation_from_json", lambda *a: decoded.append(a) or decode(*a))
+    # a pending entry looks ``witnesses_from_json`` up in ``jsonio``
+    monkeypatch.setattr(jsonio, "witnesses_from_json", lambda data, *a: decoded.append(len(data)) or decode(data, *a))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([str(a) for a in argv])
-    return code, tables[-1], len(decoded)
+    return code, tables[-1], sum(decoded)
 
 
 def write(tmp_path, name: str, d) -> pathlib.Path:
@@ -77,19 +74,26 @@ def test_presup_decodes_only_the_tables_of_the_rules_it_reaches(monkeypatch, tmp
     assert decoded == sum(len(table[name].conclusion) + len(table[name].premises) for name in read)
 
 
-def test_a_witness_entry_decodes_once_and_equals_its_eager_decode():
+def test_a_witness_entry_decodes_once_with_one_decoder_and_equals_its_eager_decode(monkeypatch):
     data = loads(pathlib.Path(BASE).read_text())
     theory, table, _ = theory_from_json(data)
-    pending = table["tt-intro"]
+    name = "lam-intro"
+    (entry,) = [w for w in data["witnesses"] if w["rule"] == name]
+    assert len(entry["presup_witnesses"]) > 1
+    pending = table[name]
     assert not isinstance(pending, RuleWitnesses)
+    decoders = []
+    monkeypatch.setattr(jsonio, "_Decoder", lambda *a: decoders.append(a) or _Decoder(*a))
     first = pending.conclusion
-    assert type(table["tt-intro"]) is RuleWitnesses and table["tt-intro"].conclusion is first
-    assert pending.premises is table["tt-intro"].premises
-    (entry,) = [w for w in data["witnesses"] if w["rule"] == "tt-intro"]
-    rule = theory.rule(theory.rule_index("tt-intro"))
+    assert len(decoders) == 1
+    assert type(table[name]) is RuleWitnesses and table[name].conclusion is first
+    assert pending.premises is table[name].premises
+    monkeypatch.undo()
+    rule = theory.rule(theory.rule_index(name))
     forms = tuple(j.form for j in rule.premises + (rule.conclusion,))
-    eager = jsonio.witnesses_from_json(theory, entry["presup_witnesses"], forms, lambda _: theory.signature)
-    assert table["tt-intro"] == eager and theory_from_json(data)[1]["tt-intro"] == eager
+    ext = _Decoder(mv_extend_signature(theory.signature, rule.arity, rule.meta_names), theory)
+    eager = jsonio.witnesses_from_json(entry["presup_witnesses"], forms, lambda _: ext)
+    assert table[name] == eager and theory_from_json(data)[1][name] == eager
 
 
 def test_a_malformed_witness_derivation_fails_only_the_commands_that_read_it(tmp_path, capsys):
@@ -106,10 +110,24 @@ def test_a_malformed_witness_derivation_fails_only_the_commands_that_read_it(tmp
         assert capsys.readouterr().err == "parse error: unknown derivation node 'nowhere'\n"
 
 
+def test_check_theory_weak_decodes_a_table_it_reads_no_witness_of(tmp_path, capsys):
+    # El-form concludes a type, whose judgement has no presupposition, and a
+    # weak check reads no premise witness: its table is decoded all the same
+    data = loads((FIXTURES / "type_in_type.json").read_text())
+    (entry,) = [w for w in data["witnesses"] if w["rule"] == "El-form"]
+    assert list(entry["presup_witnesses"]) == ["premise_0/0"]
+    entry["presup_witnesses"]["premise_0/0"] = {"node": "nowhere"}
+    path = tmp_path / "theory.json"
+    path.write_text(json.dumps(data))
+    for flags in (["--weak"], ["--acceptable", "--weak"], ["--acceptable"]):
+        assert main(["check-theory", str(path), *flags]) == 2
+        assert capsys.readouterr().err == "parse error: unknown derivation node 'nowhere'\n"
+
+
 def test_a_variable_built_at_one_scope_is_checked_again_at_another():
     decode = _Decoder(SIG)
     var = {"var": 1}
-    assert decode.expr(var, 2, 1) is decode.expr({"var": 1}, 2, 1)
+    assert decode.expr(var, 2, 1) == Var(1, 2)
     with pytest.raises(IndexOutOfRange, match="^variable 1 of scope 1$"):
         decode.expr(var, 1, 1)
 
@@ -166,14 +184,6 @@ def test_a_repeated_subtree_is_refused_where_it_first_fails(tmp_path, capsys, da
     path.write_text(json.dumps(data))
     assert main(["check-derivation", BASE, str(path)]) == 1
     assert capsys.readouterr().err == message + "\n"
-
-
-def test_a_decoded_elimination_output_shares_what_it_repeats():
-    out = eliminate_substitution(THEORY, equality_substitution_into_nested_pi(32))
-    back = derivation_from_json(THEORY, SIG, loads(dumps(derivation_to_json(THEORY, SIG, out))))
-    assert back == out
-    objects = {id(node): node for node in derivation_nodes(back)}
-    assert len(objects) <= 2 * len(set(objects.values()))
 
 
 def test_a_witness_key_index_too_long_to_convert_is_a_bad_key(tmp_path, capsys):
