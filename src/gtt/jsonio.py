@@ -136,13 +136,13 @@ class _Decoder:
             raw_args = _list(data.get("args", []), "args")
             if len(raw_args) != len(decl.arity):
                 raise ParseError(f"{decl.name} expects {len(decl.arity)} arguments")
-            args = tuple([self.expr(a, scope + slot.binder, depth + 1) for a, slot in zip(raw_args, decl.arity)])
+            args = tuple(self.expr(a, scope + slot.binder, depth + 1) for a, slot in zip(raw_args, decl.arity))
             return mk_sym(self.sig, idx, args, scope)
         if "meta" in data:
             idx = self.metas.get(_str(data["meta"], "meta"))
             if idx is None:
                 raise ParseError(f"no metavariable named {data['meta']!r}")
-            args = tuple([self.expr(a, scope, depth + 1) for a in _list(data.get("args", []), "args")])
+            args = tuple(self.expr(a, scope, depth + 1) for a in _list(data.get("args", []), "args"))
             return mk_meta(self.sig, idx, args, scope)
         raise ParseError(f"not an expression: {data!r}")
 
@@ -150,7 +150,7 @@ class _Decoder:
         if not isinstance(data, list):
             raise ParseError("a context is a list of types, indexed by position")
         scope = len(data)
-        return RawContext(scope, tuple([self.expr(t, scope, 1) for t in data]))
+        return RawContext(scope, tuple(self.expr(t, scope, 1) for t in data))
 
     def judgement(self, data: Any) -> Judgement:
         data = _obj(data, "a judgement")
@@ -170,12 +170,12 @@ class _Decoder:
         for k in _BOUNDARY_KEYS[form]:
             if k not in slots:
                 raise ParseError(f"{what} needs a {k} slot")
-        return tuple([self.expr(slots[k], scope, 1) for k in _BOUNDARY_KEYS[form]])
+        return tuple(self.expr(slots[k], scope, 1) for k in _BOUNDARY_KEYS[form])
 
     def substitution(self, data: Any) -> Substitution:
         data = _obj(data, "a substitution")
         src = _nat(data.get("src"), "src")
-        table = tuple([self.expr(e, src, 1) for e in _list(data.get("map", []), "map")])
+        table = tuple(self.expr(e, src, 1) for e in _list(data.get("map", []), "map"))
         return Substitution(src, len(table), table)
 
     def instantiation(self, rule: RawRule, data: Any, scope: int) -> Instantiation:
@@ -193,7 +193,7 @@ class _Decoder:
         data = _obj(data, "derivation node")
         node = data.get("node")
         children = _list(data.get("children", []), "children of a derivation node")
-        kids = tuple([self.derivation(c, depth + 1) for c in children])
+        kids = tuple(self.derivation(c, depth + 1) for c in children)
         if node == "hyp":
             return Hyp(_nat(data.get("index"), "index"))
         if node == "var":
