@@ -7,6 +7,7 @@ from .derivation_ops import derivation_nodes, find_congruence, map_derivation_ex
 from .errors import KernelError, NotTight
 from .foundations import FinitePoset
 from .judgements import Boundary, Judgement, presuppositions
+from .jsonio import witness_key
 from .rules import RawRule, _exprs
 from .scopes import _record
 from .syntax import Arity, Expr, SymApp, Var
@@ -61,11 +62,6 @@ def derivation_failure(
     except KernelError as e:
         return f"witness fails to check: {e}"
     return None if got == target else f"witness derives {got!r}, wanted {target!r}"
-
-
-def witness_key(premise: int | None, p: int) -> str:
-    """The JSON key of witness p of the conclusion (``premise`` None) or of premise ``premise``."""
-    return f"conclusion/{p}" if premise is None else f"premise_{premise}/{p}"
 
 
 def witness_failures(

@@ -25,7 +25,7 @@ import sys
 from functools import cached_property
 from typing import Any
 
-from .errors import IndexOutOfRange, ParseError
+from .errors import IndexOutOfRange, KernelError, ParseError
 from .foundations import FinitePoset
 from .judgements import Judgement, JudgementForm, RawContext
 from .rules import BuiltinRule, RawRule
@@ -110,16 +110,12 @@ def expr_from_json(sig: Signature, data: Any, scope: int) -> Expr:
 
 class _Decoder:
     """Decodes over one signature (and one theory, for derivations).  Each
-    symbol or metavariable name is looked up once, in a table built with
-    the decoder; the ``mk_*`` constructor or record that builds a node
-    validates it."""
+    symbol name is looked up once, in a table built with the decoder; the
+    ``mk_*`` constructor or record that builds a node validates it."""
 
     def __init__(self, sig: Signature, theory: RawTypeTheory | None = None):
         self.sig, self.theory = sig, theory
         self.syms = {s.name: i for i, s in enumerate(sig.symbols)}
-        names = sig.mv_names[:sig.mv_count] or [f"?{i}" for i in range(sig.mv_count)]
-        # the first metavariable of a name, as ``Signature.mv_index``
-        self.metas = {n: i for i, n in reversed(list(enumerate(names)))}
 
     def expr(self, data: Any, scope: int, depth: int) -> Expr:
         if depth > MAX_DEPTH:
@@ -139,9 +135,10 @@ class _Decoder:
             args = tuple(self.expr(a, scope + slot.binder, depth + 1) for a, slot in zip(raw_args, decl.arity))
             return mk_sym(self.sig, idx, args, scope)
         if "meta" in data:
-            idx = self.metas.get(_str(data["meta"], "meta"))
-            if idx is None:
-                raise ParseError(f"no metavariable named {data['meta']!r}")
+            try:
+                idx = self.sig.mv_index(_str(data["meta"], "meta"))
+            except KernelError as e:
+                raise ParseError(str(e)) from e
             args = tuple(self.expr(a, scope, depth + 1) for a in _list(data.get("args", []), "args"))
             return mk_meta(self.sig, idx, args, scope)
         raise ParseError(f"not an expression: {data!r}")
@@ -424,10 +421,10 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
         if name in witnesses:
             raise ParseError(f"rule {name!r} has a second witness entry")
         raw = _obj(entry.get("presup_witnesses", {}), "presup_witnesses")
-        forms = tuple(j.form for j in rule.premises + (rule.conclusion,))
+        keys = _witness_keys(tuple(j.form for j in rule.premises + (rule.conclusion,)))
         for key in raw:
-            _witness_key(key, forms)
-        witnesses[name] = _PendingWitnesses(witnesses, name, theory, rule, raw, forms)
+            _witness_key(key, keys)
+        witnesses[name] = _PendingWitnesses(witnesses, name, theory, rule, raw, keys)
     order = None
     if "order" in data:
         edges = set()
@@ -441,19 +438,19 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
 
 class _PendingWitnesses:
     """The entry ``raw`` of rule ``name`` in a raw theory file's witness
-    ``table``, its keys checked against ``forms``, its derivations not yet
+    ``table``, its keys checked against ``keys``, its derivations not yet
     decoded.  The first read of ``conclusion`` or ``premises`` decodes it
     whole, with one decoder, and puts the ``RuleWitnesses`` in its place in
     ``table``, so a later lookup is a dict lookup.  It equals its decode."""
 
-    def __init__(self, table: TheoryWitnesses, name: str, theory: RawTypeTheory, rule: RawRule, raw: dict, forms):
-        self.table, self.name, self.theory, self.rule, self.raw, self.forms = table, name, theory, rule, raw, forms
+    def __init__(self, table: TheoryWitnesses, name: str, theory: RawTypeTheory, rule: RawRule, raw: dict, keys: dict):
+        self.table, self.name, self.theory, self.rule, self.raw, self.keys = table, name, theory, rule, raw, keys
 
     @cached_property
     def decoded(self) -> RuleWitnesses:
         ext = mv_extend_signature(self.theory.signature, self.rule.arity, self.rule.meta_names)
         decode = _Decoder(ext, self.theory)
-        self.table[self.name] = w = witnesses_from_json(self.raw, self.forms, lambda _: decode)
+        self.table[self.name] = w = witnesses_from_json(self.raw, self.keys, lambda _: decode)
         return w
 
     @property
@@ -483,32 +480,35 @@ def _kind_from(data: dict) -> ScopeKind:
     raise ParseError(f"unknown scope system {kind_name!r}")
 
 
-def witnesses_from_json(data: dict, forms: tuple, decoder) -> RuleWitnesses:
-    """Witnesses keyed by ``acceptability.witness_key``, each decoded by
+def witness_key(premise: int | None, p: int) -> str:
+    """The JSON key of witness p of the conclusion (``premise`` None) or of premise ``premise``."""
+    return f"conclusion/{p}" if premise is None else f"premise_{premise}/{p}"
+
+
+def _witness_keys(forms: tuple) -> dict[str, tuple[int | None, int]]:
+    """``(i, p)`` by the key of each witness of a rule, for ``forms`` the
+    forms of its premises and then of its conclusion (i None): p is below
+    the number of presuppositions of that judgement's form."""
+    last = len(forms) - 1
+    at = [(None if i == last else i, p) for i, form in enumerate(forms) for p in range(len(form.boundary_classes))]
+    return {witness_key(i, p): (i, p) for i, p in at}
+
+
+def _witness_key(key: str, keys: dict) -> tuple[int | None, int]:
+    if key not in keys:
+        raise ParseError(f"bad witness key {key!r}")
+    return keys[key]
+
+
+def witnesses_from_json(data: dict, keys: dict, decoder) -> RuleWitnesses:
+    """Witnesses keyed as ``keys`` reads them, each decoded by
     ``decoder(i)`` for premise i (None: the conclusion)."""
     w = RuleWitnesses()
     for key, dv in data.items():
-        i, p = _witness_key(key, forms)
+        i, p = _witness_key(key, keys)
         table, at = (w.conclusion, p) if i is None else (w.premises, (i, p))
         table[at] = decoder(i).derivation(dv, 1)
     return w
-
-
-def _witness_key(key: str, forms: tuple) -> tuple[int | None, int]:
-    """``conclusion/p`` as ``(None, p)`` and ``premise_i/p`` as ``(i, p)``, for
-    ``forms`` the forms of the premises and then of the conclusion: p is
-    below the number of presuppositions of that judgement's form."""
-    head, _, p = key.partition("/")
-    i = None if head == "conclusion" else _index(head.removeprefix("premise_")) if head.startswith("premise_") else -1
-    form = forms[-1] if i is None else forms[i] if 0 <= i < len(forms) - 1 else None
-    if form is not None and 0 <= _index(p) < len(form.boundary_classes):
-        return i, int(p)
-    raise ParseError(f"bad witness key {key!r}")
-
-
-def _index(s: str) -> int:
-    """``s`` as a number in canonical decimal (ASCII digits, no leading zero), or -1."""
-    return int(s) if s.isascii() and s.isdigit() and len(s) < 10 and (s == "0" or s[0] != "0") else -1
 
 
 def load_theory_file(data: Any):

@@ -34,11 +34,11 @@ from .judgements import (
     complete_boundary,
 )
 from .jsonio import (
-    _BOUNDARY_KEYS, _Decoder, _form_from, _kind_from, _list, _obj, _str, arity_to_json,
-    derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witnesses_from_json,
+    _BOUNDARY_KEYS, _Decoder, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
+    derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import (
-    check_well_founded, expr_symbols, subexpressions, transitive_closure, witness_failures, witness_key,
+    check_well_founded, expr_symbols, subexpressions, transitive_closure, witness_failures,
 )
 from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
@@ -661,8 +661,8 @@ def spec_from_json(data: Any):
             stage, staged = _stage_through(stage, rules[staged:i]), i
             fam = boundary.premises
             full = mv_extend_signature(sig, boundary.arity(), fam.meta_names())
-            forms = (*(f for f, _ in fam.shape.slots), boundary.conclusion_form)
-            witnesses[names[i]] = witnesses_from_json(raw_w, forms, lambda k: _Decoder(
+            keys = _witness_keys((*(f for f, _ in fam.shape.slots), boundary.conclusion_form))
+            witnesses[names[i]] = witnesses_from_json(raw_w, keys, lambda k: _Decoder(
                 full if k is None else _sub_signature(sig, fam.shape, fam.names, k), stage
             ))
     return WellPresentedTheorySpec(kind, order, tuple(rules), witnesses)

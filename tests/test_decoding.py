@@ -90,9 +90,9 @@ def test_a_witness_entry_decodes_once_with_one_decoder_and_equals_its_eager_deco
     assert pending.premises is table[name].premises
     monkeypatch.undo()
     rule = theory.rule(theory.rule_index(name))
-    forms = tuple(j.form for j in rule.premises + (rule.conclusion,))
+    keys = jsonio._witness_keys(tuple(j.form for j in rule.premises + (rule.conclusion,)))
     ext = _Decoder(mv_extend_signature(theory.signature, rule.arity, rule.meta_names), theory)
-    eager = jsonio.witnesses_from_json(entry["presup_witnesses"], forms, lambda _: ext)
+    eager = jsonio.witnesses_from_json(entry["presup_witnesses"], keys, lambda _: ext)
     assert table[name] == eager and theory_from_json(data)[1][name] == eager
 
 
