@@ -6,19 +6,20 @@ Every emitted derivation or rule is re-checked before printing.  A reader
 that closes stdout early (``gtt ... | head``) ends the output only: the
 command writes nothing more, prints no traceback and keeps its exit code.
 
-This module holds the parser, ``main``, the file and output helpers, and
-the bodies of ``check-derivation`` and ``congruence``, which run the raw
-layer alone.  The other bodies are in ``gtt.commands`` (the derivation
-transformers) and ``gtt.theory_commands``, each imported when one of its
-commands runs; a body imports only the modules it runs, no more.
+This module holds the command table, ``main``, the file and output helpers,
+and the raw-layer bodies of ``check-derivation`` and ``congruence``; the
+others, in ``gtt.commands`` and ``gtt.theory_commands``, load with their
+command and import only what they run.  ``main`` parses a plain call from
+the table; help, usage errors and ``--out=x`` go to argparse (``gtt.usage``).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import KernelError, ParseError
 from .jsonio import (
@@ -41,7 +42,7 @@ class _Unwritable(Exception):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or _higher("parse_args", "usage")(argv)
     try:
         return args.run(args)
     except _Unwritable as e:
@@ -58,59 +59,30 @@ def main(argv=None) -> int:
         return 1
 
 
+def _plain_args(argv):
+    """What argparse parses from a plain call: a subcommand's exact name, its
+    options each at most once by exact name, with a value that does not start
+    with ``-``, and exactly its positionals.  Any other call gives ``None``."""
+    run, _, arguments = COMMANDS.get(argv[0] if argv else None, (None, None, ()))
+    kinds, given, words = dict(arguments), {}, iter(argv[1:])
+    positionals = [a for a in kinds if a[0] != "-"]
+    for word in words:
+        if word[:1] != "-":
+            name, value = positionals.pop(0) if positionals else None, word
+        else:
+            name, value = word, "action" in kinds.get(word, {}) or next(words, "-")
+        if name not in kinds or name in given or value is not True and value[:1] == "-":
+            return None
+        given[name] = value if value is True else kinds[name].get("type", str)(value)
+    if run is None or positionals:
+        return None
+    defaults = {a: False if "action" in kw else kw.get("default") for a, kw in arguments}
+    return SimpleNamespace(run=run, **{a.lstrip("-").replace("-", "_"): v for a, v in (defaults | given).items()})
+
+
 def _higher(name: str, module: str = "commands"):
-    """The command body ``name`` of ``gtt.<module>``, imported when it runs."""
-
-    def run(args) -> int:
-        from importlib import import_module
-
-        return getattr(import_module(f"gtt.{module}"), name)(args)
-
-    return run
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``gtt``.  A call that names a subcommand builds that
-    subcommand's parser alone, any other call (``--help``, none, an unknown
-    one) all of them; the usage names every subcommand either way."""
-    parser = argparse.ArgumentParser(
-        prog="gtt",
-        description="a kernel in which dependent type theories are data",
-    )
-    flag = {"action": "store_true"}
-    # name, body, help, the files read after the theory file, and the other
-    # arguments: each a name and the keywords ``add_argument`` takes
-    commands = [
-        ("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness",
-         (), [("--json", {**flag, "help": "machine-readable report"}), ("--acceptable", flag),
-              ("--well-founded", flag), ("--well-presented", flag),
-              ("--weak", {**flag, "help": "check weak presuppositivity"})]),
-        ("check-derivation", cmd_check_derivation, "check a derivation against a theory", ("derivation",), []),
-        ("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory",
-         (), []),
-        ("congruence", cmd_congruence, "emit the congruence rule of an object rule", (), [("rule", {})]),
-        ("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion",
-         ("derivation",), []),
-        ("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation",
-         ("derivation",), []),
-        ("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term",
-         (), [("term", {"help": "term expression as JSON"}),
-              ("--cxt", {"default": "[]", "help": "context as JSON (default empty)"})]),
-        ("invert", _higher("cmd_invert"), "canonical form of a term or type derivation", ("derivation",), []),
-        ("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings",
-         ("first", "second"), []),
-        ("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory",
-         ("script",), []),
-    ]
-    sub = parser.add_subparsers(required=True, metavar="{" + ",".join(c[0] for c in commands) + "}")
-    for name, run, help, files, options in [c for c in commands if c[0] == command] or commands:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        p.add_argument("--out", type=Path, help="write the result here instead of stdout")
-        p.add_argument("--pretty", action="store_true", help="indent emitted JSON")
-        for arg, kw in [("theory", {"type": Path}), *((f, {"type": Path}) for f in files), *options]:
-            p.add_argument(arg, **kw)
-    return parser
+    """The function ``name`` of ``gtt.<module>``, imported when it runs."""
+    return lambda args: getattr(import_module(f"gtt.{module}"), name)(args)
 
 
 def _read_json(path: Path):
@@ -188,6 +160,33 @@ def cmd_congruence(args) -> int:
         raise KernelError("congruence rule does not re-check")
     _emit(args, data)
     return 0
+
+
+_FLAG, _PATH = {"action": "store_true"}, {"type": Path}
+# Each subcommand's body, help and arguments, each a name and the keywords
+# ``add_argument`` takes; ``_plain_args`` and ``gtt.usage`` both read them
+COMMANDS = {name: (run, help, [("--out", {**_PATH, "help": "write the result here instead of stdout"}),
+                               ("--pretty", {**_FLAG, "help": "indent emitted JSON"}), ("theory", _PATH), *arguments])
+            for name, run, help, arguments in [
+    ("check-theory", _higher("cmd_check_theory", "theory_commands"), "check a theory file's well-behavedness",
+     [("--json", {**_FLAG, "help": "machine-readable report"}), ("--acceptable", _FLAG), ("--well-founded", _FLAG),
+      ("--well-presented", _FLAG), ("--weak", {**_FLAG, "help": "check weak presuppositivity"})]),
+    ("check-derivation", cmd_check_derivation, "check a derivation against a theory", [("derivation", _PATH)]),
+    ("flatten", _higher("cmd_flatten", "theory_commands"), "elaborate a well-presented spec to a raw theory", []),
+    ("congruence", cmd_congruence, "emit the congruence rule of an object rule", [("rule", {})]),
+    ("presup", _higher("cmd_presup"), "derive the presuppositions of a derivation's conclusion",
+     [("derivation", _PATH)]),
+    ("elim-subst", _higher("cmd_elim_subst"), "eliminate substitution nodes from a derivation",
+     [("derivation", _PATH)]),
+    ("natural-type", _higher("cmd_natural_type"), "compute the natural type of a term",
+     [("term", {"help": "term expression as JSON"}),
+      ("--cxt", {"default": "[]", "help": "context as JSON (default empty)"})]),
+    ("invert", _higher("cmd_invert"), "canonical form of a term or type derivation", [("derivation", _PATH)]),
+    ("unique-typing", _higher("cmd_unique_typing"), "derive the type equality of two typings",
+     [("first", _PATH), ("second", _PATH)]),
+    ("replace-step", _higher("cmd_replace_step", "theory_commands"), "run a replacement script against a theory",
+     [("script", _PATH)]),
+]}
 
 
 if __name__ == "__main__":

@@ -1,5 +1,8 @@
 """The command-line front end: reports, transformers, exit codes."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import pathlib
@@ -11,11 +14,12 @@ import pytest
 from corpus import THEORY, WITNESSES, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
 from golden import bad_witness_tables, universe_spec
 from gtt import derive
-from gtt.cli import main
+from gtt.cli import COMMANDS, _plain_args, main
 from gtt.errors import ParseError
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps, expr_to_json, loads
 from gtt.theories import RuleInst, check_theory_derivation
+from gtt.usage import build_parser
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
@@ -697,3 +701,65 @@ def test_a_usage_error_names_every_subcommand(capsys):
     usage, error = capsys.readouterr().err.split("gtt: error: ")
     assert usage.rstrip("\n") == full
     assert error == "unrecognized arguments: --bogus\n"
+
+
+def plain_args_cases():
+    """Command lines for every subcommand: each subset and order of its
+    options with plain values, then values that start with ``-``, forms only
+    argparse reads, help, and wrong numbers of positionals.  Each case is
+    (argv, plain), where ``plain`` marks a call ``_plain_args`` must parse."""
+    yield [], False
+    yield ["bogus", "t.json"], False
+    yield ["-h"], False
+    for name, (_, _, arguments) in COMMANDS.items():
+        options = [a for a, _ in arguments if a[0] == "-"]
+        positionals = [f"{a}.json" for a, _ in arguments if a[0] != "-"]
+
+        def words(option, value="[]"):
+            return [option] if "action" in dict(arguments)[option] else [option, value]
+
+        orders = (o for n in range(len(options) + 1) for s in itertools.combinations(options, n)
+                  for o in itertools.permutations(s))
+        for k, order in enumerate(orders):
+            # the positionals go in order before, between and after the options, in turn
+            slots = sorted((k + j) % (len(order) + 1) for j in range(len(positionals)))
+            argv = [name]
+            for i in range(len(order) + 1):
+                argv += [p for p, slot in zip(positionals, slots) if slot == i]
+                argv += words(order[i]) if i < len(order) else []
+            yield argv, True
+        for option in options:
+            for value in ("-x", "-1", "--pretty", "", "x=y"):
+                yield [name, *positionals, *words(option, value)], False
+            yield [name, *positionals, f"{option}=x"], False
+            yield [name, *positionals, option[:-1]], False
+            yield [name, *positionals, *words(option), *words(option)], False
+            yield [name, *positionals, option], False
+        for extra in (["-h"], ["--help"], ["--"], ["-"], ["--pre"], ["--bogus"]):
+            yield [name, *positionals, *extra], False
+        yield [name, "--", *positionals], False
+        yield [name, *positionals[:-1]], False
+        yield [name, *positionals, "extra.json"], False
+        yield [name], False
+
+
+def test_plain_args_parse_what_argparse_parses():
+    # ``main`` parses a plain call itself and leaves every other one to
+    # argparse: what it parses must be exactly what argparse parses, and
+    # a call argparse refuses must be left to argparse
+    cases = list(plain_args_cases())
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        parsed = [_plain_args(argv) for argv, _ in cases]
+    assert out.getvalue() == err.getvalue() == ""
+    parsers = {}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for (argv, plain), got in zip(cases, parsed):
+            command = argv[0] if argv and argv[0] in COMMANDS else None
+            if command not in parsers:
+                parsers[command] = build_parser(command)
+            try:
+                expected = vars(parsers[command].parse_args(argv))
+            except SystemExit:
+                expected = None
+            assert got is not None or not plain, argv
+            assert got is None or vars(got) == expected, argv

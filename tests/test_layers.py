@@ -1,15 +1,16 @@
 """The CLI loads a higher layer only for the commands that run it, each
 command loads only the metatheorem modules it runs (never the
 ``metatheory`` index), a bundled theory loads through the raw layer alone,
-and no command loads ``dataclasses``: every kernel value is a
-``scopes._record``.
+no command loads ``dataclasses``: every kernel value is a
+``scopes._record``, and a plain call loads no argparse: only help and
+usage errors do.
 
 Each case runs ``gtt.cli.main`` (or loads a bundled theory) in a fresh
-interpreter and reads back the ``gtt`` modules it imported, and whether it
-imported ``dataclasses`` or ``inspect``.  Modules and their source lines
-are counted, not timed: a ``gtt`` call compiles every module it imports
-when no bytecode is cached, so the lines a command loads are a cost it
-pays on every call.
+interpreter and reads back the ``gtt`` modules it imported, and which of
+``dataclasses``, ``inspect``, ``argparse``, ``gettext`` and ``locale``.
+Modules and their source lines are counted, not timed: a ``gtt`` call
+compiles every module it imports when no bytecode is cached, so the lines
+a command loads are a cost it pays on every call.
 """
 
 import ast
@@ -29,14 +30,19 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 BASE = ROOT / "fixtures" / "mltt_base.json"
 SRC = ROOT / "src" / "gtt"
 STDLIB = ("dataclasses", "inspect")
+# The modules argparse brings: only help and usage errors load them.
+ARGPARSE = ("argparse", "gettext", "locale")
 
 REPORT = """
 print(json.dumps([code, sorted(m for m in sys.modules if m == "gtt" or m.startswith("gtt.") or m in %r)]))
-""" % (STDLIB,)
+""" % (STDLIB + ARGPARSE,)
 CLI_PROBE = """
 import json, sys
 import gtt.cli
-code = gtt.cli.main(sys.argv[1:])
+try:
+    code = gtt.cli.main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
 """ + REPORT
 # The modules of the metatheorems, the operations they share, and their index.
 METATHEORY = {
@@ -50,14 +56,14 @@ code = 0
 """ + REPORT
 
 
-def loaded_modules(*argv, probe=CLI_PROBE) -> set[str]:
+def loaded_modules(*argv, probe=CLI_PROBE, code=0) -> set[str]:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cp = subprocess.run(
         [sys.executable, "-c", probe, *map(str, argv)],
         env=env, capture_output=True, text=True, check=True,
     )
-    code, modules = json.loads(cp.stdout.splitlines()[-1])
-    assert code == 0, cp.stderr
+    exit_code, modules = json.loads(cp.stdout.splitlines()[-1])
+    assert exit_code == code, cp.stderr
     return {m.removeprefix("gtt.") for m in modules}
 
 
@@ -157,16 +163,26 @@ LINE_BUDGETS = {
 
 
 @pytest.fixture(scope="module")
-def lines_loaded(derivation_file, tmp_path_factory):
-    """The source lines a run of ``LINE_BUDGETS`` loads, and the modules:
-    each run is measured once and shared by the tests below."""
+def modules_loaded(derivation_file, tmp_path_factory):
+    """The modules a run of ``LINE_BUDGETS`` loads: each run is measured
+    once and shared by the tests below."""
     tmp, measured = tmp_path_factory.mktemp("runs"), {}
 
     def measure(run):
         if run not in measured:
-            loaded = loaded_modules(*command_argv(run, derivation_file, tmp)) - set(STDLIB)
-            measured[run] = source_lines(loaded), sorted(loaded)
+            measured[run] = loaded_modules(*command_argv(run, derivation_file, tmp))
         return measured[run]
+
+    return measure
+
+
+@pytest.fixture(scope="module")
+def lines_loaded(modules_loaded):
+    """The source lines a run of ``LINE_BUDGETS`` loads, and the ``gtt`` modules."""
+
+    def measure(run):
+        loaded = modules_loaded(run) - set(STDLIB) - set(ARGPARSE)
+        return source_lines(loaded), sorted(loaded)
 
     return measure
 
@@ -175,6 +191,21 @@ def lines_loaded(derivation_file, tmp_path_factory):
 def test_each_command_loads_at_most_its_budget_of_source_lines(run, lines_loaded):
     lines, loaded = lines_loaded(run)
     assert lines <= LINE_BUDGETS[run], loaded
+
+
+@pytest.mark.parametrize("run", sorted(LINE_BUDGETS))
+def test_a_plain_call_never_imports_argparse(run, modules_loaded):
+    assert "cli" in modules_loaded(run)
+    assert not modules_loaded(run) & set(ARGPARSE), run
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("check-derivation", "--help"), 0),
+    (("check-derivation", BASE, "derivation.json", "--bogus"), 2),
+])
+def test_help_and_usage_errors_import_argparse(argv, code):
+    assert set(ARGPARSE) <= loaded_modules(*argv, code=code)
 
 
 def readme_startup_table() -> dict[str, int]:

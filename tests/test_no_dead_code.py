@@ -13,11 +13,11 @@ comprehension binds (as an assignment target, a parameter, a loop or
 comprehension variable, or a ``with`` or ``except`` name) and does not
 declare ``global`` is local to all of its body and the scopes nested in
 it, so there it reaches nothing.  A method is reached as an attribute of
-any value.  A command body ``cmd_x`` of module ``m`` is also reached by the call
-``_higher("cmd_x", "m")`` (``m`` defaults to ``commands``), through which
-the CLI imports and runs it.  So an unrelated attribute ``x.f`` never
-reaches a top-level ``f``, a bare name never reaches a method, and a
-string reaches nothing else.
+any value.  A function ``f`` of module ``m`` is also reached by the call
+``_higher("f", "m")`` (``m`` defaults to ``commands``), through which the
+CLI imports and runs it: a command body, or the argparse fallback.  So
+an unrelated attribute ``x.f`` never reaches a top-level ``f``, a bare
+name never reaches a method, and a string reaches nothing else.
 Tests and the benchmark are not callers.  The one
 exception is ``LIBRARY_API``: library entry points that an acceptance
 criterion, the benchmark or a definition of the paper needs although no
@@ -43,7 +43,7 @@ from collections import Counter
 
 import pytest
 
-from gtt.cli import build_parser
+from gtt.usage import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gtt"

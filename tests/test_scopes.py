@@ -32,6 +32,16 @@ def test_levels_inclusions():
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_inclusions_and_their_inverse_refuse_a_position_outside_their_scope(kind):
+    # the sum 3 + 2: inl takes the 3 positions of the left, inr the 2 of the
+    # right, and unsum the 5 of the sum
+    for method, bad, scope in ((kind.inl, (-1, 3), 3), (kind.inr, (-1, 2), 2), (kind.unsum, (-1, 5), 5)):
+        for p in bad:
+            with pytest.raises(IndexOutOfRange, match=f"^position {p} of scope {scope}$"):
+                method(3, 2, p)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_sum_with_empty_is_identity(kind):
     for n in range(5):
         inl = inl_renaming(kind, n, 0)

@@ -36,6 +36,7 @@ from naive import (
     table_instantiate,
 )
 from gtt.errors import ArityMismatch, ClassMismatch, IndexOutOfRange, ScopeMismatch
+from gtt.judgements import EMPTY_CONTEXT
 from gtt.maps import apply_syntax_map, compose_syntax_maps, identity_syntax_map
 from gtt.metatheory import (
     compose_subst,
@@ -295,6 +296,18 @@ def test_simple_arity():
     assert simple_arity(0) == ()
     assert simple_arity(1) == (Argument(TM, 0),)
     assert simple_arity(3) == (Argument(TM, 0),) * 3
+
+
+@pytest.mark.parametrize("kind", list(ScopeKind))
+def test_a_value_that_is_not_an_expression_is_refused(kind):
+    # a context where an expression belongs: it has a scope, so it passes
+    # the scope checks, and then matches none of the expression classes
+    with pytest.raises(TypeError, match="not an expression: RawContext"):
+        weaken_expr(kind, EMPTY_CONTEXT, 1)
+    with pytest.raises(TypeError, match="not an expression: RawContext"):
+        substitute_expr(kind, Substitution(0, 0, ()), EMPTY_CONTEXT)
+    with pytest.raises(TypeError, match="not an expression: RawContext"):
+        instantiate_expr(kind, Instantiation((), 0, ()), EMPTY_CONTEXT)
 
 
 def test_instantiate_app_conclusion_type():
