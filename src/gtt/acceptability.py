@@ -36,7 +36,7 @@ def check_presuppositive(
 ) -> bool:
     """Check the supplied witnesses: every presupposition of the conclusion
     (and, unless weak, of every premise) must be derived from the premises."""
-    witnesses = witnesses or RuleWitnesses()
+    witnesses = witnesses or RuleWitnesses({}, {})
     witnesses.premises  # read even when weak: it decodes a theory file's entry whole, and so checks it
     hyps = presupposition_hypotheses(rule, weak)
     failures = witness_failures(theory, hyps, rule.conclusion, witnesses, None, rule.arity, rule.meta_names)
@@ -99,7 +99,6 @@ class AcceptabilityReport:
     substitutive: bool
     congruous: bool
     diagnostics: list[str]
-    symbol_rules: dict[int, int] | None
 
     @property
     def acceptable(self) -> bool:
@@ -129,10 +128,9 @@ def check_acceptable_theory(
         all_presup &= presup
         rule_reports.append(RuleReport(name, tight, presup, empty))
     try:
-        beta = theory_tightness(theory)
+        theory_tightness(theory)
         theory_tight = True
     except NotTight as e:
-        beta = None
         theory_tight = False
         diagnostics.append(str(e))
     substitutive = all(r.empty_conclusion_context for r in rule_reports)
@@ -141,9 +139,7 @@ def check_acceptable_theory(
         if rule.is_object and find_congruence(theory, i) is None:
             congruous = False
             diagnostics.append(f"no congruence rule for {theory.rule_name(i)}")
-    return AcceptabilityReport(
-        rule_reports, theory_tight, all_presup, substitutive, congruous, diagnostics, beta
-    )
+    return AcceptabilityReport(rule_reports, theory_tight, all_presup, substitutive, congruous, diagnostics)
 
 
 # --- well-founded theories ------------------------------------------------------
@@ -204,7 +200,6 @@ def derivation_provenance(d: TheoryDerivation) -> tuple[frozenset[int], frozense
 @_record
 class WellFoundedReport:
     ok: bool
-    required_edges: frozenset[tuple[int, int]]
     diagnostics: list[str]
 
 
@@ -253,7 +248,7 @@ def check_well_founded_theory(
         try:
             beta = theory_tightness(theory)
         except NotTight as e:
-            return WellFoundedReport(False, frozenset(), [str(e)])
+            return WellFoundedReport(False, [str(e)])
     edges, diag = required_precedence(theory, beta, witnesses)
     diagnostics.extend(diag)
     n = len(theory.rules)
@@ -271,8 +266,7 @@ def check_well_founded_theory(
                 )
         if not check_well_founded(order):
             diagnostics.append("supplied order is cyclic")
-    ok = not diagnostics
-    return WellFoundedReport(ok, edges, diagnostics)
+    return WellFoundedReport(not diagnostics, diagnostics)
 
 
 def _find_cycle(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:

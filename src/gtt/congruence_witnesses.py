@@ -59,7 +59,7 @@ class _CongruenceEngine:
         self.n = len(self.rule.premises)
         self.shift = len(self.rule.arity)
         self.objects = self.rule.object_premises()
-        self.tight = check_tight(self.rule)
+        self.intro = check_tight(self.rule)  # the object premise introducing each argument
         # the two copies of the metavariable segment in the congruence rule
         left, right = congruence_copies(self.rule)
         self.l_expr = partial(instantiate_expr, self.kind, left)
@@ -159,9 +159,8 @@ class _CongruenceEngine:
                 continue
             w_ty = self._presup_type_derivation(typ[i])
             tW = self.triple(w_ty)
-            sym = derive.sym_ty(lctx, lty, rty, tW[0], tW[1], tW[2])
             conv_f = derive.conv(lctx, lty, rty, lf(i), tW[0], tW[1], t_i[0], tW[2])
-            t_at_lty = derive.conv(lctx, rty, lty, rf(i), tW[1], tW[0], t_i[1], sym)
+            t_at_lty = derive.conv_back(lctx, lty, rty, rf(i), tW[0], tW[1], t_i[1], tW[2])
             conv_e_l = derive.conv_eq(
                 lctx, lty, rty, lf(i), rf(i), tW[0], tW[1], t_i[0], t_at_lty, t_i[2], tW[2]
             )
@@ -213,7 +212,7 @@ class _CongruenceEngine:
                 "congruence synthesis needs context entries that are closed metavariables"
             )
         left_copy = e.idx < self.shift
-        intro = self.tight.premise_of_arg[m]
+        intro = self.intro[m]
         hyp = Hyp(intro + (0 if left_copy else self.n))
         head = self.rule.premises[intro].head
         closed = is_type(EMPTY_CONTEXT, (self.l_expr if left_copy else self.r_expr)(head))
@@ -222,7 +221,7 @@ class _CongruenceEngine:
     def _entry_equality(self, ctx: RawContext, to_ty: Expr) -> TheoryDerivation:
         """The equality of an entry's left copy ``to_ty`` and its right copy,
         which ``_entry_type`` has accepted as a closed metavariable."""
-        intro = self.tight.premise_of_arg[self._entry_meta(to_ty)]
+        intro = self.intro[self._entry_meta(to_ty)]
         head = self.rule.premises[intro].head
         closed = ty_eq(EMPTY_CONTEXT, self.l_expr(head), self.r_expr(head))
         return derive.weaken_closed(ctx, closed, Hyp(self.eq_hyp(intro)))
@@ -248,11 +247,11 @@ class _CongruenceEngine:
     # -- assembling the witnesses ----------------------------------------------------
 
     def build(self):
-        out = RuleWitnesses()
+        premises, conclusion = {}, {}
         n = self.n
         for (i, p), w in self.base.premises.items():
-            out.premises[(i, p)] = self.left(w)
-            out.premises[(n + i, p)] = self.right(w)
+            premises[(i, p)] = self.left(w)
+            premises[(n + i, p)] = self.right(w)
         for pos, k in enumerate(self.objects):
             idx = 2 * n + pos
             premise = self.rule.premises[k]
@@ -260,24 +259,24 @@ class _CongruenceEngine:
             rctx = premise.context.map_exprs(self.r_expr)
             r_j = premise.map_exprs(self.r_expr)
             if premise.form is JudgementForm.IS_TY:
-                out.premises[(idx, 0)] = Hyp(k)
-                out.premises[(idx, 1)] = self._transport(Hyp(n + k), rctx, lctx, r_j)
+                premises[(idx, 0)] = Hyp(k)
+                premises[(idx, 1)] = self._transport(Hyp(n + k), rctx, lctx, r_j)
             else:
-                out.premises[(idx, 0)] = self.left(self.base.premises[(k, 0)])
-                out.premises[(idx, 1)] = Hyp(k)
+                premises[(idx, 0)] = self.left(self.base.premises[(k, 0)])
+                premises[(idx, 1)] = Hyp(k)
                 moved = self._transport(Hyp(n + k), rctx, lctx, r_j)
-                out.premises[(idx, 2)] = self._to_left_type(premise, self.base.premises[(k, 0)], moved)
-        conclusion = self.rule.conclusion
+                premises[(idx, 2)] = self._to_left_type(premise, self.base.premises[(k, 0)], moved)
+        goal = self.rule.conclusion
         gen_l = generic_rule_instance(self.rule_index, self.rule)
         gen_r = generic_rule_instance(self.rule_index, self.rule, self.shift, n)
-        if conclusion.form is JudgementForm.IS_TY:
-            out.conclusion[0] = gen_l
-            out.conclusion[1] = gen_r
+        if goal.form is JudgementForm.IS_TY:
+            conclusion[0] = gen_l
+            conclusion[1] = gen_r
         else:
-            out.conclusion[0] = self.left(self.base.conclusion[0])
-            out.conclusion[1] = gen_l
-            out.conclusion[2] = self._to_left_type(conclusion, self.base.conclusion[0], gen_r)
-        return out
+            conclusion[0] = self.left(self.base.conclusion[0])
+            conclusion[1] = gen_l
+            conclusion[2] = self._to_left_type(goal, self.base.conclusion[0], gen_r)
+        return RuleWitnesses(conclusion, premises)
 
     def _to_left_type(self, j: Judgement, d_type: TheoryDerivation, moved) -> TheoryDerivation:
         """Convert ``moved``, the right head of the term judgement ``j`` over
@@ -290,8 +289,7 @@ class _CongruenceEngine:
         lctx, rctx = j.context.map_exprs(self.l_expr), j.context.map_exprs(self.r_expr)
         d_la, d_ra, d_eq = self.triple(d_type)
         d_ra = self._transport(d_ra, rctx, lctx, is_type(rctx, ra))
-        sym = derive.sym_ty(lctx, la, ra, d_la, d_ra, d_eq)
-        return derive.conv(lctx, ra, la, self.r_expr(j.head), d_ra, d_la, moved, sym)
+        return derive.conv_back(lctx, la, ra, self.r_expr(j.head), d_la, d_ra, moved, d_eq)
 
 
 def congruence_witnesses(theory: RawTypeTheory, rule_index: int, base):

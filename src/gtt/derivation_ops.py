@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import NotSubstitutive, ScopeMismatch
-from .foundations import GHyp
 from .judgements import EMPTY_CONTEXT
 from .rules import BuiltinRule, RawRule, congruence_rule
 from .syntax import Expr, Instantiation, generic_instantiation
@@ -37,11 +36,11 @@ def rebuild(d, leaf, step):
         node, ready = stack.pop()
         if id(node) in memo:
             done.append(memo[id(node)][1])
-        elif not (ready or isinstance(node, GHyp)):
+        elif not (ready or isinstance(node, Hyp)):
             stack += [(node, True)] + [(c, False) for c in reversed(node.children)]
         else:
             k = len(done) - len(node.children)
-            out = leaf(node) if isinstance(node, GHyp) else step(node, tuple(done[k:]))
+            out = leaf(node) if isinstance(node, Hyp) else step(node, tuple(done[k:]))
             memo[id(node)] = node, out
             done[k:] = [out]
     return done[0]

@@ -37,6 +37,11 @@ def conv(ctx, a, b, s, d_a, d_b, d_s, d_ab) -> RuleInst:
     return _builtin(BuiltinRule.CONV_TM, ctx, (a, b, s), (d_a, d_b, d_s, d_ab))
 
 
+def conv_back(ctx, a, b, s, d_a, d_b, d_s, d_ab) -> RuleInst:
+    """Convert ``s : b`` back to ``a`` along ``d_ab : a == b``, by its symmetric equality."""
+    return conv(ctx, b, a, s, d_b, d_a, d_s, sym_ty(ctx, a, b, d_a, d_b, d_ab))
+
+
 def conv_eq(ctx, a, b, s, t, d_a, d_b, d_s, d_t, d_st, d_ab) -> RuleInst:
     return _builtin(BuiltinRule.CONV_EQ, ctx, (a, b, s, t), (d_a, d_b, d_s, d_t, d_st, d_ab))
 
@@ -89,8 +94,7 @@ def equality_image(theory: RawTypeTheory, node: RuleInst, tgt: RawContext, i_f, 
     if node.ref is BuiltinRule.CONV_TM:
         # premises A, B, s : A, A == B; conclusion s : B; no metavariable binds
         (fa, fb, fs), (ga, _, gs) = i_f.exprs, i_g.exprs
-        sym = sym_ty(tgt, fa, ga, f_children[0], g_children[0], eq(0))
-        gs_at_fa = conv(tgt, ga, fa, gs, g_children[0], f_children[0], g_children[2], sym)
+        gs_at_fa = conv_back(tgt, fa, ga, gs, f_children[0], g_children[0], g_children[2], eq(0))
         return conv_eq(tgt, fa, fb, fs, gs, *f_children[:3], gs_at_fa, eq(2), f_children[3])
     if (cidx := find_congruence(theory, node.ref)) is None:
         raise NotCongruous(f"no congruence rule for {theory.rule_name(node.ref)}")

@@ -18,7 +18,7 @@ above the raw layer.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .errors import (
     ChildCountMismatch,
@@ -33,7 +33,7 @@ X = TypeVar("X")
 
 
 @_record
-class ClosureRule(Generic[X]):
+class ClosureRule:
     """Finitely many premises and one conclusion, all in the same carrier."""
 
     premises: tuple[X, ...]
@@ -45,8 +45,9 @@ ClosureSystem = tuple
 
 
 @_record
-class GHyp:
-    """Leaf citing a hypothesis by its position in the hypothesis family."""
+class Hyp:
+    """Leaf citing a hypothesis by its position in the hypothesis family,
+    in generic and typed derivations alike."""
 
     index: int
 
@@ -63,7 +64,7 @@ class GStep:
     children: tuple
 
 
-GenericDerivation = GHyp | GStep
+GenericDerivation = Hyp | GStep
 
 
 def check_derivation(
@@ -73,7 +74,7 @@ def check_derivation(
 ) -> X:
     """Check a derivation tree over a closure system and return its conclusion.
 
-    This is the one checking loop: a hypothesis leaf (a GHyp) concludes the
+    This is the one checking loop: a hypothesis leaf (a Hyp) concludes the
     cited hypothesis; at any other node ``rule_of`` gives the closure rule
     the node cites, and each child's conclusion must equal the corresponding
     premise.  Failures carry the path of child indices from the root:
@@ -94,7 +95,7 @@ def check_derivation(
     path: list[int] = []  # child indices from the root to the node at hand
 
     def go(node):
-        if isinstance(node, GHyp):
+        if isinstance(node, Hyp):
             k = node.index
             if not 0 <= k < len(hyps):
                 raise DerivationError(tuple(path), IndexOutOfRange(f"hypothesis {k} of {len(hyps)}"))

@@ -277,7 +277,15 @@ def signature_from_json(data: Any, kind: ScopeKind) -> Signature:
         symbols.append(
             Symbol(_str(d.get("name"), "name"), _class_from(d.get("class")), arity_from_json(d.get("arity", [])))
         )
+    _distinct([s.name for s in symbols], "symbol name")
     return Signature(tuple(symbols), kind)
+
+
+def _distinct(names: list[str], what: str) -> None:
+    """Refuse a name that ``names`` lists twice."""
+    if len(set(names)) < len(names):
+        name = next(n for i, n in enumerate(names) if n in names[:i])
+        raise ParseError(f"{what} {name!r} is declared twice")
 
 
 # --- contexts, judgements, boundaries -------------------------------------------------
@@ -412,6 +420,7 @@ def theory_from_json(data: Any) -> tuple[RawTypeTheory, TheoryWitnesses, FiniteP
     for r in _list(data.get("rules", []), "rules"):
         rules.append(rule_from_json(sig, r))
         names.append(_str(r.get("name", f"rule{len(names)}"), "rule name"))
+    _distinct(names, "rule name")
     theory = RawTypeTheory(sig, tuple(rules), tuple(names))
     witnesses: TheoryWitnesses = {}
     for entry in _list(data.get("witnesses", []), "witnesses"):
@@ -503,12 +512,12 @@ def _witness_key(key: str, keys: dict) -> tuple[int | None, int]:
 def witnesses_from_json(data: dict, keys: dict, decoder) -> RuleWitnesses:
     """Witnesses keyed as ``keys`` reads them, each decoded by
     ``decoder(i)`` for premise i (None: the conclusion)."""
-    w = RuleWitnesses()
+    conclusion, premises = {}, {}
     for key, dv in data.items():
         i, p = _witness_key(key, keys)
-        table, at = (w.conclusion, p) if i is None else (w.premises, (i, p))
+        table, at = (conclusion, p) if i is None else (premises, (i, p))
         table[at] = decoder(i).derivation(dv, 1)
-    return w
+    return RuleWitnesses(conclusion, premises)
 
 
 def load_theory_file(data: Any):

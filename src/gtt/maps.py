@@ -49,7 +49,7 @@ from .presentation import (
 )
 from .rules import RawRule, congruence_rule, generic_application
 from .foundations import FinitePoset
-from .scopes import _Fresh, _record
+from .scopes import _record
 from .syntax import (
     Expr,
     Instantiation,
@@ -158,7 +158,7 @@ class RawTheoryMap:
     syntax: RawSyntaxMap
     src: RawTypeTheory
     dst: RawTypeTheory
-    rule_derivations: dict[int, TheoryDerivation] = _Fresh(dict)
+    rule_derivations: dict[int, TheoryDerivation]
 
     def check(self, diagnostics: list[str] | None = None) -> bool:
         ok = True
@@ -278,7 +278,6 @@ class ReplacementBuilder:
         self.rule_names: tuple[str, ...] = ()
         self.exprs: tuple[Expr, ...] = ()
         self.steps: list[SymbolStep | EquationStep] = []
-        self._symbol_keys: dict = {}
 
     def theory(self) -> RawTypeTheory:
         return RawTypeTheory(self.signature, self.rules, self.rule_names)
@@ -359,9 +358,8 @@ def sequential_boundary_spec(
 def sequential_premise_names(rule: RawRule) -> tuple[str, ...]:
     """Per-premise labels: object premises carry their metavariable's name."""
     names = rule.metas
-    tight = check_tight(rule)
     label = {}
-    for arg, premise in enumerate(tight.premise_of_arg):
+    for arg, premise in enumerate(check_tight(rule)):
         label[premise] = names[arg]
     return tuple(label.get(k, f"p{k}") for k in range(len(rule.premises)))
 
@@ -496,7 +494,7 @@ class _SectionDriver:
         return seq
 
     def _intro_premise(self, rule: RawRule, meta: int) -> int:
-        return check_tight(rule).premise_of_arg[meta]
+        return check_tight(rule)[meta]
 
     def _sub_arity_len(self, rule: RawRule, k: int) -> int:
         return len([p for p in rule.object_premises() if p < k])

@@ -34,7 +34,7 @@ from .judgements import (
     complete_boundary,
 )
 from .jsonio import (
-    _BOUNDARY_KEYS, _Decoder, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
+    _BOUNDARY_KEYS, _Decoder, _distinct, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
     derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import (
@@ -42,7 +42,7 @@ from .acceptability import (
 )
 from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
-from .scopes import ScopeKind, _Fresh, _record
+from .scopes import ScopeKind, _record
 from .syntax import (
     Argument,
     Arity,
@@ -405,7 +405,7 @@ class WellPresentedTheorySpec:
     kind: ScopeKind
     order: FinitePoset
     rules: tuple[TheoryRuleSpec, ...]
-    witnesses: TheoryWitnesses = _Fresh(dict)
+    witnesses: TheoryWitnesses
 
     def __post_init__(self):
         if self.order.size != len(self.rules):
@@ -451,7 +451,7 @@ def elaborate_theory(spec: WellPresentedTheorySpec) -> tuple[RawTypeTheory, Theo
         allowed = {sym_index[spec.rules[j].name] for j in predecessors(spec.order, i)
                    if spec.rules[j].boundary.conclusion_form.is_object}
         diagnostics: list[str] = []
-        w = spec.witnesses.get(rs.name, RuleWitnesses())
+        w = spec.witnesses.get(rs.name, RuleWitnesses({}, {}))
         _check_stage_symbols(full_sig, rs, allowed)
         if not check_rule_boundary(theory, rs.boundary, w, diagnostics):
             raise WitnessFailure(f"rule {rs.name}: " + "; ".join(diagnostics))
@@ -588,7 +588,7 @@ def spec_to_json(spec) -> Any:
                 }
             )
         full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
-        w = spec.witnesses.get(rs.name, RuleWitnesses())
+        w = spec.witnesses.get(rs.name, RuleWitnesses({}, {}))
         if w.premises or w.conclusion:
             stage, staged = _stage_through(stage, spec.rules[staged:i]), i
         # premise witnesses are over the sub-extension of their down-set
@@ -631,6 +631,7 @@ def spec_from_json(data: Any):
     kind = _kind_from(data)
     raw_rules = [_obj(r, "a rule spec") for r in _list(data.get("rules", []), "rules")]
     names = [_str(r.get("name"), "rule name") for r in raw_rules]
+    _distinct(names, "rule name")
     name_index = {n: i for i, n in enumerate(names)}
     edges = set()
     for pair in _list(data.get("order", []), "order"):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from . import derive
 from .derivation_ops import _node_name, rebuild
 from .errors import FillerConclusionMismatch, IndexOutOfRange, MissingWitness
-from .foundations import GenericDerivation, GHyp, GStep
+from .foundations import GenericDerivation, GStep
 from .judgements import (
     EMPTY_CONTEXT, JudgementForm, RawContext, instantiate_context, instantiate_judgement, is_type, presuppositions,
 )
@@ -69,7 +69,7 @@ def map_derivation(rule_images: tuple[GenericDerivation, ...], d: GenericDerivat
             raise IndexOutOfRange(f"rule {node.rule} of {len(rule_images)}")
         return graft(rule_images[node.rule], children)
 
-    return rebuild(d, lambda h: GHyp(h.index), step)
+    return rebuild(d, lambda h: h, step)
 
 
 def instantiate_derivation(
@@ -266,7 +266,5 @@ def _eq_subst_presups(theory, node, go):
     fa = substitute_expr(kind, f, a)
     ga = substitute_expr(kind, g, a)
     gt = substitute_expr(kind, g, t)
-    d_sym = derive.sym_ty(tgt, fa, ga, d_fA, d_gA, d_eqA)
-    d_gt_at_fa = derive.conv(tgt, ga, fa, gt, d_gA, d_fA, d_gt, d_sym)
-    return (d_fA, d_ft, d_gt_at_fa)
+    return (d_fA, d_ft, derive.conv_back(tgt, fa, ga, gt, d_fA, d_gA, d_gt, d_eqA))
 

@@ -8,6 +8,7 @@ arity over a context yields one closure rule on judgements.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -18,7 +19,7 @@ from .errors import (
     TrivialityViolated,
 )
 from .foundations import ClosureRule
-from .scopes import ScopeKind, _Derived, _record
+from .scopes import ScopeKind, _record
 from .syntax import (
     TM,
     TY,
@@ -57,10 +58,6 @@ def _exprs(j: Judgement) -> tuple[Expr, ...]:
     return j.context.types + j.boundary + (() if j.head is None else (j.head,))
 
 
-def _exposed(arity: Arity, conclusion: Judgement) -> frozenset[int]:
-    return frozenset().union(*(exposed_metavariables(arity, e) for e in _exprs(conclusion)))
-
-
 def _check_metas(arity: Arity, e: Expr) -> None:
     """Each metavariable occurrence in ``e`` names an argument of ``arity``, has
     its class and one argument per variable it binds, as instantiation assumes.
@@ -87,8 +84,8 @@ class RawRule:
     are the index set of the arity.  ``exposed`` holds the metavariables
     whose entry any instantiation of the rule puts into its conclusion
     verbatim (``exposed_metavariables`` of the conclusion's context types,
-    boundary and head).  It is part of the rule, computed once from the
-    fields above; it is not passed and not shown.  Building a rule checks
+    boundary and head).  It is computed from the fields on first use and
+    is not a field: it is not passed and not shown.  Building a rule checks
     each metavariable occurrence against ``arity``, since instantiation
     trusts them; the theory that holds the rule validates its symbols.
     """
@@ -97,7 +94,6 @@ class RawRule:
     premises: tuple[Judgement, ...]
     conclusion: Judgement
     meta_names: tuple[str, ...] = ()
-    exposed: frozenset[int] = _Derived(_exposed)
 
     def __post_init__(self):
         if self.meta_names and len(self.meta_names) != len(self.arity):
@@ -105,6 +101,10 @@ class RawRule:
         for j in self.premises + (self.conclusion,):
             for e in _exprs(j):
                 _check_metas(self.arity, e)
+
+    @cached_property
+    def exposed(self) -> frozenset[int]:
+        return frozenset().union(*(exposed_metavariables(self.arity, e) for e in _exprs(self.conclusion)))
 
     @property
     def metas(self) -> tuple[str, ...]:

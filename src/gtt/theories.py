@@ -12,7 +12,8 @@ A derivation has five kinds of node.  ``RuleInst`` instantiates a raw
 rule, either a rule of the theory or one of the eight built-in
 equivalence and conversion rules of ``rules``; ``VariableInst``,
 ``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
-``Hyp`` cites a hypothesis.  ``derivation_ops.rebuild`` and ``map_node`` are
+``Hyp``, the leaf of ``foundations`` that generic derivations share, cites
+a hypothesis.  ``derivation_ops.rebuild`` and ``map_node`` are
 the one rebuild of a derivation and the one map over a node's data (its
 ``EXPR_FIELDS``): the transformers build with them, this module only checks.
 
@@ -71,8 +72,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import ArityMismatch, IndexOutOfRange, KernelError
-from .foundations import ClosureRule, GHyp, check_derivation
-from .scopes import ScopeKind, _Fresh, _record
+from .foundations import ClosureRule, Hyp, check_derivation
+from .scopes import ScopeKind, _record
 from .syntax import TM, Arity, Instantiation, Signature, Substitution, mv_extend_signature, validate_expr
 from .judgements import Judgement, RawContext, WeakeningMemo, validate_judgement
 from .rules import (
@@ -151,11 +152,6 @@ def _validate_rule(sig: Signature, rule: RawRule) -> None:
 # names the fields that hold expressions, all ``map_node`` needs of a node kind.
 
 @_record
-class Hyp(GHyp):
-    """Leaf citing a hypothesis judgement by its position."""
-
-
-@_record
 class RuleInst:
     """An instance of a raw rule: ``ref`` is a rule index of the theory or
     one of the eight members of ``rules.BuiltinRule``."""
@@ -210,8 +206,8 @@ class RuleWitnesses:
     witnesses never cite those, so the same derivations serve both).
     """
 
-    conclusion: dict[int, TheoryDerivation] = _Fresh(dict)
-    premises: dict[tuple[int, int], TheoryDerivation] = _Fresh(dict)
+    conclusion: dict[int, TheoryDerivation]
+    premises: dict[tuple[int, int], TheoryDerivation]
 
 
 TheoryWitnesses = dict[str, RuleWitnesses]

@@ -124,12 +124,12 @@ def cmd_replace_step(args) -> int:
             ext = mv_extend_signature(theory.signature, alpha, spec.premises.meta_names())
             realiser = expr_from_json(ext, step.get("realiser"), 0)
             witness = derivation_from_json(theory, ext, step.get("witness"))
-            builder.add_symbol(SymbolStep(_str(step.get("name"), "step name"), spec, realiser, witness))
+            builder.add_symbol(SymbolStep(_step_name(builder, step, ("", "-cong")), spec, realiser, witness))
         elif kind == "equation":
             rule = rule_from_json(builder.signature, step.get("rule"))
             ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
             witness = derivation_from_json(theory, ext, step.get("witness"))
-            builder.add_equation(EquationStep(_str(step.get("name"), "step name"), rule, witness))
+            builder.add_equation(EquationStep(_step_name(builder, step, ("",)), rule, witness))
         else:
             raise ParseError(f"unknown step kind {kind!r}")
     out = {
@@ -147,6 +147,15 @@ def cmd_replace_step(args) -> int:
     }
     _emit(args, out)
     return 0
+
+
+def _step_name(builder, step, suffixes) -> str:
+    """The name of a script step, whose rules (its name with each of
+    ``suffixes``) must not be named yet."""
+    name = _str(step.get("name"), "step name")
+    if any(name + s in builder.rule_names for s in suffixes):
+        raise ParseError(f"step name {name!r} is declared twice")
+    return name
 
 
 def _script_boundary(builder, step):

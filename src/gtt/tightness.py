@@ -5,20 +5,13 @@ from __future__ import annotations
 from .errors import ClassMismatch, NoBijection, NotTight
 from .judgements import JudgementForm, RawContext
 from .rules import RawRule, generic_application
-from .scopes import _record
 from .syntax import TM, Expr, Instantiation, MetaApp, Signature, SymApp, Var, generic_meta, instantiate_expr
 from .theories import RawTypeTheory
 
 
-@_record
-class TightnessWitness:
-    """For each argument of the rule's arity, the introducing object premise."""
-
-    premise_of_arg: tuple[int, ...]
-
-
-def check_tight(rule: RawRule) -> TightnessWitness:
-    """Find the unique bijection arguments <-> object premises, or raise.
+def check_tight(rule: RawRule) -> tuple[int, ...]:
+    """Find the unique bijection arguments <-> object premises, or raise: for
+    each argument of the rule's arity, the object premise that introduces it.
 
     Argument i must be introduced by a premise whose context scope is the
     argument's binder, whose form is the argument's class, and whose head
@@ -50,7 +43,7 @@ def check_tight(rule: RawRule) -> TightnessWitness:
             raise NoBijection(f"premise {found} introduces two arguments")
         used.add(found)
         assignment.append(found)
-    return TightnessWitness(tuple(assignment))
+    return tuple(assignment)
 
 
 def is_tight(rule: RawRule) -> bool:

@@ -45,7 +45,7 @@ from gtt.derivation_ops import map_node
 from gtt.errors import (
     FillerConclusionMismatch, IndexOutOfRange, MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated,
 )
-from gtt.foundations import GHyp, GStep
+from gtt.foundations import GStep
 from gtt.judgements import instantiate_context, instantiate_judgement, presuppositions
 from gtt.maps import apply_syntax_map
 from gtt.metatheory import (
@@ -390,12 +390,12 @@ def graft(outer, fillers):
     If ``outer`` derives c from H and filler h derives H[h] from H', the
     result derives c from H'.  ``fillers`` is a tuple, or a function of h
     that builds filler h when a leaf cites it.  Any tree whose leaves are
-    GHyp and whose other nodes have ``children`` and ``_replace`` grafts:
+    Hyp and whose other nodes have ``children`` and ``_replace`` grafts:
     generic derivations and the typed derivations of ``theories`` alike.
     Conclusion agreement between fillers and hypotheses is the caller's
     obligation; checking the result will catch violations.
     """
-    if isinstance(outer, GHyp):
+    if isinstance(outer, Hyp):
         k = outer.index
         if callable(fillers):
             return fillers(k)
@@ -415,8 +415,8 @@ def map_derivation(
     appearing as hypothesis i).  Hypothesis leaves are kept.
     """
     match d:
-        case GHyp(index=k):
-            return GHyp(k)
+        case Hyp(index=k):
+            return Hyp(k)
         case GStep(rule=r, children=children):
             if not 0 <= r < len(rule_images):
                 raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from corpus import THEORY, WITNESSES, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
-from golden import bad_witness_tables, universe_spec
+from golden import bad_witness_tables, repeated_names, universe_spec
 from gtt import derive
 from gtt.cli import COMMANDS, _plain_args, main
 from gtt.errors import ParseError
@@ -170,6 +170,24 @@ def test_malformed_script(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, command, message", [
+    ("symbol", "check-derivation", "symbol name 'Pi'"),
+    ("rule", "check-theory", "rule name 'lam-intro'"),
+    ("spec-rule", "check-theory", "rule name 'app'"),
+    ("step", "replace-step", "step name 'U'"),
+])
+def test_a_repeated_name_is_a_parse_error(tmp_path, capsys, name, command, message):
+    path = tmp_path / f"repeated-{name}.json"
+    path.write_text(repeated_names()[path.name])
+    argv = {
+        "check-derivation": (path, _write_derivation(tmp_path, "tt.json", tt_at(EMPTY_CONTEXT).d_term)),
+        "check-theory": (path, "--well-founded", "--well-presented"),
+        "replace-step": (FIXTURES / "type_in_type.json", path),
+    }[command]
+    assert main([command, *map(str, argv)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message} is declared twice\n"
 
 
 @pytest.mark.parametrize("kind", ["binary", "directory"])

@@ -13,8 +13,8 @@ from gtt.errors import DerivationError, FillerConclusionMismatch, IndexOutOfRang
 from gtt.foundations import (
     ClosureRule,
     FinitePoset,
-    GHyp,
     GStep,
+    Hyp,
     check_generic_derivation,
 )
 from gtt.judgements import EMPTY_CONTEXT
@@ -29,7 +29,7 @@ from gtt.theories import check_theory_derivation
 
 
 def test_hypothesis_case():
-    assert check_generic_derivation((), ("a",), GHyp(0)) == "a"
+    assert check_generic_derivation((), ("a",), Hyp(0)) == "a"
 
 
 def test_axiom_rule():
@@ -66,7 +66,7 @@ def test_premise_mismatch_reports_path():
 
 
 def test_index_out_of_range():
-    for bad in (GHyp(0), GStep(3, ())):
+    for bad in (Hyp(0), GStep(3, ())):
         with pytest.raises(DerivationError) as exc:
             check_generic_derivation((), (), bad)
         assert isinstance(exc.value.cause, IndexOutOfRange)
@@ -176,7 +176,7 @@ def random_tree(rng, system, hyps, goal, depth):
         return None
     kind, idx = rng.choice(options)
     if kind == "hyp":
-        return GHyp(idx)
+        return Hyp(idx)
     children = []
     for p in system[idx].premises:
         child = random_tree(rng, system, hyps, p, depth - 1)
@@ -187,19 +187,19 @@ def random_tree(rng, system, hyps, goal, depth):
 
 
 def test_graft_trivial_cases():
-    assert graft(GHyp(0), (GStep(0, ()),)) == GStep(0, ())
-    outer = GStep(1, (GHyp(0),))
+    assert graft(Hyp(0), (GStep(0, ()),)) == GStep(0, ())
+    outer = GStep(1, (Hyp(0),))
     assert graft(outer, (GStep(0, ()),)) == GStep(1, (GStep(0, ()),))
     with pytest.raises(FillerConclusionMismatch, match="no filler for hypothesis 1"):
-        graft(GStep(2, (GHyp(0), GHyp(1))), (GStep(0, ()),))
+        graft(GStep(2, (Hyp(0), Hyp(1))), (GStep(0, ()),))
 
 
 def test_graft_grafts_typed_derivations():
-    # a typed hypothesis is a GHyp and a typed node has children and
+    # typed derivations share the leaf Hyp, and a typed node has children and
     # _replace, so the one graft serves derivations of a theory too
     from corpus import THEORY, extend, pi, unit_at
     from gtt.judgements import EMPTY_CONTEXT, is_type
-    from gtt.theories import Hyp, check_theory_derivation
+    from gtt.theories import check_theory_derivation
 
     u = unit_at(EMPTY_CONTEXT)
     p = pi(u, unit_at(extend(EMPTY_CONTEXT, u)))
@@ -226,7 +226,7 @@ def test_graft_preserves_conclusion_randomised():
 
 def identity_images(system):
     return tuple(
-        GStep(r, tuple(GHyp(i) for i in range(len(rule.premises))))
+        GStep(r, tuple(Hyp(i) for i in range(len(rule.premises))))
         for r, rule in enumerate(system)
     )
 
@@ -252,9 +252,9 @@ def test_map_derivation_derived_rule_grows_depth():
         ClosureRule(("a", "b"), "c"),
     )
     images = (
-        GStep(0, ()),                                  # rule 0 -> axiom a
-        GStep(2, (GHyp(0), GStep(1, ()))),             # rule 1 -> 2-step derivation of b
-        GStep(3, (GHyp(0), GHyp(1))),                  # rule 2 -> rule 3
+        GStep(0, ()),                      # rule 0 -> axiom a
+        GStep(2, (Hyp(0), GStep(1, ()))),  # rule 1 -> 2-step derivation of b
+        GStep(3, (Hyp(0), Hyp(1))),        # rule 2 -> rule 3
     )
     d = GStep(2, (GStep(0, ()), GStep(1, (GStep(0, ()),))))
     assert check_generic_derivation(SYSTEM, (), d) == "c"
@@ -311,3 +311,8 @@ def test_well_founded_size_four_sample():
         edges = [e for e in pairs if rng.random() < 0.3]
         p = FinitePoset.of(4, edges)
         assert check_well_founded(p) == wf_oracle(p)
+
+
+def test_a_finite_poset_refuses_an_edge_outside_it():
+    with pytest.raises(IndexOutOfRange, match=r"^edge \(0,2\) outside 0\.\.1$"):
+        FinitePoset.of(2, [(0, 2)])

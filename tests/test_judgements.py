@@ -35,6 +35,7 @@ from gtt.syntax import (
     TY,
     Instantiation,
     MetaApp,
+    Substitution,
     SymApp,
     Var,
     _shift,
@@ -412,3 +413,36 @@ def test_post_init_runs_on_every_construction(monkeypatch):
 
 def test_judgement_values_are_not_dataclasses():
     assert not any(dataclasses.is_dataclass(c) for c in (RawContext, Judgement, Boundary, ClosureRule))
+
+
+# --- refusals of the judgement operations ---------------------------------------------
+
+UNIT = SymApp(0, (), 0, TY)
+
+
+def test_instantiating_over_a_context_of_another_scope_is_refused():
+    inst = Instantiation((), 1, ())
+    for instantiate in (instantiate_context, instantiate_judgement):
+        inner = EMPTY_CONTEXT if instantiate is instantiate_context else is_type(EMPTY_CONTEXT, UNIT)
+        with pytest.raises(ScopeMismatch, match="^instantiation over scope 1, context scope 0$"):
+            instantiate(ScopeKind.INDICES, inst, EMPTY_CONTEXT, inner)
+
+
+def test_substituting_along_a_substitution_between_other_contexts_is_refused():
+    weaken = Substitution(1, 0, ())  # from a context of one entry into the empty one
+    with pytest.raises(ScopeMismatch, match="^substitution endpoints do not match the contexts$"):
+        substitute_judgement(ScopeKind.INDICES, weaken, EMPTY_CONTEXT, is_type(EMPTY_CONTEXT, UNIT))
+
+
+def test_a_head_of_the_other_class_does_not_complete_a_boundary():
+    with pytest.raises(ClassMismatch, match="^head of class SyntacticClass.TM, boundary wants SyntacticClass.TY$"):
+        complete_boundary(Boundary(EMPTY_CONTEXT, JudgementForm.IS_TY, ()), SymApp(0, (), 0, TM))
+
+
+def test_presuppositions_refuse_a_form_that_is_none_of_the_four():
+    class Forged:
+        """What the checks of a judgement's slots read of a form, and none of the four forms."""
+        value, boundary_classes, head_class = "Forged", (), None
+
+    with pytest.raises(TypeError, match="Forged"):
+        presuppositions(Judgement(EMPTY_CONTEXT, Forged, (), None))

@@ -43,6 +43,7 @@ from gtt.judgements import (
 from gtt.metatheory import (
     check_acceptable_theory,
     check_presuppositive,
+    check_tight,
     check_well_founded_theory,
     derivation_nodes,
     derive_presuppositions,
@@ -169,6 +170,7 @@ def variant_witnesses():
                 (Hyp(1), x_typing),
             )
         },
+        premises={},
     )
     return {1: w1, 2: w2, 4: w4, 6: w6}
 
@@ -177,6 +179,14 @@ def test_app_variant_tightness_verdicts():
     variants = app_variants()
     tight = {k for k, r in variants.items() if is_tight(r)}
     assert tight == {1, 2, 3, 6}
+
+
+def test_check_tight_gives_the_premise_introducing_each_argument():
+    pi_form = mltt_pi()[0].rule(0)
+    assert check_tight(pi_form) == (0, 1)
+    # listing x:A |- B type before A type moves the introductions with it
+    swapped = pi_form._replace(premises=pi_form.premises[::-1])
+    assert check_tight(swapped) == (1, 0)
 
 
 def test_app_variant_presuppositivity_verdicts():
@@ -214,9 +224,9 @@ def test_symmetry_variants():
     w = RuleWitnesses(conclusion={0: Hyp(1), 1: Hyp(0)},
                       premises={(0, 0): Hyp(0), (0, 1): Hyp(1)})
     # not presuppositive: the premises cannot type A and B
-    assert not check_presuppositive(THEORY, lhs, RuleWitnesses())
+    assert not check_presuppositive(THEORY, lhs, RuleWitnesses({}, {}))
     # but weakly presuppositive with boundary hypotheses available
-    weak_w = RuleWitnesses(conclusion={0: Hyp(2), 1: Hyp(1)})
+    weak_w = RuleWitnesses(conclusion={0: Hyp(2), 1: Hyp(1)}, premises={})
     assert check_presuppositive(THEORY, lhs, weak_w, weak=True)
     # the right-hand variant is the structural rule, tight and presuppositive
     assert is_tight(BuiltinRule.EQUIV_TY_SYM.rule)

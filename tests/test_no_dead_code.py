@@ -30,6 +30,12 @@ body; ``self``, ``cls`` and names starting with ``_`` are exempt.
 Every optional argument of every ``gtt`` subcommand is read: some package
 module reads ``args.<dest>`` for its ``dest``.
 
+Every field of a ``_record`` class, and every attribute that a class other
+than an exception assigns on ``self``, is read by a package module: as an
+attribute that is loaded (``x.field``, on any value), as a keyword of a
+class pattern (``case C(field=v)``), or as the string name of a
+``getattr`` call.  An exception's attributes are read by whoever catches it.
+
 An import in a package module or a test module must bind a name that the
 module reads (as an ``ast.Name``), unless another of these modules imports
 that name from it.  ``__future__`` imports and ``__init__.py`` are exempt.
@@ -37,6 +43,7 @@ that name from it.  ``__future__`` imports and ``__init__.py`` are exempt.
 
 import argparse
 import ast
+import builtins
 import pathlib
 import re
 from collections import Counter
@@ -265,6 +272,114 @@ def test_a_planted_unread_option_is_reported():
     # ``--cxt`` is read as ``args.cxt``, by ``natural-type`` only
     commands.choices["presup"].add_argument("--cxt")
     assert unread_options(parser) == ["presup --planted"]
+
+
+def _attributes_read(trees: dict[str, ast.Module]) -> set[str]:
+    """Every attribute name the package reads: loaded attributes, keywords
+    of class patterns, and the string names of ``getattr`` calls."""
+    out = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                out.add(n.attr)
+            elif isinstance(n, ast.MatchClass):
+                out.update(n.kwd_attrs)
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "getattr" and len(n.args) > 1:
+                if isinstance(n.args[1], ast.Constant):
+                    out.add(n.args[1].value)
+    return out
+
+
+def _classes(trees: dict[str, ast.Module]):
+    """(module, node) of every top-level class of the package."""
+    return [(module, node) for module, tree in trees.items() for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def unread_fields(trees: dict[str, ast.Module] | None = None) -> list[str]:
+    """``module.Class.field`` for each field of a ``_record`` class that no package module reads."""
+    trees = trees or _package_trees()
+    read = _attributes_read(trees)
+    return [
+        f"{module}.{node.name}.{stmt.target.id}"
+        for module, node in _classes(trees)
+        if any(isinstance(d, ast.Name) and d.id == "_record" for d in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.target.id not in read
+    ]
+
+
+def _exceptions(trees: dict[str, ast.Module]) -> set[str]:
+    """The names of the package's classes that derive from an exception."""
+    out: set[str] = set()
+    while True:
+        found = {
+            node.name for _, node in _classes(trees)
+            for b in node.bases
+            if isinstance(b, ast.Name) and (b.id in out or _is_builtin_exception(b.id))
+        }
+        if found <= out:
+            return out
+        out |= found
+
+
+def _is_builtin_exception(name: str) -> bool:
+    value = getattr(builtins, name, None)
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def unread_attributes(trees: dict[str, ast.Module] | None = None) -> list[str]:
+    """``module.Class.attr`` for each attribute that a class other than an
+    exception assigns on ``self`` and no package module reads."""
+    trees = trees or _package_trees()
+    read, exceptions = _attributes_read(trees), _exceptions(trees)
+    return sorted({
+        f"{module}.{node.name}.{n.attr}"
+        for module, node in _classes(trees) if node.name not in exceptions
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name) and n.value.id == "self" and n.attr not in read
+    })
+
+
+def test_every_record_field_is_read():
+    assert unread_fields() == []
+
+
+def test_every_attribute_set_on_self_is_read():
+    assert unread_attributes() == []
+
+
+PLANTED_RECORD = """
+@_record
+class Planted:
+    kind: ScopeKind
+    planted_field: int
+"""
+
+
+@pytest.mark.parametrize("read, reported", [
+    ("", ["jsonio.Planted.planted_field"]),
+    ("def f(p):\n    return p.planted_field", []),
+    ("def f(p):\n    match p:\n        case Planted(planted_field=v):\n            return v", []),
+    ("def f(p):\n    return getattr(p, 'planted_field')", []),
+])
+def test_a_planted_unread_field_is_reported(read, reported):
+    trees = _package_trees()
+    trees["jsonio"].body += ast.parse(PLANTED_RECORD + read).body
+    assert unread_fields(trees) == reported
+
+
+def test_a_planted_unread_attribute_is_reported():
+    trees = _package_trees()
+    trees["jsonio"].body += ast.parse(
+        "class Planted:\n"
+        "    def __init__(self):\n        self.kind, self.planted = None, None\n"
+        "class PlantedError(KernelError):\n"
+        "    def __init__(self):\n        self.planted_cause = None\n"
+        "class PlantedValueError(ValueError):\n"
+        "    def __init__(self):\n        self.planted_cause = None\n"
+    ).body
+    assert unread_attributes(trees) == ["jsonio.Planted.planted"]
 
 
 def _module_name(path: pathlib.Path) -> str:

@@ -249,7 +249,7 @@ def test_premises_above_an_invalid_premise_are_skipped_with_a_diagnostic():
         order = FinitePoset.of(n, [(i, j) for j in range(n) for i in range(j)])
         fam = WellFoundedPremiseFamily(PremisesShape(order, slots[:n]), boundaries[:n], ("A", "a", "B")[:n])
         diagnostics = []
-        assert check_premise_family(theory, fam, RuleWitnesses(), diagnostics) is False
+        assert check_premise_family(theory, fam, RuleWitnesses({}, {}), diagnostics) is False
         assert [d.split(":")[0] for d in diagnostics] == [f"premise {i}" for i in range(1, n)], diagnostics
     assert diagnostics[1] == "premise 2: witnesses not checked, invalid premises below it: [1]"
 

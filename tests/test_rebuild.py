@@ -21,7 +21,7 @@ import pytest
 import reference_transformers as reference
 from corpus import THEORY, conv_wrap, lam_tower, tt_at
 from gtt.derivation_ops import derivation_nodes, map_derivation_exprs, map_node, rebuild
-from gtt.foundations import GHyp, GStep
+from gtt.foundations import GStep
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_to_json, dumps
 from gtt.maps import apply_theory_map_derivation, identity_theory_map
@@ -82,7 +82,7 @@ def test_the_maps_of_data_and_of_theories_agree_with_the_recursive_walks(kind):
 def as_generic(d, codes: dict):
     """``d`` as a generic derivation: a rule per (node kind, rule, premise count)."""
     if isinstance(d, Hyp):
-        return GHyp(d.index)
+        return d
     code = codes.setdefault((type(d).__name__, getattr(d, "ref", None), len(d.children)), len(codes))
     return GStep(code, tuple(as_generic(c, codes) for c in d.children))
 
@@ -95,7 +95,7 @@ def test_maps_of_closure_systems_agree_with_the_recursive_walk(kind):
     # rule r goes to a step of rule n + r over rule r, its premises reversed
     images = [None] * n
     for (_, _, arity), r in codes.items():
-        images[r] = GStep(n + r, (GStep(r, tuple(GHyp(i) for i in reversed(range(arity)))),))
+        images[r] = GStep(n + r, (GStep(r, tuple(Hyp(i) for i in reversed(range(arity)))),))
     images = tuple(images)
     for g in generic:
         assert map_derivation(images, g) == reference.map_derivation(images, g)
@@ -123,7 +123,7 @@ def default_recursion_limit():
 
 @pytest.fixture(scope="module")
 def step_chain():
-    g = GHyp(0)
+    g = Hyp(0)
     for _ in range(DEPTH):
         g = GStep(0, (g,))
     return g
@@ -143,8 +143,8 @@ def test_grafting_and_maps_of_closure_systems_reach_any_depth(default_recursion_
     assert sum(1 for _ in derivation_nodes(step_chain)) == DEPTH + 1
     grafted = spine(graft(step_chain, (GStep(1, ()),)), 0)
     assert grafted[-1] == GStep(1, ()) and all(n.rule == 0 for n in grafted[:-1]) and len(grafted) == DEPTH + 1
-    mapped = spine(map_derivation((GStep(0, (GHyp(0),)),), step_chain), 0)
-    assert mapped[-1] == GHyp(0) and all(n.rule == 0 for n in mapped[:-1]) and len(mapped) == DEPTH + 1
+    mapped = spine(map_derivation((GStep(0, (Hyp(0),)),), step_chain), 0)
+    assert mapped[-1] == Hyp(0) and all(n.rule == 0 for n in mapped[:-1]) and len(mapped) == DEPTH + 1
 
 
 @pytest.mark.parametrize("walk", [
@@ -184,7 +184,7 @@ def test_a_shared_node_object_is_mapped_once_into_one_object():
 
 
 def test_rebuild_calls_step_once_per_node_object_in_premise_order():
-    leaf = GHyp(0)
+    leaf = Hyp(0)
     shared = GStep(1, (leaf, leaf))
     d = GStep(2, (shared, GStep(3, (shared,)), leaf))
     order = []
@@ -193,7 +193,7 @@ def test_rebuild_calls_step_once_per_node_object_in_premise_order():
         order.append(node.rule)
         return GStep(node.rule + 10, children)
 
-    out = rebuild(d, lambda h: GHyp(h.index + 1), step)
+    out = rebuild(d, lambda h: Hyp(h.index + 1), step)
     assert order == [1, 3, 2]
     assert out.children[0] is out.children[1].children[0]
-    assert out == GStep(12, (GStep(11, (GHyp(1), GHyp(1))), GStep(13, (GStep(11, (GHyp(1), GHyp(1))),)), GHyp(1)))
+    assert out == GStep(12, (GStep(11, (Hyp(1), Hyp(1))), GStep(13, (GStep(11, (Hyp(1), Hyp(1))),)), Hyp(1)))

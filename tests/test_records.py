@@ -1,7 +1,7 @@
 """``scopes._record``, the one way a kernel value is defined.
 
-The mechanism on classes made here (defaults, ``_Fresh``, ``_Derived``,
-``_replace``, constructor-only parameters, record bases), the copy and
+The mechanism on classes made here (defaults, ``_replace``,
+constructor-only parameters, ``cached_property``, no base class), the copy and
 pickle round trips of every record class of the package, and the reprs of
 the kernel values, pinned to the strings they printed as frozen
 dataclasses.
@@ -29,12 +29,12 @@ from corpus import (
 )
 from gtt.bundled import mltt_pi, mltt_pi_presented, order
 from gtt.errors import ArityMismatch, IndexOutOfRange, ScopeMismatch
-from gtt.foundations import GHyp, GStep
+from gtt.foundations import GStep
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
 from gtt.maps import EquationStep, SymbolStep, identity_theory_map
-from gtt.metatheory import check_acceptable_theory, check_tight, check_well_founded_theory
+from gtt.metatheory import check_acceptable_theory, check_well_founded_theory
 from gtt.rules import BuiltinRule, RawRule
-from gtt.scopes import Renaming, ScopeKind, _Derived, _record, inl_renaming
+from gtt.scopes import Renaming, ScopeKind, _record, inl_renaming
 from gtt.syntax import (
     TM,
     TY,
@@ -52,7 +52,6 @@ from gtt.theories import (
     Hyp,
     RawTypeTheory,
     RuleInst,
-    RuleWitnesses,
     SubstInst,
     VariableInst,
     closure_rule_of_node,
@@ -99,16 +98,6 @@ def test_a_field_without_a_default_after_one_with_a_default_is_refused():
                 pass
 
 
-def test_a_fresh_default_is_built_at_each_construction():
-    a, b = RuleWitnesses(), RuleWitnesses()
-    assert a == b == RuleWitnesses({}, {})
-    assert a.conclusion is not b.conclusion and a.premises is not b.premises
-    a.conclusion[0] = Hyp(0)
-    assert b.conclusion == {}
-    given = {1: Hyp(1)}
-    assert RuleWitnesses(given).conclusion is given
-
-
 def test_replace_runs_post_init_again():
     r = Renaming(2, 3, (0, 1))
     assert r._replace(table=(2, 2)) == Renaming(2, 3, (2, 2))
@@ -124,7 +113,7 @@ def test_replace_runs_post_init_again():
         r._replace(scope=1)
 
 
-def test_a_derived_field_is_computed_not_passed():
+def test_exposed_is_computed_not_passed():
     rule = THEORY.rule(THEORY.rule_index("app-elim"))
     assert rule.exposed == RawRule(rule.arity, rule.premises, rule.conclusion, rule.meta_names).exposed
     assert "exposed" not in repr(rule) and "exposed" not in RawRule.__match_args__
@@ -135,14 +124,6 @@ def test_a_derived_field_is_computed_not_passed():
     # a replaced conclusion recomputes it
     unit = SymApp(0, (), 0, TY)
     assert rule._replace(conclusion=is_type(EMPTY_CONTEXT, unit)).exposed == frozenset()
-
-    @_record
-    class Pair:
-        left: int
-        right: int
-        total: int = _Derived(lambda left, right: left + right)
-
-    assert Pair(1, 2).total == 3 and Pair(1, 2) == Pair(1, 2)
     assert pickle.loads(pickle.dumps(RawRule(rule.arity, rule.premises, rule.conclusion))).exposed == rule.exposed
 
 
@@ -157,11 +138,18 @@ def test_post_init_parameters_are_constructor_arguments_not_fields():
         RawTypeTheory(theory.signature, theory.rules[1:], theory.rule_names[1:], prefix=head)
 
 
-def test_a_record_base_comes_before_tuple():
-    assert Hyp.__mro__[:3] == (Hyp, GHyp, tuple)
-    assert isinstance(Hyp(0), GHyp) and Hyp(0).index == 0
-    assert Hyp(0) != GHyp(0)
-    assert Hyp.__match_args__ == GHyp.__match_args__ == ("index",)
+def test_a_class_with_a_base_is_refused():
+    class Base:
+        pass
+
+    with pytest.raises(TypeError, match=r"Leaf: a record has no base class"):
+        @_record
+        class Leaf(Base):
+            index: int
+
+    # one hypothesis leaf for generic and typed derivations
+    assert Hyp is gtt.foundations.Hyp
+    assert Hyp.__mro__ == (Hyp, tuple, object) and Hyp.__match_args__ == ("index",)
 
 
 def test_names_take_part_in_equality():
@@ -192,14 +180,14 @@ def record_classes() -> set[type]:
     for info in pkgutil.iter_modules(gtt.__path__):
         module = importlib.import_module(f"gtt.{info.name}")
         for obj in vars(module).values():
-            if isinstance(obj, type) and obj.__module__ == module.__name__ and "_field_specs" in vars(obj):
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and "_replace" in vars(obj):
                 out.add(obj)
     return out
 
 
 def records_in(value, out: dict):
     """Collect one record of each class reachable from ``value``."""
-    if isinstance(value, tuple) and "_field_specs" in vars(type(value)):
+    if isinstance(value, tuple) and "_replace" in vars(type(value)):
         out.setdefault(type(value), value)
         items = value[1:]
     elif isinstance(value, (tuple, list, set, frozenset)):
@@ -219,16 +207,14 @@ def samples() -> dict:
     x_unit = extend(EMPTY_CONTEXT, u)
     b = unit_at(x_unit)
     typed_app = app(u, b, lam(u, b, tt_at(x_unit)), tt_at(EMPTY_CONTEXT))
-    rule_index = theory.rule_index("Pi-form")
     boundary = spec.rules[0].boundary
     roots = [
         theory, witnesses, spec, order("type_in_type"),
         typed_app.d_term, equality_substitutions_under_binders(), pi(u, b).d_type,
         closure_rule_of_node(THEORY, SIG, typed_app.d_term),
-        GStep(0, (GHyp(0),)),
+        GStep(0, (Hyp(0),)),
         inl_renaming(ScopeKind.INDICES, 1, 2),
         check_acceptable_theory(theory, witnesses), check_well_founded_theory(theory),
-        check_tight(theory.rule(rule_index)),
         identity_theory_map(theory),
         boundary.conclusion_boundary(),
         SymbolStep("U", boundary, u.type, u.d_type),

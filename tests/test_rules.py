@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+from corpus import extend, tt_at, unit_at
 from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_template
 from gtt.bundled import mltt_base, mltt_pi
-from gtt.errors import ArityMismatch, IndexOutOfRange, NotObjectRule, TrivialityViolated
+from gtt.errors import ArityMismatch, DerivationError, IndexOutOfRange, NotObjectRule, ScopeMismatch, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
@@ -33,6 +34,7 @@ from gtt.rules import (
 )
 from gtt.maps import RawSyntaxMap, map_rule
 from gtt.scopes import ScopeKind
+from gtt.theories import EqSubstInst, check_theory_derivation
 from gtt.syntax import (
     TY,
     Instantiation,
@@ -310,3 +312,20 @@ def test_a_rule_needs_one_metavariable_name_per_argument():
         with pytest.raises(ArityMismatch):
             RawRule(app_elim.arity, app_elim.premises, app_elim.conclusion, names)
     assert app_elim._replace(meta_names=()).metas == ("?0", "?1", "?2", "?3")
+
+
+def test_equality_substitution_between_other_contexts_is_refused():
+    # x : unit |- unit type, along two substitutions into the empty context,
+    # one of them from scope 1
+    ctx1 = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    u1 = unit_at(ctx1)
+    j = is_type(ctx1, u1.type)
+    good = Substitution(0, 1, (tt_at(EMPTY_CONTEXT).term,))
+    bad = Substitution(1, 1, (tt_at(ctx1).term,))
+    for f, g in ((bad, good), (good, bad)):
+        with pytest.raises(ScopeMismatch, match="^substitution endpoints do not match the contexts$"):
+            equality_substitution_rule(ScopeKind.INDICES, f, g, EMPTY_CONTEXT, frozenset(), j)
+    # the node of a derivation that cites it
+    with pytest.raises(DerivationError) as caught:
+        check_theory_derivation(mltt_base()[0], (), EqSubstInst(bad, good, EMPTY_CONTEXT, frozenset(), j, (u1.d_type,)))
+    assert caught.value.path == () and str(caught.value.cause) == "substitution endpoints do not match the contexts"

@@ -54,6 +54,7 @@ from gtt.syntax import (
     MetaApp,
     Signature,
     Substitution,
+    Symbol,
     SymApp,
     Var,
     arity,
@@ -688,3 +689,25 @@ def test_class_patterns_bind_record_fields():
 
 def test_expressions_are_not_dataclasses():
     assert not any(dataclasses.is_dataclass(c) for c in (Var, SymApp, MetaApp))
+
+
+# --- the signature's refusals -------------------------------------------------------
+
+def test_a_signature_refuses_a_repeated_symbol_and_a_name_list_of_another_length():
+    unit = Symbol("unit", TY, ())
+    with pytest.raises(ArityMismatch) as caught:
+        Signature((unit, unit))
+    assert str(caught.value) == "duplicate symbol names in signature: ['unit', 'unit']"
+    with pytest.raises(ArityMismatch, match="^metavariable name list does not match arity length$"):
+        mv_extend_signature(Signature((unit,)), arity((TM, 0), (TY, 1)), ("x",))
+
+
+def test_a_signature_refuses_an_unknown_symbol_name_and_metavariable():
+    sig = mv_extend_signature(Signature((Symbol("unit", TY, ()),)), arity((TM, 0)), ("x",))
+    with pytest.raises(IndexOutOfRange, match="^no symbol named 'tt'$"):
+        sig.symbol_index("tt")
+    for read in (sig.mv_class, sig.mv_binder, sig.mv_name):
+        with pytest.raises(IndexOutOfRange, match="^metavariable 1 of 1$"):
+            read(1)
+    with pytest.raises(IndexOutOfRange, match="^metavariable 0 of 0$"):
+        Signature(()).mv_class(0)

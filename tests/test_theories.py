@@ -14,7 +14,7 @@ from corpus import (
 )
 from genexpr import relabelling
 from gtt.bundled import mltt_base, mltt_pi
-from gtt.errors import DerivationError, KernelError, PremiseMismatch
+from gtt.errors import ArityMismatch, DerivationError, IndexOutOfRange, KernelError, PremiseMismatch
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
 from gtt.maps import (
     RawSyntaxMap,
@@ -304,3 +304,10 @@ def test_admissible_instance():
     # the instance is admissible: the witness derives its conclusion from its premises
     closure = instantiate_rule(THEORY.kind, inst, EMPTY_CONTEXT, rule)
     assert check_theory_derivation(THEORY, closure.premises, witness) == closure.conclusion
+
+
+def test_a_theory_refuses_a_rule_name_list_of_another_length_and_a_name_it_does_not_have():
+    with pytest.raises(ArityMismatch, match="^rule name list does not match rule count$"):
+        RawTypeTheory(THEORY.signature, THEORY.rules, THEORY.rule_names[1:])
+    with pytest.raises(IndexOutOfRange, match="^no rule named 'no-such-rule'$"):
+        THEORY.rule_index("no-such-rule")
