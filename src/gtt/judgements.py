@@ -5,7 +5,7 @@ the whole scope, with no ordering assumed.  Sequentiality is layered on
 top in the presentation module.
 
 RawContext, Judgement and Boundary are tuple records (``scopes._record``),
-like expressions: the checker builds them for every premise and compares
+like expressions: the checker builds them at every node and compares
 them by equality, which is then tuple equality, in C and class-aware.
 Their ``__post_init__`` runs on every construction, copies and unpickled
 records included, so a context or judgement that breaks its invariants is
@@ -238,20 +238,6 @@ def substitute_judgement(kind: ScopeKind, f: Substitution, target: RawContext, j
         tuple([substitute_expr(kind, f, e) for e in j.boundary]),
         None if j.head is None else substitute_expr(kind, f, j.head),
     )
-
-
-def complete_boundary(b: Boundary, head: Expr | None) -> Judgement:
-    """Fill an object boundary with a head; equality boundaries take none."""
-    hc = b.form.head_class
-    if hc is None:
-        if head is not None:
-            raise HeadForbidden(f"{b.form.value} boundary takes no head")
-        return Judgement(b.context, b.form, b.boundary, None)
-    if head is None:
-        raise HeadRequired(f"{b.form.value} boundary needs a head")
-    if head.cls is not hc:
-        raise ClassMismatch(f"head of class {head.cls}, boundary wants {hc}")
-    return Judgement(b.context, b.form, b.boundary, head)
 
 
 def presuppositions(j: Judgement | Boundary) -> tuple[Judgement, ...]:

@@ -31,7 +31,6 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
-    complete_boundary,
 )
 from .acceptability import derivation_failure, rule_symbols
 from .derivation_ops import generic_rule_instance, map_node, rebuild
@@ -41,6 +40,7 @@ from .presentation import (
     RuleBoundarySpec,
     WellFoundedPremiseFamily,
     _declared_position,
+    complete_boundary,
     flatten_premise_family,
     is_sequential_flat_context,
     map_expr,

@@ -15,6 +15,9 @@ from typing import Any, Callable
 
 from .errors import (
     ArityMismatch,
+    ClassMismatch,
+    HeadForbidden,
+    HeadRequired,
     KernelError,
     ParseError,
     ScopeMismatch,
@@ -31,7 +34,6 @@ from .judgements import (
     Judgement,
     JudgementForm,
     RawContext,
-    complete_boundary,
 )
 from .jsonio import (
     _BOUNDARY_KEYS, _Decoder, _distinct, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
@@ -58,6 +60,20 @@ from .syntax import (
     weaken_expr,
 )
 from .theories import RawTypeTheory, RuleWitnesses, TheoryWitnesses
+
+
+def complete_boundary(b: Boundary, head: Expr | None) -> Judgement:
+    """Fill an object boundary with a head; equality boundaries take none."""
+    hc = b.form.head_class
+    if hc is None:
+        if head is not None:
+            raise HeadForbidden(f"{b.form.value} boundary takes no head")
+        return Judgement(b.context, b.form, b.boundary, None)
+    if head is None:
+        raise HeadRequired(f"{b.form.value} boundary needs a head")
+    if head.cls is not hc:
+        raise ClassMismatch(f"head of class {head.cls}, boundary wants {hc}")
+    return Judgement(b.context, b.form, b.boundary, head)
 
 
 # --- sequential contexts --------------------------------------------------------
@@ -688,6 +704,7 @@ def rule_boundary_from_json(
     shape ``shape``, each over the extension by the premises below it, and
     the JSON ``conclusion`` of its conclusion boundary of form ``form``."""
     names = tuple(_str(p.get("name", f"p{k}"), "premise name") for k, p in enumerate(premises))
+    _distinct(list(names), "premise name")
     boundaries = []
     for k, p in enumerate(premises):
         sub = _sub_signature(sig, shape, names, k)

@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from . import derive
 from .derivation_ops import _node_name, rebuild
-from .errors import FillerConclusionMismatch, IndexOutOfRange, MissingWitness
-from .foundations import GenericDerivation, GStep
+from .errors import FillerConclusionMismatch, MissingWitness
 from .judgements import (
     EMPTY_CONTEXT, JudgementForm, RawContext, instantiate_context, instantiate_judgement, is_type, presuppositions,
 )
@@ -55,21 +54,6 @@ def graft(outer, fillers: tuple):
     derives H[h] from H', the result derives c from H'.  That agreement is
     the caller's obligation; checking the result catches violations."""
     return rebuild(outer, grafting(fillers), lambda node, children: node._replace(children=children))
-
-
-def map_derivation(rule_images: tuple[GenericDerivation, ...], d: GenericDerivation) -> GenericDerivation:
-    """Push ``d`` along a map of closure systems: ``rule_images[r]`` derives,
-    over the target system, the image of rule r's conclusion from the images
-    of its premises (premise i as hypothesis i).  Hypothesis leaves are kept."""
-
-    def step(node, children):
-        if not isinstance(node, GStep):
-            raise TypeError(f"not a derivation node: {node!r}")
-        if not 0 <= node.rule < len(rule_images):
-            raise IndexOutOfRange(f"rule {node.rule} of {len(rule_images)}")
-        return graft(rule_images[node.rule], children)
-
-    return rebuild(d, lambda h: h, step)
 
 
 def instantiate_derivation(

@@ -36,6 +36,7 @@ from .syntax import (
     generic_instantiation,
     generic_meta,
     instantiate_expr,
+    is_generic_occurrence,
     substitute_expr,
 )
 from .judgements import (
@@ -54,8 +55,12 @@ from .judgements import (
 )
 
 
+def _slots(j: Judgement) -> tuple[Expr, ...]:
+    return j.boundary if j.head is None else j.boundary + (j.head,)
+
+
 def _exprs(j: Judgement) -> tuple[Expr, ...]:
-    return j.context.types + j.boundary + (() if j.head is None else (j.head,))
+    return j.context.types + _slots(j)
 
 
 def _check_metas(arity: Arity, e: Expr) -> None:
@@ -84,8 +89,9 @@ class RawRule:
     are the index set of the arity.  ``exposed`` holds the metavariables
     whose entry any instantiation of the rule puts into its conclusion
     verbatim (``exposed_metavariables`` of the conclusion's context types,
-    boundary and head).  It is computed from the fields on first use and
-    is not a field: it is not passed and not shown.  Building a rule checks
+    boundary and head), and ``plan`` what ``RuleInstance`` reads of each
+    premise.  Both are computed from the fields on first use and are not
+    fields: they are not passed and not shown.  Building a rule checks
     each metavariable occurrence against ``arity``, since instantiation
     trusts them; the theory that holds the rule validates its symbols.
     """
@@ -106,6 +112,17 @@ class RawRule:
     def exposed(self) -> frozenset[int]:
         return frozenset().union(*(exposed_metavariables(self.arity, e) for e in _exprs(self.conclusion)))
 
+    @cached_property
+    def plan(self) -> tuple[tuple[JudgementForm, int, tuple[int | Expr, ...]], ...]:
+        """Per premise: its form, the index of the first premise with the same
+        context (its own when no earlier one has it), and, per slot
+        (boundary, then head), the metavariable whose entry the slot is
+        verbatim, at a generic occurrence, or else the slot's template."""
+        contexts = [p.context for p in self.premises]
+        return tuple((p.form, contexts.index(p.context), tuple(
+            e.idx if type(e) is MetaApp and is_generic_occurrence(e, self.arity[e.idx].binder) else e
+            for e in _slots(p))) for p in self.premises)
+
     @property
     def metas(self) -> tuple[str, ...]:
         """The names of the metavariables: ``meta_names``, or ``?i`` when it is empty."""
@@ -124,14 +141,51 @@ class RawRule:
         return tuple(i for i, p in enumerate(self.premises) if p.is_object)
 
 
+@_record
+class RuleInstance:
+    """The closure rule of a raw rule instance, as the checker reads it: the
+    conclusion is built, and ``matches(i, got)``, true exactly when ``got ==
+    premise(i)``, compares ``got``'s slots with the entries ``rule.plan``
+    shows verbatim and instantiates only the other templates.  ``contexts``
+    holds the premises' contexts, the node's own for an empty one."""
+
+    kind: ScopeKind
+    inst: Instantiation
+    rule: RawRule
+    contexts: tuple[RawContext, ...]
+    conclusion: Judgement
+
+    @property
+    def premise_count(self) -> int:
+        return len(self.contexts)
+
+    @property
+    def premises(self) -> tuple[Judgement, ...]:
+        return tuple(map(self.premise, range(len(self.contexts))))
+
+    def _expected(self, slots: tuple[int | Expr, ...]) -> tuple[Expr, ...]:
+        exprs = self.inst.exprs
+        return tuple([exprs[s] if type(s) is int else instantiate_expr(self.kind, self.inst, s) for s in slots])
+
+    def premise(self, i: int) -> Judgement:
+        form, _, slots = self.rule.plan[i]
+        got, n = self._expected(slots), len(form.boundary_classes)
+        return Judgement(self.contexts[i], form, got[:n], got[n] if form.is_object else None)
+
+    def matches(self, i: int, got: Judgement) -> bool:
+        form, _, slots = self.rule.plan[i]
+        return type(got) is Judgement and got.form is form and got.context == self.contexts[i] and (
+            _slots(got) == self._expected(slots))
+
+
 def instantiate_rule(
     kind: ScopeKind, inst: Instantiation, ctx: RawContext, rule: RawRule, memo: WeakeningMemo | None = None
-) -> ClosureRule:
+) -> RuleInstance:
     """The closure rule obtained by instantiating the rule's arity over ``ctx``.
 
     Each premise context extends ``ctx``; ``memo`` (``extend_context``)
     keeps the weakened types of ``ctx``.  Without one, a fresh memo is
-    shared by the premises and conclusion of this rule alone.
+    shared by the premise contexts and conclusion of this rule alone.
     """
     if inst.arity != rule.arity:
         raise ArityMismatch("instantiation arity differs from rule arity")
@@ -139,19 +193,17 @@ def instantiate_rule(
         raise ScopeMismatch("instantiation scope differs from context scope")
     if memo is None:
         memo = {}
-    return ClosureRule(
-        tuple([instantiate_judgement(kind, inst, ctx, p, memo) for p in rule.premises]),
-        instantiate_judgement(kind, inst, ctx, rule.conclusion, memo),
-    )
+    contexts: list[RawContext] = []  # a premise with the context of an earlier one shares its instance
+    for i, (_, k, _) in enumerate(rule.plan):
+        contexts.append(contexts[k] if k < i else instantiate_context(kind, inst, ctx, rule.premises[i].context, memo))
+    conclusion = instantiate_judgement(kind, inst, ctx, rule.conclusion, memo)
+    return RuleInstance(kind, inst, rule, tuple(contexts), conclusion)
 
 
 def variable_rule(ctx: RawContext, i: int) -> ClosureRule:
     """Premise: the type of position i is a type; conclusion: the variable inhabits it."""
     a = ctx.type_at(i)
-    return ClosureRule(
-        (is_type(ctx, a),),
-        is_term(ctx, Var(i, ctx.scope), a),
-    )
+    return ClosureRule((is_type(ctx, a),), is_term(ctx, Var(i, ctx.scope), a))
 
 
 def acts_trivially(kind: ScopeKind, f: Substitution, target: RawContext, source: RawContext, i: int) -> bool:
@@ -161,23 +213,6 @@ def acts_trivially(kind: ScopeKind, f: Substitution, target: RawContext, source:
         return False
     j = e.pos
     return target.type_at(j) == substitute_expr(kind, f, source.type_at(i))
-
-
-def act_jointly_trivially(
-    kind: ScopeKind,
-    f: Substitution,
-    g: Substitution,
-    target: RawContext,
-    source: RawContext,
-    i: int,
-) -> bool:
-    e, e2 = f(i), g(i)
-    if not (isinstance(e, Var) and isinstance(e2, Var) and e.pos == e2.pos):
-        return False
-    j = e.pos
-    fi = substitute_expr(kind, f, source.type_at(i))
-    gi = substitute_expr(kind, g, source.type_at(i))
-    return target.type_at(j) == fi and target.type_at(j) == gi
 
 
 def substitution_rule(
@@ -218,30 +253,20 @@ def equality_substitution_rule(
     if not j.is_object:
         raise NotObjectRule("equality substitution applies to object judgements")
     source = j.context
-    if f.src != target.scope or f.dst != source.scope:
-        raise ScopeMismatch("substitution endpoints do not match the contexts")
-    if g.src != target.scope or g.dst != source.scope:
+    if any(h.src != target.scope or h.dst != source.scope for h in (f, g)):
         raise ScopeMismatch("substitution endpoints do not match the contexts")
     for i in sorted(trivial):
-        if not act_jointly_trivially(kind, f, g, target, source, i):
+        if not (f(i) == g(i) and all(acts_trivially(kind, h, target, source, i) for h in (f, g))):
             raise TrivialityViolated(i)
     premises = [j]
     for i, (ty, fi, gi) in enumerate(zip(source.types, f.table, g.table)):
         if i not in trivial:
             f_ty, g_ty = substitute_expr(kind, f, ty), substitute_expr(kind, g, ty)
             premises += [is_term(target, fi, f_ty), is_term(target, gi, g_ty), tm_eq(target, fi, gi, f_ty)]
+    fh, gh = substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)
     if j.form is JudgementForm.IS_TY:
-        conclusion = ty_eq(
-            target, substitute_expr(kind, f, j.head), substitute_expr(kind, g, j.head)
-        )
-    else:
-        conclusion = tm_eq(
-            target,
-            substitute_expr(kind, f, j.head),
-            substitute_expr(kind, g, j.head),
-            substitute_expr(kind, f, j.boundary[0]),
-        )
-    return ClosureRule(tuple(premises), conclusion)
+        return ClosureRule(tuple(premises), ty_eq(target, fh, gh))
+    return ClosureRule(tuple(premises), tm_eq(target, fh, gh, substitute_expr(kind, f, j.boundary[0])))
 
 
 # --- the eight built-in raw rules --------------------------------------------

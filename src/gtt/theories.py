@@ -2,8 +2,8 @@
 
 A derivation node stores the data of the closure-rule instance it cites
 (context, instantiation, substitution, ...); the checker recomputes the
-instance's premises and conclusion from that data and matches children
-structurally.  The typed checker is the closure-system loop
+instance from that data and matches each child's conclusion against the
+corresponding premise.  The typed checker is the closure-system loop
 ``foundations.check_derivation`` run with ``closure_rule_of_node``: a
 derivation of a raw type theory is a derivation in its associated closure
 system, whose judgements are well formed over the signature.
@@ -41,10 +41,15 @@ their metavariable extensions (``RawTypeTheory`` validates them when it
 is built): each node's conclusion is valid (the root's by validation, a
 child's by equality with its parent's premise).  So are its context and
 its exposed entries, which the conclusion contains, and the rest of its
-data is validated explicitly.  Its premises, built from
-valid data by instantiation and substitution, are then valid, and so is
-each child's conclusion, which equals one of them.  A hypothesis leaf is
-compared with a valid premise and needs nothing more.
+data is validated explicitly.  Its premises, instances of valid templates
+over valid data, are then valid, and so is each child's conclusion, which
+equals one of them.  A hypothesis leaf is matched with a valid premise and
+needs nothing more.  A rule node never builds a premise to compare:
+``rules.RuleInstance.matches`` decides ``got == premise`` from the rule's
+premise templates, and only a ``PremiseMismatch`` builds the premise it
+reports.  No check is lost, since a premise that matches equals a child's
+conclusion or a hypothesis, a ``Judgement`` whose constructor has already
+validated it.
 
 A derivation may share node objects, and ``check_derivation`` recomputes
 the closure rule of each distinct node object once per check (see its
@@ -55,8 +60,10 @@ types are weakened into it.  One weakening memo per check
 (``judgements.extend_context``), keyed by value on (scope kind, type, cut,
 delta), weakens each distinct type once however many positions, contexts
 and nodes hold it; every context is still built by its constructor.  So a
-node costs the frames of ``closure_rule_of_node``, which dispatches on
-``type(node)``, and of the syntax walkers, one per expression node.
+rule node costs its conclusion, the contexts of its premises under binders
+and, per child, one match: ``==`` on the slots the rule's ``plan`` reads
+verbatim, and one instantiation of each other template.  Variable and
+substitution nodes build their premises.
 
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
 derivations over a raw theory, so it is defined here: the raw layer reads

@@ -21,8 +21,8 @@ sha256 of its stdout and of its stderr.  The set covers:
   ``U`` and ``u`` after ``beta``, and ``Pi`` with a rule whose term
   premise has the type ``Pi(A, A)``, through ``check-theory``;
 - a name repeated in each kind of input file: a symbol of a theory's
-  signature, a rule of a raw theory, a rule of a spec and a step of a
-  replacement script.
+  signature, a rule of a raw theory, a rule of a spec, a premise of a
+  spec's rule and a step of a replacement script.
 
 The manifest also holds the sha256 of every input file that is not a
 fixture, so a change in ``derivation_to_json`` shows even where no
@@ -289,6 +289,7 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
         ("check-derivation", "repeated-symbol.json", "lam.json"),
         ("check-theory", "repeated-rule.json", "--well-founded"),
         ("check-theory", "repeated-spec-rule.json", "--well-presented"),
+        ("check-theory", "repeated-premise.json", "--well-presented"),
         ("replace-step", "fixtures/type_in_type.json", "repeated-step.json"),
     ]
     return files, reqs
@@ -298,21 +299,26 @@ def repeated_names() -> dict[str, str]:
     """Input files that each name one thing twice: ``mltt_base`` with ``Pi``
     declared twice, ``mltt_pi`` with ``lam-intro`` listed twice,
     ``mltt_pi_presented`` with ``beta`` renamed ``app`` (its order edges
-    dropped), and the ``type_in_type`` script with its first step twice."""
+    dropped), the same spec with the premise ``B`` of ``Pi`` renamed ``A``,
+    and the ``type_in_type`` script with its first step twice."""
     def fixture(name):
         return json.loads((FIXTURES / name).read_text())
 
-    base, pi, spec, script = map(fixture, (
-        "mltt_base.json", "mltt_pi.json", "mltt_pi_presented.json", "type_in_type_replacement.json"
+    base, pi, spec, premise, script = map(fixture, (
+        "mltt_base.json", "mltt_pi.json", "mltt_pi_presented.json", "mltt_pi_presented.json",
+        "type_in_type_replacement.json",
     ))
     base["signature"].append(base["signature"][0])
     pi["rules"].append(next(r for r in pi["rules"] if r["name"] == "lam-intro"))
     next(r for r in spec["rules"] if r["name"] == "beta")["name"] = "app"
     spec["order"] = [edge for edge in spec["order"] if "beta" not in edge]
+    next(r for r in premise["rules"] if r["name"] == "Pi")["premises"][1]["name"] = "A"
     script["steps"].insert(1, script["steps"][0])
     return {
         f"repeated-{name}.json": json.dumps(data)
-        for name, data in (("symbol", base), ("rule", pi), ("spec-rule", spec), ("step", script))
+        for name, data in (
+            ("symbol", base), ("rule", pi), ("spec-rule", spec), ("premise", premise), ("step", script)
+        )
     }
 
 

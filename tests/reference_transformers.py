@@ -45,7 +45,7 @@ from gtt.derivation_ops import map_node
 from gtt.errors import (
     FillerConclusionMismatch, IndexOutOfRange, MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated,
 )
-from gtt.foundations import GStep
+from gtt.generic_derivations import GStep
 from gtt.judgements import instantiate_context, instantiate_judgement, presuppositions
 from gtt.maps import apply_syntax_map
 from gtt.metatheory import (

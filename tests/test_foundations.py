@@ -10,14 +10,9 @@ import pytest
 from corpus import THEORY, lam_tower
 from reference_checker import reference_check
 from gtt.errors import DerivationError, FillerConclusionMismatch, IndexOutOfRange, PremiseMismatch
-from gtt.foundations import (
-    ClosureRule,
-    FinitePoset,
-    GStep,
-    Hyp,
-    check_generic_derivation,
-)
-from gtt.judgements import EMPTY_CONTEXT
+from gtt.foundations import ClosureRule, FinitePoset, Hyp
+from gtt.generic_derivations import GStep, check_generic_derivation
+from gtt.judgements import EMPTY_CONTEXT, Judgement
 from gtt.metatheory import (
     check_well_founded,
     derivation_nodes,
@@ -25,7 +20,7 @@ from gtt.metatheory import (
     map_derivation,
     transitive_closure,
 )
-from gtt.theories import check_theory_derivation
+from gtt.theories import RuleInst, check_theory_derivation
 
 
 def test_hypothesis_case():
@@ -118,6 +113,44 @@ def test_each_node_object_is_checked_once_per_call(monkeypatch):
         objects = {id(node) for node in derivation_nodes(d)}
         assert set(calls) == objects and set(calls.values()) == {1}
     assert len(objects) < sum(1 for _ in derivation_nodes(d))
+
+
+def test_a_rule_node_builds_its_conclusion_and_no_premise(monkeypatch):
+    # Counted, not timed: every Judgement built during a check.  A rule node
+    # matches each child's conclusion against its premise templates, so a
+    # successful check of the lam tower of depth 8, all rule nodes, builds
+    # one judgement per distinct node object, its conclusion; a planted
+    # mismatch builds, besides those, exactly the premise it reports.
+    from gtt import theories
+
+    d = lam_tower(EMPTY_CONTEXT, 8).d_term
+    built, conclusions = [], {}
+
+    def counted_new(cls, *args, original=Judgement.__new__):
+        built.append(original(cls, *args))
+        return built[-1]
+
+    def counted(theory, sig, node, *rest, original=theories.closure_rule_of_node):
+        rule = original(theory, sig, node, *rest)
+        conclusions[id(node)] = rule.conclusion
+        return rule
+
+    monkeypatch.setattr(Judgement, "__new__", counted_new)
+    monkeypatch.setattr(theories, "closure_rule_of_node", counted)
+    check_theory_derivation(THEORY, (), d)
+    objects = {id(node): node for node in derivation_nodes(d)}
+    assert all(type(node) is RuleInst for node in objects.values())
+    assert set(conclusions) == set(objects)
+    assert sorted(map(id, built)) == sorted(map(id, conclusions.values()))
+
+    built.clear(), conclusions.clear()
+    a, b, body = d.children
+    with pytest.raises(PremiseMismatch) as exc:
+        check_theory_derivation(THEORY, (), d._replace(children=(b, a, body)))
+    assert exc.value.path == (0,)
+    reported = [j for j in built if j is exc.value.expected]
+    assert len(reported) == 1 and len(built) == len(conclusions) + 1
+    assert sorted(id(j) for j in built if j is not reported[0]) == sorted(map(id, conclusions.values()))
 
 
 def test_a_broken_shared_subtree_fails_at_its_first_occurrence():

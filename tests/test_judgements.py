@@ -12,13 +12,13 @@ from genexpr import LAW_SIGNATURE, compound_map, gen_arity, gen_expr, gen_instan
 from gtt.errors import ClassMismatch, HeadForbidden, HeadRequired, ScopeMismatch
 from gtt.foundations import ClosureRule
 from gtt.maps import apply_syntax_map, map_judgement
+from gtt.presentation import complete_boundary
 from gtt.judgements import (
     EMPTY_CONTEXT,
     Boundary,
     Judgement,
     JudgementForm,
     RawContext,
-    complete_boundary,
     extend_context,
     instantiate_context,
     instantiate_judgement,

@@ -65,7 +65,8 @@ LIBRARY_API = {
     "derive.eq_subst",
     "derive.rule",
     "derive.var",
-    "foundations.check_generic_derivation",
+    "generic_derivations.check_generic_derivation",
+    "generic_derivations.map_derivation",
     "maps.RawTheoryMap.check",
     "maps.apply_theory_map_derivation",
     "maps.compose_syntax_maps",
@@ -75,7 +76,6 @@ LIBRARY_API = {
     "presentation.sequential_by_occurrence",
     "presentation.sequential_by_peeling",
     "presentation.spec_to_json",
-    "presuppositions.map_derivation",
     "syntax.extend_substitution",
 }
 

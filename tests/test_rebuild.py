@@ -21,11 +21,11 @@ import pytest
 import reference_transformers as reference
 from corpus import THEORY, conv_wrap, lam_tower, tt_at
 from gtt.derivation_ops import derivation_nodes, map_derivation_exprs, map_node, rebuild
-from gtt.foundations import GStep
+from gtt.generic_derivations import GStep, map_derivation
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_to_json, dumps
 from gtt.maps import apply_theory_map_derivation, identity_theory_map
-from gtt.presuppositions import BUILTIN_WITNESSES, graft, grafting, instantiate_derivation, map_derivation
+from gtt.presuppositions import BUILTIN_WITNESSES, graft, grafting, instantiate_derivation
 from gtt.syntax import Instantiation
 from gtt.theories import Hyp, RuleInst
 from test_reference_transformers import INPUTS, LV_THEORY, lv_expr

@@ -29,7 +29,8 @@ from corpus import (
 )
 from gtt.bundled import mltt_pi, mltt_pi_presented, order
 from gtt.errors import ArityMismatch, IndexOutOfRange, ScopeMismatch
-from gtt.foundations import GStep
+from gtt.foundations import ClosureRule
+from gtt.generic_derivations import GStep
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
 from gtt.maps import EquationStep, SymbolStep, identity_theory_map
 from gtt.metatheory import check_acceptable_theory, check_well_founded_theory
@@ -211,7 +212,7 @@ def samples() -> dict:
     roots = [
         theory, witnesses, spec, order("type_in_type"),
         typed_app.d_term, equality_substitutions_under_binders(), pi(u, b).d_type,
-        closure_rule_of_node(THEORY, SIG, typed_app.d_term),
+        closure_rule_of_node(THEORY, SIG, typed_app.d_term), ClosureRule((), "a"),
         GStep(0, (Hyp(0),)),
         inl_renaming(ScopeKind.INDICES, 1, 2),
         check_acceptable_theory(theory, witnesses), check_well_founded_theory(theory),

@@ -36,6 +36,7 @@ from gtt.judgements import (
     Judgement,
     JudgementForm,
     RawContext,
+    instantiate_judgement,
     is_term,
     is_type,
     substitute_judgement,
@@ -65,7 +66,9 @@ from gtt.theories import (
     RuleInst,
     SubstInst,
     VariableInst,
+    ambient_signature,
     check_theory_derivation,
+    closure_rule_of_node,
 )
 
 
@@ -268,26 +271,104 @@ def test_reference_agrees_on_generated_derivations():
     assert shapes >= 500, shapes
 
 
-def test_rule_exposed_set_is_the_generic_occurrences_of_its_conclusion():
-    rng = random.Random(62)
+def sample_rules(seed: int) -> list[RawRule]:
+    """The rules of ``THEORY``, the eight built-in rules and random theories in both kinds."""
+    rng = random.Random(seed)
     rules = list(THEORY.rules) + [ref.rule for ref in BuiltinRule]
     for kind in ScopeKind:
         rules += random_theory(rng, kind).rules
-    for rule in rules:
+    return rules
+
+
+def test_rule_exposed_set_is_the_generic_occurrences_of_its_conclusion():
+    for rule in sample_rules(62):
         assert rule.exposed == exposed_by_definition(rule)
+
+
+def test_rule_plan_reads_verbatim_exactly_the_markers_of_its_premises():
+    # The same marker instantiation as ``exposed_by_definition``: a slot the
+    # plan reads as metavariable m is the marker of m itself in the eagerly
+    # built premise, and every other slot is no marker.
+    for rule in sample_rules(62):
+        markers = marker_entries(rule)
+        inst = Instantiation(rule.arity, 0, markers)
+        for p, (form, _, slots) in zip(rule.premises, rule.plan):
+            built = instantiate_judgement(ScopeKind.INDICES, inst, EMPTY_CONTEXT, p)
+            assert form is p.form
+            exprs = built.boundary + (() if built.head is None else (built.head,))
+            assert len(slots) == len(exprs)
+            for s, e in zip(slots, exprs):
+                found = [m for m, marker in enumerate(markers) if e is marker]
+                assert found == ([s] if type(s) is int else []), (rule, p)
+
+
+# --- the premise matcher ----------------------------------------------------------
+#
+# A rule node decides each premise by ``RuleInstance.matches`` instead of
+# building it; the oracle builds the premise with ``instantiate_judgement``.
+
+def rule_node_matches(theory, hyps, d, ambient=None, names=()):
+    """(matches, equals) for each premise of each rule node of ``d``, against
+    the child's conclusion and against the conclusion of a planted mutant of
+    the child: what ``RuleInstance.matches`` says, and whether the conclusion
+    equals the eagerly instantiated premise."""
+    sig = ambient_signature(theory, ambient, names)
+    for _, node in nodes_with_paths(d):
+        if not isinstance(node, RuleInst):
+            continue
+        rule = theory.rule(node.ref)
+        closure = instantiate_rule(theory.kind, node.inst, node.context, rule)
+        for i, (child, template) in enumerate(zip(node.children, rule.premises)):
+            premise = instantiate_judgement(theory.kind, node.inst, node.context, template)
+            assert closure.premise(i) == premise
+            got = [hyps[child.index] if isinstance(child, Hyp) else reference_check(theory, hyps, child, ambient, names)]
+            if not isinstance(child, Hyp):
+                for _, mutant in field_mutants(theory, child):
+                    try:
+                        got.append(closure_rule_of_node(theory, sig, mutant).conclusion)
+                    except KernelError:
+                        continue
+            for j in got:
+                yield closure.matches(i, j), j == premise
+
+
+def test_the_matcher_agrees_with_built_premises_on_the_corpus():
+    pairs = [pair for theory, hyps, d, ambient, names, _ in corpus_items()
+             for pair in rule_node_matches(theory, hyps, d, ambient, names)]
+    assert all(matches == equals for matches, equals in pairs)
+    assert sum(equals for _, equals in pairs) >= 150 and sum(not equals for _, equals in pairs) >= 250
+
+
+def test_the_matcher_agrees_with_built_premises_on_generated_derivations():
+    pairs = []
+    for kind in ScopeKind:
+        rng = random.Random(63)
+        for _ in range(4):
+            theory = random_theory(rng, kind)
+            gen = Generator(rng, theory)
+            for _ in range(15):
+                d, _ = gen.any(random_context(rng, theory.signature, rng.randrange(3)), 2)
+                pairs += rule_node_matches(theory, (), d)
+    assert all(matches == equals for matches, equals in pairs)
+    assert sum(equals for _, equals in pairs) >= 150 and sum(not equals for _, equals in pairs) >= 400
 
 
 # --- mutants --------------------------------------------------------------------
 
-def exposed_by_definition(rule: RawRule) -> frozenset[int]:
-    """Metavariables whose entry an instantiation puts into the conclusion
-    verbatim: instantiate with fresh marker entries (applied to the binder's
-    variables, so a copy along any other table differs) and look for the
-    markers themselves."""
-    markers = tuple(
+def marker_entries(rule: RawRule) -> tuple[MetaApp, ...]:
+    """A fresh marker entry per metavariable, applied to the binder's
+    variables, so a copy along any other table differs from it."""
+    return tuple(
         MetaApp(10_000 + m, tuple(Var(j, a.binder) for j in range(a.binder)), a.binder, a.cls)
         for m, a in enumerate(rule.arity)
     )
+
+
+def exposed_by_definition(rule: RawRule) -> frozenset[int]:
+    """Metavariables whose entry an instantiation puts into the conclusion
+    verbatim: instantiate with marker entries and look for the markers
+    themselves."""
+    markers = marker_entries(rule)
     c = instantiate_rule(ScopeKind.INDICES, Instantiation(rule.arity, 0, markers), EMPTY_CONTEXT, rule).conclusion
     found = set()
     for e in c.context.types + c.boundary + (() if c.head is None else (c.head,)):
