@@ -161,24 +161,26 @@ def expr_symbols(*es: Expr) -> frozenset[int]:
     return frozenset(node.sym for e in es for node in subexpressions(e) if type(node) is SymApp)
 
 
-def transitive_closure(p: FinitePoset) -> frozenset[tuple[int, int]]:
-    reach = {i: {j for (a, j) in p.edges if a == i} for i in range(p.size)}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(p.size):
-            extra = set()
-            for j in reach[i]:
-                extra |= reach[j] - reach[i]
-            if extra:
-                reach[i] |= extra
-                changed = True
-    return frozenset((i, j) for i in range(p.size) for j in reach[i])
+def down_sets(p: FinitePoset) -> tuple[frozenset[int], ...]:
+    """Each element's strict down-set: the elements with a path of edges to
+    it, so an element on a cycle lies below itself."""
+    direct: list[set[int]] = [set() for _ in range(p.size)]
+    for i, j in p.edges:
+        direct[j].add(i)
+    out = []
+    for x in range(p.size):
+        below, stack = set(), list(direct[x])
+        while stack:
+            if (y := stack.pop()) not in below:
+                below.add(y)
+                stack.extend(direct[y])
+        out.append(frozenset(below))
+    return tuple(out)
 
 
 def check_well_founded(p: FinitePoset) -> bool:
-    """True iff the transitive closure of p.edges is acyclic."""
-    return all(i != j for i, j in transitive_closure(p))
+    """True iff no element lies below itself."""
+    return all(x not in below for x, below in enumerate(down_sets(p)))
 
 
 def rule_symbols(rule: RawRule) -> frozenset[int]:
@@ -211,7 +213,6 @@ def required_precedence(
     """Edges (i, j): rule i must precede rule j, from symbol occurrences and
     witness provenance."""
     edges: set[tuple[int, int]] = set()
-    diagnostics: list[str] = []
     for j, rule in enumerate(theory.rules):
         for s in rule_symbols(rule):
             edges.add((beta[s], j))
@@ -224,11 +225,7 @@ def required_precedence(
                 edges.add((beta[s], j))
             for r in cited:
                 edges.add((r, j))
-    for i, j in sorted(edges):
-        if i == j:
-            diagnostics.append(
-                f"rule {theory.rule_name(j)} depends on itself"
-            )
+    diagnostics = [f"rule {theory.rule_name(j)} depends on itself" for i, j in sorted(edges) if i == j]
     return frozenset(edges), diagnostics
 
 
@@ -243,14 +240,12 @@ def check_well_founded_theory(
     The constraints: every symbol occurring in a rule must be introduced by an
     earlier rule, and every witness may cite only earlier symbols and rules.
     """
-    diagnostics: list[str] = []
     if beta is None:
         try:
             beta = theory_tightness(theory)
         except NotTight as e:
             return WellFoundedReport(False, [str(e)])
-    edges, diag = required_precedence(theory, beta, witnesses)
-    diagnostics.extend(diag)
+    edges, diagnostics = required_precedence(theory, beta, witnesses)
     n = len(theory.rules)
     constraint = FinitePoset.of(n, {(i, j) for i, j in edges if i != j})
     if not check_well_founded(constraint):
@@ -258,13 +253,13 @@ def check_well_founded_theory(
         names = " < ".join(theory.rule_name(i) for i in cycle)
         diagnostics.append(f"dependency cycle: {names}")
     if order is not None:
-        closure = transitive_closure(order)
+        below = down_sets(order)
         for i, j in sorted(edges):
-            if i == j or (i, j) not in closure:
+            if i == j or i not in below[j]:
                 diagnostics.append(
                     f"order does not place {theory.rule_name(i)} before {theory.rule_name(j)}"
                 )
-        if not check_well_founded(order):
+        if any(x in b for x, b in enumerate(below)):
             diagnostics.append("supplied order is cyclic")
     return WellFoundedReport(not diagnostics, diagnostics)
 

@@ -5,6 +5,7 @@ imports this module only when one of these commands runs."""
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 from .cli import _emit, _load_derivation, _load_raw
 from .errors import KernelError
@@ -14,6 +15,14 @@ from .syntax import TM
 from .theories import check_theory_derivation
 
 
+def _rechecked(theory, out, target, what: str, shape=lambda _: True):
+    """The JSON of the transformer output ``out``, once the checker derives ``target``
+    from it and it passes the transformer's shape test; a checker error comes first."""
+    if check_theory_derivation(theory, (), out) != target or not shape(out):
+        raise KernelError(f"{what} does not re-check")
+    return derivation_to_json(theory, theory.signature, out)
+
+
 def cmd_presup(args) -> int:
     from .presuppositions import derive_presuppositions
 
@@ -21,19 +30,11 @@ def cmd_presup(args) -> int:
     d = _load_derivation(theory, args.derivation)
     conclusion = check_theory_derivation(theory, (), d)
     outs = derive_presuppositions(theory, d, witnesses)
-    targets = presuppositions(conclusion)
-    emitted = []
-    for out, target in zip(outs, targets):
-        got = check_theory_derivation(theory, (), out)
-        if got != target:
-            raise KernelError("presupposition derivation does not re-check")
-        emitted.append(
-            {
-                "judgement": judgement_to_json(theory.signature, target),
-                "derivation": derivation_to_json(theory, theory.signature, out),
-            }
-        )
-    _emit(args, emitted)
+    _emit(args, [
+        {"derivation": _rechecked(theory, out, target, "presupposition derivation"),
+         "judgement": judgement_to_json(theory.signature, target)}
+        for out, target in zip(outs, presuppositions(conclusion))
+    ])
     return 0
 
 
@@ -44,10 +45,7 @@ def cmd_elim_subst(args) -> int:
     d = _load_derivation(theory, args.derivation)
     before = check_theory_derivation(theory, (), d)
     out = eliminate_substitution(theory, d)
-    after = check_theory_derivation(theory, (), out)
-    if after != before or not is_substitution_free(out):
-        raise KernelError("elimination result does not re-check")
-    _emit(args, derivation_to_json(theory, theory.signature, out))
+    _emit(args, _rechecked(theory, out, before, "elimination result", is_substitution_free))
     return 0
 
 
@@ -72,10 +70,7 @@ def cmd_invert(args) -> int:
     d = _load_derivation(theory, args.derivation)
     before = check_theory_derivation(theory, (), d)
     out = invert(theory, d, witnesses)
-    after = check_theory_derivation(theory, (), out)
-    if after != before or not is_canonical_inversion(theory, out):
-        raise KernelError("inversion result does not re-check")
-    _emit(args, derivation_to_json(theory, theory.signature, out))
+    _emit(args, _rechecked(theory, out, before, "inversion result", partial(is_canonical_inversion, theory)))
     return 0
 
 
@@ -91,7 +86,5 @@ def cmd_unique_typing(args) -> int:
         print("unique-typing expects two derivations of term judgements t : A and t : B", file=sys.stderr)
         return 2
     out = unique_typing_acceptable(theory, d1, d2, witnesses)
-    if check_theory_derivation(theory, (), out) != ty_eq(j1.context, j1.boundary[0], j2.boundary[0]):
-        raise KernelError("unique-typing result does not re-check")
-    _emit(args, derivation_to_json(theory, theory.signature, out))
+    _emit(args, _rechecked(theory, out, ty_eq(j1.context, j1.boundary[0], j2.boundary[0]), "unique-typing result"))
     return 0

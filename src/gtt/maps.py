@@ -32,7 +32,7 @@ from .judgements import (
     JudgementForm,
     RawContext,
 )
-from .acceptability import derivation_failure, rule_symbols
+from .acceptability import check_well_founded_theory, derivation_failure
 from .derivation_ops import generic_rule_instance, map_node, rebuild
 from .presuppositions import grafting, instantiate_derivation
 from .presentation import (
@@ -46,9 +46,9 @@ from .presentation import (
     map_expr,
     realise_rule_boundary,
     relabel_metas,
+    total_order,
 )
 from .rules import RawRule, congruence_rule, generic_application
-from .foundations import FinitePoset
 from .scopes import _record
 from .syntax import (
     Expr,
@@ -318,14 +318,11 @@ class ReplacementBuilder:
         return len(self.rules) - 1
 
     def check_well_founded(self) -> bool:
-        """Each rule mentions only symbols adjoined strictly before it."""
-        next_symbol = 0
-        for name, rule in zip(self.rule_names, self.rules):
-            if any(s >= next_symbol for s in rule_symbols(rule)):
-                return False
-            if rule.is_object and not name.endswith("-cong"):
-                next_symbol += 1  # the rule introduced symbol `next_symbol`
-        return True
+        """The theory is well founded in the order its rules were adjoined,
+        each symbol introduced by its symbol rule: its object rules are
+        exactly those, in symbol order."""
+        objects = [i for i, rule in enumerate(self.rules) if rule.is_object]
+        return check_well_founded_theory(self.theory(), total_order(len(self.rules)), None, dict(enumerate(objects))).ok
 
 
 def sequential_boundary_spec(
@@ -340,11 +337,7 @@ def sequential_boundary_spec(
     the extension by the arities of the strictly earlier object premises.
     """
     n = len(premises)
-    order = FinitePoset.of(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    shape = PremisesShape(
-        order,
-        tuple((form, len(seq)) for seq, form, _ in premises),
-    )
+    shape = PremisesShape(total_order(n), tuple((form, len(seq)) for seq, form, _ in premises))
     fam = WellFoundedPremiseFamily(
         shape,
         tuple((seq, slots) for seq, _, slots in premises),
@@ -517,14 +510,11 @@ class _SectionDriver:
                 "are bare closed metavariables"
             )
         intro = self._intro_premise(rule, entry.idx)
-        spec = sequential_boundary_spec(
-            prefix, JudgementForm.IS_TY, (),
-            sequential_premise_names(rule)[:len(prefix)],
-        )
         realiser = MetaApp(self._sub_meta_index(rule, entry.idx, k), (), 0, TY)
-        meta_name = rule.metas[entry.idx]
-        c = self._add(f"c.{name}.{meta_name}", spec, realiser, Hyp(intro))
-        return generic_application(self.builder.signature, c)
+        return self._type_symbol(
+            f"c.{name}.{rule.metas[entry.idx]}", prefix, sequential_premise_names(rule)[:len(prefix)],
+            realiser, Hyp(intro),
+        )
 
     def _primed_slot(self, index: int, prefix, premise, slot: Expr, cls, k: int) -> Expr:
         if cls is not TY:
@@ -540,12 +530,10 @@ class _SectionDriver:
         sub = self._sub_arity_len(rule, k)
         promoted = self._promote_slot(rule, slot, k, gamma, sub)
         witness = self._slot_witness(index, premise, slot, k, gamma, sub)
-        spec = sequential_boundary_spec(
-            tuple(prefix_family), JudgementForm.IS_TY, (),
-            sequential_premise_names(rule)[:k] + tuple(f"x{i}" for i in range(gamma)),
+        genapp_c = self._type_symbol(
+            f"c.{name}.p{k}", tuple(prefix_family),
+            sequential_premise_names(rule)[:k] + tuple(f"x{i}" for i in range(gamma)), promoted, witness,
         )
-        c = self._add(f"c.{name}.p{k}", spec, promoted, witness)
-        genapp_c = generic_application(self.builder.signature, c)
         # demote: prefix metavariables stay generic at the widened scope, moved
         # along the right inclusion b -> gamma + b, and promotion
         # metavariables become the context variables again
@@ -611,10 +599,13 @@ class _SectionDriver:
         w = self.witnesses.get(name)
         if w is None or 0 not in w.conclusion:
             raise MissingWitness(f"rule {name} has no conclusion-type witness")
-        spec = sequential_boundary_spec(
-            primed, JudgementForm.IS_TY, (), sequential_premise_names(rule)
-        )
-        c = self._add(f"c.{name}.ty", spec, promoted, w.conclusion[0])
+        return self._type_symbol(f"c.{name}.ty", primed, sequential_premise_names(rule), promoted, w.conclusion[0])
+
+    def _type_symbol(self, name: str, premises, names: tuple[str, ...], realiser: Expr, witness) -> Expr:
+        """The generic application of the c-symbol for ``premises ⊢ ? type``
+        named ``name`` and realised by ``realiser``."""
+        spec = sequential_boundary_spec(premises, JudgementForm.IS_TY, (), names)
+        c = self._add(name, spec, realiser, witness)
         return generic_application(self.builder.signature, c)
 
     def _add(self, name: str, spec: RuleBoundarySpec, realiser: Expr, witness) -> int:

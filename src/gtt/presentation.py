@@ -10,7 +10,7 @@ synthesised witnesses, and gives the raw theory with its witness table.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable
 
 from .errors import (
@@ -39,9 +39,7 @@ from .jsonio import (
     _BOUNDARY_KEYS, _Decoder, _distinct, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
     derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
 )
-from .acceptability import (
-    check_well_founded, expr_symbols, subexpressions, transitive_closure, witness_failures,
-)
+from .acceptability import down_sets, expr_symbols, subexpressions, witness_failures
 from .derivation_ops import map_derivation_exprs
 from .rules import RawRule, congruence_rule, generic_application
 from .scopes import ScopeKind, _record
@@ -181,13 +179,18 @@ def sequential_by_peeling(kind: ScopeKind, ctx: RawContext) -> bool:
 
 # --- premises shapes and well-founded premise families ---------------------------
 
-def topological_respects(p: FinitePoset) -> bool:
-    """True iff every edge goes from a lower to a higher index."""
-    return all(i < j for i, j in p.edges)
+def _check_index_order(order: FinitePoset, below: tuple[frozenset[int], ...], what: str) -> None:
+    """Refuse an order of premises or rules (``what``) that has a cycle, or
+    that their index order does not extend; ``below`` are its down-sets."""
+    if any(i in b for i, b in enumerate(below)):
+        raise StageViolation(f"{what} order has a cycle")
+    if not all(i < j for i, j in order.edges):
+        raise StageViolation(f"{what} indices must respect the order (list a linear extension)")
 
 
-def predecessors(p: FinitePoset, x: int) -> set[int]:
-    return {i for (i, j) in transitive_closure(p) if j == x}
+def total_order(n: int) -> FinitePoset:
+    """The order 0 < 1 < ... < n - 1, every pair listed."""
+    return FinitePoset.of(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 @_record
@@ -200,10 +203,7 @@ class PremisesShape:
     def __post_init__(self):
         if self.order.size != len(self.slots):
             raise ArityMismatch("poset size differs from the premise count")
-        if not check_well_founded(self.order):
-            raise StageViolation("premise order has a cycle")
-        if not topological_respects(self.order):
-            raise StageViolation("premise indices must respect the order (list a linear extension)")
+        _check_index_order(self.order, self.below, "premise")
 
     def object_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (f, _) in enumerate(self.slots) if f.is_object)
@@ -215,10 +215,14 @@ class PremisesShape:
         """The arity of the object premises ``indices``, in that order."""
         return tuple(Argument(self.slots[i][0].head_class, self.slots[i][1]) for i in indices)
 
+    @cached_property
+    def below(self) -> tuple[frozenset[int], ...]:
+        """Each premise's strict down-set."""
+        return down_sets(self.order)
+
     def arity_below(self, i: int) -> tuple[int, ...]:
         """Object premise indices strictly below i in the poset, in index order."""
-        preds = predecessors(self.order, i)
-        return tuple(j for j in self.object_indices() if j in preds)
+        return tuple(j for j in self.object_indices() if j in self.below[i])
 
 
 @_record
@@ -290,8 +294,7 @@ def flatten_premises_below(
 ) -> tuple[Judgement, ...]:
     """The flattening of the strict down-set of i, in index order, over
     the extension by arity(shape below i)."""
-    preds = sorted(predecessors(family.shape.order, i))
-    return _flatten_premises(sig.kind, family, preds, family.shape.arity_below(i))
+    return _flatten_premises(sig.kind, family, sorted(family.shape.below[i]), family.shape.arity_below(i))
 
 
 def check_premise_family(
@@ -327,7 +330,7 @@ def check_premise_family(
             failed.add(i)
             out.append(f"premise {i}: {e}")
             continue
-        if failed and (bad := failed & predecessors(family.shape.order, i)):
+        if failed and (bad := failed & family.shape.below[i]):
             out.append(f"premise {i}: witnesses not checked, invalid premises below it: {sorted(bad)}")
             continue
         hyps = flatten_premises_below(sig, family, i)
@@ -426,10 +429,7 @@ class WellPresentedTheorySpec:
     def __post_init__(self):
         if self.order.size != len(self.rules):
             raise ArityMismatch("order size differs from rule count")
-        if not check_well_founded(self.order):
-            raise StageViolation("rule order has a cycle")
-        if not topological_respects(self.order):
-            raise StageViolation("rule indices must respect the order (list a linear extension)")
+        _check_index_order(self.order, down_sets(self.order), "rule")
 
 
 def _spec_symbols(spec: WellPresentedTheorySpec) -> tuple[tuple[int, Symbol], ...]:
@@ -463,9 +463,9 @@ def elaborate_theory(spec: WellPresentedTheorySpec) -> tuple[RawTypeTheory, Theo
     # the theory of the rules elaborated so far, built once per spec rule
     # from the previous one, so that each rule is validated once
     theory = RawTypeTheory(full_sig, (), ())
+    below = down_sets(spec.order)
     for i, rs in enumerate(spec.rules):
-        allowed = {sym_index[spec.rules[j].name] for j in predecessors(spec.order, i)
-                   if spec.rules[j].boundary.conclusion_form.is_object}
+        allowed = {sym_index[spec.rules[j].name] for j in below[i] if spec.rules[j].boundary.conclusion_form.is_object}
         diagnostics: list[str] = []
         w = spec.witnesses.get(rs.name, RuleWitnesses({}, {}))
         _check_stage_symbols(full_sig, rs, allowed)
@@ -520,9 +520,10 @@ def _boundary_to_rule_witnesses(spec: RuleBoundarySpec, w: RuleWitnesses) -> Rul
     objects = shape.object_indices()
     premises = {}
     for (i, p), d in w.premises.items():
-        below = sorted(predecessors(shape.order, i))
         metas = tuple(objects.index(j) for j in shape.arity_below(i))
-        premises[(i, p)] = map_derivation_exprs(d, partial(relabel_metas, index=metas.__getitem__), below.__getitem__)
+        premises[(i, p)] = map_derivation_exprs(
+            d, partial(relabel_metas, index=metas.__getitem__), sorted(shape.below[i]).__getitem__
+        )
     return RuleWitnesses(dict(w.conclusion), premises)
 
 
@@ -664,6 +665,9 @@ def spec_from_json(data: Any):
         if form.is_object:
             symbols.append(Symbol(names[i], form.head_class, shapes[i].arity()))
     sig = Signature(tuple(symbols), kind)
+    congruences = {f"{s.name}-cong": s.name for s in symbols}
+    if clash := next((n for n in names if n in congruences), None):
+        raise ParseError(f"rule name {clash!r} is the name of the congruence rule of {congruences[clash]!r}")
 
     rules = []
     witnesses = {}
@@ -691,10 +695,8 @@ def premises_shape_from_json(premises: list, order: Any) -> PremisesShape:
     slots = tuple((_form_from(p.get("form")), len(_list(p.get("cxt_seq", []), "cxt_seq"))) for p in premises)
     n = len(slots)
     if order is None:
-        edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    else:
-        edges = {_edge(pair, range(n)) for pair in _list(order, "premise_order")}
-    return PremisesShape(FinitePoset.of(n, edges), slots)
+        return PremisesShape(total_order(n), slots)
+    return PremisesShape(FinitePoset.of(n, {_edge(pair, range(n)) for pair in _list(order, "premise_order")}), slots)
 
 
 def rule_boundary_from_json(

@@ -46,7 +46,7 @@ def cmd_check_theory(args) -> int:
         failed |= _acceptability_into(theory, witnesses, args.weak, report_json, lines)
     if args.well_founded:
         wf = check_well_founded_theory(theory, order, witnesses)
-        report_json["checks"]["well-founded"] = {"ok": wf.ok, "diagnostics": wf.diagnostics}
+        report_json["checks"]["well-founded"] = _fields(wf)
         lines.append(f"well-founded: {'ok' if wf.ok else 'FAIL'}")
         for d in wf.diagnostics:
             lines.append(f"  - {d}")
@@ -60,21 +60,7 @@ def _acceptability_into(theory, witnesses, weak, report_json, lines) -> bool:
 
     report = check_acceptable_theory(theory, witnesses, weak)
     report_json["checks"]["acceptable"] = {
-        "ok": report.acceptable,
-        "tight": report.tight,
-        "presuppositive": report.presuppositive,
-        "substitutive": report.substitutive,
-        "congruous": report.congruous,
-        "rules": [
-            {
-                "name": r.name,
-                "tight": r.tight,
-                "presuppositive": r.presuppositive,
-                "empty_conclusion_context": r.empty_conclusion_context,
-            }
-            for r in report.rules
-        ],
-        "diagnostics": report.diagnostics,
+        **_fields(report), "ok": report.acceptable, "rules": [_fields(r) for r in report.rules]
     }
     lines.append(f"acceptable: {'ok' if report.acceptable else 'FAIL'}")
     for flag in ("tight", "presuppositive", "substitutive", "congruous"):
@@ -83,6 +69,11 @@ def _acceptability_into(theory, witnesses, weak, report_json, lines) -> bool:
         for d in report.diagnostics[:10]:
             lines.append(f"  - {d}")
     return not report.acceptable
+
+
+def _fields(record) -> dict:
+    """A report record's fields by name."""
+    return dict(zip(type(record).__match_args__, record[1:]))
 
 
 def _print_report(args, report_json, lines) -> None:

@@ -22,7 +22,14 @@ sha256 of its stdout and of its stderr.  The set covers:
   premise has the type ``Pi(A, A)``, through ``check-theory``;
 - a name repeated in each kind of input file: a symbol of a theory's
   signature, a rule of a raw theory, a rule of a spec, a premise of a
-  spec's rule and a step of a replacement script.
+  spec's rule and a step of a replacement script;
+- a spec rule named like the congruence rule of another, through
+  ``check-theory`` and ``flatten``; a spec order with a cycle and one that
+  the rule list does not extend; ``--well-founded`` on a raw theory that is
+  not tight and on one whose order has a cycle;
+- replacement scripts whose first step is named like a congruence rule,
+  whose equation step carries an object rule, and whose equation witness
+  derives another judgement.
 
 The manifest also holds the sha256 of every input file that is not a
 fixture, so a change in ``derivation_to_json`` shows even where no
@@ -292,7 +299,26 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
         ("check-theory", "repeated-premise.json", "--well-presented"),
         ("replace-step", "fixtures/type_in_type.json", "repeated-step.json"),
     ]
+    files.update(order_faults())
+    reqs += [
+        ("check-theory", "congruence-name.json"),
+        ("flatten", "congruence-name.json"),
+        ("check-theory", "cyclic-spec-order.json"),
+        ("check-theory", "unextended-spec-order.json"),
+        ("check-theory", "not-tight.json", "--well-founded"),
+        ("check-theory", "cyclic-order.json", "--well-founded"),
+    ]
+    files.update(script_faults())
+    reqs += [
+        ("replace-step", "fixtures/type_in_type.json", f"{name}.json")
+        for name in ("cong-named-step", "object-equation", "wrong-equation-witness")
+    ]
     return files, reqs
+
+
+def fixture(name: str):
+    """The JSON of a fixture file."""
+    return json.loads((FIXTURES / name).read_text())
 
 
 def repeated_names() -> dict[str, str]:
@@ -301,9 +327,6 @@ def repeated_names() -> dict[str, str]:
     ``mltt_pi_presented`` with ``beta`` renamed ``app`` (its order edges
     dropped), the same spec with the premise ``B`` of ``Pi`` renamed ``A``,
     and the ``type_in_type`` script with its first step twice."""
-    def fixture(name):
-        return json.loads((FIXTURES / name).read_text())
-
     base, pi, spec, premise, script = map(fixture, (
         "mltt_base.json", "mltt_pi.json", "mltt_pi_presented.json", "mltt_pi_presented.json",
         "type_in_type_replacement.json",
@@ -319,6 +342,50 @@ def repeated_names() -> dict[str, str]:
         for name, data in (
             ("symbol", base), ("rule", pi), ("spec-rule", spec), ("premise", premise), ("step", script)
         )
+    }
+
+
+def order_faults() -> dict[str, str]:
+    """``mltt_pi_presented`` with ``lam`` renamed ``Pi-cong``, with the
+    order edge ``beta < Pi`` added (a cycle), and with ``app < lam`` added
+    (which its rule list does not extend); ``mltt_base`` with a symbol that
+    no rule introduces, and with the order edge ``beta < Pi-form`` added (a
+    cycle)."""
+    renamed = (FIXTURES / "mltt_pi_presented.json").read_text().replace('"lam"', '"Pi-cong"')
+    cyclic_spec, unextended, not_tight, cyclic = map(fixture, (
+        "mltt_pi_presented.json", "mltt_pi_presented.json", "mltt_base.json", "mltt_base.json",
+    ))
+    cyclic_spec["order"].append(["beta", "Pi"])
+    unextended["order"].append(["app", "lam"])
+    not_tight["signature"].append({"name": "Extra", "class": "Ty", "arity": []})
+    cyclic["order"].append(["beta", "Pi-form"])
+    return {
+        "congruence-name.json": renamed,
+        "cyclic-spec-order.json": json.dumps(cyclic_spec),
+        "unextended-spec-order.json": json.dumps(unextended),
+        "not-tight.json": json.dumps(not_tight),
+        "cyclic-order.json": json.dumps(cyclic),
+    }
+
+
+def script_faults() -> dict[str, str]:
+    """The ``type_in_type`` script with its step ``U`` renamed ``U-cong`` (in
+    its name and in the boundaries that mention it), with its equation's
+    rule replaced by the object rule ``U type``, and with its equation's
+    witness replaced by the derivation of ``u : U``."""
+    script = (FIXTURES / "type_in_type_replacement.json").read_text()
+    renamed = json.dumps(json.loads(script)).replace('"sym": "U"', '"sym": "U-cong"').replace(
+        '"name": "U"', '"name": "U-cong"'
+    )
+    object_rule, wrong_witness = json.loads(script), json.loads(script)
+    equation = object_rule["steps"][3]["rule"]
+    u_type = {"cxt": [], "form": "IsTy", "slots": {"head": equation["conclusion"]["slots"]["lhs"]}}
+    equation["conclusion"] = u_type
+    wrong_witness["steps"][3]["witness"] = wrong_witness["steps"][2]["witness"]
+    return {
+        "cong-named-step.json": renamed,
+        "object-equation.json": json.dumps(object_rule),
+        "wrong-equation-witness.json": json.dumps(wrong_witness),
     }
 
 

@@ -16,9 +16,9 @@ from gtt.judgements import EMPTY_CONTEXT, Judgement
 from gtt.metatheory import (
     check_well_founded,
     derivation_nodes,
+    down_sets,
     graft,
     map_derivation,
-    transitive_closure,
 )
 from gtt.theories import RuleInst, check_theory_derivation
 
@@ -309,10 +309,20 @@ def test_map_derivation_composition():
 
 # --- well-founded orders ------------------------------------------------------
 
+def transitive_closure(p: FinitePoset) -> set[tuple[int, int]]:
+    """The pairs joined by a path of edges, grown until no pair is added."""
+    closure = set(p.edges)
+    while extra := {(a, d) for a, b in closure for c, d in closure if b == c} - closure:
+        closure |= extra
+    return closure
+
+
 def wf_oracle(p: FinitePoset) -> bool:
-    """Every <-progressive subset (w.r.t. the transitive closure) is everything."""
+    """Every <-progressive subset (w.r.t. the transitive closure) is everything;
+    ``down_sets`` gives the same strict down-sets as the closure."""
     closure = transitive_closure(p)
     below = {x: {y for (y, z) in closure if z == x} for x in range(p.size)}
+    assert down_sets(p) == tuple(frozenset(below[x]) for x in range(p.size))
     universe = set(range(p.size))
     for bits in itertools.product([False, True], repeat=p.size):
         s = {i for i in range(p.size) if bits[i]}
