@@ -5,13 +5,13 @@ arbitrary carrier set X.  Families are ordered finite tuples; the index
 set of a family is its positions, so duplicates are allowed and uses of
 an element stay tagged with where it came from.
 
-``check_derivation`` is the only loop that checks derivation trees.  The
-typed checker in ``theories`` runs it with ``closure_rule_of_node``, which
-recomputes the closure rule a typed node cites; the generic checker of
-``generic_derivations`` runs it with the rules of a closure system.
-Generic derivations and maps of closure systems (``generic_derivations``),
-grafting (``presuppositions``) and the well-foundedness of a finite
-relation (``acceptability``) live above the raw layer.
+``check_derivation`` is the only loop that checks derivation trees: the
+paper's derivability in a closure system, for any ``rule_of`` that gives
+the ``ClosureRule`` a node cites.  The typed checker in ``theories`` is one
+instance of it, with ``closure_rule_of_node``, which recomputes the closure
+rule a typed node cites.  Grafting (``presuppositions``) and the
+well-foundedness of a finite relation (``acceptability``) live above the
+raw layer.
 """
 
 from __future__ import annotations
@@ -50,14 +50,10 @@ class ClosureRule:
         return got == self.premises[i]
 
 
-# A closure system is just a family of closure rules.
-ClosureSystem = tuple
-
-
 @_record
 class Hyp:
-    """Leaf citing a hypothesis by its position in the hypothesis family,
-    in generic and typed derivations alike."""
+    """Leaf citing a hypothesis by its position in the hypothesis family:
+    the one leaf of every derivation tree that ``check_derivation`` walks."""
 
     index: int
 

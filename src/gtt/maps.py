@@ -6,7 +6,7 @@ to a derivation of its translation.  A simple map, which relabels each
 symbol as a symbol of the same arity, is the special case whose
 interpretations are generic applications (``identity_syntax_map`` is
 one); its theory map sends each rule to the generic instance of its
-image, as ``identity_theory_map`` does.
+image.
 
 The replacement builder adjoins, one witnessed step at a time, symbols
 naming realisers of rule-boundaries and equations reflected from the
@@ -170,12 +170,6 @@ class RawTheoryMap:
                 if diagnostics is not None:
                     diagnostics.append(f"rule {self.src.rule_name(i)}: {failure}")
         return ok
-
-
-def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
-    m = identity_syntax_map(theory.signature)
-    derivations = {i: generic_rule_instance(i, rule) for i, rule in enumerate(theory.rules)}
-    return RawTheoryMap(m, theory, theory, derivations)
 
 
 def apply_theory_map_derivation(f: RawTheoryMap, d: TheoryDerivation) -> TheoryDerivation:
@@ -381,51 +375,6 @@ def section_s(
     )
     s_map = RawSyntaxMap(theory.signature, driver.builder.signature, exprs)
     return driver.builder, RawTheoryMap(s_map, theory, driver.builder.theory(), {})
-
-
-def section_d(
-    theory: RawTypeTheory, witnesses: TheoryWitnesses, rule_name: str
-) -> tuple[ReplacementBuilder, RuleBoundarySpec, RawRule | None]:
-    """The d-image of a rule: its premise family and conclusion boundary
-    primed through the section's c-symbols, over the builder theory.
-
-    For an object rule the image realised with its c-symbol is returned as
-    well; it is a symbol rule of the builder by construction.
-    """
-    driver = _SectionDriver(theory, witnesses)
-    index = theory.rule_index(rule_name)
-    rule = theory.rule(index)
-    head = rule.conclusion.head
-    realized = None
-    if rule.is_object and isinstance(head, SymApp):
-        c = driver.symbol_section(head.sym)
-        step = driver.builder.steps[_step_index_of(driver.builder, c)]
-        spec = step.boundary
-        realized = realise_rule_boundary(driver.builder.signature, spec, c)
-        return driver.builder, spec, realized
-    primed = driver._primed_premises(index)
-    if rule.conclusion.form.is_object:
-        conclusion_slots = (driver._primed_conclusion_type(index, primed),)
-    else:
-        raise MissingWitness(
-            "the d-image of equality conclusions primes both sides; use the "
-            "premise-family image via the returned spec instead"
-        )
-    spec = sequential_boundary_spec(
-        primed, rule.conclusion.form, conclusion_slots,
-        sequential_premise_names(rule),
-    )
-    return driver.builder, spec, realized
-
-
-def _step_index_of(builder: ReplacementBuilder, symbol_index: int) -> int:
-    count = -1
-    for i, step in enumerate(builder.steps):
-        if isinstance(step, SymbolStep):
-            count += 1
-            if count == symbol_index:
-                return i
-    raise KernelError("symbol index out of range")
 
 
 class _SectionDriver:

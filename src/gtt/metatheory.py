@@ -12,9 +12,8 @@ from .elimination import (
     compose_subst, eliminate_substitution, is_substitution_free, rename_derivation, subst_act_inst,
     substitute_derivation, substitute_equal_derivation,
 )
-from .generic_derivations import map_derivation
 from .inversion import invert, is_canonical_inversion, unique_typing, unique_typing_acceptable
 from .presuppositions import (
-    BUILTIN_WITNESSES, derive_presuppositions, graft, inst_act_inst, inst_act_subst, instantiate_derivation,
+    BUILTIN_WITNESSES, derive_presuppositions, inst_act_inst, inst_act_subst, instantiate_derivation,
 )
-from .tightness import check_tight, is_symbol_rule, is_tight, natural_type, theory_tightness
+from .tightness import check_tight, is_tight, natural_type, theory_tightness

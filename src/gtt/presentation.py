@@ -36,8 +36,8 @@ from .judgements import (
     RawContext,
 )
 from .jsonio import (
-    _BOUNDARY_KEYS, _Decoder, _distinct, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
-    derivation_to_json, expr_from_json, expr_to_json, rule_to_json, witness_key, witnesses_from_json,
+    _Decoder, _distinct, _form_from, _kind_from, _list, _obj, _str, _witness_keys, arity_to_json,
+    derivation_to_json, expr_from_json, rule_to_json, witness_key, witnesses_from_json,
 )
 from .acceptability import down_sets, expr_symbols, subexpressions, witness_failures
 from .derivation_ops import map_derivation_exprs
@@ -567,72 +567,11 @@ def theory_to_json(
 
 
 def _rule_witnesses_to_json(theory, name, w: RuleWitnesses) -> Any:
+    """``w`` keyed by ``witness_key``, each over the extension by the rule's arity."""
     rule = theory.rule(theory.rule_index(name))
     ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
-    return _witnesses_to_json(theory, w, lambda _: ext)
-
-
-def _witnesses_to_json(theory: RawTypeTheory, w: RuleWitnesses, signature) -> dict:
-    """``w`` keyed by ``witness_key``, each over ``signature(i)`` for premise i (None: the conclusion)."""
     entries = [((None, p), d) for p, d in sorted(w.conclusion.items())] + sorted(w.premises.items())
-    return {witness_key(i, p): derivation_to_json(theory, signature(i), d) for (i, p), d in entries}
-
-
-def spec_to_json(spec) -> Any:
-    """The JSON of a ``WellPresentedTheorySpec``."""
-    sig = theory_signature_of_spec(spec)
-    rules_out = []
-    # the realised rules before the current one, for naming the rules its
-    # witnesses cite; realised only up to the last rule with witnesses
-    stage, staged = RawTypeTheory(sig, (), ()), 0
-    for i, rs in enumerate(spec.rules):
-        fam = rs.boundary.premises
-        names = fam.names or tuple(f"p{k}" for k in range(fam.premise_count()))
-        premises_out = []
-        for k in range(fam.premise_count()):
-            form, scope = fam.shape.slots[k]
-            seq, slots = fam.boundaries[k]
-            sub = _sub_signature(sig, fam.shape, names, k)
-            premises_out.append(
-                {
-                    "name": names[k],
-                    "form": form.value,
-                    "cxt_seq": [expr_to_json(sub, t) for t in seq],
-                    "boundary": {
-                        key: expr_to_json(sub, e)
-                        for key, e in zip(_BOUNDARY_KEYS[form], slots)
-                    },
-                }
-            )
-        full = mv_extend_signature(sig, rs.boundary.arity(), fam.meta_names())
-        w = spec.witnesses.get(rs.name, RuleWitnesses({}, {}))
-        if w.premises or w.conclusion:
-            stage, staged = _stage_through(stage, spec.rules[staged:i]), i
-        # premise witnesses are over the sub-extension of their down-set
-        witnesses_out = _witnesses_to_json(
-            stage, w, lambda k: full if k is None else _sub_signature(sig, fam.shape, names, k)
-        )
-        rules_out.append(
-            {
-                "name": rs.name,
-                "conclusion_form": rs.boundary.conclusion_form.value,
-                "premise_order": sorted(list(e) for e in fam.shape.order.edges),
-                "premises": premises_out,
-                "conclusion_boundary": {
-                    key: expr_to_json(full, e)
-                    for key, e in zip(
-                        _BOUNDARY_KEYS[rs.boundary.conclusion_form], rs.boundary.conclusion_slots
-                    )
-                },
-                "witnesses": witnesses_out,
-            }
-        )
-    return {
-        "scope_system": spec.kind.value,
-        "well_presented": True,
-        "order": sorted([spec.rules[i].name, spec.rules[j].name] for i, j in spec.order.edges),
-        "rules": rules_out,
-    }
+    return {witness_key(i, p): derivation_to_json(theory, ext, d) for (i, p), d in entries}
 
 
 def _stage_through(stage: RawTypeTheory, rules) -> RawTypeTheory:
@@ -655,6 +594,8 @@ def spec_from_json(data: Any):
         a, b = _edge(pair, name_index)
         edges.add((name_index[a], name_index[b]))
     order = FinitePoset.of(len(raw_rules), edges)
+    # before any witness is read: a witness can cite only the rules listed before its own
+    _check_index_order(order, down_sets(order), "rule")
 
     # first pass: shapes, to compute the staged signatures
     raw_premises = [[_obj(p, "a premise") for p in _list(r.get("premises", []), "premises")] for r in raw_rules]

@@ -1,5 +1,5 @@
-"""The presuppositions theorem: the presupposition witnesses of the rules a
-derivation cites, instantiated at each node and grafted onto its premises."""
+"""The presuppositions theorem: the presupposition witnesses of the rules a derivation
+cites, instantiated at each node and grafted onto its premises in the same walk (``grafting``)."""
 
 from __future__ import annotations
 
@@ -40,20 +40,15 @@ def inst_act_inst(kind: ScopeKind, inst: Instantiation, other: Instantiation) ->
 
 
 def grafting(fillers: tuple):
-    """The leaf map of ``graft``: hypothesis leaf h becomes filler h."""
+    """The leaf map that grafts: hypothesis leaf h becomes filler h.  If the
+    derivation walked derives c from H and filler h derives H[h] from H',
+    the result derives c from H'; that agreement is the caller's obligation,
+    and checking the result catches violations."""
     def leaf(h):
         if not 0 <= h.index < len(fillers):
             raise FillerConclusionMismatch(f"no filler for hypothesis {h.index}")
         return fillers[h.index]
     return leaf
-
-
-def graft(outer, fillers: tuple):
-    """Replace each hypothesis leaf h of ``outer``, a generic or a typed
-    derivation, by filler h: if ``outer`` derives c from H and filler h
-    derives H[h] from H', the result derives c from H'.  That agreement is
-    the caller's obligation; checking the result catches violations."""
-    return rebuild(outer, grafting(fillers), lambda node, children: node._replace(children=children))
 
 
 def instantiate_derivation(

@@ -159,10 +159,6 @@ class RuleInstance:
     def premise_count(self) -> int:
         return len(self.contexts)
 
-    @property
-    def premises(self) -> tuple[Judgement, ...]:
-        return tuple(map(self.premise, range(len(self.contexts))))
-
     def _expected(self, slots: tuple[int | Expr, ...]) -> tuple[Expr, ...]:
         exprs = self.inst.exprs
         return tuple([exprs[s] if type(s) is int else instantiate_expr(self.kind, self.inst, s) for s in slots])

@@ -87,10 +87,6 @@ class Argument:
 Arity = tuple[Argument, ...]
 
 
-def arity(*pairs: tuple[SyntacticClass, int]) -> Arity:
-    return tuple(Argument(c, b) for c, b in pairs)
-
-
 def simple_arity(gamma: Scope) -> Arity:
     """gamma-many binder-free term arguments."""
     return tuple(Argument(TM, 0) for _ in range(gamma))

@@ -12,7 +12,7 @@ A derivation has five kinds of node.  ``RuleInst`` instantiates a raw
 rule, either a rule of the theory or one of the eight built-in
 equivalence and conversion rules of ``rules``; ``VariableInst``,
 ``SubstInst`` and ``EqSubstInst`` are the schematic structural families;
-``Hyp``, the leaf of ``foundations`` that generic derivations share, cites
+``Hyp``, the leaf of ``foundations``' closure-system derivations, cites
 a hypothesis.  ``derivation_ops.rebuild`` and ``map_node`` are
 the one rebuild of a derivation and the one map over a node's data (its
 ``EXPR_FIELDS``): the transformers build with them, this module only checks.

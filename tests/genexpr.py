@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 
-from gtt.maps import RawSyntaxMap
+from gtt.derivation_ops import generic_rule_instance
+from gtt.maps import RawSyntaxMap, RawTheoryMap, identity_syntax_map
 from gtt.rules import generic_application
 from gtt.syntax import (
     TM,
@@ -21,12 +22,19 @@ from gtt.syntax import (
     Signature,
     Substitution,
     Symbol,
-    arity,
+    SyntacticClass,
     mk_meta,
     mk_sym,
     mk_var,
     mv_extend_signature,
 )
+from gtt.theories import RawTypeTheory
+
+
+def arity(*pairs: tuple[SyntacticClass, int]) -> Arity:
+    """The arity of the (class, binder) pairs given, in order."""
+    return tuple(Argument(c, b) for c, b in pairs)
+
 
 # Five symbols, mixed binders: enough to exercise every recursion case.
 LAW_SIGNATURE = Signature(
@@ -40,7 +48,7 @@ LAW_SIGNATURE = Signature(
 )
 
 
-# --- syntax maps out of a law signature ---------------------------------------
+# --- syntax maps out of a law signature, and theory maps ----------------------
 
 def relabelling(src: Signature, dst: Signature, table: tuple[int, ...]) -> RawSyntaxMap:
     """The simple map sending symbol i of ``src`` to symbol ``table[i]`` of
@@ -69,6 +77,14 @@ def compound_map(sig: Signature = LAW_SIGNATURE) -> RawSyntaxMap:
     inner = mk_sym(ext, "pi", (generic_occurrence(ext, 1, 1), mk_meta(ext, 1, (x,), 2)), 1)
     exprs[pi] = mk_sym(ext, "pi", (mk_meta(ext, 0, (), 0), inner), 0)
     return RawSyntaxMap(sig, sig, tuple(exprs))
+
+
+def identity_theory_map(theory: RawTypeTheory) -> RawTheoryMap:
+    """The identity raw theory map: the identity syntax map, each rule sent
+    to its own generic instance."""
+    m = identity_syntax_map(theory.signature)
+    derivations = {i: generic_rule_instance(i, rule) for i, rule in enumerate(theory.rules)}
+    return RawTheoryMap(m, theory, theory, derivations)
 
 
 def minimal_expr(sig: Signature, scope: int, cls) -> Expr:

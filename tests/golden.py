@@ -24,9 +24,10 @@ sha256 of its stdout and of its stderr.  The set covers:
   signature, a rule of a raw theory, a rule of a spec, a premise of a
   spec's rule and a step of a replacement script;
 - a spec rule named like the congruence rule of another, through
-  ``check-theory`` and ``flatten``; a spec order with a cycle and one that
-  the rule list does not extend; ``--well-founded`` on a raw theory that is
-  not tight and on one whose order has a cycle;
+  ``check-theory`` and ``flatten``; a spec order with a cycle, and two
+  that the rule list does not extend: an order edge added, and two rules
+  swapped where a witness of the first cites the second; ``--well-founded``
+  on a raw theory that is not tight and on one whose order has a cycle;
 - replacement scripts whose first step is named like a congruence rule,
   whose equation step carries an object rule, and whose equation witness
   derives another judgement.
@@ -37,7 +38,9 @@ request prints the node it changes.
 
 A run loads a theory file for every request, which costs most of its
 time; so the corpus is sampled (every fourth item through ``presup``,
-every eighth through the other commands) to keep the run under 3 s.
+every eighth through the other commands, and each item whose root is an
+equality substitution through ``elim-subst`` and ``presup``) to keep the
+run under 3 s.
 
 ``tests/golden_manifest.json`` holds the recorded results, and
 ``test_golden`` compares a fresh run with it.  A change that alters the
@@ -90,7 +93,7 @@ from gtt import derive  # noqa: E402
 from gtt.cli import main  # noqa: E402
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm  # noqa: E402
 from gtt.jsonio import MAX_DEPTH, derivation_to_json, dumps  # noqa: E402
-from gtt.theories import RuleInst, check_theory_derivation  # noqa: E402
+from gtt.theories import EqSubstInst, RuleInst, check_theory_derivation  # noqa: E402
 
 THEORY_FLAGS = ("--acceptable", "--well-founded", "--well-presented", "--weak")
 FLAG_SETS = ((), *((f,) for f in THEORY_FLAGS), THEORY_FLAGS)
@@ -221,6 +224,11 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
     for i, d in enumerate(corpus_derivations()):
         name = f"corpus-{i:03}.json"
         files[name] = _emit(d)
+        if isinstance(d, EqSubstInst):
+            # what eliminating an equality substitution at the root emits
+            reqs.append(("elim-subst", base, name))
+            if i % 4:
+                reqs.append(("presup", base, name))
         if i % 4:
             continue
         reqs.append(("presup", base, name))
@@ -305,6 +313,7 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
         ("flatten", "congruence-name.json"),
         ("check-theory", "cyclic-spec-order.json"),
         ("check-theory", "unextended-spec-order.json"),
+        ("check-theory", "lam-before-pi.json"),
         ("check-theory", "not-tight.json", "--well-founded"),
         ("check-theory", "cyclic-order.json", "--well-founded"),
     ]
@@ -347,22 +356,27 @@ def repeated_names() -> dict[str, str]:
 
 def order_faults() -> dict[str, str]:
     """``mltt_pi_presented`` with ``lam`` renamed ``Pi-cong``, with the
-    order edge ``beta < Pi`` added (a cycle), and with ``app < lam`` added
-    (which its rule list does not extend); ``mltt_base`` with a symbol that
-    no rule introduces, and with the order edge ``beta < Pi-form`` added (a
-    cycle)."""
+    order edge ``beta < Pi`` added (a cycle), with ``app < lam`` added
+    (which its rule list does not extend), and with ``lam`` listed before
+    ``Pi``, which a witness of ``lam`` cites (a rule list that does not
+    extend the order either); ``mltt_base`` with a symbol that no rule
+    introduces, and with the order edge ``beta < Pi-form`` added (a cycle)."""
     renamed = (FIXTURES / "mltt_pi_presented.json").read_text().replace('"lam"', '"Pi-cong"')
-    cyclic_spec, unextended, not_tight, cyclic = map(fixture, (
-        "mltt_pi_presented.json", "mltt_pi_presented.json", "mltt_base.json", "mltt_base.json",
+    cyclic_spec, unextended, lam_first, not_tight, cyclic = map(fixture, (
+        "mltt_pi_presented.json", "mltt_pi_presented.json", "mltt_pi_presented.json", "mltt_base.json",
+        "mltt_base.json",
     ))
     cyclic_spec["order"].append(["beta", "Pi"])
     unextended["order"].append(["app", "lam"])
+    pi, lam = lam_first["rules"][:2]
+    lam_first["rules"][:2] = [lam, pi]
     not_tight["signature"].append({"name": "Extra", "class": "Ty", "arity": []})
     cyclic["order"].append(["beta", "Pi-form"])
     return {
         "congruence-name.json": renamed,
         "cyclic-spec-order.json": json.dumps(cyclic_spec),
         "unextended-spec-order.json": json.dumps(unextended),
+        "lam-before-pi.json": json.dumps(lam_first),
         "not-tight.json": json.dumps(not_tight),
         "cyclic-order.json": json.dumps(cyclic),
     }

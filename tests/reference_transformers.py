@@ -30,8 +30,9 @@ The reference presuppositions graft with recursive walks of their own, kept
 at the end as they were before ``derivation_ops.rebuild`` replaced them:
 ``graft``, ``map_derivation``, ``instantiate_derivation``,
 ``map_derivation_exprs`` and ``apply_theory_map_derivation``, one call per
-node occurrence and no memo.  ``test_rebuild`` compares the rebuilt ones
-with them, so the oracle runs none of the code it checks.
+node occurrence and no memo.
+``test_rebuild`` compares the rebuilt ones with them, so the oracle runs
+none of the code it checks.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from gtt.derivation_ops import map_node
 from gtt.errors import (
     FillerConclusionMismatch, IndexOutOfRange, MissingWitness, NotCongruous, NotObjectRule, TrivialityViolated,
 )
-from gtt.generic_derivations import GStep
 from gtt.judgements import instantiate_context, instantiate_judgement, presuppositions
 from gtt.maps import apply_syntax_map
 from gtt.metatheory import (
@@ -377,12 +377,14 @@ def derive_presuppositions(theory, d, witnesses, hyp_presups=None):
 
 # --- the recursive derivation walks -------------------------------------------------
 #
-# ``graft``, ``map_derivation`` and ``instantiate_derivation`` of
-# ``presuppositions``, ``map_derivation_exprs`` of ``derivation_ops`` and
-# ``apply_theory_map_derivation`` of ``maps`` as each once recursed on the
-# Python stack: one call per node, no memo, every occurrence rebuilt.  The
-# reference transformers above graft with these, and the rebuilds of
-# ``derivation_ops.rebuild`` must agree with them node for node.
+# ``graft`` (a walk with the leaf map ``grafting`` of ``presuppositions``),
+# the map of closure systems (``test_foundations.map_derivation``),
+# ``instantiate_derivation`` of ``presuppositions``, ``map_derivation_exprs``
+# of ``derivation_ops`` and ``apply_theory_map_derivation`` of ``maps`` as
+# each once recursed on the Python stack: one call per node, no memo, every
+# occurrence rebuilt.  The reference transformers above graft with these,
+# and the rebuilds of ``derivation_ops.rebuild`` must agree with them node
+# for node.
 
 def graft(outer, fillers):
     """Replace each hypothesis leaf of ``outer`` by the corresponding filler.
@@ -391,7 +393,8 @@ def graft(outer, fillers):
     result derives c from H'.  ``fillers`` is a tuple, or a function of h
     that builds filler h when a leaf cites it.  Any tree whose leaves are
     Hyp and whose other nodes have ``children`` and ``_replace`` grafts:
-    generic derivations and the typed derivations of ``theories`` alike.
+    derivations over a closure system and the typed derivations of
+    ``theories`` alike.
     Conclusion agreement between fillers and hypotheses is the caller's
     obligation; checking the result will catch violations.
     """
@@ -405,23 +408,19 @@ def graft(outer, fillers):
     return outer._replace(children=tuple(graft(c, fillers) for c in outer.children))
 
 
-def map_derivation(
-    rule_images: tuple[GenericDerivation, ...], d: GenericDerivation
-) -> GenericDerivation:
-    """Push ``d`` along a map of closure systems.
+def map_derivation(rule_images, d):
+    """Push ``d``, a derivation over a closure system whose nodes cite a rule
+    index as ``rule``, along a map of closure systems.
 
     ``rule_images[r]`` must be a derivation, over the target system, of the
     image of rule r's conclusion from the images of its premises (premise i
     appearing as hypothesis i).  Hypothesis leaves are kept.
     """
-    match d:
-        case Hyp(index=k):
-            return Hyp(k)
-        case GStep(rule=r, children=children):
-            if not 0 <= r < len(rule_images):
-                raise IndexOutOfRange(f"rule {r} of {len(rule_images)}")
-            return graft(rule_images[r], tuple(map_derivation(rule_images, c) for c in children))
-    raise TypeError(f"not a derivation node: {d!r}")
+    if isinstance(d, Hyp):
+        return Hyp(d.index)
+    if not 0 <= d.rule < len(rule_images):
+        raise IndexOutOfRange(f"rule {d.rule} of {len(rule_images)}")
+    return graft(rule_images[d.rule], tuple(map_derivation(rule_images, c) for c in d.children))
 
 
 def instantiate_derivation(

@@ -1,4 +1,6 @@
-"""Closure-system derivations, grafting, maps, and well-founded orders."""
+"""Derivations over a closure system, checked by the one loop
+``foundations.check_derivation``, grafted and mapped by the one rebuild
+``derivation_ops.rebuild``, and well-founded orders."""
 
 import itertools
 import operator
@@ -9,18 +11,55 @@ import pytest
 
 from corpus import THEORY, lam_tower
 from reference_checker import reference_check
+from gtt.derivation_ops import rebuild
 from gtt.errors import DerivationError, FillerConclusionMismatch, IndexOutOfRange, PremiseMismatch
-from gtt.foundations import ClosureRule, FinitePoset, Hyp
-from gtt.generic_derivations import GStep, check_generic_derivation
+from gtt.foundations import ClosureRule, FinitePoset, Hyp, check_derivation
 from gtt.judgements import EMPTY_CONTEXT, Judgement
-from gtt.metatheory import (
-    check_well_founded,
-    derivation_nodes,
-    down_sets,
-    graft,
-    map_derivation,
-)
+from gtt.metatheory import check_well_founded, derivation_nodes, down_sets
+from gtt.presuppositions import grafting
+from gtt.scopes import _record
 from gtt.theories import RuleInst, check_theory_derivation
+
+
+@_record
+class GStep:
+    """A node of a derivation over a closure system: it cites a rule of the
+    system by its index, with one child derivation per premise."""
+
+    rule: int
+    children: tuple
+
+
+def check_generic_derivation(system: tuple, hyps: tuple, d):
+    """Check ``d`` over ``system``, a tuple of closure rules, and ``hyps``,
+    and return its conclusion: the one checking loop with the rules of the
+    system."""
+
+    def rule_of(step: GStep) -> ClosureRule:
+        if not 0 <= step.rule < len(system):
+            raise IndexOutOfRange(f"rule {step.rule} of {len(system)}")
+        return system[step.rule]
+
+    return check_derivation(hyps, d, rule_of)
+
+
+def graft(outer, fillers: tuple):
+    """Replace each hypothesis leaf h of ``outer``, a generic or a typed
+    derivation, by filler h: one ``rebuild`` with the leaf map ``grafting``."""
+    return rebuild(outer, grafting(fillers), lambda node, children: node._replace(children=children))
+
+
+def map_derivation(rule_images: tuple, d):
+    """Push ``d`` along a map of closure systems: ``rule_images[r]`` derives,
+    over the target system, the image of rule r's conclusion from the images
+    of its premises (premise i as hypothesis i).  Hypothesis leaves are kept."""
+
+    def step(node, children):
+        if not 0 <= node.rule < len(rule_images):
+            raise IndexOutOfRange(f"rule {node.rule} of {len(rule_images)}")
+        return graft(rule_images[node.rule], children)
+
+    return rebuild(d, lambda h: h, step)
 
 
 def test_hypothesis_case():

@@ -12,7 +12,6 @@ from gtt.bundled import (
     cyclic_quantifier,
     mltt_base,
     mltt_pi,
-    mltt_pi_presented,
     type_in_type,
 )
 from gtt.errors import ParseError
@@ -33,12 +32,7 @@ from gtt.jsonio import (
 )
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.metatheory import check_acceptable_theory
-from gtt.presentation import (
-    elaborate_theory,
-    spec_from_json,
-    spec_to_json,
-    theory_to_json,
-)
+from gtt.presentation import spec_from_json, theory_to_json
 from gtt.theories import check_theory_derivation
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -104,16 +98,6 @@ def test_witnesses_survive_roundtrip():
     assert check_acceptable_theory(theory2, witnesses2).acceptable
 
 
-def test_spec_roundtrip():
-    spec = mltt_pi_presented()
-    data = loads(dumps(spec_to_json(spec)))
-    spec2 = spec_from_json(data)
-    t1, _ = elaborate_theory(spec)
-    t2, w2 = elaborate_theory(spec2)
-    assert t1.rules == t2.rules
-    assert check_acceptable_theory(t2, w2).acceptable
-
-
 def test_bundled_files_reemit_byte_for_byte():
     files = sorted(bundled.DATA.glob("*.json"))
     assert [p.stem for p in files] == [
@@ -122,8 +106,9 @@ def test_bundled_files_reemit_byte_for_byte():
     for path in files:
         text = path.read_text()
         kind, payload = load_theory_file(loads(text))
-        data = spec_to_json(payload) if kind == "spec" else theory_to_json(*payload)
-        assert dumps(data, pretty=True) + "\n" == text, path.name
+        # a raw theory file re-emits byte for byte; no encoder of specs is kept
+        if kind != "spec":
+            assert dumps(theory_to_json(*payload), pretty=True) + "\n" == text, path.name
         # the fixture of the same name is the package file, not a copy
         assert os.path.samefile(FIXTURES / path.name, path), path.name
 
@@ -142,8 +127,6 @@ def test_spec_codec_elaborates_nothing(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.update([_n]) or _f(*a))
     data = loads((bundled.DATA / "mltt_pi_presented.json").read_text())
     spec = spec_from_json(data)
-    assert calls == Counter()
-    assert spec_to_json(spec) == data
     assert calls == Counter()
     # the counters see an elaboration
     gtt.presentation.elaborate_theory(spec)

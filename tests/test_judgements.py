@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from genexpr import LAW_SIGNATURE, compound_map, gen_arity, gen_expr, gen_instantiation, gen_subst, twin_map
+from genexpr import LAW_SIGNATURE, arity, compound_map, gen_arity, gen_expr, gen_instantiation, gen_subst, twin_map
 from gtt.errors import ClassMismatch, HeadForbidden, HeadRequired, ScopeMismatch
 from gtt.foundations import ClosureRule
 from gtt.maps import apply_syntax_map, map_judgement
@@ -90,7 +90,6 @@ APP_ARITY = tuple()
 
 
 def test_instantiate_context_cases():
-    from gtt.syntax import arity
 
     alpha = arity((TY, 0),)
     ext = mv_extend_signature(SIG, alpha, ("A",))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from corpus import THEORY, build_corpus, tt_at
-from genexpr import LAW_SIGNATURE, gen_expr
+from genexpr import LAW_SIGNATURE, arity, gen_expr, identity_theory_map
 from gtt.bundled import mltt_base, mltt_pi, type_in_type
 from gtt.errors import MissingWitness, WitnessFailure
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, ty_eq
@@ -19,7 +19,6 @@ from gtt.maps import (
     check_realiser,
     compose_syntax_maps,
     identity_syntax_map,
-    identity_theory_map,
     section_s,
     sequential_boundary_spec,
 )
@@ -34,7 +33,6 @@ from gtt.syntax import (
     Symbol,
     SymApp,
     Var,
-    arity,
     mk_meta,
     mk_sym,
     mv_extend_signature,
@@ -232,30 +230,3 @@ def test_section_derives_symbol_rules():
     assert set(beta.values()) == {
         i for i, r in enumerate(built.rules) if r.is_object
     }
-
-
-def test_section_d_maps_rules_to_symbol_rules():
-    from gtt.maps import section_d
-    from gtt.metatheory import is_symbol_rule
-
-    theory, w = type_in_type()
-    builder, spec, realized = section_d(theory, w, "El-form")
-    assert realized is not None
-    sig = builder.signature
-    c_el = next(i for i, sym in enumerate(sig.symbols) if sym.name == "c.El")
-    assert is_symbol_rule(sig, realized, c_el)
-
-    theory, w = mltt_pi()
-    builder, spec, realized = section_d(theory, w, "Pi-form")
-    assert spec.premises.premise_count() == 2
-    c_pi = next(i for i, sym in enumerate(builder.signature.symbols) if sym.name == "c.Pi")
-    assert is_symbol_rule(builder.signature, realized, c_pi)
-
-
-def test_section_d_empty_premise_family():
-    from gtt.maps import section_d
-
-    theory, w = type_in_type()
-    builder, spec, realized = section_d(theory, w, "u-intro")
-    assert spec.premises.premise_count() == 0
-    assert realized is not None

@@ -24,6 +24,7 @@ from corpus import (
     unit_at,
     var,
 )
+from genexpr import arity
 from gtt import derive
 from gtt import bundled
 from gtt.bundled import cyclic_quantifier, mltt_base, mltt_pi, type_in_type
@@ -90,7 +91,7 @@ def app_variants():
     """Rules (1)-(6): the application rule and its five modifications."""
     sig = mltt_pi()[0].signature
     A = sig.symbol(0).arity  # unused marker
-    from gtt.syntax import arity, TM, TY
+    from gtt.syntax import TM, TY
 
     app_arity = arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))
     ext = mv_extend_signature(sig, app_arity, ("A", "B", "f", "a"))
@@ -121,7 +122,7 @@ def app_variants():
 
 def variant_witnesses():
     """Presupposition witnesses for the variants that have them."""
-    from gtt.syntax import arity, TM, TY
+    from gtt.syntax import TM, TY
 
     sig = mltt_pi()[0].signature
     app_arity = arity((TY, 0), (TY, 1), (TM, 0), (TM, 0))
@@ -199,7 +200,7 @@ def test_app_variant_presuppositivity_verdicts():
 
 
 def test_every_type_expression_rule_is_not_tight():
-    from gtt.syntax import arity, TY
+    from gtt.syntax import TY
 
     ext = mv_extend_signature(mltt_pi()[0].signature, arity((TY, 0)), ("A",))
     rule = RawRule(
@@ -209,7 +210,7 @@ def test_every_type_expression_rule_is_not_tight():
 
 
 def test_symmetry_variants():
-    from gtt.syntax import arity, TY
+    from gtt.syntax import TY
     from gtt.rules import BuiltinRule
 
     ext = mv_extend_signature(mltt_pi()[0].signature, arity((TY, 0), (TY, 0)), ("A", "B"))
@@ -600,7 +601,7 @@ def test_natural_type_clauses():
 
 
 def test_natural_type_rejects_metavariable_heads():
-    from gtt.syntax import arity, TM
+    from gtt.syntax import TM
 
     ext = mv_extend_signature(SIG, arity((TM, 0)), ("s",))
     with pytest.raises(NotTight):

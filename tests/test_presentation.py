@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from genexpr import LAW_SIGNATURE, gen_expr
+from genexpr import LAW_SIGNATURE, arity, gen_expr
 from golden import self_spec, universe_spec
 from gtt.acceptability import expr_symbols
 from gtt.bundled import mltt_pi, mltt_pi_presented
@@ -41,7 +41,6 @@ from gtt.syntax import (
     Signature,
     Symbol,
     Var,
-    arity,
     mk_sym,
     mv_extend_signature,
     weaken_expr,

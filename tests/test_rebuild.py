@@ -20,14 +20,16 @@ import pytest
 
 import reference_transformers as reference
 from corpus import THEORY, conv_wrap, lam_tower, tt_at
+from genexpr import identity_theory_map
 from gtt.derivation_ops import derivation_nodes, map_derivation_exprs, map_node, rebuild
-from gtt.generic_derivations import GStep, map_derivation
+from gtt.errors import FillerConclusionMismatch
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_to_json, dumps
-from gtt.maps import apply_theory_map_derivation, identity_theory_map
-from gtt.presuppositions import BUILTIN_WITNESSES, graft, grafting, instantiate_derivation
+from gtt.maps import apply_theory_map_derivation
+from gtt.presuppositions import BUILTIN_WITNESSES, grafting, instantiate_derivation
 from gtt.syntax import Instantiation
 from gtt.theories import Hyp, RuleInst
+from test_foundations import GStep, graft, map_derivation
 from test_reference_transformers import INPUTS, LV_THEORY, lv_expr
 
 DEPTH = 5000
@@ -197,3 +199,12 @@ def test_rebuild_calls_step_once_per_node_object_in_premise_order():
     assert order == [1, 3, 2]
     assert out.children[0] is out.children[1].children[0]
     assert out == GStep(12, (GStep(11, (Hyp(1), Hyp(1))), GStep(13, (GStep(11, (Hyp(1), Hyp(1))),)), Hyp(1)))
+
+
+def test_grafting_refuses_a_hypothesis_without_a_filler():
+    # the leaf map that grafts sends hypothesis h to filler h, and has none beyond them
+    filler = tt_at(EMPTY_CONTEXT).d_term
+    leaf = grafting((filler,))
+    assert leaf(Hyp(0)) is filler
+    with pytest.raises(FillerConclusionMismatch, match="^no filler for hypothesis 1$"):
+        instantiate_derivation(THEORY, Instantiation((), 0, ()), EMPTY_CONTEXT, Hyp(1), leaf)

@@ -27,12 +27,12 @@ from corpus import (
     tt_at,
     unit_at,
 )
+from genexpr import identity_theory_map
 from gtt.bundled import mltt_pi, mltt_pi_presented, order
 from gtt.errors import ArityMismatch, IndexOutOfRange, ScopeMismatch
 from gtt.foundations import ClosureRule
-from gtt.generic_derivations import GStep
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
-from gtt.maps import EquationStep, SymbolStep, identity_theory_map
+from gtt.maps import EquationStep, SymbolStep
 from gtt.metatheory import check_acceptable_theory, check_well_founded_theory
 from gtt.rules import BuiltinRule, RawRule
 from gtt.scopes import Renaming, ScopeKind, _record, inl_renaming
@@ -213,7 +213,6 @@ def samples() -> dict:
         theory, witnesses, spec, order("type_in_type"),
         typed_app.d_term, equality_substitutions_under_binders(), pi(u, b).d_type,
         closure_rule_of_node(THEORY, SIG, typed_app.d_term), ClosureRule((), "a"),
-        GStep(0, (Hyp(0),)),
         inl_renaming(ScopeKind.INDICES, 1, 2),
         check_acceptable_theory(theory, witnesses), check_well_founded_theory(theory),
         identity_theory_map(theory),

@@ -28,7 +28,7 @@ from corpus import (
     tt_at,
     unit_at,
 )
-from genexpr import LAW_SIGNATURE, gen_arity, gen_expr, gen_instantiation, gen_subst, gen_template
+from genexpr import LAW_SIGNATURE, arity, gen_arity, gen_expr, gen_instantiation, gen_subst, gen_template
 from reference_checker import reference_check
 from gtt.errors import DerivationError, KernelError
 from gtt.judgements import (
@@ -54,7 +54,6 @@ from gtt.syntax import (
     Substitution,
     SymApp,
     Var,
-    arity,
     mk_sym,
     mv_extend_signature,
     substitute_expr,
@@ -246,7 +245,7 @@ class Generator:
         rule = self.theory.rule(r)
         inst = gen_instantiation(rng, self.sig, rule.arity, ctx.scope)
         closure = instantiate_rule(kind, inst, ctx, rule)
-        children = tuple(self.derive(p, depth - 1) for p in closure.premises)
+        children = tuple(self.derive(closure.premise(i), depth - 1) for i in range(closure.premise_count))
         return RuleInst(r, inst, ctx, children), closure.conclusion
 
 

@@ -13,6 +13,7 @@ import pathlib
 import pytest
 
 from corpus import KIND, SIG, THEORY, UNIT_FORM, extend, tt_at, unit_at
+from genexpr import arity
 from gtt.cli import main
 from gtt.errors import (
     ArityMismatch, ClassMismatch, DerivationError, IndexOutOfRange, KernelError, ScopeMismatch,
@@ -21,7 +22,7 @@ from gtt.judgements import EMPTY_CONTEXT, Boundary, Judgement, JudgementForm, Ra
 from gtt.jsonio import derivation_to_json, dumps
 from gtt.maps import RawSyntaxMap
 from gtt.rules import RawRule, congruence_rule, instantiate_rule
-from gtt.syntax import TM, TY, Instantiation, MetaApp, Signature, Substitution, Symbol, SymApp, arity
+from gtt.syntax import TM, TY, Instantiation, MetaApp, Signature, Substitution, Symbol, SymApp
 from gtt.syntax import substitute_expr, validate_expr
 from gtt.theories import RuleInst, SubstInst, VariableInst, check_theory_derivation
 from reference_checker import reference_check

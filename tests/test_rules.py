@@ -121,10 +121,10 @@ def test_instantiate_app_rule_gives_displayed_closure_rule():
     t = mk_sym(BS, "tt", (), 0)
     inst = Instantiation(app_rule.arity, 0, (a, b, lam_id, t))
     closure = instantiate_rule(KIND, inst, EMPTY_CONTEXT, app_rule)
-    assert closure.premises[0] == is_type(EMPTY_CONTEXT, a)
-    assert closure.premises[1] == is_type(RawContext(1, (weaken_expr(KIND, a, 1),)), b)
-    assert closure.premises[2] == is_term(EMPTY_CONTEXT, lam_id, mk_sym(BS, "Pi", (a, b), 0))
-    assert closure.premises[3] == is_term(EMPTY_CONTEXT, t, a)
+    assert closure.premise(0) == is_type(EMPTY_CONTEXT, a)
+    assert closure.premise(1) == is_type(RawContext(1, (weaken_expr(KIND, a, 1),)), b)
+    assert closure.premise(2) == is_term(EMPTY_CONTEXT, lam_id, mk_sym(BS, "Pi", (a, b), 0))
+    assert closure.premise(3) == is_term(EMPTY_CONTEXT, t, a)
     # conclusion type is B with t substituted for the bound variable
     assert closure.conclusion == is_term(
         EMPTY_CONTEXT, mk_sym(BS, "app", (a, b, lam_id, t), 0), a
@@ -161,7 +161,7 @@ def test_instantiate_rule_axiom_case():
     theory, _ = mltt_base()
     unit_rule = theory.rule(theory.rule_index("unit-form"))
     closure = instantiate_rule(KIND, Instantiation((), 0, ()), EMPTY_CONTEXT, unit_rule)
-    assert closure.premises == ()
+    assert closure.premise_count == 0
     assert closure.conclusion == is_type(EMPTY_CONTEXT, mk_sym(theory.signature, "unit", (), 0))
 
 

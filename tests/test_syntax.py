@@ -17,6 +17,7 @@ import pytest
 
 from genexpr import (
     LAW_SIGNATURE,
+    arity,
     compound_map,
     gen_expr,
     gen_instantiation,
@@ -57,7 +58,6 @@ from gtt.syntax import (
     Symbol,
     SymApp,
     Var,
-    arity,
     extend_substitution,
     generic_instantiation,
     instantiate_expr,

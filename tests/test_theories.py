@@ -12,7 +12,7 @@ from corpus import (
     pi,
     unit_at,
 )
-from genexpr import relabelling
+from genexpr import arity, identity_theory_map, relabelling
 from gtt.bundled import mltt_base, mltt_pi
 from gtt.errors import ArityMismatch, DerivationError, IndexOutOfRange, KernelError, PremiseMismatch
 from gtt.judgements import EMPTY_CONTEXT, RawContext, is_type
@@ -21,7 +21,6 @@ from gtt.maps import (
     RawTheoryMap,
     apply_theory_map_derivation,
     check_derived_rule,
-    identity_theory_map,
     map_judgement,
     map_rule,
 )
@@ -88,7 +87,7 @@ def test_hand_built_rules_are_validated_when_the_theory_is_built():
     # metavariables against its arity when it is built, the theory validates
     # the rest
     from gtt.rules import RawRule
-    from gtt.syntax import TY, MetaApp, SymApp, arity
+    from gtt.syntax import TY, MetaApp, SymApp
 
     bad_meta = is_type(EMPTY_CONTEXT, MetaApp(-1, (), 0, TY))
     alpha = arity((TY, 0))
@@ -104,7 +103,6 @@ def test_hand_built_rules_are_validated_when_the_theory_is_built():
 
 def test_checking_over_metavariable_extension():
     # over Sigma+(Ty,0): the metavariable is a type; derive |- M type from it
-    from gtt.syntax import arity
     from gtt.syntax import TY
 
     alpha = arity((TY, 0))
@@ -257,7 +255,7 @@ def test_instantiate_generic_pi_derivation():
 def test_instantiate_derivation_closed_subtrees():
     # instantiating a closed derivation: conclusions instantiate pointwise
     from gtt.judgements import instantiate_judgement
-    from gtt.syntax import arity, TY
+    from gtt.syntax import TY
 
     alpha = arity((TY, 0))
     for d, j in build_corpus()[:12]:
@@ -303,7 +301,8 @@ def test_admissible_instance():
     witness = RuleInst(pi_rule_idx, inst, EMPTY_CONTEXT, (Hyp(0), Hyp(1)))
     # the instance is admissible: the witness derives its conclusion from its premises
     closure = instantiate_rule(THEORY.kind, inst, EMPTY_CONTEXT, rule)
-    assert check_theory_derivation(THEORY, closure.premises, witness) == closure.conclusion
+    premises = tuple(map(closure.premise, range(closure.premise_count)))
+    assert check_theory_derivation(THEORY, premises, witness) == closure.conclusion
 
 
 def test_a_theory_refuses_a_rule_name_list_of_another_length_and_a_name_it_does_not_have():

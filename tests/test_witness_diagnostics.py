@@ -13,11 +13,12 @@ import pathlib
 
 import pytest
 
+from genexpr import identity_theory_map
 from gtt.bundled import mltt_pi, mltt_pi_presented
 from gtt.cli import main
 from gtt.derivation_ops import generic_rule_instance
 from gtt.judgements import presuppositions
-from gtt.maps import check_derived_rule, check_realiser, identity_theory_map
+from gtt.maps import check_derived_rule, check_realiser
 from gtt.metatheory import check_presuppositive
 from gtt.presentation import check_premise_family, check_rule_boundary, elaborate_theory
 from gtt.theories import Hyp
