@@ -1,5 +1,5 @@
-"""Derivation operations the metatheorem transformers share, ``rebuild`` first, and the
-two theory conditions substitution relies on (substitutive, congruous); checking needs none."""
+"""Derivation operations the metatheorem transformers share: ``rebuild`` first, which visits the children
+a caller selects (all by default), and the theory conditions substitution relies on; checking needs none."""
 
 from __future__ import annotations
 
@@ -27,19 +27,19 @@ def derivation_nodes(d: TheoryDerivation):
         stack.extend(reversed(node.children))
 
 
-def rebuild(d, leaf, step):
-    """``d`` rebuilt post-order over an explicit stack, children in premise order: a
-    hypothesis leaf h as ``leaf(h)``, another node as ``step(node, children)``.  A node
-    object met again gives its first result (one memo per call, keyed by ``id``, holding it)."""
-    memo, done, stack = {}, [], [(d, False)]  # done: the rebuilt children of the nodes on the stack
+def rebuild(d, leaf, step, children=lambda node: node.children):
+    """``d`` rebuilt post-order over an explicit stack: a hypothesis leaf h as ``leaf(h)``, another node
+    as ``step(node, rebuilt)``, ``rebuilt`` the results for ``children(node)`` (all its children, in premise
+    order, unless a caller selects).  A node object met again gives its first result (one memo per call)."""
+    memo, done, stack = {}, [], [(d, None)]  # kids None: not expanded; done: results of stacked children
     while stack:
-        node, ready = stack.pop()
+        node, kids = stack.pop()
         if id(node) in memo:
             done.append(memo[id(node)][1])
-        elif not (ready or isinstance(node, Hyp)):
-            stack += [(node, True)] + [(c, False) for c in reversed(node.children)]
+        elif kids is None and not isinstance(node, Hyp):
+            stack += [(node, kids := children(node))] + [(c, None) for c in reversed(kids)]
         else:
-            k = len(done) - len(node.children)
+            k = len(done) - len(kids or ())
             out = leaf(node) if isinstance(node, Hyp) else step(node, tuple(done[k:]))
             memo[id(node)] = node, out
             done[k:] = [out]

@@ -1,12 +1,17 @@
 """Admissibility of renaming, substitution and equality substitution, and
-elimination of substitution, as transformers of derivations."""
+elimination of substitution, as transformers of derivations.
+
+Substitution and renaming take any derivation that checks: a substitution
+node they meet is folded into the substitution they carry.  So elimination
+of substitution is one ``derivation_ops.rebuild`` that sends each
+substitution node to one substitution into its body."""
 
 from __future__ import annotations
 
 import operator
 
 from . import derive
-from .derivation_ops import _node_name, derivation_nodes, require_substitutive
+from .derivation_ops import _node_name, derivation_nodes, rebuild, require_substitutive
 from .errors import MissingWitness, ScopeMismatch, TrivialityViolated
 from .judgements import RawContext, WeakeningMemo, instantiate_context
 from .rules import acts_trivially
@@ -76,15 +81,14 @@ def subst_act_inst(kind: ScopeKind, f: Substitution, inst: Instantiation, k: Sco
 # convert the variable to its g-image.  No binder premise is walked twice for
 # all three images, so the work does not double with each binder level.
 #
-# ``eliminate_substitution`` hands each chain of stacked substitution nodes
-# to ``substitute_derivation`` as one node; see the comment above it.
+# Substitution, and so renaming, folds a substitution node it meets under k
+# binders into f + id_k, and walks the node's body with the folded data in
+# place of the root's; it eliminates an equality substitution node.  See the
+# comment above ``eliminate_substitution``.  Equality substitution takes a
+# substitution-free derivation.
 
 def is_substitution_free(d: TheoryDerivation) -> bool:
     return not any(isinstance(n, (SubstInst, EqSubstInst)) for n in derivation_nodes(d))
-
-
-def _not_substitution_free(theory: RawTypeTheory, node) -> TypeError:
-    return TypeError(f"substitution node in a substitution-free derivation: {_node_name(theory, node)}")
 
 
 def rename_derivation(
@@ -94,14 +98,14 @@ def rename_derivation(
     d: TheoryDerivation,
     memo: WeakeningMemo | None = None,
 ) -> TheoryDerivation:
-    """Rename a substitution-free derivation along a type-respecting renaming.
+    """Rename a derivation along a type-respecting renaming; the result is substitution-free.
 
     A renaming is substitution by variables: this is ``substitute_derivation``
     along ``Substitution.of_renaming(r)`` with every position trivial and no
     typings.  The renaming respects types exactly when that substitution acts
     trivially at every position, so a renaming that does not respect the type
     at position i raises ``TrivialityViolated(i)``.  ``d`` must check in the
-    theory.  ``memo`` goes to ``substitute_derivation``.
+    theory; it may hold substitution nodes.  ``memo`` goes to ``substitute_derivation``.
     """
     return substitute_derivation(
         theory, Substitution.of_renaming(r), target, frozenset(range(r.src)), {}, d, memo
@@ -123,49 +127,72 @@ def substitute_derivation(
     d: TheoryDerivation,
     memo: WeakeningMemo | None = None,
 ) -> TheoryDerivation:
-    """Substitute into a substitution-free derivation, keeping it substitution-free.
+    """Substitute into a derivation that checks in the theory, giving a substitution-free one.
 
     ``typings[i]`` must be a substitution-free derivation of
     target |- f(i) : f*(source type i) for every position i outside
     ``trivial``; positions inside it are only required to be trivial.  ``d``
-    must check in the theory.  Triviality is checked against the root's
-    context only; see the comment above for why it holds below.  ``memo``
-    (``judgements.extend_context``) keeps the weakened types of each target
-    context; without one, a fresh memo serves this call.  It walks on its own,
-    not by ``derivation_ops.rebuild``: each child gets its binder count and target.
+    may hold substitution nodes: the walk folds them into f (see the comment
+    above ``eliminate_substitution``).  Triviality is checked against the
+    root's context only.  ``memo`` (``judgements.extend_context``) keeps the
+    weakened types of each target context; without one, a fresh memo serves
+    this call.  It walks on its own, not by ``derivation_ops.rebuild``: each
+    child gets its binder count and target.
     """
     require_substitutive(theory)
     kind = theory.kind
     if memo is None:
         memo = {}
-    if isinstance(d, (VariableInst, RuleInst)):
+    if not isinstance(d, Hyp):
         _check_trivial_action(kind, f, target, d.context, trivial)
 
-    def go(node, k: int, tgt: RawContext):
+    def typing(s, i: int, k: int, tgt: RawContext):
+        """None if s = (f, trivial, typings) under k binders keeps position i a
+        variable, else the typing derivation of its image over ``tgt``."""
+        f, trivial, typings = s
+        side, root = kind.unsum(f.dst, k, i)
+        if side == "right" or root in trivial:
+            return None
+        if root not in typings:
+            raise MissingWitness(f"no typing derivation for position {i}")
+        if k == 0:
+            return typings[root]
+        return rename_derivation(theory, inl_renaming(kind, f.src, k), tgt, typings[root], memo)
+
+    def go(s, node, k: int, tgt: RawContext):
+        f = s[0]
         match node:
             case Hyp():
                 if f == Substitution.identity(f.src):
                     return node
                 raise MissingWitness("cannot substitute into a hypothesis")
             case VariableInst(pos=i, children=children):
-                side, root = kind.unsum(f.dst, k, i)
-                if side == "right" or root in trivial:
-                    image = substitute_expr(kind, f, Var(i, f.dst + k), k)
-                    return VariableInst(tgt, image.pos, (go(children[0], k, tgt),))
-                if root not in typings:
-                    raise MissingWitness(f"no typing derivation for position {i}")
-                if k == 0:
-                    return typings[root]
-                return rename_derivation(theory, inl_renaming(kind, f.src, k), tgt, typings[root], memo)
+                if (typed := typing(s, i, k, tgt)) is not None:
+                    return typed
+                image = substitute_expr(kind, f, Var(i, f.dst + k), k)
+                return VariableInst(tgt, image.pos, (go(s, children[0], k, tgt),))
             case RuleInst(ref=ref, inst=inst, children=children):
                 new_inst = subst_act_inst(kind, f, inst, k)
                 return RuleInst(ref, new_inst, tgt, tuple(
-                    go(c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context, memo))
+                    go(s, c, k + p.context.scope, instantiate_context(kind, new_inst, tgt, p.context, memo))
                     for c, p in zip(children, theory.rule(ref).premises)
                 ))
-        raise _not_substitution_free(theory, node)
+            case EqSubstInst():
+                return go(s, _eliminate(theory, node, memo), k, tgt)
+        while isinstance(node, SubstInst):  # fold the chain, then walk its body once
+            kids = iter(node.children[1:])
+            images = {
+                i: typing(s, node.subst(i).pos, k, tgt) if i in node.trivial else go(s, next(kids), k, tgt)
+                for i in range(node.subst.dst)
+            }
+            table = tuple(substitute_expr(kind, f, e, k) for e in node.subst.table)
+            f = Substitution(f.src + k, node.subst.dst, table)
+            folded = frozenset(i for i, t in images.items() if t is None)
+            s = f, folded, {i: t for i, t in images.items() if t is not None}
+            k, node = 0, node.children[0]
+        return go(s, node, k, tgt)
 
-    return go(d, 0, target)
+    return go((f, trivial, typings), d, 0, target)
 
 
 # --- admissibility of equality substitution --------------------------------------
@@ -270,96 +297,64 @@ def substitute_equal_derivation(
                     return d_f, d_g, None
                 eq = eq_components.__getitem__
                 return d_f, d_g, derive.equality_image(theory, node, tgt, i_f, i_g, f_children, g_children, eq)
-        raise _not_substitution_free(theory, node)
+        raise TypeError(f"substitution node in a substitution-free derivation: {_node_name(theory, node)}")
 
     return go(d, 0, target)
 
 
 # --- elimination of substitution --------------------------------------------------
 #
-# A chain of stacked substitution nodes is folded into one node before
-# anything below it is walked, so the body of the chain is walked once,
-# however long the chain is: the composition law of explicit substitutions,
-# applied to derivations.  Let the outer node carry f : target <- gamma with
-# trivial set K and typings T, and its first child, the inner node, carry
-# f' : gamma <- delta with K' and T' over the body d of delta |- J.  The
-# folded node carries h = f*f' (``compose_subst(kind, f', f)``), the trivial
-# set K'' = {i in K' : f'(i) = x_j with j in K} and, for each position i of
-# delta outside K'', the typing
+# Elimination is admissibility of substitution: each substitution node goes to
+# one ``substitute_derivation`` call on its body, with its eliminated typing
+# children as typings.  That walk folds each substitution node it meets into
+# the substitution it carries, and a stacked chain in a loop before anything
+# below it: the composition law of explicit substitutions, applied to
+# derivations.  So a body is walked once, however many substitutions stack
+# over it or enclose it.  Let the walk carry f with trivial set K and typings
+# T, and meet under k binders a node over G = gamma + k that carries
+# f' : G <- delta with K' and T' over its body.  The folded node carries
+# h = (f + id_k) o f', the trivial set K'' of the i in K' whose variable
+# f'(i) = x_j the walk keeps a variable (j bound, or over a position of K),
+# and for each other i the typing the walk gives at x_j if i is in K', and
+# the walk of T'(i) if not.
 #
-# - T(j), if i is in K' and f'(i) = x_j (so j is not in K);
-# - f applied to the eliminated T'(i) by ``substitute_derivation``, if i is
-#   not in K'.
+# If the node and the walk's input check, these meet the side conditions of
+# the substitution rule for h.  Let A_i be the type of i in delta.  For i in
+# K'', G(j) = f'*A_i, and the walk sends x_j to a variable x_l whose type is
+# (f + id_k)*G(j) (see the comment above), so h(i) = x_l has type h*A_i.
+# For i in K' outside K'', the walk's image of x_j derives h(i) : h*A_i the
+# same way.  For i outside K', T'(i) derives G |- f'(i) : f'*A_i, and the
+# walk carries it to h(i) : h*A_i.  So the folded node checks, and the walk
+# goes on into its body with h at k = 0: by induction the fold runs down
+# the chain.  Its output is the one bottom-up elimination gives, since
+# substitution commutes with the renaming that lifts a typing under
+# binders.  (Over a hypothesis the two differ only when h is the identity
+# and a factor is not: bottom-up refuses, the fold returns the hypothesis,
+# as one node with h would.)  An equality substitution node is eliminated,
+# and the walk goes on into the result.
 #
-# If both nodes check, these meet the side conditions of the substitution
-# rule for h.  Let A_i be the type of i in delta.  For i in K'', f'(i) = x_j
-# with gamma(j) = f'*A_i, and f(j) = x_l with target(l) = f*gamma(j); so
-# h(i) = x_l and target(l) = f*f'*A_i = h*A_i.  For i in K' outside K'', T(j)
-# derives target |- f(j) : f*gamma(j), that is target |- h(i) : h*A_i.  For
-# i outside K', T'(i) derives gamma |- f'(i) : f'*A_i, and f carries it to
-# target |- h(i) : h*A_i.  So the folded node is a substitution node over
-# the inner node's body that checks, and by induction the fold runs down the
-# whole chain.  Its output is the one bottom-up elimination gives: a variable
-# of d sent to x_j with j outside K becomes T(j) either way, and substitution
-# commutes with the renaming that lifts a typing under binders.  (Over a
-# hypothesis the two differ only when h is the identity and a factor is not:
-# bottom-up refuses, the fold returns the hypothesis, as one node with h
-# would.)
-#
-# Outside the substitution nodes, a node whose children all come back as the
-# same objects is returned as itself, so a substitution-free subtree is kept,
-# object for object, with the sharing it had.  One weakening memo
-# (``judgements.extend_context``) serves every substitution of one call.
+# Triviality is checked at the root of each call, never for a folded node.  Any
+# other node whose children all come back as the same objects is returned as
+# itself, so a substitution-free subtree is kept, object for object, with the
+# sharing it had.  One weakening memo serves every substitution of one call.
 
 def eliminate_substitution(theory: RawTypeTheory, d: TheoryDerivation) -> TheoryDerivation:
-    """A substitution-free derivation of the same judgement.
+    """A substitution-free derivation of the same judgement, by one ``rebuild``
+    that visits only the typing children of a substitution node (see the
+    comment above).  ``d`` must check in the theory: then so does each
+    rewritten subtree handed on."""
+    return _eliminate(theory, d, {})
 
-    Folds each chain of stacked substitution nodes into one node (see the
-    comment above) and walks its body once with substitute_derivation;
-    equality substitution nodes go to substitute_equal_derivation.  Typing
-    children are eliminated before they are used.  ``d`` must check in the
-    theory: then so does each rewritten subtree handed on.  It walks on its own:
-    ``derivation_ops.rebuild`` would walk the body of a k-long chain k times.
-    """
-    kind = theory.kind
-    memo: WeakeningMemo = {}
 
-    def typing_children(node, width: int) -> dict:
-        """The eliminated typing children of a substitution node, ``width``
-        per position outside its trivial set, keyed by that position."""
-        kids = [go(c) for c in node.children[1:]]
-        unchecked = [i for i in range(node.judgement.context.scope) if i not in node.trivial]
-        if width == 1:
-            return dict(zip(unchecked, kids))
-        return {i: tuple(kids[width * k:width * k + width]) for k, i in enumerate(unchecked)}
-
-    def go(node):
+def _eliminate(theory: RawTypeTheory, d: TheoryDerivation, memo: WeakeningMemo) -> TheoryDerivation:
+    def step(node, children):
         match node:
-            case Hyp():
-                return node
             case SubstInst(subst=f, context=tgt, trivial=K):
-                typings = typing_children(node, 1)
-                body = node.children[0]
-                while isinstance(body, SubstInst):
-                    f_in, inner = body.subst, typing_children(body, 1)
-                    folded = frozenset(i for i in body.trivial if f_in(i).pos in K)
-                    typings = {
-                        i: typings[f_in(i).pos] if i in body.trivial
-                        else substitute_derivation(theory, f, tgt, K, typings, inner[i], memo)
-                        for i in range(body.judgement.context.scope) if i not in folded
-                    }
-                    f, K, body = compose_subst(kind, f_in, f), folded, body.children[0]
-                return substitute_derivation(theory, f, tgt, K, typings, go(body), memo)
-            case EqSubstInst(left=f, right=g, context=tgt, trivial=K, children=children):
-                triples = typing_children(node, 3)
-                _, _, d_eq = substitute_equal_derivation(
-                    theory, f, g, tgt, K, triples, go(children[0]), memo
-                )
-                return d_eq
-        children = tuple(go(c) for c in node.children)
-        if all(map(operator.is_, children, node.children)):
-            return node
-        return node._replace(children=children)
+                typings = dict(zip((i for i in range(f.dst) if i not in K), children))
+                return substitute_derivation(theory, f, tgt, K, typings, node.children[0], memo)
+            case EqSubstInst(left=f, right=g, context=tgt, trivial=K):
+                triples = dict(zip((i for i in range(f.dst) if i not in K), zip(*[iter(children[1:])] * 3)))
+                return substitute_equal_derivation(theory, f, g, tgt, K, triples, children[0], memo)[2]
+        return node if all(map(operator.is_, children, node.children)) else node._replace(children=children)
 
-    return go(d)
-
+    return rebuild(d, lambda h: h, step, lambda n: n.children[1:] if isinstance(n, SubstInst) else n.children)

@@ -429,7 +429,6 @@ class WellPresentedTheorySpec:
     def __post_init__(self):
         if self.order.size != len(self.rules):
             raise ArityMismatch("order size differs from rule count")
-        _check_index_order(self.order, down_sets(self.order), "rule")
 
 
 def _spec_symbols(spec: WellPresentedTheorySpec) -> tuple[tuple[int, Symbol], ...]:
@@ -464,6 +463,7 @@ def elaborate_theory(spec: WellPresentedTheorySpec) -> tuple[RawTypeTheory, Theo
     # from the previous one, so that each rule is validated once
     theory = RawTypeTheory(full_sig, (), ())
     below = down_sets(spec.order)
+    _check_index_order(spec.order, below, "rule")
     for i, rs in enumerate(spec.rules):
         allowed = {sym_index[spec.rules[j].name] for j in below[i] if spec.rules[j].boundary.conclusion_form.is_object}
         diagnostics: list[str] = []

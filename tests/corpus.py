@@ -399,12 +399,12 @@ def _outer_lam_tower(ctx: RawContext) -> TypedTerm:
     return lam(y_ty, TypedType(ctx_y, inner.type, inner.d_type), inner)
 
 
-def _variable_typing(ctx: RawContext, p: int) -> TheoryDerivation:
+def variable_typing(ctx: RawContext, p: int) -> TheoryDerivation:
     return var(ctx, p, _derive_type_in(ctx, ctx.type_at(p))).d_term
 
 
 def _stack_weakenings(
-    ctx, term, ty, d, k: int, trivial_at, typing=_variable_typing
+    ctx, term, ty, d, k: int, trivial_at, typing=variable_typing
 ) -> tuple[TheoryDerivation, Judgement]:
     """k weakening subst nodes stacked over d : ctx |- term : ty.
 
@@ -472,6 +472,23 @@ def substituted_weakening_chain(k: int) -> tuple[TheoryDerivation, Judgement]:
     d = derive.subst(f, EMPTY_CONTEXT, frozenset(), is_term(ctx1, t.term, t.type), t.d_term, (tt.d_term,))
     term, ty = substitute_expr(KIND, f, t.term), substitute_expr(KIND, f, t.type)
     return _stack_weakenings(EMPTY_CONTEXT, term, ty, d, k, _all_or_none)
+
+
+def weakened_lam_over_weakening() -> tuple[TheoryDerivation, Judgement]:
+    """lam y:unit. t over x : unit, weakened by one entry as in
+    ``weakening_chain``, where t is ``_outer_lam_tower`` weakened from x : unit
+    to x : unit, y : unit: a substitution node under a binder in the body of
+    another.  Both mark every position trivial."""
+    ctx1 = extend(EMPTY_CONTEXT, unit_at(EMPTY_CONTEXT))
+    t = _outer_lam_tower(ctx1)
+    y = unit_at(ctx1)
+    ctx_y = extend(ctx1, y)
+    f = Substitution(ctx_y.scope, ctx1.scope, (Var(KIND.inl(1, 1, 0), ctx_y.scope),))
+    term, ty = substitute_expr(KIND, f, t.term), substitute_expr(KIND, f, t.type)
+    d_body = derive.subst(f, ctx_y, frozenset({0}), is_term(ctx1, t.term, t.type), t.d_term)
+    body = TypedTerm(ctx_y, term, ty, _derive_type_in(ctx_y, ty), d_body)
+    outer = lam(y, TypedType(ctx_y, ty, body.d_type), body)
+    return _stack_weakenings(ctx1, outer.term, outer.type, outer.d_term, 1, _all_or_none)
 
 
 def equality_substitutions_under_binders() -> list[TheoryDerivation]:

@@ -11,9 +11,11 @@ and node that extends it faster still.  Likewise the validation calls: the
 root's conclusion is validated once, and nothing is re-validated per node.
 And elimination of substitution checks triviality once per substitution
 node and builds no extended substitution table; it walks the body of a
-chain of substitution nodes once, and each binder premise of an equality
-substitution once per image it needs.  And the Python calls of a check: a
-syntax walker spends one frame per expression node, its own recursion.
+chain of substitution nodes once, the body of a substitution node nested
+under binders in another's body once, and each binder premise of an
+equality substitution once per image it needs.  And the Python calls of a
+check: a syntax walker spends one frame per expression node, its own
+recursion.
 And the conditions of a theory: its tightness bijection and congruence
 indices are found once per theory object, however many metatheorem calls
 read them.  And the presuppositions of a lam tower: the shipped witnesses
@@ -41,13 +43,14 @@ from corpus import (
     nested_pi,
     tt_at,
     unit_at,
+    weakened_lam_over_weakening,
     weakening_chain,
 )
 from gtt.judgements import EMPTY_CONTEXT, presuppositions
 from gtt.metatheory import derivation_nodes
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
-from gtt.theories import Hyp, RawTypeTheory, SubstInst, check_theory_derivation
+from gtt.theories import Hyp, RawTypeTheory, RuleInst, SubstInst, check_theory_derivation
 
 
 def test_nested_pi_table_entries_grow_quadratically(monkeypatch):
@@ -221,6 +224,30 @@ def test_elimination_walks_a_chain_of_subst_nodes_once(monkeypatch):
         metatheory.eliminate_substitution(THEORY, d)
         counts[k] = calls[0]
     assert 0 < counts[8] == counts[16], counts
+
+
+def test_elimination_walks_a_substitution_node_under_binders_once(monkeypatch):
+    # Counted, not timed: a weakened lam whose body is a weakening.  The walk
+    # of the outer substitution folds the inner node, met under the lam's
+    # binder, and walks the inner body once: one instantiation per rule node
+    # of the lam's tree.  Eliminating the inner node first walks its body a
+    # second time, under the outer substitution.
+    from gtt import metatheory
+
+    calls = [0]
+
+    def counted(*args, original=metatheory.subst_act_inst):
+        calls[0] += 1
+        return original(*args)
+
+    patch_everywhere(monkeypatch, "subst_act_inst", metatheory.subst_act_inst, counted)
+    d, _ = weakened_lam_over_weakening()
+    lam_tree = d.children[0]
+    (inner,) = [n for n in derivation_nodes(lam_tree) if isinstance(n, SubstInst)]
+    rule_nodes = sum(isinstance(n, RuleInst) for n in derivation_nodes(lam_tree))
+    assert sum(isinstance(n, RuleInst) for n in derivation_nodes(inner)) > 0
+    metatheory.eliminate_substitution(THEORY, d)
+    assert calls[0] == rule_nodes
 
 
 def test_equality_substitution_walks_a_binder_premise_for_its_g_image_only(monkeypatch):

@@ -155,10 +155,10 @@ LINE_BUDGETS = {
     "check-theory spec": 4669,
     "flatten": 4669,
     "presup": 3213,
-    "elim-subst": 3329,
-    "invert": 3867,
+    "elim-subst": 3324,
+    "invert": 3862,
     "natural-type": 2873,
-    "unique-typing": 3867,
+    "unique-typing": 3862,
     "replace-step": 4939,
 }
 

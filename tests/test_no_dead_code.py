@@ -66,6 +66,8 @@ LIBRARY_API = {
     "bundled.mltt_pi_presented": ACCEPTANCE,
     "bundled.order": ACCEPTANCE,
     "bundled.type_in_type": ACCEPTANCE,
+    # criterion 1 (composition of substitutions, its unit and associativity)
+    "elimination.compose_subst": ACCEPTANCE,
     # the builders of the benchmark's generated derivations
     "derive.eq_subst": "bench/inputs.py",
     "derive.rule": "bench/inputs.py",

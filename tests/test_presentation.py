@@ -333,6 +333,19 @@ def test_elaborate_rejects_stage_violations():
         elaborate_theory(bad)
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 0)], "rule order has a cycle"),
+    ([(1, 0)], "rule indices must respect the order (list a linear extension)"),
+])
+def test_elaborate_refuses_a_rule_order_it_cannot_follow(edges, message):
+    # built in code, not read from JSON: elaboration checks the order itself
+    spec = mltt_pi_presented()
+    bad = WellPresentedTheorySpec(spec.kind, FinitePoset.of(2, edges), spec.rules[:2], spec.witnesses)
+    with pytest.raises(StageViolation) as caught:
+        elaborate_theory(bad)
+    assert str(caught.value) == message
+
+
 def test_incomparable_rules_accepted():
     # Pi and a second product-like symbol with no order between them
     spec = mltt_pi_presented()

@@ -1,14 +1,14 @@
 """One bottom-up rebuild of a derivation: ``derivation_ops.rebuild``.
 
 Grafting, the maps of closure systems and of theories, instantiation of a
-derivation and the maps of its data are each one ``rebuild``.  They agree,
-``==`` and byte for byte, with the recursive walks they replaced (kept in
-``reference_transformers``), on every input of
-``test_reference_transformers`` (the corpus, ``substitution_corpus()``,
+derivation, the maps of its data and elimination of substitution are each
+one ``rebuild``.  They agree, ``==`` and byte for byte, with the recursive
+walks they replaced (kept in ``reference_transformers``), on every input
+of ``test_reference_transformers`` (the corpus, ``substitution_corpus()``,
 the weakening chains and equality substitutions under binders) in both
-scope systems.  They reach a depth of 5,000 at the default recursion
-limit, where each recursive walk overflowed, and a node object that occurs
-k times is rebuilt once, into one object.
+scope systems; elimination is compared there.  They reach a depth of 5,000
+at the default recursion limit, where each recursive walk overflowed, and
+a node object that occurs k times is rebuilt once, into one object.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import reference_transformers as reference
 from corpus import THEORY, conv_wrap, lam_tower, tt_at
 from genexpr import identity_theory_map
 from gtt.derivation_ops import derivation_nodes, map_derivation_exprs, map_node, rebuild
+from gtt.elimination import eliminate_substitution
 from gtt.errors import FillerConclusionMismatch
 from gtt.judgements import EMPTY_CONTEXT
 from gtt.jsonio import derivation_to_json, dumps
@@ -153,7 +154,8 @@ def test_grafting_and_maps_of_closure_systems_reach_any_depth(default_recursion_
     lambda d: instantiate_derivation(THEORY, Instantiation((), 0, ()), EMPTY_CONTEXT, d),
     lambda d: map_derivation_exprs(d, lambda e: e),
     lambda d: apply_theory_map_derivation(identity_theory_map(THEORY), d),
-], ids=["instantiate_derivation", "map_derivation_exprs", "apply_theory_map_derivation"])
+    lambda d: eliminate_substitution(THEORY, d),
+], ids=["instantiate_derivation", "map_derivation_exprs", "apply_theory_map_derivation", "eliminate_substitution"])
 def test_instantiation_and_the_maps_of_data_reach_any_depth(default_recursion_limit, conv_chain, walk):
     # each leaves the chain as it was: compare node by node down the spine of
     # conversions (child 2 is the converted term), not with ``==``, which

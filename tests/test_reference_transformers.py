@@ -24,6 +24,11 @@ arguments and the typing children of a substitution node list their
 positions in the opposite order.  Renaming inputs: every substitution-free
 corpus derivation weakened by one ``unit`` entry, and a swap of two ``unit``
 entries into a context that respects it and into one that does not.
+
+Substitution and renaming also take derivations that hold substitution
+nodes: on the substitution corpus, the weakening chains and a weakened lam
+whose body is a weakening, each gives what it gives on the elimination, and
+elimination gives what the bottom-up oracle gives, node for node.
 """
 
 from __future__ import annotations
@@ -47,10 +52,13 @@ from corpus import (
     substitution_corpus,
     unit_at,
     var,
+    variable_typing,
+    weakened_lam_over_weakening,
     weakening_chain,
 )
+import reference_transformers as reference
 from gtt import derive, metatheory
-from gtt.errors import KernelError, TrivialityViolated
+from gtt.errors import KernelError, MissingWitness, TrivialityViolated
 from gtt.judgements import EMPTY_CONTEXT, Judgement, JudgementForm, RawContext, extend_context, is_term, tm_eq
 from gtt.jsonio import derivation_to_json, dumps, load_theory_file
 from gtt.metatheory import (
@@ -283,6 +291,85 @@ def test_renaming_agrees_with_the_reference(kind):
     assert failures == [outcomes[-1]] == [
         (TrivialityViolated, f"substitution does not act trivially at position {position} ")
     ]
+
+
+# --- substitution into a derivation that holds substitution nodes --------------------
+
+NODE_INPUTS = (
+    substitution_corpus()
+    + [weakening_chain(k) for k in range(1, 9)]
+    + [mixed_weakening_chain(k) for k in range(1, 5)]
+    + [substituted_weakening_chain(k) for k in range(0, 4)]
+    + [weakened_lam_over_weakening()]
+)
+
+
+def same_nodes(theory, got, want):
+    """``got`` and ``want`` agree node for node, pre-order, and in JSON bytes."""
+    def data(node):
+        return node._replace(children=()) if node.children else node
+
+    assert list(map(data, derivation_nodes(got))) == list(map(data, derivation_nodes(want)))
+    sig = theory.signature
+    assert dumps(derivation_to_json(theory, sig, got)) == dumps(derivation_to_json(theory, sig, want))
+
+
+def weakening(j: Judgement, levels: bool):
+    """The weakening of the context of j, an indices judgement, by one ``unit``
+    entry: as a renaming, the typings that make it a substitution with no
+    trivial position (a variable at each), and its target; in ``levels``
+    if asked."""
+    ctx, n = j.context, j.context.scope
+    target = extend(ctx, unit_at(ctx))
+    r = inl_renaming(KIND, n, 1)
+    typings = {i: variable_typing(target, r(i)) for i in range(n)}
+    if levels:
+        return lv_renaming(r), {n - 1 - i: lv_derivation(t) for i, t in typings.items()}, lv_context(target)
+    return r, typings, target
+
+
+@pytest.mark.parametrize("levels", [False, True], ids=["indices", "levels"])
+def test_substitution_into_substitution_nodes_is_substitution_into_their_elimination(levels):
+    # substitution and renaming fold the substitution nodes they meet; their
+    # output equals that of the same call on the elimination, and elimination
+    # equals the bottom-up oracle
+    theory = LV_THEORY if levels else THEORY
+    for d, j in NODE_INPUTS:
+        r, typings, target = weakening(j, levels)
+        d = lv_derivation(d) if levels else d
+        eliminated = metatheory.eliminate_substitution(theory, d)
+        same_nodes(theory, eliminated, reference.eliminate_substitution(theory, d))
+        for call in (
+            lambda d: metatheory.substitute_derivation(
+                theory, Substitution.of_renaming(r), target, frozenset(), typings, d
+            ),
+            lambda d: metatheory.rename_derivation(theory, r, target, d),
+        ):
+            out = call(d)
+            same_nodes(theory, out, call(eliminated))
+            assert is_substitution_free(out)
+            assert check_theory_derivation(theory, (), out).context == target
+
+
+@pytest.mark.parametrize("levels", [False, True], ids=["indices", "levels"])
+def test_substitution_into_substitution_nodes_needs_a_typing_and_no_hypothesis(levels):
+    theory = LV_THEORY if levels else THEORY
+    d, j = weakened_lam_over_weakening()
+    r, _, target = weakening(j, levels)
+    if levels:
+        d, j = lv_derivation(d), lv_judgement(j)
+    # the root node keeps x, at position 1 of its target (0 in levels), a
+    # variable; the walk's substitution types x and has no typing for it
+    with pytest.raises(MissingWitness, match=f"^no typing derivation for position {0 if levels else 1}$"):
+        metatheory.substitute_derivation(theory, Substitution.of_renaming(r), target, frozenset(), {}, d)
+    # a substitution node over a hypothesis folds to the hypothesis only when
+    # its substitution is the identity
+    over_hyp = d._replace(children=(Hyp(0),))
+    with pytest.raises(MissingWitness, match="^cannot substitute into a hypothesis$"):
+        metatheory.eliminate_substitution(theory, over_hyp)
+    ctx = j.context
+    identity = derive.subst(Substitution.identity(ctx.scope), ctx, frozenset(range(ctx.scope)), j, Hyp(0))
+    assert metatheory.eliminate_substitution(theory, identity) == Hyp(0)
 
 
 # --- a type family over a type with two equal terms ---------------------------------
