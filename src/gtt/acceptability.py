@@ -239,6 +239,9 @@ def check_well_founded_theory(
 
     The constraints: every symbol occurring in a rule must be introduced by an
     earlier rule, and every witness may cite only earlier symbols and rules.
+    A cyclic constraint is reported by its shortest cycle through the first
+    rule that lies below itself, read off ``down_sets``: a breadth-first
+    search over the rules below that one, smallest successor first.
     """
     if beta is None:
         try:
@@ -249,8 +252,23 @@ def check_well_founded_theory(
     n = len(theory.rules)
     constraint = FinitePoset.of(n, {(i, j) for i, j in edges if i != j})
     if not check_well_founded(constraint):
-        cycle = _find_cycle(n, constraint.edges)
-        names = " < ".join(theory.rule_name(i) for i in cycle)
+        below = down_sets(constraint)
+        start = next(x for x in range(n) if x in below[x])
+        successors: dict[int, list[int]] = {i: [] for i in below[start]}
+        for i, j in sorted(constraint.edges):
+            if i in successors and j in successors:
+                successors[i].append(j)
+        parent: dict[int, int] = {}
+        queue = [start]
+        for i in queue:  # breadth first: the queue grows as it is read
+            for j in successors[i]:
+                if j not in parent:
+                    parent[j] = i
+                    queue.append(j)
+        cycle = [parent[start]]
+        while cycle[-1] != start:
+            cycle.append(parent[cycle[-1]])
+        names = " < ".join(theory.rule_name(i) for i in reversed(cycle))
         diagnostics.append(f"dependency cycle: {names}")
     if order is not None:
         below = down_sets(order)
@@ -262,32 +280,3 @@ def check_well_founded_theory(
         if any(x in b for x, b in enumerate(below)):
             diagnostics.append("supplied order is cyclic")
     return WellFoundedReport(not diagnostics, diagnostics)
-
-
-def _find_cycle(n: int, edges: frozenset[tuple[int, int]]) -> list[int]:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-    state = {i: 0 for i in range(n)}
-    stack: list[int] = []
-
-    def dfs(v):
-        state[v] = 1
-        stack.append(v)
-        for w in adj[v]:
-            if state[w] == 1:
-                return stack[stack.index(w):]
-            if state[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack.pop()
-        state[v] = 2
-        return None
-
-    for v in range(n):
-        if state[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
-    return []

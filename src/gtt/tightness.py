@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ClassMismatch, NoBijection, NotTight
-from .judgements import JudgementForm, RawContext
+from .judgements import RawContext
 from .rules import RawRule, generic_application
 from .syntax import TM, Expr, Instantiation, MetaApp, Signature, SymApp, Var, generic_meta, instantiate_expr
 from .theories import RawTypeTheory
@@ -13,9 +13,11 @@ def check_tight(rule: RawRule) -> tuple[int, ...]:
     """Find the unique bijection arguments <-> object premises, or raise: for
     each argument of the rule's arity, the object premise that introduces it.
 
-    Argument i must be introduced by a premise whose context scope is the
-    argument's binder, whose form is the argument's class, and whose head
-    is the metavariable applied to exactly the variables of that scope.
+    Argument i is introduced by the first object premise whose head is the
+    metavariable applied to exactly the variables of its binder.  A
+    judgement's head has its form's class and its context's scope, so that
+    premise has the argument's form and scope; distinct arguments have
+    distinct heads, so no premise introduces two.
     """
     object_premises = rule.object_premises()
     if len(object_premises) != len(rule.arity):
@@ -23,25 +25,11 @@ def check_tight(rule: RawRule) -> tuple[int, ...]:
             f"{len(rule.arity)} arguments but {len(object_premises)} object premises"
         )
     assignment = []
-    used = set()
     for i, arg in enumerate(rule.arity):
-        expected_head = generic_meta(i, arg)
-        expected_form = JudgementForm.IS_TY if arg.cls.value == "Ty" else JudgementForm.IS_TM
-        found = None
-        for p in object_premises:
-            premise = rule.premises[p]
-            if (
-                premise.form is expected_form
-                and premise.context.scope == arg.binder
-                and premise.head == expected_head
-            ):
-                found = p
-                break
+        head = generic_meta(i, arg)
+        found = next((p for p in object_premises if rule.premises[p].head == head), None)
         if found is None:
             raise NoBijection(f"no introducing premise for argument {i}")
-        if found in used:
-            raise NoBijection(f"premise {found} introduces two arguments")
-        used.add(found)
         assignment.append(found)
     return tuple(assignment)
 
@@ -55,18 +43,9 @@ def is_tight(rule: RawRule) -> bool:
 
 
 def is_symbol_rule(sig: Signature, rule: RawRule, sym: int) -> bool:
-    """Arity, conclusion form, and generic-application head all match the symbol."""
-    decl = sig.symbol(sym)
-    if rule.arity != decl.arity:
-        return False
-    if not rule.conclusion.is_object:
-        return False
-    expected_form = JudgementForm.IS_TY if decl.cls.value == "Ty" else JudgementForm.IS_TM
-    if rule.conclusion.form is not expected_form:
-        return False
-    if rule.conclusion.context.scope != 0:
-        return False
-    return rule.conclusion.head == generic_application(sig, sym)
+    """The rule has the symbol's arity and concludes its generic application;
+    that head fixes the conclusion's form and its empty context."""
+    return rule.arity == sig.symbol(sym).arity and rule.conclusion.head == generic_application(sig, sym)
 
 
 def theory_tightness(theory: RawTypeTheory) -> dict[int, int]:

@@ -27,7 +27,8 @@ sha256 of its stdout and of its stderr.  The set covers:
   ``check-theory`` and ``flatten``; a spec order with a cycle, and two
   that the rule list does not extend: an order edge added, and two rules
   swapped where a witness of the first cites the second; ``--well-founded``
-  on a raw theory that is not tight and on one whose order has a cycle;
+  on a raw theory that is not tight, on one whose order has a cycle, and on
+  one with two dependency cycles of different lengths through its first rule;
 - replacement scripts whose first step is named like a congruence rule,
   whose equation step carries an object rule, and whose equation witness
   derives another judgement.
@@ -317,6 +318,9 @@ def build() -> tuple[dict[str, str | bytes | None], list[tuple[str, ...]]]:
         ("check-theory", "not-tight.json", "--well-founded"),
         ("check-theory", "cyclic-order.json", "--well-founded"),
     ]
+    # two dependency cycles through S0-form: S0 < S1 < S2 < S3 and S0 < S4
+    files["two-cycles.json"] = json.dumps(type_symbols(5, {(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 0)}))
+    reqs.append(("check-theory", "two-cycles.json", "--well-founded"))
     files.update(script_faults())
     reqs += [
         ("replace-step", "fixtures/type_in_type.json", f"{name}.json")
@@ -400,6 +404,29 @@ def script_faults() -> dict[str, str]:
         "cong-named-step.json": renamed,
         "object-equation.json": json.dumps(object_rule),
         "wrong-equation-witness.json": json.dumps(wrong_witness),
+    }
+
+
+def type_symbols(n: int, edges) -> dict:
+    """A tight raw theory of the closed type symbols ``S0`` … ``S(n-1)``
+    whose dependency constraints are ``edges``: the rule ``Si-form``
+    concludes ``Si type`` and has a premise ``Sk ≡ Sk`` for each edge (k, i)."""
+    def sym(k):
+        return {"sym": f"S{k}", "args": []}
+
+    return {
+        "signature": [{"name": f"S{k}", "class": "Ty", "arity": []} for k in range(n)],
+        "rules": [
+            {
+                "name": f"S{i}-form", "arity": [], "metas": [],
+                "premises": [
+                    {"cxt": [], "form": "TyEq", "slots": {"lhs": sym(k), "rhs": sym(k)}}
+                    for k, j in sorted(edges) if j == i
+                ],
+                "conclusion": {"cxt": [], "form": "IsTy", "slots": {"head": sym(i)}},
+            }
+            for i in range(n)
+        ],
     }
 
 

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from corpus import THEORY, WITNESSES, app, conv_wrap, extend, lam, nested_pi, newest_position, tt_at, unit_at, var
-from golden import bad_witness_tables, repeated_names, universe_spec
+from golden import bad_witness_tables, repeated_names, type_symbols, universe_spec
 from gtt import derive
 from gtt.cli import COMMANDS, _plain_args, main
 from gtt.errors import ParseError
@@ -47,6 +47,23 @@ def test_check_theory_cyclic_quantifier(capsys):
     code, out = run(capsys, "check-theory", FIXTURES / "cyclic_quantifier.json", "--well-founded")
     assert code == 1
     assert "itself" in out
+
+
+def test_a_long_dependency_cycle_is_reported_without_recursion(tmp_path, capsys):
+    # Si-form mentions S(i+1 mod n): one cycle through all n rules, longer
+    # than the lowered recursion limit lets a recursive search follow
+    n, limit = 400, sys.getrecursionlimit()
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(type_symbols(n, {((i + 1) % n, i) for i in range(n)})))
+    sys.setrecursionlimit(300)
+    try:
+        code = main(["check-theory", str(path), "--well-founded"])
+    finally:
+        sys.setrecursionlimit(limit)
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    cycle = " < ".join(f"S{k}-form" for k in (0, *range(n - 1, 0, -1)))
+    assert out.splitlines() == ["well-founded: FAIL", f"  - dependency cycle: {cycle}"]
 
 
 def test_check_theory_json_report(capsys):

@@ -10,12 +10,14 @@ from collections import Counter
 import pytest
 
 from corpus import THEORY, lam_tower
+from golden import type_symbols
 from reference_checker import reference_check
 from gtt.derivation_ops import rebuild
 from gtt.errors import DerivationError, FillerConclusionMismatch, IndexOutOfRange, PremiseMismatch
 from gtt.foundations import ClosureRule, FinitePoset, Hyp, check_derivation
 from gtt.judgements import EMPTY_CONTEXT, Judgement
-from gtt.metatheory import check_well_founded, derivation_nodes, down_sets
+from gtt.jsonio import theory_from_json
+from gtt.metatheory import check_well_founded, check_well_founded_theory, derivation_nodes, down_sets
 from gtt.presuppositions import grafting
 from gtt.scopes import _record
 from gtt.theories import RuleInst, check_theory_derivation
@@ -393,6 +395,38 @@ def test_well_founded_size_four_sample():
         edges = [e for e in pairs if rng.random() < 0.3]
         p = FinitePoset.of(4, edges)
         assert check_well_founded(p) == wf_oracle(p)
+
+
+def loop_free_relations():
+    """Every relation without loops on up to 3 elements, and 300 on 4 drawn
+    with a fixed seed: the sizes of the two tests above."""
+    for size in range(4):
+        pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+        for mask in range(2 ** len(pairs)):
+            yield FinitePoset.of(size, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+    rng = random.Random(3)
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    for _ in range(300):
+        yield FinitePoset.of(4, [e for e in pairs if rng.random() < 0.3])
+
+
+def test_a_theory_reports_the_shortest_cycle_through_the_first_rule_on_one():
+    for p in loop_free_relations():
+        theory = theory_from_json(type_symbols(p.size, p.edges))[0]
+        diagnostics = check_well_founded_theory(theory).diagnostics
+        assert len(diagnostics) == (not wf_oracle(p)), p
+        if not diagnostics:
+            continue
+        (line,) = diagnostics
+        names = line.removeprefix("dependency cycle: ").split(" < ")
+        cycle = [theory.rule_index(name) for name in names]
+        assert len(set(cycle)) == len(cycle) and set(zip(cycle, cycle[1:] + cycle[:1])) <= p.edges, p
+        assert cycle[0] == min(x for x, y in transitive_closure(p) if x == y), p
+        # no path of fewer edges leads from the first rule back to it
+        reached = {cycle[0]}
+        for _ in range(len(cycle) - 1):
+            reached = {j for i, j in p.edges if i in reached}
+            assert cycle[0] not in reached, p
 
 
 def test_a_finite_poset_refuses_an_edge_outside_it():

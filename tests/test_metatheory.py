@@ -29,7 +29,7 @@ from gtt import derive
 from gtt import bundled
 from gtt.bundled import cyclic_quantifier, mltt_base, mltt_pi, type_in_type
 from gtt.congruence_witnesses import congruence_witnesses
-from gtt.errors import ClassMismatch, MissingWitness, NotObjectRule, NotTight, TrivialityViolated
+from gtt.errors import ClassMismatch, MissingWitness, NoBijection, NotObjectRule, NotTight, TrivialityViolated
 from gtt.judgements import (
     EMPTY_CONTEXT,
     JudgementForm,
@@ -41,6 +41,7 @@ from gtt.judgements import (
     tm_eq,
     ty_eq,
 )
+from gtt.jsonio import theory_from_json
 from gtt.metatheory import (
     check_acceptable_theory,
     check_presuppositive,
@@ -188,6 +189,58 @@ def test_check_tight_gives_the_premise_introducing_each_argument():
     # listing x:A |- B type before A type moves the introductions with it
     swapped = pi_form._replace(premises=pi_form.premises[::-1])
     assert check_tight(swapped) == (1, 0)
+
+
+def one_symbol_theory(fault: str):
+    """The theory of one type symbol ``S(A)`` with ``fault`` planted in it:
+    a rule ``S-form`` without its premise ``A type``, with two premises
+    ``A type`` and two arguments, concluding ``A type`` or ``S(S(A)) type``,
+    given twice, or left out."""
+    a = {"meta": "A", "args": []}
+
+    def s(e):
+        return {"sym": "S", "args": [e]}
+
+    def is_ty(e):
+        return {"cxt": [], "form": "IsTy", "slots": {"head": e}}
+
+    rule = {"name": "S-form", "arity": [["Ty", 0]], "metas": ["A"], "premises": [is_ty(a)], "conclusion": is_ty(s(a))}
+    rules = [rule]
+    if fault == "no premise":
+        rule["premises"] = []
+    elif fault == "shared head":
+        rule.update(arity=[["Ty", 0], ["Ty", 0]], metas=["A", "B"], premises=[is_ty(a), is_ty(a)])
+    elif fault == "meta conclusion":
+        rule["conclusion"] = is_ty(a)
+    elif fault == "nested conclusion":
+        rule["conclusion"] = is_ty(s(s(a)))
+    elif fault == "two rules":
+        rules.append({**rule, "name": "S-again"})
+    elif fault == "no rule":
+        rules = []
+    signature = [{"name": "S", "class": "Ty", "arity": [["Ty", 0]]}]
+    return theory_from_json({"signature": signature, "rules": rules})[0]
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("no premise", "1 arguments but 0 object premises"),
+    ("shared head", "no introducing premise for argument 1"),
+])
+def test_check_tight_refuses_a_rule_without_its_bijection(fault, message):
+    with pytest.raises(NoBijection, match=f"^{re.escape(message)}$"):
+        check_tight(one_symbol_theory(fault).rule(0))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("no premise", "rule S-form is not tight"),
+    ("meta conclusion", "object rule S-form does not conclude a symbol application"),
+    ("nested conclusion", "rule S-form is not a symbol rule"),
+    ("two rules", "symbol S has two rules: S-form and S-again"),
+    ("no rule", "symbols without rules: S"),
+])
+def test_theory_tightness_refuses_each_fault(fault, message):
+    with pytest.raises(NotTight, match=f"^{re.escape(message)}$"):
+        theory_tightness(one_symbol_theory(fault))
 
 
 def test_app_variant_presuppositivity_verdicts():
