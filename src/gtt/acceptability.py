@@ -55,8 +55,8 @@ def derivation_failure(
     """Why ``d`` does not derive ``target`` from ``hyps`` over the extension
     by ``ambient``: the checker's error, or the judgement it derives
     instead.  None when it derives ``target``.  This is the one derivability
-    check of witnesses: presuppositions, premise families, rule-boundaries,
-    realisers and derived rules."""
+    check of witnesses: presuppositions, premise families, rule-boundaries
+    and derived rules (a replacement step's among them)."""
     try:
         got = check_theory_derivation(theory, hyps, d, ambient, names)
     except KernelError as e:
@@ -178,11 +178,6 @@ def down_sets(p: FinitePoset) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def check_well_founded(p: FinitePoset) -> bool:
-    """True iff no element lies below itself."""
-    return all(x not in below for x, below in enumerate(down_sets(p)))
-
-
 def rule_symbols(rule: RawRule) -> frozenset[int]:
     """Symbols a rule depends on; the defining head of an object rule is the
     symbol being introduced, so only its arguments count there."""
@@ -251,9 +246,9 @@ def check_well_founded_theory(
     edges, diagnostics = required_precedence(theory, beta, witnesses)
     n = len(theory.rules)
     constraint = FinitePoset.of(n, {(i, j) for i, j in edges if i != j})
-    if not check_well_founded(constraint):
-        below = down_sets(constraint)
-        start = next(x for x in range(n) if x in below[x])
+    below = down_sets(constraint)
+    start = next((x for x in range(n) if x in below[x]), None)
+    if start is not None:
         successors: dict[int, list[int]] = {i: [] for i in below[start]}
         for i, j in sorted(constraint.edges):
             if i in successors and j in successors:

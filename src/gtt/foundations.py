@@ -119,7 +119,7 @@ def check_derivation(hyps: tuple[X, ...], d, rule_of: Callable[[object], Closure
 @_record
 class FinitePoset:
     """A relation on {0..size-1}; well-founded iff its transitive closure is
-    irreflexive (``acceptability.check_well_founded``)."""
+    irreflexive: no element lies in its own ``acceptability.down_sets``."""
 
     size: int
     edges: frozenset[tuple[int, int]]

@@ -1,4 +1,4 @@
-"""Raw syntax maps, raw theory maps, realisers, and the well-founded replacement.
+"""Raw syntax maps, raw theory maps, derived rules, and the well-founded replacement.
 
 A raw syntax map interprets each symbol as a compound expression over the
 target signature; a raw theory map additionally sends each specific rule
@@ -10,8 +10,10 @@ image.
 
 The replacement builder adjoins, one witnessed step at a time, symbols
 naming realisers of rule-boundaries and equations reflected from the
-target theory; the section construction drives the builder from an
-acceptable theory's own rules.
+target theory.  Each step's witness derives the image of the rule it adds,
+a derived rule of the target (``check_derived_rule``): for a symbol step,
+the symbol rule, whose head maps to the realiser.  The section
+construction drives the builder from an acceptable theory's own rules.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .presentation import (
     RuleBoundarySpec,
     WellFoundedPremiseFamily,
     _declared_position,
-    complete_boundary,
-    flatten_premise_family,
     is_sequential_flat_context,
     map_expr,
     realise_rule_boundary,
@@ -199,54 +199,14 @@ def check_derived_rule(
     return derivation_failure(theory, rule.premises, witness, rule.conclusion, rule.arity, rule.meta_names) is None
 
 
-# --- realisers ----------------------------------------------------------------
-
-def check_realiser(
-    theory: RawTypeTheory,
-    spec: RuleBoundarySpec,
-    e: Expr,
-    witness: TheoryDerivation,
-) -> bool:
-    """e realises an object rule-boundary when the boundary completed with e
-    is derivable from the flattened premises."""
-    boundary = spec.conclusion_boundary()
-    if not boundary.form.is_object:
-        return False
-    alpha = spec.arity()
-    ext = mv_extend_signature(theory.signature, alpha)
-    try:
-        validate_expr(ext, e, 0, boundary.form.head_class)
-    except KernelError:
-        return False
-    hyps = flatten_premise_family(theory.signature, spec.premises)
-    target = complete_boundary(boundary, e)
-    return derivation_failure(theory, hyps, witness, target, alpha, spec.premises.meta_names()) is None
-
-
-def map_rule_boundary(m: RawSyntaxMap, spec: RuleBoundarySpec) -> RuleBoundarySpec:
-    fam = spec.premises
-    new_boundaries = tuple(
-        (
-            tuple(apply_syntax_map(m, t) for t in seq),
-            tuple(apply_syntax_map(m, s) for s in slots),
-        )
-        for seq, slots in fam.boundaries
-    )
-    return RuleBoundarySpec(
-        WellFoundedPremiseFamily(fam.shape, new_boundaries, fam.names),
-        spec.conclusion_form,
-        tuple(apply_syntax_map(m, s) for s in spec.conclusion_slots),
-    )
-
-
 # --- the witness-driven well-founded replacement -------------------------------------
 
 @_record
 class SymbolStep:
     name: str
     boundary: RuleBoundarySpec        # over the builder theory so far
-    realiser: Expr                    # over the target, realising the image boundary
-    witness: TheoryDerivation         # the realisation derivation in the target
+    realiser: Expr                    # over the target, the new symbol's image
+    witness: TheoryDerivation         # derivation of its symbol rule's image in the target
 
 
 @_record
@@ -261,8 +221,9 @@ class ReplacementBuilder:
 
     Each object step adjoins a fresh symbol naming a realiser, its symbol
     rule and congruence rule, and extends the syntax map by the realiser;
-    each equation step adjoins one reflected equality rule.  Every step is
-    validated against the current image before it is committed.
+    each equation step adjoins one reflected equality rule.  A step is
+    committed only once its witness derives, in the target, the image of
+    the rule it adds.
     """
 
     def __init__(self, target: RawTypeTheory):
@@ -271,7 +232,6 @@ class ReplacementBuilder:
         self.rules: tuple[RawRule, ...] = ()
         self.rule_names: tuple[str, ...] = ()
         self.exprs: tuple[Expr, ...] = ()
-        self.steps: list[SymbolStep | EquationStep] = []
 
     def theory(self) -> RawTypeTheory:
         return RawTypeTheory(self.signature, self.rules, self.rule_names)
@@ -279,24 +239,28 @@ class ReplacementBuilder:
     def syntax_map(self) -> RawSyntaxMap:
         return RawSyntaxMap(self.signature, self.target.signature, self.exprs)
 
-    def _image_boundary(self, spec: RuleBoundarySpec) -> RuleBoundarySpec:
-        return map_rule_boundary(self.syntax_map(), spec)
-
     def add_symbol(self, step: SymbolStep) -> int:
         """Validate and commit an object step; returns the new symbol index."""
-        image = self._image_boundary(step.boundary)
-        if not check_realiser(self.target, image, step.realiser, step.witness):
-            raise WitnessFailure(f"step {step.name}: realiser witness fails in the target")
-        symbol = Symbol(step.name, step.boundary.conclusion_form.head_class, step.boundary.arity())
-        self.signature = Signature(
-            self.signature.symbols + (symbol,), self.signature.kind
+        failure = WitnessFailure(f"step {step.name}: realiser witness fails in the target")
+        form = step.boundary.conclusion_form
+        if not form.is_object:
+            raise failure
+        signature = Signature(
+            self.signature.symbols + (Symbol(step.name, form.head_class, step.boundary.arity()),),
+            self.signature.kind,
         )
-        sym_index = self.signature.base_count - 1
-        rule = realise_rule_boundary(self.signature, step.boundary, sym_index)
-        self.rules = self.rules + (rule, congruence_rule(self.signature.kind, rule))
+        sym_index = signature.base_count - 1
+        rule = realise_rule_boundary(signature, step.boundary, sym_index)
+        exprs = self.exprs + (step.realiser,)
+        try:  # a realiser of the wrong class or scope is no interpretation
+            syntax = RawSyntaxMap(signature, self.target.signature, exprs)
+        except KernelError:
+            raise failure from None
+        if not check_derived_rule(self.target, map_rule(syntax, rule), step.witness):
+            raise failure
+        self.signature, self.exprs = signature, exprs
+        self.rules = self.rules + (rule, congruence_rule(signature.kind, rule))
         self.rule_names = self.rule_names + (step.name, f"{step.name}-cong")
-        self.exprs = self.exprs + (step.realiser,)
-        self.steps.append(step)
         return sym_index
 
     def add_equation(self, step: EquationStep) -> int:
@@ -308,7 +272,6 @@ class ReplacementBuilder:
             raise WitnessFailure(f"step {step.name}: equation witness fails in the target")
         self.rules = self.rules + (step.rule,)
         self.rule_names = self.rule_names + (step.name,)
-        self.steps.append(step)
         return len(self.rules) - 1
 
     def check_well_founded(self) -> bool:

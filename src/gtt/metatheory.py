@@ -3,7 +3,7 @@ defines nothing.  No module of the package imports it, so a command compiles onl
 the metatheorem it runs; library callers may import from here."""
 
 from .acceptability import (
-    check_acceptable_theory, check_presuppositive, check_well_founded, check_well_founded_theory, down_sets,
+    check_acceptable_theory, check_presuppositive, check_well_founded_theory, down_sets,
 )
 from .derivation_ops import (
     concat_inst, derivation_nodes, find_congruence, generic_rule_instance, require_substitutive,

@@ -1,4 +1,4 @@
-"""Syntax maps, theory maps, realisers, and the replacement."""
+"""Syntax maps, theory maps, and the replacement."""
 
 import random
 
@@ -6,6 +6,7 @@ import pytest
 
 from corpus import THEORY, build_corpus, tt_at
 from genexpr import LAW_SIGNATURE, arity, gen_expr, identity_theory_map
+from gtt import derive
 from gtt.bundled import mltt_base, mltt_pi, type_in_type
 from gtt.errors import MissingWitness, WitnessFailure
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, ty_eq
@@ -16,7 +17,6 @@ from gtt.maps import (
     SymbolStep,
     apply_syntax_map,
     apply_theory_map_derivation,
-    check_realiser,
     compose_syntax_maps,
     identity_syntax_map,
     section_s,
@@ -29,6 +29,7 @@ from gtt.syntax import (
     TM,
     TY,
     Instantiation,
+    MetaApp,
     Signature,
     Symbol,
     SymApp,
@@ -95,8 +96,9 @@ def test_theory_map_missing_rule_derivation():
         apply_theory_map_derivation(partial, t.d_term)
 
 
-def test_check_realiser_mltt():
-    # the boundary (A type; x:A |- B type) |- [] type is realised by Pi(A, B)
+def test_symbol_step_mltt():
+    # the boundary (A type; x:A |- B type) |- [] type is realised by Pi(A, B):
+    # the witness derives the image of the new symbol's rule
     sig = THEORY.signature
     ext = mv_extend_signature(sig, arity((TY, 0), (TY, 1)), ("A", "B"))
     A0 = mk_meta(ext, "A", (), 0)
@@ -114,10 +116,25 @@ def test_check_realiser_mltt():
         EMPTY_CONTEXT,
         (Hyp(0), Hyp(1)),
     )
-    assert check_realiser(THEORY, spec, pi, witness)
-    # wrong-class realiser is rejected
+    builder = ReplacementBuilder(THEORY)
+    # a wrong-class realiser is refused, and nothing is committed
     a_term = mk_sym(ext, "lam", (A0, B1, Var(0, 1)), 0)
-    assert not check_realiser(THEORY, spec, a_term, witness)
+    with pytest.raises(WitnessFailure, match="^step Pi: realiser witness fails in the target$"):
+        builder.add_symbol(SymbolStep("Pi", spec, a_term, witness))
+    assert builder.rules == () and builder.syntax_map().exprs == ()
+    assert builder.add_symbol(SymbolStep("Pi", spec, pi, witness)) == 0
+    assert builder.syntax_map().exprs == (pi,)
+    assert builder.rule_names == ("Pi", "Pi-cong")
+
+
+def test_symbol_step_refuses_an_equality_boundary():
+    # (A type) |- A == A: the step would name no realiser, whatever it is given
+    builder = ReplacementBuilder(THEORY)
+    a = MetaApp(0, (), 0, TY)
+    boundary = sequential_boundary_spec((((), JudgementForm.IS_TY, ()),), JudgementForm.TY_EQ, (a, a), ("A",))
+    with pytest.raises(WitnessFailure, match="^step E: realiser witness fails in the target$"):
+        builder.add_symbol(SymbolStep("E", boundary, a, derive.refl_ty(EMPTY_CONTEXT, a, Hyp(0))))
+    assert builder.signature.symbols == ()
 
 
 def test_replacement_script_type_in_type():
@@ -208,9 +225,8 @@ def test_section_type_in_type_names_the_paper_symbols():
     names = [sym.name for sym in builder.signature.symbols]
     # the first symbol is the type constant for El(u), the paper's U
     assert names[0] == "c.u-intro.ty"
-    first = builder.steps[0]
     el_of_u = mk_sym(theory.signature, "El", (mk_sym(theory.signature, "u", (), 0),), 0)
-    assert first.realiser == el_of_u
+    assert builder.syntax_map().exprs[0] == el_of_u
     # s sends El to the generic application of its c-symbol
     el_image = s.exprs[1]
     assert isinstance(el_image, SymApp)

@@ -34,9 +34,11 @@ module reads ``args.<dest>`` for its ``dest``.
 
 Every field of a ``_record`` class, and every attribute that a class other
 than an exception assigns on ``self``, is read by a package module: as an
-attribute that is loaded (``x.field``, on any value), as a keyword of a
-class pattern (``case C(field=v)``), or as the string name of a
-``getattr`` call.  An exception's attributes are read by whoever catches it.
+attribute that is loaded (``x.field``, on any value) other than as the
+receiver of an ``.append(…)`` or ``.extend(…)`` call, which only writes to
+it, as a keyword of a class pattern (``case C(field=v)``), or as the string
+name of a ``getattr`` call.  An exception's attributes are read by whoever
+catches it.
 
 An import in a package module or a test module must bind a name that the
 module reads (as an ``ast.Name``), unless another of these modules imports
@@ -299,12 +301,16 @@ def test_a_planted_unread_option_is_reported():
 
 
 def _attributes_read(trees: dict[str, ast.Module]) -> set[str]:
-    """Every attribute name the package reads: loaded attributes, keywords
-    of class patterns, and the string names of ``getattr`` calls."""
+    """Every attribute name the package reads: loaded attributes other than
+    the receivers of ``.append`` and ``.extend`` calls, keywords of class
+    patterns, and the string names of ``getattr`` calls."""
     out = set()
     for tree in trees.values():
+        appended_to = set()  # a call is walked before its receiver
         for n in ast.walk(tree):
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("append", "extend"):
+                appended_to.add(id(n.func.value))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in appended_to:
                 out.add(n.attr)
             elif isinstance(n, ast.MatchClass):
                 out.update(n.kwd_attrs)
@@ -404,6 +410,19 @@ def test_a_planted_unread_attribute_is_reported():
         "    def __init__(self):\n        self.planted_cause = None\n"
     ).body
     assert unread_attributes(trees) == ["jsonio.Planted.planted"]
+
+
+def test_a_planted_write_only_list_is_reported():
+    # appending to a list or extending it reads nothing from it
+    trees = _package_trees()
+    trees["jsonio"].body += ast.parse(
+        "class Planted:\n"
+        "    def __init__(self):\n        self.planted_log, self.planted_seen = [], []\n"
+        "    def note(self, x):\n"
+        "        self.planted_log.append(x)\n        self.planted_log.extend([x])\n"
+        "        self.planted_seen.append(x)\n        return len(self.planted_seen)\n"
+    ).body
+    assert unread_attributes(trees) == ["jsonio.Planted.planted_log"]
 
 
 def _module_name(path: pathlib.Path) -> str:

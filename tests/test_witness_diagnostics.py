@@ -1,11 +1,13 @@
 """One derivability check, one wording: every entry point that checks a
 witness reports a missing one, one that fails to check and one that derives
 another judgement in the same words, tagged with the witness's JSON key.
+A replacement's symbol step refuses all three in one message of its own.
 
 Each entry point checks lam's witnesses in the products theory: that
 Pi(A, B) is a type (``conclusion/0``, from lam's three premises), that B is
 a type over A (``premise_2/0``, from the two premises below t), or lam's
-conclusion itself (a realiser, a derived rule, a theory map).
+conclusion itself (a replacement's symbol step, a derived rule, a theory
+map).
 """
 
 import json
@@ -17,10 +19,12 @@ from genexpr import identity_theory_map
 from gtt.bundled import mltt_pi, mltt_pi_presented
 from gtt.cli import main
 from gtt.derivation_ops import generic_rule_instance
+from gtt.errors import WitnessFailure
 from gtt.judgements import presuppositions
-from gtt.maps import check_derived_rule, check_realiser
+from gtt.maps import ReplacementBuilder, SymbolStep, check_derived_rule
 from gtt.metatheory import check_presuppositive
 from gtt.presentation import check_premise_family, check_rule_boundary, elaborate_theory
+from gtt.rules import generic_application
 from gtt.theories import Hyp
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -66,8 +70,16 @@ def _rule_boundary(d):
     return check_rule_boundary(STAGED, LAM_SPEC.boundary, w, diagnostics), diagnostics
 
 
-def _realiser(d):
-    return check_realiser(STAGED, LAM_SPEC.boundary, RULE.conclusion.head, d), None
+def _symbol_step(d):
+    # Pi first, realised by itself, so that lam's boundary is over the builder
+    builder = ReplacementBuilder(STAGED)
+    pi = generic_application(STAGED.signature, 0)
+    builder.add_symbol(SymbolStep("Pi", SPEC.rules[0].boundary, pi, generic_rule_instance(0, STAGED.rule(0))))
+    try:
+        builder.add_symbol(SymbolStep("lam", LAM_SPEC.boundary, RULE.conclusion.head, d))
+    except WitnessFailure as e:
+        return False, [str(e)]
+    return True, []
 
 
 def _derived_rule(d):
@@ -90,8 +102,9 @@ def _spec_through_the_cli(d, tmp_path, capsys):
     return code == 0, [out]
 
 
-# entry point: (run, its diagnostic around the tagged message, the number of
-# hypotheses, the judgement the witness must derive, a witness that does)
+# entry point: (run, its diagnostic around the tagged message, or in place of
+# it when it has no ``{}``, the number of hypotheses, the judgement the
+# witness must derive, a witness that does)
 ENTRIES = {
     "check_presuppositive": (
         _presuppositive, "conclusion/0: {}", 3, presuppositions(RULE.conclusion)[0],
@@ -104,7 +117,10 @@ ENTRIES = {
         _rule_boundary, "conclusion/0: {}", 3, presuppositions(RULE.conclusion)[0],
         SPEC.witnesses["lam"].conclusion[0],
     ),
-    "check_realiser": (_realiser, None, 3, RULE.conclusion, generic_rule_instance(LAM, RULE)),
+    "ReplacementBuilder.add_symbol": (
+        _symbol_step, "step lam: realiser witness fails in the target", 3, RULE.conclusion,
+        generic_rule_instance(LAM, RULE),
+    ),
     "check_derived_rule and RawTheoryMap.check": (
         _derived_rule, "rule lam-intro: {}", 3, RULE.conclusion, generic_rule_instance(LAM, RULE),
     ),
@@ -123,7 +139,7 @@ def test_a_failing_witness_is_reported_in_one_wording(entry, failure, tmp_path, 
     if failure == "none":
         ok, diagnostics = run(good, *args)
         assert ok is True
-        assert diagnostics in (None, [], ["well-presented: ok\n"])
+        assert diagnostics in ([], ["well-presented: ok\n"])
         return
     message = {
         "missing": "no witness supplied",
@@ -132,9 +148,7 @@ def test_a_failing_witness_is_reported_in_one_wording(entry, failure, tmp_path, 
     }[failure]
     ok, diagnostics = run(WITNESS[failure], *args)
     assert ok is False
-    if diagnostic is None:
-        assert diagnostics is None
-    elif entry == "check_derived_rule and RawTheoryMap.check" and failure == "missing":
+    if entry == "check_derived_rule and RawTheoryMap.check" and failure == "missing":
         # a theory map may leave a rule without a derivation
         assert diagnostics == []
     else:
