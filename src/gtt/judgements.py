@@ -208,11 +208,8 @@ def instantiate_context(
     An empty ``inner`` extends by nothing: ``ctx`` itself is returned.
     ``memo`` is passed on to ``extend_context``.
     """
-    gamma, delta = ctx.scope, inner.scope
-    if inst.scope != gamma:
-        raise ScopeMismatch(f"instantiation over scope {inst.scope}, context scope {gamma}")
-    if delta == 0:
-        return ctx
+    if inst.scope != ctx.scope:
+        raise ScopeMismatch(f"instantiation over scope {inst.scope}, context scope {ctx.scope}")
     return extend_context(kind, ctx, tuple([instantiate_expr(kind, inst, t) for t in inner.types]), memo)
 
 

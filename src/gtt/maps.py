@@ -79,16 +79,26 @@ from .tightness import check_tight, theory_tightness
 @_record
 class RawSyntaxMap:
     """For each symbol of the source, a closed expression over the target
-    extended by the symbol's arguments."""
+    extended by the symbol's arguments.
+
+    A map built with ``prefix``, an existing map into the same target whose
+    source symbols and interpretations begin this one's, validates only the
+    interpretations after that prefix, as ``RawTypeTheory`` does for rules.
+    The prefix is a constructor input, not a field.
+    """
 
     src: Signature
     dst: Signature
     exprs: tuple[Expr, ...]
 
-    def __post_init__(self):
+    def __post_init__(self, prefix: RawSyntaxMap | None = None):
         if len(self.exprs) != self.src.base_count:
             raise ArityMismatch("one interpretation per source symbol required")
-        for i, e in enumerate(self.exprs):
+        known = 0 if prefix is None else len(prefix.exprs)
+        if prefix is not None and (prefix.dst != self.dst or prefix.exprs != self.exprs[:known]
+                                   or prefix.src.symbols != self.src.symbols[:known]):
+            raise ArityMismatch("the prefix map does not begin this map")
+        for i, e in enumerate(self.exprs[known:], known):
             decl = self.src.symbol(i)
             ext = mv_extend_signature(self.dst, decl.arity)
             if e.cls is not decl.cls:
@@ -228,16 +238,12 @@ class ReplacementBuilder:
 
     def __init__(self, target: RawTypeTheory):
         self.target = target
-        self.signature = Signature((), target.kind)
+        self.syntax = RawSyntaxMap(Signature((), target.kind), target.signature, ())  # its source: the signature so far
         self.rules: tuple[RawRule, ...] = ()
         self.rule_names: tuple[str, ...] = ()
-        self.exprs: tuple[Expr, ...] = ()
 
     def theory(self) -> RawTypeTheory:
-        return RawTypeTheory(self.signature, self.rules, self.rule_names)
-
-    def syntax_map(self) -> RawSyntaxMap:
-        return RawSyntaxMap(self.signature, self.target.signature, self.exprs)
+        return RawTypeTheory(self.syntax.src, self.rules, self.rule_names)
 
     def add_symbol(self, step: SymbolStep) -> int:
         """Validate and commit an object step; returns the new symbol index."""
@@ -246,19 +252,18 @@ class ReplacementBuilder:
         if not form.is_object:
             raise failure
         signature = Signature(
-            self.signature.symbols + (Symbol(step.name, form.head_class, step.boundary.arity()),),
-            self.signature.kind,
+            self.syntax.src.symbols + (Symbol(step.name, form.head_class, step.boundary.arity()),),
+            self.syntax.src.kind,
         )
         sym_index = signature.base_count - 1
         rule = realise_rule_boundary(signature, step.boundary, sym_index)
-        exprs = self.exprs + (step.realiser,)
         try:  # a realiser of the wrong class or scope is no interpretation
-            syntax = RawSyntaxMap(signature, self.target.signature, exprs)
+            syntax = RawSyntaxMap(signature, self.target.signature, self.syntax.exprs + (step.realiser,), self.syntax)
         except KernelError:
             raise failure from None
         if not check_derived_rule(self.target, map_rule(syntax, rule), step.witness):
             raise failure
-        self.signature, self.exprs = signature, exprs
+        self.syntax = syntax
         self.rules = self.rules + (rule, congruence_rule(signature.kind, rule))
         self.rule_names = self.rule_names + (step.name, f"{step.name}-cong")
         return sym_index
@@ -267,7 +272,7 @@ class ReplacementBuilder:
         """Validate and commit an equation step; returns the new rule index."""
         if step.rule.is_object:
             raise WitnessFailure("equation steps take equality rules")
-        image = map_rule(self.syntax_map(), step.rule)
+        image = map_rule(self.syntax, step.rule)
         if not check_derived_rule(self.target, image, step.witness):
             raise WitnessFailure(f"step {step.name}: equation witness fails in the target")
         self.rules = self.rules + (step.rule,)
@@ -307,10 +312,7 @@ def sequential_boundary_spec(
 
 def sequential_premise_names(rule: RawRule) -> tuple[str, ...]:
     """Per-premise labels: object premises carry their metavariable's name."""
-    names = rule.metas
-    label = {}
-    for arg, premise in enumerate(check_tight(rule)):
-        label[premise] = names[arg]
+    label = {premise: rule.metas[arg] for arg, premise in enumerate(check_tight(rule))}
     return tuple(label.get(k, f"p{k}") for k in range(len(rule.premises)))
 
 
@@ -333,10 +335,10 @@ def section_s(
     for sym in range(theory.signature.base_count):
         driver.symbol_section(sym)
     exprs = tuple(
-        generic_application(driver.builder.signature, driver.c_of_symbol[sym])
+        generic_application(driver.builder.syntax.src, driver.c_of_symbol[sym])
         for sym in range(theory.signature.base_count)
     )
-    s_map = RawSyntaxMap(theory.signature, driver.builder.signature, exprs)
+    s_map = RawSyntaxMap(theory.signature, driver.builder.syntax.src, exprs)
     return driver.builder, RawTheoryMap(s_map, theory, driver.builder.theory(), {})
 
 
@@ -398,19 +400,13 @@ class _SectionDriver:
             raise NotAcceptable("the section construction needs sequential contexts")
         return seq
 
-    def _intro_premise(self, rule: RawRule, meta: int) -> int:
-        return check_tight(rule)[meta]
-
-    def _sub_arity_len(self, rule: RawRule, k: int) -> int:
-        return len([p for p in rule.object_premises() if p < k])
-
     def _sub_meta_index(self, rule: RawRule, meta: int, k: int) -> int:
         """A metavariable's index within the arity of the first k premises.
 
         Sequential premise families list object premises in order, so the
         index is unchanged; this guards the assumption."""
         objects = [p for p in rule.object_premises() if p < k]
-        intro = self._intro_premise(rule, meta)
+        intro = check_tight(rule)[meta]
         if intro not in objects:
             raise MissingWitness("a premise mentions a metavariable introduced later")
         return objects.index(intro)
@@ -421,7 +417,7 @@ class _SectionDriver:
                 "the section construction supports premise contexts whose entries "
                 "are bare closed metavariables"
             )
-        intro = self._intro_premise(rule, entry.idx)
+        intro = check_tight(rule)[entry.idx]
         realiser = MetaApp(self._sub_meta_index(rule, entry.idx, k), (), 0, TY)
         return self._type_symbol(
             f"c.{name}.{rule.metas[entry.idx]}", prefix, sequential_premise_names(rule)[:len(prefix)],
@@ -439,7 +435,7 @@ class _SectionDriver:
         for entry in self._sequential_entries(premise.context):
             primed = self._primed_entry(rule, name, tuple(prefix_family), entry, k)
             prefix_family.append(((), JudgementForm.IS_TM, (primed,)))
-        sub = self._sub_arity_len(rule, k)
+        sub = len([p for p in rule.object_premises() if p < k])
         promoted = self._promote_slot(rule, slot, k, gamma, sub)
         witness = self._slot_witness(index, premise, slot, k, gamma, sub)
         genapp_c = self._type_symbol(
@@ -479,7 +475,7 @@ class _SectionDriver:
         # the slot is a metavariable applied to the context variables in declaration order
         declared = tuple(Var(_declared_position(self.kind, j, gamma), gamma) for j in range(gamma))
         if isinstance(slot, MetaApp) and slot.args == declared:
-            intro = self._intro_premise(rule, slot.idx)
+            intro = check_tight(rule)[slot.idx]
             if gamma == 0:
                 return Hyp(intro)
             intro_premise = rule.premises[intro]
@@ -518,14 +514,14 @@ class _SectionDriver:
         named ``name`` and realised by ``realiser``."""
         spec = sequential_boundary_spec(premises, JudgementForm.IS_TY, (), names)
         c = self._add(name, spec, realiser, witness)
-        return generic_application(self.builder.signature, c)
+        return generic_application(self.builder.syntax.src, c)
 
     def _add(self, name: str, spec: RuleBoundarySpec, realiser: Expr, witness) -> int:
         key = (spec, realiser)
         if key in self._cache:
             return self._cache[key]
         unique, n = name, 0
-        taken = {s.name for s in self.builder.signature.symbols}
+        taken = {s.name for s in self.builder.syntax.src.symbols}
         while unique in taken:
             n += 1
             unique = f"{name}.{n}"

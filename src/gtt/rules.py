@@ -8,7 +8,8 @@ arity over a context yields one closure rule on judgements.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from operator import eq
 
 from .errors import (
     ArityMismatch,
@@ -45,8 +46,7 @@ from .judgements import (
     JudgementForm,
     RawContext,
     WeakeningMemo,
-    instantiate_context,
-    instantiate_judgement,
+    extend_context,
     is_term,
     is_type,
     substitute_judgement,
@@ -55,12 +55,8 @@ from .judgements import (
 )
 
 
-def _slots(j: Judgement) -> tuple[Expr, ...]:
-    return j.boundary if j.head is None else j.boundary + (j.head,)
-
-
 def _exprs(j: Judgement) -> tuple[Expr, ...]:
-    return j.context.types + _slots(j)
+    return j.context.types + j.boundary + (() if j.head is None else (j.head,))
 
 
 def _check_metas(arity: Arity, e: Expr) -> None:
@@ -89,9 +85,9 @@ class RawRule:
     are the index set of the arity.  ``exposed`` holds the metavariables
     whose entry any instantiation of the rule puts into its conclusion
     verbatim (``exposed_metavariables`` of the conclusion's context types,
-    boundary and head), and ``plan`` what ``RuleInstance`` reads of each
-    premise.  Both are computed from the fields on first use and are not
-    fields: they are not passed and not shown.  Building a rule checks
+    boundary and head), and ``plan`` is the node plan a rule node is
+    checked by.  Both are computed from the fields on first use and are
+    not fields: they are not passed and not shown.  Building a rule checks
     each metavariable occurrence against ``arity``, since instantiation
     trusts them; the theory that holds the rule validates its symbols.
     """
@@ -113,15 +109,20 @@ class RawRule:
         return frozenset().union(*(exposed_metavariables(self.arity, e) for e in _exprs(self.conclusion)))
 
     @cached_property
-    def plan(self) -> tuple[tuple[JudgementForm, int, tuple[int | Expr, ...]], ...]:
-        """Per premise: its form, the index of the first premise with the same
-        context (its own when no earlier one has it), and, per slot
-        (boundary, then head), the metavariable whose entry the slot is
-        verbatim, at a generic occurrence, or else the slot's template."""
-        contexts = [p.context for p in self.premises]
-        return tuple((p.form, contexts.index(p.context), tuple(
-            e.idx if type(e) is MetaApp and is_generic_occurrence(e, self.arity[e.idx].binder) else e
-            for e in _slots(p))) for p in self.premises)
+    def plan(self) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+        """The metavariables not ``exposed``, whose entries a node validates,
+        and per premise, then the conclusion, its form, context, boundary
+        slots and head slot.  The context is ``None`` for the node's own,
+        the index of the first earlier premise with the same one, or else
+        the slots of the inner types that extend the node's.  A slot is
+        what ``_planned`` makes of its template."""
+        judgements, slot = self.premises + (self.conclusion,), partial(_planned, self.arity)
+        contexts, steps = [j.context for j in judgements], []
+        for i, j in enumerate(judgements):
+            k = contexts.index(j.context)
+            ctx = None if not j.context.scope else k if k < i else tuple(map(slot, j.context.types))
+            steps.append((j.form, ctx, tuple(map(slot, j.boundary)), None if j.head is None else slot(j.head)))
+        return tuple(m for m in range(len(self.arity)) if m not in self.exposed), tuple(steps)
 
     @property
     def metas(self) -> tuple[str, ...]:
@@ -141,13 +142,33 @@ class RawRule:
         return tuple(i for i, p in enumerate(self.premises) if p.is_object)
 
 
+def _planned(arity: Arity, e: Expr) -> int | tuple | Expr:
+    """A template as a plan slot: the metavariable whose entry it is, at a
+    generic occurrence; ``(sym, metavariables, scope, class)`` for a symbol
+    applied to generic occurrences; or else the template itself."""
+    generic = lambda a: type(a) is MetaApp and is_generic_occurrence(a, arity[a.idx].binder)
+    if generic(e):
+        return e.idx
+    if type(e) is SymApp and all(map(generic, e.args)):
+        return e.sym, tuple(a.idx for a in e.args), e.scope, e.cls
+    return e
+
+
+def _build(kind: ScopeKind, inst: Instantiation, s: int | tuple | Expr) -> Expr:
+    """The instance of a plan slot: an entry, a symbol over entries, or the template instantiated."""
+    if type(s) is int:
+        return inst.exprs[s]
+    if type(s) is tuple:
+        return SymApp(s[0], tuple(map(inst.exprs.__getitem__, s[1])), inst.scope + s[2], s[3])
+    return instantiate_expr(kind, inst, s)
+
+
 @_record
 class RuleInstance:
     """The closure rule of a raw rule instance, as the checker reads it: the
     conclusion is built, and ``matches(i, got)``, true exactly when ``got ==
-    premise(i)``, compares ``got``'s slots with the entries ``rule.plan``
-    shows verbatim and instantiates only the other templates.  ``contexts``
-    holds the premises' contexts, the node's own for an empty one."""
+    premise(i)``, compares ``got``'s slots one by one with the slots of
+    ``rule.plan`` built.  ``contexts`` holds the premises' contexts."""
 
     kind: ScopeKind
     inst: Instantiation
@@ -159,40 +180,36 @@ class RuleInstance:
     def premise_count(self) -> int:
         return len(self.contexts)
 
-    def _expected(self, slots: tuple[int | Expr, ...]) -> tuple[Expr, ...]:
-        exprs = self.inst.exprs
-        return tuple([exprs[s] if type(s) is int else instantiate_expr(self.kind, self.inst, s) for s in slots])
-
     def premise(self, i: int) -> Judgement:
-        form, _, slots = self.rule.plan[i]
-        got, n = self._expected(slots), len(form.boundary_classes)
-        return Judgement(self.contexts[i], form, got[:n], got[n] if form.is_object else None)
+        form, _, boundary, head = self.rule.plan[1][i]
+        build = partial(_build, self.kind, self.inst)
+        return Judgement(self.contexts[i], form, tuple(map(build, boundary)), None if head is None else build(head))
 
     def matches(self, i: int, got: Judgement) -> bool:
-        form, _, slots = self.rule.plan[i]
-        return type(got) is Judgement and got.form is form and got.context == self.contexts[i] and (
-            _slots(got) == self._expected(slots))
+        form, _, boundary, head = self.rule.plan[1][i]
+        build = partial(_build, self.kind, self.inst)
+        return type(got) is Judgement and got.form is form and got.context == self.contexts[i] and all(
+            map(eq, got.boundary, map(build, boundary))) and (head is None or got.head == build(head))
 
 
 def instantiate_rule(
     kind: ScopeKind, inst: Instantiation, ctx: RawContext, rule: RawRule, memo: WeakeningMemo | None = None
 ) -> RuleInstance:
-    """The closure rule obtained by instantiating the rule's arity over ``ctx``.
-
-    Each premise context extends ``ctx``; ``memo`` (``extend_context``)
-    keeps the weakened types of ``ctx``.  Without one, a fresh memo is
-    shared by the premise contexts and conclusion of this rule alone.
-    """
+    """The closure rule obtained by instantiating the rule's arity over
+    ``ctx``, built by ``rule.plan``: a premise or conclusion context is
+    ``ctx``, an earlier premise's or an extension of ``ctx``, whose weakened
+    types ``memo`` keeps (``extend_context``)."""
     if inst.arity != rule.arity:
         raise ArityMismatch("instantiation arity differs from rule arity")
     if inst.scope != ctx.scope:
         raise ScopeMismatch("instantiation scope differs from context scope")
-    if memo is None:
-        memo = {}
-    contexts: list[RawContext] = []  # a premise with the context of an earlier one shares its instance
-    for i, (_, k, _) in enumerate(rule.plan):
-        contexts.append(contexts[k] if k < i else instantiate_context(kind, inst, ctx, rule.premises[i].context, memo))
-    conclusion = instantiate_judgement(kind, inst, ctx, rule.conclusion, memo)
+    contexts: list[RawContext] = []
+    build, steps = partial(_build, kind, inst), rule.plan[1]
+    for _, c, _, _ in steps:
+        contexts.append(ctx if c is None else contexts[c] if type(c) is int else
+                        extend_context(kind, ctx, tuple(map(build, c)), memo))
+    form, _, boundary, head = steps[-1]
+    conclusion = Judgement(contexts.pop(), form, tuple(map(build, boundary)), None if head is None else build(head))
     return RuleInstance(kind, inst, rule, tuple(contexts), conclusion)
 
 
@@ -205,10 +222,7 @@ def variable_rule(ctx: RawContext, i: int) -> ClosureRule:
 def acts_trivially(kind: ScopeKind, f: Substitution, target: RawContext, source: RawContext, i: int) -> bool:
     """f : target -> source acts trivially at position i of the source context."""
     e = f(i)
-    if not isinstance(e, Var):
-        return False
-    j = e.pos
-    return target.type_at(j) == substitute_expr(kind, f, source.type_at(i))
+    return isinstance(e, Var) and target.type_at(e.pos) == substitute_expr(kind, f, source.type_at(i))
 
 
 def substitution_rule(
@@ -382,41 +396,30 @@ def congruence_copies(rule: RawRule) -> tuple[Instantiation, Instantiation]:
     return generic_instantiation(rule.arity), generic_instantiation(rule.arity, len(rule.arity))
 
 
-def _doubled_names(rule: RawRule) -> tuple[str, ...]:
-    names = rule.metas
-    return tuple(f"{n}'" for n in names) + tuple(f"{n}''" for n in names)
-
-
-def assoc_equality_judgement(
-    kind: ScopeKind, left: Instantiation, right: Instantiation, j: Judgement
-) -> Judgement:
-    """The equality judgement associated to an object judgement: context and
-    boundary through the left copy, the second head through the right copy."""
-    if not j.is_object:
+def assoc_equality_judgement(left: Judgement, right: Judgement) -> Judgement:
+    """The equality judgement associated to an object judgement, from its
+    left and right copies: the left one's context and boundary, both heads."""
+    if not left.is_object:
         raise NotObjectRule("associated equality exists only for object judgements")
-    ctx = instantiate_context(kind, left, EMPTY_CONTEXT, j.context)
-    lhead, rhead = instantiate_expr(kind, left, j.head), instantiate_expr(kind, right, j.head)
-    if j.form is JudgementForm.IS_TY:
-        return ty_eq(ctx, lhead, rhead)
-    return tm_eq(ctx, lhead, rhead, instantiate_expr(kind, left, j.boundary[0]))
+    if left.form is JudgementForm.IS_TY:
+        return ty_eq(left.context, left.head, right.head)
+    return tm_eq(left.context, left.head, right.head, left.boundary[0])
 
 
 def congruence_rule(kind: ScopeKind, rule: RawRule) -> RawRule:
     """The congruence rule of an object rule: doubled arity, premises in the
-    order left block, right block, equation block, and an equality conclusion."""
+    order left block, right block, equation block, and an equality
+    conclusion, read off the rule's instances by its two copies."""
     if not rule.is_object:
         raise NotObjectRule("congruence rules exist only for object rules")
-    left, right = congruence_copies(rule)
-    premises = [instantiate_judgement(kind, left, EMPTY_CONTEXT, p) for p in rule.premises]
-    premises += [instantiate_judgement(kind, right, EMPTY_CONTEXT, p) for p in rule.premises]
-    premises += [
-        assoc_equality_judgement(kind, left, right, rule.premises[k]) for k in rule.object_premises()
-    ]
+    left, right = (instantiate_rule(kind, c, EMPTY_CONTEXT, rule) for c in congruence_copies(rule))
+    ls, rs = ([c.premise(i) for i in range(c.premise_count)] for c in (left, right))
+    eqs = [assoc_equality_judgement(ls[k], rs[k]) for k in rule.object_premises()]
     return RawRule(
         rule.arity + rule.arity,
-        tuple(premises),
-        assoc_equality_judgement(kind, left, right, rule.conclusion),
-        _doubled_names(rule),
+        tuple(ls + rs + eqs),
+        assoc_equality_judgement(left.conclusion, right.conclusion),
+        tuple(f"{n}'" for n in rule.metas) + tuple(f"{n}''" for n in rule.metas),
     )
 
 

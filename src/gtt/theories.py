@@ -31,7 +31,8 @@ validated once, where it enters, and elsewhere by equality:
   check of ``validate_expr`` that fails on an entry fails on its
   weakening too;
 - an instantiation entry of a metavariable in ``RawRule.exposed`` sits in
-  the conclusion verbatim; every other entry is validated at the node;
+  the conclusion verbatim; the others, listed in ``RawRule.plan``, are
+  validated at the node;
 - a substitution node validates its judgement and its tables: the
   substituted judgement may drop a term of the table, and a premise-free
   rule may expose that term below it, so nothing else would see it.
@@ -44,25 +45,22 @@ its exposed entries, which the conclusion contains, and the rest of its
 data is validated explicitly.  Its premises, instances of valid templates
 over valid data, are then valid, and so is each child's conclusion, which
 equals one of them.  A hypothesis leaf is matched with a valid premise and
-needs nothing more.  A rule node never builds a premise to compare:
-``rules.RuleInstance.matches`` decides ``got == premise`` from the rule's
-premise templates, and only a ``PremiseMismatch`` builds the premise it
-reports.  No check is lost, since a premise that matches equals a child's
-conclusion or a hypothesis, a ``Judgement`` whose constructor has already
-validated it.
+needs nothing more.
 
 A derivation may share node objects, and ``check_derivation`` recomputes
 the closure rule of each distinct node object once per check (see its
 docstring); the induction above runs over the occurrences all the same.
 
-A premise context of a rule instance extends the node's context, whose
-types are weakened into it.  One weakening memo per check
-(``judgements.extend_context``), keyed by value on (scope kind, type, cut,
-delta), weakens each distinct type once however many positions, contexts
-and nodes hold it; every context is still built by its constructor.  So a
-rule node costs its conclusion, the contexts of its premises under binders
-and, per child, one match: ``==`` on the slots the rule's ``plan`` reads
-verbatim, and one instantiation of each other template.  Variable and
+A rule node is checked by its rule's node plan (``RawRule.plan``,
+compiled once per rule): it validates the hidden entries, extends its
+context by the planned inner types (one weakening memo per check,
+``judgements.extend_context``, weakens each distinct type once) and
+builds its conclusion, each slot an entry, a symbol over entries or a
+template to instantiate.  It builds no premise: ``RuleInstance.matches``
+compares a child's slots with the planned ones, and only a
+``PremiseMismatch`` builds the premise it reports.  No check is lost: a
+premise that matches equals a child's conclusion or a hypothesis, a
+``Judgement`` whose constructor has already validated it.  Variable and
 substitution nodes build their premises.
 
 A witness bundle (``RuleWitnesses``, ``TheoryWitnesses``) is a set of
@@ -237,10 +235,12 @@ def closure_rule_of_node(
     """
     kind, t = sig.kind, type(node)
     if t is RuleInst:
-        inst, rule = node.inst, theory.rule(node.ref)
-        for m, (entry, slot) in enumerate(zip(inst.exprs, inst.arity)):
-            if m not in rule.exposed:
-                validate_expr(sig, entry, inst.scope + slot.binder, slot.cls)
+        inst, ref, rules = node.inst, node.ref, theory.rules  # a rule index is looked up without a call
+        rule = rules[ref] if type(ref) is int and 0 <= ref < len(rules) else theory.rule(ref)
+        ar = inst.arity  # of another length, it is refused by instantiate_rule after these validations
+        for m in (*rule.plan[0], *range(len(rule.arity), len(ar))):
+            if m < len(ar):
+                validate_expr(sig, inst.exprs[m], inst.scope + ar[m].binder, ar[m].cls)
         return instantiate_rule(kind, inst, node.context, rule, memo)
     if t is VariableInst:
         return variable_rule(node.context, node.pos)

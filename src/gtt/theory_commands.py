@@ -117,7 +117,7 @@ def cmd_replace_step(args) -> int:
             witness = derivation_from_json(theory, ext, step.get("witness"))
             builder.add_symbol(SymbolStep(_step_name(builder, step, ("", "-cong")), spec, realiser, witness))
         elif kind == "equation":
-            rule = rule_from_json(builder.signature, step.get("rule"))
+            rule = rule_from_json(builder.syntax.src, step.get("rule"))
             ext = mv_extend_signature(theory.signature, rule.arity, rule.meta_names)
             witness = derivation_from_json(theory, ext, step.get("witness"))
             builder.add_equation(EquationStep(_step_name(builder, step, ("",)), rule, witness))
@@ -129,11 +129,11 @@ def cmd_replace_step(args) -> int:
         "symbol_images": [
             expr_to_json(
                 mv_extend_signature(
-                    theory.signature, builder.signature.symbol(i).arity
+                    theory.signature, builder.syntax.src.symbol(i).arity
                 ),
                 e,
             )
-            for i, e in enumerate(builder.syntax_map().exprs)
+            for i, e in enumerate(builder.syntax.exprs)
         ],
     }
     _emit(args, out)
@@ -155,4 +155,4 @@ def _script_boundary(builder, step):
     premises = [_obj(p, "a premise") for p in _list(step.get("premises", []), "premises")]
     shape = premises_shape_from_json(premises, None)
     form = _form_from(step.get("conclusion_form"))
-    return rule_boundary_from_json(builder.signature, shape, premises, form, step.get("boundary", {}))
+    return rule_boundary_from_json(builder.syntax.src, shape, premises, form, step.get("boundary", {}))

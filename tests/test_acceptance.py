@@ -380,6 +380,6 @@ def test_criterion_11_replacement(capsys):
     for fn in (mltt_pi, mltt_base, type_in_type):
         theory, witnesses = fn()
         builder, s = section_s(theory, witnesses)
-        t = builder.syntax_map()
+        t = builder.syntax
         assert compose_syntax_maps(t, s.syntax) == identity_syntax_map(theory.signature)
         assert builder.check_well_founded()

@@ -21,6 +21,8 @@ indices are found once per theory object, however many metatheorem calls
 read them.  And the presuppositions of a lam tower: the shipped witnesses
 cite premises only, so one witness is instantiated per presupposition of
 the root, whatever the depth, in one walk that grafts as it instantiates.
+And a rule node instantiates only the templates its rule's plan keeps, and
+a replacement validates each step's realiser once.
 """
 
 import copy
@@ -48,6 +50,7 @@ from corpus import (
 )
 from gtt.judgements import EMPTY_CONTEXT, presuppositions
 from gtt.metatheory import derivation_nodes
+from gtt.rules import BuiltinRule
 from gtt.scopes import Renaming
 from gtt.syntax import Substitution
 from gtt.theories import Hyp, RawTypeTheory, RuleInst, SubstInst, check_theory_derivation
@@ -343,18 +346,65 @@ def count_calls(f, *args) -> int:
     return calls[0]
 
 
-@pytest.mark.parametrize("build, bound", [
-    (lambda: nested_pi(EMPTY_CONTEXT, 16).d_type, 1080),
-    (lambda: lam_tower(EMPTY_CONTEXT, 8).d_term, 1512),
-    (lambda: weakening_chain(16)[0], 8087),
+@pytest.mark.parametrize("build, first, bound", [
+    (lambda: nested_pi(EMPTY_CONTEXT, 16).d_type, 722, 666),
+    (lambda: lam_tower(EMPTY_CONTEXT, 8).d_term, 837, 673),
+    (lambda: weakening_chain(16)[0], 7280, 7128),
 ], ids=["nested_pi16", "lam_tower8", "weakening_chain16"])
-def test_a_check_spends_one_python_frame_per_expression_node(build, bound):
-    # Counted, not timed: the bound is 0.7x the 1,543, 2,160 and 11,554 calls
-    # of walkers that spent 3 to 6 frames on an expression node (a helper per
-    # check, per variable and per scope sum, and a generator frame resumed per
-    # argument); one frame per node makes 931, 1,016 and 7,193.
+def test_a_check_spends_one_python_frame_per_expression_node(build, first, bound):
+    # Counted, not timed: walkers that spent 3 to 6 frames on an expression
+    # node (a helper per check, per variable and per scope sum, and a
+    # generator frame resumed per argument) made 1,543, 2,160 and 11,554
+    # calls; one frame per node made 899, 898 and 7,359, and building each
+    # rule node by its rule's plan makes 606, 612 and 6,480.  The first
+    # check of rule objects that have no plan yet also compiles the plans of
+    # the rules it cites, once per rule: 657, 761 and 6,619, against 937,
+    # 964 and 7,359 for a first check before the node plan.  Both bounds
+    # are 1.1x those counts.  The built-in rules are shared by every
+    # theory, so their plans are compiled before counting.
     d = build()
-    assert count_calls(check_theory_derivation, THEORY, (), d) <= bound
+    for ref in BuiltinRule:
+        ref.rule.plan
+    theory = RawTypeTheory(THEORY.signature, tuple(r._replace() for r in THEORY.rules), THEORY.rule_names)
+    assert count_calls(check_theory_derivation, theory, (), d) <= first
+    assert count_calls(check_theory_derivation, theory, (), d) <= bound
+
+
+def test_a_rule_node_instantiates_only_the_templates_its_plan_keeps(monkeypatch):
+    # Counted, not timed: checking a lam tower instantiates, at each rule
+    # node, only the slots its rule's plan keeps as templates, each once,
+    # and validates only the root's conclusion and the entries the plan
+    # lists as hidden.  A slot the plan reads as an entry or as a symbol
+    # over entries is never instantiated: instantiating every template
+    # calls ``instantiate_expr`` 49 times here and the plan 15 times.
+    from gtt import judgements, rules, syntax, theories
+
+    d = lam_tower(EMPTY_CONTEXT, 8).d_term
+    check_theory_derivation(THEORY, (), d)
+    instantiated, validated = [], [0]
+
+    def counted_instantiate(kind, inst, e, original=syntax.instantiate_expr):
+        instantiated.append(e)
+        return original(kind, inst, e)
+
+    def counted_validate(*args, original=syntax.validate_expr):
+        validated[0] += 1
+        return original(*args)
+
+    for module in (rules, judgements):
+        monkeypatch.setattr(module, "instantiate_expr", counted_instantiate)
+    for module in (judgements, theories):
+        monkeypatch.setattr(module, "validate_expr", counted_validate)
+    conclusion = check_theory_derivation(THEORY, (), d)
+    nodes = {id(n): n for n in derivation_nodes(d) if isinstance(n, RuleInst)}.values()
+    templates = Counter()
+    for node in nodes:
+        for _, c, boundary, head in THEORY.rule(node.ref).plan[1]:
+            slots = (c if type(c) is tuple else ()) + boundary + (() if head is None else (head,))
+            templates.update(id(s) for s in slots if type(s) not in (int, tuple))
+    assert Counter(map(id, instantiated)) == templates and len(instantiated) == 15, instantiated
+    root = conclusion.context.types + conclusion.boundary + (conclusion.head,)
+    assert validated[0] == len(root) + sum(len(THEORY.rule(n.ref).plan[0]) for n in nodes), validated
 
 
 def fresh_theory() -> RawTypeTheory:
@@ -418,3 +468,40 @@ def test_the_memo_is_not_a_field():
         assert copied == theory
         assert vars(copied) == {}
         assert theory_tightness(copied) == beta
+
+
+def test_replacement_steps_validate_each_realiser_once(monkeypatch):
+    # Counted, not timed: the builder keeps one syntax map and grows it by
+    # the realiser of each symbol step, validating that realiser alone, so
+    # n closed steps realised by El(u) over type_in_type validate 2n
+    # expressions, 500 and 1,000.  Rebuilding the map at each step validates
+    # every earlier realiser again: 31,625 and 125,750.
+    from gtt import syntax
+    from gtt.bundled import type_in_type
+    from gtt.judgements import JudgementForm
+    from gtt.maps import ReplacementBuilder, SymbolStep, sequential_boundary_spec
+    from gtt.syntax import Instantiation, mk_sym
+
+    tit, _ = type_in_type()
+    sig = tit.signature
+    u = mk_sym(sig, "u", (), 0)
+    el_of_u = mk_sym(sig, "El", (u,), 0)
+    d_u = RuleInst(0, Instantiation((), 0, ()), EMPTY_CONTEXT, ())
+    d_el_u = RuleInst(2, Instantiation(tit.rule(2).arity, 0, (u,)), EMPTY_CONTEXT, (d_u,))
+    boundary = sequential_boundary_spec((), JudgementForm.IS_TY, ())
+    calls = [0]
+
+    def counted(*args, original=syntax.validate_expr):
+        calls[0] += 1
+        return original(*args)
+
+    patch_everywhere(monkeypatch, "validate_expr", syntax.validate_expr, counted)
+    counts = {}
+    for n in (250, 500):
+        builder = ReplacementBuilder(tit)
+        calls[0] = 0
+        for i in range(n):
+            builder.add_symbol(SymbolStep(f"U{i}", boundary, el_of_u, d_el_u))
+        counts[n] = calls[0]
+        assert builder.syntax.exprs == (el_of_u,) * n
+    assert 0 < counts[500] <= 2.1 * counts[250] and counts[250] <= 4 * 250, counts

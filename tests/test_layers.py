@@ -159,7 +159,7 @@ LINE_BUDGETS = {
     "invert": 3841,
     "natural-type": 2852,
     "unique-typing": 3841,
-    "replace-step": 4865,
+    "replace-step": 4861,
 }
 
 

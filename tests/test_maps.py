@@ -8,7 +8,7 @@ from corpus import THEORY, build_corpus, tt_at
 from genexpr import LAW_SIGNATURE, arity, gen_expr, identity_theory_map
 from gtt import derive
 from gtt.bundled import mltt_base, mltt_pi, type_in_type
-from gtt.errors import MissingWitness, WitnessFailure
+from gtt.errors import ArityMismatch, IndexOutOfRange, MissingWitness, WitnessFailure
 from gtt.judgements import EMPTY_CONTEXT, JudgementForm, ty_eq
 from gtt.maps import (
     EquationStep,
@@ -69,6 +69,26 @@ def test_syntax_map_rewrites_constant():
     assert apply_syntax_map(m, el_of_U) == el_of_u
 
 
+def test_a_syntax_map_built_on_a_prefix_validates_only_what_follows_it():
+    # the prefix map's interpretations were validated when it was built; the
+    # new ones are validated here, and a prefix that does not begin the map,
+    # in its target, its symbols or its interpretations, is refused
+    tit, _ = type_in_type()
+    sig = tit.signature
+    el_of_u = mk_sym(sig, "El", (mk_sym(sig, "u", (), 0),), 0)
+    one = Signature((Symbol("U", TY, ()),), sig.kind)
+    two = Signature(one.symbols + (Symbol("V", TY, ()),), sig.kind)
+    prefix = RawSyntaxMap(one, sig, (el_of_u,))
+    assert RawSyntaxMap(two, sig, (el_of_u, el_of_u), prefix) == RawSyntaxMap(two, sig, (el_of_u, el_of_u))
+    bad = SymApp(99, (), 0, TY)
+    with pytest.raises(IndexOutOfRange, match="^symbol 99 of 2$"):
+        RawSyntaxMap(two, sig, (el_of_u, bad), prefix)
+    other = Signature((Symbol("W", TY, ()),) + two.symbols, sig.kind)
+    for args in ((two, two, (el_of_u, el_of_u)), (other, sig, (el_of_u,) * 3), (two, sig, (bad, el_of_u))):
+        with pytest.raises(ArityMismatch, match="^the prefix map does not begin this map$"):
+            RawSyntaxMap(*args, prefix)
+
+
 def test_syntax_map_composition_functorial():
     rng = random.Random(51)
     sig = LAW_SIGNATURE
@@ -121,9 +141,9 @@ def test_symbol_step_mltt():
     a_term = mk_sym(ext, "lam", (A0, B1, Var(0, 1)), 0)
     with pytest.raises(WitnessFailure, match="^step Pi: realiser witness fails in the target$"):
         builder.add_symbol(SymbolStep("Pi", spec, a_term, witness))
-    assert builder.rules == () and builder.syntax_map().exprs == ()
+    assert builder.rules == () and builder.syntax.exprs == ()
     assert builder.add_symbol(SymbolStep("Pi", spec, pi, witness)) == 0
-    assert builder.syntax_map().exprs == (pi,)
+    assert builder.syntax.exprs == (pi,)
     assert builder.rule_names == ("Pi", "Pi-cong")
 
 
@@ -134,7 +154,7 @@ def test_symbol_step_refuses_an_equality_boundary():
     boundary = sequential_boundary_spec((((), JudgementForm.IS_TY, ()),), JudgementForm.TY_EQ, (a, a), ("A",))
     with pytest.raises(WitnessFailure, match="^step E: realiser witness fails in the target$"):
         builder.add_symbol(SymbolStep("E", boundary, a, derive.refl_ty(EMPTY_CONTEXT, a, Hyp(0))))
-    assert builder.signature.symbols == ()
+    assert builder.syntax.src.symbols == ()
 
 
 def test_replacement_script_type_in_type():
@@ -153,7 +173,7 @@ def test_replacement_script_type_in_type():
     U = builder.add_symbol(SymbolStep("U", u_boundary, el_of_u, d_el_u))
 
     # step 2: El' over a : U, realised by the generic application of El
-    bsig = builder.signature
+    bsig = builder.syntax.src
     U_at = SymApp(U, (), 0, TY)
     elp_boundary = sequential_boundary_spec(
         (((), JudgementForm.IS_TM, (U_at,)),),
@@ -173,7 +193,7 @@ def test_replacement_script_type_in_type():
     up = builder.add_symbol(SymbolStep("u'", up_boundary, generic_application(sig, 0), d_u))
 
     # step 4: the equation U == El'(u')
-    bsig = builder.signature
+    bsig = builder.syntax.src
     lhs = SymApp(U, (), 0, TY)
     rhs = SymApp(Elp, (SymApp(up, (), 0, TM),), 0, TY)
     eq_rule = RawRule((), (), ty_eq(EMPTY_CONTEXT, lhs, rhs))
@@ -182,11 +202,11 @@ def test_replacement_script_type_in_type():
     refl = derive.refl_ty(EMPTY_CONTEXT, el_of_u, d_el_u)
     builder.add_equation(EquationStep("U-unfold", eq_rule, refl))
 
-    assert [s.name for s in builder.signature.symbols] == ["U", "El'", "u'"]
+    assert [s.name for s in builder.syntax.src.symbols] == ["U", "El'", "u'"]
     assert builder.rule_names == ("U", "U-cong", "El'", "El'-cong", "u'", "u'-cong", "U-unfold")
     assert builder.check_well_founded()
     # the factorisation commutes: mapping the new symbols into the target
-    t = builder.syntax_map()
+    t = builder.syntax
     assert apply_syntax_map(t, lhs) == el_of_u
     assert apply_syntax_map(t, rhs) == el_of_u
 
@@ -205,7 +225,7 @@ def test_empty_step_list_builder():
     tit, _ = type_in_type()
     builder = ReplacementBuilder(tit)
     assert builder.theory().rules == ()
-    assert builder.syntax_map().exprs == ()
+    assert builder.syntax.exprs == ()
     assert builder.check_well_founded()
 
 
@@ -213,7 +233,7 @@ def test_empty_step_list_builder():
 def test_section_exists_and_splits(fn):
     theory, witnesses = fn()
     builder, s = section_s(theory, witnesses)
-    t = builder.syntax_map()
+    t = builder.syntax
     assert compose_syntax_maps(t, s.syntax) == identity_syntax_map(theory.signature)
     assert builder.check_well_founded()
 
@@ -222,16 +242,16 @@ def test_section_type_in_type_names_the_paper_symbols():
     theory, witnesses = type_in_type()
     builder, s_map = section_s(theory, witnesses)
     s = s_map.syntax
-    names = [sym.name for sym in builder.signature.symbols]
+    names = [sym.name for sym in builder.syntax.src.symbols]
     # the first symbol is the type constant for El(u), the paper's U
     assert names[0] == "c.u-intro.ty"
     el_of_u = mk_sym(theory.signature, "El", (mk_sym(theory.signature, "u", (), 0),), 0)
-    assert builder.syntax_map().exprs[0] == el_of_u
+    assert builder.syntax.exprs[0] == el_of_u
     # s sends El to the generic application of its c-symbol
     el_image = s.exprs[1]
     assert isinstance(el_image, SymApp)
-    assert builder.signature.symbol(el_image.sym).name == "c.El"
-    assert apply_syntax_map(builder.syntax_map(), el_image) == generic_application(
+    assert builder.syntax.src.symbol(el_image.sym).name == "c.El"
+    assert apply_syntax_map(builder.syntax, el_image) == generic_application(
         theory.signature, 1
     )
 

@@ -13,6 +13,7 @@ mutants that change the structure of one node.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -29,13 +30,15 @@ from corpus import (
     unit_at,
 )
 from genexpr import LAW_SIGNATURE, arity, gen_arity, gen_expr, gen_instantiation, gen_subst, gen_template
+from gtt.bundled import mltt_base, mltt_pi, type_in_type
 from reference_checker import reference_check
-from gtt.errors import DerivationError, KernelError
+from gtt.errors import ArityMismatch, DerivationError, IndexOutOfRange, KernelError
 from gtt.judgements import (
     EMPTY_CONTEXT,
     Judgement,
     JudgementForm,
     RawContext,
+    instantiate_context,
     instantiate_judgement,
     is_term,
     is_type,
@@ -43,7 +46,7 @@ from gtt.judgements import (
     tm_eq,
     ty_eq,
 )
-from gtt.rules import BuiltinRule, RawRule, instantiate_rule
+from gtt.rules import BuiltinRule, RawRule, congruence_copies, congruence_rule, instantiate_rule
 from gtt.scopes import ScopeKind
 from gtt.syntax import (
     TM,
@@ -287,18 +290,106 @@ def test_rule_exposed_set_is_the_generic_occurrences_of_its_conclusion():
 def test_rule_plan_reads_verbatim_exactly_the_markers_of_its_premises():
     # The same marker instantiation as ``exposed_by_definition``: a slot the
     # plan reads as metavariable m is the marker of m itself in the eagerly
-    # built premise, and every other slot is no marker.
+    # built premise or conclusion, a slot it reads as a symbol over entries
+    # is that symbol over the markers themselves, and every other slot is
+    # neither.  The plan validates exactly the entries not exposed.
     for rule in sample_rules(62):
         markers = marker_entries(rule)
         inst = Instantiation(rule.arity, 0, markers)
-        for p, (form, _, slots) in zip(rule.premises, rule.plan):
+        hidden, steps = rule.plan
+        assert hidden == tuple(m for m in range(len(rule.arity)) if m not in exposed_by_definition(rule))
+        assert len(steps) == len(rule.premises) + 1
+        for p, (form, _, boundary, head) in zip(rule.premises + (rule.conclusion,), steps):
             built = instantiate_judgement(ScopeKind.INDICES, inst, EMPTY_CONTEXT, p)
-            assert form is p.form
+            assert form is p.form and (head is None) == (built.head is None)
             exprs = built.boundary + (() if built.head is None else (built.head,))
+            slots = boundary + (() if head is None else (head,))
             assert len(slots) == len(exprs)
             for s, e in zip(slots, exprs):
-                found = [m for m, marker in enumerate(markers) if e is marker]
-                assert found == ([s] if type(s) is int else []), (rule, p)
+                assert marker_reading(markers, e) == (s if type(s) is int else s[:2] if type(s) is tuple else None)
+
+
+def marker_reading(markers, e):
+    """m when ``e`` is the marker of m itself, (sym, (m, ..)) when it is a
+    symbol over markers themselves, and else None."""
+    found = [m for m, marker in enumerate(markers) if e is marker]
+    if found:
+        return found[0]
+    args = [marker_reading(markers, a) for a in e.args] if type(e) is SymApp else None
+    return (e.sym, tuple(args)) if args is not None and all(type(a) is int for a in args) else None
+
+
+def plan_rules(seed: int) -> list[RawRule]:
+    """Every rule of the three bundled raw theories, the eight built-in
+    rules, and random rules from ``gen_arity`` and ``gen_template`` whose
+    premises have contexts, some shared with an earlier premise, and whose
+    conclusion may have one."""
+    rng = random.Random(seed)
+    out = [rule for t, _ in (mltt_base(), mltt_pi(), type_in_type()) for rule in t.rules]
+    out += [ref.rule for ref in BuiltinRule]
+    template = lambda rng, sig, scope, cls, depth: gen_template(rng, sig, scope, cls, depth, True)
+    for _ in range(120):
+        alpha = gen_arity(rng)
+        ext = mv_extend_signature(LAW_SIGNATURE, alpha)
+        contexts, judgements = [], []
+        for _ in range(rng.randrange(1, 5)):
+            if contexts and rng.random() < 0.3:
+                ctx = rng.choice(contexts)
+            else:
+                ctx = random_context(rng, ext, rng.randrange(3), template)
+            contexts.append(ctx)
+            judgements.append(random_judgement(rng, ext, ctx, template))
+        out.append(RawRule(alpha, tuple(judgements[:-1]), judgements[-1]))
+    return out
+
+
+def test_a_rule_instance_built_by_the_plan_equals_the_instantiated_templates():
+    # Differential: the contexts and conclusion ``instantiate_rule`` builds by
+    # the plan, and each premise it builds to report, equal what the generic
+    # instantiation of the templates gives, and each built premise matches.
+    # The entries are random expressions over the law signature: neither
+    # side validates them.
+    kinds, read, rng = Counter(), Counter(), random.Random(65)
+    for rule in plan_rules(64):
+        for _, c, boundary, head in rule.plan[1]:
+            read.update(type(s).__name__ for s in boundary + (() if head is None else (head,)))
+            read["context " + type(c).__name__] += 1
+        for kind in ScopeKind:
+            for gamma in (0, rng.randrange(1, 3)):
+                ctx = random_context(rng, LAW_SIGNATURE, gamma)
+                inst = gen_instantiation(rng, LAW_SIGNATURE, rule.arity, gamma)
+                closure = instantiate_rule(kind, inst, ctx, rule)
+                assert closure.conclusion == instantiate_judgement(kind, inst, ctx, rule.conclusion)
+                assert closure.premise_count == len(rule.premises)
+                for i, p in enumerate(rule.premises):
+                    premise = instantiate_judgement(kind, inst, ctx, p)
+                    assert closure.contexts[i] == instantiate_context(kind, inst, ctx, p.context)
+                    assert closure.premise(i) == premise and closure.matches(i, premise)
+                kinds[kind, gamma > 0] += 1
+    assert len(kinds) == 4 and min(kinds.values()) >= 150, kinds
+    assert read["int"] >= 100 and read["tuple"] >= 100 and read["MetaApp"] + read["SymApp"] + read["Var"] >= 100, read
+    assert min(read[f"context {c}"] for c in ("NoneType", "int", "tuple")) >= 20, read
+
+
+def test_a_congruence_rule_equals_the_one_built_from_the_instantiated_templates():
+    # ``congruence_rule`` reads its blocks off the rule's instances by the
+    # two copies; the reference instantiates the templates by each copy.
+    def assoc(l, r):
+        return ty_eq(l.context, l.head, r.head) if l.boundary == () else tm_eq(l.context, l.head, r.head, l.boundary[0])
+
+    count = 0
+    for rule in plan_rules(66):
+        if not rule.is_object:
+            continue
+        for kind in ScopeKind:
+            l, r = ([instantiate_judgement(kind, c, EMPTY_CONTEXT, p) for p in rule.premises + (rule.conclusion,)]
+                    for c in congruence_copies(rule))
+            eqs = [assoc(l[k], r[k]) for k in rule.object_premises()]
+            cong = congruence_rule(kind, rule)
+            assert cong.shape == (rule.arity + rule.arity, tuple(l[:-1] + r[:-1] + eqs), assoc(l[-1], r[-1]))
+            assert cong.meta_names == tuple(f"{n}'" for n in rule.metas) + tuple(f"{n}''" for n in rule.metas)
+            count += 1
+    assert count >= 120, count
 
 
 # --- the premise matcher ----------------------------------------------------------
@@ -321,6 +412,7 @@ def rule_node_matches(theory, hyps, d, ambient=None, names=()):
             premise = instantiate_judgement(theory.kind, node.inst, node.context, template)
             assert closure.premise(i) == premise
             got = [hyps[child.index] if isinstance(child, Hyp) else reference_check(theory, hyps, child, ambient, names)]
+            got += slot_mutants(premise)
             if not isinstance(child, Hyp):
                 for _, mutant in field_mutants(theory, child):
                     try:
@@ -329,6 +421,14 @@ def rule_node_matches(theory, hyps, d, ambient=None, names=()):
                         continue
             for j in got:
                 yield closure.matches(i, j), j == premise
+
+
+def slot_mutants(j: Judgement) -> list[Judgement]:
+    """``j`` with one slot, boundary or head, replaced by a marker of its
+    class and scope, for each slot in turn."""
+    marker = lambda e: MetaApp(10_000, (), e.scope, e.cls)
+    out = [Judgement(j.context, j.form, _with(j.boundary, k, marker(e)), j.head) for k, e in enumerate(j.boundary)]
+    return out + ([] if j.head is None else [j._replace(head=marker(j.head))])
 
 
 def test_the_matcher_agrees_with_built_premises_on_the_corpus():
@@ -608,6 +708,22 @@ def test_entry_of_a_metavariable_that_occurs_nowhere_is_validated():
                                     (u.type, unit_at(extend(EMPTY_CONTEXT, u)).type)),
                       EMPTY_CONTEXT, (root, unit_at(extend(EMPTY_CONTEXT, u)).d_type))
         assert assert_agree(theory, (), pi) is KernelError
+
+
+def test_entries_of_an_instantiation_of_another_arity_are_validated_before_the_arity_is_compared():
+    # Pi-form exposes both of its entries; a third entry, which its arity
+    # lacks, is validated first, and only a well-formed one reaches the
+    # arity comparison
+    u = unit_at(EMPTY_CONTEXT)
+    r = THEORY.rule_index("Pi-form")
+    entries = (u.type, unit_at(extend(EMPTY_CONTEXT, u)).type)
+    longer = THEORY.rule(r).arity + arity((TM, 0))
+    for extra, expected in ((tt_at(EMPTY_CONTEXT).term, ArityMismatch), (SymApp(99, (), 0, TM), IndexOutOfRange)):
+        node = RuleInst(r, Instantiation(longer, 0, entries + (extra,)), EMPTY_CONTEXT, ())
+        with pytest.raises(DerivationError) as caught:
+            check_theory_derivation(THEORY, (), node)
+        assert type(caught.value.cause) is expected and caught.value.path == ()
+        assert assert_agree(THEORY, (), node) is KernelError
 
 
 def test_context_weakened_into_a_rule_conclusion_context_is_validated():

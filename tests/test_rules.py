@@ -201,20 +201,22 @@ def test_equality_substitution_rule_reflexive_shape():
         equality_substitution_rule(KIND, f, f, ctx, frozenset({0}), ty_eq(ctx, unit1, unit1))
 
 
+def copies(rule, j):
+    return tuple(instantiate_judgement(KIND, c, EMPTY_CONTEXT, j) for c in congruence_copies(rule))
+
+
 def test_assoc_equality_judgement():
     pi_rule = THEORY.rule(THEORY.rule_index("Pi-form"))
-    left, right = congruence_copies(pi_rule)
-    j = pi_rule.conclusion
-    eq = assoc_equality_judgement(KIND, left, right, j)
+    eq = assoc_equality_judgement(*copies(pi_rule, pi_rule.conclusion))
     assert eq.form is JudgementForm.TY_EQ
     # left side mentions the primed copy, right side the double-primed copy
     assert eq.boundary[0] != eq.boundary[1]
-    term_j = THEORY.rule(THEORY.rule_index("lam-intro")).conclusion
-    l2, r2 = congruence_copies(THEORY.rule(THEORY.rule_index("lam-intro")))
-    eq2 = assoc_equality_judgement(KIND, l2, r2, term_j)
+    lam = THEORY.rule(THEORY.rule_index("lam-intro"))
+    eq2 = assoc_equality_judgement(*copies(lam, lam.conclusion))
     assert eq2.form is JudgementForm.TM_EQ
+    assert eq2.boundary[2] == copies(lam, lam.conclusion)[0].boundary[0]
     with pytest.raises(NotObjectRule):
-        assoc_equality_judgement(KIND, left, right, eq)
+        assoc_equality_judgement(eq, eq)
 
 
 def test_congruence_copies_are_the_two_generic_instantiations():

@@ -17,9 +17,13 @@ a first round, not kept, warms both up.
 
 The table gives, per kind (``check`` or ``transform``), operation, family
 and size, the summed median time of its requests in A and in B and their
-ratio B / A; the last rows give the ratio of each kind and of all requests.
-A ratio below 1 means B is faster.  Times are plain wall times, not scaled
-to a host speed as ``bench/run.py`` scales them, so compare ratios only.
+ratio B / A; the next rows give the ratio of each kind and of all requests.
+The last rows give, per kind, the p50 and p90 of the per-request medians
+of A and of B and their ratio: the percentiles ``bench/run.py`` reports
+(``check_ms_p90`` ...), here paired request by request, so that a claim
+on a percentile can be checked in pairs.  A ratio below 1 means B is
+faster.  Times are plain wall times, not scaled to a host speed as
+``bench/run.py`` scales them, so compare ratios only.
 Only the library workloads run here; ``cli-files`` times subprocesses,
 which separate runs of ``bench/run.py`` compare as well as this could.
 """
@@ -62,8 +66,9 @@ def timed(modules: dict, run) -> float:
     return time.perf_counter() - start
 
 
-def compare(a: Path, b: Path, workload: str, seed: int, rounds: int, minimal: bool) -> list[tuple]:
-    """(kind, op, family, n, count, A ms, B ms) per group of requests."""
+def compare(a: Path, b: Path, workload: str, seed: int, rounds: int, minimal: bool) -> tuple[list[tuple], dict]:
+    """(kind, op, family, n, count, A ms, B ms) per group of requests, and
+    per kind the per-request median times (ms) of A and of B."""
     sides = [load(a, workload, seed, minimal), load(b, workload, seed, minimal)]
     (_, reqs_a), (_, reqs_b) = sides
     keys = [(r.kind, r.op, r.family, r.n) for r in reqs_a]
@@ -79,15 +84,24 @@ def compare(a: Path, b: Path, workload: str, seed: int, rounds: int, minimal: bo
                 if k:
                     times[side][i].append(t)
     groups: dict[tuple, list[float]] = defaultdict(lambda: [0, 0.0, 0.0])
+    medians: dict[str, tuple[list[float], list[float]]] = defaultdict(lambda: ([], []))
     for i, key in enumerate(keys):
         g = groups[key]
         g[0] += 1
-        g[1] += statistics.median(times[0][i]) * 1e3
-        g[2] += statistics.median(times[1][i]) * 1e3
-    return [key + tuple(g) for key, g in sorted(groups.items(), key=lambda kv: tuple(map(str, kv[0])))]
+        for side in (0, 1):
+            ms = statistics.median(times[side][i]) * 1e3
+            g[1 + side] += ms
+            medians[key[0]][side].append(ms)
+    rows = [key + tuple(g) for key, g in sorted(groups.items(), key=lambda kv: tuple(map(str, kv[0])))]
+    return rows, dict(medians)
 
 
-def report(rows: list[tuple]) -> str:
+def p90(samples: list[float]) -> float:
+    """The p90 as ``bench/run.py`` takes it; a single sample is its own."""
+    return statistics.quantiles(samples, n=10)[8] if len(samples) > 1 else samples[0]
+
+
+def report(rows: list[tuple], medians: dict[str, tuple[list[float], list[float]]]) -> str:
     lines = ["| kind | op | family | n | requests | A ms | B ms | B / A |", "| --- " * 8 + "|"]
     for kind, op, family, n, count, ta, tb in rows:
         lines.append(f"| {kind} | {op} | {family} | {n} | {count} | {ta:.2f} | {tb:.2f} | {tb / ta:.3f} |")
@@ -96,6 +110,10 @@ def report(rows: list[tuple]) -> str:
         if picked:
             ta, tb = sum(r[5] for r in picked), sum(r[6] for r in picked)
             lines.append(f"| {label or 'all'} | | | | {sum(r[4] for r in picked)} | {ta:.2f} | {tb:.2f} | {tb / ta:.3f} |")
+    for kind, (a, b) in sorted(medians.items()):
+        for name, stat in (("p50", statistics.median), ("p90", p90)):
+            ta, tb = stat(a), stat(b)
+            lines.append(f"| {kind} {name} | | | | {len(a)} | {ta:.4f} | {tb:.4f} | {tb / ta:.3f} |")
     return "\n".join(lines)
 
 
@@ -108,9 +126,9 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--size", choices=("full", "min"), default="full")
     args = p.parse_args(argv)
-    rows = compare(args.a.resolve(), args.b.resolve(), args.workload, args.seed, args.rounds, args.size == "min")
+    rows, medians = compare(args.a.resolve(), args.b.resolve(), args.workload, args.seed, args.rounds, args.size == "min")
     print(f"A = {args.a}, B = {args.b}, {args.workload}, seed {args.seed}, {args.rounds} rounds")
-    print(report(rows))
+    print(report(rows, medians))
     return 0
 
 
